@@ -21,6 +21,7 @@ with zero residual.  The modules:
 from .rings import Dual, FracElem, LaurentPoly, MultiPoly, UnsupportedRingError
 from .matrix import (
     ExactMatrix,
+    NotSymplecticError,
     ShapeError,
     char_poly,
     inverse,
@@ -34,6 +35,7 @@ from .matrix import (
     transvection,
 )
 from .lie import (
+    InvariantFormError,
     MatrixLieAlgebra,
     SaturationVerdict,
     Summand,

@@ -13,12 +13,24 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .matrix import ExactMatrix, inverse, mat_rank_kernel, standard_omega
+from .matrix import ExactMatrix, _rref, inverse, mat_rank_kernel, standard_omega
 from .rings import _is_rat
 
 
-def _flatten(M: ExactMatrix):
-    return tuple(x for r in M.entries for x in r)
+def nonzero_entries(M: ExactMatrix):
+    """The nonzero entries of a matrix as (row, col, value) triples."""
+    return tuple(
+        (r, c, x) for r, row in enumerate(M.entries) for c, x in enumerate(row) if not _entry_zero(x)
+    )
+
+
+def _flattened(M: ExactMatrix) -> dict:
+    """Nonzero entries of a square matrix keyed by flattened position."""
+    return {r * M.cols + c: x for r, c, x in nonzero_entries(M)}
+
+
+class InvariantFormError(ValueError):
+    """The invariant symplectic form of a representation is not unique up to scale."""
 
 
 class MatrixLieAlgebra:
@@ -39,21 +51,27 @@ class MatrixLieAlgebra:
         self.basis = basis
         self.ambient_dim = d
         self.dim = len(basis)
-        flat = ExactMatrix([_flatten(b) for b in basis]).transpose()  # d^2 x D
-        rk, _ = mat_rank_kernel(flat)
-        if rk != self.dim:
-            raise ValueError("basis matrices are linearly dependent")
-        self._coord_solver = _CoordinateSolver(flat)
+        self._flat = [_flattened(b) for b in basis]
+        self._coord_solver = _CoordinateSolver(self._flat, d * d)
         self.structure_constants = self._compute_structure_constants()
 
     def _compute_structure_constants(self):
+        d = self.ambient_dim
+        by_row = [{} for _ in self.basis]
+        for rows, X in zip(by_row, self.basis):
+            for r, c, x in nonzero_entries(X):
+                rows.setdefault(r, []).append((c, x))
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
         for i in range(self.dim):
-            Xi = self.basis[i]
             for j in range(i + 1, self.dim):
-                Xj = self.basis[j]
-                br = Xi * Xj - Xj * Xi
-                coords = self._coord_solver.coords(_flatten(br))
+                # [X_i, X_j] = X_i X_j - X_j X_i, entry by entry
+                br = {}
+                for a, b, sign in ((i, j, 1), (j, i, -1)):
+                    for r, rows in by_row[a].items():
+                        for m, x in rows:
+                            for c, y in by_row[b].get(m, ()):
+                                br[r * d + c] = br.get(r * d + c, 0) + sign * x * y
+                coords = self._coord_solver.coords(br)
                 if coords is None:
                     raise ValueError("basis is not closed under the bracket")
                 cs = {k: c for k, c in enumerate(coords) if c != 0}
@@ -68,7 +86,9 @@ class MatrixLieAlgebra:
 
     def coordinates_of(self, M: ExactMatrix):
         """Coordinates of an ambient matrix in the basis, or None."""
-        return self._coord_solver.coords(_flatten(M))
+        if (M.rows, M.cols) != (self.ambient_dim, self.ambient_dim):
+            return None
+        return self._coord_solver.coords(_flattened(M))
 
     def from_coordinates(self, coords) -> ExactMatrix:
         acc = ExactMatrix.zeros(self.ambient_dim, self.ambient_dim)
@@ -80,44 +100,59 @@ class MatrixLieAlgebra:
     def trace_gram(self) -> ExactMatrix:
         """Gram matrix of the trace form B(X,Y) = tr(XY) on the basis."""
         d = self.ambient_dim
-
-        def tr(A, B):
-            return sum(A.entries[i][j] * B.entries[j][i] for i in range(d) for j in range(d))
-
-        return ExactMatrix([[tr(a, b) for b in self.basis] for a in self.basis])
+        # tr(XY) = sum over entries X_rc of X_rc * Y_cr
+        transposed = [{(p % d) * d + p // d: x for p, x in f.items()} for f in self._flat]
+        return ExactMatrix(
+            [
+                [sum(x * yt[p] for p, x in fx.items() if p in yt) for yt in transposed]
+                for fx in self._flat
+            ]
+        )
 
 
 class _CoordinateSolver:
-    """Solves flat*c = y repeatedly for a fixed full-column-rank flat matrix,
-    by inverting a row-selected square block once."""
+    """Solves sum_j c_j X_j = Y for a fixed linearly independent list of
+    flattened matrices X_j, given as sparse {position: value} maps.
 
-    def __init__(self, flat: ExactMatrix):
-        self.flat = flat
+    One RREF of the D x (size + D) matrix [F | I], with F the D x size matrix
+    whose rows are the X_j, does all the elimination.  Its pivots P are D
+    positions at which the X_j are independent, and its right block E is the
+    inverse of F restricted to the columns P, so c_j = sum_p E[p][j] y[P_p].
+    """
+
+    def __init__(self, columns, size: int):
+        dim = len(columns)
         rows = []
-        sel = []
-        r = 0
-        # greedily pick rows that increase the rank
-        for i in range(flat.rows):
-            cand = rows + [flat.entries[i]]
-            rk, _ = mat_rank_kernel(ExactMatrix(cand))
-            if rk > r:
-                rows.append(flat.entries[i])
-                sel.append(i)
-                r = rk
-                if r == flat.cols:
-                    break
-        if r != flat.cols:
-            raise ValueError("matrix does not have full column rank")
-        self.sel = sel
-        self.block_inv = inverse(ExactMatrix(rows))
+        for j, col in enumerate(columns):
+            row = [Fraction(0)] * (size + dim)
+            for pos, x in col.items():
+                row[pos] = Fraction(x)
+            row[size + j] = Fraction(1)
+            rows.append(row)
+        self.sel = _rref(rows, size)
+        if len(self.sel) != dim:
+            raise ValueError("basis matrices are linearly dependent")
+        self.columns = columns
+        self.inv_rows = [[(j, e) for j, e in enumerate(row[size:]) if e] for row in rows]
 
-    def coords(self, y):
-        ysel = [y[i] for i in self.sel]
-        c = self.block_inv.apply(ysel)
+    def coords(self, y: dict):
+        """Coordinates of the flattened matrix with nonzero entries ``y``, or
+        None when it lies outside the span."""
+        c = [0] * len(self.columns)
+        for pos, inv_row in zip(self.sel, self.inv_rows):
+            v = y.get(pos, 0)
+            if v:
+                for j, e in inv_row:
+                    c[j] += e * v
         # verify on the full system; None signals y outside the span
-        if self.flat.apply(c) != tuple(y):
+        back = {}
+        for cj, col in zip(c, self.columns):
+            if cj:
+                for pos, x in col.items():
+                    back[pos] = back.get(pos, 0) + cj * x
+        if {p: v for p, v in back.items() if v} != {p: v for p, v in y.items() if v}:
             return None
-        return c
+        return tuple(c)
 
 
 @dataclass(frozen=True)
@@ -451,7 +486,8 @@ def sl2_sym_cube() -> SymplecticRep:
             row[c * 4 + r] += 1
             rows.append(row)
     _, ker = mat_rank_kernel(ExactMatrix(rows))
-    assert len(ker) == 1, "invariant form should be unique up to scale"
+    if len(ker) != 1:
+        raise InvariantFormError(f"expected a unique invariant form up to scale, found {len(ker)}")
     v = ker[0]
     scale = 1
     for x in v:

@@ -16,6 +16,10 @@ class ShapeError(ValueError):
     """Dimension mismatch in a matrix operation."""
 
 
+class NotSymplecticError(ValueError):
+    """A matrix built to be symplectic fails M^T Omega M = Omega."""
+
+
 def _is_zero_entry(x) -> bool:
     if isinstance(x, (int, Fraction)):
         return x == 0
@@ -465,7 +469,7 @@ def random_symplectic(n: int, seed: int) -> ExactMatrix:
 
     Built as a product of symplectic transvections (equivalently, exponentials
     of rank-one nilpotents in sp), with small integer/rational parameters.
-    The defining identity M^T Omega M = Omega is asserted before returning.
+    The defining identity M^T Omega M = Omega is checked before returning.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -478,7 +482,8 @@ def random_symplectic(n: int, seed: int) -> ExactMatrix:
             v[rng.randrange(2 * n)] = 1
         c = rng.choice([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)])
         M = M * transvection(v, c, omega)
-    assert M.transpose() * omega * M == omega
+    if M.transpose() * omega * M != omega:
+        raise NotSymplecticError("product of transvections is not symplectic")
     return M
 
 
@@ -500,5 +505,6 @@ def random_symplectic_laurent(n: int, seed: int, var: str = "z") -> ExactMatrix:
             v[rng.randrange(dim)] = LaurentPoly.const(var, 1)
         c = LaurentPoly.term(var, rng.randint(-2, 2), rng.choice([1, -1, 2]))
         M = M * transvection(v, c, omega_l)
-    assert M.transpose() * omega_l * M == omega_l
+    if M.transpose() * omega_l * M != omega_l:
+        raise NotSymplecticError("product of Laurent transvections is not symplectic")
     return M

@@ -7,6 +7,17 @@ with B the trace form of the ambient matrix realization.  For the standard
 representation of sp(2n) this normalization makes mu(psi) literally equal to
 the matrix of v -> omega(v, psi) psi; no extra scalar is needed (checked in
 the tests by an independent tensor computation).
+
+Everything runs in Lie-algebra coordinates.  Each coordinate of mu is a
+quadratic form psi^T Z_k psi / q with a sparse integer matrix Z_k, so the
+differential is the bilinear form psi^T (Z_k + Z_k^T) psidot / q over any
+commutative ring.  The equivariance check applies rho(xi) through the sparse
+entries of the rho_j and takes [xi, mu] from the algebra's structure
+constants; both sides are quadratic in psi with the common factor 1/q, so it
+clears denominators and compares Python integers.  No ambient matrix is built
+unless the check fails and its residual has to be shown.  The ambient-matrix
+check and the dual-number differential this replaces are kept beside the
+tests (``tests/moment_oracles.py``) as their oracles.
 """
 
 from __future__ import annotations
@@ -14,9 +25,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .lie import SymplecticRep
+from .lie import SymplecticRep, nonzero_entries
 from .matrix import ExactMatrix, char_poly, inverse
-from .rings import Dual
 
 
 class InvalidContextError(ValueError):
@@ -29,7 +39,10 @@ class MomentContext:
     Each coordinate of mu is a quadratic form psi -> (psi^T Z_k psi)/q with an
     integer matrix Z_k and common denominator q, obtained by solving against
     the Gram matrix of B once.  ``b_scale`` rescales B (the map rescales
-    inversely; equivariance is unaffected).
+    inversely; equivariance is unaffected).  The forms Z_k, their
+    polarizations S_k = Z_k + Z_k^T, the rho_j (cleared of their common
+    denominator) and the structure constants (likewise) are all kept as
+    sparse integer (row, col, value) entries.
     """
 
     def __init__(self, rep: SymplecticRep, b_scale=1):
@@ -43,68 +56,80 @@ class MomentContext:
         except ValueError as exc:
             raise InvalidContextError("Gram matrix of B is singular") from exc
         D = rep.algebra.dim
-        # rhs_j(psi) = omega(rho(X_j) psi, psi) = psi^T A_j psi, A_j = rho_j^T Omega
-        A = [R.transpose() * rep.omega for R in rep.rho]
-        qs = []
-        for k in range(D):
-            rows = []
-            for r in range(rep.dimV):
-                row = []
-                for c in range(rep.dimV):
-                    acc = Fraction(0)
-                    for j in range(D):
-                        g = ginv.entries[k][j]
-                        if g:
-                            acc += Fraction(g) * Fraction(A[j].entries[r][c])
-                    row.append(acc)
-                rows.append(row)
-            qs.append(rows)
-        q = 1
-        for rows in qs:
-            for row in rows:
-                for x in row:
-                    q = q * x.denominator // math.gcd(q, x.denominator)
+        omega_rows = {}
+        for m, c, w in nonzero_entries(rep.omega):
+            omega_rows.setdefault(m, []).append((c, w))
+        # rhs_j(psi) = omega(rho(X_j) psi, psi) = psi^T A_j psi, A_j = rho_j^T Omega,
+        # and Z_k / q = sum_j ginv[k][j] A_j
+        qs = [{} for _ in range(D)]
+        for j, R in enumerate(rep.rho):
+            A = {}
+            for m, r, x in nonzero_entries(R):
+                for c, w in omega_rows.get(m, ()):
+                    A[r, c] = A.get((r, c), 0) + x * w
+            for k in range(D):
+                g = ginv.entries[k][j]
+                if g:
+                    for rc, a in A.items():
+                        qs[k][rc] = qs[k].get(rc, 0) + g * a
+        q = math.lcm(*(Fraction(x).denominator for f in qs for x in f.values()))
         self._q_inv = Fraction(1, q)
-        self._Z = [
-            ExactMatrix([[int(x * q) for x in row] for row in rows]) for rows in qs
-        ]
+        self._Z = [_sparse({rc: x * q for rc, x in f.items()}) for f in qs]
+        self._S = []
+        for Z in self._Z:
+            S = {}
+            for r, c, v in Z:
+                S[r, c] = S.get((r, c), 0) + v
+                S[c, r] = S.get((c, r), 0) + v
+            self._S.append(_sparse(S))
+        rho = [nonzero_entries(R) for R in rep.rho]
+        self._rho_den = math.lcm(*(Fraction(x).denominator for e in rho for _, _, x in e))
+        self._rho = [[(r, c, int(x * self._rho_den)) for r, c, x in e] for e in rho]
+        table = rep.algebra.structure_constants
+        self._bracket_den = math.lcm(
+            *(Fraction(x).denominator for cs in table.values() for x in cs.values())
+        )
+        # _ad[i] lists (j, k, e c^k_ij): [X_i, X_j] = sum_k c^k_ij X_k
+        self._ad = [[] for _ in range(D)]
+        for (i, j), cs in table.items():
+            for k, x in cs.items():
+                self._ad[i].append((j, k, int(x * self._bracket_den)))
 
     # -- evaluation -----------------------------------------------------
 
-    def quadratic_coords(self, psi, psidot=None):
-        """Coordinates of mu(psi), or of the symmetric bilinear evaluation
-        when a second argument is given (used only by tests as an oracle)."""
-        other = psi if psidot is None else psidot
-        out = []
-        for Z in self._Z:
-            w = Z.apply(other)
-            acc = 0
-            started = False
-            for a, b in zip(psi, w):
-                if _iszero(a) or _iszero(b):
-                    continue
-                term = a * b
-                acc = term if not started else acc + term
-                started = True
-            if psidot is None:
-                out.append(acc * self._q_inv)
-            else:
-                wr = Z.apply(psi)
-                acc2 = 0
-                for a, b in zip(other, wr):
-                    if _iszero(a) or _iszero(b):
-                        continue
-                    acc2 = acc2 + a * b
-                out.append((acc + acc2) * self._q_inv)
-        return tuple(out)
+    def quadratic_coords(self, psi):
+        """Coordinates of mu(psi)."""
+        return tuple(x * self._q_inv for x in _forms(self._Z, psi, psi))
+
+
+def _sparse(entries: dict):
+    return [(r, c, int(v)) for (r, c), v in entries.items() if v]
 
 
 def _iszero(x):
     if isinstance(x, (int, Fraction)):
         return x == 0
-    if isinstance(x, Dual):
-        return _iszero(x.re) and _iszero(x.eps)
     return x.is_zero
+
+
+def _forms(forms, a, b):
+    """Values a^T F b of sparse integer forms F, over any commutative ring."""
+    out = []
+    for entries in forms:
+        acc = 0
+        for r, c, v in entries:
+            x, y = a[r], b[c]
+            if _iszero(x) or _iszero(y):
+                continue
+            acc = acc + v * x * y
+        out.append(acc)
+    return out
+
+
+def _clear_denominators(vec):
+    """(integers, L) with vec == integers / L for a rational vector."""
+    L = math.lcm(*(x.denominator for x in vec))
+    return [x.numerator * (L // x.denominator) for x in vec], L
 
 
 def moment_map(ctx: MomentContext, psi):
@@ -121,31 +146,46 @@ def moment_matrix(ctx: MomentContext, psi) -> ExactMatrix:
 
 
 def moment_differential(ctx: MomentContext, psi, psidot):
-    """Coordinates of the derivative of mu at psi in direction psidot,
-    computed over the dual numbers R[eps]/(eps^2): the eps-linear part of
-    mu(psi + eps psidot)."""
+    """Coordinates of the derivative of mu at psi in direction psidot: the
+    bilinear form psi^T (Z_k + Z_k^T) psidot / q, over any commutative ring."""
     if len(psi) != ctx.rep.dimV or len(psidot) != ctx.rep.dimV:
         raise ValueError("spinor has wrong length")
-    duals = [Dual(a, b) for a, b in zip(psi, psidot)]
-    coords = ctx.quadratic_coords(duals)
-    return tuple(c.eps if isinstance(c, Dual) else c * 0 for c in coords)
+    return tuple(x * ctx._q_inv for x in _forms(ctx._S, psi, psidot))
 
 
 def equivariance_check(ctx: MomentContext, psi, xi_coords):
-    """Exactness of dmu_psi(rho(xi) psi) = [xi, mu(psi)].
+    """Exactness of dmu_psi(rho(xi) psi) = [xi, mu(psi)] for rational psi and xi.
 
     Returns (passed, residual matrix); the residual is identically zero for
-    every genuine symplectic representation.
+    every genuine symplectic representation.  With psi = P/L, xi = X/M,
+    rho_j = R_j/d and structure constants C/e (P, X, R, C integral), the
+    k-th coordinate of the residual is (e lhs_k - d rhs_k) / (q L^2 M d e) for
+    lhs_k = P^T S_k (sum_j X_j R_j P) and rhs_k = sum_ij X_i (P^T Z_j P) C^k_ij.
     """
     rep = ctx.rep
-    rho_xi = rep.rho_of(xi_coords)
-    psidot = rho_xi.apply(psi)
-    lhs = rep.algebra.from_coordinates(moment_differential(ctx, psi, psidot))
-    xi_mat = rep.algebra.from_coordinates(xi_coords)
-    mu_mat = rep.algebra.from_coordinates(moment_map(ctx, psi))
-    rhs = xi_mat * mu_mat - mu_mat * xi_mat
-    residual = lhs - rhs
-    return residual.is_zero, residual
+    if len(psi) != rep.dimV or len(xi_coords) != rep.algebra.dim:
+        raise ValueError("spinor or algebra element has wrong length")
+    P, L = _clear_denominators(psi)
+    X, M = _clear_denominators(xi_coords)
+    psidot = [0] * rep.dimV
+    for x, entries in zip(X, ctx._rho):
+        if x:
+            for r, c, v in entries:
+                psidot[r] += x * v * P[c]
+    lhs = _forms(ctx._S, P, psidot)
+    mu = _forms(ctx._Z, P, P)
+    rhs = [0] * rep.algebra.dim
+    for x, ad in zip(X, ctx._ad):
+        if x:
+            for j, k, c in ad:
+                rhs[k] += x * c * mu[j]
+    e, d = ctx._bracket_den, ctx._rho_den
+    residual = [e * a - d * b for a, b in zip(lhs, rhs)]
+    if not any(residual):
+        n = rep.algebra.ambient_dim
+        return True, ExactMatrix.zeros(n, n)
+    scale = ctx._q_inv / (L * L * M * d * e)
+    return False, rep.algebra.from_coordinates([r * scale for r in residual])
 
 
 def gaiotto_field(omega: ExactMatrix, psi) -> ExactMatrix:
@@ -166,4 +206,4 @@ def hitchin_invariants(Phi: ExactMatrix):
 
 def is_nilpotent_cone_member(Phi: ExactMatrix) -> bool:
     cs = hitchin_invariants(Phi)
-    return all(_iszero(c) if not isinstance(c, (int, Fraction)) else c == 0 for c in cs[:-1])
+    return all(_iszero(c) for c in cs[:-1])

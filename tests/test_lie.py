@@ -6,6 +6,7 @@ import random
 import pytest
 
 from spinorlab.lie import (
+    InvariantFormError,
     MatrixLieAlgebra,
     Summand,
     SymplecticRep,
@@ -74,6 +75,14 @@ class TestVerify:
 
     def test_sym_cube_passes(self):
         assert verify_symplectic_rep(sl2_sym_cube()).passed
+
+    def test_sym_cube_needs_a_unique_invariant_form(self, monkeypatch):
+        # with rho = 0 every antisymmetric form is invariant
+        import spinorlab.lie as lie
+
+        monkeypatch.setattr(lie, "_sym_cube_action", lambda X: ExactMatrix.zeros(4, 4))
+        with pytest.raises(InvariantFormError):
+            lie.sl2_sym_cube.__wrapped__()
 
     def test_corrupted_rho_fails_sp_membership(self):
         rep = sp_standard(1)

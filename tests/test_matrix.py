@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from spinorlab.matrix import (
     ExactMatrix,
+    NotSymplecticError,
     ShapeError,
     char_poly,
     is_symplectic,
@@ -256,3 +257,13 @@ class TestSymplectic:
             M = random_symplectic_laurent(2, seed)
             O = standard_omega(2).map_entries(lambda x: LaurentPoly.const("z", x))
             assert M.transpose() * O * M == O
+
+    @pytest.mark.parametrize("build", [random_symplectic, random_symplectic_laurent])
+    def test_non_symplectic_product_raises(self, monkeypatch, build):
+        # scaling every transvection by 2 scales M^T Omega M away from Omega
+        import spinorlab.matrix as matrix
+
+        good = matrix.transvection
+        monkeypatch.setattr(matrix, "transvection", lambda v, c, omega: good(v, c, omega).scale(2))
+        with pytest.raises(NotSymplecticError):
+            build(2, 3)
