@@ -37,6 +37,7 @@ from .matrix import (
 from .lie import (
     InvariantFormError,
     MatrixLieAlgebra,
+    RepFormatError,
     SaturationVerdict,
     Summand,
     SymplecticRep,
@@ -77,6 +78,7 @@ from .petri import (
 )
 from .cech import (
     ComplexMorphism,
+    EulerCharError,
     InvalidModelError,
     TwoTermCechModel,
     euler_char,
@@ -86,6 +88,7 @@ from .cech import (
 )
 from .hecke import (
     HeckeFamily,
+    HeckeIdentityError,
     PrimitivityError,
     TruncatedSeriesVector,
     glue_check,
@@ -96,6 +99,7 @@ from .hecke import (
 from .cocycle import (
     BlockCocycle,
     InvalidCocycleError,
+    ThetaDualError,
     assemble_transition,
     necessity_solve,
     standard_form,

@@ -20,6 +20,10 @@ class InvalidModelError(ValueError):
     """The commuting-square invariant fails."""
 
 
+class EulerCharError(ValueError):
+    """The two Euler characteristic formulas disagree."""
+
+
 def _hstack(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
     if A.rows != B.rows:
         raise ValueError("hstack needs equal row counts")
@@ -87,12 +91,13 @@ def hypercohomology(model: TwoTermCechModel):
 
 def euler_char(model: TwoTermCechModel) -> int:
     """Alternating sum of hypercohomology dimensions; computed independently
-    from the cochain dimensions and asserted equal."""
+    from the cochain dimensions and checked equal (EulerCharError if not)."""
     h0, h1, h2 = hypercohomology(model)
     a00, a01, a10, a11 = model.dims
     from_dims = (a00 - a01) - (a10 - a11)
     from_cohomology = h0 - h1 + h2
-    assert from_cohomology == from_dims, "Euler characteristic formulas disagree"
+    if from_cohomology != from_dims:
+        raise EulerCharError("Euler characteristic formulas disagree")
     return from_cohomology
 
 

@@ -3,8 +3,7 @@ configuration, print a human-readable summary, and optionally write the
 deterministic JSON report.
 
 Exit codes: 0 when every case passes, 1 on any failure, 2 on a
-configuration/usage error.  The worker count is controlled only by the
-SPINORLAB_WORKERS environment variable.
+configuration/usage error.
 """
 
 from __future__ import annotations
@@ -23,10 +22,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--suite", required=True, help=f"one of: {', '.join(SUITE_NAMES)}")
     parser.add_argument("--n", type=int, default=2, help="half-rank (1..4)")
-    parser.add_argument("--g", type=int, default=2, help="genus (>= 2)")
-    parser.add_argument("--m", type=int, default=1, help="vanishing order (>= 1)")
+    parser.add_argument("--g", type=int, default=2, help="genus (2..1000)")
+    parser.add_argument("--m", type=int, default=1, help="vanishing order (1..64)")
     parser.add_argument("--s", type=int, default=2, help="section degree bound (1..4)")
-    parser.add_argument("--prec", type=int, default=4, help="series precision (>= 1)")
+    parser.add_argument("--prec", type=int, default=4, help="series precision (1..64)")
     parser.add_argument("--trials", type=int, default=100, help="randomized trials (1..10000)")
     parser.add_argument("--seed", type=int, default=0, help="64-bit master seed")
     parser.add_argument("--json", metavar="PATH", default=None, help="write the JSON report here")

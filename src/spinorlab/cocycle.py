@@ -20,6 +20,10 @@ class InvalidCocycleError(ValueError):
     """Singular form or non-symplectic middle block."""
 
 
+class ThetaDualError(ValueError):
+    """The solved gamma fails the defining theta-dual identity."""
+
+
 def middle_theta(n: int) -> ExactMatrix:
     """Symplectic form on the rank 2n-2 middle block (interleaved frame)."""
     if n < 2:
@@ -92,7 +96,7 @@ def theta_dual(d, u: ExactMatrix, l: FracElem, theta: ExactMatrix):
     for kk in range(k):
         lhs = _dot(gamma, theta.apply(u.col(kk)))
         if FracElem(0) + lhs != linv * d[kk]:
-            raise AssertionError("theta-dual failed its defining identity")
+            raise ThetaDualError("theta-dual failed its defining identity")
     return tuple(gamma)
 
 

@@ -24,6 +24,10 @@ class PrimitivityError(ValueError):
     """The series vector vanishes at z = 0."""
 
 
+class HeckeIdentityError(ValueError):
+    """A construction failed the identity it certifies."""
+
+
 def poly_mod(p: MultiPoly, prec: int) -> MultiPoly:
     """Truncate a polynomial in z below z^prec."""
     if _Z not in p.vars:
@@ -152,7 +156,8 @@ def symplectic_complete(v: TruncatedSeriesVector, prec: int | None = None) -> Ex
         cols.append(a)
         cols.append(b)
     S = ExactMatrix(cols, cols=dim).transpose()
-    assert verify_completion(S, prec), "completion postcondition failed"
+    if not verify_completion(S, prec):
+        raise HeckeIdentityError("completion postcondition failed")
     return S
 
 
@@ -182,7 +187,8 @@ def smoothing_nilpotent(n: int) -> ExactMatrix:
     rows = [[0] * (2 * n) for _ in range(2 * n)]
     rows[1][0] = 1
     N = ExactMatrix(rows)
-    assert (N * N).is_zero and in_sp(N)
+    if not ((N * N).is_zero and in_sp(N)):
+        raise HeckeIdentityError("smoothing nilpotent is not a square-zero element of sp")
     return N
 
 
@@ -231,7 +237,8 @@ def hecke_family(n: int, m: int, nilpotent: ExactMatrix | None = None) -> HeckeF
     h_inv = _family_matrix(N, m, -1)
     fam = HeckeFamily(n, m, N, h_t, h_inv)
     ident = ExactMatrix.identity(2 * n).map_entries(lambda x: LaurentPoly.const(_Z, x))
-    assert fam.h_t * fam.h_inv == ident
+    if fam.h_t * fam.h_inv != ident:
+        raise HeckeIdentityError("I - t z^-m N does not invert the family")
     return fam
 
 

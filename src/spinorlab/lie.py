@@ -33,6 +33,10 @@ class InvariantFormError(ValueError):
     """The invariant symplectic form of a representation is not unique up to scale."""
 
 
+class RepFormatError(ValueError):
+    """Text that ``rep_from_text`` cannot read as a representation."""
+
+
 class MatrixLieAlgebra:
     """A Lie algebra given by a linearly independent list of ambient square
     matrices, closed under the bracket.  Structure constants are computed and
@@ -598,6 +602,15 @@ def rep_to_text(rep: SymplecticRep) -> str:
 
 
 def rep_from_text(text: str) -> SymplecticRep:
+    """Inverse of ``rep_to_text``.  Truncated, garbled or inconsistent text
+    raises RepFormatError."""
+    try:
+        return _parse_rep(text)
+    except (IndexError, ValueError, ZeroDivisionError) as exc:
+        raise RepFormatError(f"malformed representation text: {exc}") from exc
+
+
+def _parse_rep(text: str) -> SymplecticRep:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     head = lines[0].split()
     if head[:2] != ["spinorlab-rep", "1"]:

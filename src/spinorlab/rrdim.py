@@ -131,12 +131,6 @@ def y_dimension_symbolic() -> MultiPoly:
     return moduli + ext + tor - sp_dim(N) * (G - 1)
 
 
-def half_higgs_dimension_consistent(n: int, g: int) -> bool:
-    """n(2n+1)(g-1) is half of the Higgs tangent dimension 2 dim G (g-1)."""
-    higgs_tangent = 2 * sp_dim(n) * (g - 1)
-    return 2 * sp_dim(n) * (g - 1) == higgs_tangent
-
-
 # -- stability case analysis ------------------------------------------------
 
 

@@ -1,30 +1,26 @@
 """Seeded verification suites over every module, with deterministic,
 machine-readable reports.
 
-Per-trial randomness is derived from the master seed through a splittable
-counter mix (trial i uses seed XOR splitmix64(i)), so each trial is
-independently reproducible and the report body is a pure function of
-(config, seed).
+Each suite is a generator of ``(case_id, ok, detail)`` that runs module-level
+check functions in order.  A check takes a ``random.Random`` (when it draws)
+plus its explicit inputs and returns ``(ok, detail)``; the acceptance tests call
+the same checks with their own seeds.  Per-trial randomness is derived from the
+master seed through a splittable counter mix (trial i uses seed XOR
+splitmix64(i)), so each trial is independently reproducible and the report body
+is a pure function of (config, seed).
 """
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import bbflow, cech, cocycle, hecke, petri, rrdim
 from .lie import sl2_sym_cube, sl2_w_plus_wdual, sp_standard
 from .matrix import ExactMatrix, random_symplectic, standard_omega
-from .moment import (
-    MomentContext,
-    equivariance_check,
-    gaiotto_field,
-    is_nilpotent_cone_member,
-)
+from .moment import MomentContext, equivariance_check, gaiotto_field, hitchin_invariants
 from .rings import FracElem, LaurentPoly, MultiPoly
 
 SCHEMA_VERSION = 1
@@ -41,9 +37,6 @@ SUITE_NAMES = (
     "stability-scan",
     "all",
 )
-
-WORKER_ENV = "SPINORLAB_WORKERS"
-
 
 class ConfigError(ValueError):
     """Unknown suite or out-of-range parameter."""
@@ -65,14 +58,14 @@ class SuiteConfig:
             raise ConfigError(f"unknown suite {self.suite!r}; known: {', '.join(SUITE_NAMES)}")
         if not 1 <= self.n <= 4:
             raise ConfigError("n must be in 1..4")
-        if self.g < 2:
-            raise ConfigError("g must be >= 2")
-        if self.m < 1:
-            raise ConfigError("m must be >= 1")
+        if not 2 <= self.g <= 1000:
+            raise ConfigError("g must be in 2..1000")
+        if not 1 <= self.m <= 64:
+            raise ConfigError("m must be in 1..64")
         if not 1 <= self.s <= 4:
             raise ConfigError("s must be in 1..4")
-        if self.prec < 1:
-            raise ConfigError("prec must be >= 1")
+        if not 1 <= self.prec <= 64:
+            raise ConfigError("prec must be in 1..64")
         if not 1 <= self.trials <= 10_000:
             raise ConfigError("trials must be in 1..10000")
         if not 0 <= self.seed < 2 ** 64:
@@ -120,345 +113,274 @@ def _rand_rational(rng, bound=6):
     return Fraction(rng.randint(-bound, bound), rng.choice([1, 1, 2, 3]))
 
 
-# -- individual suites -------------------------------------------------------
+# -- checks: each returns (ok, detail) --------------------------------------
+
+
+def check_equivariance(rng, ctx: MomentContext):
+    psi = [_rand_rational(rng) for _ in range(ctx.rep.dimV)]
+    xi = [rng.randint(-3, 3) for _ in range(ctx.rep.algebra.dim)]
+    ok, _ = equivariance_check(ctx, psi, xi)
+    return ok, "" if ok else "nonzero equivariance residual"
+
+
+def check_gaiotto(rng, n: int):
+    """The rank-one field squares to zero, lies in sp(2n) and has the
+    characteristic polynomial lambda^2n (monic, every lower coefficient 0)."""
+    omega = standard_omega(n)
+    psi = [_rand_rational(rng) for _ in range(2 * n)]
+    Phi = gaiotto_field(omega, psi)
+    sq = (Phi * Phi).is_zero
+    sp_mem = (Phi.transpose() * omega + omega * Phi).is_zero
+    coeffs = hitchin_invariants(Phi)
+    nilp = all(c == 0 for c in coeffs[:-1]) and coeffs[-1] == 1
+    ok = sq and sp_mem and nilp
+    return ok, "" if ok else f"square_zero={sq} sp={sp_mem} nilpotent_cone={nilp}"
+
+
+def check_standard_injective(rng, space: petri.SectionSpace):
+    coords = [_rand_rational(rng, 4) for _ in range(space.dim)]
+    if not any(coords):
+        coords[0] = Fraction(1)
+    kernel = petri.petri_kernel(space, coords)
+    ok = kernel == []
+    return ok, "" if ok else f"kernel dimension {len(kernel)}"
+
+
+def check_dual_pair(rng, space: petri.SectionSpace):
+    """On a W + W* space: the predicted direction lies in the Petri kernel and
+    the moment map is invariant under the scalar action."""
+    rep = space.rep
+    m = rep.dimV
+    while True:
+        coords = [_rand_rational(rng, 4) for _ in range(space.dim)]
+        u_part = [coords[k * m + j] for k in range(space.degree_bound) for j in (0, 1)]
+        d_part = [coords[k * m + j] for k in range(space.degree_bound) for j in (2, 3)]
+        if any(u_part) and any(d_part):
+            break
+    direction = petri.dual_pair_kernel_direction(rep, space, coords)
+    pm = petri.petri_matrix(space, coords)
+    in_kernel = all(x == 0 for x in pm.matrix.apply(direction))
+    t = _rand_rational(rng, 4)
+    while t == 0:
+        t = _rand_rational(rng, 4)
+    point = [_rand_rational(rng) for _ in range(m)]
+    inv = petri.scalar_action_invariance(rep, point, t)
+    ok = in_kernel and inv
+    return ok, "" if ok else f"direction_in_kernel={in_kernel} scaling_invariant={inv}"
+
+
+_EULER_DISAGREEMENT = "formula disagreement"
+
+
+def check_cech_model(rng):
+    model = cech.random_model(rng)
+    try:
+        cech.euler_char(model)
+    except cech.EulerCharError:
+        return False, _EULER_DISAGREEMENT
+    report = cech.les_segment(model)
+    ok = report.all_exact
+    return ok, "" if ok else f"inexact nodes {[n[0] for n in report.nodes if not n[-1]]}"
+
+
+def check_chase(rng):
+    v = cech.j_injectivity_experiment(cech.random_morphism(rng, ensure_hypothesis=True))
+    ok = v.implication_holds and v.hypothesis
+    return ok, "" if ok else f"H={v.hypothesis} C={v.conclusion}"
+
+
+def check_literal_image(n: int, m: int):
+    """The modified spinor of the (n, m) family is (z^m, t, 0, ..., 0)."""
+    _, psi_d = hecke.modified_spinor(hecke.hecke_family(n, m))
+    ok = (
+        psi_d[0] == LaurentPoly("z", {m: MultiPoly.const(1)})
+        and psi_d[1] == LaurentPoly("z", {0: MultiPoly.var("t")})
+        and all(p.is_zero for p in psi_d[2:])
+    )
+    return ok, "" if ok else "image mismatch"
+
+
+def check_hecke_family(n: int, m: int):
+    fam = hecke.hecke_family(n, m)
+    ok = hecke.verify_symplectic_family(fam)
+    ident = ExactMatrix.identity(2 * n).map_entries(lambda x: LaurentPoly.const("z", x))
+    ok = ok and fam.h_t * fam.h_inv == ident and fam.at_t_zero() == ident
+    return ok, "" if ok else "family identity failed"
+
+
+def check_glue(n: int, m: int):
+    report = hecke.glue_check(n, m)
+    ok = report.passed
+    return ok, "" if ok else (
+        f"regular={report.spinor_regular} nonzero={report.spinor_nonzero_at_origin} "
+        f"glues={report.higgs_glues} higgs_regular={report.higgs_regular}"
+    )
+
+
+def check_completion(rng, n: int, prec: int):
+    z = MultiPoly.var("z")
+    entries = []
+    for _ in range(2 * n):
+        p = MultiPoly.const(rng.randint(-3, 3))
+        for k in range(1, prec):
+            p = p + rng.randint(-2, 2) * z ** k
+        entries.append(p)
+    if all(e.coeff({"z": 0}) == 0 for e in entries):
+        entries[0] = entries[0] + 1
+    v = hecke.TruncatedSeriesVector(tuple(entries), precision=prec)
+    ok = hecke.verify_completion(hecke.symplectic_complete(v), prec)
+    return ok, "" if ok else "postcondition failed"
+
+
+def check_cocycle(rng, n: int):
+    """The residual of a fresh cocycle vanishes, a perturbed one does not, and
+    the necessity solve recovers exactly the theta-dual block."""
+    seed = rng.randint(0, 2 ** 32 - 1)
+    c = cocycle.fresh_symbol_cocycle(n, seed=seed)
+    zero = cocycle.verify_form_preservation(c).is_zero
+    perturbed = cocycle.perturb_gamma(c, slot=rng.randrange(2 * n - 2))
+    nonzero = not cocycle.verify_form_preservation(perturbed).is_zero
+    u = random_symplectic(n - 1, seed)
+    l = Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2]))
+    d = tuple(Fraction(rng.randint(-4, 4)) for _ in range(2 * n - 2))
+    a = Fraction(rng.randint(-4, 4))
+    res = cocycle.necessity_solve(n, l, u, d, a)
+    want = cocycle.theta_dual(d, u, FracElem(l), cocycle.middle_theta(n))
+    necessity_ok = res.unique and [FracElem(x) for x in res.gamma] == [
+        FracElem(0) + w for w in want
+    ]
+    ok = zero and nonzero and necessity_ok
+    return ok, "" if ok else (
+        f"residual_zero={zero} perturbation_detected={nonzero} necessity={necessity_ok}"
+    )
+
+
+def check_bbflow(rng, n: int):
+    scale = _rand_rational(rng, 5)
+    if scale == 0:
+        scale = Fraction(1)
+    model = bbflow.graded_model(n, bbflow.strictly_filtered_phi(n, scale))
+    lim = bbflow.bb_limit(model)
+    limit_ok = lim is not None and lim == bbflow.strictly_filtered_phi(n, scale)
+    a = _rand_rational(rng, 9)
+    while a == 0:
+        a = _rand_rational(rng, 9)
+    weight_ok = bbflow.fixed_point_scale_check(model, a)
+    torus_ok = bbflow.torus_preserves_form(model)
+    conv_ok = bbflow.lambda_s_conversion_check(model)
+    generic = ExactMatrix([[rng.randint(1, 3) for _ in range(2 * n)] for _ in range(2 * n)])
+    no_limit_ok = bbflow.bb_limit(bbflow.graded_model(n, generic)) is None
+    ok = limit_ok and weight_ok and torus_ok and conv_ok and no_limit_ok
+    return ok, "" if ok else (
+        f"limit={limit_ok} weight2={weight_ok} torus={torus_ok} "
+        f"conversion={conv_ok} generic_absent={no_limit_ok}"
+    )
+
+
+def check_dims_range():
+    """Both dimension identities at every n, g <= 20 (y-dim from n = 2)."""
+    bad = [(n, g) for n in range(1, 21) for g in range(2, 21)
+           if not rrdim.pair_euler_identity(n, g).ok]
+    bad += [(n, g) for n in range(2, 21) for g in range(2, 21)
+            if not rrdim.y_dimension_identity(n, g)[2]]
+    return not bad, "" if not bad else f"failures at {bad[:5]}"
+
+
+def check_dims_symbolic():
+    ok = rrdim.pair_euler_identity_symbolic().is_zero and rrdim.y_dimension_symbolic().is_zero
+    return ok, "" if ok else "nonzero polynomial"
+
+
+# -- suites: generators of (case_id, ok, detail) ------------------------------
 
 
 def _moment_equivariance_cases(cfg: SuiteConfig):
     reps = [sp_standard(cfg.n), sl2_w_plus_wdual(), sl2_sym_cube()]
-    cases = []
-    counter = 0
-    for rep in reps:
+    for pos, rep in enumerate(reps):
         ctx = MomentContext(rep)
         for i in range(cfg.trials):
-            idx = counter
-            counter += 1
-
-            def case(rep=rep, ctx=ctx, idx=idx, i=i):
-                rng = _rng(cfg, idx)
-                psi = [_rand_rational(rng) for _ in range(rep.dimV)]
-                xi = [rng.randint(-3, 3) for _ in range(rep.algebra.dim)]
-                ok, _ = equivariance_check(ctx, psi, xi)
-                return (
-                    f"{rep.name}/t{i:04d}",
-                    ok,
-                    "" if ok else "nonzero equivariance residual",
-                )
-
-            cases.append(case)
-    return cases
+            rng = _rng(cfg, pos * cfg.trials + i)
+            yield (f"{rep.name}/t{i:04d}", *check_equivariance(rng, ctx))
 
 
 def _gaiotto_cases(cfg: SuiteConfig):
-    cases = []
     for i in range(cfg.trials):
-
-        def case(i=i):
-            rng = _rng(cfg, i)
-            n = 1 + (i % cfg.n)
-            omega = standard_omega(n)
-            psi = [_rand_rational(rng) for _ in range(2 * n)]
-            Phi = gaiotto_field(omega, psi)
-            sq = (Phi * Phi).is_zero
-            sp_mem = (Phi.transpose() * omega + omega * Phi).is_zero
-            nilp = is_nilpotent_cone_member(Phi)
-            ok = sq and sp_mem and nilp
-            return (
-                f"gaiotto/n{n}/t{i:04d}",
-                ok,
-                "" if ok else f"square_zero={sq} sp={sp_mem} nilpotent_cone={nilp}",
-            )
-
-        cases.append(case)
-    return cases
+        n = 1 + (i % cfg.n)
+        yield (f"gaiotto/n{n}/t{i:04d}", *check_gaiotto(_rng(cfg, i), n))
 
 
 def _petri_cases(cfg: SuiteConfig):
     std_space = petri.SectionSpace(sp_standard(cfg.n), cfg.s)
-    dual_rep = sl2_w_plus_wdual()
-    dual_space = petri.SectionSpace(dual_rep, cfg.s)
-    cases = []
+    dual_space = petri.SectionSpace(sl2_w_plus_wdual(), cfg.s)
     for i in range(cfg.trials):
+        rng = _rng(cfg, i)
         if i % 2 == 0:
-
-            def case(i=i, space=std_space):
-                rng = _rng(cfg, i)
-                coords = [_rand_rational(rng, 4) for _ in range(space.dim)]
-                if not any(coords):
-                    coords[0] = Fraction(1)
-                kernel = petri.petri_kernel(space, coords)
-                ok = kernel == []
-                return (
-                    f"standard-injective/t{i:04d}",
-                    ok,
-                    "" if ok else f"kernel dimension {len(kernel)}",
-                )
-
+            yield (f"standard-injective/t{i:04d}", *check_standard_injective(rng, std_space))
         else:
-
-            def case(i=i, space=dual_space, rep=dual_rep):
-                rng = _rng(cfg, i)
-                m = rep.dimV
-                while True:
-                    coords = [_rand_rational(rng, 4) for _ in range(space.dim)]
-                    u_part = [coords[k * m + j] for k in range(space.degree_bound) for j in (0, 1)]
-                    d_part = [coords[k * m + j] for k in range(space.degree_bound) for j in (2, 3)]
-                    if any(u_part) and any(d_part):
-                        break
-                direction = petri.dual_pair_kernel_direction(rep, space, coords)
-                pm = petri.petri_matrix(space, coords)
-                in_kernel = all(x == 0 for x in pm.matrix.apply(direction))
-                t = _rand_rational(rng, 4)
-                while t == 0:
-                    t = _rand_rational(rng, 4)
-                point = [_rand_rational(rng) for _ in range(m)]
-                inv = petri.scalar_action_invariance(rep, point, t)
-                ok = in_kernel and inv
-                return (
-                    f"dual-pair-kernel/t{i:04d}",
-                    ok,
-                    "" if ok else f"direction_in_kernel={in_kernel} scaling_invariant={inv}",
-                )
-
-        cases.append(case)
-    return cases
+            yield (f"dual-pair-kernel/t{i:04d}", *check_dual_pair(rng, dual_space))
 
 
 def _cech_cases(cfg: SuiteConfig):
-    cases = []
     for i in range(cfg.trials):
+        ok, detail = check_cech_model(_rng(cfg, 2 * i))
+        kind = "euler" if detail == _EULER_DISAGREEMENT else "model"
+        yield (f"{kind}/t{i:04d}", ok, detail)
+        yield (f"chase/t{i:04d}", *check_chase(_rng(cfg, 2 * i + 1)))
 
-        def model_case(i=i):
-            rng = _rng(cfg, 2 * i)
-            model = cech.random_model(rng)
-            try:
-                cech.euler_char(model)
-            except AssertionError:
-                return (f"euler/t{i:04d}", False, "formula disagreement")
-            report = cech.les_segment(model)
-            ok = report.all_exact
-            return (
-                f"model/t{i:04d}",
-                ok,
-                "" if ok else f"inexact nodes {[n[0] for n in report.nodes if not n[-1]]}",
-            )
 
-        def chase_case(i=i):
-            rng = _rng(cfg, 2 * i + 1)
-            morphism = cech.random_morphism(rng, ensure_hypothesis=True)
-            v = cech.j_injectivity_experiment(morphism)
-            ok = v.implication_holds and v.hypothesis
-            return (
-                f"chase/t{i:04d}",
-                ok,
-                "" if ok else f"H={v.hypothesis} C={v.conclusion}",
-            )
-
-        cases.append(model_case)
-        cases.append(chase_case)
-    return cases
+_GLUE_GRID = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)]
 
 
 def _hecke_cases(cfg: SuiteConfig):
-    cases = []
-
-    def literal_case():
-        fam = hecke.hecke_family(1, 1)
-        _, psi_d = hecke.modified_spinor(fam)
-        t = MultiPoly.var("t")
-        ok = (
-            psi_d[0] == LaurentPoly("z", {1: MultiPoly.const(1)})
-            and psi_d[1] == LaurentPoly("z", {0: t})
-        )
-        return ("modified-spinor/literal-image-n1-m1", ok, "" if ok else "image mismatch")
-
-    cases.append(literal_case)
-    for n in (1, 2, 3):
-        for m in (1, 2, 3):
-
-            def family_case(n=n, m=m):
-                fam = hecke.hecke_family(n, m)
-                ok = hecke.verify_symplectic_family(fam)
-                ident = ExactMatrix.identity(2 * n).map_entries(
-                    lambda x: LaurentPoly.const("z", x)
-                )
-                ok = ok and fam.h_t * fam.h_inv == ident and fam.at_t_zero() == ident
-                return (f"family/n{n}/m{m}", ok, "" if ok else "family identity failed")
-
-            def glue_case(n=n, m=m):
-                report = hecke.glue_check(n, m)
-                ok = report.passed
-                return (
-                    f"glue/n{n}/m{m}",
-                    ok,
-                    "" if ok else f"regular={report.spinor_regular} nonzero={report.spinor_nonzero_at_origin} "
-                    f"glues={report.higgs_glues} higgs_regular={report.higgs_regular}",
-                )
-
-            cases.append(family_case)
-            cases.append(glue_case)
-
-    if (cfg.n, cfg.m) not in [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]:
-
-        def config_point_case():
-            report = hecke.glue_check(cfg.n, cfg.m)
-            return (
-                f"glue/n{cfg.n}/m{cfg.m}",
-                report.passed,
-                "" if report.passed else "glue check failed at the configured point",
-            )
-
-        cases.append(config_point_case)
-
-    def completion_case():
-        rng = _rng(cfg, 0)
-        z = MultiPoly.var("z")
-        entries = []
-        for i in range(2 * cfg.n):
-            p = MultiPoly.const(rng.randint(-3, 3))
-            for k in range(1, cfg.prec):
-                p = p + rng.randint(-2, 2) * z ** k
-            entries.append(p)
-        if all(e.coeff({"z": 0}) == 0 for e in entries):
-            entries[0] = entries[0] + 1
-        v = hecke.TruncatedSeriesVector(tuple(entries), precision=cfg.prec)
-        S = hecke.symplectic_complete(v)
-        ok = hecke.verify_completion(S, cfg.prec)
-        return (f"completion/n{cfg.n}/prec{cfg.prec}", ok, "" if ok else "postcondition failed")
-
-    cases.append(completion_case)
-    return cases
+    yield ("modified-spinor/literal-image-n1-m1", *check_literal_image(1, 1))
+    for n, m in _GLUE_GRID:
+        yield (f"family/n{n}/m{m}", *check_hecke_family(n, m))
+        yield (f"glue/n{n}/m{m}", *check_glue(n, m))
+    if (cfg.n, cfg.m) not in _GLUE_GRID:
+        ok, _ = check_glue(cfg.n, cfg.m)
+        detail = "" if ok else "glue check failed at the configured point"
+        yield (f"glue/n{cfg.n}/m{cfg.m}", ok, detail)
+    yield (f"completion/n{cfg.n}/prec{cfg.prec}", *check_completion(_rng(cfg, 0), cfg.n, cfg.prec))
 
 
 def _cocycle_cases(cfg: SuiteConfig):
     n = max(2, cfg.n)
-    cases = []
     for i in range(cfg.trials):
-
-        def case(i=i, n=n):
-            rng = _rng(cfg, i)
-            seed = rng.randint(0, 2 ** 32 - 1)
-            c = cocycle.fresh_symbol_cocycle(n, seed=seed)
-            zero = cocycle.verify_form_preservation(c).is_zero
-            perturbed = cocycle.perturb_gamma(c, slot=rng.randrange(2 * n - 2))
-            nonzero = not cocycle.verify_form_preservation(perturbed).is_zero
-            u = random_symplectic(n - 1, seed)
-            l = Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2]))
-            d = tuple(Fraction(rng.randint(-4, 4)) for _ in range(2 * n - 2))
-            a = Fraction(rng.randint(-4, 4))
-            res = cocycle.necessity_solve(n, l, u, d, a)
-            want = cocycle.theta_dual(d, u, FracElem(l), cocycle.middle_theta(n))
-            necessity_ok = res.unique and [FracElem(x) for x in res.gamma] == [
-                FracElem(0) + w for w in want
-            ]
-            ok = zero and nonzero and necessity_ok
-            return (
-                f"cocycle/n{n}/t{i:04d}",
-                ok,
-                "" if ok else f"residual_zero={zero} perturbation_detected={nonzero} necessity={necessity_ok}",
-            )
-
-        cases.append(case)
-    return cases
+        yield (f"cocycle/n{n}/t{i:04d}", *check_cocycle(_rng(cfg, i), n))
 
 
 def _bbflow_cases(cfg: SuiteConfig):
-    n = cfg.n
-    cases = []
     for i in range(cfg.trials):
-
-        def case(i=i, n=n):
-            rng = _rng(cfg, i)
-            scale = _rand_rational(rng, 5)
-            if scale == 0:
-                scale = Fraction(1)
-            model = bbflow.graded_model(n, bbflow.strictly_filtered_phi(n, scale))
-            lim = bbflow.bb_limit(model)
-            limit_ok = lim is not None and lim == bbflow.strictly_filtered_phi(n, scale)
-            a = _rand_rational(rng, 9)
-            while a == 0:
-                a = _rand_rational(rng, 9)
-            weight_ok = bbflow.fixed_point_scale_check(model, a)
-            torus_ok = bbflow.torus_preserves_form(model)
-            conv_ok = bbflow.lambda_s_conversion_check(model)
-            generic = ExactMatrix(
-                [[rng.randint(1, 3) for _ in range(2 * n)] for _ in range(2 * n)]
-            )
-            no_limit_ok = bbflow.bb_limit(bbflow.graded_model(n, generic)) is None
-            ok = limit_ok and weight_ok and torus_ok and conv_ok and no_limit_ok
-            return (
-                f"bbflow/n{n}/t{i:04d}",
-                ok,
-                "" if ok else f"limit={limit_ok} weight2={weight_ok} torus={torus_ok} "
-                f"conversion={conv_ok} generic_absent={no_limit_ok}",
-            )
-
-        cases.append(case)
-    return cases
+        yield (f"bbflow/n{cfg.n}/t{i:04d}", *check_bbflow(_rng(cfg, i), cfg.n))
 
 
 def _dims_cases(cfg: SuiteConfig):
-    cases = []
-
-    def point_case():
-        rec = rrdim.pair_euler_identity(cfg.n, cfg.g)
-        ok = rec.ok
-        return (
-            f"pair-euler/n{cfg.n}/g{cfg.g}: chi={rec.chi_pair} expected={rec.expected}",
-            ok,
-            "" if ok else f"chi_pair={rec.chi_pair} expected={rec.expected}",
-        )
-
-    cases.append(point_case)
+    """The point-case ids carry the computed values, so they are built here."""
+    rec = rrdim.pair_euler_identity(cfg.n, cfg.g)
+    yield (
+        f"pair-euler/n{cfg.n}/g{cfg.g}: chi={rec.chi_pair} expected={rec.expected}",
+        rec.ok,
+        "" if rec.ok else f"chi_pair={rec.chi_pair} expected={rec.expected}",
+    )
     if cfg.n >= 2:
-
-        def ydim_case():
-            rec, expected, ok = rrdim.y_dimension_identity(cfg.n, cfg.g)
-            return (
-                f"y-dim/n{cfg.n}/g{cfg.g}: {rec.moduli_term}+{rec.extension_term}+{rec.torsor_term}"
-                f"={rec.total} expected={expected}",
-                ok,
-                "" if ok else f"total={rec.total} expected={expected}",
-            )
-
-        cases.append(ydim_case)
-
-    def range_case():
-        bad = [
-            (n, g)
-            for n in range(1, 21)
-            for g in range(2, 21)
-            if not rrdim.pair_euler_identity(n, g).ok
-        ]
-        bad += [
-            (n, g)
-            for n in range(2, 21)
-            for g in range(2, 21)
-            if not rrdim.y_dimension_identity(n, g)[2]
-        ]
-        return ("numeric-range/n<=20/g<=20", not bad, "" if not bad else f"failures at {bad[:5]}")
-
-    def symbolic_case():
-        ok = rrdim.pair_euler_identity_symbolic().is_zero and rrdim.y_dimension_symbolic().is_zero
-        return ("symbolic-zero-polynomials", ok, "" if ok else "nonzero polynomial")
-
-    cases.append(range_case)
-    cases.append(symbolic_case)
-    return cases
+        rec, expected, ok = rrdim.y_dimension_identity(cfg.n, cfg.g)
+        yield (
+            f"y-dim/n{cfg.n}/g{cfg.g}: {rec.moduli_term}+{rec.extension_term}+{rec.torsor_term}"
+            f"={rec.total} expected={expected}",
+            ok,
+            "" if ok else f"total={rec.total} expected={expected}",
+        )
+    yield ("numeric-range/n<=20/g<=20", *check_dims_range())
+    yield ("symbolic-zero-polynomials", *check_dims_symbolic())
 
 
 def _stability_cases(cfg: SuiteConfig):
-    def scan_case():
-        checked, bad = rrdim.stability_scan(genus_range=range(2, cfg.g + 5))
-        return (
-            f"stability-scan/{checked}-cases",
-            not bad,
-            "" if not bad else f"counterexamples {bad[:3]}",
-        )
-
-    return [scan_case]
+    checked, bad = rrdim.stability_scan(genus_range=range(2, cfg.g + 5))
+    detail = "" if not bad else f"counterexamples {bad[:3]}"
+    yield (f"stability-scan/{checked}-cases", not bad, detail)
 
 
-_SUITE_BUILDERS = {
+_SUITE_CASES = {
     "moment-equivariance": _moment_equivariance_cases,
     "gaiotto": _gaiotto_cases,
     "petri": _petri_cases,
@@ -471,43 +393,20 @@ _SUITE_BUILDERS = {
 }
 
 
-def _worker_count() -> int:
-    raw = os.environ.get(WORKER_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run_suite(config: SuiteConfig) -> SuiteReport:
-    """Execute the named suite; deterministic in (config, seed).  Trials may
-    run on several workers, but results are assembled in trial order."""
+    """Execute the named suite, case by case in order; deterministic in
+    (config, seed)."""
     start = time.monotonic()
-    if config.suite == "all":
-        names = [s for s in SUITE_NAMES if s != "all"]
-        case_fns = []
-        for name in names:
-            for fn in _SUITE_BUILDERS[name](config):
-                case_fns.append((name, fn))
-    else:
-        case_fns = [(config.suite, fn) for fn in _SUITE_BUILDERS[config.suite](config)]
-
-    workers = _worker_count()
-    thunks = [fn for _, fn in case_fns]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(lambda f: f(), thunks))
-    else:
-        results = [f() for f in thunks]
-
-    failures = []
+    names = list(_SUITE_CASES) if config.suite == "all" else [config.suite]
     passed = 0
-    for (name, _), (case_id, ok, desc) in zip(case_fns, results):
-        full_id = case_id if config.suite != "all" else f"{name}/{case_id}"
-        if ok:
-            passed += 1
-        else:
-            failures.append((full_id, desc))
+    failures = []
+    for name in names:
+        prefix = f"{name}/" if config.suite == "all" else ""
+        for case_id, ok, detail in _SUITE_CASES[name](config):
+            if ok:
+                passed += 1
+            else:
+                failures.append((prefix + case_id, detail))
     return SuiteReport(
         suite=config.suite,
         config=asdict(config),

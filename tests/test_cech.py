@@ -1,13 +1,18 @@
 """Hypercohomology and diagram-chase tests.  The brute-force oracle assembles
 the total-complex matrices explicitly and takes ranks through sympy."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 import sympy
 
+import spinorlab
 from spinorlab.cech import (
     ComplexMorphism,
+    EulerCharError,
     InvalidModelError,
     TwoTermCechModel,
     check_five_term,
@@ -117,6 +122,34 @@ class TestEulerChar:
     def test_zero_model(self):
         z = ExactMatrix.zeros(0, 0)
         assert euler_char(TwoTermCechModel(z, z, z, z)) == 0
+
+    def test_disagreement_raises(self, monkeypatch):
+        import spinorlab.cech as cech
+
+        monkeypatch.setattr(cech, "hypercohomology", lambda model: (1, 0, 0))
+        z = ExactMatrix.zeros(0, 0)
+        with pytest.raises(EulerCharError):
+            cech.euler_char(TwoTermCechModel(z, z, z, z))
+
+    def test_disagreement_raises_under_optimize(self):
+        # python -O strips assert statements; the check must survive it
+        script = (
+            "import spinorlab.cech as cech\n"
+            "from spinorlab.matrix import ExactMatrix\n"
+            "cech.hypercohomology = lambda model: (1, 0, 0)\n"
+            "z = ExactMatrix.zeros(0, 0)\n"
+            "try:\n"
+            "    cech.euler_char(cech.TwoTermCechModel(z, z, z, z))\n"
+            "except cech.EulerCharError:\n"
+            "    print('raised')\n"
+        )
+        src = os.path.dirname(os.path.dirname(spinorlab.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "raised"
 
     def test_specific_dims(self):
         rng = random.Random(34)

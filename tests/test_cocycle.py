@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+import spinorlab.cocycle as cocycle
 from spinorlab.cocycle import (
     BlockCocycle,
     InvalidCocycleError,
+    ThetaDualError,
     assemble_transition,
     fresh_symbol_cocycle,
     middle_theta,
@@ -48,6 +50,14 @@ class TestThetaDual:
         theta = middle_theta(2)
         with pytest.raises(InvalidCocycleError):
             theta_dual((1, 0), ExactMatrix.zeros(2, 2), FracElem(1), theta)
+
+    def test_wrong_solution_raises(self, monkeypatch):
+        good = cocycle.solve_linear
+        monkeypatch.setattr(
+            cocycle, "solve_linear", lambda system, rhs: [x + 1 for x in good(system, rhs)]
+        )
+        with pytest.raises(ThetaDualError):
+            theta_dual((1, 0), ExactMatrix.identity(2), FracElem(1), middle_theta(2))
 
 
 class TestAssemble:

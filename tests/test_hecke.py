@@ -6,8 +6,10 @@ import random
 
 import pytest
 
+import spinorlab.hecke as hecke
 from spinorlab.hecke import (
     GlueReport,
+    HeckeIdentityError,
     PrimitivityError,
     TruncatedSeriesVector,
     glue_check,
@@ -84,6 +86,27 @@ class TestSymplecticComplete:
                 # graceful degradation at every lower precision
                 for p2 in range(1, prec + 1):
                     assert verify_completion(S, p2)
+
+
+class TestIdentityErrors:
+    def test_completion_postcondition(self, monkeypatch):
+        monkeypatch.setattr(hecke, "verify_completion", lambda S, prec: False)
+        z = MultiPoly.var("z")
+        v = TruncatedSeriesVector((MultiPoly.const(1), z), precision=2)
+        with pytest.raises(HeckeIdentityError):
+            hecke.symplectic_complete(v)
+
+    def test_nilpotent_outside_sp(self, monkeypatch):
+        monkeypatch.setattr(hecke, "in_sp", lambda N: False)
+        with pytest.raises(HeckeIdentityError):
+            hecke.smoothing_nilpotent(1)
+
+    def test_family_inverse(self, monkeypatch):
+        # use h_t in place of its inverse: h_t * h_t = I + 2 t z^-m N
+        good = hecke._family_matrix
+        monkeypatch.setattr(hecke, "_family_matrix", lambda N, m, sign: good(N, m, 1))
+        with pytest.raises(HeckeIdentityError):
+            hecke.hecke_family(1, 1)
 
 
 class TestHeckeFamily:

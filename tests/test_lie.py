@@ -4,10 +4,13 @@ intertwiners, and the multiplicity-freeness check."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spinorlab.lie import (
     InvariantFormError,
     MatrixLieAlgebra,
+    RepFormatError,
     Summand,
     SymplecticRep,
     almost_saturated_check,
@@ -205,6 +208,12 @@ class TestAlmostSaturated:
         assert almost_saturated_check(a).status == almost_saturated_check(b).status == "TRUE"
 
 
+_SMALL_REPS = (sl2_standard(), sp_standard(1), sl2_w_plus_wdual())
+_GARBAGE = st.text(alphabet="0123456789-/.e_xX ", max_size=6) | st.sampled_from(
+    ["1/0", "nan", "inf", "spinorlab-rep", "summand", "rho", "X", "dual", "irr"]
+)
+
+
 class TestSerialization:
     def test_round_trip(self):
         for rep in (sp_standard(2), sl2_w_plus_wdual(), sl2_sym_cube()):
@@ -218,5 +227,26 @@ class TestSerialization:
             assert rep_to_text(back) == text
 
     def test_bad_header_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(RepFormatError):
             rep_from_text("not-a-rep 9\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_prefix_or_garbled_text_parses_or_raises_format_error(self, data):
+        """Line prefixes, optionally with one token replaced and then cut
+        mid-line; any exception other than RepFormatError fails the test."""
+        text = rep_to_text(data.draw(st.sampled_from(_SMALL_REPS)))
+        lines = text.splitlines()[: data.draw(st.integers(0, text.count("\n")))]
+        if lines and data.draw(st.booleans()):
+            row = data.draw(st.integers(0, len(lines) - 1))
+            toks = lines[row].split()
+            toks[data.draw(st.integers(0, len(toks) - 1))] = data.draw(_GARBAGE)
+            lines[row] = " ".join(toks)
+        cut = "\n".join(lines)
+        if lines and data.draw(st.booleans()):
+            cut = cut[: data.draw(st.integers(0, len(cut)))]
+        try:
+            rep_from_text(cut)
+        except RepFormatError:
+            pass
+

@@ -8,7 +8,6 @@ from spinorlab.rrdim import (
     BundleNumerics,
     InfeasibleCaseError,
     SubobjectCase,
-    half_higgs_dimension_consistent,
     pair_euler_for_rep,
     pair_euler_identity,
     pair_euler_identity_symbolic,
@@ -103,11 +102,6 @@ class TestYDimension:
 
     def test_symbolic_zero(self):
         assert y_dimension_symbolic().is_zero
-
-    def test_half_higgs_dimension(self):
-        for n in range(1, 6):
-            for g in range(2, 6):
-                assert half_higgs_dimension_consistent(n, g)
 
 
 class TestStabilityCases:

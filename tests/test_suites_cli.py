@@ -1,5 +1,5 @@
 """Suite harness tests: determinism of report bodies, exit codes, JSON
-schema, and the worker environment variable."""
+schema and parameter bounds."""
 
 import json
 
@@ -34,11 +34,18 @@ class TestConfig:
             {"suite": "dims", "trials": 0},
             {"suite": "dims", "trials": 10001},
             {"suite": "dims", "seed": 2 ** 64},
+            {"suite": "dims", "g": 1001},
+            {"suite": "dims", "m": 65},
+            {"suite": "dims", "prec": 65},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             SuiteConfig(**kwargs)
+
+    def test_upper_bounds_accepted(self):
+        cfg = SuiteConfig(suite="dims", g=1000, m=64, prec=64)
+        assert (cfg.g, cfg.m, cfg.prec) == (1000, 64, 64)
 
     def test_seed_mixing(self):
         assert splitmix64(0) != splitmix64(1)
@@ -54,12 +61,6 @@ class TestDeterminism:
         body1 = cli.report_body(run_suite(cfg))
         body2 = cli.report_body(run_suite(cfg))
         assert body1 == body2
-
-    def test_workers_do_not_change_body(self, monkeypatch):
-        cfg = SuiteConfig(suite="cech", trials=6, seed=9)
-        base = cli.report_body(run_suite(cfg))
-        monkeypatch.setenv("SPINORLAB_WORKERS", "4")
-        assert cli.report_body(run_suite(cfg)) == base
 
     def test_wall_time_not_in_body(self):
         cfg = SuiteConfig(suite="dims")
@@ -84,6 +85,18 @@ class TestSuites:
         report = run_suite(cfg)
         assert report.failed == 0
         assert report.passed > 8
+
+    def test_cech_suite_records_euler_disagreement(self, monkeypatch):
+        import spinorlab.cech as cech
+
+        good = cech.hypercohomology
+        monkeypatch.setattr(cech, "hypercohomology", lambda m: tuple(h + 1 for h in good(m)))
+        report = run_suite(SuiteConfig(suite="cech", trials=2, seed=9))
+        assert report.failures == [
+            ("euler/t0000", "formula disagreement"),
+            ("euler/t0001", "formula disagreement"),
+        ]
+        assert report.passed == 2
 
     def test_counts_are_consistent(self):
         cfg = SuiteConfig(suite="gaiotto", trials=7, seed=2)
@@ -115,6 +128,10 @@ class TestCli:
         captured = capsys.readouterr()
         assert "configuration error" in captured.err
 
+    def test_exit_two_on_huge_genus(self, capsys):
+        assert cli.main(["--suite", "stability-scan", "--g", str(10 ** 9)]) == 2
+        assert "g must be in 2..1000" in capsys.readouterr().err
+
     def test_exit_two_on_bad_flag(self):
         with pytest.raises(SystemExit) as exc:
             cli.main(["--suite", "dims", "--bogus", "1"])
@@ -145,6 +162,6 @@ class TestCli:
         report = run_suite(SuiteConfig(suite="dims", n=2, g=2))
         from spinorlab.suites import _dims_cases
 
-        ids = [fn()[0] for fn in _dims_cases(SuiteConfig(suite="dims", n=2, g=2))]
+        ids = [case_id for case_id, _, _ in _dims_cases(SuiteConfig(suite="dims", n=2, g=2))]
         assert any("3+4+3=10" in i for i in ids)
         assert report.failed == 0
