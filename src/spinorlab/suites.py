@@ -201,10 +201,11 @@ def check_literal_image(n: int, m: int):
 
 
 def check_hecke_family(n: int, m: int):
+    """h_t is symplectic and is the identity at t = 0; ``hecke_family``
+    itself raises HeckeIdentityError unless h_inv inverts h_t."""
     fam = hecke.hecke_family(n, m)
-    ok = hecke.verify_symplectic_family(fam)
     ident = ExactMatrix.identity(2 * n).map_entries(lambda x: LaurentPoly.const("z", x))
-    ok = ok and fam.h_t * fam.h_inv == ident and fam.at_t_zero() == ident
+    ok = hecke.verify_symplectic_family(fam) and fam.at_t_zero() == ident
     return ok, "" if ok else "family identity failed"
 
 
