@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrix import ExactMatrix, standard_omega
-from .rings import LaurentPoly, _is_rat
+from .rings import LaurentPoly, is_zero
 
 _S = "s"
 _LAM = "lam"
@@ -58,7 +58,7 @@ class GradedHiggsModel:
         for i in range(dim):
             for j in range(dim):
                 x = self.omega.entries[i][j]
-                if not (x == 0 if _is_rat(x) else x.is_zero):
+                if not is_zero(x):
                     if self.weights[i] + self.weights[j] != 0:
                         raise ValueError("form pairs slots of nonzero total weight")
 

@@ -10,10 +10,9 @@ symbols (l, d, a), and the converse by solving the residual for gamma.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .matrix import ExactMatrix, mat_rank_kernel, random_symplectic, solve_linear, standard_omega
-from .rings import FracElem, MultiPoly
+from .rings import FracElem, MultiPoly, is_zero
 
 
 class InvalidCocycleError(ValueError):
@@ -103,16 +102,10 @@ def theta_dual(d, u: ExactMatrix, l: FracElem, theta: ExactMatrix):
 def _dot(xs, ys):
     acc = 0
     for x, y in zip(xs, ys):
-        if _zero(x) or _zero(y):
+        if is_zero(x) or is_zero(y):
             continue
         acc = acc + x * y
     return acc
-
-
-def _zero(x):
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    return x.is_zero
 
 
 def assemble_transition(c: BlockCocycle) -> ExactMatrix:

@@ -14,13 +14,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .matrix import ExactMatrix, _rref, inverse, mat_rank_kernel, standard_omega
-from .rings import _is_rat
+from .rings import _is_rat, is_zero
 
 
 def nonzero_entries(M: ExactMatrix):
     """The nonzero entries of a matrix as (row, col, value) triples."""
     return tuple(
-        (r, c, x) for r, row in enumerate(M.entries) for c, x in enumerate(row) if not _entry_zero(x)
+        (r, c, x) for r, row in enumerate(M.entries) for c, x in enumerate(row) if not is_zero(x)
     )
 
 
@@ -253,7 +253,7 @@ def verify_symplectic_rep(rep: SymplecticRep) -> CheckReport:
 
     for tag, (lo, hi) in rep.constituents():
         inv_ok = all(
-            _entry_zero(R.entries[r][c])
+            is_zero(R.entries[r][c])
             for R in rep.rho
             for c in range(lo, hi)
             for r in list(range(0, lo)) + list(range(hi, rep.dimV))
@@ -271,10 +271,6 @@ def verify_symplectic_rep(rep: SymplecticRep) -> CheckReport:
             checks.append((f"W isotropic in summand{i}", w_iso))
             checks.append((f"W* isotropic in summand{i}", ws_iso))
     return CheckReport(tuple(checks))
-
-
-def _entry_zero(x):
-    return x == 0 if _is_rat(x) else x.is_zero
 
 
 def _iterative_kernel(maps):

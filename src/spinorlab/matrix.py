@@ -1,6 +1,12 @@
-"""Exact matrices over the coefficient tower, with rank/kernel/solve over a
-field, a division-free characteristic polynomial, and deterministic random
-symplectic matrices built from transvections.
+"""Exact matrices over the coefficient tower, with rank/kernel/solve/inverse
+over a field, a division-free characteristic polynomial, and deterministic
+random symplectic matrices built from transvections.
+
+Over Q, elimination never builds a Fraction until the end: rows are cleared
+of their denominators and reduced over Z by fraction-free elimination
+(Bareiss), below the pivots for ``rank`` and Gauss-Jordan style for
+``mat_rank_kernel``, ``solve_linear`` and ``inverse``.  Entries with
+polynomials go through ``_rref`` over the fraction field ``FracElem``.
 """
 
 from __future__ import annotations
@@ -9,7 +15,7 @@ import math
 import random
 from fractions import Fraction
 
-from .rings import FracElem, LaurentPoly, MultiPoly, UnsupportedRingError, _is_rat
+from .rings import FracElem, LaurentPoly, MultiPoly, UnsupportedRingError, _is_rat, is_zero
 
 
 class ShapeError(ValueError):
@@ -18,12 +24,6 @@ class ShapeError(ValueError):
 
 class NotSymplecticError(ValueError):
     """A matrix built to be symplectic fails M^T Omega M = Omega."""
-
-
-def _is_zero_entry(x) -> bool:
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    return x.is_zero
 
 
 class ExactMatrix:
@@ -139,7 +139,7 @@ class ExactMatrix:
                 for c in ocols:
                     acc = 0
                     for a, b in zip(r, c):
-                        if _is_zero_entry(a) or _is_zero_entry(b):
+                        if is_zero(a) or is_zero(b):
                             continue
                         acc = acc + a * b if not (isinstance(acc, int) and acc == 0) else a * b
                     orow.append(acc)
@@ -158,7 +158,7 @@ class ExactMatrix:
         for r in self.entries:
             acc = 0
             for a, b in zip(r, vec):
-                if _is_zero_entry(a) or _is_zero_entry(b):
+                if is_zero(a) or is_zero(b):
                     continue
                 acc = acc + a * b if not (isinstance(acc, int) and acc == 0) else a * b
             out.append(acc)
@@ -174,7 +174,7 @@ class ExactMatrix:
 
     @property
     def is_zero(self) -> bool:
-        return all(_is_zero_entry(x) for r in self.entries for x in r)
+        return all(is_zero(x) for r in self.entries for x in r)
 
     @property
     def is_square(self) -> bool:
@@ -198,7 +198,14 @@ class ExactMatrix:
         ) + "\n])"
 
 
-# -- field promotion for elimination ------------------------------------
+# -- elimination ---------------------------------------------------------
+#
+# Over Q, mat_rank_kernel, solve_linear and inverse clear denominators row by
+# row and eliminate over Z without fractions (_rref_int, after Bareiss, Math.
+# Comp. 22 (1968)); other entries go through _rref over their fraction field.
+# Each integer row stays a nonzero multiple of the row _rref would hold, so
+# both paths pick the same pivots, and since the reduced row echelon form is
+# unique they return equal values.
 
 
 def _as_field(x):
@@ -215,11 +222,20 @@ def _as_field(x):
     )
 
 
-def _field_rows(M: ExactMatrix):
-    rows = [[_as_field(x) for x in r] for r in M.entries]
+def _field_rows(entries):
+    rows = [[_as_field(x) for x in r] for r in entries]
     # if any entry is a polynomial fraction, promote everything to FracElem
     if any(isinstance(x, FracElem) for r in rows for x in r):
         rows = [[x if isinstance(x, FracElem) else FracElem(x) for x in r] for r in rows]
+    return rows
+
+
+def _integer_rows(entries):
+    """Each rational row times the lcm of its denominators, as lists of ints."""
+    rows = []
+    for r in entries:
+        den = math.lcm(*(x.denominator for x in r))
+        rows.append([x.numerator * (den // x.denominator) for x in r])
     return rows
 
 
@@ -230,7 +246,7 @@ def _rref(rows, ncols):
     for c in range(ncols):
         pr = None
         for i in range(r, len(rows)):
-            if not _is_zero_entry(rows[i][c]):
+            if not is_zero(rows[i][c]):
                 pr = i
                 break
         if pr is None:
@@ -239,7 +255,7 @@ def _rref(rows, ncols):
         inv = rows[r][c]
         rows[r] = [x / inv for x in rows[r]]
         for i in range(len(rows)):
-            if i != r and not _is_zero_entry(rows[i][c]):
+            if i != r and not is_zero(rows[i][c]):
                 f = rows[i][c]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
@@ -249,49 +265,102 @@ def _rref(rows, ncols):
     return pivots
 
 
+def _rref_int(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place, on
+    the first ncols columns; returns the pivot column list.
+
+    With pivot row b, pivot p in column c and the previous pivot prev, every
+    other row a becomes (p*a - a[c]*b) // prev.  The division is exact,
+    because every entry is then a minor of the input, and every pivot entry
+    equals the last pivot d.  The pivot rows are divided by d once at the end
+    and come back as Fraction rows of the reduced form; the rows past the
+    rank keep integer entries, which are zero in the first ncols columns.
+    """
+    pivots = []
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        b = rows[r]
+        p = b[c]
+        for i in range(r):
+            a = rows[i]
+            f = a[c]
+            if f:
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(a, b)]
+            elif p != prev:
+                rows[i] = [p * x // prev for x in a]
+        # b and the rows below it are zero left of column c
+        tail = b[c:]
+        for i in range(r + 1, len(rows)):
+            a = rows[i]
+            f = a[c]
+            if f:
+                rows[i] = a[:c] + [(p * x - f * y) // prev for x, y in zip(a[c:], tail)]
+            elif p != prev and any(a):
+                rows[i] = [p * x // prev for x in a]
+        prev = p
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    if pivots:
+        width = len(rows[0])
+        free = [c for c in range(width) if c not in pivots]
+        one, zero = Fraction(1), Fraction(0)
+        for r, pc in enumerate(pivots):
+            row = [zero] * width
+            row[pc] = one
+            for c in free:
+                row[c] = Fraction(rows[r][c], prev)
+            rows[r] = row
+    return pivots
+
+
+def _reduce(entries, ncols):
+    """Reduced row echelon form of rows over Q or a fraction field, pivoting
+    on the first ncols columns; returns ``(rows, pivots, one)``, with ``one``
+    the unit of the field.  The rows past the rank are zero in the first
+    ncols columns."""
+    if all(_is_rat(x) for r in entries for x in r):
+        rows = _integer_rows(entries)
+        return rows, _rref_int(rows, ncols), Fraction(1)
+    rows = _field_rows(entries)
+    return rows, _rref(rows, ncols), FracElem(1)
+
+
 def mat_rank_kernel(M: ExactMatrix):
     """Exact rank and kernel basis of a matrix over Q or a fraction field.
 
     Returns ``(rank, kernel_basis)`` where each kernel vector v satisfies
     M.apply(v) == 0 and rank + len(kernel_basis) == M.cols.
     """
-    rows = _field_rows(M)
-    pivots = _rref(rows, M.cols)
-    rank = len(pivots)
-    free = [c for c in range(M.cols) if c not in pivots]
-    one = (
-        Fraction(1)
-        if not rows or not rows[0] or isinstance(rows[0][0], Fraction)
-        else FracElem(1)
-    )
+    rows, pivots, one = _reduce(M.entries, M.cols)
     zero = one - one
     kernel = []
-    for fc in free:
+    for fc in range(M.cols):
+        if fc in pivots:
+            continue
         v = [zero] * M.cols
         v[fc] = one
         for r, pc in enumerate(pivots):
             v[pc] = -rows[r][fc]
         kernel.append(tuple(v))
-    return rank, kernel
+    return len(pivots), kernel
 
 
 def rank(M: ExactMatrix) -> int:
     """Rank only; uses integer fraction-free elimination when possible."""
     if all(_is_rat(x) for r in M.entries for x in r):
-        return _rank_bareiss(M.entries)
-    rows = _field_rows(M)
+        return _rank_bareiss(_integer_rows(M.entries))
+    rows = _field_rows(M.entries)
     return len(_rref(rows, M.cols))
 
 
-def _rank_bareiss(entries) -> int:
-    # clear denominators row by row, then fraction-free elimination over Z
-    rows = []
-    for r in entries:
-        den = 1
-        for x in r:
-            if isinstance(x, Fraction):
-                den = den * x.denominator // math.gcd(den, x.denominator)
-        rows.append([int(x * den) if isinstance(x, Fraction) else x * den for x in r])
+def _rank_bareiss(rows) -> int:
+    # fraction-free elimination over Z, below the pivots only
     m, n = len(rows), len(rows[0]) if rows else 0
     rk = 0
     prev = 1
@@ -323,19 +392,10 @@ def solve_linear(M: ExactMatrix, b):
     """
     if len(b) != M.rows:
         raise ShapeError("right-hand side length mismatch")
-    rows = _field_rows(M)
-    aug = [row + [_as_field(x)] for row, x in zip(rows, b)]
-    # promote the whole augmented system to FracElem if anything polynomial appears
-    if any(isinstance(x, FracElem) for r in aug for x in r):
-        aug = [[x if isinstance(x, FracElem) else FracElem(x) for x in r] for r in aug]
-    pivots = _rref(aug, M.cols)
-    for r in range(len(aug)):
-        lead_zero = all(_is_zero_entry(aug[r][c]) for c in range(M.cols))
-        if lead_zero and not _is_zero_entry(aug[r][M.cols]):
-            return None
-    one = Fraction(1) if not aug or isinstance(aug[0][0], Fraction) else FracElem(1)
-    zero = one - one
-    x = [zero] * M.cols
+    aug, pivots, one = _reduce([(*row, x) for row, x in zip(M.entries, b)], M.cols)
+    if any(not is_zero(row[M.cols]) for row in aug[len(pivots):]):
+        return None
+    x = [one - one] * M.cols
     for r, pc in enumerate(pivots):
         x[pc] = aug[r][M.cols]
     return tuple(x)
@@ -346,13 +406,8 @@ def inverse(M: ExactMatrix) -> ExactMatrix:
     if not M.is_square:
         raise ShapeError("inverse needs a square matrix")
     n = M.rows
-    rows = _field_rows(M)
-    if any(isinstance(x, FracElem) for r in rows for x in r):
-        aug_id = [[FracElem(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    else:
-        aug_id = [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    aug = [r + ai for r, ai in zip(rows, aug_id)]
-    pivots = _rref(aug, n)
+    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    aug, pivots, _ = _reduce([(*r, *e) for r, e in zip(M.entries, ident)], n)
     if len(pivots) != n:
         raise ValueError("matrix is singular")
     return ExactMatrix([r[n:] for r in aug])
@@ -380,7 +435,7 @@ def char_poly(M: ExactMatrix):
         for _ in range(r - 1):
             acc = 0
             for ri, wi in zip(R, w):
-                if _is_zero_entry(ri) or _is_zero_entry(wi):
+                if is_zero(ri) or is_zero(wi):
                     continue
                 acc = acc + ri * wi if not (isinstance(acc, int) and acc == 0) else ri * wi
             c.append(-acc)

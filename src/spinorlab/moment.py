@@ -27,6 +27,7 @@ from fractions import Fraction
 
 from .lie import SymplecticRep, nonzero_entries
 from .matrix import ExactMatrix, char_poly, inverse
+from .rings import is_zero
 
 
 class InvalidContextError(ValueError):
@@ -106,12 +107,6 @@ def _sparse(entries: dict):
     return [(r, c, int(v)) for (r, c), v in entries.items() if v]
 
 
-def _iszero(x):
-    if isinstance(x, (int, Fraction)):
-        return x == 0
-    return x.is_zero
-
-
 def _forms(forms, a, b):
     """Values a^T F b of sparse integer forms F, over any commutative ring."""
     out = []
@@ -119,7 +114,7 @@ def _forms(forms, a, b):
         acc = 0
         for r, c, v in entries:
             x, y = a[r], b[c]
-            if _iszero(x) or _iszero(y):
+            if is_zero(x) or is_zero(y):
                 continue
             acc = acc + v * x * y
         out.append(acc)
@@ -206,4 +201,4 @@ def hitchin_invariants(Phi: ExactMatrix):
 
 def is_nilpotent_cone_member(Phi: ExactMatrix) -> bool:
     cs = hitchin_invariants(Phi)
-    return all(_iszero(c) for c in cs[:-1])
+    return all(is_zero(c) for c in cs[:-1])

@@ -5,6 +5,13 @@ the differential of the moment map acts on them pointwise-polynomially and is
 assembled into an exact matrix whose kernel decides injectivity.  Outputs are
 algebra-valued polynomials of degree <= 2s-2, stored with 2s-1 coefficient
 slots, so no truncation ever occurs.
+
+The differential is the bilinear form psi^T S_k psidot / q of the moment
+layer, so the matrix is built by convolving the integer coefficients of psi
+(cleared of denominators) against the sparse forms S_k, with no polynomial
+objects; its kernel comes from the fraction-free elimination over Q.  The
+column-by-column ``MultiPoly`` route it replaced is kept beside the tests
+(``tests/petri_oracles.py``) as its oracle.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from fractions import Fraction
 
 from .lie import SymplecticRep
 from .matrix import ExactMatrix, ShapeError, mat_rank_kernel
-from .moment import MomentContext, moment_differential, moment_map
+from .moment import MomentContext, _clear_denominators, moment_differential, moment_map
 from .rings import MultiPoly
 
 _X = "x"
@@ -77,29 +84,31 @@ def petri_matrix(space: SectionSpace, psi) -> PetriMatrix:
     """Matrix of psidot -> (x -> dmu at psi(x) of psidot(x)) on section spaces.
 
     Rows are indexed by (output degree, algebra basis index) with degree
-    major; columns by the section basis e_j x^k, degree major as well.
+    major; columns by the section basis e_j x^k, degree major as well.  With
+    psi = P/L cleared of denominators, the entry in row (l+k)*dim_g + i,
+    column k*m + j is sum_r S_i[r][j] P[l*m + r] / (L q): a convolution of
+    the coefficients of psi against the sparse polarized forms S_i, summed
+    in Python ints.
     """
     psi = tuple(psi)
-    psi_polys = space.section_polys(psi)
+    if len(psi) != space.dim:
+        raise ShapeError("section coordinate length mismatch")
+    P, L = _clear_denominators(psi)
     s = space.degree_bound
     dim_g = space.rep.algebra.dim
     m = space.rep.dimV
-    out_slots = 2 * s - 1
-    cols = []
-    for k in range(s):
-        for j in range(m):
-            dot = [MultiPoly.const(0)] * m
-            dot[j] = MultiPoly((_X,), {(k,): 1})
-            d = moment_differential(space.ctx, psi_polys, dot)
-            col = [0] * (out_slots * dim_g)
-            for i, poly in enumerate(d):
-                p = poly if isinstance(poly, MultiPoly) else MultiPoly.const(poly)
-                for deg, cpoly in p.coeffs_in(_X).items():
-                    if deg >= out_slots:
-                        raise ShapeError("output degree exceeded 2s-2")
-                    col[deg * dim_g + i] = cpoly.constant_value()
-            cols.append(col)
-    return PetriMatrix(space, psi, ExactMatrix(cols).transpose())
+    rows = [[0] * (s * m) for _ in range((2 * s - 1) * dim_g)]
+    for i, S in enumerate(space.ctx._S):
+        for r, j, v in S:
+            for l in range(s):
+                p = P[l * m + r]
+                if p:
+                    for k in range(s):
+                        rows[(l + k) * dim_g + i][k * m + j] += v * p
+    den = L * space.ctx._q_inv.denominator
+    return PetriMatrix(
+        space, psi, ExactMatrix([[Fraction(x, den) if x else 0 for x in row] for row in rows])
+    )
 
 
 def petri_kernel(space: SectionSpace, psi):

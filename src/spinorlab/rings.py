@@ -24,6 +24,12 @@ def _is_rat(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
+def is_zero(x) -> bool:
+    """Whether a value of the tower is zero: a rational, or any ring element
+    with an ``is_zero`` property."""
+    return x == 0 if isinstance(x, (int, Fraction)) else x.is_zero
+
+
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     # gcd on rationals: gcd of numerators over lcm of denominators
     num = gcd(a.numerator, b.numerator)
@@ -597,10 +603,7 @@ class Dual:
 
     @property
     def is_zero(self) -> bool:
-        def z(x):
-            return x == 0 if _is_rat(x) else x.is_zero
-
-        return z(self.re) and z(self.eps)
+        return is_zero(self.re) and is_zero(self.eps)
 
     def _coerce(self, other):
         if isinstance(other, Dual):

@@ -300,8 +300,9 @@ def _moment_equivariance_cases(cfg: SuiteConfig):
     for pos, rep in enumerate(reps):
         ctx = MomentContext(rep)
         for i in range(cfg.trials):
-            rng = _rng(cfg, pos * cfg.trials + i)
-            yield (f"{rep.name}/t{i:04d}", *check_equivariance(rng, ctx))
+            trial = pos * cfg.trials + i
+            ok, detail = check_equivariance(_rng(cfg, trial), ctx)
+            yield (f"{rep.name}/t{i:04d}", ok, detail if ok else f"{detail} (trial index {trial})")
 
 
 def _gaiotto_cases(cfg: SuiteConfig):
@@ -396,18 +397,29 @@ _SUITE_CASES = {
 
 def run_suite(config: SuiteConfig) -> SuiteReport:
     """Execute the named suite, case by case in order; deterministic in
-    (config, seed)."""
+    (config, seed).
+
+    An exception raised by a check ends its suite: it is recorded as one
+    failed case ``error`` with detail ``"<ExceptionType>: <message>"``, its
+    traceback goes to stderr, and the run goes on with the next suite.
+    """
     start = time.monotonic()
     names = list(_SUITE_CASES) if config.suite == "all" else [config.suite]
     passed = 0
     failures = []
     for name in names:
         prefix = f"{name}/" if config.suite == "all" else ""
-        for case_id, ok, detail in _SUITE_CASES[name](config):
-            if ok:
-                passed += 1
-            else:
-                failures.append((prefix + case_id, detail))
+        try:
+            for case_id, ok, detail in _SUITE_CASES[name](config):
+                if ok:
+                    passed += 1
+                else:
+                    failures.append((prefix + case_id, detail))
+        except Exception as exc:
+            import traceback  # only on this error path: a clean run never pays its import
+
+            traceback.print_exc()
+            failures.append((prefix + "error", f"{type(exc).__name__}: {exc}"))
     return SuiteReport(
         suite=config.suite,
         config=asdict(config),

@@ -1,0 +1,39 @@
+"""Reference route for the section-level Petri matrix, kept only as a test
+oracle.
+
+``spinorlab.petri.petri_matrix`` convolves the integer coefficients of psi
+against the sparse polarized forms S_k.  The route below is the direct one it
+replaced: one call of the bilinear ``moment_differential`` per section basis
+vector over ``MultiPoly``, with the coefficients read back out of the output
+polynomials.
+"""
+
+from spinorlab.matrix import ExactMatrix, ShapeError
+from spinorlab.moment import moment_differential
+from spinorlab.rings import MultiPoly
+
+_X = "x"
+
+
+def multipoly_petri_matrix(space, psi) -> ExactMatrix:
+    """The Petri matrix at psi, column by column over MultiPoly."""
+    psi_polys = space.section_polys(tuple(psi))
+    s = space.degree_bound
+    dim_g = space.rep.algebra.dim
+    m = space.rep.dimV
+    out_slots = 2 * s - 1
+    cols = []
+    for k in range(s):
+        for j in range(m):
+            dot = [MultiPoly.const(0)] * m
+            dot[j] = MultiPoly((_X,), {(k,): 1})
+            d = moment_differential(space.ctx, psi_polys, dot)
+            col = [0] * (out_slots * dim_g)
+            for i, poly in enumerate(d):
+                p = poly if isinstance(poly, MultiPoly) else MultiPoly.const(poly)
+                for deg, cpoly in p.coeffs_in(_X).items():
+                    if deg >= out_slots:
+                        raise ShapeError("output degree exceeded 2s-2")
+                    col[deg * dim_g + i] = cpoly.constant_value()
+            cols.append(col)
+    return ExactMatrix(cols).transpose()

@@ -1,0 +1,121 @@
+"""Fraction-free elimination over Q against the Fraction route it replaced
+(tests/matrix_oracles.py), with sympy for the ranks."""
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+
+from matrix_oracles import rref_inverse, rref_rank_kernel, rref_solve
+from spinorlab.matrix import ExactMatrix, inverse, mat_rank_kernel, rank, solve_linear
+from spinorlab.rings import FracElem, LaurentPoly, MultiPoly, UnsupportedRingError
+
+
+def mixed(rng):
+    return Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3, 7, 12]))
+
+
+def product_matrix(rng, m, k, n):
+    """An m x n matrix of rank at most k, as the product of m x k and k x n."""
+    A = ExactMatrix([[mixed(rng) for _ in range(k)] for _ in range(m)], cols=k)
+    B = ExactMatrix([[mixed(rng) for _ in range(n)] for _ in range(k)], cols=n)
+    return A * B
+
+
+def exactly_equal(a, b):
+    """Equal values of equal types, entry by entry."""
+    if isinstance(a, ExactMatrix):
+        return exactly_equal(a.entries, b.entries) and a.cols == b.cols
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(exactly_equal(x, y) for x, y in zip(a, b))
+    return type(a) is type(b) and a == b
+
+
+def sympy_rank(M):
+    return sympy.Matrix(
+        M.rows, M.cols,
+        [sympy.Rational(x.numerator, x.denominator) for r in M.entries for x in r],
+    ).rank()
+
+
+
+@pytest.mark.parametrize("block", range(8))
+def test_random_products_match_the_fraction_route(block):
+    counts = {"deficient": 0, "none": 0, "solved": 0, "singular": 0, "inverted": 0}
+    for seed in range(block * 40, block * 40 + 40):
+        rng = random.Random(seed)
+        m, n = rng.randint(0, 9), rng.randint(0, 9)
+        M = product_matrix(rng, m, rng.randint(0, min(m, n) + 1), n)
+
+        got = mat_rank_kernel(M)
+        assert exactly_equal(got, rref_rank_kernel(M)), (seed, M)
+        assert got[0] == rank(M) == sympy_rank(M)
+        counts["deficient"] += got[0] < min(m, n)
+
+        x0 = [mixed(rng) for _ in range(n)]
+        for b in (M.apply(x0), [mixed(rng) for _ in range(m)]):
+            x = solve_linear(M, b)
+            assert exactly_equal(x, rref_solve(M, b)), (seed, M, b)
+            counts["none" if x is None else "solved"] += 1
+            if x is not None:
+                assert M.apply(x) == tuple(b)
+
+        S = product_matrix(rng, m, rng.choice([m, m, max(m - 1, 0)]), m)
+        try:
+            want = rref_inverse(S)
+        except ValueError:
+            with pytest.raises(ValueError):
+                inverse(S)
+            counts["singular"] += 1
+        else:
+            got_inv = inverse(S)
+            assert exactly_equal(got_inv, want), (seed, S)
+            assert S * got_inv == ExactMatrix.identity(m)
+            counts["inverted"] += 1
+    # every branch is exercised in every block
+    assert all(counts.values()), counts
+
+
+def test_integer_and_zero_entries():
+    M = ExactMatrix([[0, 0, 0], [2, 4, 6], [1, 2, 3], [0, 0, 5]])
+    assert exactly_equal(mat_rank_kernel(M), rref_rank_kernel(M))
+    assert mat_rank_kernel(M) == (2, [(Fraction(-2), Fraction(1), Fraction(0))])
+    assert exactly_equal(solve_linear(M, [0, 2, 1, 5]), (Fraction(-2), Fraction(0), Fraction(1)))
+    assert solve_linear(M, [1, 2, 1, 5]) is None
+    assert exactly_equal(inverse(ExactMatrix([[0, 2], [4, 0]])),
+                         ExactMatrix([[Fraction(0), Fraction(1, 4)], [Fraction(1, 2), Fraction(0)]]))
+    assert exactly_equal(inverse(ExactMatrix([])), ExactMatrix([]))
+    empty = ExactMatrix([], cols=3)
+    assert exactly_equal(mat_rank_kernel(empty), rref_rank_kernel(empty))
+    assert exactly_equal(solve_linear(empty, []), (Fraction(0),) * 3)
+
+
+def test_fracelem_entries_take_the_field_route():
+    x = MultiPoly.var("x")
+    M = ExactMatrix([[x, 1, 0], [Fraction(1, 2), x, 1], [x + Fraction(1, 2), x + 1, 1]])
+    r, kernel = mat_rank_kernel(M)
+    assert exactly_equal((r, kernel), rref_rank_kernel(M))
+    assert r == 2 and all(isinstance(v, FracElem) for v in kernel[0])
+    assert all(e == 0 for e in M.apply(kernel[0]))
+    b = (x, 1, x + 1)
+    sol = solve_linear(M, b)
+    assert exactly_equal(sol, rref_solve(M, b))
+    assert all(isinstance(v, FracElem) for v in sol)
+    assert all(FracElem(0) + g == FracElem(0) + w for g, w in zip(M.apply(sol), b))
+    assert solve_linear(M, (0, 0, 1)) is None
+    S = ExactMatrix([[x, 1], [0, Fraction(1, 3)]])
+    inv = inverse(S)
+    assert exactly_equal(inv, rref_inverse(S))
+    assert S * inv == ExactMatrix.identity(2).map_entries(FracElem)
+
+
+@pytest.mark.parametrize("call", [
+    lambda M: mat_rank_kernel(M),
+    lambda M: solve_linear(M, [1, 0]),
+    lambda M: inverse(M),
+])
+def test_laurent_entries_unsupported(call):
+    M = ExactMatrix([[LaurentPoly.term("z", -1), 0], [0, 1]])
+    with pytest.raises(UnsupportedRingError):
+        call(M)

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from spinorlab.lie import sl2_w_plus_wdual, sp_standard
+from petri_oracles import multipoly_petri_matrix
+from spinorlab.lie import sl2_sym_cube, sl2_w_plus_wdual, sp_standard
 from spinorlab.matrix import ExactMatrix, ShapeError, mat_rank_kernel, rank, standard_omega
 from spinorlab.petri import (
     SectionSpace,
@@ -115,6 +116,43 @@ class TestPetriMatrix:
                         acc += Fraction(out[deg * dim_g + i]) * x0 ** deg
                     got.append(acc)
                 assert tuple(got) == tuple(want)
+
+
+def _exact_entries(M):
+    return [[(type(x), x) for x in row] for row in M.entries]
+
+
+class TestConvolutionOracle:
+    """The convolution against the column-by-column MultiPoly route
+    (tests/petri_oracles.py), entry types included."""
+
+    REPS = {
+        "sp2": lambda: sp_standard(1),
+        "sp4": lambda: sp_standard(2),
+        "sp8": lambda: sp_standard(4),
+        "sl2-W+W*": sl2_w_plus_wdual,
+        "sl2-Sym3": sl2_sym_cube,
+    }
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", sorted(REPS))
+    def test_matches_multipoly_route(self, name, s):
+        space = SectionSpace(self.REPS[name](), s)
+        rng = random.Random(10 * s + sorted(self.REPS).index(name))
+        sections = [
+            [0] * space.dim,
+            [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 5, 12])) for _ in range(space.dim)],
+            [rng.choice([0, 0, 1, -3]) for _ in range(space.dim)],
+        ]
+        for psi in sections:
+            got = petri_matrix(space, psi).matrix
+            want = multipoly_petri_matrix(space, psi)
+            assert _exact_entries(got) == _exact_entries(want)
+
+    def test_length_mismatch_rejected(self):
+        space = SectionSpace(sp_standard(1), 2)
+        with pytest.raises(ShapeError):
+            petri_matrix(space, [1] * (space.dim + 1))
 
 
 class TestInjectivityDichotomy:

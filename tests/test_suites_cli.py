@@ -2,10 +2,15 @@
 schema and parameter bounds."""
 
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 import spinorlab.cli as cli
+from spinorlab.lie import SymplecticRep
+from spinorlab.matrix import ExactMatrix
+from spinorlab.moment import MomentContext
 from spinorlab.suites import (
     SUITE_NAMES,
     ConfigError,
@@ -98,6 +103,40 @@ class TestSuites:
         ]
         assert report.passed == 2
 
+    def test_raising_check_ends_only_its_suite(self, monkeypatch):
+        import spinorlab.hecke as hecke
+
+        clean = run_suite(SuiteConfig(suite="all", trials=1, seed=4))
+        clean_hecke = run_suite(SuiteConfig(suite="hecke", trials=1, seed=4))
+        monkeypatch.setattr(hecke, "in_sp", lambda N: False)
+        report = run_suite(SuiteConfig(suite="all", trials=1, seed=4))
+        assert [case for case, _ in report.failures] == ["hecke/error"]
+        assert report.failures[0][1].startswith("HeckeIdentityError: ")
+        # the hecke suite raises in its first case; the suites after it still run
+        assert report.passed == clean.passed - clean_hecke.passed
+
+    def test_equivariance_failure_names_its_trial_index(self, monkeypatch):
+        import spinorlab.suites as suites
+
+        good = suites.sl2_sym_cube()
+        bad0 = [list(r) for r in good.rho[0].entries]
+        bad0[0][1] += Fraction(1, 3)
+        corrupted = SymplecticRep(
+            good.algebra, good.omega, [ExactMatrix(bad0), *good.rho[1:]], good.summands, good.name
+        )
+        monkeypatch.setattr(suites, "sl2_sym_cube", lambda: corrupted)
+        cfg = SuiteConfig(suite="moment-equivariance", n=1, trials=4, seed=21)
+        report = run_suite(cfg)
+        assert report.failed > 0
+        ctx = MomentContext(corrupted)
+        for case, detail in report.failures:
+            i = int(case.rsplit("/t", 1)[1])
+            trial = 2 * cfg.trials + i
+            assert case.startswith(f"{good.name}/")
+            assert detail == f"nonzero equivariance residual (trial index {trial})"
+            # the index replays the case on its own
+            assert not suites.check_equivariance(random.Random(trial_seed(cfg.seed, trial)), ctx)[0]
+
     def test_counts_are_consistent(self):
         cfg = SuiteConfig(suite="gaiotto", trials=7, seed=2)
         report = run_suite(cfg)
@@ -153,6 +192,18 @@ class TestCli:
         monkeypatch.setattr(cli, "run_suite", fake_run)
         assert cli.main(["--suite", "dims"]) == 1
         assert "FAIL case/t0000" in capsys.readouterr().out
+
+    def test_raising_check_still_writes_the_report(self, monkeypatch, tmp_path, capsys):
+        import spinorlab.hecke as hecke
+
+        monkeypatch.setattr(hecke, "in_sp", lambda N: False)
+        out = tmp_path / "hecke.json"
+        assert cli.main(["--suite", "hecke", "--json", str(out)]) == 1
+        data = json.loads(out.read_text())
+        assert data["failed"] == 1
+        assert data["failures"][0]["case"] == "error"
+        assert data["failures"][0]["residual"].startswith("HeckeIdentityError: ")
+        assert "Traceback" in capsys.readouterr().err
 
     def test_dims_report_carries_decomposition(self, tmp_path):
         out = tmp_path / "dims.json"
