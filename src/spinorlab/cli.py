@@ -3,12 +3,13 @@ configuration, print a human-readable summary, and optionally write the
 deterministic JSON report.
 
 Exit codes: 0 when every case passes, 1 on any failure, 2 on a
-configuration/usage error.
+configuration/usage error or a ``--json`` path that cannot be written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -52,8 +53,16 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-
-    report = run_suite(config)
+    try:
+        # opened before the run, so an unwritable path fails fast
+        out = open(args.json, "w") if args.json else contextlib.nullcontext()
+    except OSError as exc:
+        print(f"cannot write the JSON report to {args.json}: {exc.strerror}", file=sys.stderr)
+        return 2
+    with out:
+        report = run_suite(config)
+        if args.json:
+            out.write(report_body(report))
 
     total = report.passed + report.failed
     print(f"suite {report.suite}: {report.passed}/{total} passed "
@@ -64,8 +73,6 @@ def main(argv=None) -> int:
         print(f"  ... and {len(report.failures) - 20} more failures")
 
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report_body(report))
         print(f"report written to {args.json}")
 
     return 0 if report.failed == 0 else 1

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrix import ExactMatrix, mat_rank_kernel, random_symplectic, solve_linear, standard_omega
-from .rings import FracElem, MultiPoly, is_zero
+from .rings import FracElem, MultiPoly, dot
 
 
 class InvalidCocycleError(ValueError):
@@ -93,19 +93,10 @@ def theta_dual(d, u: ExactMatrix, l: FracElem, theta: ExactMatrix):
         raise InvalidCocycleError("dual system is inconsistent")
     # re-check the defining bilinear identity on the u-basis
     for kk in range(k):
-        lhs = _dot(gamma, theta.apply(u.col(kk)))
+        lhs = dot(gamma, theta.apply(u.col(kk)))
         if FracElem(0) + lhs != linv * d[kk]:
             raise ThetaDualError("theta-dual failed its defining identity")
     return tuple(gamma)
-
-
-def _dot(xs, ys):
-    acc = 0
-    for x, y in zip(xs, ys):
-        if is_zero(x) or is_zero(y):
-            continue
-        acc = acc + x * y
-    return acc
 
 
 def assemble_transition(c: BlockCocycle) -> ExactMatrix:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .matrix import ExactMatrix, in_sp, rank, standard_omega
 from .moment import gaiotto_field
-from .rings import LaurentPoly, MultiPoly
+from .rings import LaurentPoly, MultiPoly, dot
 
 _Z = "z"
 _T = "t"
@@ -39,17 +39,14 @@ def poly_mod(p: MultiPoly, prec: int) -> MultiPoly:
 def series_inverse(p: MultiPoly, prec: int) -> MultiPoly:
     """Inverse of a unit of Q[[z]]/(z^prec); the constant term must be nonzero."""
     coeffs = {k: c.constant_value() for k, c in p.coeffs_in(_Z).items()}
-    u0 = coeffs.get(0, Fraction(0))
-    if u0 == 0:
+    u = [coeffs.get(k, Fraction(0)) for k in range(prec)]
+    if u[0] == 0:
         raise ValueError("series has no constant term; not a unit")
-    inv = {0: Fraction(1) / u0}
+    inv = [Fraction(1) / u[0]]
     for k in range(1, prec):
-        s = Fraction(0)
-        for j in range(1, k + 1):
-            if j in coeffs and (k - j) in inv:
-                s += coeffs[j] * inv[k - j]
-        inv[k] = -s / u0
-    return MultiPoly((_Z,), {(k,): c for k, c in inv.items() if c != 0})
+        # inv[k] = -(u[1] inv[k-1] + ... + u[k] inv[0]) / u[0]
+        inv.append(-dot(u[1 : k + 1], inv[::-1]) / u[0])
+    return MultiPoly((_Z,), {(k,): c for k, c in enumerate(inv) if c != 0})
 
 
 @dataclass(frozen=True)
@@ -81,13 +78,7 @@ class TruncatedSeriesVector:
 
 
 def _omega_pair(omega: ExactMatrix, a, b, prec: int) -> MultiPoly:
-    w = omega.apply(b)
-    acc = MultiPoly.const(0)
-    for x, y in zip(a, w):
-        if (isinstance(y, int) and y == 0) or x.is_zero:
-            continue
-        acc = acc + x * y
-    return poly_mod(acc, prec)
+    return poly_mod(_as_zpoly(dot(a, omega.apply(b))), prec)
 
 
 def symplectic_complete(v: TruncatedSeriesVector, prec: int | None = None) -> ExactMatrix:

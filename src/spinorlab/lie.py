@@ -95,11 +95,7 @@ class MatrixLieAlgebra:
         return self._coord_solver.coords(_flattened(M))
 
     def from_coordinates(self, coords) -> ExactMatrix:
-        acc = ExactMatrix.zeros(self.ambient_dim, self.ambient_dim)
-        for c, X in zip(coords, self.basis):
-            if not (_is_rat(c) and c == 0):
-                acc = acc + X.scale(c)
-        return acc
+        return _combination(coords, self.basis, self.ambient_dim)
 
     def trace_gram(self) -> ExactMatrix:
         """Gram matrix of the trace form B(X,Y) = tr(XY) on the basis."""
@@ -219,11 +215,16 @@ class SymplecticRep:
 
     def rho_of(self, coords) -> ExactMatrix:
         """Image of the algebra element with the given basis coordinates."""
-        acc = ExactMatrix.zeros(self.dimV, self.dimV)
-        for c, R in zip(coords, self.rho):
-            if not (_is_rat(c) and c == 0):
-                acc = acc + R.scale(c)
-        return acc
+        return _combination(coords, self.rho, self.dimV)
+
+
+def _combination(coords, mats, d: int) -> ExactMatrix:
+    """sum_j coords[j] * mats[j] as a d x d matrix, skipping rational zeros."""
+    acc = ExactMatrix.zeros(d, d)
+    for c, X in zip(coords, mats):
+        if not (_is_rat(c) and c == 0):
+            acc = acc + X.scale(c)
+    return acc
 
 
 def verify_symplectic_rep(rep: SymplecticRep) -> CheckReport:
@@ -293,24 +294,29 @@ def _iterative_kernel(maps):
     return [tuple(v) for v in (basis or [])]
 
 
+def _sylvester(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
+    """Matrix of the map T -> T A + B T on p x q matrices T flattened row by
+    row, for A of size q x q and B of size p x p."""
+    p, q = B.rows, A.rows
+    rows = []
+    for r in range(p):
+        for c in range(q):
+            row = [0] * (p * q)
+            for k in range(q):
+                row[r * q + k] += A.entries[k][c]  # (T A)_{rc} = sum_k T_{rk} A_{kc}
+            for k in range(p):
+                row[k * q + c] += B.entries[r][k]  # (B T)_{rc} = sum_k B_{rk} T_{kc}
+            rows.append(row)
+    return ExactMatrix(rows, cols=p * q)
+
+
 def commutant(rep: SymplecticRep, block: tuple[int, int] | None = None):
     """Basis of End_g(V) (or of the endomorphisms of a coordinate block),
     computed as the joint kernel of A -> A rho(X_i) - rho(X_i) A."""
-    lo, hi = block if block is not None else (0, rep.dimV)
-    m = hi - lo
-    maps = []
-    for R in rep.rho:
-        sub = R.submatrix(range(lo, hi), range(lo, hi))
-        rows = []
-        for r in range(m):
-            for c in range(m):
-                row = [0] * (m * m)
-                for q in range(m):
-                    row[r * m + q] += sub.entries[q][c]
-                    row[q * m + c] -= sub.entries[r][q]
-                rows.append(row)
-        maps.append(ExactMatrix(rows))
-    ker = _iterative_kernel(maps)
+    span = range(*block) if block is not None else range(rep.dimV)
+    m = len(span)
+    subs = [R.submatrix(span, span) for R in rep.rho]
+    ker = _iterative_kernel([_sylvester(sub, -sub) for sub in subs])
     return [ExactMatrix([v[r * m : (r + 1) * m] for r in range(m)]) for v in ker]
 
 
@@ -320,23 +326,9 @@ def hom_space(rep: SymplecticRep, a: int, b: int) -> int:
     cons = rep.constituents()
     if not (0 <= a < len(cons) and 0 <= b < len(cons)):
         raise IndexError("constituent index out of range")
-    (la, ha), (lb, hb) = cons[a][1], cons[b][1]
-    na, nb = ha - la, hb - lb
-    maps = []
-    for R in rep.rho:
-        Ra = R.submatrix(range(la, ha), range(la, ha))
-        Rb = R.submatrix(range(lb, hb), range(lb, hb))
-        rows = []
-        # unknown T (nb x na): T Ra - Rb T = 0
-        for r in range(nb):
-            for c in range(na):
-                row = [0] * (nb * na)
-                for q in range(na):
-                    row[r * na + q] += Ra.entries[q][c]
-                for p in range(nb):
-                    row[p * na + c] -= Rb.entries[r][p]
-                rows.append(row)
-        maps.append(ExactMatrix(rows))
+    ra, rb = range(*cons[a][1]), range(*cons[b][1])
+    # unknown T (len(rb) x len(ra)): T Ra - Rb T = 0
+    maps = [_sylvester(R.submatrix(ra, ra), -R.submatrix(rb, rb)) for R in rep.rho]
     return len(_iterative_kernel(maps))
 
 
@@ -469,16 +461,8 @@ def sl2_sym_cube() -> SymplecticRep:
     alg = sl2_algebra()
     rho = [_sym_cube_action(X) for X in alg.basis]
 
-    # solve rho(X)^T W + W rho(X) = 0, W antisymmetric, over 16 unknowns
-    rows = []
-    for R in rho:
-        for r in range(4):
-            for c in range(4):
-                row = [0] * 16
-                for q in range(4):
-                    row[q * 4 + c] += R.entries[q][r]  # (R^T W)_{rc} = sum_q R_{qr} W_{qc}
-                    row[r * 4 + q] += R.entries[q][c]  # (W R)_{rc}  = sum_q W_{rq} R_{qc}
-                rows.append(row)
+    # solve W rho(X) + rho(X)^T W = 0, W antisymmetric, over 16 unknowns
+    rows = [row for R in rho for row in _sylvester(R, R.transpose()).entries]
     for r in range(4):
         for c in range(4):
             row = [0] * 16

@@ -2,6 +2,9 @@
 over a field, a division-free characteristic polynomial, and deterministic
 random symplectic matrices built from transvections.
 
+Every dense multiply-and-sum, in products and in ``char_poly``, goes
+through ``rings.dot``.
+
 Over Q, elimination never builds a Fraction until the end: rows are cleared
 of their denominators and reduced over Z by fraction-free elimination
 (Bareiss), below the pivots for ``rank`` and Gauss-Jordan style for
@@ -15,7 +18,7 @@ import math
 import random
 from fractions import Fraction
 
-from .rings import FracElem, LaurentPoly, MultiPoly, UnsupportedRingError, _is_rat, is_zero
+from .rings import FracElem, LaurentPoly, MultiPoly, UnsupportedRingError, _is_rat, dot, is_zero
 
 
 class ShapeError(ValueError):
@@ -133,18 +136,9 @@ class ExactMatrix:
                 ocols = list(zip(*other.entries))
             else:
                 ocols = [()] * other.cols
-            out = []
-            for r in self.entries:
-                orow = []
-                for c in ocols:
-                    acc = 0
-                    for a, b in zip(r, c):
-                        if is_zero(a) or is_zero(b):
-                            continue
-                        acc = acc + a * b if not (isinstance(acc, int) and acc == 0) else a * b
-                    orow.append(acc)
-                out.append(orow)
-            return ExactMatrix(out, cols=other.cols)
+            return ExactMatrix(
+                [[dot(r, c) for c in ocols] for r in self.entries], cols=other.cols
+            )
         return NotImplemented
 
     def scale(self, c) -> "ExactMatrix":
@@ -154,15 +148,7 @@ class ExactMatrix:
         """Matrix-vector product, returning a tuple."""
         if len(vec) != self.cols:
             raise ShapeError("matrix-vector shape mismatch")
-        out = []
-        for r in self.entries:
-            acc = 0
-            for a, b in zip(r, vec):
-                if is_zero(a) or is_zero(b):
-                    continue
-                acc = acc + a * b if not (isinstance(acc, int) and acc == 0) else a * b
-            out.append(acc)
-        return tuple(out)
+        return tuple(dot(r, vec) for r in self.entries)
 
     def transpose(self) -> "ExactMatrix":
         if self.rows == 0:
@@ -427,49 +413,15 @@ def char_poly(M: ExactMatrix):
     A = M.entries
     V = [1, -A[0][0]]  # descending coefficients for the leading 1x1 block
     for r in range(2, n + 1):
-        a = A[r - 1][r - 1]
-        R = [A[r - 1][j] for j in range(r - 1)]
-        C = [A[i][r - 1] for i in range(r - 1)]
-        c = [1, -a]
-        w = C
+        R = A[r - 1][: r - 1]
+        w = [A[i][r - 1] for i in range(r - 1)]
+        c = [1, -A[r - 1][r - 1]]
         for _ in range(r - 1):
-            acc = 0
-            for ri, wi in zip(R, w):
-                if is_zero(ri) or is_zero(wi):
-                    continue
-                acc = acc + ri * wi if not (isinstance(acc, int) and acc == 0) else ri * wi
-            c.append(-acc)
-            w = [
-                _sum_entries(A[i][j] * w[j] for j in range(r - 1))
-                for i in range(r - 1)
-            ]
-        V = _toeplitz_apply(c, V)
+            c.append(-dot(R, w))
+            w = [dot(A[i], w) for i in range(r - 1)]
+        # lower-triangular Toeplitz product: V[i] = sum_j c[i-j] * V[j]
+        V = [dot(c[i::-1], V) for i in range(r + 1)]
     return list(reversed(V))
-
-
-def _sum_entries(items):
-    acc = 0
-    first = True
-    for x in items:
-        acc = x if first else acc + x
-        first = False
-    return acc if not first else 0
-
-
-def _toeplitz_apply(c, V):
-    # lower-triangular Toeplitz product: out[i] = sum_j c[i-j] * V[j]
-    out = []
-    for i in range(len(V) + 1):
-        acc = 0
-        started = False
-        for j in range(len(V)):
-            k = i - j
-            if 0 <= k < len(c):
-                term = c[k] * V[j]
-                acc = term if not started else acc + term
-                started = True
-        out.append(acc if started else 0)
-    return out
 
 
 # -- symplectic structure ------------------------------------------------

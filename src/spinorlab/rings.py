@@ -30,6 +30,18 @@ def is_zero(x) -> bool:
     return x == 0 if isinstance(x, (int, Fraction)) else x.is_zero
 
 
+def dot(xs, ys):
+    """Sum of ``x*y`` over paired entries, skipping pairs with a zero factor;
+    int ``0`` when every pair is skipped.  The sum starts from the first
+    nonzero product, so ring elements never go through ``int + element``."""
+    acc = None
+    for x, y in zip(xs, ys):
+        if is_zero(x) or is_zero(y):
+            continue
+        acc = x * y if acc is None else acc + x * y
+    return 0 if acc is None else acc
+
+
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     # gcd on rationals: gcd of numerators over lcm of denominators
     num = gcd(a.numerator, b.numerator)

@@ -292,7 +292,29 @@ def check_dims_symbolic():
     return ok, "" if ok else "nonzero polynomial"
 
 
+def check_glue_at_config(n: int, m: int):
+    ok, _ = check_glue(n, m)
+    return ok, "" if ok else "glue check failed at the configured point"
+
+
 # -- suites: generators of (case_id, ok, detail) ------------------------------
+
+
+def _error_detail(exc: Exception) -> str:
+    """Print the traceback being handled to stderr and return the failure
+    detail ``"<ExceptionType>: <message>"``."""
+    import traceback  # only on this error path: a clean run never pays its import
+
+    traceback.print_exc()
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _guard(check, *args):
+    """Run one check; an exception fails only this case (see ``_error_detail``)."""
+    try:
+        return check(*args)
+    except Exception as exc:
+        return False, _error_detail(exc)
 
 
 def _moment_equivariance_cases(cfg: SuiteConfig):
@@ -301,14 +323,14 @@ def _moment_equivariance_cases(cfg: SuiteConfig):
         ctx = MomentContext(rep)
         for i in range(cfg.trials):
             trial = pos * cfg.trials + i
-            ok, detail = check_equivariance(_rng(cfg, trial), ctx)
+            ok, detail = _guard(check_equivariance, _rng(cfg, trial), ctx)
             yield (f"{rep.name}/t{i:04d}", ok, detail if ok else f"{detail} (trial index {trial})")
 
 
 def _gaiotto_cases(cfg: SuiteConfig):
     for i in range(cfg.trials):
         n = 1 + (i % cfg.n)
-        yield (f"gaiotto/n{n}/t{i:04d}", *check_gaiotto(_rng(cfg, i), n))
+        yield (f"gaiotto/n{n}/t{i:04d}", *_guard(check_gaiotto, _rng(cfg, i), n))
 
 
 def _petri_cases(cfg: SuiteConfig):
@@ -317,43 +339,41 @@ def _petri_cases(cfg: SuiteConfig):
     for i in range(cfg.trials):
         rng = _rng(cfg, i)
         if i % 2 == 0:
-            yield (f"standard-injective/t{i:04d}", *check_standard_injective(rng, std_space))
+            yield (f"standard-injective/t{i:04d}", *_guard(check_standard_injective, rng, std_space))
         else:
-            yield (f"dual-pair-kernel/t{i:04d}", *check_dual_pair(rng, dual_space))
+            yield (f"dual-pair-kernel/t{i:04d}", *_guard(check_dual_pair, rng, dual_space))
 
 
 def _cech_cases(cfg: SuiteConfig):
     for i in range(cfg.trials):
-        ok, detail = check_cech_model(_rng(cfg, 2 * i))
+        ok, detail = _guard(check_cech_model, _rng(cfg, 2 * i))
         kind = "euler" if detail == _EULER_DISAGREEMENT else "model"
         yield (f"{kind}/t{i:04d}", ok, detail)
-        yield (f"chase/t{i:04d}", *check_chase(_rng(cfg, 2 * i + 1)))
+        yield (f"chase/t{i:04d}", *_guard(check_chase, _rng(cfg, 2 * i + 1)))
 
 
 _GLUE_GRID = [(n, m) for n in (1, 2, 3) for m in (1, 2, 3)]
 
 
 def _hecke_cases(cfg: SuiteConfig):
-    yield ("modified-spinor/literal-image-n1-m1", *check_literal_image(1, 1))
+    yield ("modified-spinor/literal-image-n1-m1", *_guard(check_literal_image, 1, 1))
     for n, m in _GLUE_GRID:
-        yield (f"family/n{n}/m{m}", *check_hecke_family(n, m))
-        yield (f"glue/n{n}/m{m}", *check_glue(n, m))
+        yield (f"family/n{n}/m{m}", *_guard(check_hecke_family, n, m))
+        yield (f"glue/n{n}/m{m}", *_guard(check_glue, n, m))
     if (cfg.n, cfg.m) not in _GLUE_GRID:
-        ok, _ = check_glue(cfg.n, cfg.m)
-        detail = "" if ok else "glue check failed at the configured point"
-        yield (f"glue/n{cfg.n}/m{cfg.m}", ok, detail)
-    yield (f"completion/n{cfg.n}/prec{cfg.prec}", *check_completion(_rng(cfg, 0), cfg.n, cfg.prec))
+        yield (f"glue/n{cfg.n}/m{cfg.m}", *_guard(check_glue_at_config, cfg.n, cfg.m))
+    yield (f"completion/n{cfg.n}/prec{cfg.prec}", *_guard(check_completion, _rng(cfg, 0), cfg.n, cfg.prec))
 
 
 def _cocycle_cases(cfg: SuiteConfig):
     n = max(2, cfg.n)
     for i in range(cfg.trials):
-        yield (f"cocycle/n{n}/t{i:04d}", *check_cocycle(_rng(cfg, i), n))
+        yield (f"cocycle/n{n}/t{i:04d}", *_guard(check_cocycle, _rng(cfg, i), n))
 
 
 def _bbflow_cases(cfg: SuiteConfig):
     for i in range(cfg.trials):
-        yield (f"bbflow/n{cfg.n}/t{i:04d}", *check_bbflow(_rng(cfg, i), cfg.n))
+        yield (f"bbflow/n{cfg.n}/t{i:04d}", *_guard(check_bbflow, _rng(cfg, i), cfg.n))
 
 
 def _dims_cases(cfg: SuiteConfig):
@@ -372,8 +392,8 @@ def _dims_cases(cfg: SuiteConfig):
             ok,
             "" if ok else f"total={rec.total} expected={expected}",
         )
-    yield ("numeric-range/n<=20/g<=20", *check_dims_range())
-    yield ("symbolic-zero-polynomials", *check_dims_symbolic())
+    yield ("numeric-range/n<=20/g<=20", *_guard(check_dims_range))
+    yield ("symbolic-zero-polynomials", *_guard(check_dims_symbolic))
 
 
 def _stability_cases(cfg: SuiteConfig):
@@ -399,9 +419,9 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     """Execute the named suite, case by case in order; deterministic in
     (config, seed).
 
-    An exception raised by a check ends its suite: it is recorded as one
-    failed case ``error`` with detail ``"<ExceptionType>: <message>"``, its
-    traceback goes to stderr, and the run goes on with the next suite.
+    An exception raised by a check fails only its own case (``_guard``); one
+    raised while a suite sets up ends that suite as one failed case ``error``
+    with the same detail, and the run goes on with the next suite.
     """
     start = time.monotonic()
     names = list(_SUITE_CASES) if config.suite == "all" else [config.suite]
@@ -416,10 +436,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
                 else:
                     failures.append((prefix + case_id, detail))
         except Exception as exc:
-            import traceback  # only on this error path: a clean run never pays its import
-
-            traceback.print_exc()
-            failures.append((prefix + "error", f"{type(exc).__name__}: {exc}"))
+            failures.append((prefix + "error", _error_detail(exc)))
     return SuiteReport(
         suite=config.suite,
         config=asdict(config),

@@ -2,6 +2,7 @@
 intertwiners, and the multiplicity-freeness check."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,7 @@ from spinorlab.lie import (
     sp_algebra,
     sp_standard,
     trivial_rep,
+    _sylvester,
     verify_symplectic_rep,
 )
 from spinorlab.matrix import ExactMatrix, random_symplectic
@@ -146,6 +148,26 @@ class TestCommutant:
             rep = sp_standard(2)
             conj = conjugate_rep(rep, g)
             assert len(commutant(conj)) == len(commutant(rep))
+
+
+class TestSylvester:
+    def test_against_brute_force_products(self):
+        rng = random.Random(23)
+
+        def rand(rows, cols):
+            return ExactMatrix(
+                [[Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(cols)]
+                 for _ in range(rows)]
+            )
+
+        for p, q in [(2, 3), (3, 2), (1, 4), (4, 4)]:
+            A, B, T = rand(q, q), rand(p, p), rand(p, q)
+            S = _sylvester(A, B)
+            assert (S.rows, S.cols) == (p * q, p * q)
+            want = T * A + B * T
+            assert S.apply([x for r in T.entries for x in r]) == tuple(
+                x for r in want.entries for x in r
+            )
 
 
 class TestHomSpace:

@@ -178,6 +178,42 @@ class TestCharPoly:
                     P = P * M
                 assert acc.is_zero
 
+    def test_cayley_hamilton_laurent_entries(self):
+        rng = random.Random(17)
+        x = MultiPoly.var("x")
+        for _ in range(4):
+            M = ExactMatrix(
+                [[LaurentPoly("z", {rng.randint(-2, 2): rng.randint(-2, 2), 0: rng.choice([0, x])})
+                  for _ in range(3)] for _ in range(3)]
+            )
+            cs = char_poly(M)
+            assert cs[3] == 1 and cs[2] == -(M[0, 0] + M[1, 1] + M[2, 2])
+            acc = ExactMatrix.zeros(3, 3)
+            P = ExactMatrix.identity(3)
+            for c in cs:
+                acc = acc + P.scale(c)
+                P = P * M
+            assert acc.is_zero
+
+    def test_polynomial_entries_against_cofactor_expansion(self):
+        rng = random.Random(19)
+        x, y = MultiPoly.var("x"), MultiPoly.var("y")
+        lam = MultiPoly.var("lam")
+        for _ in range(4):
+            M = ExactMatrix(
+                [[rng.randint(-2, 2) * x + rng.choice([0, 1, y]) for _ in range(3)]
+                 for _ in range(3)]
+            )
+            A = [[lam * (1 if i == j else 0) - M[i, j] for j in range(3)] for i in range(3)]
+            det = (
+                A[0][0] * (A[1][1] * A[2][2] - A[1][2] * A[2][1])
+                - A[0][1] * (A[1][0] * A[2][2] - A[1][2] * A[2][0])
+                + A[0][2] * (A[1][0] * A[2][1] - A[1][1] * A[2][0])
+            )
+            want = det.coeffs_in("lam")
+            got = char_poly(M)
+            assert all(got[d] == want.get(d, 0) for d in range(4))
+
     def test_polynomial_ring_entries(self):
         t = MultiPoly.var("t")
         M = ExactMatrix([[t, MultiPoly.const(1)], [MultiPoly.const(0), t]])

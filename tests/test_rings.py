@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorlab.rings import Dual, FracElem, LaurentPoly, MultiPoly
+from spinorlab.rings import Dual, FracElem, LaurentPoly, MultiPoly, dot
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -206,3 +206,40 @@ class TestDual:
         x = MultiPoly.var("x")
         d = Dual(x, MultiPoly.const(1))
         assert (d * d).eps == 2 * x
+
+
+class TestDot:
+    def test_all_zero_pairs_give_int_zero(self):
+        x = MultiPoly.var("x")
+        for xs, ys in [
+            ([], []),
+            ([0, Fraction(0), MultiPoly.const(0)], [x, 3, x]),
+            ([x, LaurentPoly("z", {}), 2], [MultiPoly.const(0), LaurentPoly.term("z", 1), 0]),
+        ]:
+            got = dot(xs, ys)
+            assert type(got) is int and got == 0
+
+    def test_ring_factors_keep_their_type(self):
+        x, y = MultiPoly.var("x"), MultiPoly.var("y")
+        cases = [
+            [x + 1, 0, y], [x, -2 * y, 3],
+            [FracElem(x, y), FracElem(0), FracElem(1, x + 1)], [FracElem(y), x, 2],
+            [LaurentPoly("z", {-1: x}), LaurentPoly("z", {}), LaurentPoly.term("z", 2, 3)],
+            [LaurentPoly.term("z", 1), 5, LaurentPoly("z", {0: y, 1: 1})],
+        ]
+        for xs, ys in zip(cases[::2], cases[1::2]):
+            got = dot(xs, ys)
+            assert type(got) is type(xs[0])
+            brute = xs[0] * ys[0]
+            for a, b in zip(xs[1:], ys[1:]):
+                brute = brute + a * b
+            assert got == brute
+
+    def test_sum_starts_from_the_first_product(self, monkeypatch):
+        # a sum started from int 0 would build MultiPoly.const(0) through __radd__
+        def no_radd(self, other):
+            raise AssertionError("int + MultiPoly")
+
+        monkeypatch.setattr(MultiPoly, "__radd__", no_radd)
+        x = MultiPoly.var("x")
+        assert dot([0, x, x], [x, 2, x]) == 2 * x + x * x

@@ -103,17 +103,24 @@ class TestSuites:
         ]
         assert report.passed == 2
 
-    def test_raising_check_ends_only_its_suite(self, monkeypatch):
+    def test_raising_check_fails_only_its_case(self, monkeypatch):
         import spinorlab.hecke as hecke
 
         clean = run_suite(SuiteConfig(suite="all", trials=1, seed=4))
         clean_hecke = run_suite(SuiteConfig(suite="hecke", trials=1, seed=4))
+        # literal image, 9 family and 9 glue cases, and the completion case
+        assert clean_hecke.passed == 20 and clean_hecke.failed == 0
         monkeypatch.setattr(hecke, "in_sp", lambda N: False)
         report = run_suite(SuiteConfig(suite="all", trials=1, seed=4))
-        assert [case for case, _ in report.failures] == ["hecke/error"]
-        assert report.failures[0][1].startswith("HeckeIdentityError: ")
-        # the hecke suite raises in its first case; the suites after it still run
-        assert report.passed == clean.passed - clean_hecke.passed
+        # every case that builds a family raises; each fails under its own id
+        # and the cases after it, in hecke and in the later suites, still run
+        assert report.passed + report.failed == clean.passed
+        failed = dict(report.failures)
+        assert "hecke/error" not in failed
+        assert "hecke/modified-spinor/literal-image-n1-m1" in failed
+        assert "hecke/glue/n3/m3" in failed
+        assert all(d.startswith("HeckeIdentityError: ") for d in failed.values())
+        assert "hecke/completion/n2/prec4" not in failed
 
     def test_equivariance_failure_names_its_trial_index(self, monkeypatch):
         import spinorlab.suites as suites
@@ -200,10 +207,21 @@ class TestCli:
         out = tmp_path / "hecke.json"
         assert cli.main(["--suite", "hecke", "--json", str(out)]) == 1
         data = json.loads(out.read_text())
-        assert data["failed"] == 1
-        assert data["failures"][0]["case"] == "error"
-        assert data["failures"][0]["residual"].startswith("HeckeIdentityError: ")
+        # 20 cases at the defaults; only the completion case builds no family
+        assert data["passed"] + data["failed"] == 20
+        assert data["failed"] == 19
+        assert data["failures"][0]["case"] == "modified-spinor/literal-image-n1-m1"
+        assert all(f["residual"].startswith("HeckeIdentityError: ") for f in data["failures"])
         assert "Traceback" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    def test_exit_two_on_unwritable_json_path(self, target, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "no" / "such" / "x.json" if target == "missing-dir" else tmp_path
+        monkeypatch.setattr(cli, "run_suite", lambda config: pytest.fail("the suite ran"))
+        assert cli.main(["--suite", "dims", "--json", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write the JSON report to ") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_dims_report_carries_decomposition(self, tmp_path):
         out = tmp_path / "dims.json"
