@@ -18,7 +18,7 @@ with zero residual.  The modules:
 - ``suites``/``cli``: seeded, reproducible verification suites.
 """
 
-from .rings import Dual, FracElem, LaurentPoly, MultiPoly, UnsupportedRingError
+from .rings import LaurentPoly, MultiPoly, UnsupportedRingError
 from .matrix import (
     ExactMatrix,
     NotSymplecticError,

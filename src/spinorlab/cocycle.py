@@ -5,18 +5,26 @@ dual line) preserves the local standard form exactly when its mixed column
 block gamma is the theta-dual of its mixed row block d; the forward direction
 is proved here by a symbolic residual that vanishes identically in the free
 symbols (l, d, a), and the converse by solving the residual for gamma.
+
+Every denominator in these identities is a power of the line transition l, so
+they hold over Laurent polynomials in l: l is a unit monomial ``c*l^k`` (a
+``LaurentPoly`` whose coefficient is a nonzero constant) or a nonzero
+rational, entries stay in the tower int/Fraction -> MultiPoly -> LaurentPoly,
+and the only division is one rational inverse of ``u^T Theta``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .matrix import ExactMatrix, mat_rank_kernel, random_symplectic, solve_linear, standard_omega
-from .rings import FracElem, MultiPoly, dot
+from .matrix import ExactMatrix, inverse, rank, random_symplectic, solve_linear, standard_omega
+from .rings import LaurentPoly, MultiPoly, _is_rat, as_poly, dot, is_zero
 
 
 class InvalidCocycleError(ValueError):
-    """Singular form or non-symplectic middle block."""
+    """Singular form, non-symplectic middle block, or a line transition that
+    is not a nonzero rational or a unit Laurent monomial."""
 
 
 class ThetaDualError(ValueError):
@@ -44,92 +52,106 @@ def standard_form(n: int) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
+def _line_inverse(l):
+    """l^{-1} for a nonzero rational l, or (1/c)*x^-k for a unit Laurent
+    monomial l = c*x^k with c a nonzero constant; any other l raises
+    InvalidCocycleError."""
+    if _is_rat(l):
+        if l == 0:
+            raise InvalidCocycleError("line transition must be invertible")
+        return 1 / Fraction(l)
+    if isinstance(l, LaurentPoly) and len(l.coeffs) == 1:
+        ((k, c),) = l.coeffs.items()
+        if c.is_constant:
+            return LaurentPoly(l.var, {-k: 1 / c.constant_value()})
+    raise InvalidCocycleError(
+        "line transition must be a nonzero rational or a unit Laurent monomial c*x^k"
+    )
+
+
 @dataclass(frozen=True)
 class BlockCocycle:
     """Transition data (l, d, a | u, gamma) for one chart overlap.
 
-    l is the invertible line transition, u the exactly symplectic middle
+    l is the invertible line transition (a nonzero rational or a unit Laurent
+    monomial, see ``_line_inverse``), u the exactly symplectic middle
     transition, d the mixed row block, a the line-to-line mixed entry, and
     gamma the mixed column block.
     """
 
     n: int
-    l: FracElem
+    l: object
     u: ExactMatrix
     d: tuple
     a: object
     gamma: tuple
 
     def __post_init__(self):
+        _line_inverse(self.l)
         k = 2 * self.n - 2
         if self.u.rows != k or len(self.d) != k or len(self.gamma) != k:
             raise InvalidCocycleError("block sizes inconsistent with n")
         theta = middle_theta(self.n)
         if self.u.transpose() * theta * self.u != theta:
             raise InvalidCocycleError("middle block is not symplectic")
-        if self.l.is_zero:
-            raise InvalidCocycleError("line transition must be invertible")
 
 
-def theta_dual(d, u: ExactMatrix, l: FracElem, theta: ExactMatrix):
+def theta_dual(d, u: ExactMatrix, l, theta: ExactMatrix):
     """The column block gamma characterized by
     theta(gamma s, u u') = <d u', l^{-1} s> for all (u', s).
 
     Stripping the arbitrary sections, this is the linear system
-    u^T Theta gamma = -l^{-1} d^T, solved over the fraction field and then
-    re-verified against the defining identity.
+    u^T Theta gamma = -l^{-1} d^T, so gamma = -l^{-1} (u^T Theta)^{-1} d^T
+    from one rational inverse; the result is re-verified against the
+    defining identity.
     """
     k = theta.rows
-    if mat_rank_kernel(theta)[0] != k:
+    if rank(theta) != k:
         raise InvalidCocycleError("theta is singular")
-    if mat_rank_kernel(u)[0] != k:
+    if rank(u) != k:
         raise InvalidCocycleError("u is singular")
-    l = l if isinstance(l, FracElem) else FracElem(l)
-    linv = l.reciprocal()
-    system = u.transpose() * theta
-    rhs = [-(linv * di) for di in d]
-    gamma = solve_linear(system, rhs)
-    if gamma is None:
-        raise InvalidCocycleError("dual system is inconsistent")
+    linv = _line_inverse(l)
+    system_inv = inverse(u.transpose() * theta)
+    gamma = tuple(-(linv * dot(row, d)) for row in system_inv.entries)
     # re-check the defining bilinear identity on the u-basis
     for kk in range(k):
-        lhs = dot(gamma, theta.apply(u.col(kk)))
-        if FracElem(0) + lhs != linv * d[kk]:
+        if dot(gamma, theta.apply(u.col(kk))) != linv * d[kk]:
             raise ThetaDualError("theta-dual failed its defining identity")
-    return tuple(gamma)
+    return gamma
 
 
 def assemble_transition(c: BlockCocycle) -> ExactMatrix:
     """The block upper-triangular matrix with rows
     (l, d, a | 0, u, gamma | 0, 0, l^{-1})."""
     k = 2 * c.n - 2
-    linv = c.l.reciprocal()
     top = [c.l] + list(c.d) + [c.a]
     rows = [top]
     for i in range(k):
         rows.append([0] + list(c.u.entries[i]) + [c.gamma[i]])
-    rows.append([0] * (k + 1) + [linv])
+    rows.append([0] * (k + 1) + [_line_inverse(c.l)])
     return ExactMatrix(rows)
 
 
 def verify_form_preservation(c: BlockCocycle) -> ExactMatrix:
-    """Residual v^T Omega_std v - Omega_std over the symbol ring; identically
-    zero exactly when gamma is the theta-dual block."""
+    """Residual v^T Omega_std v - Omega_std over Laurent polynomials in l;
+    identically zero exactly when gamma is the theta-dual block."""
     v = assemble_transition(c)
     omega = standard_form(c.n)
     return v.transpose() * omega * v - omega
 
 
 def fresh_symbol_cocycle(n: int, seed: int, gamma: tuple | None = None) -> BlockCocycle:
-    """Cocycle with fresh polynomial symbols for (l, d, a), a seeded random
-    exact symplectic middle block, and gamma defaulting to the theta-dual.
+    """Cocycle with fresh symbols for (l, d, a), a seeded random exact
+    symplectic middle block, and gamma defaulting to the theta-dual.
 
-    A fully symbolic symplectic u has no free polynomial parametrization, so
-    u is sampled; identities polynomial in (l, d, a) are verified universally
-    per sample.
+    l is the Laurent monomial ``LaurentPoly("l", {1: 1})`` and d, a are
+    ``MultiPoly`` symbols, so gamma and l^{-1} are Laurent polynomials in l
+    with coefficients in (d, a).  A fully symbolic symplectic u has no free
+    polynomial parametrization, so u is sampled; identities polynomial in
+    (l, l^{-1}, d, a) are verified universally per sample.
     """
     k = 2 * n - 2
-    l = FracElem(MultiPoly.var("l"))
+    l = LaurentPoly("l", {1: 1})
     d = tuple(MultiPoly.var(f"d{i+1}") for i in range(k))
     a = MultiPoly.var("a")
     u = random_symplectic(n - 1, seed)
@@ -158,32 +180,29 @@ class NecessityResult:
 
 def necessity_solve(n: int, l, u: ExactMatrix, d, a) -> NecessityResult:
     """Treat gamma as unknown symbols, expand the residual, and solve the
-    resulting linear system; for rational (l, u, d, a) the unique solution
-    must reproduce theta_dual."""
+    resulting linear system; for rational (l, u, d, a) the residual entries
+    are polynomials in the unknowns over Q, and the unique solution must
+    reproduce theta_dual."""
+    if not _is_rat(l):
+        raise InvalidCocycleError("necessity solve needs a rational line transition")
     k = 2 * n - 2
-    syms = [MultiPoly.var(f"_g{i}") for i in range(k)]
-    c = BlockCocycle(n, FracElem(l), u, tuple(d), a, tuple(syms))
-    residual = verify_form_preservation(c)
     names = [f"_g{i}" for i in range(k)]
+    syms = tuple(MultiPoly.var(nm) for nm in names)
+    residual = verify_form_preservation(BlockCocycle(n, l, u, tuple(d), a, syms))
     rows = []
     rhs = []
     for row in residual.entries:
         for x in row:
-            f = x if isinstance(x, FracElem) else FracElem(x)
-            num = f.num  # the denominator is a power of l, nonzero
-            if num.is_zero:
+            if is_zero(x):
                 continue
-            const, lin = num.split_linear(names)
-            coeffs = [lin.get(nm, MultiPoly.const(0)) for nm in names]
-            if all(cf.is_zero for cf in coeffs) and const.is_zero:
-                continue
+            const, lin = as_poly(x).split_linear(names)
+            coeffs = [lin[nm] for nm in names]
             if not const.is_constant or any(not cf.is_constant for cf in coeffs):
                 raise InvalidCocycleError("necessity solve needs rational block data")
             rows.append([cf.constant_value() for cf in coeffs])
             rhs.append(-const.constant_value())
     system = ExactMatrix(rows, cols=k)
-    rank_sys = mat_rank_kernel(system)[0]
     sol = solve_linear(system, rhs)
     if sol is None:
         raise InvalidCocycleError("residual system has no solution")
-    return NecessityResult(tuple(sol), rank_sys, k)
+    return NecessityResult(tuple(sol), rank(system), k)

@@ -415,10 +415,11 @@ def char_poly(M: ExactMatrix):
     for r in range(2, n + 1):
         R = A[r - 1][: r - 1]
         w = [A[i][r - 1] for i in range(r - 1)]
-        c = [1, -A[r - 1][r - 1]]
-        for _ in range(r - 1):
-            c.append(-dot(R, w))
+        c = [1, -A[r - 1][r - 1], -dot(R, w)]
+        # c needs R A^j w for j = 0..r-2 only, so A^(r-1) w is never built
+        for _ in range(r - 2):
             w = [dot(A[i], w) for i in range(r - 1)]
+            c.append(-dot(R, w))
         # lower-triangular Toeplitz product: V[i] = sum_j c[i-j] * V[j]
         V = [dot(c[i::-1], V) for i in range(r + 1)]
     return list(reversed(V))

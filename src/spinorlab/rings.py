@@ -86,16 +86,35 @@ class MultiPoly:
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
 
+    @classmethod
+    def _trusted(cls, vars: tuple, terms: dict) -> "MultiPoly":
+        """Internal constructor for results of this class's own arithmetic:
+        ``vars`` already sorted and every coefficient a nonzero ``Fraction``.
+        Skips the re-normalization of ``__init__`` but still prunes variables
+        that no term uses any more (``x*y - x*y + x`` has vars ``('x',)``)."""
+        if not terms:
+            vars = ()
+        elif vars:
+            used = [any(col) for col in zip(*terms)]
+            if not all(used):
+                keep = [i for i, u in enumerate(used) if u]
+                vars = tuple(vars[i] for i in keep)
+                terms = {tuple(e[i] for i in keep): c for e, c in terms.items()}
+        self = object.__new__(cls)
+        object.__setattr__(self, "vars", vars)
+        object.__setattr__(self, "terms", terms)
+        return self
+
     # -- constructors -------------------------------------------------
 
     @classmethod
     def const(cls, c: Rat) -> "MultiPoly":
         c = Fraction(c)
-        return cls((), {(): c} if c != 0 else {})
+        return cls._trusted((), {(): c} if c != 0 else {})
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
-        return cls((name,), {(1,): Fraction(1)})
+        return cls._trusted((name,), {(1,): Fraction(1)})
 
     # -- predicates ----------------------------------------------------
 
@@ -154,12 +173,12 @@ class MultiPoly:
                 out.pop(e, None)
             else:
                 out[e] = s
-        return MultiPoly(vs, out)
+        return MultiPoly._trusted(vs, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if _is_rat(other):
@@ -174,9 +193,9 @@ class MultiPoly:
     def __mul__(self, other):
         if _is_rat(other):
             if other == 0:
-                return MultiPoly(self.vars, {})
+                return MultiPoly._trusted((), {})
             c0 = Fraction(other)
-            return MultiPoly(self.vars, {e: c * c0 for e, c in self.terms.items()})
+            return MultiPoly._trusted(self.vars, {e: c * c0 for e, c in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
         vs, a, b = self._aligned(other)
@@ -189,7 +208,7 @@ class MultiPoly:
                     out.pop(e, None)
                 else:
                     out[e] = s
-        return MultiPoly(vs, out)
+        return MultiPoly._trusted(vs, out)
 
     __rmul__ = __mul__
 
@@ -232,7 +251,7 @@ class MultiPoly:
         for e, c in self.terms.items():
             re = e[:i] + e[i + 1 :]
             buckets.setdefault(e[i], {})[re] = c
-        return {d: MultiPoly(rest, t) for d, t in sorted(buckets.items())}
+        return {d: MultiPoly._trusted(rest, t) for d, t in sorted(buckets.items())}
 
     def split_linear(self, unknowns: Iterable[str]):
         """Split a polynomial linear in ``unknowns`` as (constant part, {u: coeff}).

@@ -21,7 +21,7 @@ from . import bbflow, cech, cocycle, hecke, petri, rrdim
 from .lie import sl2_sym_cube, sl2_w_plus_wdual, sp_standard
 from .matrix import ExactMatrix, random_symplectic, standard_omega
 from .moment import MomentContext, equivariance_check, gaiotto_field, hitchin_invariants
-from .rings import FracElem, LaurentPoly, MultiPoly
+from .rings import LaurentPoly, MultiPoly
 
 SCHEMA_VERSION = 1
 
@@ -246,10 +246,8 @@ def check_cocycle(rng, n: int):
     d = tuple(Fraction(rng.randint(-4, 4)) for _ in range(2 * n - 2))
     a = Fraction(rng.randint(-4, 4))
     res = cocycle.necessity_solve(n, l, u, d, a)
-    want = cocycle.theta_dual(d, u, FracElem(l), cocycle.middle_theta(n))
-    necessity_ok = res.unique and [FracElem(x) for x in res.gamma] == [
-        FracElem(0) + w for w in want
-    ]
+    want = cocycle.theta_dual(d, u, l, cocycle.middle_theta(n))
+    necessity_ok = res.unique and list(res.gamma) == [Fraction(w) for w in want]
     ok = zero and nonzero and necessity_ok
     return ok, "" if ok else (
         f"residual_zero={zero} perturbation_detected={nonzero} necessity={necessity_ok}"
@@ -276,6 +274,29 @@ def check_bbflow(rng, n: int):
         f"limit={limit_ok} weight2={weight_ok} torus={torus_ok} "
         f"conversion={conv_ok} generic_absent={no_limit_ok}"
     )
+
+
+def check_pair_euler(n: int, g: int):
+    """The pair-complex Euler identity at (n, g); the label carries the values."""
+    rec = rrdim.pair_euler_identity(n, g)
+    label = f": chi={rec.chi_pair} expected={rec.expected}"
+    return label, rec.ok, "" if rec.ok else f"chi_pair={rec.chi_pair} expected={rec.expected}"
+
+
+def check_y_dimension(n: int, g: int):
+    """The y-dimension identity at (n, g); the label carries the decomposition."""
+    rec, expected, ok = rrdim.y_dimension_identity(n, g)
+    label = (
+        f": {rec.moduli_term}+{rec.extension_term}+{rec.torsor_term}"
+        f"={rec.total} expected={expected}"
+    )
+    return label, ok, "" if ok else f"total={rec.total} expected={expected}"
+
+
+def check_stability_scan(g: int):
+    """Every stability case up to genus g + 4; the label carries the case count."""
+    checked, bad = rrdim.stability_scan(genus_range=range(2, g + 5))
+    return f"/{checked}-cases", not bad, "" if not bad else f"counterexamples {bad[:3]}"
 
 
 def check_dims_range():
@@ -315,6 +336,17 @@ def _guard(check, *args):
         return check(*args)
     except Exception as exc:
         return False, _error_detail(exc)
+
+
+def _guard_labelled(prefix: str, check, *args):
+    """Run a check that returns ``(label, ok, detail)``, whose label carries
+    computed values and completes the case id ``prefix + label``; an exception
+    fails the case under ``prefix`` alone (see ``_error_detail``)."""
+    try:
+        label, ok, detail = check(*args)
+    except Exception as exc:
+        return prefix, False, _error_detail(exc)
+    return prefix + label, ok, detail
 
 
 def _moment_equivariance_cases(cfg: SuiteConfig):
@@ -377,29 +409,15 @@ def _bbflow_cases(cfg: SuiteConfig):
 
 
 def _dims_cases(cfg: SuiteConfig):
-    """The point-case ids carry the computed values, so they are built here."""
-    rec = rrdim.pair_euler_identity(cfg.n, cfg.g)
-    yield (
-        f"pair-euler/n{cfg.n}/g{cfg.g}: chi={rec.chi_pair} expected={rec.expected}",
-        rec.ok,
-        "" if rec.ok else f"chi_pair={rec.chi_pair} expected={rec.expected}",
-    )
+    yield _guard_labelled(f"pair-euler/n{cfg.n}/g{cfg.g}", check_pair_euler, cfg.n, cfg.g)
     if cfg.n >= 2:
-        rec, expected, ok = rrdim.y_dimension_identity(cfg.n, cfg.g)
-        yield (
-            f"y-dim/n{cfg.n}/g{cfg.g}: {rec.moduli_term}+{rec.extension_term}+{rec.torsor_term}"
-            f"={rec.total} expected={expected}",
-            ok,
-            "" if ok else f"total={rec.total} expected={expected}",
-        )
+        yield _guard_labelled(f"y-dim/n{cfg.n}/g{cfg.g}", check_y_dimension, cfg.n, cfg.g)
     yield ("numeric-range/n<=20/g<=20", *_guard(check_dims_range))
     yield ("symbolic-zero-polynomials", *_guard(check_dims_symbolic))
 
 
 def _stability_cases(cfg: SuiteConfig):
-    checked, bad = rrdim.stability_scan(genus_range=range(2, cfg.g + 5))
-    detail = "" if not bad else f"counterexamples {bad[:3]}"
-    yield (f"stability-scan/{checked}-cases", not bad, detail)
+    yield _guard_labelled("stability-scan", check_stability_scan, cfg.g)
 
 
 _SUITE_CASES = {

@@ -1,0 +1,121 @@
+"""Reference route for the cocycle layer, kept only as a test oracle.
+
+``spinorlab.cocycle`` works over Laurent polynomials in the line symbol ``l``
+(or over Q when ``l`` is rational): every denominator is a power of ``l``.
+The route below is the one it replaced: the same identities over the general
+fraction field ``FracElem``, with the dual block from ``solve_linear`` and
+equality by cross-multiplication.  Two charts with independent line symbols
+(``l`` and ``l2``) only fit this route, since a ``LaurentPoly`` has one
+distinguished variable.
+"""
+
+from dataclasses import dataclass
+
+from spinorlab.cocycle import middle_theta, standard_form
+from spinorlab.matrix import ExactMatrix, mat_rank_kernel, random_symplectic, solve_linear
+from spinorlab.rings import FracElem, LaurentPoly, MultiPoly, dot
+
+
+@dataclass(frozen=True)
+class FracCocycle:
+    """Transition data (l, d, a | u, gamma) with a ``FracElem`` line transition."""
+
+    n: int
+    l: FracElem
+    u: ExactMatrix
+    d: tuple
+    a: object
+    gamma: tuple
+
+
+def frac_theta_dual(d, u, l, theta):
+    """Solve u^T Theta gamma = -l^{-1} d^T over the fraction field."""
+    k = theta.rows
+    if mat_rank_kernel(theta)[0] != k or mat_rank_kernel(u)[0] != k:
+        raise ValueError("singular theta or u")
+    l = l if isinstance(l, FracElem) else FracElem(l)
+    linv = l.reciprocal()
+    gamma = solve_linear(u.transpose() * theta, [-(linv * di) for di in d])
+    if gamma is None:
+        raise ValueError("dual system is inconsistent")
+    for kk in range(k):
+        if FracElem(0) + dot(gamma, theta.apply(u.col(kk))) != linv * d[kk]:
+            raise ValueError("theta-dual failed its defining identity")
+    return tuple(gamma)
+
+
+def frac_fresh_symbol_cocycle(n, seed, gamma=None, names=("l", "d", "a")):
+    """Fresh symbols ``l``, ``d1..``, ``a`` (renamed by ``names``) over the
+    fraction field, with the middle block ``random_symplectic(n - 1, seed)``."""
+    l_name, d_name, a_name = names
+    k = 2 * n - 2
+    l = FracElem(MultiPoly.var(l_name))
+    d = tuple(MultiPoly.var(f"{d_name}{i+1}") for i in range(k))
+    a = MultiPoly.var(a_name)
+    u = random_symplectic(n - 1, seed)
+    if gamma is None:
+        gamma = frac_theta_dual(d, u, l, middle_theta(n))
+    return FracCocycle(n, l, u, d, a, tuple(gamma))
+
+
+def frac_perturb_gamma(c, slot, amount=1):
+    gamma = list(c.gamma)
+    gamma[slot] = gamma[slot] + amount
+    return FracCocycle(c.n, c.l, c.u, c.d, c.a, tuple(gamma))
+
+
+def frac_assemble_transition(c):
+    k = 2 * c.n - 2
+    rows = [[c.l] + list(c.d) + [c.a]]
+    for i in range(k):
+        rows.append([0] + list(c.u.entries[i]) + [c.gamma[i]])
+    rows.append([0] * (k + 1) + [c.l.reciprocal()])
+    return ExactMatrix(rows)
+
+
+def frac_verify_form_preservation(c):
+    """Residual v^T Omega_std v - Omega_std over the fraction field."""
+    v = frac_assemble_transition(c)
+    omega = standard_form(c.n)
+    return v.transpose() * omega * v - omega
+
+
+def frac_necessity_solve(n, l, u, d, a):
+    """Unknown gamma symbols, residual expanded over the fraction field, and
+    the linear system read off the numerators; returns ``(gamma, rank)``."""
+    k = 2 * n - 2
+    names = [f"_g{i}" for i in range(k)]
+    syms = tuple(MultiPoly.var(nm) for nm in names)
+    c = FracCocycle(n, FracElem(l), u, tuple(d), a, syms)
+    rows = []
+    rhs = []
+    for row in frac_verify_form_preservation(c).entries:
+        for x in row:
+            num = (x if isinstance(x, FracElem) else FracElem(x)).num
+            if num.is_zero:
+                continue
+            const, lin = num.split_linear(names)
+            coeffs = [lin.get(nm, MultiPoly.const(0)) for nm in names]
+            if not const.is_constant or any(not cf.is_constant for cf in coeffs):
+                raise ValueError("necessity solve needs rational block data")
+            rows.append([cf.constant_value() for cf in coeffs])
+            rhs.append(-const.constant_value())
+    system = ExactMatrix(rows, cols=k)
+    sol = solve_linear(system, rhs)
+    if sol is None:
+        raise ValueError("residual system has no solution")
+    return tuple(sol), mat_rank_kernel(system)[0]
+
+
+def laurent_to_frac(x, var="l"):
+    """Map a ``LaurentPoly`` sum of c_k var^k (or a rational or ``MultiPoly``)
+    to the equal ``FracElem``."""
+    if not isinstance(x, LaurentPoly):
+        return FracElem(x)
+    if x.var != var:
+        raise ValueError(f"expected the Laurent variable {var!r}")
+    sym = MultiPoly.var(var)
+    out = FracElem(0)
+    for k, c in x.coeffs.items():
+        out = out + (FracElem(c * sym ** k) if k >= 0 else FracElem(c, sym ** -k))
+    return out

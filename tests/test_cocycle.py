@@ -21,57 +21,82 @@ from spinorlab.cocycle import (
     verify_form_preservation,
 )
 from spinorlab.matrix import ExactMatrix, random_symplectic
-from spinorlab.rings import FracElem, MultiPoly
+from spinorlab.rings import FracElem, LaurentPoly, MultiPoly
+
+from cocycle_oracles import frac_assemble_transition, frac_fresh_symbol_cocycle
+
+L = LaurentPoly("l", {1: 1})
 
 
 class TestThetaDual:
     def test_zero_d_gives_zero_gamma(self):
         theta = middle_theta(2)
         u = ExactMatrix.identity(2)
-        gamma = theta_dual((0, 0), u, FracElem(1), theta)
+        gamma = theta_dual((0, 0), u, 1, theta)
         assert all(g == 0 for g in gamma)
 
     def test_identity_blocks_hand_solution(self):
         # u = I, l = 1, d = (1, 0): gamma solves gamma^T Theta = d -> (0, -1)
         theta = middle_theta(2)
-        gamma = theta_dual((1, 0), ExactMatrix.identity(2), FracElem(1), theta)
-        assert [FracElem(0) + g for g in gamma] == [FracElem(0), FracElem(-1)]
+        gamma = theta_dual((1, 0), ExactMatrix.identity(2), 1, theta)
+        assert list(gamma) == [0, -1]
 
     def test_linearity_in_d(self):
         theta = middle_theta(3)
         u = random_symplectic(2, 5)
         d = tuple(MultiPoly.var(f"d{i}") for i in range(4))
-        l = FracElem(MultiPoly.var("l"))
-        g1 = theta_dual(d, u, l, theta)
-        g3 = theta_dual(tuple(3 * x for x in d), u, l, theta)
+        g1 = theta_dual(d, u, L, theta)
+        g3 = theta_dual(tuple(3 * x for x in d), u, L, theta)
         assert [3 * x for x in g1] == list(g3)
 
     def test_singular_u_rejected(self):
         theta = middle_theta(2)
         with pytest.raises(InvalidCocycleError):
-            theta_dual((1, 0), ExactMatrix.zeros(2, 2), FracElem(1), theta)
+            theta_dual((1, 0), ExactMatrix.zeros(2, 2), 1, theta)
 
     def test_wrong_solution_raises(self, monkeypatch):
-        good = cocycle.solve_linear
-        monkeypatch.setattr(
-            cocycle, "solve_linear", lambda system, rhs: [x + 1 for x in good(system, rhs)]
-        )
+        good = cocycle.inverse
+        monkeypatch.setattr(cocycle, "inverse", lambda M: good(M) + ExactMatrix.identity(M.rows))
         with pytest.raises(ThetaDualError):
-            theta_dual((1, 0), ExactMatrix.identity(2), FracElem(1), middle_theta(2))
+            theta_dual((1, 0), ExactMatrix.identity(2), 1, middle_theta(2))
+
+    @pytest.mark.parametrize(
+        "l",
+        [
+            0,
+            LaurentPoly("l", {}),
+            LaurentPoly("l", {1: 1, 0: 1}),
+            LaurentPoly("l", {1: MultiPoly.var("c")}),
+            FracElem(MultiPoly.var("l")),
+            FracElem(2),
+            MultiPoly.var("l"),
+        ],
+        ids=["zero", "laurent-zero", "non-monomial", "symbolic-coefficient", "fracelem",
+             "constant-fracelem", "multipoly"],
+    )
+    def test_bad_line_transition_rejected(self, l):
+        u = random_symplectic(1, 3)
+        with pytest.raises(InvalidCocycleError):
+            theta_dual((1, 0), u, l, middle_theta(2))
+        with pytest.raises(InvalidCocycleError):
+            BlockCocycle(2, l, u, (0, 0), 0, (0, 0))
+
+    def test_unit_monomial_of_any_degree(self):
+        # l = (3/2) l^-2: gamma picks up (2/3) l^2 and the residual still vanishes
+        for n in (2, 3):
+            u = random_symplectic(n - 1, 19)
+            d = tuple(MultiPoly.var(f"d{i}") for i in range(2 * n - 2))
+            l = LaurentPoly("l", {-2: Fraction(3, 2)})
+            gamma = theta_dual(d, u, l, middle_theta(n))
+            assert all(set(g.coeffs) == {2} for g in gamma if not g.is_zero)
+            c = BlockCocycle(n, l, u, d, MultiPoly.var("a"), gamma)
+            assert verify_form_preservation(c).is_zero
 
 
 class TestAssemble:
     def test_trivial_blocks_give_identity(self):
-        c = BlockCocycle(
-            2, FracElem(1), ExactMatrix.identity(2), (0, 0), 0, (0, 0)
-        )
-        v = assemble_transition(c)
-        ident = ExactMatrix.identity(4)
-        assert all(
-            (FracElem(0) + v.entries[i][j]) == FracElem(ident.entries[i][j])
-            for i in range(4)
-            for j in range(4)
-        )
+        c = BlockCocycle(2, 1, ExactMatrix.identity(2), (0, 0), 0, (0, 0))
+        assert assemble_transition(c) == ExactMatrix.identity(4)
 
     def test_block_placement(self):
         c = fresh_symbol_cocycle(2, seed=3)
@@ -79,7 +104,7 @@ class TestAssemble:
         assert v.entries[0][0] == c.l
         assert v.entries[0][3] == c.a
         assert v.entries[0][1] == c.d[0] and v.entries[0][2] == c.d[1]
-        assert v.entries[3][3] == c.l.reciprocal()
+        assert v.entries[3][3] == LaurentPoly("l", {-1: 1})
         for i in (1, 2):
             assert v.entries[i][0] == 0
             assert v.entries[i][3] == c.gamma[i - 1]
@@ -117,7 +142,7 @@ class TestFormPreservation:
             k = 2 * n - 2
             c = BlockCocycle(
                 n,
-                FracElem(MultiPoly.var("l")),
+                L,
                 random_symplectic(n - 1, 29),
                 (0,) * k,
                 MultiPoly.var("a"),
@@ -144,17 +169,14 @@ class TestFormPreservation:
 
     def test_composition_preserves_form(self):
         # three-chart sanity: the product of two form-preserving transitions
-        # preserves the standard form
+        # preserves the standard form.  The charts keep independent line
+        # symbols l and l2, which a one-variable LaurentPoly cannot hold, so
+        # this runs on the fraction-field route of cocycle_oracles.
         n = 2
         omega = standard_form(n)
-        v1 = assemble_transition(fresh_symbol_cocycle(n, seed=21))
-        c2 = fresh_symbol_cocycle(n, seed=22)
-        # rename symbols of the second cocycle to keep charts independent
-        l2 = FracElem(MultiPoly.var("l2"))
-        d2 = tuple(MultiPoly.var(f"e{i}") for i in range(2 * n - 2))
-        a2 = MultiPoly.var("a2")
-        g2 = theta_dual(d2, c2.u, l2, middle_theta(n))
-        v2 = assemble_transition(BlockCocycle(n, l2, c2.u, d2, a2, g2))
+        v1 = frac_assemble_transition(frac_fresh_symbol_cocycle(n, seed=21))
+        c2 = frac_fresh_symbol_cocycle(n, seed=22, names=("l2", "e", "a2"))
+        v2 = frac_assemble_transition(c2)
         prod = v1 * v2
         assert (prod.transpose() * omega * prod - omega).is_zero
 
@@ -176,10 +198,10 @@ class TestNecessity:
                 d = tuple(Fraction(rng.randint(-4, 4)) for _ in range(k))
                 a = Fraction(rng.randint(-4, 4))
                 res = necessity_solve(n, l, u, d, a)
-                want = theta_dual(d, u, FracElem(l), middle_theta(n))
+                want = theta_dual(d, u, l, middle_theta(n))
                 assert res.unique
-                got = [FracElem(x) for x in res.gamma]
-                assert got == [FracElem(0) + w for w in want]
+                assert all(isinstance(w, (int, Fraction)) for w in want)
+                assert list(res.gamma) == list(want)
 
     def test_full_rank(self):
         for n in (2, 3):

@@ -71,6 +71,44 @@ class TestMultiPoly:
         assert p * MultiPoly.const(1) == p
 
 
+def _normal(r):
+    """Whether r is exactly what the normalizing constructor builds from it."""
+    rebuilt = MultiPoly(r.vars, r.terms)
+    return (
+        r.vars == rebuilt.vars
+        and r.terms == rebuilt.terms
+        and hash(r) == hash(rebuilt)
+        and all(type(c) is Fraction and c != 0 for c in r.terms.values())
+    )
+
+
+class TestTrustedConstructor:
+    """Arithmetic results skip ``MultiPoly.__init__``; they must still be in
+    normal form: sorted variables, no unused variable, nonzero Fraction
+    coefficients."""
+
+    def test_cancelled_variable_is_pruned(self):
+        x, y = MultiPoly.var("x"), MultiPoly.var("y")
+        r = x * y - x * y + x
+        assert r.vars == ("x",) and _normal(r)
+        assert (x * y - x * y).vars == () and (x * y - x * y).is_zero
+        assert _normal(MultiPoly.const(0)) and _normal(MultiPoly.const(Fraction(3, 2)))
+        assert _normal(MultiPoly.var("z"))
+
+    @given(
+        polys(("x", "y")),
+        polys(("y", "z")),
+        polys(("w", "x", "z")),
+        st.one_of(st.integers(min_value=-3, max_value=3), rationals),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_results_are_normal(self, p, q, r, c):
+        results = [p + q, p - q, q - q, -p, c * p, p * c, p * q, q * r, (p + r) - p, p * q - q * p]
+        results += [
+            part for f in (p, q * r) for v in ("w", "x", "y", "z") for part in f.coeffs_in(v).values()
+        ]
+        assert all(_normal(res) for res in results)
+
 class TestFracElem:
     def test_equality_by_cross_multiplication(self):
         x = MultiPoly.var("x")

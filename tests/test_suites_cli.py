@@ -15,6 +15,7 @@ from spinorlab.suites import (
     SUITE_NAMES,
     ConfigError,
     SuiteConfig,
+    _SUITE_CASES,
     run_suite,
     splitmix64,
     trial_seed,
@@ -121,6 +122,34 @@ class TestSuites:
         assert "hecke/glue/n3/m3" in failed
         assert all(d.startswith("HeckeIdentityError: ") for d in failed.values())
         assert "hecke/completion/n2/prec4" not in failed
+
+    @pytest.mark.parametrize(
+        "target, suite, case",
+        [
+            ("pair_euler_identity", "dims", "pair-euler/n2/g3"),
+            ("y_dimension_identity", "dims", "y-dim/n2/g3"),
+            ("stability_scan", "stability-scan", "stability-scan"),
+        ],
+    )
+    def test_raising_point_case_fails_under_its_prefix(self, monkeypatch, target, suite, case):
+        import spinorlab.rrdim as rrdim
+
+        cfg = SuiteConfig(suite=suite, n=2, g=3)
+        clean = run_suite(cfg)
+        assert clean.failed == 0 and any(
+            c.startswith(case) for c, _, _ in _SUITE_CASES[suite](cfg)
+        )
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(rrdim, target, boom)
+        report = run_suite(cfg)
+        assert report.passed + report.failed == clean.passed
+        failed = dict(report.failures)
+        assert failed[case] == "RuntimeError: boom"
+        # the range case calls the identities too; every other case passes
+        assert set(failed) <= {case, "numeric-range/n<=20/g<=20"}
 
     def test_equivariance_failure_names_its_trial_index(self, monkeypatch):
         import spinorlab.suites as suites
