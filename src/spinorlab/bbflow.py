@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import ExactMatrix, standard_omega
+from .matrix import ExactMatrix, is_symplectic, standard_omega
 from .rings import LaurentPoly, is_zero
 
 _S = "s"
@@ -141,7 +141,7 @@ def torus_preserves_form(model: GradedHiggsModel) -> bool:
     """g_s^T Omega g_s = Omega as a Laurent identity (weights pair to zero)."""
     g = weight_torus(model)
     omega_l = model.omega.map_entries(lambda x: LaurentPoly.const(_S, x))
-    return g.transpose() * omega_l * g == omega_l
+    return is_symplectic(g, omega_l)
 
 
 def lambda_family(model: GradedHiggsModel) -> ExactMatrix:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .matrix import ExactMatrix, mat_rank_kernel, rank
+from .matrix import ExactMatrix, inverse, mat_rank_kernel, rank
 
 
 class InvalidModelError(ValueError):
@@ -324,8 +324,6 @@ def random_model(rng: random.Random, max_dim: int = 6) -> TwoTermCechModel:
     forced = d1 * a0  # a11 x a00
     R = _rand_matrix(rng, a11, C.cols)
     vals = _hstack(forced, R)
-    from .matrix import inverse
-
     a1 = vals * inverse(P) if a01 else ExactMatrix.zeros(a11, 0)
     model = TwoTermCechModel(d0, d1, a0, a1)
     model.validate()
@@ -353,8 +351,6 @@ def random_morphism(rng: random.Random, max_dim: int = 5, ensure_hypothesis: boo
         forced = phi11 * src.cech_d1
         R2 = _rand_matrix(rng, a11t, C2.cols)
         vals = _hstack(forced, R2)
-        from .matrix import inverse
-
         d1t = vals * inverse(Q) if a10t else ExactMatrix.zeros(a11t, 0)
         tgt = TwoTermCechModel(src.cech_d0, d1t, phi10 * src.diff_a0, phi11 * src.diff_a1)
     else:

@@ -18,7 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import ExactMatrix, inverse, rank, random_symplectic, solve_linear, standard_omega
+from .matrix import (
+    ExactMatrix,
+    inverse,
+    is_symplectic,
+    rank,
+    random_symplectic,
+    solve_linear,
+    standard_omega,
+)
 from .rings import LaurentPoly, MultiPoly, _is_rat, as_poly, dot, is_zero
 
 
@@ -91,8 +99,7 @@ class BlockCocycle:
         k = 2 * self.n - 2
         if self.u.rows != k or len(self.d) != k or len(self.gamma) != k:
             raise InvalidCocycleError("block sizes inconsistent with n")
-        theta = middle_theta(self.n)
-        if self.u.transpose() * theta * self.u != theta:
+        if not is_symplectic(self.u, middle_theta(self.n)):
             raise InvalidCocycleError("middle block is not symplectic")
 
 

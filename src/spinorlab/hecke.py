@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import ExactMatrix, in_sp, rank, standard_omega
+from .matrix import ExactMatrix, in_sp, is_symplectic, rank, standard_omega
 from .moment import gaiotto_field
 from .rings import LaurentPoly, MultiPoly, dot
 
@@ -235,8 +235,7 @@ def hecke_family(n: int, m: int, nilpotent: ExactMatrix | None = None) -> HeckeF
 
 def verify_symplectic_family(fam: HeckeFamily) -> bool:
     """The exact Laurent-polynomial identity h_t^T Omega h_t = Omega."""
-    omega = fam.omega_laurent()
-    return fam.h_t.transpose() * omega * fam.h_t == omega
+    return is_symplectic(fam.h_t, fam.omega_laurent())
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .matrix import ExactMatrix, _rref, inverse, mat_rank_kernel, standard_omega
+from .matrix import ExactMatrix, _reduce, in_sp, inverse, mat_rank_kernel, standard_omega
 from .rings import _is_rat, is_zero
 
 
@@ -122,14 +122,14 @@ class _CoordinateSolver:
 
     def __init__(self, columns, size: int):
         dim = len(columns)
-        rows = []
+        entries = []
         for j, col in enumerate(columns):
-            row = [Fraction(0)] * (size + dim)
+            row = [0] * (size + dim)
             for pos, x in col.items():
-                row[pos] = Fraction(x)
-            row[size + j] = Fraction(1)
-            rows.append(row)
-        self.sel = _rref(rows, size)
+                row[pos] = x
+            row[size + j] = 1
+            entries.append(row)
+        rows, self.sel = _reduce(entries, size)
         if len(self.sel) != dim:
             raise ValueError("basis matrices are linearly dependent")
         self.columns = columns
@@ -236,8 +236,7 @@ def verify_symplectic_rep(rep: SymplecticRep) -> CheckReport:
     checks.append(("omega invertible", rk == rep.dimV))
 
     for i, R in enumerate(rep.rho):
-        ok = (R.transpose() * omega + omega * R).is_zero
-        checks.append((f"sp-membership rho(X{i})", ok))
+        checks.append((f"sp-membership rho(X{i})", in_sp(R, omega)))
 
     alg = rep.algebra
     hom_ok, hom_name = True, "homomorphism on all basis pairs"

@@ -1,15 +1,15 @@
 """Exact matrices over the coefficient tower, with rank/kernel/solve/inverse
-over a field, a division-free characteristic polynomial, and deterministic
-random symplectic matrices built from transvections.
+over Q, a division-free characteristic polynomial, and deterministic random
+symplectic matrices built from transvections.
 
 Every dense multiply-and-sum, in products and in ``char_poly``, goes
 through ``rings.dot``.
 
-Over Q, elimination never builds a Fraction until the end: rows are cleared
-of their denominators and reduced over Z by fraction-free elimination
-(Bareiss), below the pivots for ``rank`` and Gauss-Jordan style for
-``mat_rank_kernel``, ``solve_linear`` and ``inverse``.  Entries with
-polynomials go through ``_rref`` over the fraction field ``FracElem``.
+Elimination never builds a Fraction until the end: rows are cleared of their
+denominators and reduced over Z by fraction-free elimination (Bareiss),
+below the pivots for ``rank`` and Gauss-Jordan style for
+``mat_rank_kernel``, ``solve_linear`` and ``inverse``.  Entries that are not
+rational raise ``UnsupportedRingError``.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import random
 from fractions import Fraction
 
-from .rings import FracElem, LaurentPoly, MultiPoly, UnsupportedRingError, _is_rat, dot, is_zero
+from .rings import LaurentPoly, UnsupportedRingError, _is_rat, dot, is_zero
 
 
 class ShapeError(ValueError):
@@ -31,7 +31,8 @@ class NotSymplecticError(ValueError):
 
 class ExactMatrix:
     """Immutable rectangular matrix with entries in any exact ring of this
-    package (int/Fraction, MultiPoly, FracElem, LaurentPoly, Dual).
+    package (int/Fraction, MultiPoly, LaurentPoly).  Elimination needs
+    rational entries.
     """
 
     __slots__ = ("rows", "cols", "entries")
@@ -186,69 +187,26 @@ class ExactMatrix:
 
 # -- elimination ---------------------------------------------------------
 #
-# Over Q, mat_rank_kernel, solve_linear and inverse clear denominators row by
-# row and eliminate over Z without fractions (_rref_int, after Bareiss, Math.
-# Comp. 22 (1968)); other entries go through _rref over their fraction field.
-# Each integer row stays a nonzero multiple of the row _rref would hold, so
-# both paths pick the same pivots, and since the reduced row echelon form is
-# unique they return equal values.
-
-
-def _as_field(x):
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, MultiPoly):
-        return FracElem(x)
-    if isinstance(x, FracElem):
-        return x
-    raise UnsupportedRingError(
-        f"entries of type {type(x).__name__} do not form a supported field"
-    )
-
-
-def _field_rows(entries):
-    rows = [[_as_field(x) for x in r] for r in entries]
-    # if any entry is a polynomial fraction, promote everything to FracElem
-    if any(isinstance(x, FracElem) for r in rows for x in r):
-        rows = [[x if isinstance(x, FracElem) else FracElem(x) for x in r] for r in rows]
-    return rows
+# rank, mat_rank_kernel, solve_linear and inverse take rational entries only;
+# any other entry raises UnsupportedRingError.  Each row is cleared of its
+# denominators and the rows are eliminated over Z without fractions (after
+# Bareiss, Math. Comp. 22 (1968)): below the pivots for rank (_rank_bareiss),
+# Gauss-Jordan style for the others (_rref_int).
 
 
 def _integer_rows(entries):
-    """Each rational row times the lcm of its denominators, as lists of ints."""
+    """Each rational row times the lcm of its denominators, as lists of ints;
+    raises UnsupportedRingError on an entry that is not rational."""
     rows = []
     for r in entries:
+        if not all(map(_is_rat, r)):
+            bad = next(x for x in r if not _is_rat(x))
+            raise UnsupportedRingError(
+                f"elimination needs rational entries, not {type(bad).__name__}"
+            )
         den = math.lcm(*(x.denominator for x in r))
         rows.append([x.numerator * (den // x.denominator) for x in r])
     return rows
-
-
-def _rref(rows, ncols):
-    """In-place reduced row echelon form; returns pivot column list."""
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(rows)):
-            if not is_zero(rows[i][c]):
-                pr = i
-                break
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        inv = rows[r][c]
-        rows[r] = [x / inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not is_zero(rows[i][c]):
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
 
 
 def _rref_int(rows, ncols):
@@ -306,31 +264,26 @@ def _rref_int(rows, ncols):
 
 
 def _reduce(entries, ncols):
-    """Reduced row echelon form of rows over Q or a fraction field, pivoting
-    on the first ncols columns; returns ``(rows, pivots, one)``, with ``one``
-    the unit of the field.  The rows past the rank are zero in the first
-    ncols columns."""
-    if all(_is_rat(x) for r in entries for x in r):
-        rows = _integer_rows(entries)
-        return rows, _rref_int(rows, ncols), Fraction(1)
-    rows = _field_rows(entries)
-    return rows, _rref(rows, ncols), FracElem(1)
+    """Reduced row echelon form of rational rows, pivoting on the first ncols
+    columns; returns ``(rows, pivots)``.  The rows past the rank are zero in
+    the first ncols columns."""
+    rows = _integer_rows(entries)
+    return rows, _rref_int(rows, ncols)
 
 
 def mat_rank_kernel(M: ExactMatrix):
-    """Exact rank and kernel basis of a matrix over Q or a fraction field.
+    """Exact rank and kernel basis of a matrix over Q.
 
     Returns ``(rank, kernel_basis)`` where each kernel vector v satisfies
     M.apply(v) == 0 and rank + len(kernel_basis) == M.cols.
     """
-    rows, pivots, one = _reduce(M.entries, M.cols)
-    zero = one - one
+    rows, pivots = _reduce(M.entries, M.cols)
     kernel = []
     for fc in range(M.cols):
         if fc in pivots:
             continue
-        v = [zero] * M.cols
-        v[fc] = one
+        v = [Fraction(0)] * M.cols
+        v[fc] = Fraction(1)
         for r, pc in enumerate(pivots):
             v[pc] = -rows[r][fc]
         kernel.append(tuple(v))
@@ -338,11 +291,8 @@ def mat_rank_kernel(M: ExactMatrix):
 
 
 def rank(M: ExactMatrix) -> int:
-    """Rank only; uses integer fraction-free elimination when possible."""
-    if all(_is_rat(x) for r in M.entries for x in r):
-        return _rank_bareiss(_integer_rows(M.entries))
-    rows = _field_rows(M.entries)
-    return len(_rref(rows, M.cols))
+    """Rank over Q by fraction-free elimination below the pivots."""
+    return _rank_bareiss(_integer_rows(M.entries))
 
 
 def _rank_bareiss(rows) -> int:
@@ -372,28 +322,29 @@ def _rank_bareiss(rows) -> int:
 
 
 def solve_linear(M: ExactMatrix, b):
-    """Solve M x = b exactly; returns a solution tuple or None if inconsistent.
+    """Solve M x = b exactly over Q; returns a solution tuple or None if
+    inconsistent.
 
     When the system is underdetermined, free variables are set to zero.
     """
     if len(b) != M.rows:
         raise ShapeError("right-hand side length mismatch")
-    aug, pivots, one = _reduce([(*row, x) for row, x in zip(M.entries, b)], M.cols)
-    if any(not is_zero(row[M.cols]) for row in aug[len(pivots):]):
+    aug, pivots = _reduce([(*row, x) for row, x in zip(M.entries, b)], M.cols)
+    if any(row[M.cols] for row in aug[len(pivots):]):
         return None
-    x = [one - one] * M.cols
+    x = [Fraction(0)] * M.cols
     for r, pc in enumerate(pivots):
         x[pc] = aug[r][M.cols]
     return tuple(x)
 
 
 def inverse(M: ExactMatrix) -> ExactMatrix:
-    """Exact inverse of a square matrix over Q or a fraction field."""
+    """Exact inverse of a square matrix over Q."""
     if not M.is_square:
         raise ShapeError("inverse needs a square matrix")
     n = M.rows
     ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    aug, pivots, _ = _reduce([(*r, *e) for r, e in zip(M.entries, ident)], n)
+    aug, pivots = _reduce([(*r, *e) for r, e in zip(M.entries, ident)], n)
     if len(pivots) != n:
         raise ValueError("matrix is singular")
     return ExactMatrix([r[n:] for r in aug])
@@ -440,11 +391,13 @@ def standard_omega(n: int) -> ExactMatrix:
 
 
 def is_symplectic(M: ExactMatrix, omega: ExactMatrix | None = None) -> bool:
-    if not M.is_square or M.rows % 2:
-        return False
+    """Whether the square matrix M preserves omega: M^T Omega M = Omega, with
+    the standard form of M's size by default."""
     if omega is None:
+        if M.rows % 2:
+            return False
         omega = standard_omega(M.rows // 2)
-    return M.transpose() * omega * M == omega
+    return M.is_square and M.transpose() * omega * M == omega
 
 
 def in_sp(X: ExactMatrix, omega: ExactMatrix | None = None) -> bool:
@@ -490,7 +443,7 @@ def random_symplectic(n: int, seed: int) -> ExactMatrix:
             v[rng.randrange(2 * n)] = 1
         c = rng.choice([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)])
         M = M * transvection(v, c, omega)
-    if M.transpose() * omega * M != omega:
+    if not is_symplectic(M, omega):
         raise NotSymplecticError("product of transvections is not symplectic")
     return M
 
@@ -513,6 +466,6 @@ def random_symplectic_laurent(n: int, seed: int, var: str = "z") -> ExactMatrix:
             v[rng.randrange(dim)] = LaurentPoly.const(var, 1)
         c = LaurentPoly.term(var, rng.randint(-2, 2), rng.choice([1, -1, 2]))
         M = M * transvection(v, c, omega_l)
-    if M.transpose() * omega_l * M != omega_l:
+    if not is_symplectic(M, omega_l):
         raise NotSymplecticError("product of Laurent transvections is not symplectic")
     return M

@@ -17,7 +17,8 @@ Rat = Union[int, Fraction]
 
 
 class UnsupportedRingError(TypeError):
-    """Raised when an operation needs a field but got a mere ring."""
+    """Raised when an elimination function of ``matrix``, which works over Q
+    only, gets an entry that is not rational."""
 
 
 def _is_rat(x) -> bool:

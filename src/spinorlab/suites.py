@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import bbflow, cech, cocycle, hecke, petri, rrdim
 from .lie import sl2_sym_cube, sl2_w_plus_wdual, sp_standard
-from .matrix import ExactMatrix, random_symplectic, standard_omega
+from .matrix import ExactMatrix, in_sp, random_symplectic, standard_omega
 from .moment import MomentContext, equivariance_check, gaiotto_field, hitchin_invariants
 from .rings import LaurentPoly, MultiPoly
 
@@ -130,7 +130,7 @@ def check_gaiotto(rng, n: int):
     psi = [_rand_rational(rng) for _ in range(2 * n)]
     Phi = gaiotto_field(omega, psi)
     sq = (Phi * Phi).is_zero
-    sp_mem = (Phi.transpose() * omega + omega * Phi).is_zero
+    sp_mem = in_sp(Phi, omega)
     coeffs = hitchin_invariants(Phi)
     nilp = all(c == 0 for c in coeffs[:-1]) and coeffs[-1] == 1
     ok = sq and sp_mem and nilp

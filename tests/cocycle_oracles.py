@@ -3,17 +3,20 @@
 ``spinorlab.cocycle`` works over Laurent polynomials in the line symbol ``l``
 (or over Q when ``l`` is rational): every denominator is a power of ``l``.
 The route below is the one it replaced: the same identities over the general
-fraction field ``FracElem``, with the dual block from ``solve_linear`` and
-equality by cross-multiplication.  Two charts with independent line symbols
-(``l`` and ``l2``) only fit this route, since a ``LaurentPoly`` has one
-distinguished variable.
+fraction field ``FracElem``, with the dual block from ``rref_solve`` and
+equality by cross-multiplication.  Its elimination is the fraction-field
+route of ``matrix_oracles``, not the package's rational-only kernel.  Two
+charts with independent line symbols (``l`` and ``l2``) only fit this route,
+since a ``LaurentPoly`` has one distinguished variable.
 """
 
 from dataclasses import dataclass
 
 from spinorlab.cocycle import middle_theta, standard_form
-from spinorlab.matrix import ExactMatrix, mat_rank_kernel, random_symplectic, solve_linear
+from spinorlab.matrix import ExactMatrix, random_symplectic
 from spinorlab.rings import FracElem, LaurentPoly, MultiPoly, dot
+
+from matrix_oracles import rref_rank_kernel, rref_solve
 
 
 @dataclass(frozen=True)
@@ -31,11 +34,11 @@ class FracCocycle:
 def frac_theta_dual(d, u, l, theta):
     """Solve u^T Theta gamma = -l^{-1} d^T over the fraction field."""
     k = theta.rows
-    if mat_rank_kernel(theta)[0] != k or mat_rank_kernel(u)[0] != k:
+    if rref_rank_kernel(theta)[0] != k or rref_rank_kernel(u)[0] != k:
         raise ValueError("singular theta or u")
     l = l if isinstance(l, FracElem) else FracElem(l)
     linv = l.reciprocal()
-    gamma = solve_linear(u.transpose() * theta, [-(linv * di) for di in d])
+    gamma = rref_solve(u.transpose() * theta, [-(linv * di) for di in d])
     if gamma is None:
         raise ValueError("dual system is inconsistent")
     for kk in range(k):
@@ -101,10 +104,10 @@ def frac_necessity_solve(n, l, u, d, a):
             rows.append([cf.constant_value() for cf in coeffs])
             rhs.append(-const.constant_value())
     system = ExactMatrix(rows, cols=k)
-    sol = solve_linear(system, rhs)
+    sol = rref_solve(system, rhs)
     if sol is None:
         raise ValueError("residual system has no solution")
-    return tuple(sol), mat_rank_kernel(system)[0]
+    return tuple(sol), rref_rank_kernel(system)[0]
 
 
 def laurent_to_frac(x, var="l"):

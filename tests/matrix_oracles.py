@@ -1,15 +1,65 @@
 """Reference routes for exact elimination, kept only as test oracles.
 
-Over Q, ``spinorlab.matrix`` runs ``mat_rank_kernel``, ``solve_linear`` and
-``inverse`` through fraction-free integer elimination.  The routes below are
-the ones it replaced: Gauss-Jordan elimination on ``Fraction`` (or
-``FracElem``) rows through ``_rref``.
+``spinorlab.matrix`` runs ``rank``, ``mat_rank_kernel``, ``solve_linear`` and
+``inverse`` over Q only, through fraction-free integer elimination.  The
+routes below are the ones it replaced: Gauss-Jordan elimination on
+``Fraction`` rows, or on ``FracElem`` rows when an entry is a polynomial or a
+polynomial fraction, through ``_rref``.  ``cocycle_oracles`` runs its
+fraction-field route on them.
 """
 
 from fractions import Fraction
 
-from spinorlab.matrix import ExactMatrix, _field_rows, _rref
-from spinorlab.rings import FracElem, is_zero
+from spinorlab.matrix import ExactMatrix
+from spinorlab.rings import FracElem, MultiPoly, UnsupportedRingError, is_zero
+
+
+def _as_field(x):
+    if isinstance(x, int):
+        return Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, MultiPoly):
+        return FracElem(x)
+    if isinstance(x, FracElem):
+        return x
+    raise UnsupportedRingError(
+        f"entries of type {type(x).__name__} do not form a supported field"
+    )
+
+
+def _field_rows(entries):
+    rows = [[_as_field(x) for x in r] for r in entries]
+    # if any entry is a polynomial fraction, promote everything to FracElem
+    if any(isinstance(x, FracElem) for r in rows for x in r):
+        rows = [[x if isinstance(x, FracElem) else FracElem(x) for x in r] for r in rows]
+    return rows
+
+
+def _rref(rows, ncols):
+    """In-place reduced row echelon form; returns pivot column list."""
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = None
+        for i in range(r, len(rows)):
+            if not is_zero(rows[i][c]):
+                pr = i
+                break
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        inv = rows[r][c]
+        rows[r] = [x / inv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not is_zero(rows[i][c]):
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
 
 
 def _unit(rows):

@@ -1,5 +1,6 @@
 """Fraction-free elimination over Q against the Fraction route it replaced
-(tests/matrix_oracles.py), with sympy for the ranks."""
+(tests/matrix_oracles.py), with sympy for the ranks, and the typed error on
+entries that are not rational."""
 
 import random
 from fractions import Fraction
@@ -91,31 +92,17 @@ def test_integer_and_zero_entries():
     assert exactly_equal(solve_linear(empty, []), (Fraction(0),) * 3)
 
 
-def test_fracelem_entries_take_the_field_route():
-    x = MultiPoly.var("x")
-    M = ExactMatrix([[x, 1, 0], [Fraction(1, 2), x, 1], [x + Fraction(1, 2), x + 1, 1]])
-    r, kernel = mat_rank_kernel(M)
-    assert exactly_equal((r, kernel), rref_rank_kernel(M))
-    assert r == 2 and all(isinstance(v, FracElem) for v in kernel[0])
-    assert all(e == 0 for e in M.apply(kernel[0]))
-    b = (x, 1, x + 1)
-    sol = solve_linear(M, b)
-    assert exactly_equal(sol, rref_solve(M, b))
-    assert all(isinstance(v, FracElem) for v in sol)
-    assert all(FracElem(0) + g == FracElem(0) + w for g, w in zip(M.apply(sol), b))
-    assert solve_linear(M, (0, 0, 1)) is None
-    S = ExactMatrix([[x, 1], [0, Fraction(1, 3)]])
-    inv = inverse(S)
-    assert exactly_equal(inv, rref_inverse(S))
-    assert S * inv == ExactMatrix.identity(2).map_entries(FracElem)
-
-
 @pytest.mark.parametrize("call", [
     lambda M: mat_rank_kernel(M),
     lambda M: solve_linear(M, [1, 0]),
     lambda M: inverse(M),
+    lambda M: rank(M),
 ])
 def test_laurent_entries_unsupported(call):
-    M = ExactMatrix([[LaurentPoly.term("z", -1), 0], [0, 1]])
-    with pytest.raises(UnsupportedRingError):
-        call(M)
+    """Elimination is over Q only: a Laurent, polynomial or fraction-field
+    entry raises, wherever it sits."""
+    x = MultiPoly.var("x")
+    for bad in (LaurentPoly.term("z", -1), x, FracElem(x, x + 1)):
+        for M in (ExactMatrix([[bad, 0], [0, 1]]), ExactMatrix([[1, 0], [0, bad]])):
+            with pytest.raises(UnsupportedRingError):
+                call(M)

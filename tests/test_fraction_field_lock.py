@@ -1,12 +1,11 @@
-"""Only ``rings`` and ``matrix`` may name ``FracElem``, and only ``rings`` may
-name ``Dual``.
+"""Only ``rings`` may name ``FracElem`` or ``Dual``.
 
 No module of the package builds a fraction-field element or a dual number
 any more: the cocycle layer works over Laurent polynomials in its line
-symbol, and the moment layer in Lie-algebra coordinates.  ``rings`` still
-defines both classes, and ``matrix`` keeps its ``FracElem`` elimination
-branch, for the test oracles.  The check walks the syntax tree with the
-standard library, like ``test_unused_imports``.
+symbol, the moment layer in Lie-algebra coordinates, and ``matrix``
+eliminates over Q only.  ``rings`` still defines both classes for the test
+oracles.  The check walks the syntax tree with the standard library, like
+``test_unused_imports``.
 """
 
 import ast
@@ -16,7 +15,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spinorlab"
 MODULES = sorted(SRC.glob("*.py"))
-ALLOWED = {"FracElem": {"rings.py", "matrix.py"}, "Dual": {"rings.py"}}
+ALLOWED = {"FracElem": {"rings.py"}, "Dual": {"rings.py"}}
 
 
 def named(source: str) -> set:
