@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import ExactMatrix, is_symplectic, standard_omega
+from .matrix import ExactMatrix, is_symplectic, rank, standard_omega
 from .rings import LaurentPoly, is_zero
 
 _S = "s"
@@ -52,6 +52,8 @@ class GradedHiggsModel:
         dim = len(self.weights)
         if self.omega.rows != dim or self.phi.rows != dim or not self.phi.is_square:
             raise ValueError("dimension mismatch")
+        if self.omega.transpose() != -self.omega or rank(self.omega) != dim:
+            raise ValueError("form is not symplectic: not antisymmetric or degenerate")
         ws = sorted(self.weights)
         if ws != sorted([1] + [0] * (dim - 2) + [-1]):
             raise ValueError("weight multiset must be one +1, one -1, rest 0")

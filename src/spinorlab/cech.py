@@ -6,14 +6,23 @@ machine-checked diagram chase showing that injectivity of the degree-1 map on
 Index convention: in A^pq the first index is the complex degree, the second
 the Cech degree, so cech differentials go A^p0 -> A^p1 and the complex
 differential goes A^0q -> A^1q.
+
+Random models and morphisms are integer matrices: each random square clears
+the one common denominator of the inverse it solves with, and kernel bases
+come back as integer columns, so a random model is checked with products of
+ints only.  Models and morphisms are immutable, so each instance is validated
+once (a failed validation is not remembered) and computes the ranks of its
+total differentials once.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
-from .matrix import ExactMatrix, inverse, mat_rank_kernel, rank
+from .matrix import ExactMatrix, _integer_rows, inverse, mat_rank_kernel, rank
 
 
 class InvalidModelError(ValueError):
@@ -68,6 +77,13 @@ class TwoTermCechModel:
         return _hstack(self.diff_a1, -self.cech_d1)
 
     def validate(self):
+        """Raise InvalidModelError unless the square commutes; checked once
+        per instance."""
+        self._validated
+
+    @cached_property
+    def _validated(self) -> bool:
+        # raising leaves nothing cached, so an invalid model raises every time
         a00, a01, a10, a11 = self.dims
         if self.diff_a0.cols != a00 or self.diff_a1.cols != a01 or self.diff_a1.rows != a11:
             raise InvalidModelError("map shapes are inconsistent")
@@ -75,14 +91,22 @@ class TwoTermCechModel:
             raise InvalidModelError("square does not commute")
         if not (self.total_d1() * self.total_d0()).is_zero:
             raise InvalidModelError("total complex fails D1 D0 = 0")
+        return True
+
+    @cached_property
+    def rank_d0(self) -> int:
+        return rank(self.total_d0())
+
+    @cached_property
+    def rank_d1(self) -> int:
+        return rank(self.total_d1())
 
 
 def hypercohomology(model: TwoTermCechModel):
     """Dimensions (h0, h1, h2) of the total-complex cohomology."""
     model.validate()
     a00, a01, a10, a11 = model.dims
-    r0 = rank(model.total_d0())
-    r1 = rank(model.total_d1())
+    r0, r1 = model.rank_d0, model.rank_d1
     h0 = a00 - r0
     h1 = (a01 + a10) - r1 - r0
     h2 = a11 - r1
@@ -112,6 +136,12 @@ class ComplexMorphism:
     phi1_1: ExactMatrix  # A11_src -> A11_tgt
 
     def validate(self):
+        """Raise InvalidModelError unless both models are valid and phi
+        intertwines them; checked once per instance."""
+        self._validated
+
+    @cached_property
+    def _validated(self) -> bool:
         self.source.validate()
         self.target.validate()
         if self.source.cech_d0 != self.target.cech_d0:
@@ -122,12 +152,20 @@ class ComplexMorphism:
             raise InvalidModelError("phi does not intertwine a1")
         if self.target.cech_d1 * self.phi1_0 != self.phi1_1 * self.source.cech_d1:
             raise InvalidModelError("phi does not intertwine the Cech differential")
+        return True
 
 
-def _preimage_dim(K: ExactMatrix, T: ExactMatrix, B: ExactMatrix) -> int:
+def _kernel_columns(M: ExactMatrix) -> ExactMatrix:
+    """Kernel basis of M as the columns of an integer matrix, each column
+    cleared of its denominators."""
+    _, k = mat_rank_kernel(M)
+    return ExactMatrix(_integer_rows(k)).transpose() if k else ExactMatrix.zeros(M.cols, 0)
+
+
+def _preimage_dim(K: ExactMatrix, T: ExactMatrix, B: ExactMatrix, rank_b: int) -> int:
     """dim { c : T K c in col(B) } = cols(K) + rank(B) - rank([T K | B])."""
     stacked = _hstack(T * K, B)
-    return K.cols + rank(B) - rank(stacked)
+    return K.cols + rank_b - rank(stacked)
 
 
 @dataclass(frozen=True)
@@ -148,19 +186,15 @@ def j_injectivity_experiment(morphism: ComplexMorphism) -> ChaseVerdict:
     src, tgt = morphism.source, morphism.target
     a00, a01, a10s, _ = src.dims
 
-    _, sheaf_kernel = mat_rank_kernel(src.cech_d1)
-    if sheaf_kernel:
-        K = ExactMatrix([list(v) for v in sheaf_kernel]).transpose()
-        hypothesis = rank(morphism.phi1_0 * K) == K.cols
-    else:
-        hypothesis = True
+    K = _kernel_columns(src.cech_d1)
+    hypothesis = rank(morphism.phi1_0 * K) == K.cols
 
-    _, k1 = mat_rank_kernel(src.total_d1())
-    h1s = len(k1) - rank(src.total_d0())
+    K1 = _kernel_columns(src.total_d1())
+    r0s = src.rank_d0
+    h1s = K1.cols - r0s
     h1t_ = hypercohomology(tgt)[1]
-    if not k1:
+    if not K1.cols:
         return ChaseVerdict(hypothesis, True, 0, h1t_)
-    K1 = ExactMatrix([list(v) for v in k1]).transpose()
     # block-diagonal map on A01 + A10
     T = ExactMatrix.from_blocks(
         [
@@ -168,8 +202,8 @@ def j_injectivity_experiment(morphism: ComplexMorphism) -> ChaseVerdict:
             [ExactMatrix.zeros(morphism.phi1_0.rows, a01), morphism.phi1_0],
         ]
     )
-    pre = _preimage_dim(K1, T, tgt.total_d0())
-    induced_kernel = pre - rank(src.total_d0())
+    pre = _preimage_dim(K1, T, tgt.total_d0(), tgt.rank_d0)
+    induced_kernel = pre - r0s
     return ChaseVerdict(hypothesis, induced_kernel == 0, h1s, h1t_)
 
 
@@ -184,25 +218,33 @@ class QuotientSpace:
     Z: ExactMatrix
     B: ExactMatrix
 
+    @cached_property
+    def rank_z(self) -> int:
+        return rank(self.Z)
+
+    @cached_property
+    def rank_b(self) -> int:
+        return rank(self.B)
+
     @property
     def dim(self) -> int:
-        return self.Z.cols - rank(self.B)
+        return self.Z.cols - self.rank_b
 
 
 def _induced_rank(T: ExactMatrix, dom: QuotientSpace, cod: QuotientSpace) -> int:
     stacked = _hstack(T * dom.Z, cod.B)
-    return rank(stacked) - rank(cod.B)
+    return rank(stacked) - cod.rank_b
 
 
 def _maps_into(T: ExactMatrix, dom: QuotientSpace, cod: QuotientSpace) -> bool:
     """Every T-image of a dom generator lies in span(Z_cod)."""
     both = _hstack(cod.Z, T * dom.Z)
-    return rank(both) == rank(cod.Z)
+    return rank(both) == cod.rank_z
 
 
 def _composite_zero(Tg, Tf, dom: QuotientSpace, end: QuotientSpace) -> bool:
     stacked = _hstack(Tg * (Tf * dom.Z), end.B)
-    return rank(stacked) == rank(end.B)
+    return rank(stacked) == end.rank_b
 
 
 @dataclass(frozen=True)
@@ -226,23 +268,9 @@ def five_term_data(model: TwoTermCechModel) -> FiveTermData:
     model.validate()
     a00, a01, a10, a11 = model.dims
 
-    def kernel_space(M):
-        _, k = mat_rank_kernel(M)
-        if k:
-            Z = ExactMatrix([list(v) for v in k]).transpose()
-        else:
-            Z = ExactMatrix.zeros(M.cols, 0)
-        return QuotientSpace(Z, ExactMatrix.zeros(M.cols, 0))
-
-    n1 = kernel_space(model.cech_d0)
-    n2 = kernel_space(model.cech_d1)
-    _, k1 = mat_rank_kernel(model.total_d1())
-    Z3 = (
-        ExactMatrix([list(v) for v in k1]).transpose()
-        if k1
-        else ExactMatrix.zeros(a01 + a10, 0)
-    )
-    n3 = QuotientSpace(Z3, model.total_d0())
+    n1 = QuotientSpace(_kernel_columns(model.cech_d0), ExactMatrix.zeros(a00, 0))
+    n2 = QuotientSpace(_kernel_columns(model.cech_d1), ExactMatrix.zeros(a10, 0))
+    n3 = QuotientSpace(_kernel_columns(model.total_d1()), model.total_d0())
     n4 = QuotientSpace(ExactMatrix.identity(a01), model.cech_d0)
     n5 = QuotientSpace(ExactMatrix.identity(a11), model.cech_d1)
 
@@ -297,7 +325,8 @@ def _rand_invertible(rng, n):
 
 
 def _extend_to_basis(rng, M):
-    """Columns completing an injective matrix to a basis of its row space."""
+    """Columns completing an injective matrix to a basis of the ambient space
+    its columns live in."""
     n, k = M.rows, M.cols
     cols = [list(c) for c in zip(*M.entries)] if k else []
     extra = []
@@ -309,9 +338,21 @@ def _extend_to_basis(rng, M):
     return ExactMatrix(extra).transpose() if extra else ExactMatrix.zeros(n, 0)
 
 
-def random_model(rng: random.Random, max_dim: int = 6) -> TwoTermCechModel:
-    """Uniform-ish commuting square built per the injective-d0 recipe:
-    a1 is forced on im(d0) by the square and random on a complement."""
+def _cleared_inverse(P: ExactMatrix):
+    """``(den, N)``: den is the lcm of the denominators of P^-1 and N = den P^-1,
+    an integer matrix."""
+    inv = inverse(P).entries
+    den = math.lcm(*(x.denominator for r in inv for x in r))
+    return den, ExactMatrix(
+        [[x.numerator * (den // x.denominator) for x in r] for r in inv], cols=P.cols
+    )
+
+
+def _random_square(rng: random.Random, max_dim: int):
+    """``random_model``'s square, unvalidated, and the factor den that scaled
+    its (d1, a1): solving a1 P = [d1 a0 | R] with den P^-1 in place of P^-1
+    scales a1 by den, and d1 is scaled to match, so the square commutes and
+    every kernel and rank is that of the unscaled square."""
     a00 = rng.randint(0, max_dim - 1)
     a01 = a00 + rng.randint(0, max(1, max_dim - a00))
     a10 = rng.randint(0, max_dim)
@@ -323,9 +364,16 @@ def random_model(rng: random.Random, max_dim: int = 6) -> TwoTermCechModel:
     P = _hstack(d0, C)
     forced = d1 * a0  # a11 x a00
     R = _rand_matrix(rng, a11, C.cols)
-    vals = _hstack(forced, R)
-    a1 = vals * inverse(P) if a01 else ExactMatrix.zeros(a11, 0)
-    model = TwoTermCechModel(d0, d1, a0, a1)
+    den, N = _cleared_inverse(P)
+    a1 = _hstack(forced, R) * N
+    return TwoTermCechModel(d0, d1.scale(den), a0, a1), den
+
+
+def random_model(rng: random.Random, max_dim: int = 6) -> TwoTermCechModel:
+    """Uniform-ish commuting square built per the injective-d0 recipe:
+    a1 is forced on im(d0) by the square and random on a complement.  The
+    entries are integers."""
+    model, _ = _random_square(rng, max_dim)
     model.validate()
     return model
 
@@ -334,8 +382,9 @@ def random_morphism(rng: random.Random, max_dim: int = 5, ensure_hypothesis: boo
     """Random commuting-square morphism.  With ``ensure_hypothesis`` the
     degree-1 component is an inclusion followed by an automorphism, hence
     injective, so the chase hypothesis holds; otherwise it is the zero map,
-    which fails the hypothesis whenever the source has sheaf sections."""
-    src = random_model(rng, max_dim)
+    which fails the hypothesis whenever the source has sheaf sections.  The
+    entries are integers."""
+    src, den_src = _random_square(rng, max_dim)
     a00, a01, a10s, a11s = src.dims
     if ensure_hypothesis:
         a10t = a10s + rng.randint(0, 2)
@@ -350,8 +399,12 @@ def random_morphism(rng: random.Random, max_dim: int = 5, ensure_hypothesis: boo
         Q = _hstack(phi10, C2)
         forced = phi11 * src.cech_d1
         R2 = _rand_matrix(rng, a11t, C2.cols)
-        vals = _hstack(forced, R2)
-        d1t = vals * inverse(Q) if a10t else ExactMatrix.zeros(a11t, 0)
+        # the source's d1 carries den_src, so R2 does too; solving with
+        # den Q^-1 scales d1t by den, and phi11 is scaled to match: the target
+        # is the unscaled target times den_src * den
+        den, N = _cleared_inverse(Q)
+        d1t = _hstack(forced, R2.scale(den_src)) * N
+        phi11 = phi11.scale(den)
         tgt = TwoTermCechModel(src.cech_d0, d1t, phi10 * src.diff_a0, phi11 * src.diff_a1)
     else:
         phi10 = ExactMatrix.zeros(a10s, a10s)

@@ -1,0 +1,83 @@
+"""Reference route for the random Cech squares, kept only as a test oracle.
+
+``spinorlab.cech`` builds its random models and morphisms over the integers:
+it solves each square with den * P^-1, den the lcm of the denominators of
+P^-1, and scales the matching differential by den.  The route below is the
+one it replaced: the same draws, solved with P^-1 itself, so the solved
+blocks carry ``Fraction`` entries.  Each builder also returns the den the
+integer route clears, so a test can compare the two exactly.
+"""
+
+import math
+
+from spinorlab.cech import (
+    ComplexMorphism,
+    TwoTermCechModel,
+    _extend_to_basis,
+    _hstack,
+    _rand_injective,
+    _rand_invertible,
+    _rand_matrix,
+)
+from spinorlab.matrix import ExactMatrix, inverse
+
+
+def _den(M):
+    return math.lcm(*(x.denominator for r in M.entries for x in r))
+
+
+def frac_random_model(rng, max_dim=6):
+    """``(model, den)``: the square with a1 = [d1 a0 | R] P^-1."""
+    a00 = rng.randint(0, max_dim - 1)
+    a01 = a00 + rng.randint(0, max(1, max_dim - a00))
+    a10 = rng.randint(0, max_dim)
+    a11 = rng.randint(0, max_dim)
+    d0 = _rand_injective(rng, a01, a00)
+    a0 = _rand_matrix(rng, a10, a00)
+    d1 = _rand_matrix(rng, a11, a10)
+    C = _extend_to_basis(rng, d0)
+    P = _hstack(d0, C)
+    forced = d1 * a0  # a11 x a00
+    R = _rand_matrix(rng, a11, C.cols)
+    vals = _hstack(forced, R)
+    a1 = vals * inverse(P) if a01 else ExactMatrix.zeros(a11, 0)
+    model = TwoTermCechModel(d0, d1, a0, a1)
+    model.validate()
+    return model, _den(inverse(P))
+
+
+def frac_random_morphism(rng, max_dim=5, ensure_hypothesis=True):
+    """``(morphism, den_src, den)``: the source from ``frac_random_model`` and,
+    with ``ensure_hypothesis``, the target's d1 = [phi11 d1 | R2] Q^-1."""
+    src, den_src = frac_random_model(rng, max_dim)
+    a00, a01, a10s, a11s = src.dims
+    den = 1
+    if ensure_hypothesis:
+        a10t = a10s + rng.randint(0, 2)
+        a11t = a11s + rng.randint(0, 2)
+        P = _rand_invertible(rng, a10t)
+        incl = ExactMatrix(
+            [[1 if i == j else 0 for j in range(a10s)] for i in range(a10t)]
+        )
+        phi10 = P * incl
+        phi11 = _rand_matrix(rng, a11t, a11s)
+        C2 = _extend_to_basis(rng, phi10)
+        Q = _hstack(phi10, C2)
+        forced = phi11 * src.cech_d1
+        R2 = _rand_matrix(rng, a11t, C2.cols)
+        vals = _hstack(forced, R2)
+        d1t = vals * inverse(Q) if a10t else ExactMatrix.zeros(a11t, 0)
+        tgt = TwoTermCechModel(src.cech_d0, d1t, phi10 * src.diff_a0, phi11 * src.diff_a1)
+        den = _den(inverse(Q))
+    else:
+        phi10 = ExactMatrix.zeros(a10s, a10s)
+        phi11 = ExactMatrix.zeros(a11s, a11s)
+        tgt = TwoTermCechModel(
+            src.cech_d0,
+            _rand_matrix(rng, a11s, a10s),
+            ExactMatrix.zeros(a10s, a00),
+            ExactMatrix.zeros(a11s, a01),
+        )
+    morphism = ComplexMorphism(src, tgt, phi10, phi11)
+    morphism.validate()
+    return morphism, den_src, den

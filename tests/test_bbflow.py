@@ -37,6 +37,16 @@ class TestModel:
         with pytest.raises(ValueError):
             GradedHiggsModel(graded_weights(2), ExactMatrix(bad), ExactMatrix.zeros(4, 4))
 
+    def test_degenerate_form_rejected(self):
+        with pytest.raises(ValueError, match="not symplectic"):
+            GradedHiggsModel((1, 0, -1), ExactMatrix.zeros(3, 3), ExactMatrix.zeros(3, 3))
+
+    def test_symmetric_form_rejected(self):
+        # nondegenerate and pairs the +1 slot with the -1 slot, but symmetric
+        symmetric = ExactMatrix([[0, 1], [1, 0]])
+        with pytest.raises(ValueError, match="not symplectic"):
+            GradedHiggsModel((1, -1), symmetric, ExactMatrix.zeros(2, 2))
+
 
 class TestScalingConjugate:
     def test_zero_phi(self):

@@ -243,3 +243,55 @@ class TestFiveTerm:
             if not report.all_exact:
                 found += 1
         assert found > 0
+
+
+class TestValidateOnce:
+    @staticmethod
+    def unit_square(a1=1):
+        one = ExactMatrix.identity(1)
+        return TwoTermCechModel(one, one, one, ExactMatrix([[a1]]))
+
+    def test_broken_model_raises_on_every_call(self):
+        broken = self.unit_square(a1=2)  # a1 d0 != d1 a0
+        for entry in (hypercohomology, les_segment):
+            for _ in range(2):
+                with pytest.raises(InvalidModelError):
+                    entry(broken)
+        one = ExactMatrix.identity(1)
+        m = ComplexMorphism(broken, broken, one, one)
+        for _ in range(2):
+            with pytest.raises(InvalidModelError):
+                j_injectivity_experiment(m)
+
+    def test_broken_morphism_raises_on_every_call(self):
+        model = self.unit_square()
+        one = ExactMatrix.identity(1)
+        broken = ComplexMorphism(model, model, one, ExactMatrix([[2]]))  # phi a1 != a1
+        for _ in range(2):
+            with pytest.raises(InvalidModelError):
+                j_injectivity_experiment(broken)
+
+    def test_first_validate_runs_its_products_and_the_second_none(self, monkeypatch):
+        products = []
+        mul = ExactMatrix.__mul__
+
+        def counting_mul(self, other):
+            products.append(1)
+            return mul(self, other)
+
+        monkeypatch.setattr(ExactMatrix, "__mul__", counting_mul)
+        one = ExactMatrix.identity(1)
+
+        def unit_morphism():
+            return ComplexMorphism(self.unit_square(), self.unit_square(), one, one)
+
+        for make in (self.unit_square, unit_morphism):
+            fresh = make()
+            fresh.validate()
+            first = len(products)
+            assert first > 0
+            fresh.validate()
+            assert len(products) == first
+            make().validate()  # an equal instance checks itself again
+            assert len(products) == 2 * first
+            del products[:]

@@ -1,11 +1,12 @@
-"""Only ``rings`` may name ``FracElem`` or ``Dual``.
+"""Only ``rings`` may name ``FracElem`` or ``Dual``, and ``cech`` names no
+``Fraction``.
 
 No module of the package builds a fraction-field element or a dual number
 any more: the cocycle layer works over Laurent polynomials in its line
 symbol, the moment layer in Lie-algebra coordinates, and ``matrix``
 eliminates over Q only.  ``rings`` still defines both classes for the test
-oracles.  The check walks the syntax tree with the standard library, like
-``test_unused_imports``.
+oracles.  The Cech layer works on integer matrices.  The check walks the
+syntax tree with the standard library, like ``test_unused_imports``.
 """
 
 import ast
@@ -50,3 +51,7 @@ def test_guard_flags_every_kind_of_reference():
 def test_fraction_field_and_dual_stay_in_their_modules(path):
     names = named(path.read_text())
     assert sorted(cls for cls, where in ALLOWED.items() if cls in names and path.name not in where) == []
+
+
+def test_cech_works_without_fraction():
+    assert "Fraction" not in named((SRC / "cech.py").read_text())
