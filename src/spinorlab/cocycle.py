@@ -4,7 +4,10 @@ A transition matrix for the filtered bundle (line, middle symplectic block,
 dual line) preserves the local standard form exactly when its mixed column
 block gamma is the theta-dual of its mixed row block d; the forward direction
 is proved here by a symbolic residual that vanishes identically in the free
-symbols (l, d, a), and the converse by solving the residual for gamma.
+symbols (l, d, a), and the converse by solving the residual for gamma.  Of
+the residual v^T Omega v - Omega only the two mixed blocks are formed: the
+rest is zero by the symplectic check on the middle block and the
+antisymmetry of its form (see ``verify_form_preservation``).
 
 Every denominator in these identities is a power of the line transition l, so
 they hold over Laurent polynomials in l: l is a unit monomial ``c*l^k`` (a
@@ -140,11 +143,33 @@ def assemble_transition(c: BlockCocycle) -> ExactMatrix:
 
 
 def verify_form_preservation(c: BlockCocycle) -> ExactMatrix:
-    """Residual v^T Omega_std v - Omega_std over Laurent polynomials in l;
-    identically zero exactly when gamma is the theta-dual block."""
-    v = assemble_transition(c)
-    omega = standard_form(c.n)
-    return v.transpose() * omega * v - omega
+    """Residual v^T Omega v - Omega of v = assemble_transition(c) against
+    Omega = standard_form(c.n), over Laurent polynomials in l; identically
+    zero exactly when gamma is the theta-dual block.
+
+    Only the entries that can be nonzero are formed.  In blocks of sizes
+    (1, k, 1), k = 2n-2, with v = [[l, d, a], [0, u, gamma], [0, 0, l^-1]]
+    and Omega = [[0, 0, 1], [0, Theta, 0], [-1, 0, 0]],
+
+        v^T Omega v - Omega = [[0, 0,                  0     ],
+                               [0, u^T Theta u - Theta, r     ],
+                               [0, -r^T,               corner]]
+
+    with the k-vector r = u^T Theta gamma + l^-1 d^T; the (2, 1) block is
+    gamma^T Theta u - l^-1 d = -r^T because Theta is antisymmetric.  The
+    middle block is zero because ``BlockCocycle`` checked that u preserves
+    Theta, and corner = gamma^T Theta gamma + a l^-1 - l^-1 a is zero over a
+    commutative ring, again because Theta is antisymmetric.  So entry
+    [1+i][k+1] is r_i, entry [k+1][1+j] is -r_j, and every other entry is 0.
+    """
+    k = 2 * c.n - 2
+    linv = _line_inverse(c.l)
+    theta_gamma = middle_theta(c.n).apply(c.gamma)
+    r = [dot(col, theta_gamma) + linv * dj for col, dj in zip(c.u.transpose().entries, c.d)]
+    rows = [[0] * (k + 2)]
+    rows.extend([0] * (k + 1) + [ri] for ri in r)
+    rows.append([0] + [-ri for ri in r] + [0])
+    return ExactMatrix(rows)
 
 
 def fresh_symbol_cocycle(n: int, seed: int, gamma: tuple | None = None) -> BlockCocycle:

@@ -195,10 +195,14 @@ class ExactMatrix:
 
 
 def _integer_rows(entries):
-    """Each rational row times the lcm of its denominators, as lists of ints;
-    raises UnsupportedRingError on an entry that is not rational."""
+    """Each rational row times the lcm of its denominators, as new lists of
+    ints (the callers eliminate them in place); a row of ints is copied as it
+    is.  Raises UnsupportedRingError on an entry that is not rational."""
     rows = []
     for r in entries:
+        if all(type(x) is int for x in r):
+            rows.append(list(r))
+            continue
         if not all(map(_is_rat, r)):
             bad = next(x for x in r if not _is_rat(x))
             raise UnsupportedRingError(

@@ -26,18 +26,22 @@ def _is_rat(x) -> bool:
 
 
 def is_zero(x) -> bool:
-    """Whether a value of the tower is zero: a rational, or any ring element
-    with an ``is_zero`` property."""
-    return x == 0 if isinstance(x, (int, Fraction)) else x.is_zero
+    """Whether a value of the tower is zero.  Every value is falsy exactly
+    when it is zero: rationals natively, and ``MultiPoly``, ``LaurentPoly``,
+    ``FracElem`` and ``Dual`` through a ``__bool__`` equal to
+    ``not self.is_zero``."""
+    return not x
 
 
 def dot(xs, ys):
     """Sum of ``x*y`` over paired entries, skipping pairs with a zero factor;
-    int ``0`` when every pair is skipped.  The sum starts from the first
-    nonzero product, so ring elements never go through ``int + element``."""
+    int ``0`` when every pair is skipped.  Zero factors are found by
+    truthiness (see ``is_zero``), which costs an int or Fraction no method
+    call.  The sum starts from the first nonzero product, so ring elements
+    never go through ``int + element``."""
     acc = None
     for x, y in zip(xs, ys):
-        if is_zero(x) or is_zero(y):
+        if not x or not y:
             continue
         acc = x * y if acc is None else acc + x * y
     return 0 if acc is None else acc
@@ -122,6 +126,9 @@ class MultiPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
 
     @property
     def is_constant(self) -> bool:
@@ -363,6 +370,9 @@ class FracElem:
     def is_zero(self) -> bool:
         return self.num.is_zero
 
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
     def reciprocal(self) -> "FracElem":
         if self.num.is_zero:
             raise ZeroDivisionError("reciprocal of zero")
@@ -497,6 +507,9 @@ class LaurentPoly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
 
     def ord(self) -> int:
         """Minimal exponent with nonzero coefficient."""
@@ -636,6 +649,9 @@ class Dual:
     @property
     def is_zero(self) -> bool:
         return is_zero(self.re) and is_zero(self.eps)
+
+    def __bool__(self) -> bool:
+        return bool(self.re) or bool(self.eps)
 
     def _coerce(self, other):
         if isinstance(other, Dual):

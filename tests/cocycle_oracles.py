@@ -12,7 +12,7 @@ since a ``LaurentPoly`` has one distinguished variable.
 
 from dataclasses import dataclass
 
-from spinorlab.cocycle import middle_theta, standard_form
+from spinorlab.cocycle import assemble_transition, middle_theta, standard_form
 from spinorlab.matrix import ExactMatrix, random_symplectic
 from spinorlab.rings import FracElem, LaurentPoly, MultiPoly, dot
 
@@ -79,6 +79,15 @@ def frac_assemble_transition(c):
 def frac_verify_form_preservation(c):
     """Residual v^T Omega_std v - Omega_std over the fraction field."""
     v = frac_assemble_transition(c)
+    omega = standard_form(c.n)
+    return v.transpose() * omega * v - omega
+
+
+def dense_form_residual(c):
+    """The whole residual v^T Omega v - Omega of a ``BlockCocycle``, from
+    dense products over the Laurent tower; ``verify_form_preservation``
+    forms only its two blocks that can be nonzero."""
+    v = assemble_transition(c)
     omega = standard_form(c.n)
     return v.transpose() * omega * v - omega
 

@@ -1,6 +1,8 @@
 """The Laurent-in-l cocycle route against the fraction-field route it
 replaced (``cocycle_oracles``): the same dual block, the same residuals with
-and without a perturbation in every slot, and the same necessity solve."""
+and without a perturbation in every slot, and the same necessity solve.  The
+block residual of ``verify_form_preservation`` against the dense residual
+``dense_form_residual`` it replaced, entry by entry."""
 
 import random
 from fractions import Fraction
@@ -9,17 +11,21 @@ import pytest
 
 from spinorlab import cocycle, rings, suites
 from spinorlab.cocycle import (
+    BlockCocycle,
     InvalidCocycleError,
     NecessityResult,
     fresh_symbol_cocycle,
+    middle_theta,
     necessity_solve,
     perturb_gamma,
+    theta_dual,
     verify_form_preservation,
 )
-from spinorlab.matrix import random_symplectic
+from spinorlab.matrix import ExactMatrix, random_symplectic
 from spinorlab.rings import LaurentPoly, MultiPoly
 
 from cocycle_oracles import (
+    dense_form_residual,
     frac_fresh_symbol_cocycle,
     frac_necessity_solve,
     frac_perturb_gamma,
@@ -111,3 +117,59 @@ def test_check_cocycle_fails_on_a_broken_step(monkeypatch, target, breaker, flag
     monkeypatch.setattr(cocycle, target, breaker(getattr(cocycle, target)))
     ok, detail = suites.check_cocycle(random.Random(3), 3)
     assert not ok and flag in detail
+
+
+def _residual_cases(n):
+    """``(label, cocycle, residual is zero)`` for the cocycles whose block and
+    dense residuals are compared: fresh ones with l and with l = (3/2) l^-2,
+    a perturbation in every slot, a MultiPoly perturbation, and the unknown
+    gamma of the necessity solve at rational l."""
+    k = 2 * n - 2
+    fresh = fresh_symbol_cocycle(n, seed=n)
+    yield "fresh", fresh, True
+    for slot in range(k):
+        yield f"slot {slot} + 1", perturb_gamma(fresh, slot), False
+    yield f"slot {k - 1} + a", perturb_gamma(fresh, k - 1, MultiPoly.var("a")), False
+    u = random_symplectic(n - 1, 100 + n)
+    l = LaurentPoly("l", {-2: Fraction(3, 2)})
+    d = tuple(MultiPoly.var(f"d{i+1}") for i in range(k))
+    scaled = BlockCocycle(n, l, u, d, MultiPoly.var("a"), theta_dual(d, u, l, middle_theta(n)))
+    yield "l = (3/2) l^-2", scaled, True
+    yield "l = (3/2) l^-2, slot 0 - 1/3", perturb_gamma(scaled, 0, Fraction(-1, 3)), False
+    unknowns = tuple(MultiPoly.var(f"_g{i}") for i in range(k))
+    rational_d = tuple(Fraction(i - 2, 3) for i in range(k))
+    yield "necessity unknowns", BlockCocycle(n, Fraction(-3, 2), u, rational_d, 5, unknowns), False
+
+
+def _mismatches(residual, ns):
+    """``(n, label)`` of every case, n in ns, where ``residual`` differs in
+    value from the dense residual in some entry, or the dense residual is
+    not zero exactly as expected."""
+    bad = []
+    for n in ns:
+        for label, c, zero in _residual_cases(n):
+            got, want = residual(c), dense_form_residual(c)
+            same = (got.rows, got.cols) == (want.rows, want.cols) and all(
+                x == y for row, wrow in zip(got.entries, want.entries) for x, y in zip(row, wrow)
+            )
+            if not same or want.is_zero != zero:
+                bad.append((n, label))
+    return bad
+
+
+def test_block_residual_matches_the_dense_residual():
+    assert _mismatches(verify_form_preservation, range(2, 7)) == []
+
+
+def test_residual_comparison_catches_a_dropped_row():
+    """A residual whose row k+1 (the entries -r_j) is dropped fails in every
+    case where the residual is not zero."""
+
+    def dropped(c):
+        rows = [list(r) for r in verify_form_preservation(c).entries]
+        rows[-1] = [0] * len(rows[-1])
+        return ExactMatrix(rows)
+
+    ns = (2, 3)
+    nonzero = [(n, label) for n in ns for label, _, zero in _residual_cases(n) if not zero]
+    assert _mismatches(dropped, ns) == nonzero

@@ -9,7 +9,14 @@ import pytest
 import sympy
 
 from matrix_oracles import rref_inverse, rref_rank_kernel, rref_solve
-from spinorlab.matrix import ExactMatrix, inverse, mat_rank_kernel, rank, solve_linear
+from spinorlab.matrix import (
+    ExactMatrix,
+    _integer_rows,
+    inverse,
+    mat_rank_kernel,
+    rank,
+    solve_linear,
+)
 from spinorlab.rings import FracElem, LaurentPoly, MultiPoly, UnsupportedRingError
 
 
@@ -103,6 +110,36 @@ def test_laurent_entries_unsupported(call):
     entry raises, wherever it sits."""
     x = MultiPoly.var("x")
     for bad in (LaurentPoly.term("z", -1), x, FracElem(x, x + 1)):
-        for M in (ExactMatrix([[bad, 0], [0, 1]]), ExactMatrix([[1, 0], [0, bad]])):
+        for M in (ExactMatrix([[bad, 0], [0, 1]]), ExactMatrix([[1, 0], [0, bad]]),
+                  ExactMatrix([[1, 2], [3, bad]])):
             with pytest.raises(UnsupportedRingError):
                 call(M)
+
+
+def test_int_rows_are_copied():
+    """Rows of ints come back as they are but as new lists, which the
+    eliminations overwrite in place; the matrix keeps its entries."""
+    rows = [[2, 0, -3], [1, 4, 1]]
+    got = _integer_rows(rows)
+    assert got == rows and all(g is not r for g, r in zip(got, rows))
+    got[0][0] = 99
+    assert rows[0][0] == 2
+
+    M = ExactMatrix([[2, 4, 1, 0], [1, 2, 0, 3], [3, 6, 1, 3], [0, 0, 5, -1]])
+    S = ExactMatrix([[2, 1], [7, 4]])
+    for _ in range(2):
+        assert rank(M) == sympy_rank(M) == 3
+        assert exactly_equal(mat_rank_kernel(M), rref_rank_kernel(M))
+        assert exactly_equal(solve_linear(M, [1, 0, 1, 0]), rref_solve(M, [1, 0, 1, 0]))
+        assert exactly_equal(inverse(S), rref_inverse(S))
+        assert M.entries == ((2, 4, 1, 0), (1, 2, 0, 3), (3, 6, 1, 3), (0, 0, 5, -1))
+        assert S.entries == ((2, 1), (7, 4))
+
+
+def test_bool_entries_rank_as_ints():
+    B = ExactMatrix([[True, False, True], [False, True, True], [True, True, False]])
+    Z = B.map_entries(int)
+    assert rank(B) == rank(Z) == 3
+    C = ExactMatrix([[True, True, False], [True, True, False]])
+    assert rank(C) == rank(C.map_entries(int)) == 1
+    assert exactly_equal(mat_rank_kernel(C), mat_rank_kernel(C.map_entries(int)))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinorlab.rings import Dual, FracElem, LaurentPoly, MultiPoly, dot
+from spinorlab.rings import Dual, FracElem, LaurentPoly, MultiPoly, dot, is_zero
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
 
@@ -281,3 +281,73 @@ class TestDot:
         monkeypatch.setattr(MultiPoly, "__radd__", no_radd)
         x = MultiPoly.var("x")
         assert dot([0, x, x], [x, 2, x]) == 2 * x + x * x
+
+
+def laurents(var="z"):
+    return st.dictionaries(st.integers(-3, 3), polys(), max_size=3).map(
+        lambda cs: LaurentPoly(var, cs)
+    )
+
+
+# a factor of ``dot``: any value of the tower, zeros of every type included
+factors = st.one_of(
+    st.integers(-3, 3),
+    rationals,
+    st.sampled_from([0, Fraction(0), MultiPoly.const(0), LaurentPoly("z", {})]),
+    polys(),
+    laurents(),
+)
+
+
+def unskipped_sum(xs, ys):
+    """Sum of every product x*y, zero products included, from int 0."""
+    total = 0
+    for x, y in zip(xs, ys):
+        total = total + x * y
+    return total
+
+
+class TestTruthiness:
+    @given(polys())
+    @settings(max_examples=60, deadline=None)
+    def test_multipoly_is_falsy_exactly_when_zero(self, p):
+        assert bool(p) == (not p.is_zero)
+        assert not (p - p) and (p - p).is_zero
+
+    @given(laurents())
+    @settings(max_examples=60, deadline=None)
+    def test_laurent_is_falsy_exactly_when_zero(self, p):
+        assert bool(p) == (not p.is_zero)
+        assert not (p - p) and (p - p).is_zero
+
+    def test_zero_of_each_type(self):
+        x = MultiPoly.var("x")
+        for zero in (MultiPoly.const(0), LaurentPoly("z", {}), FracElem(0), FracElem(x - x, x),
+                     Dual(0, 0), Dual(MultiPoly.const(0), Fraction(0))):
+            assert not zero and zero.is_zero and is_zero(zero)
+        for nonzero in (x, MultiPoly.const(Fraction(1, 2)), LaurentPoly.term("z", -1),
+                        FracElem(1, x), Dual(0, x), Dual(x, 0)):
+            assert nonzero and not nonzero.is_zero and not is_zero(nonzero)
+
+    @given(st.lists(st.tuples(factors, factors), max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_dot_equals_the_unskipped_sum(self, pairs):
+        xs = [x for x, _ in pairs]
+        ys = [y for _, y in pairs]
+        assert dot(xs, ys) == unskipped_sum(xs, ys)
+
+    @given(st.lists(st.tuples(factors, factors), max_size=6), st.randoms(use_true_random=False))
+    @settings(max_examples=100, deadline=None)
+    def test_dot_of_zero_pairs_is_int_zero(self, pairs, rnd):
+        # zero one factor of every pair, on a side chosen per pair
+        zero = [0, Fraction(0), MultiPoly.const(0), LaurentPoly("z", {})]
+        xs, ys = [], []
+        for x, y in pairs:
+            if rnd.random() < 0.5:
+                x = rnd.choice(zero)
+            else:
+                y = rnd.choice(zero)
+            xs.append(x)
+            ys.append(y)
+        got = dot(xs, ys)
+        assert type(got) is int and got == 0
