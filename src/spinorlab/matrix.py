@@ -191,7 +191,13 @@ class ExactMatrix:
 # any other entry raises UnsupportedRingError.  Each row is cleared of its
 # denominators and the rows are eliminated over Z without fractions (after
 # Bareiss, Math. Comp. 22 (1968)): below the pivots for rank (_rank_bareiss),
-# Gauss-Jordan style for the others (_rref_int).
+# Gauss-Jordan style for the others (_rref_int).  After k pivots every entry
+# of a Bareiss row is a k+1 minor of the input, so the division by the
+# previous pivot is exact.  _rref_int is lazy: a row that is zero in the
+# pivot column keeps its stored entries, and the pivot it last saw (its
+# level) tells the next update what to divide by.  _rank_bareiss stays
+# eager: its inputs are small and dense, where the bookkeeping costs more
+# than the skipped rows save.
 
 
 def _integer_rows(entries):
@@ -217,14 +223,22 @@ def _rref_int(rows, ncols):
     """Fraction-free Gauss-Jordan elimination of integer rows, in place, on
     the first ncols columns; returns the pivot column list.
 
-    With pivot row b, pivot p in column c and the previous pivot prev, every
-    other row a becomes (p*a - a[c]*b) // prev.  The division is exact,
-    because every entry is then a minor of the input, and every pivot entry
-    equals the last pivot d.  The pivot rows are divided by d once at the end
-    and come back as Fraction rows of the reduced form; the rows past the
-    rank keep integer entries, which are zero in the first ncols columns.
+    Lazy Bareiss: with prev the last pivot, each row i keeps a level lev[i],
+    the pivot at its last update (1 at the start), and is stored as its
+    Bareiss row at level prev times lev[i] / prev.  At pivot p in column c
+    a row that is zero in column c is left alone (its Bareiss row would only
+    be rescaled by p / prev), and every other row a becomes
+    (p*a - a[c]*b) // lev[i] with lev[i] = p.  The pivot row b is first
+    brought up to its Bareiss row with x * prev // lev[r] if it is behind.
+    Both divisions are exact, because each result is a Bareiss row, whose
+    entries are minors of the input.  A stored row is a nonzero multiple of
+    its Bareiss row, so the zero tests choose the same pivots as eager
+    elimination.  The pivot rows come back as Fraction rows of the reduced
+    form, each divided by its own pivot entry; the rows past the rank keep
+    integer entries, which are zero in the first ncols columns.
     """
     pivots = []
+    lev = [1] * len(rows)
     prev = 1
     for c in range(ncols):
         r = len(pivots)
@@ -232,25 +246,29 @@ def _rref_int(rows, ncols):
         if pr is None:
             continue
         rows[r], rows[pr] = rows[pr], rows[r]
+        lev[r], lev[pr] = lev[pr], lev[r]
         b = rows[r]
+        if lev[r] != prev:
+            d = lev[r]
+            b = rows[r] = [x * prev // d for x in b]
         p = b[c]
         for i in range(r):
             a = rows[i]
             f = a[c]
             if f:
-                rows[i] = [(p * x - f * y) // prev for x, y in zip(a, b)]
-            elif p != prev:
-                rows[i] = [p * x // prev for x in a]
+                d = lev[i]
+                rows[i] = [(p * x - f * y) // d for x, y in zip(a, b)]
+                lev[i] = p
         # b and the rows below it are zero left of column c
         tail = b[c:]
         for i in range(r + 1, len(rows)):
             a = rows[i]
             f = a[c]
             if f:
-                rows[i] = a[:c] + [(p * x - f * y) // prev for x, y in zip(a[c:], tail)]
-            elif p != prev and any(a):
-                rows[i] = [p * x // prev for x in a]
-        prev = p
+                d = lev[i]
+                rows[i] = a[:c] + [(p * x - f * y) // d for x, y in zip(a[c:], tail)]
+                lev[i] = p
+        lev[r] = prev = p
         pivots.append(c)
         if len(pivots) == len(rows):
             break
@@ -259,10 +277,12 @@ def _rref_int(rows, ncols):
         free = [c for c in range(width) if c not in pivots]
         one, zero = Fraction(1), Fraction(0)
         for r, pc in enumerate(pivots):
+            src = rows[r]
+            d = src[pc]
             row = [zero] * width
             row[pc] = one
             for c in free:
-                row[c] = Fraction(rows[r][c], prev)
+                row[c] = Fraction(src[c], d)
             rows[r] = row
     return pivots
 

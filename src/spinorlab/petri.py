@@ -9,7 +9,9 @@ slots, so no truncation ever occurs.
 The differential is the bilinear form psi^T S_k psidot / q of the moment
 layer, so the matrix is built by convolving the integer coefficients of psi
 (cleared of denominators) against the sparse forms S_k, with no polynomial
-objects; its kernel comes from the fraction-free elimination over Q.  The
+objects.  That gives integer rows and one common denominator; the kernel
+is that of the integer rows, so ``petri_kernel`` hands them straight to the
+fraction-free elimination and never builds a Fraction entry.  The
 column-by-column ``MultiPoly`` route it replaced is kept beside the tests
 (``tests/petri_oracles.py``) as its oracle.
 """
@@ -80,8 +82,9 @@ class PetriMatrix:
     matrix: ExactMatrix
 
 
-def petri_matrix(space: SectionSpace, psi) -> PetriMatrix:
-    """Matrix of psidot -> (x -> dmu at psi(x) of psidot(x)) on section spaces.
+def _petri_rows(space: SectionSpace, psi):
+    """``(psi, rows, den)``: the matrix of ``petri_matrix`` is ``rows / den``
+    with ``rows`` lists of ints.
 
     Rows are indexed by (output degree, algebra basis index) with degree
     major; columns by the section basis e_j x^k, degree major as well.  With
@@ -105,7 +108,13 @@ def petri_matrix(space: SectionSpace, psi) -> PetriMatrix:
                 if p:
                     for k in range(s):
                         rows[(l + k) * dim_g + i][k * m + j] += v * p
-    den = L * space.ctx._q_inv.denominator
+    return psi, rows, L * space.ctx._q_inv.denominator
+
+
+def petri_matrix(space: SectionSpace, psi) -> PetriMatrix:
+    """Matrix of psidot -> (x -> dmu at psi(x) of psidot(x)) on section
+    spaces, with the layout of ``_petri_rows``."""
+    psi, rows, den = _petri_rows(space, psi)
     return PetriMatrix(
         space, psi, ExactMatrix([[Fraction(x, den) if x else 0 for x in row] for row in rows])
     )
@@ -113,8 +122,10 @@ def petri_matrix(space: SectionSpace, psi) -> PetriMatrix:
 
 def petri_kernel(space: SectionSpace, psi):
     """Exact kernel basis of the section-level differential at psi; empty
-    means the map is injective."""
-    _, kernel = mat_rank_kernel(petri_matrix(space, psi).matrix)
+    means the map is injective.  The integer rows are den times the matrix
+    and have its kernel, so no Fraction entry is built."""
+    _, rows, _ = _petri_rows(space, psi)
+    _, kernel = mat_rank_kernel(ExactMatrix(rows))
     return kernel
 
 

@@ -564,6 +564,11 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
+        if _is_rat(other):
+            # scale each coefficient; a zero scalar drops every term
+            if not other:
+                return LaurentPoly(self.var)
+            return LaurentPoly(self.var, {k: c * other for k, c in self.coeffs.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented

@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import bbflow, cech, cocycle, hecke, petri, rrdim
 from .lie import sl2_sym_cube, sl2_w_plus_wdual, sp_standard
-from .matrix import ExactMatrix, in_sp, random_symplectic, standard_omega
+from .matrix import ExactMatrix, in_sp, standard_omega
 from .moment import MomentContext, equivariance_check, gaiotto_field, hitchin_invariants
 from .rings import LaurentPoly, MultiPoly
 
@@ -236,17 +236,15 @@ def check_completion(rng, n: int, prec: int):
 def check_cocycle(rng, n: int):
     """The residual of a fresh cocycle vanishes, a perturbed one does not, and
     the necessity solve recovers exactly the theta-dual block."""
-    seed = rng.randint(0, 2 ** 32 - 1)
-    c = cocycle.fresh_symbol_cocycle(n, seed=seed)
+    c = cocycle.fresh_symbol_cocycle(n, seed=rng.randint(0, 2 ** 32 - 1))
     zero = cocycle.verify_form_preservation(c).is_zero
     perturbed = cocycle.perturb_gamma(c, slot=rng.randrange(2 * n - 2))
     nonzero = not cocycle.verify_form_preservation(perturbed).is_zero
-    u = random_symplectic(n - 1, seed)
     l = Fraction(rng.choice([1, 2, 3, -1, -2]), rng.choice([1, 2]))
     d = tuple(Fraction(rng.randint(-4, 4)) for _ in range(2 * n - 2))
     a = Fraction(rng.randint(-4, 4))
-    res = cocycle.necessity_solve(n, l, u, d, a)
-    want = cocycle.theta_dual(d, u, l, cocycle.middle_theta(n))
+    res = cocycle.necessity_solve(n, l, c.u, d, a)
+    want = cocycle.theta_dual(d, c.u, l, cocycle.middle_theta(n))
     necessity_ok = res.unique and list(res.gamma) == [Fraction(w) for w in want]
     ok = zero and nonzero and necessity_ok
     return ok, "" if ok else (

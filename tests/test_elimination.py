@@ -2,7 +2,9 @@
 (tests/matrix_oracles.py), with sympy for the ranks, and the typed error on
 entries that are not rational."""
 
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,7 @@ from matrix_oracles import rref_inverse, rref_rank_kernel, rref_solve
 from spinorlab.matrix import (
     ExactMatrix,
     _integer_rows,
+    _rref_int,
     inverse,
     mat_rank_kernel,
     rank,
@@ -82,6 +85,93 @@ def test_random_products_match_the_fraction_route(block):
             assert S * got_inv == ExactMatrix.identity(m)
             counts["inverted"] += 1
     # every branch is exercised in every block
+    assert all(counts.values()), counts
+
+
+def sparse_matrix(rng, m, n, density=0.15):
+    """An m x n matrix with about density nonzero entries, ints and
+    fractions."""
+    return ExactMatrix(
+        [[mixed(rng) if rng.random() < density else 0 for _ in range(n)] for _ in range(m)],
+        cols=n,
+    )
+
+
+def deficient(rng, M, k):
+    """M with k of its columns replaced by combinations of two others."""
+    cols = [list(c) for c in M.transpose().entries]
+    for j in rng.sample(range(len(cols)), k):
+        others = [i for i in range(len(cols)) if i != j]
+        a, b = rng.choice(others), rng.choice(others)
+        x, y = rng.choice([1, -1, 2]), rng.choice([0, 1, Fraction(1, 3)])
+        cols[j] = [x * u + y * v for u, v in zip(cols[a], cols[b])]
+    return ExactMatrix(cols, cols=M.rows).transpose()
+
+
+def reaches_catch_up(fn, *args):
+    """Whether fn(*args) runs the step of _rref_int that brings a stale pivot
+    row up to the current level."""
+    lines, first = inspect.getsourcelines(_rref_int)
+    (target,) = [first + i for i, ln in enumerate(lines) if "rows[r] = [x * prev //" in ln]
+    code, hit = _rref_int.__code__, set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            hit.add(frame.f_lineno)
+        return local
+
+    old = sys.gettrace()
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(old)
+    return target in hit
+
+
+@pytest.mark.parametrize("block", range(4))
+def test_sparse_and_tall_match_the_fraction_route(block):
+    """Sparse tall matrices leave most rows zero in each pivot column, so
+    the elimination skips them and later meets them, stale, as pivot rows:
+    full column rank, rank-deficient, [A|b] and [A|I] shapes."""
+    counts = {"full": 0, "deficient": 0, "none": 0, "solved": 0,
+              "singular": 0, "inverted": 0, "stale": 0}
+    for seed in range(block * 20, block * 20 + 20):
+        rng = random.Random(10_000 + seed)
+        n = rng.randint(2, 12)
+        m = rng.randint(n, 40)
+        M = sparse_matrix(rng, m, n)
+        if seed % 2:
+            M = deficient(rng, M, rng.randint(1, n - 1))
+
+        got = mat_rank_kernel(M)
+        assert exactly_equal(got, rref_rank_kernel(M)), (seed, M)
+        assert got[0] == rank(M) == sympy_rank(M)
+        counts["full" if got[0] == n else "deficient"] += 1
+
+        x0 = [mixed(rng) for _ in range(n)]
+        for b in (M.apply(x0), [mixed(rng) if rng.random() < 0.15 else 0 for _ in range(m)]):
+            x = solve_linear(M, b)
+            assert exactly_equal(x, rref_solve(M, b)), (seed, M, b)
+            counts["none" if x is None else "solved"] += 1
+            if x is not None:
+                assert M.apply(x) == tuple(b)
+
+        S = sparse_matrix(rng, n, n, 0.25)
+        try:
+            want = rref_inverse(S)
+        except ValueError:
+            with pytest.raises(ValueError):
+                inverse(S)
+            counts["singular"] += 1
+        else:
+            got_inv = inverse(S)
+            assert exactly_equal(got_inv, want), (seed, S)
+            assert S * got_inv == ExactMatrix.identity(n)
+            counts["inverted"] += 1
+
+        counts["stale"] += reaches_catch_up(mat_rank_kernel, M)
+    # every shape and outcome, and stale pivot rows, occur in every block
     assert all(counts.values()), counts
 
 

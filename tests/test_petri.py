@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from petri_oracles import multipoly_petri_matrix
 from spinorlab.lie import sl2_sym_cube, sl2_w_plus_wdual, sp_standard
@@ -129,6 +130,7 @@ class TestConvolutionOracle:
     REPS = {
         "sp2": lambda: sp_standard(1),
         "sp4": lambda: sp_standard(2),
+        "sp6": lambda: sp_standard(3),
         "sp8": lambda: sp_standard(4),
         "sl2-W+W*": sl2_w_plus_wdual,
         "sl2-Sym3": sl2_sym_cube,
@@ -148,6 +150,36 @@ class TestConvolutionOracle:
             got = petri_matrix(space, psi).matrix
             want = multipoly_petri_matrix(space, psi)
             assert _exact_entries(got) == _exact_entries(want)
+
+    @pytest.mark.parametrize("name, s", [
+        *((name, s) for name in ("sp2", "sp4", "sp6", "sp8") for s in (1, 2, 3, 4)),
+        *(("sl2-W+W*", s) for s in (1, 2, 3)),
+    ])
+    def test_kernel_matches_multipoly_route(self, name, s):
+        """petri_kernel eliminates the integer rows, not the Fraction matrix:
+        its basis is the RREF kernel basis of the MultiPoly route's matrix,
+        and its size is sympy's nullity of that matrix."""
+        space = SectionSpace(self.REPS[name](), s)
+        rng = random.Random(100 * s + len(name))
+        sections = [
+            [0] * space.dim,
+            [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 5, 12])) for _ in range(space.dim)],
+            [rng.choice([0, 0, 0, 1, -3]) for _ in range(space.dim)],
+        ]
+        sizes = []
+        for psi in sections:
+            want = multipoly_petri_matrix(space, psi)
+            kernel = petri_kernel(space, psi)
+            assert kernel == mat_rank_kernel(want)[1]
+            assert all(x == 0 for v in kernel for x in want.apply(v))
+            nullity = len(sympy.Matrix(want.rows, want.cols, [
+                sympy.Rational(x.numerator, x.denominator) for r in want.entries for x in r
+            ]).nullspace())
+            assert len(kernel) == nullity
+            sizes.append(nullity)
+        assert sizes[0] == space.dim
+        # sp(2n) is injective at a nonzero section; W + W* never is
+        assert (sizes[1] > 0) == (name == "sl2-W+W*")
 
     def test_length_mismatch_rejected(self):
         space = SectionSpace(sp_standard(1), 2)

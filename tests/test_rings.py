@@ -176,6 +176,26 @@ class TestLaurentPoly:
             return
         assert (p * q).ord() == p.ord() + q.ord()
 
+    @given(
+        st.lists(st.tuples(st.integers(-4, 4), polys()), max_size=4),
+        st.one_of(rationals, st.integers(-9, 9)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_scalar_product_matches_convolution(self, terms, c):
+        """A rational factor scales the coefficients; the product equals the
+        convolution with a constant, with the same coefficient types."""
+        p = LaurentPoly("z", {k: q for k, q in terms})
+        want = p * LaurentPoly.const("z", c)
+
+        def shape(f):
+            return {k: (q.vars, {e: (type(v), v) for e, v in q.terms.items()})
+                    for k, q in f.coeffs.items()}
+
+        for got in (p * c, c * p):
+            assert type(got) is LaurentPoly and got.var == "z"
+            assert got == want and shape(got) == shape(want)
+            assert all(type(q) is MultiPoly for q in got.coeffs.values())
+
     def test_coefficients_carry_other_variables(self):
         t = MultiPoly.var("t")
         z = LaurentPoly.term("z", 1)
