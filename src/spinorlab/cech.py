@@ -22,7 +22,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .matrix import ExactMatrix, _integer_rows, inverse, mat_rank_kernel, rank
+from .matrix import ExactMatrix, _integer_rows, _inverse_rows, mat_rank_kernel, rank
 
 
 class InvalidModelError(ValueError):
@@ -340,12 +340,21 @@ def _extend_to_basis(rng, M):
 
 def _cleared_inverse(P: ExactMatrix):
     """``(den, N)``: den is the lcm of the denominators of P^-1 and N = den P^-1,
-    an integer matrix."""
-    inv = inverse(P).entries
-    den = math.lcm(*(x.denominator for r in inv for x in r))
-    return den, ExactMatrix(
-        [[x.numerator * (den // x.denominator) for x in r] for r in inv], cols=P.cols
-    )
+    an integer matrix.
+
+    Both come from the integer rows of the reduced [P | I], built without a
+    Fraction: row i of P^-1 is x / p over the right block x of row i and its
+    pivot entry p, so with g = gcd(p, x) its reduced denominator is |p| / g,
+    and den times the row is (x / g) * (den / (p / g)).
+    """
+    n = P.cols
+    rows = _inverse_rows(P)
+    cleared = []
+    for i, row in enumerate(rows):
+        g = math.gcd(row[i], *row[n:])
+        cleared.append((row[i] // g, [x // g for x in row[n:]]))
+    den = math.lcm(*(p for p, _ in cleared))
+    return den, ExactMatrix([[x * (den // p) for x in xs] for p, xs in cleared], cols=n)
 
 
 def _random_square(rng: random.Random, max_dim: int):

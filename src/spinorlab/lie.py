@@ -9,6 +9,7 @@ through commutant dimensions instead of running a full Meataxe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,9 +20,7 @@ from .rings import _is_rat, is_zero
 
 def nonzero_entries(M: ExactMatrix):
     """The nonzero entries of a matrix as (row, col, value) triples."""
-    return tuple(
-        (r, c, x) for r, row in enumerate(M.entries) for c, x in enumerate(row) if not is_zero(x)
-    )
+    return tuple((r, c, x) for r, row in enumerate(M.entries) for c, x in enumerate(row) if x)
 
 
 def _flattened(M: ExactMatrix) -> dict:
@@ -75,10 +74,11 @@ class MatrixLieAlgebra:
                         for m, x in rows:
                             for c, y in by_row[b].get(m, ()):
                                 br[r * d + c] = br.get(r * d + c, 0) + sign * x * y
-                coords = self._coord_solver.coords(br)
-                if coords is None:
+                scaled = self._coord_solver.scaled_coords(br)
+                if scaled is None:
                     raise ValueError("basis is not closed under the bracket")
-                cs = {k: c for k, c in enumerate(coords) if c != 0}
+                den = self._coord_solver.den
+                cs = {k: Fraction(x, den) for k, x in sorted(scaled.items()) if x}
                 if cs:
                     table[(i, j)] = cs
                     table[(j, i)] = {k: -c for k, c in cs.items()}
@@ -100,24 +100,34 @@ class MatrixLieAlgebra:
     def trace_gram(self) -> ExactMatrix:
         """Gram matrix of the trace form B(X,Y) = tr(XY) on the basis."""
         d = self.ambient_dim
-        # tr(XY) = sum over entries X_rc of X_rc * Y_cr
-        transposed = [{(p % d) * d + p // d: x for p, x in f.items()} for f in self._flat]
-        return ExactMatrix(
-            [
-                [sum(x * yt[p] for p, x in fx.items() if p in yt) for yt in transposed]
-                for fx in self._flat
-            ]
-        )
+        # tr(XY) = sum over entries X_rc of X_rc * Y_cr: at[p] lists the
+        # (j, X_j entry) whose transposed position is p
+        at = {}
+        for j, f in enumerate(self._flat):
+            for p, y in f.items():
+                at.setdefault((p % d) * d + p // d, []).append((j, y))
+        gram = [[0] * self.dim for _ in range(self.dim)]
+        for row, f in zip(gram, self._flat):
+            for p, x in f.items():
+                for j, y in at.get(p, ()):
+                    row[j] += x * y
+        return ExactMatrix(gram)
 
 
 class _CoordinateSolver:
     """Solves sum_j c_j X_j = Y for a fixed linearly independent list of
     flattened matrices X_j, given as sparse {position: value} maps.
 
-    One RREF of the D x (size + D) matrix [F | I], with F the D x size matrix
-    whose rows are the X_j, does all the elimination.  Its pivots P are D
-    positions at which the X_j are independent, and its right block E is the
-    inverse of F restricted to the columns P, so c_j = sum_p E[p][j] y[P_p].
+    One fraction-free RREF of the D x (size + D) matrix [F | I], with F the
+    D x size matrix whose rows are the X_j, does all the elimination.  Its
+    pivots P are D positions at which the X_j are independent; its integer
+    row r divided by its pivot entry has, in the right block, row r of the
+    inverse E of F restricted to the columns P, so c_j = sum_r E[r][j] y[P_r].
+    With den the lcm of the pivot entries, den E is an integer matrix, kept
+    as a map from each pivot position to its nonzero (j, den E[r][j]).  A
+    solve walks the nonzeros of y only and sums den c in integers (for an
+    integer y); the result is checked on the full system before den is
+    divided out.
     """
 
     def __init__(self, columns, size: int):
@@ -133,25 +143,42 @@ class _CoordinateSolver:
         if len(self.sel) != dim:
             raise ValueError("basis matrices are linearly dependent")
         self.columns = columns
-        self.inv_rows = [[(j, e) for j, e in enumerate(row[size:]) if e] for row in rows]
+        self.den = den = math.lcm(*(row[p] for row, p in zip(rows, self.sel)))
+        self.inv = {
+            p: [(j, e * (den // row[p])) for j, e in enumerate(row[size:]) if e]
+            for row, p in zip(rows, self.sel)
+        }
+
+    def scaled_coords(self, y: dict):
+        """``{j: den c_j}`` over the j that the nonzeros of ``y`` reach, for
+        the flattened matrix with entries ``y``, or None when it lies
+        outside the span."""
+        inv = self.inv
+        acc = {}
+        for pos, v in y.items():
+            if v and pos in inv:
+                for j, e in inv[pos]:
+                    acc[j] = acc.get(j, 0) + e * v
+        # verify on the full system; None signals y outside the span
+        back = {}
+        for j, cj in acc.items():
+            if cj:
+                for pos, x in self.columns[j].items():
+                    back[pos] = back.get(pos, 0) + cj * x
+        den = self.den
+        if {p: v for p, v in back.items() if v} != {p: den * v for p, v in y.items() if v}:
+            return None
+        return acc
 
     def coords(self, y: dict):
         """Coordinates of the flattened matrix with nonzero entries ``y``, or
         None when it lies outside the span."""
-        c = [0] * len(self.columns)
-        for pos, inv_row in zip(self.sel, self.inv_rows):
-            v = y.get(pos, 0)
-            if v:
-                for j, e in inv_row:
-                    c[j] += e * v
-        # verify on the full system; None signals y outside the span
-        back = {}
-        for cj, col in zip(c, self.columns):
-            if cj:
-                for pos, x in col.items():
-                    back[pos] = back.get(pos, 0) + cj * x
-        if {p: v for p, v in back.items() if v} != {p: v for p, v in y.items() if v}:
+        scaled = self.scaled_coords(y)
+        if scaled is None:
             return None
+        c = [0] * len(self.columns)
+        for j, x in scaled.items():
+            c[j] = Fraction(x, self.den)
         return tuple(c)
 
 
@@ -384,18 +411,16 @@ def almost_saturated_check(rep: SymplecticRep) -> SaturationVerdict:
 @lru_cache(maxsize=None)
 def sp_algebra(n: int) -> MatrixLieAlgebra:
     """sp(2n) in the interleaved frame: X = Omega^{-1} S for S symmetric."""
-    omega = standard_omega(n)
-    neg_omega = omega.scale(-1)  # Omega^{-1} = -Omega in this frame
     dim = 2 * n
     basis = []
     for i in range(dim):
         for j in range(i, dim):
-            S = [[0] * dim for _ in range(dim)]
-            S[i][j] += 1
-            S[j][i] += 1 if i != j else 0
-            if i == j:
-                S[i][j] = 1
-            basis.append(neg_omega * ExactMatrix(S))
+            # -Omega (E_ij + E_ji), or -Omega E_ii: row 2k of -Omega is
+            # -e_{2k+1} and row 2k+1 is e_{2k}, so E_ab moves to row a ^ 1
+            X = [[0] * dim for _ in range(dim)]
+            for a, b in ((i, j), (j, i)):
+                X[a ^ 1][b] = -1 if a % 2 else 1
+            basis.append(ExactMatrix(X))
     return MatrixLieAlgebra(basis, name=f"sp{2*n}")
 
 

@@ -5,11 +5,11 @@ symplectic matrices built from transvections.
 Every dense multiply-and-sum, in products and in ``char_poly``, goes
 through ``rings.dot``.
 
-Elimination never builds a Fraction until the end: rows are cleared of their
-denominators and reduced over Z by fraction-free elimination (Bareiss),
-below the pivots for ``rank`` and Gauss-Jordan style for
-``mat_rank_kernel``, ``solve_linear`` and ``inverse``.  Entries that are not
-rational raise ``UnsupportedRingError``.
+Elimination builds no Fraction: rows are cleared of their denominators and
+reduced over Z by fraction-free elimination (Bareiss), below the pivots for
+``rank`` and Gauss-Jordan style for ``mat_rank_kernel``, ``solve_linear``
+and ``inverse``, which divide only the entries they return.  Entries that
+are not rational raise ``UnsupportedRingError``.
 """
 
 from __future__ import annotations
@@ -195,9 +195,13 @@ class ExactMatrix:
 # of a Bareiss row is a k+1 minor of the input, so the division by the
 # previous pivot is exact.  _rref_int is lazy: a row that is zero in the
 # pivot column keeps its stored entries, and the pivot it last saw (its
-# level) tells the next update what to divide by.  _rank_bareiss stays
-# eager: its inputs are small and dense, where the bookkeeping costs more
-# than the skipped rows save.
+# level) tells the next update what to divide by.  It hands back integer
+# rows: a pivot row divided by its own pivot entry is a row of the reduced
+# form, and each caller divides only the entries it reads (_kernel_from,
+# solve_linear, inverse; lie, moment and cech read the integer rows of
+# [F | I], [G | I] and [P | I] themselves).  _rank_bareiss stays eager: its inputs
+# are small and dense, where the bookkeeping costs more than the skipped
+# rows save.
 
 
 def _integer_rows(entries):
@@ -233,9 +237,10 @@ def _rref_int(rows, ncols):
     Both divisions are exact, because each result is a Bareiss row, whose
     entries are minors of the input.  A stored row is a nonzero multiple of
     its Bareiss row, so the zero tests choose the same pivots as eager
-    elimination.  The pivot rows come back as Fraction rows of the reduced
-    form, each divided by its own pivot entry; the rows past the rank keep
-    integer entries, which are zero in the first ncols columns.
+    elimination.  The rows stay integers: pivot row r has the nonzero
+    entry rows[r][pivots[r]], is zero in every other pivot column, and
+    divided by that entry is row r of the reduced form.  The rows past the
+    rank are zero in the first ncols columns.
     """
     pivots = []
     lev = [1] * len(rows)
@@ -272,27 +277,30 @@ def _rref_int(rows, ncols):
         pivots.append(c)
         if len(pivots) == len(rows):
             break
-    if pivots:
-        width = len(rows[0])
-        free = [c for c in range(width) if c not in pivots]
-        one, zero = Fraction(1), Fraction(0)
-        for r, pc in enumerate(pivots):
-            src = rows[r]
-            d = src[pc]
-            row = [zero] * width
-            row[pc] = one
-            for c in free:
-                row[c] = Fraction(src[c], d)
-            rows[r] = row
     return pivots
 
 
 def _reduce(entries, ncols):
-    """Reduced row echelon form of rational rows, pivoting on the first ncols
-    columns; returns ``(rows, pivots)``.  The rows past the rank are zero in
-    the first ncols columns."""
+    """Rational rows cleared of denominators and reduced by ``_rref_int`` on
+    the first ncols columns; returns ``(rows, pivots)`` with integer rows."""
     rows = _integer_rows(entries)
     return rows, _rref_int(rows, ncols)
+
+
+def _kernel_from(rows, pivots, ncols):
+    """Kernel basis of the first ncols columns of rows that ``_rref_int``
+    reduced: one vector per free column fc, with 1 at fc and
+    -rows[r][fc] / rows[r][pc] at each pivot column pc."""
+    kernel = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(rows, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
+        kernel.append(tuple(v))
+    return kernel
 
 
 def mat_rank_kernel(M: ExactMatrix):
@@ -302,16 +310,7 @@ def mat_rank_kernel(M: ExactMatrix):
     M.apply(v) == 0 and rank + len(kernel_basis) == M.cols.
     """
     rows, pivots = _reduce(M.entries, M.cols)
-    kernel = []
-    for fc in range(M.cols):
-        if fc in pivots:
-            continue
-        v = [Fraction(0)] * M.cols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
-        kernel.append(tuple(v))
-    return len(pivots), kernel
+    return len(pivots), _kernel_from(rows, pivots, M.cols)
 
 
 def rank(M: ExactMatrix) -> int:
@@ -357,13 +356,15 @@ def solve_linear(M: ExactMatrix, b):
     if any(row[M.cols] for row in aug[len(pivots):]):
         return None
     x = [Fraction(0)] * M.cols
-    for r, pc in enumerate(pivots):
-        x[pc] = aug[r][M.cols]
+    for row, pc in zip(aug, pivots):
+        x[pc] = Fraction(row[M.cols], row[pc])
     return tuple(x)
 
 
-def inverse(M: ExactMatrix) -> ExactMatrix:
-    """Exact inverse of a square matrix over Q."""
+def _inverse_rows(M: ExactMatrix):
+    """The integer rows of [M | I] reduced by ``_rref_int``: row r divided by
+    its pivot entry rows[r][r] is row r of [I | M^-1].  Raises ValueError
+    when M is singular."""
     if not M.is_square:
         raise ShapeError("inverse needs a square matrix")
     n = M.rows
@@ -371,7 +372,15 @@ def inverse(M: ExactMatrix) -> ExactMatrix:
     aug, pivots = _reduce([(*r, *e) for r, e in zip(M.entries, ident)], n)
     if len(pivots) != n:
         raise ValueError("matrix is singular")
-    return ExactMatrix([r[n:] for r in aug])
+    return aug
+
+
+def inverse(M: ExactMatrix) -> ExactMatrix:
+    """Exact inverse of a square matrix over Q."""
+    n = M.rows
+    return ExactMatrix(
+        [[Fraction(x, row[r]) for x in row[n:]] for r, row in enumerate(_inverse_rows(M))]
+    )
 
 
 def char_poly(M: ExactMatrix):

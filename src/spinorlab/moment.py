@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .lie import SymplecticRep, nonzero_entries
-from .matrix import ExactMatrix, char_poly, inverse
+from .matrix import ExactMatrix, _inverse_rows, char_poly
 from .rings import is_zero
 
 
@@ -44,6 +44,13 @@ class MomentContext:
     polarizations S_k = Z_k + Z_k^T, the rho_j (cleared of their common
     denominator) and the structure constants (likewise) are all kept as
     sparse integer (row, col, value) entries.
+
+    The Gram inverse is read from the integer rows of the reduced [G | I]:
+    with den_G the lcm of their pivot entries, den_G G^-1 is an integer
+    matrix, kept as sparse columns.  The A_j = rho_j^T Omega are cleared of
+    their common denominator t, so every sum below is an integer multiple
+    of 1/(den_G t), and q is den_G t over the gcd of den_G t and all sums:
+    the lcm of their reduced denominators.
     """
 
     def __init__(self, rep: SymplecticRep, b_scale=1):
@@ -53,29 +60,41 @@ class MomentContext:
         gram = rep.algebra.trace_gram().scale(b_scale)
         self.gram_B = gram
         try:
-            ginv = inverse(gram)
+            rows = _inverse_rows(gram)
         except ValueError as exc:
             raise InvalidContextError("Gram matrix of B is singular") from exc
         D = rep.algebra.dim
+        den_g = math.lcm(*(row[k] for k, row in enumerate(rows)))
+        # ginv_cols[j] lists (k, den_G ginv[k][j]) over the nonzero entries
+        ginv_cols = [[] for _ in range(D)]
+        for k, row in enumerate(rows):
+            scale = den_g // row[k]
+            for j, x in enumerate(row[D:]):
+                if x:
+                    ginv_cols[j].append((k, x * scale))
         omega_rows = {}
         for m, c, w in nonzero_entries(rep.omega):
             omega_rows.setdefault(m, []).append((c, w))
         # rhs_j(psi) = omega(rho(X_j) psi, psi) = psi^T A_j psi, A_j = rho_j^T Omega,
         # and Z_k / q = sum_j ginv[k][j] A_j
-        qs = [{} for _ in range(D)]
-        for j, R in enumerate(rep.rho):
+        As = []
+        for R in rep.rho:
             A = {}
             for m, r, x in nonzero_entries(R):
                 for c, w in omega_rows.get(m, ()):
                     A[r, c] = A.get((r, c), 0) + x * w
-            for k in range(D):
-                g = ginv.entries[k][j]
-                if g:
-                    for rc, a in A.items():
-                        qs[k][rc] = qs[k].get(rc, 0) + g * a
-        q = math.lcm(*(Fraction(x).denominator for f in qs for x in f.values()))
-        self._q_inv = Fraction(1, q)
-        self._Z = [_sparse({rc: x * q for rc, x in f.items()}) for f in qs]
+            As.append(A)
+        t = math.lcm(*(a.denominator for A in As for a in A.values()))
+        qs = [{} for _ in range(D)]
+        for col, A in zip(ginv_cols, As):
+            A = [(rc, a.numerator * (t // a.denominator)) for rc, a in A.items()]
+            for k, g in col:
+                f = qs[k]
+                for rc, a in A:
+                    f[rc] = f.get(rc, 0) + g * a
+        h = math.gcd(den_g * t, *(x for f in qs for x in f.values()))
+        self._q_inv = Fraction(h, den_g * t)
+        self._Z = [_sparse({rc: x // h for rc, x in f.items()}) for f in qs]
         self._S = []
         for Z in self._Z:
             S = {}
@@ -84,17 +103,17 @@ class MomentContext:
                 S[c, r] = S.get((c, r), 0) + v
             self._S.append(_sparse(S))
         rho = [nonzero_entries(R) for R in rep.rho]
-        self._rho_den = math.lcm(*(Fraction(x).denominator for e in rho for _, _, x in e))
-        self._rho = [[(r, c, int(x * self._rho_den)) for r, c, x in e] for e in rho]
+        self._rho_den = d = math.lcm(*(x.denominator for e in rho for _, _, x in e))
+        self._rho = [[(r, c, x.numerator * (d // x.denominator)) for r, c, x in e] for e in rho]
         table = rep.algebra.structure_constants
-        self._bracket_den = math.lcm(
-            *(Fraction(x).denominator for cs in table.values() for x in cs.values())
+        self._bracket_den = e = math.lcm(
+            *(x.denominator for cs in table.values() for x in cs.values())
         )
         # _ad[i] lists (j, k, e c^k_ij): [X_i, X_j] = sum_k c^k_ij X_k
         self._ad = [[] for _ in range(D)]
         for (i, j), cs in table.items():
             for k, x in cs.items():
-                self._ad[i].append((j, k, int(x * self._bracket_den)))
+                self._ad[i].append((j, k, x.numerator * (e // x.denominator)))
 
     # -- evaluation -----------------------------------------------------
 
@@ -114,7 +133,7 @@ def _forms(forms, a, b):
         acc = 0
         for r, c, v in entries:
             x, y = a[r], b[c]
-            if is_zero(x) or is_zero(y):
+            if not x or not y:
                 continue
             acc = acc + v * x * y
         out.append(acc)

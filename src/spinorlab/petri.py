@@ -11,9 +11,9 @@ layer, so the matrix is built by convolving the integer coefficients of psi
 (cleared of denominators) against the sparse forms S_k, with no polynomial
 objects.  That gives integer rows and one common denominator; the kernel
 is that of the integer rows, so ``petri_kernel`` hands them straight to the
-fraction-free elimination and never builds a Fraction entry.  The
-column-by-column ``MultiPoly`` route it replaced is kept beside the tests
-(``tests/petri_oracles.py``) as its oracle.
+fraction-free elimination and builds Fractions only for the kernel vectors.
+The column-by-column ``MultiPoly`` route it replaced is kept beside the
+tests (``tests/petri_oracles.py``) as its oracle.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lie import SymplecticRep
-from .matrix import ExactMatrix, ShapeError, mat_rank_kernel
+from .matrix import ExactMatrix, ShapeError, _kernel_from, _rref_int
 from .moment import MomentContext, _clear_denominators, moment_differential, moment_map
 from .rings import MultiPoly
 
@@ -123,10 +123,10 @@ def petri_matrix(space: SectionSpace, psi) -> PetriMatrix:
 def petri_kernel(space: SectionSpace, psi):
     """Exact kernel basis of the section-level differential at psi; empty
     means the map is injective.  The integer rows are den times the matrix
-    and have its kernel, so no Fraction entry is built."""
+    and have its kernel, so they are eliminated as they are: no Fraction
+    entry is built before the kernel vectors."""
     _, rows, _ = _petri_rows(space, psi)
-    _, kernel = mat_rank_kernel(ExactMatrix(rows))
-    return kernel
+    return _kernel_from(rows, _rref_int(rows, space.dim), space.dim)
 
 
 def petri_apply_pointwise(space: SectionSpace, psi, psidot, x0):

@@ -6,6 +6,8 @@ P^-1, and scales the matching differential by den.  The route below is the
 one it replaced: the same draws, solved with P^-1 itself, so the solved
 blocks carry ``Fraction`` entries.  Each builder also returns the den the
 integer route clears, so a test can compare the two exactly.
+``fraction_cleared_inverse`` is the route ``cech._cleared_inverse`` replaced:
+it reads den and den P^-1 off the ``Fraction`` entries of ``inverse(P)``.
 """
 
 import math
@@ -81,3 +83,12 @@ def frac_random_morphism(rng, max_dim=5, ensure_hypothesis=True):
     morphism = ComplexMorphism(src, tgt, phi10, phi11)
     morphism.validate()
     return morphism, den_src, den
+
+
+def fraction_cleared_inverse(P):
+    """``(den, den P^-1)`` from the Fraction entries of P^-1."""
+    inv = inverse(P).entries
+    den = math.lcm(*(x.denominator for r in inv for x in r))
+    return den, ExactMatrix(
+        [[x.numerator * (den // x.denominator) for x in r] for r in inv], cols=P.cols
+    )

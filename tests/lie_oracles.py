@@ -1,0 +1,103 @@
+"""Reference routes for building a matrix Lie algebra, kept only as test
+oracles.
+
+``spinorlab.lie`` builds each sp(2n) basis matrix -Omega (E_ij + E_ji) entry
+by entry, and solves for coordinates sparsely in integers: den times the
+inverse block of one fraction-free RREF of [F | I], looked up from the
+nonzeros of y.  The routes below are the ones it replaced: the dense product
+-Omega S, and a solve that walks every pivot of a Fraction-row Gauss-Jordan
+reduction of [F | I] (``matrix_oracles._rref``) into a dense coordinate
+list.
+"""
+
+from fractions import Fraction
+
+from matrix_oracles import _rref
+from spinorlab.matrix import ExactMatrix, standard_omega
+
+
+def dense_sp_basis(n):
+    """The basis -Omega S of sp(2n), S running over E_ii and E_ij + E_ji."""
+    neg_omega = standard_omega(n).scale(-1)  # Omega^{-1} = -Omega in this frame
+    dim = 2 * n
+    basis = []
+    for i in range(dim):
+        for j in range(i, dim):
+            S = [[0] * dim for _ in range(dim)]
+            S[i][j] = 1
+            S[j][i] = 1
+            basis.append(neg_omega * ExactMatrix(S))
+    return basis
+
+
+def flattened(M):
+    """{r * cols + c: entry} over the nonzero entries of M."""
+    return {r * M.cols + c: x for r, row in enumerate(M.entries) for c, x in enumerate(row) if x}
+
+
+class DenseCoordinateSolver:
+    """Coordinates in a linearly independent list of square matrices, from
+    the Fraction rows of the reduced [F | I]."""
+
+    def __init__(self, basis):
+        self.columns = [flattened(X) for X in basis]
+        size = basis[0].rows ** 2
+        dim = len(basis)
+        rows = []
+        for j, col in enumerate(self.columns):
+            row = [Fraction(0)] * (size + dim)
+            for pos, x in col.items():
+                row[pos] = Fraction(x)
+            row[size + j] = Fraction(1)
+            rows.append(row)
+        self.sel = _rref(rows, size)
+        if len(self.sel) != dim:
+            raise ValueError("basis matrices are linearly dependent")
+        self.inv_rows = [[(j, e) for j, e in enumerate(row[size:]) if e] for row in rows]
+
+    def coords(self, y: dict):
+        """Coordinates of the flattened matrix ``y``, or None off the span."""
+        c = [0] * len(self.columns)
+        for pos, inv_row in zip(self.sel, self.inv_rows):
+            v = y.get(pos, 0)
+            if v:
+                for j, e in inv_row:
+                    c[j] += e * v
+        back = {}
+        for cj, col in zip(c, self.columns):
+            if cj:
+                for pos, x in col.items():
+                    back[pos] = back.get(pos, 0) + cj * x
+        if {p: v for p, v in back.items() if v} != {p: v for p, v in y.items() if v}:
+            return None
+        return tuple(c)
+
+
+def _bracket(X, Y, d):
+    """[X, Y] = XY - YX of flattened d x d matrices, as a flattened map."""
+    out = {}
+    for A, B, sign in ((X, Y, 1), (Y, X, -1)):
+        for p, x in A.items():
+            r, m = divmod(p, d)
+            for q, y in B.items():
+                if q // d == m:
+                    pos = r * d + q % d
+                    out[pos] = out.get(pos, 0) + sign * x * y
+    return out
+
+
+def dense_structure_constants(basis):
+    """{(i, j): {k: c^k_ij}} over the nonzero c, for i != j."""
+    solver = DenseCoordinateSolver(basis)
+    d = basis[0].rows
+    table = {}
+    for i, X in enumerate(solver.columns):
+        for j in range(i + 1, len(basis)):
+            coords = solver.coords(_bracket(X, solver.columns[j], d))
+            if coords is None:
+                raise ValueError("basis is not closed under the bracket")
+            cs = {k: c for k, c in enumerate(coords) if c}
+            if cs:
+                table[(i, j)] = cs
+                table[(j, i)] = {k: -c for k, c in cs.items()}
+    return table

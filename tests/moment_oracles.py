@@ -4,9 +4,16 @@
 differential, structure constants for the bracket, integer arithmetic for the
 equivariance check.  The routes below are the direct ones it replaced: the
 differential as the eps-linear part of mu over the dual numbers, and the
-equivariance identity checked on ambient matrices.
+equivariance identity checked on ambient matrices.  ``MomentContext`` reads
+its Gram inverse from integer rows and forms its sums in integers; the
+Fraction route it replaced is ``fraction_context_fields``.
 """
 
+import math
+from fractions import Fraction
+
+from matrix_oracles import rref_inverse
+from spinorlab.lie import nonzero_entries
 from spinorlab.moment import moment_map
 from spinorlab.rings import Dual
 
@@ -27,3 +34,55 @@ def ambient_equivariance_check(ctx, psi, xi_coords):
     mu_mat = rep.algebra.from_coordinates(moment_map(ctx, psi))
     residual = lhs - (xi_mat * mu_mat - mu_mat * xi_mat)
     return residual.is_zero, residual
+
+
+def fraction_context_fields(rep, b_scale=1):
+    """The fields of ``MomentContext(rep, b_scale)`` by the Fraction route:
+    Z_k / q = sum_j ginv[k][j] rho_j^T Omega with ginv the Fraction inverse of
+    the Gram matrix, and q the lcm of the reduced denominators of the sums."""
+    ginv = rref_inverse(rep.algebra.trace_gram().scale(b_scale))
+    D = rep.algebra.dim
+    omega_rows = {}
+    for m, c, w in nonzero_entries(rep.omega):
+        omega_rows.setdefault(m, []).append((c, w))
+    qs = [{} for _ in range(D)]
+    for j, R in enumerate(rep.rho):
+        A = {}
+        for m, r, x in nonzero_entries(R):
+            for c, w in omega_rows.get(m, ()):
+                A[r, c] = A.get((r, c), 0) + x * w
+        for k in range(D):
+            g = ginv.entries[k][j]
+            if g:
+                for rc, a in A.items():
+                    qs[k][rc] = qs[k].get(rc, 0) + g * a
+    q = math.lcm(*(Fraction(x).denominator for f in qs for x in f.values()))
+    Z = [_sparse({rc: x * q for rc, x in f.items()}) for f in qs]
+    S = []
+    for entries in Z:
+        P = {}
+        for r, c, v in entries:
+            P[r, c] = P.get((r, c), 0) + v
+            P[c, r] = P.get((c, r), 0) + v
+        S.append(_sparse(P))
+    rho = [nonzero_entries(R) for R in rep.rho]
+    rho_den = math.lcm(*(Fraction(x).denominator for e in rho for _, _, x in e))
+    table = rep.algebra.structure_constants
+    bracket_den = math.lcm(*(Fraction(x).denominator for cs in table.values() for x in cs.values()))
+    ad = [[] for _ in range(D)]
+    for (i, j), cs in table.items():
+        for k, x in cs.items():
+            ad[i].append((j, k, int(x * bracket_den)))
+    return {
+        "_Z": Z,
+        "_S": S,
+        "_q_inv": Fraction(1, q),
+        "_rho_den": rho_den,
+        "_rho": [[(r, c, int(x * rho_den)) for r, c, x in e] for e in rho],
+        "_bracket_den": bracket_den,
+        "_ad": ad,
+    }
+
+
+def _sparse(entries):
+    return [(r, c, int(v)) for (r, c), v in entries.items() if v]

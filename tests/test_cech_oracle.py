@@ -1,22 +1,26 @@
 """The integer route for random Cech squares against the ``Fraction`` route it
-replaced (``cech_oracles``): the same draws, the same models up to the cleared
-denominator, the same ranks, and integer entries throughout."""
+replaced (``cech_oracles``): the same cleared inverses, the same draws, the
+same models up to the cleared denominator, the same ranks, and integer entries
+throughout."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from spinorlab.cech import (
     TwoTermCechModel,
+    _cleared_inverse,
     _kernel_columns,
+    _rand_invertible,
     hypercohomology,
     j_injectivity_experiment,
     random_model,
     random_morphism,
 )
-from spinorlab.matrix import rank
+from spinorlab.matrix import ExactMatrix, rank
 
-from cech_oracles import frac_random_model, frac_random_morphism
+from cech_oracles import frac_random_model, frac_random_morphism, fraction_cleared_inverse
 
 SEEDS = range(200)
 
@@ -30,6 +34,23 @@ def scaled(model, c):
 
 def all_ints(M):
     return all(type(x) is int for r in M.entries for x in r)
+
+
+def test_cleared_inverse_matches_the_fraction_route():
+    """den and den P^-1 from the integer [P | I] rows equal those read off
+    inverse(P), on random invertible squares with integer entries (as the
+    random squares have) and with rational ones."""
+    dens = set()
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        P = _rand_invertible(rng, rng.randint(0, 6))
+        if seed % 2:
+            P = P.map_entries(lambda x: Fraction(x, rng.choice([1, 2, 3, 4, 6])))
+        den, N = _cleared_inverse(P)
+        assert (den, N) == fraction_cleared_inverse(P), seed
+        assert all_ints(N) and P * N == ExactMatrix.identity(P.rows).scale(den)
+        dens.add(den)
+    assert 1 in dens and len(dens) > 20
 
 
 def test_random_model_is_the_oracle_scaled_by_its_den():

@@ -1,5 +1,6 @@
 """Fraction-free elimination over Q against the Fraction route it replaced
-(tests/matrix_oracles.py), with sympy for the ranks, and the typed error on
+(tests/matrix_oracles.py), with sympy for the ranks: the results of each
+caller, the integer rows ``_rref_int`` hands back, and the typed error on
 entries that are not rational."""
 
 import inspect
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from matrix_oracles import rref_inverse, rref_rank_kernel, rref_solve
+from matrix_oracles import _field_rows, _rref, rref_inverse, rref_rank_kernel, rref_solve
 from spinorlab.matrix import (
     ExactMatrix,
     _integer_rows,
@@ -108,6 +109,22 @@ def deficient(rng, M, k):
     return ExactMatrix(cols, cols=M.rows).transpose()
 
 
+def check_integer_rows(entries, ncols):
+    """The contract of ``_rref_int`` on the integer rows of entries: the
+    pivots of the Fraction route, a nonzero int pivot entry in each pivot
+    row, each pivot row divided by that entry equal to the oracle's reduced
+    row, and rows past the rank zero in the first ncols columns."""
+    rows = _integer_rows(entries)
+    pivots = _rref_int(rows, ncols)
+    want = _field_rows(entries)
+    assert pivots == _rref(want, ncols)
+    assert all(type(x) is int for row in rows for x in row)
+    for row, pc, ref in zip(rows, pivots, want):
+        assert row[pc] != 0
+        assert [Fraction(x, row[pc]) for x in row] == ref
+    assert not any(x for row in rows[len(pivots):] for x in row[:ncols])
+
+
 def reaches_catch_up(fn, *args):
     """Whether fn(*args) runs the step of _rref_int that brings a stale pivot
     row up to the current level."""
@@ -148,6 +165,7 @@ def test_sparse_and_tall_match_the_fraction_route(block):
         assert exactly_equal(got, rref_rank_kernel(M)), (seed, M)
         assert got[0] == rank(M) == sympy_rank(M)
         counts["full" if got[0] == n else "deficient"] += 1
+        check_integer_rows(M.entries, n)
 
         x0 = [mixed(rng) for _ in range(n)]
         for b in (M.apply(x0), [mixed(rng) if rng.random() < 0.15 else 0 for _ in range(m)]):
@@ -156,8 +174,10 @@ def test_sparse_and_tall_match_the_fraction_route(block):
             counts["none" if x is None else "solved"] += 1
             if x is not None:
                 assert M.apply(x) == tuple(b)
+            check_integer_rows([(*row, y) for row, y in zip(M.entries, b)], n)
 
         S = sparse_matrix(rng, n, n, 0.25)
+        check_integer_rows([(*r, *(int(i == j) for j in range(n))) for i, r in enumerate(S.entries)], n)
         try:
             want = rref_inverse(S)
         except ValueError:

@@ -1,0 +1,109 @@
+"""The sparse integer set-up of a matrix Lie algebra against the routes it
+replaced (tests/lie_oracles.py): the sp(2n) bases, the structure constants and
+``coordinates_of``, values and types alike."""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from lie_oracles import DenseCoordinateSolver, dense_sp_basis, dense_structure_constants, flattened
+from spinorlab.lie import (
+    MatrixLieAlgebra,
+    SymplecticRep,
+    conjugate_rep,
+    direct_sum,
+    rep_from_text,
+    rep_to_text,
+    sl2_algebra,
+    sl2_sym_cube,
+    sl2_w_plus_wdual,
+    sp_algebra,
+)
+from spinorlab.matrix import ExactMatrix
+
+_SHEAR = ExactMatrix(
+    [
+        [1, Fraction(1, 2), 0, 0],
+        [0, 1, Fraction(-2, 3), 0],
+        [0, 0, 1, 3],
+        [Fraction(1, 5), 0, 0, 1],
+    ]
+)
+
+
+def from_text():
+    """The algebra of a representation read back by ``rep_from_text``, whose
+    basis is the sl2-Sym3 image conjugated by a rational shear: Fraction
+    entries, not all integral."""
+    conj = conjugate_rep(sl2_sym_cube(), _SHEAR)
+    alg = MatrixLieAlgebra(conj.rho)
+    text = rep_to_text(SymplecticRep(alg, conj.omega, conj.rho, conj.summands))
+    return rep_from_text(text).algebra
+
+
+ALGEBRAS = {
+    **{f"sp{2 * n}": (lambda n=n: sp_algebra(n)) for n in range(1, 9)},
+    "sl2": sl2_algebra,
+    "sl2-W+W*": lambda: MatrixLieAlgebra(sl2_w_plus_wdual().rho),
+    "sl2-Sym3": lambda: MatrixLieAlgebra(sl2_sym_cube().rho),
+    "direct-sum": lambda: MatrixLieAlgebra(direct_sum(sl2_w_plus_wdual(), sl2_sym_cube()).rho),
+    "from-text": from_text,
+}
+
+
+def exactly_equal(a, b):
+    """Equal values of equal types, with dict keys in the same order."""
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(exactly_equal(a[k], b[k]) for k in a)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(exactly_equal(x, y) for x, y in zip(a, b))
+    return type(a) is type(b) and a == b
+
+
+def mixed(rng):
+    return Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3, 7]))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_sp_basis_is_the_dense_product(n):
+    got = sp_algebra(n).basis
+    want = dense_sp_basis(n)
+    assert exactly_equal([X.entries for X in got], [X.entries for X in want])
+
+
+def test_from_text_basis_is_fractional():
+    alg = from_text()
+    assert all(type(x) is Fraction for X in alg.basis for r in X.entries for x in r)
+    assert any(x.denominator > 1 for X in alg.basis for r in X.entries for x in r)
+
+
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_structure_constants_match_the_dense_solver(name):
+    alg = ALGEBRAS[name]()
+    assert exactly_equal(alg.structure_constants, dense_structure_constants(alg.basis))
+
+
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_coordinates_match_the_dense_solver(name):
+    alg = ALGEBRAS[name]()
+    oracle = DenseCoordinateSolver(alg.basis)
+    rng = random.Random(sorted(ALGEBRAS).index(name))
+    d = alg.ambient_dim
+    for t in range(8):
+        # sparse combinations reach only some coordinates, dense ones all
+        coords = [mixed(rng) if t % 2 or rng.random() < 0.2 else 0 for _ in range(alg.dim)]
+        M = alg.from_coordinates(coords)
+        got = alg.coordinates_of(M)
+        assert exactly_equal(got, oracle.coords(flattened(M)))
+        assert got == tuple(coords)
+        # off the span: a diagonal unit (traceless algebras miss E_rr), and
+        # the same matrix moved off the span at one entry
+        off = [list(r) for r in M.entries]
+        off[t % d][t % d] += 1
+        assert alg.coordinates_of(ExactMatrix(off)) is None
+        assert oracle.coords(flattened(ExactMatrix(off))) is None
+    zero = ExactMatrix.zeros(d, d)
+    assert exactly_equal(alg.coordinates_of(zero), (0,) * alg.dim)
+    assert alg.coordinates_of(ExactMatrix.identity(d)) is None
+    assert alg.coordinates_of(ExactMatrix.zeros(d + 1, d + 1)) is None

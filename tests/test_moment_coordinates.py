@@ -9,7 +9,11 @@ import pytest
 import sympy
 
 import petri_oracles
-from moment_oracles import ambient_equivariance_check, dual_moment_differential
+from moment_oracles import (
+    ambient_equivariance_check,
+    dual_moment_differential,
+    fraction_context_fields,
+)
 from spinorlab import petri
 from spinorlab.lie import (
     MatrixLieAlgebra,
@@ -86,6 +90,20 @@ def test_equivariance_agrees_with_ambient_route(name, b_scale):
         ok_ref, res_ref = ambient_equivariance_check(ctx, psi, xi)
         assert ok and ok_ref
         assert res == res_ref
+
+
+@pytest.mark.parametrize("name", sorted(REPS))
+@pytest.mark.parametrize("b_scale", [1, 5, Fraction(-2, 3)])
+def test_context_fields_match_the_fraction_route(name, b_scale):
+    """Integer Gram-inverse rows and the gcd give the q, forms, rho and
+    structure-constant entries of the Fraction route, with their types."""
+    ctx = MomentContext(REPS[name](), b_scale=b_scale)
+    want = fraction_context_fields(ctx.rep, b_scale)
+    got = {field: getattr(ctx, field) for field in want}
+    assert got == want
+    assert type(ctx._q_inv) is Fraction
+    for field in ("_Z", "_S", "_rho", "_ad"):
+        assert all(type(v) is int for entries in got[field] for *_, v in entries)
 
 
 @pytest.mark.parametrize("name", ["sp2", "sp4", "sl2-halved"])
