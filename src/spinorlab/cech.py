@@ -33,21 +33,6 @@ class EulerCharError(ValueError):
     """The two Euler characteristic formulas disagree."""
 
 
-def _hstack(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
-    if A.rows != B.rows:
-        raise ValueError("hstack needs equal row counts")
-    return ExactMatrix(
-        [list(r1) + list(r2) for r1, r2 in zip(A.entries, B.entries)],
-        cols=A.cols + B.cols,
-    )
-
-
-def _vstack(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
-    if A.cols != B.cols:
-        raise ValueError("vstack needs equal column counts")
-    return ExactMatrix(list(A.entries) + list(B.entries), cols=A.cols)
-
-
 @dataclass(frozen=True)
 class TwoTermCechModel:
     cech_d0: ExactMatrix  # A00 -> A01
@@ -70,11 +55,11 @@ class TwoTermCechModel:
 
     def total_d0(self) -> ExactMatrix:
         """D0: A00 -> A01 + A10, x -> (d0 x, a0 x)."""
-        return _vstack(self.cech_d0, self.diff_a0)
+        return ExactMatrix.from_blocks([[self.cech_d0], [self.diff_a0]])
 
     def total_d1(self) -> ExactMatrix:
         """D1: A01 + A10 -> A11, (y, z) -> a1 y - d1 z."""
-        return _hstack(self.diff_a1, -self.cech_d1)
+        return ExactMatrix.from_blocks([[self.diff_a1, -self.cech_d1]])
 
     def validate(self):
         """Raise InvalidModelError unless the square commutes; checked once
@@ -164,8 +149,7 @@ def _kernel_columns(M: ExactMatrix) -> ExactMatrix:
 
 def _preimage_dim(K: ExactMatrix, T: ExactMatrix, B: ExactMatrix, rank_b: int) -> int:
     """dim { c : T K c in col(B) } = cols(K) + rank(B) - rank([T K | B])."""
-    stacked = _hstack(T * K, B)
-    return K.cols + rank_b - rank(stacked)
+    return K.cols + rank_b - rank(ExactMatrix.from_blocks([[T * K, B]]))
 
 
 @dataclass(frozen=True)
@@ -231,22 +215,6 @@ class QuotientSpace:
         return self.Z.cols - self.rank_b
 
 
-def _induced_rank(T: ExactMatrix, dom: QuotientSpace, cod: QuotientSpace) -> int:
-    stacked = _hstack(T * dom.Z, cod.B)
-    return rank(stacked) - cod.rank_b
-
-
-def _maps_into(T: ExactMatrix, dom: QuotientSpace, cod: QuotientSpace) -> bool:
-    """Every T-image of a dom generator lies in span(Z_cod)."""
-    both = _hstack(cod.Z, T * dom.Z)
-    return rank(both) == cod.rank_z
-
-
-def _composite_zero(Tg, Tf, dom: QuotientSpace, end: QuotientSpace) -> bool:
-    stacked = _hstack(Tg * (Tf * dom.Z), end.B)
-    return rank(stacked) == end.rank_b
-
-
 @dataclass(frozen=True)
 class FiveTermData:
     spaces: tuple       # five QuotientSpace nodes
@@ -275,24 +243,38 @@ def five_term_data(model: TwoTermCechModel) -> FiveTermData:
     n5 = QuotientSpace(ExactMatrix.identity(a11), model.cech_d1)
 
     f1 = model.diff_a0
-    f2 = _vstack(ExactMatrix.zeros(a01, a10), ExactMatrix.identity(a10))
-    f3 = _hstack(ExactMatrix.identity(a01), ExactMatrix.zeros(a01, a10))
+    f2 = ExactMatrix.from_blocks([[ExactMatrix.zeros(a01, a10)], [ExactMatrix.identity(a10)]])
+    f3 = ExactMatrix.from_blocks([[ExactMatrix.identity(a01), ExactMatrix.zeros(a01, a10)]])
     f4 = model.diff_a1
     return FiveTermData((n1, n2, n3, n4, n5), (f1, f2, f3, f4))
 
 
 def check_five_term(data: FiveTermData) -> ExactnessReport:
-    names = ("H0(A1)", "H1_total", "H1(A0)")
+    """Exactness at the three interior nodes of a five-term sequence.
+
+    Each map T_i: spaces[i] -> spaces[i+1] is checked once, from its image
+    I_i = T_i Z_i: it maps into span(Z_{i+1}) when [Z_{i+1} | I_i] has the
+    rank of Z_{i+1}, and its rank on the quotients is
+    rank [I_i | B_{i+1}] - rank B_{i+1}.  Node k (between maps k and k+1)
+    records whether T_{k+1} I_k lies in span(B_{k+2}), the ranks in and out
+    and its dimension; it is exact when both maps land in their Z, that
+    composite is zero on the quotients, and the ranks in and out add up to
+    the dimension.
+    """
     spaces, maps = data.spaces, data.maps
+    images, into, induced = [], [], []
+    for T, dom, cod in zip(maps, spaces, spaces[1:]):
+        image = T * dom.Z
+        images.append(image)
+        into.append(rank(ExactMatrix.from_blocks([[cod.Z, image]])) == cod.rank_z)
+        induced.append(rank(ExactMatrix.from_blocks([[image, cod.B]])) - cod.rank_b)
     nodes = []
-    for k, name in enumerate(names):
-        dom, mid, cod = spaces[k], spaces[k + 1], spaces[k + 2]
-        Tf, Tg = maps[k], maps[k + 1]
-        ok_into = _maps_into(Tf, dom, mid) and _maps_into(Tg, mid, cod)
-        cz = _composite_zero(Tg, Tf, dom, cod)
-        rin = _induced_rank(Tf, dom, mid)
-        rout = _induced_rank(Tg, mid, cod)
-        exact = ok_into and cz and (rin + rout == mid.dim)
+    for k, name in enumerate(("H0(A1)", "H1_total", "H1(A0)")):
+        mid, end = spaces[k + 1], spaces[k + 2]
+        composite = maps[k + 1] * images[k]
+        cz = rank(ExactMatrix.from_blocks([[composite, end.B]])) == end.rank_b
+        rin, rout = induced[k], induced[k + 1]
+        exact = into[k] and into[k + 1] and cz and (rin + rout == mid.dim)
         nodes.append((name, cz, rin, rout, mid.dim, exact))
     return ExactnessReport(tuple(nodes))
 
@@ -370,11 +352,11 @@ def _random_square(rng: random.Random, max_dim: int):
     a0 = _rand_matrix(rng, a10, a00)
     d1 = _rand_matrix(rng, a11, a10)
     C = _extend_to_basis(rng, d0)
-    P = _hstack(d0, C)
+    P = ExactMatrix.from_blocks([[d0, C]])
     forced = d1 * a0  # a11 x a00
     R = _rand_matrix(rng, a11, C.cols)
     den, N = _cleared_inverse(P)
-    a1 = _hstack(forced, R) * N
+    a1 = ExactMatrix.from_blocks([[forced, R]]) * N
     return TwoTermCechModel(d0, d1.scale(den), a0, a1), den
 
 
@@ -405,14 +387,14 @@ def random_morphism(rng: random.Random, max_dim: int = 5, ensure_hypothesis: boo
         phi10 = P * incl
         phi11 = _rand_matrix(rng, a11t, a11s)
         C2 = _extend_to_basis(rng, phi10)
-        Q = _hstack(phi10, C2)
+        Q = ExactMatrix.from_blocks([[phi10, C2]])
         forced = phi11 * src.cech_d1
         R2 = _rand_matrix(rng, a11t, C2.cols)
         # the source's d1 carries den_src, so R2 does too; solving with
         # den Q^-1 scales d1t by den, and phi11 is scaled to match: the target
         # is the unscaled target times den_src * den
         den, N = _cleared_inverse(Q)
-        d1t = _hstack(forced, R2.scale(den_src)) * N
+        d1t = ExactMatrix.from_blocks([[forced, R2.scale(den_src)]]) * N
         phi11 = phi11.scale(den)
         tgt = TwoTermCechModel(src.cech_d0, d1t, phi10 * src.diff_a0, phi11 * src.diff_a1)
     else:

@@ -98,12 +98,27 @@ class BlockCocycle:
     gamma: tuple
 
     def __post_init__(self):
+        self._check_blocks()
+        if not is_symplectic(self.u, middle_theta(self.n)):
+            raise InvalidCocycleError("middle block is not symplectic")
+
+    def _check_blocks(self):
         _line_inverse(self.l)
         k = 2 * self.n - 2
         if self.u.rows != k or len(self.d) != k or len(self.gamma) != k:
             raise InvalidCocycleError("block sizes inconsistent with n")
-        if not is_symplectic(self.u, middle_theta(self.n)):
-            raise InvalidCocycleError("middle block is not symplectic")
+
+    @classmethod
+    def _with_symplectic_u(cls, n, l, u, d, a, gamma) -> "BlockCocycle":
+        """Internal constructor for a u already known to preserve
+        ``middle_theta(n)``: a u from ``random_symplectic(n - 1, ...)``, which
+        checked it against that form, or the u of a cocycle built before.
+        Runs every check of ``__post_init__`` but the symplectic one."""
+        self = object.__new__(cls)
+        for name, value in zip(("n", "l", "u", "d", "a", "gamma"), (n, l, u, d, a, gamma)):
+            object.__setattr__(self, name, value)
+        self._check_blocks()
+        return self
 
 
 def theta_dual(d, u: ExactMatrix, l, theta: ExactMatrix):
@@ -186,17 +201,19 @@ def fresh_symbol_cocycle(n: int, seed: int, gamma: tuple | None = None) -> Block
     l = LaurentPoly("l", {1: 1})
     d = tuple(MultiPoly.var(f"d{i+1}") for i in range(k))
     a = MultiPoly.var("a")
+    # random_symplectic checked u against standard_omega(n - 1) = middle_theta(n)
     u = random_symplectic(n - 1, seed)
     theta = middle_theta(n)
     if gamma is None:
         gamma = theta_dual(d, u, l, theta)
-    return BlockCocycle(n, l, u, d, a, gamma)
+    return BlockCocycle._with_symplectic_u(n, l, u, d, a, gamma)
 
 
 def perturb_gamma(c: BlockCocycle, slot: int = 0, amount=1) -> BlockCocycle:
+    """c with amount added to gamma[slot]; u is c's, already checked."""
     gamma = list(c.gamma)
     gamma[slot] = gamma[slot] + amount
-    return BlockCocycle(c.n, c.l, c.u, c.d, c.a, tuple(gamma))
+    return BlockCocycle._with_symplectic_u(c.n, c.l, c.u, c.d, c.a, tuple(gamma))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .matrix import ExactMatrix, _reduce, in_sp, inverse, mat_rank_kernel, standard_omega
 from .rings import _is_rat, is_zero
@@ -95,7 +95,7 @@ class MatrixLieAlgebra:
         return self._coord_solver.coords(_flattened(M))
 
     def from_coordinates(self, coords) -> ExactMatrix:
-        return _combination(coords, self.basis, self.ambient_dim)
+        return _combination(coords, self._flat, self.ambient_dim)
 
     def trace_gram(self) -> ExactMatrix:
         """Gram matrix of the trace form B(X,Y) = tr(XY) on the basis."""
@@ -242,16 +242,36 @@ class SymplecticRep:
 
     def rho_of(self, coords) -> ExactMatrix:
         """Image of the algebra element with the given basis coordinates."""
-        return _combination(coords, self.rho, self.dimV)
+        return _combination(coords, self._rho_flat, self.dimV)
+
+    @cached_property
+    def _rho_flat(self):
+        return [_flattened(R) for R in self.rho]
 
 
-def _combination(coords, mats, d: int) -> ExactMatrix:
-    """sum_j coords[j] * mats[j] as a d x d matrix, skipping rational zeros."""
-    acc = ExactMatrix.zeros(d, d)
-    for c, X in zip(coords, mats):
-        if not (_is_rat(c) and c == 0):
-            acc = acc + X.scale(c)
-    return acc
+def _combination(coords, flats, d: int) -> ExactMatrix:
+    """sum_j coords[j] * X_j as a d x d matrix, from the nonzero entries of
+    each X_j keyed by flattened position (``_flattened``), skipping rational
+    zero coordinates.
+
+    Each entry equals that of the dense sum 0 + c_1 X_1 + c_2 X_2 + ...  At
+    a position where every X_j is zero the entry is that sum's zero
+    0 + c_1 * 0 + ..., so it stays in the ring of the coordinates; elsewhere
+    the sum starts from the first product, as in ``rings.dot``.
+    """
+    zero = 0
+    acc = {}
+    for c, flat in zip(coords, flats):
+        if _is_rat(c) and c == 0:
+            continue
+        zero = zero + c * 0
+        for p, x in flat.items():
+            s = acc.get(p)
+            acc[p] = c * x if s is None else s + c * x
+    out = [zero] * (d * d)
+    for p, s in acc.items():
+        out[p] = s
+    return ExactMatrix([out[r * d:(r + 1) * d] for r in range(d)], cols=d)
 
 
 def verify_symplectic_rep(rep: SymplecticRep) -> CheckReport:

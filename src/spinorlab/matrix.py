@@ -2,8 +2,13 @@
 over Q, a division-free characteristic polynomial, and deterministic random
 symplectic matrices built from transvections.
 
-Every dense multiply-and-sum, in products and in ``char_poly``, goes
-through ``rings.dot``.
+A product walks the nonzeros of each row of A and adds ``a_ik * b_kj`` over
+the nonzeros of row k of B, in ascending k from the first product, so each
+entry has the value and type of ``rings.dot`` on its row and column (int
+``0`` where nothing was added) without testing a zero more than once.
+``apply`` and ``char_poly`` go through ``rings.dot``.  The results of
+``+``, ``-``, ``*``, ``scale``, ``transpose`` and ``from_blocks`` are
+rectangular by construction and skip the checks of the public constructor.
 
 Elimination builds no Fraction: rows are cleared of their denominators and
 reduced over Z by fraction-free elimination (Bareiss), below the pivots for
@@ -17,8 +22,9 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from functools import cache
 
-from .rings import LaurentPoly, UnsupportedRingError, _is_rat, dot, is_zero
+from .rings import LaurentPoly, UnsupportedRingError, _is_rat, dot
 
 
 class ShapeError(ValueError):
@@ -38,8 +44,8 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries, cols: int | None = None):
-        rows = tuple(tuple(r) for r in entries)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
+        rows = tuple(map(tuple, entries))
+        if len(set(map(len, rows))) > 1:
             raise ShapeError("ragged rows")
         ncols = len(rows[0]) if rows else (cols or 0)
         if rows and cols is not None and cols != ncols:
@@ -50,6 +56,17 @@ class ExactMatrix:
 
     def __setattr__(self, *a):
         raise AttributeError("ExactMatrix is immutable")
+
+    @classmethod
+    def _trusted(cls, rows: tuple, cols: int) -> "ExactMatrix":
+        """Internal constructor for results of this module's own arithmetic:
+        ``rows`` a tuple of tuples, each of length ``cols``.  Skips the
+        re-wrap and the ragged check of ``__init__``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rows", len(rows))
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", rows)
+        return self
 
     # -- constructors ---------------------------------------------------
 
@@ -82,9 +99,12 @@ class ExactMatrix:
                 raise ShapeError("inconsistent block heights")
             if sum(b.cols for b in brow) != width:
                 raise ShapeError("inconsistent block widths")
-            for i in range(h):
-                out.append([x for b in brow for x in b.entries[i]])
-        return cls(out, cols=width)
+            # each row of the band joins the rows of its blocks
+            rows = brow[0].entries
+            for b in brow[1:]:
+                rows = map(tuple.__add__, rows, b.entries)
+            out.extend(rows)
+        return cls._trusted(tuple(out), width)
 
     # -- access ----------------------------------------------------------
 
@@ -111,9 +131,9 @@ class ExactMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("addition shape mismatch")
-        return ExactMatrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            cols=self.cols,
+        pairs = zip(self.entries, other.entries)
+        return ExactMatrix._trusted(
+            tuple([tuple([a + b for a, b in zip(r1, r2)]) for r1, r2 in pairs]), self.cols
         )
 
     def __sub__(self, other):
@@ -121,29 +141,39 @@ class ExactMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ShapeError("subtraction shape mismatch")
-        return ExactMatrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
-            cols=self.cols,
+        pairs = zip(self.entries, other.entries)
+        return ExactMatrix._trusted(
+            tuple([tuple([a - b for a, b in zip(r1, r2)]) for r1, r2 in pairs]), self.cols
         )
 
     def __neg__(self):
-        return ExactMatrix([[-x for x in r] for r in self.entries], cols=self.cols)
+        return ExactMatrix._trusted(
+            tuple([tuple([-x for x in r]) for r in self.entries]), self.cols
+        )
 
     def __mul__(self, other):
-        if isinstance(other, ExactMatrix):
-            if self.cols != other.rows:
-                raise ShapeError("multiplication shape mismatch")
-            if other.rows:
-                ocols = list(zip(*other.entries))
-            else:
-                ocols = [()] * other.cols
-            return ExactMatrix(
-                [[dot(r, c) for c in ocols] for r in self.entries], cols=other.cols
-            )
-        return NotImplemented
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        if self.cols != other.rows:
+            raise ShapeError("multiplication shape mismatch")
+        n = other.cols
+        # the nonzeros of each row of other, found once
+        sparse = [[(j, y) for j, y in enumerate(r) if y] for r in other.entries]
+        out = []
+        for r in self.entries:
+            acc = [None] * n
+            for x, brow in zip(r, sparse):
+                if x:
+                    for j, y in brow:
+                        s = acc[j]
+                        acc[j] = x * y if s is None else s + x * y
+            out.append(tuple([0 if s is None else s for s in acc]))
+        return ExactMatrix._trusted(tuple(out), n)
 
     def scale(self, c) -> "ExactMatrix":
-        return ExactMatrix([[c * x for x in r] for r in self.entries], cols=self.cols)
+        return ExactMatrix._trusted(
+            tuple([tuple([c * x for x in r]) for r in self.entries]), self.cols
+        )
 
     def apply(self, vec):
         """Matrix-vector product, returning a tuple."""
@@ -153,15 +183,16 @@ class ExactMatrix:
 
     def transpose(self) -> "ExactMatrix":
         if self.rows == 0:
-            return ExactMatrix([() for _ in range(self.cols)], cols=0)
-        return ExactMatrix(list(zip(*self.entries)), cols=self.rows)
+            return ExactMatrix._trusted(((),) * self.cols, 0)
+        return ExactMatrix._trusted(tuple(zip(*self.entries)), self.rows)
 
     def map_entries(self, fn) -> "ExactMatrix":
         return ExactMatrix([[fn(x) for x in r] for r in self.entries], cols=self.cols)
 
     @property
     def is_zero(self) -> bool:
-        return all(is_zero(x) for r in self.entries for x in r)
+        # an entry is zero exactly when it is falsy (see rings.is_zero)
+        return not any(map(any, self.entries))
 
     @property
     def is_square(self) -> bool:
@@ -172,9 +203,7 @@ class ExactMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        return all(
-            a == b for r1, r2 in zip(self.entries, other.entries) for a, b in zip(r1, r2)
-        )
+        return self.entries == other.entries
 
     def __hash__(self):
         return hash((self.rows, self.cols))
@@ -204,13 +233,16 @@ class ExactMatrix:
 # rows save.
 
 
+_INT_ONLY = {int}
+
+
 def _integer_rows(entries):
     """Each rational row times the lcm of its denominators, as new lists of
     ints (the callers eliminate them in place); a row of ints is copied as it
     is.  Raises UnsupportedRingError on an entry that is not rational."""
     rows = []
     for r in entries:
-        if all(type(x) is int for x in r):
+        if set(map(type, r)) <= _INT_ONLY:
             rows.append(list(r))
             continue
         if not all(map(_is_rat, r)):
@@ -412,9 +444,11 @@ def char_poly(M: ExactMatrix):
 # -- symplectic structure ------------------------------------------------
 
 
+@cache
 def standard_omega(n: int) -> ExactMatrix:
     """Standard symplectic form in the interleaved frame (e1,f1,...,en,fn):
-    block-diagonal copies of [[0,1],[-1,0]].
+    block-diagonal copies of [[0,1],[-1,0]].  One instance per n, which the
+    immutability of ``ExactMatrix`` makes safe to share.
     """
     m = [[0] * (2 * n) for _ in range(2 * n)]
     for k in range(n):

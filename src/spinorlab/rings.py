@@ -176,11 +176,15 @@ class MultiPoly:
         vs, a, b = self._aligned(other)
         out = dict(a)
         for e, c in b.items():
-            s = out.get(e, Fraction(0)) + c
-            if s == 0:
-                out.pop(e, None)
+            s = out.get(e)
+            if s is None:
+                out[e] = c
             else:
-                out[e] = s
+                s = s + c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
         return MultiPoly._trusted(vs, out)
 
     __radd__ = __add__
@@ -211,11 +215,15 @@ class MultiPoly:
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(e, None)
+                s = out.get(e)
+                if s is None:
+                    out[e] = c1 * c2
                 else:
-                    out[e] = s
+                    s = s + c1 * c2
+                    if s:
+                        out[e] = s
+                    else:
+                        del out[e]
         return MultiPoly._trusted(vs, out)
 
     __rmul__ = __mul__
@@ -476,7 +484,10 @@ class LaurentPoly:
 
     Coefficients are ``MultiPoly`` values (other variables ride along in
     them), keyed by possibly negative integer exponents.  Finitely many
-    coefficients are nonzero.
+    coefficients are nonzero.  The results of this class's own ``+``, ``-``
+    and ``*`` skip the coercion and checks of ``__init__`` (``_trusted``);
+    a product with a rational, or with a ``MultiPoly`` free of the Laurent
+    variable, scales the coefficients directly.
     """
 
     __slots__ = ("var", "coeffs")
@@ -495,6 +506,16 @@ class LaurentPoly:
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
+
+    @classmethod
+    def _trusted(cls, var: str, coeffs: dict) -> "LaurentPoly":
+        """Internal constructor for results of this class's own arithmetic:
+        ``coeffs`` maps int exponents to nonzero ``MultiPoly`` values that do
+        not contain ``var``."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "var", var)
+        object.__setattr__(self, "coeffs", coeffs)
+        return self
 
     @classmethod
     def const(cls, var: str, c) -> "LaurentPoly":
@@ -542,17 +563,21 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self.coeffs)
         for k, c in o.coeffs.items():
-            s = out.get(k, MultiPoly.const(0)) + c
-            if s.is_zero:
-                out.pop(k, None)
+            s = out.get(k)
+            if s is None:
+                out[k] = c
             else:
-                out[k] = s
-        return LaurentPoly(self.var, out)
+                s = s + c
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        return LaurentPoly._trusted(self.var, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.var, {k: -c for k, c in self.coeffs.items()})
+        return LaurentPoly._trusted(self.var, {k: -c for k, c in self.coeffs.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -564,11 +589,12 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if _is_rat(other):
-            # scale each coefficient; a zero scalar drops every term
+        if _is_rat(other) or (isinstance(other, MultiPoly) and self.var not in other.vars):
+            # scale each coefficient; a zero scalar drops every term, and a
+            # nonzero one leaves every coefficient nonzero
             if not other:
-                return LaurentPoly(self.var)
-            return LaurentPoly(self.var, {k: c * other for k, c in self.coeffs.items()})
+                return LaurentPoly._trusted(self.var, {})
+            return LaurentPoly._trusted(self.var, {k: c * other for k, c in self.coeffs.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -576,12 +602,16 @@ class LaurentPoly:
         for k1, c1 in self.coeffs.items():
             for k2, c2 in o.coeffs.items():
                 k = k1 + k2
-                s = out.get(k, MultiPoly.const(0)) + c1 * c2
-                if s.is_zero:
-                    out.pop(k, None)
+                s = out.get(k)
+                if s is None:
+                    out[k] = c1 * c2
                 else:
-                    out[k] = s
-        return LaurentPoly(self.var, out)
+                    s = s + c1 * c2
+                    if s:
+                        out[k] = s
+                    else:
+                        del out[k]
+        return LaurentPoly._trusted(self.var, out)
 
     __rmul__ = __mul__
 

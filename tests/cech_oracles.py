@@ -8,20 +8,26 @@ blocks carry ``Fraction`` entries.  Each builder also returns the den the
 integer route clears, so a test can compare the two exactly.
 ``fraction_cleared_inverse`` is the route ``cech._cleared_inverse`` replaced:
 it reads den and den P^-1 off the ``Fraction`` entries of ``inverse(P)``.
+``pairwise_check_five_term`` is the route ``cech.check_five_term`` replaced:
+it checks both maps at every node, so the inner maps are checked twice.
 """
 
 import math
 
 from spinorlab.cech import (
     ComplexMorphism,
+    ExactnessReport,
     TwoTermCechModel,
     _extend_to_basis,
-    _hstack,
     _rand_injective,
     _rand_invertible,
     _rand_matrix,
 )
-from spinorlab.matrix import ExactMatrix, inverse
+from spinorlab.matrix import ExactMatrix, inverse, rank
+
+
+def _hstack(A, B):
+    return ExactMatrix.from_blocks([[A, B]])
 
 
 def _den(M):
@@ -92,3 +98,37 @@ def fraction_cleared_inverse(P):
     return den, ExactMatrix(
         [[x.numerator * (den // x.denominator) for x in r] for r in inv], cols=P.cols
     )
+
+
+def _induced_rank(T, dom, cod):
+    stacked = _hstack(T * dom.Z, cod.B)
+    return rank(stacked) - cod.rank_b
+
+
+def _maps_into(T, dom, cod):
+    """Every T-image of a dom generator lies in span(Z_cod)."""
+    both = _hstack(cod.Z, T * dom.Z)
+    return rank(both) == cod.rank_z
+
+
+def _composite_zero(Tg, Tf, dom, end):
+    stacked = _hstack(Tg * (Tf * dom.Z), end.B)
+    return rank(stacked) == end.rank_b
+
+
+def pairwise_check_five_term(data):
+    """The ``ExactnessReport`` of ``data``, node by node, with every map
+    checked at each node that it touches."""
+    names = ("H0(A1)", "H1_total", "H1(A0)")
+    spaces, maps = data.spaces, data.maps
+    nodes = []
+    for k, name in enumerate(names):
+        dom, mid, cod = spaces[k], spaces[k + 1], spaces[k + 2]
+        Tf, Tg = maps[k], maps[k + 1]
+        ok_into = _maps_into(Tf, dom, mid) and _maps_into(Tg, mid, cod)
+        cz = _composite_zero(Tg, Tf, dom, cod)
+        rin = _induced_rank(Tf, dom, mid)
+        rout = _induced_rank(Tg, mid, cod)
+        exact = ok_into and cz and (rin + rout == mid.dim)
+        nodes.append((name, cz, rin, rout, mid.dim, exact))
+    return ExactnessReport(tuple(nodes))

@@ -7,13 +7,24 @@ inverse block of one fraction-free RREF of [F | I], looked up from the
 nonzeros of y.  The routes below are the ones it replaced: the dense product
 -Omega S, and a solve that walks every pivot of a Fraction-row Gauss-Jordan
 reduction of [F | I] (``matrix_oracles._rref``) into a dense coordinate
-list.
+list.  ``dense_combination`` is the route ``lie._combination`` replaced: one
+dense ``scale`` and ``+`` per coordinate.
 """
 
 from fractions import Fraction
 
 from matrix_oracles import _rref
 from spinorlab.matrix import ExactMatrix, standard_omega
+from spinorlab.rings import _is_rat
+
+
+def dense_combination(coords, mats, d):
+    """sum_j coords[j] * mats[j] as a d x d matrix, skipping rational zeros."""
+    acc = ExactMatrix.zeros(d, d)
+    for c, X in zip(coords, mats):
+        if not (_is_rat(c) and c == 0):
+            acc = acc + X.scale(c)
+    return acc
 
 
 def dense_sp_basis(n):

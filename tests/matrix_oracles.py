@@ -5,13 +5,23 @@
 routes below are the ones it replaced: Gauss-Jordan elimination on
 ``Fraction`` rows, or on ``FracElem`` rows when an entry is a polynomial or a
 polynomial fraction, through ``_rref``.  ``cocycle_oracles`` runs its
-fraction-field route on them.
+fraction-field route on them.  ``dot_product`` is the product that
+``ExactMatrix.__mul__`` replaced: one ``rings.dot`` per entry, over the row
+of A and the column of B.
 """
 
 from fractions import Fraction
 
 from spinorlab.matrix import ExactMatrix
-from spinorlab.rings import FracElem, MultiPoly, UnsupportedRingError, is_zero
+from spinorlab.rings import FracElem, MultiPoly, UnsupportedRingError, dot, is_zero
+
+
+def dot_product(A, B):
+    """A * B, each entry ``dot(row, column)``."""
+    if A.cols != B.rows:
+        raise ValueError("multiplication shape mismatch")
+    ocols = list(zip(*B.entries)) if B.rows else [()] * B.cols
+    return ExactMatrix([[dot(r, c) for c in ocols] for r in A.entries], cols=B.cols)
 
 
 def _as_field(x):

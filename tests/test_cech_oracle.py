@@ -1,7 +1,8 @@
 """The integer route for random Cech squares against the ``Fraction`` route it
 replaced (``cech_oracles``): the same cleared inverses, the same draws, the
 same models up to the cleared denominator, the same ranks, and integer entries
-throughout."""
+throughout.  The five-term check, which checks each map once, against the
+check of both maps at every node that it replaced."""
 
 import random
 from fractions import Fraction
@@ -9,18 +10,30 @@ from fractions import Fraction
 import pytest
 
 from spinorlab.cech import (
+    FiveTermData,
+    QuotientSpace,
     TwoTermCechModel,
     _cleared_inverse,
     _kernel_columns,
+    _rand_injective,
     _rand_invertible,
+    _rand_matrix,
+    check_five_term,
+    five_term_data,
     hypercohomology,
     j_injectivity_experiment,
+    les_segment,
     random_model,
     random_morphism,
 )
 from spinorlab.matrix import ExactMatrix, rank
 
-from cech_oracles import frac_random_model, frac_random_morphism, fraction_cleared_inverse
+from cech_oracles import (
+    frac_random_model,
+    frac_random_morphism,
+    fraction_cleared_inverse,
+    pairwise_check_five_term,
+)
 
 SEEDS = range(200)
 
@@ -91,3 +104,98 @@ def test_random_squares_and_kernels_have_int_entries():
             assert (M * K).is_zero and K.cols == M.cols - rank(M) == rank(K)
             mats.append(K)
         assert all(all_ints(M) for M in mats), seed
+
+
+# -- the five-term check against checking both maps at every node -----------
+
+
+def random_five_term_data(rng):
+    """Five small subquotients span(Z)/span(B), with span(B) inside span(Z),
+    and four random sparse maps between their ambient spaces: exact or not,
+    with or without containment."""
+    spaces = []
+    for _ in range(5):
+        amb = rng.randint(0, 3)
+        z = rng.randint(0, amb)
+        Z = _rand_injective(rng, amb, z)
+        B = Z * _rand_matrix(rng, z, rng.randint(0, z), lo=-1, hi=1)
+        spaces.append(QuotientSpace(Z, B))
+    maps = []
+    for dom, cod in zip(spaces, spaces[1:]):
+        maps.append(_rand_matrix(rng, cod.Z.rows, dom.Z.rows, lo=-1, hi=1))
+    return FiveTermData(tuple(spaces), tuple(maps))
+
+
+def test_five_term_matches_the_pairwise_check_on_random_models():
+    for seed in SEEDS:
+        model = random_model(random.Random(seed))
+        data = five_term_data(model)
+        report = check_five_term(data)
+        assert report == pairwise_check_five_term(data), seed
+        assert report.all_exact and les_segment(model) == report
+
+
+def test_five_term_matches_the_pairwise_check_on_random_data():
+    outcomes = set()
+    for seed in range(400):
+        data = random_five_term_data(random.Random(seed))
+        report = check_five_term(data)
+        assert report == pairwise_check_five_term(data), seed
+        for k, (_, cz, rin, rout, dim, exact) in enumerate(report.nodes):
+            # "containment": inexact only because a map leaves its Z
+            landed = not exact and cz and rin + rout == dim
+            outcomes.add((k, "containment" if landed else (cz, exact)))
+    # every node is seen exact, inexact with a zero composite, with a
+    # nonzero composite, and failing containment alone
+    assert {(k, o) for k in range(3) for o in
+            [(True, True), (True, False), (False, False), "containment"]} <= outcomes
+
+
+def full(*dims):
+    """Each Q^d as a subquotient of itself."""
+    return tuple(QuotientSpace(ExactMatrix.identity(d), ExactMatrix.zeros(d, 0)) for d in dims)
+
+
+ONE, ZERO = ExactMatrix.identity(1), ExactMatrix.zeros(1, 1)
+
+
+@pytest.mark.parametrize("data, nodes", [
+    # 0 -> Q -> Q -> 0 -> 0: exact at all three nodes
+    (FiveTermData(full(0, 1, 1, 0, 0), (
+        ExactMatrix.zeros(1, 0), ONE, ExactMatrix.zeros(0, 1), ExactMatrix.zeros(0, 0))), None),
+    # every map zero on copies of Q: composites vanish, nothing is exact
+    (FiveTermData(full(1, 1, 1, 1, 1), (ZERO,) * 4), [
+        ("H0(A1)", True, 0, 0, 1, False),
+        ("H1_total", True, 0, 0, 1, False),
+        ("H1(A0)", True, 0, 0, 1, False)]),
+    # identities: every composite is nonzero
+    (FiveTermData(full(1, 1, 1, 1, 1), (ONE,) * 4), [
+        ("H0(A1)", False, 1, 1, 1, False),
+        ("H1_total", False, 1, 1, 1, False),
+        ("H1(A0)", False, 1, 1, 1, False)]),
+])
+def test_hand_made_sequences(data, nodes):
+    report = check_five_term(data)
+    assert report == pairwise_check_five_term(data)
+    if nodes is None:
+        assert report.all_exact
+    else:
+        assert list(report.nodes) == nodes
+
+
+def test_a_map_out_of_its_target_subspace_is_not_exact():
+    """0 -> Q -> span(e1) -> 0 -> 0 inside Q^2, with the second map landing
+    on e1 or on e1 + e2.  Off span(e1) the composites vanish and the ranks
+    add up at every node, but the nodes that map touches are not exact."""
+    nothing = QuotientSpace(ExactMatrix.zeros(1, 0), ExactMatrix.zeros(1, 0))
+    e1 = QuotientSpace(ExactMatrix([[1], [0]]), ExactMatrix.zeros(2, 0))
+    spaces = (nothing, full(1)[0], e1, nothing, nothing)
+    reports = []
+    for image in ([[1], [0]], [[1], [1]]):
+        data = FiveTermData(spaces, (ZERO, ExactMatrix(image), ExactMatrix.zeros(1, 2), ZERO))
+        reports.append(check_five_term(data))
+        assert reports[-1] == pairwise_check_five_term(data)
+    inside, outside = reports
+    assert inside.all_exact
+    assert [node[-1] for node in outside.nodes] == [False, False, True]
+    assert all(cz and rin + rout == dim for _, cz, rin, rout, dim, _ in outside.nodes)

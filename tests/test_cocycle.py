@@ -208,3 +208,59 @@ class TestNecessity:
             u = random_symplectic(n - 1, 9)
             res = necessity_solve(n, Fraction(2), u, tuple(range(1, 2 * n - 1)), 0)
             assert res.system_rank == res.unknowns == 2 * n - 2
+
+
+class TestMiddleBlockCheck:
+    """``fresh_symbol_cocycle`` and ``perturb_gamma`` reuse a u that is
+    already checked; every other way in still checks it."""
+
+    NOT_SYMPLECTIC = {
+        2: ExactMatrix([[2, 0], [0, 1]]),
+        3: ExactMatrix.diag([1, 1, 1, 2]),
+        4: random_symplectic(3, 5) * ExactMatrix.diag([1, 1, 1, 1, 3, 1]),
+    }
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_block_cocycle_rejects_a_non_symplectic_u(self, n):
+        u = self.NOT_SYMPLECTIC[n]
+        k = 2 * n - 2
+        with pytest.raises(InvalidCocycleError, match="not symplectic"):
+            BlockCocycle(n, 1, u, (0,) * k, 0, (0,) * k)
+        with pytest.raises(InvalidCocycleError, match="not symplectic"):
+            BlockCocycle(n, L, u, tuple(range(k)), MultiPoly.var("a"), (0,) * k)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_necessity_solve_rejects_a_non_symplectic_u(self, n):
+        k = 2 * n - 2
+        with pytest.raises(InvalidCocycleError, match="not symplectic"):
+            necessity_solve(n, Fraction(2), self.NOT_SYMPLECTIC[n], tuple(range(1, k + 1)), 0)
+
+    def test_perturbation_changes_only_gamma(self):
+        c = fresh_symbol_cocycle(3, 4)
+        p = perturb_gamma(c, slot=1, amount=2)
+        assert (p.n, p.l, p.u, p.d, p.a) == (c.n, c.l, c.u, c.d, c.a) and p.u is c.u
+        assert p.gamma[1] == c.gamma[1] + 2
+        assert p.gamma[:1] + p.gamma[2:] == c.gamma[:1] + c.gamma[2:]
+        assert not verify_form_preservation(p).is_zero
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_one_check_per_u_and_one_for_the_solve(self, monkeypatch, n):
+        """A suite case checks u twice: in random_symplectic and in the
+        necessity solve, which takes u from its caller."""
+        import spinorlab.matrix as matrix
+        from spinorlab.suites import check_cocycle
+
+        checked = []
+        real = matrix.is_symplectic
+
+        def counting(M, omega=None):
+            checked.append(M)
+            return real(M, omega)
+
+        monkeypatch.setattr(matrix, "is_symplectic", counting)
+        monkeypatch.setattr(cocycle, "is_symplectic", counting)
+        for seed in range(3):
+            checked.clear()
+            ok, detail = check_cocycle(random.Random(seed), n)
+            assert ok, detail
+            assert len(checked) == 2 and checked[0] == checked[1]

@@ -253,3 +253,18 @@ def test_bool_entries_rank_as_ints():
     C = ExactMatrix([[True, True, False], [True, True, False]])
     assert rank(C) == rank(C.map_entries(int)) == 1
     assert exactly_equal(mat_rank_kernel(C), mat_rank_kernel(C.map_entries(int)))
+
+
+def test_type_scan_picks_the_route_per_row():
+    """A row of ints is copied as it is; a row with a bool or a Fraction is
+    cleared of its denominators into ints; a row with an entry that is not
+    rational raises."""
+    half = Fraction(1, 2)
+    got = _integer_rows([[3, 0, -1], [True, 2, False], [half, 1, Fraction(2, 3)], []])
+    assert got == [[3, 0, -1], [1, 2, 0], [3, 6, 4], []]
+    assert all(type(x) is int for r in got for x in r)
+    x = MultiPoly.var("x")
+    for bad in (x, LaurentPoly.term("z", 1), 0.5, "1"):
+        for row in ([bad, 1], [1, 2, bad], [half, bad]):
+            with pytest.raises(UnsupportedRingError):
+                _integer_rows([[1, 2], row])

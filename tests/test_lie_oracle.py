@@ -1,13 +1,20 @@
 """The sparse integer set-up of a matrix Lie algebra against the routes it
 replaced (tests/lie_oracles.py): the sp(2n) bases, the structure constants and
-``coordinates_of``, values and types alike."""
+``coordinates_of``, values and types alike; and the sparse sums behind
+``from_coordinates`` and ``rho_of`` against the dense ones."""
 
 import random
 from fractions import Fraction
 
 import pytest
 
-from lie_oracles import DenseCoordinateSolver, dense_sp_basis, dense_structure_constants, flattened
+from lie_oracles import (
+    DenseCoordinateSolver,
+    dense_combination,
+    dense_sp_basis,
+    dense_structure_constants,
+    flattened,
+)
 from spinorlab.lie import (
     MatrixLieAlgebra,
     SymplecticRep,
@@ -19,8 +26,10 @@ from spinorlab.lie import (
     sl2_sym_cube,
     sl2_w_plus_wdual,
     sp_algebra,
+    sp_standard,
 )
 from spinorlab.matrix import ExactMatrix
+from spinorlab.rings import MultiPoly
 
 _SHEAR = ExactMatrix(
     [
@@ -107,3 +116,42 @@ def test_coordinates_match_the_dense_solver(name):
     assert exactly_equal(alg.coordinates_of(zero), (0,) * alg.dim)
     assert alg.coordinates_of(ExactMatrix.identity(d)) is None
     assert alg.coordinates_of(ExactMatrix.zeros(d + 1, d + 1)) is None
+
+
+REPS = {
+    **{f"sp{2 * n}": (lambda n=n: sp_standard(n)) for n in range(1, 5)},
+    "sl2-W+W*": sl2_w_plus_wdual,
+    "sl2-Sym3": sl2_sym_cube,
+}
+
+
+def coordinate_lists(rng, dim):
+    """Coordinates of every kind the package passes: dense and sparse
+    Fractions, ints, rational zeros of both types, a mix, and polynomials.
+    Each comes with whether its nonzero coordinates share one type."""
+    x, y = MultiPoly.var("x"), MultiPoly.var("y")
+    yield [mixed(rng) for _ in range(dim)], True
+    yield [mixed(rng) if rng.random() < 0.3 else 0 for _ in range(dim)], True
+    yield [rng.randint(-3, 3) for _ in range(dim)], True
+    yield [rng.choice([0, Fraction(0)]) for _ in range(dim)], True
+    yield [rng.choice([0, 2, Fraction(1, 3)]) for _ in range(dim)], False
+    yield [rng.choice([0, x, x * y - 1, 3 * y]) for _ in range(dim)], True
+
+
+@pytest.mark.parametrize("name", list(REPS))
+def test_combination_matches_the_dense_sum(name):
+    """Entries equal the dense sum's; when the coordinates share one type,
+    so do the entry types."""
+    rep = REPS[name]()
+    alg = rep.algebra
+    rng = random.Random(sorted(REPS).index(name))
+    for _ in range(3):
+        for coords, one_type in coordinate_lists(rng, alg.dim):
+            d = alg.ambient_dim
+            for got, want in (
+                (alg.from_coordinates(coords), dense_combination(coords, alg.basis, d)),
+                (rep.rho_of(coords), dense_combination(coords, rep.rho, rep.dimV)),
+            ):
+                assert got == want
+                if one_type:
+                    assert exactly_equal(got.entries, want.entries)

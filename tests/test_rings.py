@@ -210,6 +210,11 @@ class TestLaurentPoly:
     def test_mixing_laurent_var_into_coefficient_rejected(self):
         with pytest.raises(ValueError):
             LaurentPoly("z", {0: MultiPoly.var("z")})
+        # neither a product nor a sum may smuggle it in
+        z = MultiPoly.var("z")
+        for op in (lambda p: p * z, lambda p: z * p, lambda p: p + z, lambda p: p - z):
+            with pytest.raises(ValueError):
+                op(LaurentPoly.term("z", 1, 2))
 
 
 class TestEdgeCases:
@@ -371,3 +376,51 @@ class TestTruthiness:
             ys.append(y)
         got = dot(xs, ys)
         assert type(got) is int and got == 0
+
+
+def _laurent_normal(r):
+    """Whether r is exactly what the checking constructor builds from it:
+    int exponents, nonzero MultiPoly coefficients free of the Laurent
+    variable, in the same order."""
+    rebuilt = LaurentPoly(r.var, r.coeffs)
+    return (
+        type(r) is LaurentPoly
+        and r == rebuilt
+        and list(r.coeffs) == list(rebuilt.coeffs)
+        and hash(r) == hash(rebuilt)
+        and all(
+            type(k) is int and type(c) is MultiPoly and c and r.var not in c.vars
+            for k, c in r.coeffs.items()
+        )
+    )
+
+
+class TestLaurentTrusted:
+    """Laurent arithmetic results skip ``LaurentPoly.__init__``; they must
+    still be what it would build."""
+
+    @given(
+        laurents(),
+        laurents(),
+        polys(),
+        st.one_of(st.integers(min_value=-3, max_value=3), rationals),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_results_are_normal(self, p, q, m, c):
+        results = [p + q, p - q, q - q, -p, p * q, q * p, p * p - p * p, p * c, c * p]
+        results += [p * m, m * p, p + m, m + p, p - m, m - p, p + c, c - p, p ** 2]
+        assert all(_laurent_normal(r) for r in results)
+
+    @given(laurents(), polys())
+    @settings(max_examples=80, deadline=None)
+    def test_polynomial_factor_scales_like_the_convolution(self, p, m):
+        """A factor free of the Laurent variable scales the coefficients;
+        the product equals the convolution with a constant, term order
+        included."""
+        want = p * LaurentPoly.const("z", m)
+
+        def shape(f):
+            return [(k, q.vars, list(q.terms.items())) for k, q in f.coeffs.items()]
+
+        for got in (p * m, m * p):
+            assert got == want and shape(got) == shape(want)
