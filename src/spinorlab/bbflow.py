@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .matrix import ExactMatrix, is_symplectic, rank, standard_omega
+from .matrix import ExactMatrix, is_symplectic, line_block_form, rank
 from .rings import LaurentPoly, is_zero
 
 _S = "s"
@@ -26,16 +26,7 @@ def graded_omega(n: int) -> ExactMatrix:
     form on the weight-0 block."""
     if n < 1:
         raise ValueError("need n >= 1")
-    k = 2 * n - 2
-    rows = [[0] * (2 * n) for _ in range(2 * n)]
-    rows[0][2 * n - 1] = 1
-    rows[2 * n - 1][0] = -1
-    if k:
-        theta = standard_omega(n - 1)
-        for i in range(k):
-            for j in range(k):
-                rows[1 + i][1 + j] = theta.entries[i][j]
-    return ExactMatrix(rows)
+    return line_block_form(n)
 
 
 def graded_weights(n: int) -> tuple:
@@ -141,9 +132,7 @@ def fixed_point_scale_check(model: GradedHiggsModel, a) -> bool:
 
 def torus_preserves_form(model: GradedHiggsModel) -> bool:
     """g_s^T Omega g_s = Omega as a Laurent identity (weights pair to zero)."""
-    g = weight_torus(model)
-    omega_l = model.omega.map_entries(lambda x: LaurentPoly.const(_S, x))
-    return is_symplectic(g, omega_l)
+    return is_symplectic(weight_torus(model), model.omega)
 
 
 def lambda_family(model: GradedHiggsModel) -> ExactMatrix:

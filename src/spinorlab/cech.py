@@ -11,18 +11,17 @@ Random models and morphisms are integer matrices: each random square clears
 the one common denominator of the inverse it solves with, and kernel bases
 come back as integer columns, so a random model is checked with products of
 ints only.  Models and morphisms are immutable, so each instance is validated
-once (a failed validation is not remembered) and computes the ranks of its
-total differentials once.
+once (a failed validation is not remembered) and builds its total
+differentials and their ranks once.
 """
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
 
-from .matrix import ExactMatrix, _integer_rows, _inverse_rows, mat_rank_kernel, rank
+from .matrix import ExactMatrix, _cleared_inverse, _integer_rows, mat_rank_kernel, rank
 
 
 class InvalidModelError(ValueError):
@@ -53,10 +52,12 @@ class TwoTermCechModel:
     def commutes(self) -> bool:
         return self.diff_a1 * self.cech_d0 == self.cech_d1 * self.diff_a0
 
+    @cached_property
     def total_d0(self) -> ExactMatrix:
         """D0: A00 -> A01 + A10, x -> (d0 x, a0 x)."""
         return ExactMatrix.from_blocks([[self.cech_d0], [self.diff_a0]])
 
+    @cached_property
     def total_d1(self) -> ExactMatrix:
         """D1: A01 + A10 -> A11, (y, z) -> a1 y - d1 z."""
         return ExactMatrix.from_blocks([[self.diff_a1, -self.cech_d1]])
@@ -74,17 +75,17 @@ class TwoTermCechModel:
             raise InvalidModelError("map shapes are inconsistent")
         if not self.commutes:
             raise InvalidModelError("square does not commute")
-        if not (self.total_d1() * self.total_d0()).is_zero:
+        if not (self.total_d1 * self.total_d0).is_zero:
             raise InvalidModelError("total complex fails D1 D0 = 0")
         return True
 
     @cached_property
     def rank_d0(self) -> int:
-        return rank(self.total_d0())
+        return rank(self.total_d0)
 
     @cached_property
     def rank_d1(self) -> int:
-        return rank(self.total_d1())
+        return rank(self.total_d1)
 
 
 def hypercohomology(model: TwoTermCechModel):
@@ -173,7 +174,7 @@ def j_injectivity_experiment(morphism: ComplexMorphism) -> ChaseVerdict:
     K = _kernel_columns(src.cech_d1)
     hypothesis = rank(morphism.phi1_0 * K) == K.cols
 
-    K1 = _kernel_columns(src.total_d1())
+    K1 = _kernel_columns(src.total_d1)
     r0s = src.rank_d0
     h1s = K1.cols - r0s
     h1t_ = hypercohomology(tgt)[1]
@@ -186,7 +187,7 @@ def j_injectivity_experiment(morphism: ComplexMorphism) -> ChaseVerdict:
             [ExactMatrix.zeros(morphism.phi1_0.rows, a01), morphism.phi1_0],
         ]
     )
-    pre = _preimage_dim(K1, T, tgt.total_d0(), tgt.rank_d0)
+    pre = _preimage_dim(K1, T, tgt.total_d0, tgt.rank_d0)
     induced_kernel = pre - r0s
     return ChaseVerdict(hypothesis, induced_kernel == 0, h1s, h1t_)
 
@@ -238,7 +239,7 @@ def five_term_data(model: TwoTermCechModel) -> FiveTermData:
 
     n1 = QuotientSpace(_kernel_columns(model.cech_d0), ExactMatrix.zeros(a00, 0))
     n2 = QuotientSpace(_kernel_columns(model.cech_d1), ExactMatrix.zeros(a10, 0))
-    n3 = QuotientSpace(_kernel_columns(model.total_d1()), model.total_d0())
+    n3 = QuotientSpace(_kernel_columns(model.total_d1), model.total_d0)
     n4 = QuotientSpace(ExactMatrix.identity(a01), model.cech_d0)
     n5 = QuotientSpace(ExactMatrix.identity(a11), model.cech_d1)
 
@@ -318,25 +319,6 @@ def _extend_to_basis(rng, M):
         if rank(cand) == len(cols) + len(extra) + 1:
             extra.append(v)
     return ExactMatrix(extra).transpose() if extra else ExactMatrix.zeros(n, 0)
-
-
-def _cleared_inverse(P: ExactMatrix):
-    """``(den, N)``: den is the lcm of the denominators of P^-1 and N = den P^-1,
-    an integer matrix.
-
-    Both come from the integer rows of the reduced [P | I], built without a
-    Fraction: row i of P^-1 is x / p over the right block x of row i and its
-    pivot entry p, so with g = gcd(p, x) its reduced denominator is |p| / g,
-    and den times the row is (x / g) * (den / (p / g)).
-    """
-    n = P.cols
-    rows = _inverse_rows(P)
-    cleared = []
-    for i, row in enumerate(rows):
-        g = math.gcd(row[i], *row[n:])
-        cleared.append((row[i] // g, [x // g for x in row[n:]]))
-    den = math.lcm(*(p for p, _ in cleared))
-    return den, ExactMatrix([[x * (den // p) for x in xs] for p, xs in cleared], cols=n)
 
 
 def _random_square(rng: random.Random, max_dim: int):

@@ -25,6 +25,7 @@ from .matrix import (
     ExactMatrix,
     inverse,
     is_symplectic,
+    line_block_form,
     rank,
     random_symplectic,
     solve_linear,
@@ -52,15 +53,9 @@ def middle_theta(n: int) -> ExactMatrix:
 def standard_form(n: int) -> ExactMatrix:
     """Block form [[0,0,1],[0,Theta,0],[-1,0,0]] in the (line, middle, dual
     line) ordering: the pairing <l, s'> - <l', s> + theta(u, u')."""
-    k = 2 * n - 2
-    theta = middle_theta(n)
-    rows = [[0] * (2 * n) for _ in range(2 * n)]
-    rows[0][2 * n - 1] = 1
-    rows[2 * n - 1][0] = -1
-    for i in range(k):
-        for j in range(k):
-            rows[1 + i][1 + j] = theta.entries[i][j]
-    return ExactMatrix(rows)
+    if n < 2:
+        raise ValueError("middle block needs n >= 2")
+    return line_block_form(n)
 
 
 def _line_inverse(l):

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .matrix import ExactMatrix, in_sp, is_symplectic, rank, standard_omega
 from .moment import gaiotto_field
-from .rings import LaurentPoly, MultiPoly, dot
+from .rings import LaurentPoly, MultiPoly, as_poly, dot
 
 _Z = "z"
 _T = "t"
@@ -59,11 +59,7 @@ class TruncatedSeriesVector:
     def __post_init__(self):
         if self.precision < 1:
             raise ValueError("precision must be >= 1")
-        object.__setattr__(
-            self,
-            "entries",
-            tuple(e if isinstance(e, MultiPoly) else MultiPoly.const(e) for e in self.entries),
-        )
+        object.__setattr__(self, "entries", tuple(map(as_poly, self.entries)))
 
     @property
     def dim(self) -> int:
@@ -78,7 +74,7 @@ class TruncatedSeriesVector:
 
 
 def _omega_pair(omega: ExactMatrix, a, b, prec: int) -> MultiPoly:
-    return poly_mod(_as_zpoly(dot(a, omega.apply(b))), prec)
+    return poly_mod(as_poly(dot(a, omega.apply(b))), prec)
 
 
 def symplectic_complete(v: TruncatedSeriesVector, prec: int | None = None) -> ExactMatrix:
@@ -156,17 +152,13 @@ def verify_completion(S: ExactMatrix, prec: int) -> bool:
     """S^T Omega S = Omega mod z^prec, and S invertible over the truncated ring."""
     n2 = S.rows
     omega = standard_omega(n2 // 2)
-    prod = (S.transpose() * omega * S - omega).map_entries(lambda p: poly_mod(_as_zpoly(p), prec))
+    prod = (S.transpose() * omega * S - omega).map_entries(lambda p: poly_mod(as_poly(p), prec))
     if not prod.is_zero:
         return False
     const = ExactMatrix(
-        [[_as_zpoly(x).coeff({_Z: 0}) for x in row] for row in S.entries]
+        [[as_poly(x).coeff({_Z: 0}) for x in row] for row in S.entries]
     )
     return rank(const) == n2
-
-
-def _as_zpoly(x) -> MultiPoly:
-    return x if isinstance(x, MultiPoly) else MultiPoly.const(x)
 
 
 # -- the pole-modification family -----------------------------------------
@@ -190,9 +182,6 @@ class HeckeFamily:
     N: ExactMatrix
     h_t: ExactMatrix      # over Laurent-in-z, polynomial-in-t coefficients
     h_inv: ExactMatrix    # I - t z^{-m} N, verified inverse
-
-    def omega_laurent(self) -> ExactMatrix:
-        return standard_omega(self.n).map_entries(lambda x: LaurentPoly.const(_Z, x))
 
     def at_t_zero(self) -> ExactMatrix:
         return self.h_t.map_entries(lambda p: p.substitute_coeff_var(_T, 0))
@@ -227,15 +216,14 @@ def hecke_family(n: int, m: int, nilpotent: ExactMatrix | None = None) -> HeckeF
     h_t = _family_matrix(N, m, +1)
     h_inv = _family_matrix(N, m, -1)
     fam = HeckeFamily(n, m, N, h_t, h_inv)
-    ident = ExactMatrix.identity(2 * n).map_entries(lambda x: LaurentPoly.const(_Z, x))
-    if fam.h_t * fam.h_inv != ident:
+    if fam.h_t * fam.h_inv != ExactMatrix.identity(2 * n):
         raise HeckeIdentityError("I - t z^-m N does not invert the family")
     return fam
 
 
 def verify_symplectic_family(fam: HeckeFamily) -> bool:
     """The exact Laurent-polynomial identity h_t^T Omega h_t = Omega."""
-    return is_symplectic(fam.h_t, fam.omega_laurent())
+    return is_symplectic(fam.h_t, standard_omega(fam.n))
 
 
 @dataclass(frozen=True)
@@ -274,7 +262,7 @@ def glue_check(n: int, m: int, nilpotent: ExactMatrix | None = None) -> GlueRepo
     punctured-disc Higgs field matches the Higgs field of the modified
     spinor as an exact Laurent identity."""
     fam = hecke_family(n, m, nilpotent=nilpotent)
-    omega = fam.omega_laurent()
+    omega = standard_omega(fam.n)
     psi_u, psi_d = modified_spinor(fam)
 
     regular = all(p.is_zero or p.is_regular for p in psi_d)

@@ -9,12 +9,11 @@ through commutant dimensions instead of running a full Meataxe.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .matrix import ExactMatrix, _reduce, in_sp, inverse, mat_rank_kernel, standard_omega
+from .matrix import ExactMatrix, _cleared_rows, _reduce, in_sp, inverse, mat_rank_kernel, standard_omega
 from .rings import _is_rat, is_zero
 
 
@@ -123,11 +122,11 @@ class _CoordinateSolver:
     pivots P are D positions at which the X_j are independent; its integer
     row r divided by its pivot entry has, in the right block, row r of the
     inverse E of F restricted to the columns P, so c_j = sum_r E[r][j] y[P_r].
-    With den the lcm of the pivot entries, den E is an integer matrix, kept
-    as a map from each pivot position to its nonzero (j, den E[r][j]).  A
-    solve walks the nonzeros of y only and sums den c in integers (for an
-    integer y); the result is checked on the full system before den is
-    divided out.
+    With den the lcm of the denominators of E (``matrix._cleared_rows``),
+    den E is an integer matrix, kept as a map from each pivot position to its
+    nonzero (j, den E[r][j]).  A solve walks the nonzeros of y only and sums
+    den c in integers (for an integer y); the result is checked on the full
+    system before den is divided out.
     """
 
     def __init__(self, columns, size: int):
@@ -143,11 +142,8 @@ class _CoordinateSolver:
         if len(self.sel) != dim:
             raise ValueError("basis matrices are linearly dependent")
         self.columns = columns
-        self.den = den = math.lcm(*(row[p] for row, p in zip(rows, self.sel)))
-        self.inv = {
-            p: [(j, e * (den // row[p])) for j, e in enumerate(row[size:]) if e]
-            for row, p in zip(rows, self.sel)
-        }
+        self.den, inv = _cleared_rows(rows, self.sel, size)
+        self.inv = {p: [(j, e) for j, e in enumerate(row) if e] for p, row in zip(self.sel, inv)}
 
     def scaled_coords(self, y: dict):
         """``{j: den c_j}`` over the j that the nonzeros of ``y`` reach, for
@@ -227,12 +223,18 @@ class SymplecticRep:
         self.dimV = omega.rows
         if len(self.rho) != algebra.dim:
             raise ValueError("need one image per basis element")
-        spans = sorted(
-            [(s.lo, s.hi) for s in self.summands]
-        )
-        covered = [x for lo, hi in spans for x in range(lo, hi)]
-        if covered != list(range(self.dimV)):
+        # the sorted nonempty spans must tile range(dimV) end to end
+        end = 0
+        for lo, hi in sorted((s.lo, s.hi) for s in self.summands):
+            if lo < hi:
+                if lo != end:
+                    raise ValueError("summands must partition the coordinate range")
+                end = hi
+        if end != self.dimV:
             raise ValueError("summands must partition the coordinate range")
+        for s in self.summands:
+            if s.kind != "irreducible" and not (s.mid is not None and s.lo < s.mid < s.hi):
+                raise ValueError("a dual-pair summand needs lo < mid < hi")
 
     def constituents(self):
         out = []

@@ -85,10 +85,6 @@ class ExactMatrix:
         return cls([[vals[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def column(cls, vec) -> "ExactMatrix":
-        return cls([[v] for v in vec])
-
-    @classmethod
     def from_blocks(cls, blocks) -> "ExactMatrix":
         """Assemble from a 2D grid of ExactMatrix blocks."""
         out = []
@@ -111,9 +107,6 @@ class ExactMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
-
-    def row(self, i):
-        return self.entries[i]
 
     def col(self, j):
         return tuple(r[j] for r in self.entries)
@@ -227,13 +220,18 @@ class ExactMatrix:
 # level) tells the next update what to divide by.  It hands back integer
 # rows: a pivot row divided by its own pivot entry is a row of the reduced
 # form, and each caller divides only the entries it reads (_kernel_from,
-# solve_linear, inverse; lie, moment and cech read the integer rows of
-# [F | I], [G | I] and [P | I] themselves).  _rank_bareiss stays eager: its inputs
-# are small and dense, where the bookkeeping costs more than the skipped
-# rows save.
+# solve_linear, inverse, and _cleared_rows, which serves den * M^-1 to cech,
+# moment and lie).  _rank_bareiss stays eager: its inputs are small and
+# dense, where the bookkeeping costs more than the skipped rows save.
 
 
 _INT_ONLY = {int}
+
+
+def _clear_denominators(vec):
+    """(integers, L) with vec == integers / L for a rational vector."""
+    L = math.lcm(*(x.denominator for x in vec))
+    return [x.numerator * (L // x.denominator) for x in vec], L
 
 
 def _integer_rows(entries):
@@ -250,8 +248,7 @@ def _integer_rows(entries):
             raise UnsupportedRingError(
                 f"elimination needs rational entries, not {type(bad).__name__}"
             )
-        den = math.lcm(*(x.denominator for x in r))
-        rows.append([x.numerator * (den // x.denominator) for x in r])
+        rows.append(_clear_denominators(r)[0])
     return rows
 
 
@@ -415,6 +412,28 @@ def inverse(M: ExactMatrix) -> ExactMatrix:
     )
 
 
+def _cleared_rows(rows, pivots, n):
+    """``(den, N)`` from integer rows that ``_rref_int`` reduced on their
+    first n columns: for each pivot row with pivot entry p and entries x past
+    column n, g = gcd(p, x) makes |p| / g the reduced denominator of x / p,
+    den is the lcm of those, and N lists den * x / p = (x / g) * (den / (p / g)).
+    """
+    cleared = []
+    for row, pc in zip(rows, pivots):
+        g = math.gcd(row[pc], *row[n:])
+        cleared.append((row[pc] // g, [x // g for x in row[n:]]))
+    den = math.lcm(*(p for p, _ in cleared))
+    return den, [[x * (den // p) for x in xs] for p, xs in cleared]
+
+
+def _cleared_inverse(M: ExactMatrix):
+    """``(den, N)``: den is the lcm of the denominators of M^-1 and
+    N = den M^-1, an integer matrix.  Raises ValueError when M is singular."""
+    n = M.cols
+    den, N = _cleared_rows(_inverse_rows(M), range(n), n)
+    return den, ExactMatrix(N, cols=n)
+
+
 def char_poly(M: ExactMatrix):
     """Coefficients of det(lambda*I - M) from lambda^0 up to lambda^dim.
 
@@ -457,9 +476,22 @@ def standard_omega(n: int) -> ExactMatrix:
     return ExactMatrix(m)
 
 
+def line_block_form(n: int) -> ExactMatrix:
+    """Block form [[0,0,1],[0,Theta,0],[-1,0,0]] in the (line, middle, dual
+    line) ordering, with Theta = ``standard_omega(n - 1)`` on the middle
+    block of size 2n-2: the pairing <l, s'> - <l', s> + theta(u, u')."""
+    rows = [[0] * (2 * n) for _ in range(2 * n)]
+    rows[0][2 * n - 1] = 1
+    rows[2 * n - 1][0] = -1
+    for row, theta_row in zip(rows[1:], standard_omega(n - 1).entries):
+        row[1:-1] = theta_row
+    return ExactMatrix(rows)
+
+
 def is_symplectic(M: ExactMatrix, omega: ExactMatrix | None = None) -> bool:
     """Whether the square matrix M preserves omega: M^T Omega M = Omega, with
-    the standard form of M's size by default."""
+    the standard form of M's size by default.  A rational omega serves M over
+    any ring of the tower, since products and ``==`` mix rational entries in."""
     if omega is None:
         if M.rows % 2:
             return False
@@ -468,7 +500,8 @@ def is_symplectic(M: ExactMatrix, omega: ExactMatrix | None = None) -> bool:
 
 
 def in_sp(X: ExactMatrix, omega: ExactMatrix | None = None) -> bool:
-    """Lie algebra membership: X^T Omega + Omega X = 0."""
+    """Lie algebra membership: X^T Omega + Omega X = 0.  A rational omega
+    serves X over any ring of the tower, as in ``is_symplectic``."""
     if omega is None:
         omega = standard_omega(X.rows // 2)
     return (X.transpose() * omega + omega * X).is_zero
@@ -524,15 +557,13 @@ def random_symplectic_laurent(n: int, seed: int, var: str = "z") -> ExactMatrix:
     rng = random.Random(seed)
     omega = standard_omega(n)
     dim = 2 * n
-    M = ExactMatrix([[LaurentPoly.const(var, 1 if i == j else 0) for j in range(dim)]
-                     for i in range(dim)])
-    omega_l = omega.map_entries(lambda x: LaurentPoly.const(var, x))
+    M = ExactMatrix.identity(dim)
     for _ in range(rng.randint(2, 4)):
-        v = [LaurentPoly.const(var, rng.randint(-2, 2)) for _ in range(dim)]
-        if all(x.is_zero for x in v):
-            v[rng.randrange(dim)] = LaurentPoly.const(var, 1)
+        v = [rng.randint(-2, 2) for _ in range(dim)]
+        if not any(v):
+            v[rng.randrange(dim)] = 1
         c = LaurentPoly.term(var, rng.randint(-2, 2), rng.choice([1, -1, 2]))
-        M = M * transvection(v, c, omega_l)
-    if not is_symplectic(M, omega_l):
+        M = M * transvection(v, c, omega)
+    if not is_symplectic(M, omega):
         raise NotSymplecticError("product of Laurent transvections is not symplectic")
     return M

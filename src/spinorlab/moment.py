@@ -26,7 +26,7 @@ import math
 from fractions import Fraction
 
 from .lie import SymplecticRep, nonzero_entries
-from .matrix import ExactMatrix, _inverse_rows, char_poly
+from .matrix import ExactMatrix, _clear_denominators, _cleared_inverse, char_poly
 from .rings import is_zero
 
 
@@ -45,12 +45,13 @@ class MomentContext:
     denominator) and the structure constants (likewise) are all kept as
     sparse integer (row, col, value) entries.
 
-    The Gram inverse is read from the integer rows of the reduced [G | I]:
-    with den_G the lcm of their pivot entries, den_G G^-1 is an integer
+    The Gram inverse comes from ``matrix._cleared_inverse``: with den_G the
+    lcm of the reduced denominators of G^-1, den_G G^-1 is an integer
     matrix, kept as sparse columns.  The A_j = rho_j^T Omega are cleared of
     their common denominator t, so every sum below is an integer multiple
     of 1/(den_G t), and q is den_G t over the gcd of den_G t and all sums:
-    the lcm of their reduced denominators.
+    the lcm of their reduced denominators, whatever common denominator
+    den_G is.
     """
 
     def __init__(self, rep: SymplecticRep, b_scale=1):
@@ -60,18 +61,14 @@ class MomentContext:
         gram = rep.algebra.trace_gram().scale(b_scale)
         self.gram_B = gram
         try:
-            rows = _inverse_rows(gram)
+            den_g, ginv = _cleared_inverse(gram)
         except ValueError as exc:
             raise InvalidContextError("Gram matrix of B is singular") from exc
         D = rep.algebra.dim
-        den_g = math.lcm(*(row[k] for k, row in enumerate(rows)))
         # ginv_cols[j] lists (k, den_G ginv[k][j]) over the nonzero entries
         ginv_cols = [[] for _ in range(D)]
-        for k, row in enumerate(rows):
-            scale = den_g // row[k]
-            for j, x in enumerate(row[D:]):
-                if x:
-                    ginv_cols[j].append((k, x * scale))
+        for k, j, x in nonzero_entries(ginv):
+            ginv_cols[j].append((k, x))
         omega_rows = {}
         for m, c, w in nonzero_entries(rep.omega):
             omega_rows.setdefault(m, []).append((c, w))
@@ -138,12 +135,6 @@ def _forms(forms, a, b):
             acc = acc + v * x * y
         out.append(acc)
     return out
-
-
-def _clear_denominators(vec):
-    """(integers, L) with vec == integers / L for a rational vector."""
-    L = math.lcm(*(x.denominator for x in vec))
-    return [x.numerator * (L // x.denominator) for x in vec], L
 
 
 def moment_map(ctx: MomentContext, psi):

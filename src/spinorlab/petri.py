@@ -22,9 +22,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lie import SymplecticRep
-from .matrix import ExactMatrix, ShapeError, _kernel_from, _rref_int
-from .moment import MomentContext, _clear_denominators, moment_differential, moment_map
-from .rings import MultiPoly
+from .matrix import ExactMatrix, ShapeError, _clear_denominators, _kernel_from, _rref_int
+from .moment import MomentContext, moment_map
+from .rings import MultiPoly, as_poly
 
 _X = "x"
 
@@ -62,7 +62,7 @@ class SectionSpace:
         m = self.rep.dimV
         out = [0] * self.dim
         for j, p in enumerate(polys):
-            p = p if isinstance(p, MultiPoly) else MultiPoly.const(p)
+            p = as_poly(p)
             if p.degree_in(_X) >= self.degree_bound:
                 raise ShapeError("section degree exceeds the bound")
             for k, c in p.coeffs_in(_X).items():
@@ -127,13 +127,6 @@ def petri_kernel(space: SectionSpace, psi):
     entry is built before the kernel vectors."""
     _, rows, _ = _petri_rows(space, psi)
     return _kernel_from(rows, _rref_int(rows, space.dim), space.dim)
-
-
-def petri_apply_pointwise(space: SectionSpace, psi, psidot, x0):
-    """Evaluate sections first, then take dmu at the point (test oracle)."""
-    p = space.evaluate(psi, x0)
-    pd = space.evaluate(psidot, x0)
-    return moment_differential(space.ctx, p, pd)
 
 
 def dual_pair_slots(rep: SymplecticRep):

@@ -47,6 +47,20 @@ def dot(xs, ys):
     return 0 if acc is None else acc
 
 
+def _power(base, k, one):
+    """base**k by square-and-multiply, starting from the ring's ``one``;
+    ValueError unless k is a nonnegative int."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = one
+    while k:
+        if k & 1:
+            result = result * base
+        base = base * base if k > 1 else base
+        k >>= 1
+    return result
+
+
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     # gcd on rationals: gcd of numerators over lcm of denominators
     num = gcd(a.numerator, b.numerator)
@@ -138,11 +152,6 @@ class MultiPoly:
         if self.vars:
             raise ValueError("not a constant polynomial")
         return self.terms.get((), Fraction(0))
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
 
     def degree_in(self, name: str) -> int:
         if name not in self.vars:
@@ -236,16 +245,7 @@ class MultiPoly:
         return NotImplemented
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = MultiPoly.const(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return _power(self, k, MultiPoly.const(1))
 
     # -- structure ---------------------------------------------------------
 
@@ -616,16 +616,7 @@ class LaurentPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = LaurentPoly.const(self.var, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return _power(self, k, LaurentPoly.const(self.var, 1))
 
     def substitute_power(self, new_var: str, power: int) -> "LaurentPoly":
         """Replace the Laurent variable v by new_var**power (power may be negative)."""

@@ -8,15 +8,33 @@ equality by cross-multiplication.  Its elimination is the fraction-field
 route of ``matrix_oracles``, not the package's rational-only kernel.  Two
 charts with independent line symbols (``l`` and ``l2``) only fit this route,
 since a ``LaurentPoly`` has one distinguished variable.
+``loop_block_form`` is the entrywise loop that ``cocycle.standard_form`` and
+``bbflow.graded_omega`` each ran before both built ``matrix.line_block_form``.
 """
 
 from dataclasses import dataclass
 
 from spinorlab.cocycle import assemble_transition, middle_theta, standard_form
 from spinorlab.matrix import ExactMatrix, random_symplectic
+from spinorlab.matrix import standard_omega
 from spinorlab.rings import FracElem, LaurentPoly, MultiPoly, dot
 
 from matrix_oracles import rref_rank_kernel, rref_solve
+
+
+def loop_block_form(n):
+    """[[0,0,1],[0,Theta,0],[-1,0,0]] in the (line, middle, dual line)
+    ordering, Theta = standard_omega(n - 1), copied entry by entry."""
+    k = 2 * n - 2
+    rows = [[0] * (2 * n) for _ in range(2 * n)]
+    rows[0][2 * n - 1] = 1
+    rows[2 * n - 1][0] = -1
+    if k:
+        theta = standard_omega(n - 1)
+        for i in range(k):
+            for j in range(k):
+                rows[1 + i][1 + j] = theta.entries[i][j]
+    return ExactMatrix(rows)
 
 
 @dataclass(frozen=True)

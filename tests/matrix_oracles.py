@@ -8,12 +8,19 @@ polynomial fraction, through ``_rref``.  ``cocycle_oracles`` runs its
 fraction-field route on them.  ``dot_product`` is the product that
 ``ExactMatrix.__mul__`` replaced: one ``rings.dot`` per entry, over the row
 of A and the column of B.
+``lifted_random_symplectic_laurent`` is the ``random_symplectic_laurent``
+that lifted its identity, its form and its vectors to Laurent constants,
+checked against the lifted form.
 """
+
+import random
 
 from fractions import Fraction
 
 from spinorlab.matrix import ExactMatrix
+from spinorlab.matrix import is_symplectic, standard_omega, transvection
 from spinorlab.rings import FracElem, MultiPoly, UnsupportedRingError, dot, is_zero
+from spinorlab.rings import LaurentPoly
 
 
 def dot_product(A, B):
@@ -111,3 +118,24 @@ def rref_inverse(M):
     if len(_rref(aug, n)) != n:
         raise ValueError("matrix is singular")
     return ExactMatrix([r[n:] for r in aug])
+
+
+def laurent_lift(M, var):
+    """M with every entry lifted to a Laurent constant in var."""
+    return M.map_entries(lambda x: LaurentPoly.const(var, x))
+
+
+def lifted_random_symplectic_laurent(n, seed, var="z"):
+    """``(M, is_symplectic(M, lifted omega))`` with the draws of
+    ``random_symplectic_laurent``, every rational lifted to ``var``."""
+    rng = random.Random(seed)
+    dim = 2 * n
+    M = laurent_lift(ExactMatrix.identity(dim), var)
+    omega_l = laurent_lift(standard_omega(n), var)
+    for _ in range(rng.randint(2, 4)):
+        v = [LaurentPoly.const(var, rng.randint(-2, 2)) for _ in range(dim)]
+        if all(x.is_zero for x in v):
+            v[rng.randrange(dim)] = LaurentPoly.const(var, 1)
+        c = LaurentPoly.term(var, rng.randint(-2, 2), rng.choice([1, -1, 2]))
+        M = M * transvection(v, c, omega_l)
+    return M, is_symplectic(M, omega_l)

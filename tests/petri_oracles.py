@@ -6,6 +6,9 @@ against the sparse polarized forms S_k.  The route below is the direct one it
 replaced: one call of the bilinear ``moment_differential`` per section basis
 vector over ``MultiPoly``, with the coefficients read back out of the output
 polynomials.
+``petri_apply_pointwise`` takes the differential at a point after
+evaluating the sections there, the pointwise side that the section matrix
+must agree with.
 """
 
 from spinorlab.matrix import ExactMatrix, ShapeError
@@ -37,3 +40,10 @@ def multipoly_petri_matrix(space, psi) -> ExactMatrix:
                     col[deg * dim_g + i] = cpoly.constant_value()
             cols.append(col)
     return ExactMatrix(cols).transpose()
+
+
+def petri_apply_pointwise(space, psi, psidot, x0):
+    """Evaluate sections first, then take dmu at the point."""
+    p = space.evaluate(psi, x0)
+    pd = space.evaluate(psidot, x0)
+    return moment_differential(space.ctx, p, pd)

@@ -166,3 +166,15 @@ class TestStructure:
             nonzero = [(i, j) for i in range(2 * n) for j in range(2 * n)
                        if Phi.entries[i][j] != 0]
             assert nonzero == [(0, 2 * n - 1)]
+
+
+def test_torus_check_fails_for_a_torus_that_does_not_preserve_the_form(monkeypatch):
+    """A weight torus scaled by 2 scales g^T Omega g by 4, and the rational
+    form must see it."""
+    import spinorlab.bbflow as bbflow
+
+    models = [graded_model(n, strictly_filtered_phi(n)) for n in (1, 2, 3)]
+    assert all(map(torus_preserves_form, models))
+    good = bbflow.weight_torus
+    monkeypatch.setattr(bbflow, "weight_torus", lambda m, inverse=False: good(m, inverse).scale(2))
+    assert not any(map(torus_preserves_form, models))

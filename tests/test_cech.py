@@ -35,8 +35,8 @@ def sympy_rank(M):
 
 def brute_force_hyper(model):
     a00, a01, a10, a11 = model.dims
-    r0 = sympy_rank(model.total_d0())
-    r1 = sympy_rank(model.total_d1())
+    r0 = sympy_rank(model.total_d0)
+    r1 = sympy_rank(model.total_d1)
     return a00 - r0, a01 + a10 - r0 - r1, a11 - r1
 
 
@@ -77,7 +77,7 @@ class TestHypercohomology:
         for _ in range(20):
             model = random_model(rng)
             assert model.commutes
-            assert (model.total_d1() * model.total_d0()).is_zero
+            assert (model.total_d1 * model.total_d0).is_zero
 
     def test_broken_square_breaks_total_complex(self):
         # the two conditions fail together: D1 D0 = 0 iff the square commutes
@@ -93,7 +93,7 @@ class TestHypercohomology:
                 model.cech_d0, model.cech_d1, model.diff_a0, ExactMatrix(bad_a1)
             )
             commutes = broken.commutes
-            total_zero = (broken.total_d1() * broken.total_d0()).is_zero
+            total_zero = (broken.total_d1 * broken.total_d0).is_zero
             assert commutes == total_zero
             found += not commutes
         assert found > 0

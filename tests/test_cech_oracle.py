@@ -99,7 +99,7 @@ def test_random_squares_and_kernels_have_int_entries():
         mats = [model.cech_d0, model.cech_d1, model.diff_a0, model.diff_a1, m.phi1_0, m.phi1_1]
         for side in (m.source, m.target):
             mats += [side.cech_d0, side.cech_d1, side.diff_a0, side.diff_a1]
-        for M in (model.cech_d0, model.cech_d1, model.total_d1(), m.target.total_d1()):
+        for M in (model.cech_d0, model.cech_d1, model.total_d1, m.target.total_d1):
             K = _kernel_columns(M)
             assert (M * K).is_zero and K.cols == M.cols - rank(M) == rank(K)
             mats.append(K)

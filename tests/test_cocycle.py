@@ -24,6 +24,8 @@ from spinorlab.matrix import ExactMatrix, random_symplectic
 from spinorlab.rings import FracElem, LaurentPoly, MultiPoly
 
 from cocycle_oracles import frac_assemble_transition, frac_fresh_symbol_cocycle
+from cocycle_oracles import loop_block_form
+from spinorlab.bbflow import graded_omega
 
 L = LaurentPoly("l", {1: 1})
 
@@ -264,3 +266,19 @@ class TestMiddleBlockCheck:
             ok, detail = check_cocycle(random.Random(seed), n)
             assert ok, detail
             assert len(checked) == 2 and checked[0] == checked[1]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_block_form_matches_the_entrywise_loop(n):
+    """``standard_form`` and ``graded_omega`` build one block form, entry for
+    entry the loop each ran before; each keeps its own bound on n."""
+    want = loop_block_form(n)
+    got = graded_omega(n)
+    assert got == want and all(type(x) is int for r in got.entries for x in r)
+    if n >= 2:
+        assert standard_form(n) == want
+    else:
+        with pytest.raises(ValueError):
+            standard_form(n)
+        with pytest.raises(ValueError):
+            graded_omega(n - 1)

@@ -9,6 +9,7 @@ import pytest
 import spinorlab.hecke as hecke
 from spinorlab.hecke import (
     GlueReport,
+    HeckeFamily,
     HeckeIdentityError,
     PrimitivityError,
     TruncatedSeriesVector,
@@ -200,3 +201,17 @@ class TestGlue:
             lhs = g * gaiotto_field(omega, psi)
             rhs = gaiotto_field(omega, g.apply(psi)) * g
             assert lhs == rhs
+
+
+@pytest.mark.parametrize("n, m", [(1, 1), (2, 3), (3, 2)])
+def test_family_checks_fail_for_a_scaled_family(monkeypatch, n, m):
+    """h_t scaled by 2 takes Omega to 4 Omega and is 2 I at t = 0: the
+    symplectic check on the rational form and the suite check both fail."""
+    from spinorlab.suites import check_hecke_family
+
+    fam = hecke_family(n, m)
+    bad = HeckeFamily(fam.n, fam.m, fam.N, fam.h_t.scale(2), fam.h_inv)
+    assert verify_symplectic_family(fam) and not verify_symplectic_family(bad)
+    assert check_hecke_family(n, m) == (True, "")
+    monkeypatch.setattr(hecke, "hecke_family", lambda n, m: bad)
+    assert check_hecke_family(n, m) == (False, "family identity failed")

@@ -1,7 +1,9 @@
 """Representation structure tests: verification surface, commutants,
 intertwiners, and the multiplicity-freeness check."""
 
+import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -272,3 +274,45 @@ class TestSerialization:
         except RepFormatError:
             pass
 
+
+
+def covers_by_coordinate_list(spans, dim):
+    """The partition check that ``SymplecticRep`` ran before: one list entry
+    per declared coordinate."""
+    return [x for lo, hi in sorted(spans) for x in range(lo, hi)] == list(range(dim))
+
+
+class TestSummandBounds:
+    def test_huge_summand_bound_rejected_within_a_second(self):
+        text = rep_to_text(sl2_w_plus_wdual()) + f"summand irr 4 {2 ** 40}\n"
+        start = time.perf_counter()
+        with pytest.raises(RepFormatError):
+            rep_from_text(text)
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("mid", ["7", "0", "4", "-1"])
+    def test_dual_pair_mid_outside_its_span_rejected(self, mid):
+        text = rep_to_text(sl2_w_plus_wdual())
+        assert "summand dual 0 2 4" in text
+        with pytest.raises(RepFormatError):
+            rep_from_text(text.replace("summand dual 0 2 4", f"summand dual 0 {mid} 4"))
+
+    def test_dual_pair_without_mid_rejected(self):
+        base = sl2_w_plus_wdual()
+        with pytest.raises(ValueError):
+            SymplecticRep(base.algebra, base.omega, base.rho, [Summand("dual-pair", 0, 4)])
+
+    def test_span_walk_accepts_what_the_coordinate_list_accepted(self):
+        alg = sl2_algebra()
+        spans = list(itertools.product(range(-1, 4), repeat=2))
+        for dim in range(4):
+            omega = ExactMatrix.zeros(dim, dim)
+            for k in range(4):
+                for chosen in itertools.product(spans, repeat=k):
+                    summands = [Summand("irreducible", lo, hi) for lo, hi in chosen]
+                    try:
+                        SymplecticRep(alg, omega, [omega] * alg.dim, summands)
+                        accepted = True
+                    except ValueError:
+                        accepted = False
+                    assert accepted == covers_by_coordinate_list(chosen, dim), (dim, chosen)

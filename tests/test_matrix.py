@@ -13,6 +13,7 @@ from spinorlab.matrix import (
     NotSymplecticError,
     ShapeError,
     char_poly,
+    in_sp,
     is_symplectic,
     mat_rank_kernel,
     rank,
@@ -22,6 +23,8 @@ from spinorlab.matrix import (
     standard_omega,
 )
 from spinorlab.rings import LaurentPoly, MultiPoly, UnsupportedRingError
+
+from matrix_oracles import laurent_lift, lifted_random_symplectic_laurent
 
 
 def sympy_matrix(M):
@@ -295,3 +298,38 @@ class TestSymplectic:
         monkeypatch.setattr(matrix, "transvection", lambda v, c, omega: good(v, c, omega).scale(2))
         with pytest.raises(NotSymplecticError):
             build(2, 3)
+
+
+class TestRationalFormOnLaurentMatrices:
+    """``is_symplectic`` and ``in_sp`` take a rational form for matrices
+    over the Laurent ring, with the verdict of the form lifted to Laurent
+    constants."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_laurent_matrix_matches_the_lifted_route(self, n):
+        for seed in range(8):
+            M = random_symplectic_laurent(n, seed)
+            want, lifted_ok = lifted_random_symplectic_laurent(n, seed)
+            assert M == want and lifted_ok
+            assert [list(map(type, r)) for r in M.entries] == [
+                list(map(type, r)) for r in want.entries
+            ]
+            omega = standard_omega(n)
+            assert is_symplectic(M, omega) and is_symplectic(M, laurent_lift(omega, "z"))
+
+    @pytest.mark.parametrize("factor", [2, LaurentPoly.term("z", 1), LaurentPoly("z", {0: 1, 2: 1})])
+    def test_scaled_laurent_matrix_is_not_symplectic_under_either_form(self, factor):
+        for seed in range(4):
+            M = random_symplectic_laurent(2, seed).scale(factor)
+            omega = standard_omega(2)
+            assert not is_symplectic(M, omega)
+            assert not is_symplectic(M, laurent_lift(omega, "z"))
+
+    def test_in_sp_matches_the_lifted_form(self):
+        z = LaurentPoly.term("z", 1)
+        omega = standard_omega(2)
+        N = ExactMatrix([[0, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+        for X, member in ((N.scale(z), True), (N.transpose().scale(z), True),
+                          (ExactMatrix.identity(4).scale(z), False)):
+            assert in_sp(X, omega) is member
+            assert in_sp(X, laurent_lift(omega, "z")) is member

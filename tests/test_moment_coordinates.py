@@ -9,6 +9,7 @@ import pytest
 import sympy
 
 import petri_oracles
+from cech_oracles import fraction_cleared_inverse
 from moment_oracles import (
     ambient_equivariance_check,
     dual_moment_differential,
@@ -28,6 +29,7 @@ from spinorlab.lie import (
     sp_standard,
 )
 from spinorlab.matrix import ExactMatrix, standard_omega
+from spinorlab.matrix import _cleared_inverse
 from spinorlab.moment import MomentContext, equivariance_check, moment_differential
 from spinorlab.rings import MultiPoly
 
@@ -174,3 +176,29 @@ def test_coordinate_solver_rows_and_span(n):
     outside = [[0] * alg.ambient_dim for _ in range(alg.ambient_dim)]
     outside[0][0] = 1
     assert alg.coordinates_of(ExactMatrix(outside)) is None
+
+
+@pytest.mark.parametrize("name", sorted(REPS))
+@pytest.mark.parametrize("b_scale", [1, 5, Fraction(-2, 3)])
+def test_cleared_gram_inverse_matches_the_fraction_route(name, b_scale):
+    """``matrix._cleared_inverse``, which ``MomentContext`` solves with, on
+    the trace-form Gram matrices: den and den G^-1 read off inverse(G)."""
+    gram = REPS[name]().algebra.trace_gram().scale(b_scale)
+    den, N = _cleared_inverse(gram)
+    assert (den, N) == fraction_cleared_inverse(gram)
+    assert all(type(x) is int for r in N.entries for x in r)
+
+
+@pytest.mark.parametrize("name", sorted(REPS))
+def test_coordinate_solver_clears_the_inverse_of_its_pivot_block(name):
+    """The solver's den and den E, E the inverse of the basis restricted to
+    its pivot positions, equal those read off the Fraction inverse."""
+    alg = REPS[name]().algebra
+    solver = alg._coord_solver
+    d = alg.ambient_dim
+    block = ExactMatrix([[X.entries[p // d][p % d] for p in solver.sel] for X in alg.basis])
+    den, N = fraction_cleared_inverse(block)
+    assert solver.den == den
+    assert solver.inv == {
+        p: [(j, x) for j, x in enumerate(row) if x] for p, row in zip(solver.sel, N.entries)
+    }

@@ -9,12 +9,12 @@ import pytest
 import sympy
 
 from petri_oracles import multipoly_petri_matrix
+from petri_oracles import petri_apply_pointwise
 from spinorlab.lie import sl2_sym_cube, sl2_w_plus_wdual, sp_standard
 from spinorlab.matrix import ExactMatrix, ShapeError, mat_rank_kernel, rank, standard_omega
 from spinorlab.petri import (
     SectionSpace,
     dual_pair_kernel_direction,
-    petri_apply_pointwise,
     petri_kernel,
     petri_matrix,
     scalar_action_invariance,

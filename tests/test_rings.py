@@ -424,3 +424,26 @@ class TestLaurentTrusted:
 
         for got in (p * m, m * p):
             assert got == want and shape(got) == shape(want)
+
+
+_POWER_BASES = [
+    MultiPoly.var("x") + MultiPoly.var("y") * Fraction(1, 2) - 1,
+    LaurentPoly("z", {-2: 3, 1: MultiPoly.var("a")}),
+]
+
+
+@pytest.mark.parametrize("base", _POWER_BASES)
+def test_power_is_the_repeated_product(base):
+    """Both rings raise to a power through one square-and-multiply loop;
+    the repeated product is its oracle."""
+    want = base * 0 + 1
+    for k in range(9):
+        assert base ** k == want
+        want = want * base
+
+
+@pytest.mark.parametrize("base", _POWER_BASES)
+@pytest.mark.parametrize("k", [-1, -4, 2.0, Fraction(2), "2", None])
+def test_power_rejects_a_negative_or_non_int_exponent(base, k):
+    with pytest.raises(ValueError):
+        base ** k
