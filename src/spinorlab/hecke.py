@@ -2,9 +2,11 @@
 power series, the pole-modification family h_t = I + t z^{-m} N, and the
 exact gluing identities for the modified spinor and its rank-one Higgs field.
 
-The modification family is exactly Laurent-polynomial, so the whole gluing
-suite runs with zero truncation error; truncation appears only in the basis
-completion, whose output is certified mod z^prec.
+The completion is one explicit basis: over the local ring Q[[z]]/z^prec a
+primitive vector has a unit coordinate and pairs with its partner's basis
+vector.  The modification family is exactly Laurent-polynomial, so the whole
+gluing suite runs with zero truncation error; truncation appears only in the
+basis completion, whose output is certified mod z^prec.
 """
 
 from __future__ import annotations
@@ -73,16 +75,18 @@ class TruncatedSeriesVector:
         return any(c != 0 for c in self.constant_terms())
 
 
-def _omega_pair(omega: ExactMatrix, a, b, prec: int) -> MultiPoly:
-    return poly_mod(as_poly(dot(a, omega.apply(b))), prec)
-
-
 def symplectic_complete(v: TruncatedSeriesVector, prec: int | None = None) -> ExactMatrix:
     """Complete a primitive series vector to a symplectic basis mod z^prec.
 
     Returns S with first column v and S^T Omega S = Omega mod z^prec in the
-    interleaved frame; any valid completion is acceptable, the postconditions
-    are what get checked.
+    interleaved frame, in closed form.  Let p be the first coordinate with
+    v_p(0) != 0, q = p ^ 1 its partner, sigma = Omega[p][q] = +-1 and c the
+    series inverse of sigma v_p.  The columns are v, c e_q, then e_j +
+    alpha_j e_q for every other j ascending, with alpha_j = c (Omega v)_j.
+    They pair as the standard basis does: omega(v, c e_q) = c sigma v_p = 1;
+    e_j + alpha_j e_q is orthogonal to e_q, and to v because alpha_j
+    omega(e_q, v) = -alpha_j sigma v_p cancels omega(e_j, v); and two such
+    columns pair as e_j and e_j' do.
     """
     prec = v.precision if prec is None else prec
     if prec < 1:
@@ -94,54 +98,17 @@ def symplectic_complete(v: TruncatedSeriesVector, prec: int | None = None) -> Ex
         raise ValueError("ambient dimension must be even")
     omega = standard_omega(dim // 2)
 
-    remaining = []
-    for j in range(dim):
-        e = [MultiPoly.const(1 if i == j else 0) for i in range(dim)]
-        remaining.append(e)
-    pairs = []
-    current = [poly_mod(p, prec) for p in v.entries]
-    while True:
-        partner = None
-        for w in remaining:
-            pairing = _omega_pair(omega, current, w, prec)
-            if pairing.coeff({_Z: 0}) != 0:
-                partner = w
-                break
-        if partner is None:
-            raise ValueError("no unit pairing partner; form degenerate mod z")
-        inv = series_inverse(_omega_pair(omega, current, partner, prec), prec)
-        wnorm = [poly_mod(p * inv, prec) for p in partner]
-        pairs.append((current, wnorm))
-        if 2 * len(pairs) == dim:
-            break
-        projected = []
-        for x in remaining:
-            cx_w = _omega_pair(omega, x, wnorm, prec)
-            cx_v = _omega_pair(omega, x, current, prec)
-            proj = [
-                poly_mod(xp - cx_w * vp + cx_v * wp, prec)
-                for xp, vp, wp in zip(x, current, wnorm)
-            ]
-            projected.append(proj)
-        # keep a subset whose constant terms are independent
-        chosen = []
-        const_rows = []
-        for p in projected:
-            row = [q.coeff({_Z: 0}) for q in p]
-            cand = ExactMatrix(const_rows + [row], cols=dim)
-            if rank(cand) == len(const_rows) + 1:
-                chosen.append(p)
-                const_rows.append(row)
-            if len(chosen) == dim - 2 * len(pairs):
-                break
-        if len(chosen) != dim - 2 * len(pairs):
-            raise ValueError("projection lost rank mod z")
-        remaining = chosen
-        current = remaining.pop(0)
-    cols = []
-    for a, b in pairs:
-        cols.append(a)
-        cols.append(b)
+    vt = [poly_mod(x, prec) for x in v.entries]
+    p = next(i for i, c0 in enumerate(v.constant_terms()) if c0 != 0)
+    q = p ^ 1
+    c = series_inverse(omega.entries[p][q] * vt[p], prec)
+    zero, one = MultiPoly.const(0), MultiPoly.const(1)
+    cols = [vt, [c if i == q else zero for i in range(dim)]]
+    for j, w in enumerate(omega.apply(vt)):
+        if j not in (p, q):
+            col = [one if i == j else zero for i in range(dim)]
+            col[q] = poly_mod(c * w, prec)
+            cols.append(col)
     S = ExactMatrix(cols, cols=dim).transpose()
     if not verify_completion(S, prec):
         raise HeckeIdentityError("completion postcondition failed")
@@ -269,8 +236,8 @@ def glue_check(n: int, m: int, nilpotent: ExactMatrix | None = None) -> GlueRepo
     at_zero = [p.coefficient(0) for p in psi_d]  # entries are polynomials in t
     nonzero_at_origin = any(not c.is_zero for c in at_zero)
 
-    phi_u = gaiotto_field(omega, psi_u).map_entries(_lz)
-    phi_d = gaiotto_field(omega, psi_d).map_entries(_lz)
+    phi_u = gaiotto_field(omega, psi_u)
+    phi_d = gaiotto_field(omega, psi_d)
     glues = fam.h_t * phi_u * fam.h_inv == phi_d
     phi_regular = all(x.is_zero or x.is_regular for row in phi_d.entries for x in row)
     return GlueReport(regular, nonzero_at_origin, glues, phi_regular)

@@ -358,13 +358,11 @@ def _sylvester(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(rows, cols=p * q)
 
 
-def commutant(rep: SymplecticRep, block: tuple[int, int] | None = None):
-    """Basis of End_g(V) (or of the endomorphisms of a coordinate block),
-    computed as the joint kernel of A -> A rho(X_i) - rho(X_i) A."""
-    span = range(*block) if block is not None else range(rep.dimV)
-    m = len(span)
-    subs = [R.submatrix(span, span) for R in rep.rho]
-    ker = _iterative_kernel([_sylvester(sub, -sub) for sub in subs])
+def commutant(rep: SymplecticRep):
+    """Basis of End_g(V), computed as the joint kernel of
+    A -> A rho(X_i) - rho(X_i) A."""
+    m = rep.dimV
+    ker = _iterative_kernel([_sylvester(R, -R) for R in rep.rho])
     return [ExactMatrix([v[r * m : (r + 1) * m] for r in range(m)]) for v in ker]
 
 
@@ -394,16 +392,16 @@ def almost_saturated_check(rep: SymplecticRep) -> SaturationVerdict:
 
     TRUE iff all constituents in distinct summands have zero intertwiner
     space and each dual-pair summand has Hom(W, W*) = 0.  Declared
-    irreducibility is certified first via commutant dimension one on each
-    constituent block; a failed certificate aborts with INCONCLUSIVE.
+    irreducibility is certified first via a one-dimensional Hom(a, a) on
+    each constituent a; a failed certificate aborts with INCONCLUSIVE.
     """
     report = verify_symplectic_rep(rep)
     if not report.passed:
         raise ValueError(f"representation fails verification: {report.failed_names()}")
 
     cons = rep.constituents()
-    for tag, span in cons:
-        if len(commutant(rep, block=span)) != 1:
+    for a, (tag, _) in enumerate(cons):
+        if hom_space(rep, a, a) != 1:
             return SaturationVerdict("INCONCLUSIVE", ((tag, "commutant dimension > 1"),))
 
     summand_of = []

@@ -88,6 +88,46 @@ class TestSymplecticComplete:
                 for p2 in range(1, prec + 1):
                     assert verify_completion(S, p2)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_closed_form_every_unit_coordinate(self, n):
+        # v has a unit only at coordinate p (both signs of omega(e_p, e_q)
+        # occur) plus random z-terms, some at z^prec that must be truncated
+        rng = random.Random(1400 + n)
+        z = MultiPoly.var("z")
+        dim = 2 * n
+        omega = standard_omega(n)
+        for p in range(dim):
+            for prec in range(1, 6):
+                entries = []
+                for i in range(dim):
+                    e = MultiPoly.const(rng.choice([1, -1, 2, -3]) if i == p else 0)
+                    for k in range(1, prec + 1):
+                        e = e + rng.randint(-2, 2) * z ** k
+                    entries.append(e)
+                S = symplectic_complete(TruncatedSeriesVector(tuple(entries), precision=prec))
+                assert S.col(0) == tuple(poly_mod(e, prec) for e in entries)
+                for i in range(dim):
+                    for j in range(dim):
+                        pair = sum(
+                            (
+                                omega.entries[a][b] * S.entries[a][i] * S.entries[b][j]
+                                for a in range(dim)
+                                for b in range(dim)
+                                if omega.entries[a][b]
+                            ),
+                            MultiPoly.const(0),
+                        )
+                        for p2 in range(1, prec + 1):
+                            assert poly_mod(pair, p2) == omega.entries[i][j], (p, prec, i, j, p2)
+
+    def test_verify_completion_rejects_a_doubled_column(self):
+        z = MultiPoly.var("z")
+        v = TruncatedSeriesVector((z, 1 + z, 2 * z ** 2, 3 - z), precision=3)
+        S = symplectic_complete(v)
+        assert verify_completion(S, 3)
+        doubled = ExactMatrix([[2 * x if c == 1 else x for c, x in enumerate(row)] for row in S.entries])
+        assert not verify_completion(doubled, 3)
+
 
 class TestIdentityErrors:
     def test_completion_postcondition(self, monkeypatch):
