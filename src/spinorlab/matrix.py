@@ -12,9 +12,10 @@ rectangular by construction and skip the checks of the public constructor.
 
 Elimination builds no Fraction: rows are cleared of their denominators and
 reduced over Z by fraction-free elimination (Bareiss), below the pivots for
-``rank`` and Gauss-Jordan style for ``mat_rank_kernel``, ``solve_linear``
-and ``inverse``, which divide only the entries they return.  Entries that
-are not rational raise ``UnsupportedRingError``.
+``rank`` and Gauss-Jordan style for ``solve_linear`` and ``inverse``, which
+divide only the entries they return.  ``mat_rank_kernel`` reduces sparse
+rows one at a time, sparsest first, and stops as soon as the rank is full.
+Entries that are not rational raise ``UnsupportedRingError``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import math
 import random
 from fractions import Fraction
 from functools import cache
+from itertools import compress
 
 from .rings import LaurentPoly, UnsupportedRingError, _is_rat, dot
 
@@ -213,16 +215,26 @@ class ExactMatrix:
 # any other entry raises UnsupportedRingError.  Each row is cleared of its
 # denominators and the rows are eliminated over Z without fractions (after
 # Bareiss, Math. Comp. 22 (1968)): below the pivots for rank (_rank_bareiss),
-# Gauss-Jordan style for the others (_rref_int).  After k pivots every entry
-# of a Bareiss row is a k+1 minor of the input, so the division by the
-# previous pivot is exact.  _rref_int is lazy: a row that is zero in the
-# pivot column keeps its stored entries, and the pivot it last saw (its
-# level) tells the next update what to divide by.  It hands back integer
-# rows: a pivot row divided by its own pivot entry is a row of the reduced
-# form, and each caller divides only the entries it reads (_kernel_from,
-# solve_linear, inverse, and _cleared_rows, which serves den * M^-1 to cech,
+# Gauss-Jordan style for solve_linear and inverse (_rref_int).  After k
+# pivots every entry of a Bareiss row is a k+1 minor of the input, so the
+# division by the previous pivot is exact.  _rref_int is lazy: a row that is
+# zero in the pivot column keeps its stored entries, and the pivot it last
+# saw (its level) tells the next update what to divide by.  It hands back
+# integer rows: a pivot row divided by its own pivot entry is a row of the
+# reduced form, and each caller divides only the entries it reads
+# (solve_linear, inverse, and _cleared_rows, which serves den * M^-1 to cech,
 # moment and lie).  _rank_bareiss stays eager: its inputs are small and
 # dense, where the bookkeeping costs more than the skipped rows save.
+#
+# Kernels (mat_rank_kernel, and petri_kernel on the tall sparse Petri rows)
+# go through _row_echelon instead: it takes the rows one at a time as dicts
+# of their nonzeros, sparsest first, keeps each row primitive, and stops
+# once the rank is full, so it never touches the rows past that point; the
+# Petri rows of sp(8) at degree bound 4 reach rank 32 after about half of
+# their 252 rows.  solve_linear and inverse stay on _rref_int because the
+# augmented part of their pivot rows depends on the elimination order; rank
+# stays on _rank_bareiss because the dict rows cost more on its small dense
+# inputs.
 
 
 _INT_ONLY = {int}
@@ -316,20 +328,81 @@ def _reduce(entries, ncols):
     return rows, _rref_int(rows, ncols)
 
 
-def _kernel_from(rows, pivots, ncols):
-    """Kernel basis of the first ncols columns of rows that ``_rref_int``
-    reduced: one vector per free column fc, with 1 at fc and
-    -rows[r][fc] / rows[r][pc] at each pivot column pc."""
-    kernel = []
-    for fc in range(ncols):
-        if fc in pivots:
+def _eliminate(v, b, c):
+    """(p/g) v - (f/g) b for the entries p of b and f of v at column c, with
+    g = gcd(p, f), over sparse rows {column: nonzero int}: zero at c."""
+    p, f = b[c], v[c]
+    g = math.gcd(p, f)
+    p, f = p // g, f // g
+    w = {j: p * x for j, x in v.items()} if p != 1 else dict(v)
+    for j, y in b.items():
+        x = w.get(j, 0) - f * y
+        if x:
+            w[j] = x
+        else:
+            del w[j]
+    return w
+
+
+def _primitive(v):
+    """A sparse integer row divided by the gcd of its entries."""
+    g = math.gcd(*v.values())
+    return v if g == 1 else {j: x // g for j, x in v.items()}
+
+
+def _row_echelon(rows, ncols):
+    """``(rank, kernel)`` of integer rows with no nonzero entry past column
+    ncols, the kernel read off the reduced row echelon form: one vector per
+    free column fc, with 1 at fc and -row[fc] / row[pc] at the pivot column
+    pc of each reduced row.
+
+    Rows are taken sparsest first (a stable sort on the count of nonzeros),
+    each as a dict of its nonzeros.  Each is reduced fraction-free at its
+    leading column against the row kept there, until it is zero or leads at
+    a column with no kept row; it is then divided by its content and kept at
+    that column.  Every step keeps the row space, which alone fixes the
+    reduced form, so the order of the rows changes no result.  Once every
+    column has a kept row the kernel is empty and the other rows are never
+    converted; otherwise the kept rows are back-substituted in descending
+    pivot order.
+    """
+    kept = {}
+    for r in sorted(rows, key=lambda r: len(r) - r.count(0)):
+        v = dict(compress(enumerate(r), r))
+        if not v:
             continue
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(rows, pivots):
-            v[pc] = Fraction(-row[fc], row[pc])
-        kernel.append(tuple(v))
-    return kernel
+        c = min(v)
+        while c in kept:
+            v = _eliminate(v, kept[c], c)
+            if not v:
+                break
+            c = min(v)
+        else:
+            kept[c] = _primitive(v)
+            if len(kept) == ncols:
+                return ncols, []
+    # kept[c] is zero left of column c; clear its other pivot columns with
+    # rows that are already zero at every pivot column but their own
+    for c in sorted(kept, reverse=True):
+        v = kept[c]
+        later = [j for j in v if j != c and j in kept]
+        for j in later:
+            v = _eliminate(v, kept[j], j)
+        if later:
+            kept[c] = _primitive(v)
+    # each reduced row is now zero at every pivot column but its own
+    zero, one = Fraction(0), Fraction(1)
+    kernel = {}
+    for fc in range(ncols):
+        if fc not in kept:
+            kernel[fc] = v = [zero] * ncols
+            v[fc] = one
+    for pc, row in kept.items():
+        p = row[pc]
+        for fc, x in row.items():
+            if fc != pc:
+                kernel[fc][pc] = Fraction(-x, p)
+    return len(kept), list(map(tuple, kernel.values()))
 
 
 def mat_rank_kernel(M: ExactMatrix):
@@ -338,8 +411,7 @@ def mat_rank_kernel(M: ExactMatrix):
     Returns ``(rank, kernel_basis)`` where each kernel vector v satisfies
     M.apply(v) == 0 and rank + len(kernel_basis) == M.cols.
     """
-    rows, pivots = _reduce(M.entries, M.cols)
-    return len(pivots), _kernel_from(rows, pivots, M.cols)
+    return _row_echelon(_integer_rows(M.entries), M.cols)
 
 
 def rank(M: ExactMatrix) -> int:

@@ -74,17 +74,17 @@ class MomentContext:
             omega_rows.setdefault(m, []).append((c, w))
         # rhs_j(psi) = omega(rho(X_j) psi, psi) = psi^T A_j psi, A_j = rho_j^T Omega,
         # and Z_k / q = sum_j ginv[k][j] A_j
+        rho = [nonzero_entries(R) for R in rep.rho]
         As = []
-        for R in rep.rho:
+        for entries in rho:
             A = {}
-            for m, r, x in nonzero_entries(R):
+            for m, r, x in entries:
                 for c, w in omega_rows.get(m, ()):
                     A[r, c] = A.get((r, c), 0) + x * w
             As.append(A)
-        t = math.lcm(*(a.denominator for A in As for a in A.values()))
+        As, t = _cleared([list(A.items()) for A in As])
         qs = [{} for _ in range(D)]
         for col, A in zip(ginv_cols, As):
-            A = [(rc, a.numerator * (t // a.denominator)) for rc, a in A.items()]
             for k, g in col:
                 f = qs[k]
                 for rc, a in A:
@@ -99,24 +99,29 @@ class MomentContext:
                 S[r, c] = S.get((r, c), 0) + v
                 S[c, r] = S.get((c, r), 0) + v
             self._S.append(_sparse(S))
-        rho = [nonzero_entries(R) for R in rep.rho]
-        self._rho_den = d = math.lcm(*(x.denominator for e in rho for _, _, x in e))
-        self._rho = [[(r, c, x.numerator * (d // x.denominator)) for r, c, x in e] for e in rho]
+        self._rho, self._rho_den = _cleared(rho)
         table = rep.algebra.structure_constants
-        self._bracket_den = e = math.lcm(
-            *(x.denominator for cs in table.values() for x in cs.values())
+        (brackets,), self._bracket_den = _cleared(
+            [[(i, j, k, x) for (i, j), cs in table.items() for k, x in cs.items()]]
         )
         # _ad[i] lists (j, k, e c^k_ij): [X_i, X_j] = sum_k c^k_ij X_k
         self._ad = [[] for _ in range(D)]
-        for (i, j), cs in table.items():
-            for k, x in cs.items():
-                self._ad[i].append((j, k, x.numerator * (e // x.denominator)))
+        for i, j, k, v in brackets:
+            self._ad[i].append((j, k, v))
 
     # -- evaluation -----------------------------------------------------
 
     def quadratic_coords(self, psi):
         """Coordinates of mu(psi)."""
         return tuple(x * self._q_inv for x in _forms(self._Z, psi, psi))
+
+
+def _cleared(groups):
+    """``(groups, L)``: lists of tuples whose last entry is rational, with
+    that entry times L, the lcm of all their denominators."""
+    ints, L = _clear_denominators([t[-1] for g in groups for t in g])
+    it = iter(ints)
+    return [[(*t[:-1], next(it)) for t in g] for g in groups], L
 
 
 def _sparse(entries: dict):

@@ -10,23 +10,35 @@ The differential is the bilinear form psi^T S_k psidot / q of the moment
 layer, so the matrix is built by convolving the integer coefficients of psi
 (cleared of denominators) against the sparse forms S_k, with no polynomial
 objects.  That gives integer rows and one common denominator; the kernel
-is that of the integer rows, so ``petri_kernel`` hands them straight to the
-fraction-free elimination and builds Fractions only for the kernel vectors.
-The column-by-column ``MultiPoly`` route it replaced is kept beside the
-tests (``tests/petri_oracles.py``) as its oracle.
+is that of the integer rows, so ``petri_kernel`` hands them straight to
+``matrix._row_echelon`` and builds Fractions only for the kernel vectors.
+The rows are tall and sparse (252 x 32 with about four nonzeros per row for
+sp(8) at degree bound 4), and the row-by-row elimination stops as soon as
+the rank is full, which for the standard representation is after about
+half of them.  The column-by-column ``MultiPoly`` route it replaced is kept
+beside the tests (``tests/petri_oracles.py``) as its oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .lie import SymplecticRep
-from .matrix import ExactMatrix, ShapeError, _clear_denominators, _kernel_from, _rref_int
+from .matrix import ExactMatrix, ShapeError, _clear_denominators, _row_echelon
 from .moment import MomentContext, moment_map
 from .rings import MultiPoly, as_poly
 
 _X = "x"
+
+
+@lru_cache(maxsize=16)
+def _context(rep: SymplecticRep) -> MomentContext:
+    """One ``MomentContext`` per representation object (reps hash by
+    identity).  The cache is bounded rather than weak: a context holds its
+    rep, so a weak-keyed entry would never be released."""
+    return MomentContext(rep)
 
 
 class SectionSpace:
@@ -38,7 +50,7 @@ class SectionSpace:
         self.rep = rep
         self.degree_bound = degree_bound
         self.dim = rep.dimV * degree_bound
-        self.ctx = MomentContext(rep)
+        self.ctx = _context(rep)
 
     def section_polys(self, coords):
         """Coordinate vector -> list of dimV polynomials in x."""
@@ -126,7 +138,7 @@ def petri_kernel(space: SectionSpace, psi):
     and have its kernel, so they are eliminated as they are: no Fraction
     entry is built before the kernel vectors."""
     _, rows, _ = _petri_rows(space, psi)
-    return _kernel_from(rows, _rref_int(rows, space.dim), space.dim)
+    return _row_echelon(rows, space.dim)[1]
 
 
 def dual_pair_slots(rep: SymplecticRep):
@@ -158,7 +170,7 @@ def scalar_action_invariance(rep: SymplecticRep, psi, t, dual_exponent: int = -1
     """Check mu(t u, t^e delta) == mu(u, delta) exactly; with the genuine
     action (e = -1) this always passes, which is exactly why the section-level
     map acquires the kernel direction (u, -delta)."""
-    ctx = MomentContext(rep)
+    ctx = _context(rep)
     scaled = scale_dual_pair(rep, psi, t, dual_exponent)
     return moment_map(ctx, scaled) == moment_map(ctx, psi)
 

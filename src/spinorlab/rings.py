@@ -553,7 +553,9 @@ class LaurentPoly:
                     return LaurentPoly(self.var, {})
                 raise ValueError(f"mixed Laurent variables {self.var!r} and {other.var!r}")
             return other
-        if isinstance(other, MultiPoly) or _is_rat(other):
+        if _is_rat(other):
+            return LaurentPoly._trusted(self.var, {0: MultiPoly.const(other)} if other else {})
+        if isinstance(other, MultiPoly):
             return LaurentPoly(self.var, {0: other})
         return None
 

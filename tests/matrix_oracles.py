@@ -8,19 +8,32 @@ polynomial fraction, through ``_rref``.  ``cocycle_oracles`` runs its
 fraction-field route on them.  ``dot_product`` is the product that
 ``ExactMatrix.__mul__`` replaced: one ``rings.dot`` per entry, over the row
 of A and the column of B.
+``exactly_equal`` compares results in value and in type.
 ``lifted_random_symplectic_laurent`` is the ``random_symplectic_laurent``
 that lifted its identity, its form and its vectors to Laurent constants,
 checked against the lifted form.
+``rref_int_rank_kernel`` is the route ``mat_rank_kernel`` and
+``petri_kernel`` took before ``_row_echelon``: Gauss-Jordan elimination of
+every row by ``_rref_int``, the kernel read off by ``kernel_from``.
 """
 
 import random
 
 from fractions import Fraction
 
-from spinorlab.matrix import ExactMatrix
+from spinorlab.matrix import ExactMatrix, _rref_int
 from spinorlab.matrix import is_symplectic, standard_omega, transvection
 from spinorlab.rings import FracElem, MultiPoly, UnsupportedRingError, dot, is_zero
 from spinorlab.rings import LaurentPoly
+
+
+def exactly_equal(a, b):
+    """Equal values of equal types, entry by entry."""
+    if isinstance(a, ExactMatrix):
+        return exactly_equal(a.entries, b.entries) and a.cols == b.cols
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(exactly_equal(x, y) for x, y in zip(a, b))
+    return type(a) is type(b) and a == b
 
 
 def dot_product(A, B):
@@ -118,6 +131,29 @@ def rref_inverse(M):
     if len(_rref(aug, n)) != n:
         raise ValueError("matrix is singular")
     return ExactMatrix([r[n:] for r in aug])
+
+
+def kernel_from(rows, pivots, ncols):
+    """Kernel basis of the first ncols columns of rows that ``_rref_int``
+    reduced: one vector per free column fc, with 1 at fc and
+    -rows[r][fc] / rows[r][pc] at each pivot column pc."""
+    kernel = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(rows, pivots):
+            v[pc] = Fraction(-row[fc], row[pc])
+        kernel.append(tuple(v))
+    return kernel
+
+
+def rref_int_rank_kernel(rows, ncols):
+    """``(rank, kernel)`` of integer rows (not modified) by ``_rref_int``."""
+    rows = [list(r) for r in rows]
+    pivots = _rref_int(rows, ncols)
+    return len(pivots), kernel_from(rows, pivots, ncols)
 
 
 def laurent_lift(M, var):

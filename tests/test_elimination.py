@@ -11,7 +11,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from matrix_oracles import _field_rows, _rref, rref_inverse, rref_rank_kernel, rref_solve
+from matrix_oracles import (
+    _field_rows,
+    _rref,
+    exactly_equal,
+    rref_inverse,
+    rref_rank_kernel,
+    rref_solve,
+)
 from spinorlab.matrix import (
     ExactMatrix,
     _integer_rows,
@@ -33,15 +40,6 @@ def product_matrix(rng, m, k, n):
     A = ExactMatrix([[mixed(rng) for _ in range(k)] for _ in range(m)], cols=k)
     B = ExactMatrix([[mixed(rng) for _ in range(n)] for _ in range(k)], cols=n)
     return A * B
-
-
-def exactly_equal(a, b):
-    """Equal values of equal types, entry by entry."""
-    if isinstance(a, ExactMatrix):
-        return exactly_equal(a.entries, b.entries) and a.cols == b.cols
-    if isinstance(a, (tuple, list)):
-        return len(a) == len(b) and all(exactly_equal(x, y) for x, y in zip(a, b))
-    return type(a) is type(b) and a == b
 
 
 def sympy_rank(M):
@@ -190,7 +188,8 @@ def test_sparse_and_tall_match_the_fraction_route(block):
             assert S * got_inv == ExactMatrix.identity(n)
             counts["inverted"] += 1
 
-        counts["stale"] += reaches_catch_up(mat_rank_kernel, M)
+        # the rows mat_rank_kernel handed to _rref_int before _row_echelon
+        counts["stale"] += reaches_catch_up(_rref_int, _integer_rows(M.entries), n)
     # every shape and outcome, and stale pivot rows, occur in every block
     assert all(counts.values()), counts
 

@@ -10,8 +10,10 @@ import sympy
 
 from petri_oracles import multipoly_petri_matrix
 from petri_oracles import petri_apply_pointwise
-from spinorlab.lie import sl2_sym_cube, sl2_w_plus_wdual, sp_standard
+from spinorlab import petri
+from spinorlab.lie import SymplecticRep, sl2_sym_cube, sl2_w_plus_wdual, sp_standard
 from spinorlab.matrix import ExactMatrix, ShapeError, mat_rank_kernel, rank, standard_omega
+from spinorlab.moment import MomentContext
 from spinorlab.petri import (
     SectionSpace,
     dual_pair_kernel_direction,
@@ -247,3 +249,22 @@ class TestScalarAction:
     def test_non_dual_pair_rejected(self):
         with pytest.raises(ValueError):
             scalar_action_invariance(sp_standard(1), [1, 0], 2)
+
+    def test_one_context_per_representation(self, monkeypatch):
+        """Sections and scaling checks on one representation object share
+        one moment context; another object, even an equal one, gets its
+        own."""
+        built = []
+
+        def counting(rep):
+            built.append(rep)
+            return MomentContext(rep)
+
+        monkeypatch.setattr(petri, "MomentContext", counting)
+        base = sl2_w_plus_wdual()
+        reps = [SymplecticRep(base.algebra, base.omega, base.rho, base.summands) for _ in range(2)]
+        for rep in reps:
+            for t in (2, Fraction(-1, 3), 5):
+                assert scalar_action_invariance(rep, [1, 2, 3, 4], t)
+            assert SectionSpace(rep, 2).ctx is SectionSpace(rep, 3).ctx
+        assert built == reps

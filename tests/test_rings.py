@@ -425,6 +425,27 @@ class TestLaurentTrusted:
         for got in (p * m, m * p):
             assert got == want and shape(got) == shape(want)
 
+    @given(laurents(), st.one_of(st.integers(min_value=-3, max_value=3), rationals, st.booleans()))
+    @settings(max_examples=80, deadline=None)
+    def test_rational_operand_is_the_checked_constant(self, p, c):
+        """A rational operand of ==, + and - becomes, without the checks, the
+        constant the checking constructor builds (no term when it is zero)."""
+        got, want = p._coerce(c), LaurentPoly(p.var, {0: c})
+        assert _laurent_normal(got) and got.coeffs == want.coeffs
+        assert (p == c) == (p.coeffs == want.coeffs)
+        assert p + c == p + want and p - c == p - want
+
+    def test_polynomial_operand_is_still_checked(self):
+        """A MultiPoly operand goes through the checking constructor: free
+        of the Laurent variable it is a constant, and with it it raises."""
+        p = LaurentPoly("z", {-1: 2, 1: MultiPoly.var("a")})
+        a = MultiPoly.var("a") + 1
+        assert p._coerce(a).coeffs == {0: a} and p + a == p + LaurentPoly.const("z", a)
+        assert p._coerce(MultiPoly.const(0)).coeffs == {}
+        for op in (p._coerce, p.__eq__, p.__add__, p.__sub__):
+            with pytest.raises(ValueError):
+                op(MultiPoly.var("z") + 1)
+
 
 _POWER_BASES = [
     MultiPoly.var("x") + MultiPoly.var("y") * Fraction(1, 2) - 1,
