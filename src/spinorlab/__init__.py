@@ -72,6 +72,7 @@ from .petri import (
     PetriMatrix,
     SectionSpace,
     dual_pair_kernel_direction,
+    in_petri_kernel,
     petri_kernel,
     petri_matrix,
     scalar_action_invariance,

@@ -9,20 +9,37 @@ the residual v^T Omega v - Omega only the two mixed blocks are formed: the
 rest is zero by the symplectic check on the middle block and the
 antisymmetry of its form (see ``verify_form_preservation``).
 
-Every denominator in these identities is a power of the line transition l, so
-they hold over Laurent polynomials in l: l is a unit monomial ``c*l^k`` (a
-``LaurentPoly`` whose coefficient is a nonzero constant) or a nonzero
-rational, entries stay in the tower int/Fraction -> MultiPoly -> LaurentPoly,
-and the only division is one rational inverse of ``u^T Theta``.
+Every denominator in these identities is a power of the line transition l,
+a nonzero rational or a unit Laurent monomial ``c*l^e`` (a ``LaurentPoly``
+whose coefficient is a nonzero constant), so l^-1 = c^-1 l^-e.  The mixed
+blocks come down to the vector r = u^T Theta gamma + l^-1 d^T, which is
+linear in the entries of gamma and d, and each entry is a sum of terms
+q * l^e * m with q rational and m a monomial in the other symbols (for the
+cocycles built here, one of d_i or the unknowns ``_g*``).  So r is computed
+one term (e, m) at a time on integer vectors (``_residual_forms``): with
+u = U / D cleared of denominators and E the lcm of the denominators of the
+coefficients of gamma and l^-1 d, D E r = (D u^T Theta)(E gamma) +
+D (E l^-1 d) in Python ints.  ``verify_form_preservation`` builds ring
+elements only when r is not zero, and ``necessity_solve`` reads its linear
+system off the same vectors.
+
+``fresh_symbol_cocycle`` takes gamma from the closed form
+gamma = l^-1 u Theta d^T: u^T Theta u = Theta and Theta^2 = -I give
+(u^T Theta)^-1 = -u Theta, so it needs no inverse and no rank.
+``theta_dual`` keeps the generic route, one rational inverse of u^T Theta,
+and is the independent check of ``necessity_solve``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .matrix import (
     ExactMatrix,
+    _clear_denominators,
     inverse,
     is_symplectic,
     line_block_form,
@@ -31,12 +48,12 @@ from .matrix import (
     solve_linear,
     standard_omega,
 )
-from .rings import LaurentPoly, MultiPoly, _is_rat, as_poly, dot, is_zero
+from .rings import LaurentPoly, MultiPoly, _is_rat, dot
 
 
 class InvalidCocycleError(ValueError):
-    """Singular form, non-symplectic middle block, or a line transition that
-    is not a nonzero rational or a unit Laurent monomial."""
+    """Singular form, non-symplectic or non-rational middle block, or a line
+    transition that is not a nonzero rational or a unit Laurent monomial."""
 
 
 class ThetaDualError(ValueError):
@@ -58,21 +75,29 @@ def standard_form(n: int) -> ExactMatrix:
     return line_block_form(n)
 
 
-def _line_inverse(l):
-    """l^{-1} for a nonzero rational l, or (1/c)*x^-k for a unit Laurent
-    monomial l = c*x^k with c a nonzero constant; any other l raises
+def _inverse_term(l):
+    """``(q, e, var)`` with l^-1 = q * var^e: ``(1/l, 0, None)`` for a
+    nonzero rational l, and ``(1/c, -k, x)`` for a unit Laurent monomial
+    l = c*x^k with c a nonzero constant; any other l raises
     InvalidCocycleError."""
     if _is_rat(l):
         if l == 0:
             raise InvalidCocycleError("line transition must be invertible")
-        return 1 / Fraction(l)
+        return Fraction(l.denominator, l.numerator), 0, None
     if isinstance(l, LaurentPoly) and len(l.coeffs) == 1:
         ((k, c),) = l.coeffs.items()
         if c.is_constant:
-            return LaurentPoly(l.var, {-k: 1 / c.constant_value()})
+            c = c.constant_value()
+            return Fraction(c.denominator, c.numerator), -k, l.var
     raise InvalidCocycleError(
         "line transition must be a nonzero rational or a unit Laurent monomial c*x^k"
     )
+
+
+def _line_inverse(l):
+    """l^-1 as a rational or a ``LaurentPoly`` (see ``_inverse_term``)."""
+    q, e, var = _inverse_term(l)
+    return q if var is None else LaurentPoly(var, {e: q})
 
 
 @dataclass(frozen=True)
@@ -98,7 +123,7 @@ class BlockCocycle:
             raise InvalidCocycleError("middle block is not symplectic")
 
     def _check_blocks(self):
-        _line_inverse(self.l)
+        _inverse_term(self.l)
         k = 2 * self.n - 2
         if self.u.rows != k or len(self.d) != k or len(self.gamma) != k:
             raise InvalidCocycleError("block sizes inconsistent with n")
@@ -152,6 +177,112 @@ def assemble_transition(c: BlockCocycle) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
+def _laurent_var(entries):
+    """The one variable of the nonzero ``LaurentPoly`` values among entries,
+    or None; two different ones raise ValueError, as Laurent arithmetic
+    does."""
+    names = {x.var for x in entries if isinstance(x, LaurentPoly) and x}
+    if len(names) > 1:
+        raise ValueError(f"mixed Laurent variables {sorted(names)}")
+    return names.pop() if names else None
+
+
+def _terms(x, var):
+    """The pairs ``((e, m), q)`` with x = sum q * var^e * m over nonzero
+    rationals q, for a value x of the tower: m is a monomial
+    ``((name, exponent), ...)`` in the symbols other than the Laurent
+    variable var."""
+    if _is_rat(x):
+        if x:
+            yield (0, ()), x
+    elif isinstance(x, LaurentPoly):
+        for e, p in x.coeffs.items():
+            for (_, m), q in _terms(p, var):
+                yield (e, m), q
+    elif isinstance(x, MultiPoly):
+        if var in x.vars:
+            raise ValueError(f"coefficient contains the Laurent variable {var!r}")
+        for exp, q in x.terms.items():
+            yield (0, tuple((nm, k) for nm, k in zip(x.vars, exp) if k)), q
+    else:
+        raise TypeError(f"cannot expand a {type(x).__name__} in the cocycle symbols")
+
+
+def _element(terms, var):
+    """The value sum q * var^e * m of a dict ``{(e, m): q}`` of the pairs of
+    ``_terms``: a ``LaurentPoly`` in var, or with var None a ``MultiPoly``,
+    or a rational when every m is 1.  Every q is a nonzero ``Fraction`` and
+    no m names var, so the polynomials are built as trusted."""
+    if var is None and not any(m for _, m in terms):
+        return sum(terms.values())
+    by_power = {}
+    for (e, m), q in terms.items():
+        by_power.setdefault(e, {})[m] = q
+    polys = {}
+    for e, mq in by_power.items():
+        names = sorted({nm for m in mq for nm, _ in m})
+        pos = {nm: i for i, nm in enumerate(names)}
+        exps = {}
+        for m, q in mq.items():
+            exp = [0] * len(names)
+            for nm, k in m:
+                exp[pos[nm]] = k
+            exps[tuple(exp)] = q
+        polys[e] = MultiPoly._trusted(tuple(names), exps)
+    return polys[0] if var is None else LaurentPoly._trusted(var, polys)
+
+
+def _times_theta(row):
+    """row * Theta for Theta = ``middle_theta``, the interleaved standard
+    form: (x0, x1, x2, x3, ...) -> (-x1, x0, -x3, x2, ...)."""
+    out = []
+    for x, y in zip(row[0::2], row[1::2]):
+        out += (-y, x)
+    return out
+
+
+def _residual_forms(c: BlockCocycle):
+    """``(forms, den, var)`` for the vector r = u^T Theta gamma + l^-1 d^T of
+    c.  var is the Laurent variable (None over Q), and forms maps each term
+    (e, m) of some r_i to the ints den * (coefficient of var^e * m in r_i)
+    over i; a term that cancels in every r_i is left out, so r is zero
+    exactly when forms is empty.
+
+    With u = U / D, W = D u^T Theta = U^T Theta is a matrix of ints (row i
+    is column i of U times Theta), and E, the lcm of the denominators of the
+    coefficients of gamma and l^-1 d, clears those: den = D E and
+    D E r = W (E gamma) + D (E l^-1 d^T), one term at a time.  A u that is
+    not rational raises InvalidCocycleError.
+    """
+    q_inv, e_inv, _ = _inverse_term(c.l)
+    var = _laurent_var((c.l, *c.gamma, *c.d))
+    k = len(c.d)
+    gamma, scaled_d = {}, {}
+    for j, g in enumerate(c.gamma):
+        for key, q in _terms(g, var):
+            gamma.setdefault(key, [0] * k)[j] = q
+    for i, di in enumerate(c.d):
+        for (e, m), q in _terms(di, var):
+            scaled_d.setdefault((e + e_inv, m), [0] * k)[i] = q_inv * q
+    E = lcm(*(q.denominator for vec in (*gamma.values(), *scaled_d.values()) for q in vec))
+    flat = [x for row in c.u.entries for x in row]
+    if not all(map(_is_rat, flat)):
+        raise InvalidCocycleError("middle block must be rational")
+    U, D = _clear_denominators(flat)
+    W = [_times_theta(U[i::k]) for i in range(k)]
+    zero = [0] * k
+    forms = {}
+    for key in {**gamma, **scaled_d}:
+        g = [q.numerator * (E // q.denominator) for q in gamma.get(key, zero)]
+        r = [
+            sum(map(mul, w, g)) + D * q.numerator * (E // q.denominator)
+            for w, q in zip(W, scaled_d.get(key, zero))
+        ]
+        if any(r):
+            forms[key] = r
+    return forms, D * E, var
+
+
 def verify_form_preservation(c: BlockCocycle) -> ExactMatrix:
     """Residual v^T Omega v - Omega of v = assemble_transition(c) against
     Omega = standard_form(c.n), over Laurent polynomials in l; identically
@@ -171,11 +302,19 @@ def verify_form_preservation(c: BlockCocycle) -> ExactMatrix:
     Theta, and corner = gamma^T Theta gamma + a l^-1 - l^-1 a is zero over a
     commutative ring, again because Theta is antisymmetric.  So entry
     [1+i][k+1] is r_i, entry [k+1][1+j] is -r_j, and every other entry is 0.
+
+    r is decided on the integer vectors of ``_residual_forms``: when it is
+    zero the result is the zero matrix of ints, and otherwise each r_i is
+    built from them (see ``_element``).
     """
     k = 2 * c.n - 2
-    linv = _line_inverse(c.l)
-    theta_gamma = middle_theta(c.n).apply(c.gamma)
-    r = [dot(col, theta_gamma) + linv * dj for col, dj in zip(c.u.transpose().entries, c.d)]
+    forms, den, var = _residual_forms(c)
+    if not forms:
+        return ExactMatrix.zeros(k + 2, k + 2)
+    r = [
+        _element({key: Fraction(vec[i], den) for key, vec in forms.items() if vec[i]}, var)
+        for i in range(k)
+    ]
     rows = [[0] * (k + 2)]
     rows.extend([0] * (k + 1) + [ri] for ri in r)
     rows.append([0] + [-ri for ri in r] + [0])
@@ -190,17 +329,23 @@ def fresh_symbol_cocycle(n: int, seed: int, gamma: tuple | None = None) -> Block
     ``MultiPoly`` symbols, so gamma and l^{-1} are Laurent polynomials in l
     with coefficients in (d, a).  A fully symbolic symplectic u has no free
     polynomial parametrization, so u is sampled; identities polynomial in
-    (l, l^{-1}, d, a) are verified universally per sample.
+    (l, l^{-1}, d, a) are verified universally per sample.  The theta-dual
+    is the closed form gamma = l^-1 u Theta d^T (see the module docstring),
+    built term by term.
     """
     k = 2 * n - 2
     l = LaurentPoly("l", {1: 1})
-    d = tuple(MultiPoly.var(f"d{i+1}") for i in range(k))
+    names = [f"d{i+1}" for i in range(k)]
+    d = tuple(MultiPoly.var(nm) for nm in names)
     a = MultiPoly.var("a")
     # random_symplectic checked u against standard_omega(n - 1) = middle_theta(n)
     u = random_symplectic(n - 1, seed)
-    theta = middle_theta(n)
     if gamma is None:
-        gamma = theta_dual(d, u, l, theta)
+        q, e, var = _inverse_term(l)
+        gamma = tuple(
+            _element({(e, ((nm, 1),)): q * x for nm, x in zip(names, row) if x}, var)
+            for row in map(_times_theta, u.entries)
+        )
     return BlockCocycle._with_symplectic_u(n, l, u, d, a, gamma)
 
 
@@ -223,28 +368,33 @@ class NecessityResult:
 
 
 def necessity_solve(n: int, l, u: ExactMatrix, d, a) -> NecessityResult:
-    """Treat gamma as unknown symbols, expand the residual, and solve the
-    resulting linear system; for rational (l, u, d, a) the residual entries
-    are polynomials in the unknowns over Q, and the unique solution must
-    reproduce theta_dual."""
+    """Treat gamma as unknown symbols ``_g0, _g1, ...``, expand the residual
+    r in them, and solve the linear system it gives: row i holds the
+    coefficients of the unknowns in r_i and its right side is minus the
+    constant term of r_i, read off the integer vectors of
+    ``_residual_forms`` (both scaled by the same den).  For rational
+    (l, u, d, a) these are the only terms; any other raises
+    InvalidCocycleError.  The unique solution must reproduce theta_dual."""
     if not _is_rat(l):
         raise InvalidCocycleError("necessity solve needs a rational line transition")
     k = 2 * n - 2
     names = [f"_g{i}" for i in range(k)]
     syms = tuple(MultiPoly.var(nm) for nm in names)
-    residual = verify_form_preservation(BlockCocycle(n, l, u, tuple(d), a, syms))
+    forms, _, _ = _residual_forms(BlockCocycle(n, l, u, tuple(d), a, syms))
+    const_key = (0, ())
+    unknown_keys = [(0, ((nm, 1),)) for nm in names]
+    if not forms.keys() <= {const_key, *unknown_keys}:
+        raise InvalidCocycleError("necessity solve needs rational block data")
+    zero = [0] * k
+    cols = [forms.get(key, zero) for key in unknown_keys]
+    const = forms.get(const_key, zero)
     rows = []
     rhs = []
-    for row in residual.entries:
-        for x in row:
-            if is_zero(x):
-                continue
-            const, lin = as_poly(x).split_linear(names)
-            coeffs = [lin[nm] for nm in names]
-            if not const.is_constant or any(not cf.is_constant for cf in coeffs):
-                raise InvalidCocycleError("necessity solve needs rational block data")
-            rows.append([cf.constant_value() for cf in coeffs])
-            rhs.append(-const.constant_value())
+    for i in range(k):
+        row = [col[i] for col in cols]
+        if any(row) or const[i]:
+            rows.append(row)
+            rhs.append(-const[i])
     system = ExactMatrix(rows, cols=k)
     sol = solve_linear(system, rhs)
     if sol is None:

@@ -25,6 +25,7 @@ import random
 from fractions import Fraction
 from functools import cache
 from itertools import compress
+from operator import mul
 
 from .rings import LaurentPoly, UnsupportedRingError, _is_rat, dot
 
@@ -563,12 +564,42 @@ def line_block_form(n: int) -> ExactMatrix:
 def is_symplectic(M: ExactMatrix, omega: ExactMatrix | None = None) -> bool:
     """Whether the square matrix M preserves omega: M^T Omega M = Omega, with
     the standard form of M's size by default.  A rational omega serves M over
-    any ring of the tower, since products and ``==`` mix rational entries in."""
+    any ring of the tower, since products and ``==`` mix rational entries in.
+    A rational M against the standard form goes through the pair formula of
+    ``_preserves_standard_form``; every other M or form through the dense
+    product."""
     if omega is None:
         if M.rows % 2:
             return False
         omega = standard_omega(M.rows // 2)
-    return M.is_square and M.transpose() * omega * M == omega
+    if not M.is_square:
+        return False
+    if M.rows % 2 == 0 and omega == standard_omega(M.rows // 2):
+        flat = [x for r in M.entries for x in r]
+        if all(map(_is_rat, flat)):
+            return _preserves_standard_form(flat, M.rows)
+    return M.transpose() * omega * M == omega
+
+
+def _preserves_standard_form(flat, dim) -> bool:
+    """M^T Omega M = Omega for the standard Omega of size dim, from the
+    entries of a rational M listed row by row.  With U = D M cleared of
+    denominators, entry (i, j) of U^T Omega U is the pair sum
+    sum_k (U[2k][i] U[2k+1][j] - U[2k+1][i] U[2k][j]), which must equal
+    D^2 Omega[i][j].  It is antisymmetric in (i, j), so only i < j is
+    checked, all in Python ints."""
+    U, D = _clear_denominators(flat)
+    cols = [U[j::dim] for j in range(dim)]
+    evens = [c[0::2] for c in cols]
+    odds = [c[1::2] for c in cols]
+    unit = D * D
+    for i in range(dim):
+        ei, oi = evens[i], odds[i]
+        for j in range(i + 1, dim):
+            s = sum(map(mul, ei, odds[j])) - sum(map(mul, oi, evens[j]))
+            if s != (unit if j == i + 1 and i % 2 == 0 else 0):
+                return False
+    return True
 
 
 def in_sp(X: ExactMatrix, omega: ExactMatrix | None = None) -> bool:
@@ -597,24 +628,60 @@ def transvection(v, c, omega: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
+def _rank_one_update(U, v, w, p, q):
+    """The rows of q U + p (U v) w^T for integer rows U: with M = U / D, w =
+    Omega v and c = p / q, they are q D times M (I + c v w^T), the product
+    of M with ``transvection(v, c, omega)``, in O(n^2) int operations."""
+    mv = [sum(map(mul, row, v)) for row in U]
+    return [[q * x + p * a * y for x, y in zip(row, w)] for row, a in zip(U, mv)]
+
+
 def random_symplectic(n: int, seed: int) -> ExactMatrix:
     """Deterministic random element of Sp(2n, Q) with exact entries.
 
     Built as a product of symplectic transvections (equivalently, exponentials
     of rank-one nilpotents in sp), with small integer/rational parameters.
     The defining identity M^T Omega M = Omega is checked before returning.
+
+    Each factor T = I + c v (Omega v)^T (``transvection``) is applied as the
+    rank-one update M T = M + c (M v)(Omega v)^T on M = U / D with U an
+    integer matrix (``_rank_one_update``).  The entries come out typed as
+    the dense product ``M * transvection(v, c, omega)`` types them: ints
+    until the first Fraction parameter, Fractions after it, except an int 0
+    where no product of the last factor landed.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = random.Random(seed)
     omega = standard_omega(n)
-    M = ExactMatrix.identity(2 * n)
+    dim = 2 * n
+    U = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    D = 1
+    rational = False
     for _ in range(rng.randint(3, 6)):
-        v = [rng.randint(-2, 2) for _ in range(2 * n)]
+        v = [rng.randint(-2, 2) for _ in range(dim)]
         if all(x == 0 for x in v):
-            v[rng.randrange(2 * n)] = 1
+            v[rng.randrange(dim)] = 1
         c = rng.choice([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)])
-        M = M * transvection(v, c, omega)
+        w = omega.apply(v)
+        p, q = c.numerator, c.denominator
+        prev = U
+        U = _rank_one_update(U, v, w, p, q)
+        D *= q
+        rational = rational or isinstance(c, Fraction)
+
+    def entry(i, j):
+        x = U[i][j]
+        if not rational:
+            return x
+        # a zero is Fraction(0) where a product of the last factor landed
+        if x or any(a and (m == j) + c * v[m] * w[j] for m, a in enumerate(prev[i])):
+            return Fraction(x, D)
+        return 0
+
+    M = ExactMatrix._trusted(
+        tuple(tuple(entry(i, j) for j in range(dim)) for i in range(dim)), dim
+    )
     if not is_symplectic(M, omega):
         raise NotSymplecticError("product of transvections is not symplectic")
     return M

@@ -11,7 +11,8 @@ layer, so the matrix is built by convolving the integer coefficients of psi
 (cleared of denominators) against the sparse forms S_k, with no polynomial
 objects.  That gives integer rows and one common denominator; the kernel
 is that of the integer rows, so ``petri_kernel`` hands them straight to
-``matrix._row_echelon`` and builds Fractions only for the kernel vectors.
+``matrix._row_echelon`` and builds Fractions only for the kernel vectors,
+and ``in_petri_kernel`` applies them to one direction in ints.
 The rows are tall and sparse (252 x 32 with about four nonzeros per row for
 sp(8) at degree bound 4), and the row-by-row elimination stops as soon as
 the rank is full, which for the standard representation is after about
@@ -24,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .lie import SymplecticRep
 from .matrix import ExactMatrix, ShapeError, _clear_denominators, _row_echelon
@@ -130,6 +132,18 @@ def petri_matrix(space: SectionSpace, psi) -> PetriMatrix:
     return PetriMatrix(
         space, psi, ExactMatrix([[Fraction(x, den) if x else 0 for x in row] for row in rows])
     )
+
+
+def in_petri_kernel(space: SectionSpace, psi, vec) -> bool:
+    """Whether the matrix of ``petri_matrix`` at psi maps the section
+    coordinates vec to zero.  The integer rows of ``_petri_rows`` are den
+    times that matrix, so they are applied in Python ints to vec cleared of
+    its denominators, and no Fraction is built."""
+    if len(vec) != space.dim:
+        raise ShapeError("section coordinate length mismatch")
+    _, rows, _ = _petri_rows(space, psi)
+    v, _ = _clear_denominators(vec)
+    return not any(sum(map(mul, row, v)) for row in rows)
 
 
 def petri_kernel(space: SectionSpace, psi):

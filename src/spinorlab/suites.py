@@ -158,8 +158,7 @@ def check_dual_pair(rng, space: petri.SectionSpace):
         if any(u_part) and any(d_part):
             break
     direction = petri.dual_pair_kernel_direction(rep, space, coords)
-    pm = petri.petri_matrix(space, coords)
-    in_kernel = all(x == 0 for x in pm.matrix.apply(direction))
+    in_kernel = petri.in_petri_kernel(space, coords, direction)
     t = _rand_rational(rng, 4)
     while t == 0:
         t = _rand_rational(rng, 4)

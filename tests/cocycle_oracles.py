@@ -10,14 +10,31 @@ charts with independent line symbols (``l`` and ``l2``) only fit this route,
 since a ``LaurentPoly`` has one distinguished variable.
 ``loop_block_form`` is the entrywise loop that ``cocycle.standard_form`` and
 ``bbflow.graded_omega`` each ran before both built ``matrix.line_block_form``.
+
+``laurent_fresh_symbol_cocycle``, ``laurent_form_residual`` and
+``laurent_necessity_solve`` are the Laurent route that the cleared integer
+linear forms of ``spinorlab.cocycle`` replaced: gamma from the generic
+``theta_dual`` (one rational inverse), the residual vector
+r = u^T Theta gamma + l^-1 d^T from ``rings.dot`` over the
+MultiPoly/LaurentPoly tower, and the necessity system read off every nonzero
+entry of that residual with ``split_linear``.
 """
 
 from dataclasses import dataclass
 
-from spinorlab.cocycle import assemble_transition, middle_theta, standard_form
-from spinorlab.matrix import ExactMatrix, random_symplectic
+from spinorlab.cocycle import (
+    BlockCocycle,
+    InvalidCocycleError,
+    NecessityResult,
+    _line_inverse,
+    assemble_transition,
+    middle_theta,
+    standard_form,
+    theta_dual,
+)
+from spinorlab.matrix import ExactMatrix, random_symplectic, rank, solve_linear
 from spinorlab.matrix import standard_omega
-from spinorlab.rings import FracElem, LaurentPoly, MultiPoly, dot
+from spinorlab.rings import FracElem, LaurentPoly, MultiPoly, _is_rat, as_poly, dot, is_zero
 
 from matrix_oracles import rref_rank_kernel, rref_solve
 
@@ -149,3 +166,53 @@ def laurent_to_frac(x, var="l"):
     for k, c in x.coeffs.items():
         out = out + (FracElem(c * sym ** k) if k >= 0 else FracElem(c, sym ** -k))
     return out
+
+
+def laurent_fresh_symbol_cocycle(n, seed):
+    """``fresh_symbol_cocycle(n, seed)`` with gamma from ``theta_dual``."""
+    k = 2 * n - 2
+    l = LaurentPoly("l", {1: 1})
+    d = tuple(MultiPoly.var(f"d{i+1}") for i in range(k))
+    u = random_symplectic(n - 1, seed)
+    return BlockCocycle(n, l, u, d, MultiPoly.var("a"), theta_dual(d, u, l, middle_theta(n)))
+
+
+def laurent_form_residual(c):
+    """The residual of ``verify_form_preservation`` in its block layout, with
+    r_i = dot(column i of u, Theta gamma) + l^-1 d_i over the tower."""
+    k = 2 * c.n - 2
+    linv = _line_inverse(c.l)
+    theta_gamma = middle_theta(c.n).apply(c.gamma)
+    r = [dot(col, theta_gamma) + linv * dj for col, dj in zip(c.u.transpose().entries, c.d)]
+    rows = [[0] * (k + 2)]
+    rows.extend([0] * (k + 1) + [ri] for ri in r)
+    rows.append([0] + [-ri for ri in r] + [0])
+    return ExactMatrix(rows)
+
+
+def laurent_necessity_solve(n, l, u, d, a):
+    """Unknown gamma symbols, ``laurent_form_residual`` expanded in them, and
+    one row per nonzero entry read off with ``split_linear``."""
+    if not _is_rat(l):
+        raise InvalidCocycleError("necessity solve needs a rational line transition")
+    k = 2 * n - 2
+    names = [f"_g{i}" for i in range(k)]
+    syms = tuple(MultiPoly.var(nm) for nm in names)
+    residual = laurent_form_residual(BlockCocycle(n, l, u, tuple(d), a, syms))
+    rows = []
+    rhs = []
+    for row in residual.entries:
+        for x in row:
+            if is_zero(x):
+                continue
+            const, lin = as_poly(x).split_linear(names)
+            coeffs = [lin[nm] for nm in names]
+            if not const.is_constant or any(not cf.is_constant for cf in coeffs):
+                raise InvalidCocycleError("necessity solve needs rational block data")
+            rows.append([cf.constant_value() for cf in coeffs])
+            rhs.append(-const.constant_value())
+    system = ExactMatrix(rows, cols=k)
+    sol = solve_linear(system, rhs)
+    if sol is None:
+        raise InvalidCocycleError("residual system has no solution")
+    return NecessityResult(tuple(sol), rank(system), k)

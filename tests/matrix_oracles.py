@@ -15,6 +15,10 @@ checked against the lifted form.
 ``rref_int_rank_kernel`` is the route ``mat_rank_kernel`` and
 ``petri_kernel`` took before ``_row_echelon``: Gauss-Jordan elimination of
 every row by ``_rref_int``, the kernel read off by ``kernel_from``.
+``transvection_product_symplectic`` is ``random_symplectic`` as the product
+of its transvection matrices, before the rank-one updates, and
+``dense_is_symplectic`` the ``M^T Omega M == Omega`` product that
+``is_symplectic`` replaced by the pair formula for a rational M.
 """
 
 import random
@@ -175,3 +179,28 @@ def lifted_random_symplectic_laurent(n, seed, var="z"):
         c = LaurentPoly.term(var, rng.randint(-2, 2), rng.choice([1, -1, 2]))
         M = M * transvection(v, c, omega_l)
     return M, is_symplectic(M, omega_l)
+
+
+def transvection_product_symplectic(n, seed):
+    """The draws of ``random_symplectic(n, seed)``, multiplied out as
+    ``M * transvection(v, c, omega)`` one factor at a time."""
+    rng = random.Random(seed)
+    omega = standard_omega(n)
+    M = ExactMatrix.identity(2 * n)
+    for _ in range(rng.randint(3, 6)):
+        v = [rng.randint(-2, 2) for _ in range(2 * n)]
+        if all(x == 0 for x in v):
+            v[rng.randrange(2 * n)] = 1
+        c = rng.choice([1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2)])
+        M = M * transvection(v, c, omega)
+    return M
+
+
+def dense_is_symplectic(M, omega=None):
+    """``M^T Omega M == Omega`` by two dense products, the standard form of
+    M's size by default."""
+    if omega is None:
+        if M.rows % 2:
+            return False
+        omega = standard_omega(M.rows // 2)
+    return M.is_square and M.transpose() * omega * M == omega

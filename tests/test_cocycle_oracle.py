@@ -122,8 +122,9 @@ def test_check_cocycle_fails_on_a_broken_step(monkeypatch, target, breaker, flag
 def _residual_cases(n):
     """``(label, cocycle, residual is zero)`` for the cocycles whose block and
     dense residuals are compared: fresh ones with l and with l = (3/2) l^-2,
-    a perturbation in every slot, a MultiPoly perturbation, and the unknown
-    gamma of the necessity solve at rational l."""
+    a perturbation in every slot, a MultiPoly perturbation, the unknown
+    gamma of the necessity solve at rational l, and a rational cocycle with
+    its theta-dual gamma, with and without a perturbation."""
     k = 2 * n - 2
     fresh = fresh_symbol_cocycle(n, seed=n)
     yield "fresh", fresh, True
@@ -139,6 +140,10 @@ def _residual_cases(n):
     unknowns = tuple(MultiPoly.var(f"_g{i}") for i in range(k))
     rational_d = tuple(Fraction(i - 2, 3) for i in range(k))
     yield "necessity unknowns", BlockCocycle(n, Fraction(-3, 2), u, rational_d, 5, unknowns), False
+    dual = theta_dual(rational_d, u, Fraction(-3, 2), middle_theta(n))
+    over_q = BlockCocycle(n, Fraction(-3, 2), u, rational_d, 5, dual)
+    yield "l = -3/2 over Q", over_q, True
+    yield f"l = -3/2 over Q, slot {k - 1} + 1", perturb_gamma(over_q, k - 1), False
 
 
 def _mismatches(residual, ns):

@@ -289,13 +289,23 @@ class TestSymplectic:
             O = standard_omega(2).map_entries(lambda x: LaurentPoly.const("z", x))
             assert M.transpose() * O * M == O
 
-    @pytest.mark.parametrize("build", [random_symplectic, random_symplectic_laurent])
-    def test_non_symplectic_product_raises(self, monkeypatch, build):
-        # scaling every transvection by 2 scales M^T Omega M away from Omega
+    @pytest.mark.parametrize(
+        "build, factor",
+        [(random_symplectic, "_rank_one_update"), (random_symplectic_laurent, "transvection")],
+        ids=["random_symplectic", "random_symplectic_laurent"],
+    )
+    def test_non_symplectic_product_raises(self, monkeypatch, build, factor):
+        # scaling every transvection by 2 scales M^T Omega M away from Omega;
+        # random_symplectic applies each one as a rank-one update of its rows
         import spinorlab.matrix as matrix
 
-        good = matrix.transvection
-        monkeypatch.setattr(matrix, "transvection", lambda v, c, omega: good(v, c, omega).scale(2))
+        good = getattr(matrix, factor)
+        if factor == "transvection":
+            monkeypatch.setattr(matrix, factor, lambda v, c, omega: good(v, c, omega).scale(2))
+        else:
+            monkeypatch.setattr(
+                matrix, factor, lambda *args: [[2 * x for x in r] for r in good(*args)]
+            )
         with pytest.raises(NotSymplecticError):
             build(2, 3)
 

@@ -189,6 +189,39 @@ class TestConvolutionOracle:
             petri_matrix(space, [1] * (space.dim + 1))
 
 
+class TestInPetriKernel:
+    """``in_petri_kernel`` on the integer rows against applying the Fraction
+    matrix of ``petri_matrix``."""
+
+    @pytest.mark.parametrize("name, s", [
+        ("sp2", 3), ("sp4", 2), ("sp6", 2), ("sp8", 4), ("sl2-W+W*", 1), ("sl2-W+W*", 3),
+        ("sl2-Sym3", 2),
+    ])
+    def test_verdict_matches_the_matrix_route(self, name, s):
+        rep = TestConvolutionOracle.REPS[name]()
+        space = SectionSpace(rep, s)
+        rng = random.Random(7 * s + len(name))
+        verdicts = set()
+        for psi in ([0] * space.dim, *(rand_section(rng, space) for _ in range(3))):
+            matrix = petri_matrix(space, psi).matrix
+            vecs = [rand_section(rng, space), [rng.choice([0, 0, 1, -2]) for _ in range(space.dim)]]
+            vecs += petri_kernel(space, psi)
+            if name == "sl2-W+W*":
+                vecs.append(dual_pair_kernel_direction(rep, space, psi))
+            for v in vecs:
+                got = petri.in_petri_kernel(space, psi, v)
+                assert got is all(x == 0 for x in matrix.apply(v))
+                verdicts.add(got)
+        assert verdicts == {True, False}
+
+    def test_length_mismatch_rejected(self):
+        space = SectionSpace(sp_standard(1), 2)
+        with pytest.raises(ShapeError):
+            petri.in_petri_kernel(space, [1] * space.dim, [1] * (space.dim + 1))
+        with pytest.raises(ShapeError):
+            petri.in_petri_kernel(space, [1] * (space.dim + 1), [1] * space.dim)
+
+
 class TestInjectivityDichotomy:
     def test_standard_rep_injective(self):
         rng = random.Random(22)
