@@ -9,6 +9,7 @@ through commutant dimensions instead of running a full Meataxe.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -590,6 +591,9 @@ def conjugate_rep(rep: SymplecticRep, g: ExactMatrix) -> SymplecticRep:
 # -- line-oriented text serialization ---------------------------------------
 
 
+_RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"
+
+
 def _fmt_frac(x) -> str:
     f = Fraction(x)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
@@ -600,6 +604,10 @@ def _fmt_matrix(M: ExactMatrix) -> str:
 
 
 def _parse_matrix(tokens, n: int) -> ExactMatrix:
+    # Only the forms _fmt_frac writes: Fraction alone would also take a
+    # decimal exponent and expand 1e100000000 digit by digit.
+    if not all(re.fullmatch(_RATIONAL, t) for t in tokens):
+        raise ValueError("matrix entries must be integers or p/q")
     vals = [Fraction(t) for t in tokens]
     if len(vals) != n * n:
         raise ValueError("wrong entry count for matrix")

@@ -1,10 +1,11 @@
 """Polynomial section model for spinors and the induced map on sections.
 
-Sections are V-valued polynomials of degree < s in one abstract variable x;
-the differential of the moment map acts on them pointwise-polynomially and is
-assembled into an exact matrix whose kernel decides injectivity.  Outputs are
-algebra-valued polynomials of degree <= 2s-2, stored with 2s-1 coefficient
-slots, so no truncation ever occurs.
+Sections are V-valued polynomials of degree < s in one abstract variable x,
+held only as coordinate vectors: entry k*dim(V) + j is the coefficient of
+x^k in component j.  The differential of the moment map acts on them
+pointwise-polynomially and is assembled into an exact matrix whose kernel
+decides injectivity.  Outputs are algebra-valued polynomials of degree
+<= 2s-2, stored with 2s-1 coefficient slots, so no truncation ever occurs.
 
 The differential is the bilinear form psi^T S_k psidot / q of the moment
 layer, so the matrix is built by convolving the integer coefficients of psi
@@ -17,7 +18,8 @@ The rows are tall and sparse (252 x 32 with about four nonzeros per row for
 sp(8) at degree bound 4), and the row-by-row elimination stops as soon as
 the rank is full, which for the standard representation is after about
 half of them.  The column-by-column ``MultiPoly`` route it replaced is kept
-beside the tests (``tests/petri_oracles.py``) as its oracle.
+beside the tests (``tests/petri_oracles.py``) as its oracle, together with
+the polynomial view of a section and its evaluation at a point.
 """
 
 from __future__ import annotations
@@ -30,9 +32,6 @@ from operator import mul
 from .lie import SymplecticRep
 from .matrix import ExactMatrix, ShapeError, _clear_denominators, _row_echelon
 from .moment import MomentContext, moment_map
-from .rings import MultiPoly, as_poly
-
-_X = "x"
 
 
 @lru_cache(maxsize=16)
@@ -53,40 +52,6 @@ class SectionSpace:
         self.degree_bound = degree_bound
         self.dim = rep.dimV * degree_bound
         self.ctx = _context(rep)
-
-    def section_polys(self, coords):
-        """Coordinate vector -> list of dimV polynomials in x."""
-        if len(coords) != self.dim:
-            raise ShapeError("section coordinate length mismatch")
-        m = self.rep.dimV
-        polys = []
-        for j in range(m):
-            terms = {}
-            for k in range(self.degree_bound):
-                c = coords[k * m + j]
-                if c:
-                    terms[(k,)] = c
-            polys.append(MultiPoly((_X,), terms))
-        return polys
-
-    def coords_from_polys(self, polys):
-        """Inverse of section_polys; rejects degrees >= the bound."""
-        if len(polys) != self.rep.dimV:
-            raise ShapeError("wrong number of component polynomials")
-        m = self.rep.dimV
-        out = [0] * self.dim
-        for j, p in enumerate(polys):
-            p = as_poly(p)
-            if p.degree_in(_X) >= self.degree_bound:
-                raise ShapeError("section degree exceeds the bound")
-            for k, c in p.coeffs_in(_X).items():
-                out[k * m + j] = c.constant_value()
-        return tuple(out)
-
-    def evaluate(self, coords, x0):
-        """Evaluate a section at a rational point, yielding a spinor vector."""
-        polys = self.section_polys(coords)
-        return tuple(p.substitute({_X: x0}).constant_value() for p in polys)
 
 
 @dataclass(frozen=True)

@@ -269,28 +269,6 @@ class MultiPoly:
             buckets.setdefault(e[i], {})[re] = c
         return {d: MultiPoly._trusted(rest, t) for d, t in sorted(buckets.items())}
 
-    def split_linear(self, unknowns: Iterable[str]):
-        """Split a polynomial linear in ``unknowns`` as (constant part, {u: coeff}).
-
-        Raises ValueError if any term has total degree >= 2 in the unknowns.
-        """
-        unk = list(unknowns)
-        pos = {nm: self.vars.index(nm) for nm in unk if nm in self.vars}
-        const_terms: dict[tuple, Fraction] = {}
-        lin: dict[str, dict] = {nm: {} for nm in unk}
-        for e, c in self.terms.items():
-            deg = sum(e[i] for i in pos.values())
-            if deg == 0:
-                const_terms[e] = c
-            elif deg == 1:
-                nm = next(n for n, i in pos.items() if e[i])
-                re = tuple(0 if i == pos[nm] else x for i, x in enumerate(e))
-                lin[nm][re] = c
-            else:
-                raise ValueError("polynomial is not linear in the unknowns")
-        const = MultiPoly(self.vars, const_terms)
-        return const, {nm: MultiPoly(self.vars, t) for nm, t in lin.items()}
-
     def substitute(self, values: Mapping[str, object]):
         """Substitute ring values for variables; unmentioned variables remain."""
         keep = [nm for nm in self.vars if nm not in values]

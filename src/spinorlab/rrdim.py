@@ -78,15 +78,6 @@ def pair_euler_identity_symbolic() -> MultiPoly:
     return (ad - tw) - sp_dim(N) * (1 - G)
 
 
-def pair_euler_for_rep(rep, g: int) -> EulerPairRecord:
-    """The same identity for any registered representation: the associated
-    vector bundle has degree zero (semisimple structure group), so the
-    twisted-section chi vanishes for every rep."""
-    ad = rr_chi(BundleNumerics(rep.algebra.dim, 0, g))
-    tw = rr_chi(BundleNumerics(rep.dimV, rep.dimV * (g - 1), g))
-    return EulerPairRecord(ad, tw, ad - tw, rep.algebra.dim * (1 - g))
-
-
 @dataclass(frozen=True)
 class YDimensionRecord:
     """The three-part dimension count for the reconstruction family."""

@@ -25,18 +25,6 @@ from .rings import LaurentPoly, MultiPoly
 
 SCHEMA_VERSION = 1
 
-SUITE_NAMES = (
-    "moment-equivariance",
-    "gaiotto",
-    "petri",
-    "cech",
-    "hecke",
-    "cocycle",
-    "bbflow",
-    "dims",
-    "stability-scan",
-    "all",
-)
 
 class ConfigError(ValueError):
     """Unknown suite or out-of-range parameter."""
@@ -428,6 +416,8 @@ _SUITE_CASES = {
     "dims": _dims_cases,
     "stability-scan": _stability_cases,
 }
+
+SUITE_NAMES = (*_SUITE_CASES, "all")
 
 
 def run_suite(config: SuiteConfig) -> SuiteReport:

@@ -39,6 +39,30 @@ from spinorlab.rings import FracElem, LaurentPoly, MultiPoly, _is_rat, as_poly, 
 from matrix_oracles import rref_rank_kernel, rref_solve
 
 
+def split_linear(poly, unknowns):
+    """Split a ``MultiPoly`` linear in ``unknowns`` as (constant part,
+    {u: coeff}).
+
+    Raises ValueError if any term has total degree >= 2 in the unknowns.
+    """
+    unk = list(unknowns)
+    pos = {nm: poly.vars.index(nm) for nm in unk if nm in poly.vars}
+    const_terms = {}
+    lin = {nm: {} for nm in unk}
+    for e, c in poly.terms.items():
+        deg = sum(e[i] for i in pos.values())
+        if deg == 0:
+            const_terms[e] = c
+        elif deg == 1:
+            nm = next(n for n, i in pos.items() if e[i])
+            re = tuple(0 if i == pos[nm] else x for i, x in enumerate(e))
+            lin[nm][re] = c
+        else:
+            raise ValueError("polynomial is not linear in the unknowns")
+    const = MultiPoly(poly.vars, const_terms)
+    return const, {nm: MultiPoly(poly.vars, t) for nm, t in lin.items()}
+
+
 def loop_block_form(n):
     """[[0,0,1],[0,Theta,0],[-1,0,0]] in the (line, middle, dual line)
     ordering, Theta = standard_omega(n - 1), copied entry by entry."""
@@ -141,7 +165,7 @@ def frac_necessity_solve(n, l, u, d, a):
             num = (x if isinstance(x, FracElem) else FracElem(x)).num
             if num.is_zero:
                 continue
-            const, lin = num.split_linear(names)
+            const, lin = split_linear(num, names)
             coeffs = [lin.get(nm, MultiPoly.const(0)) for nm in names]
             if not const.is_constant or any(not cf.is_constant for cf in coeffs):
                 raise ValueError("necessity solve needs rational block data")
@@ -205,7 +229,7 @@ def laurent_necessity_solve(n, l, u, d, a):
         for x in row:
             if is_zero(x):
                 continue
-            const, lin = as_poly(x).split_linear(names)
+            const, lin = split_linear(as_poly(x), names)
             coeffs = [lin[nm] for nm in names]
             if not const.is_constant or any(not cf.is_constant for cf in coeffs):
                 raise InvalidCocycleError("necessity solve needs rational block data")

@@ -109,7 +109,7 @@ POLYNOMIAL_ARITHMETIC = [
     (LaurentPoly, "__mul__"), (LaurentPoly, "__rmul__"),
     (MultiPoly, "__mul__"), (MultiPoly, "__rmul__"),
     (MultiPoly, "__add__"), (MultiPoly, "__radd__"),
-    (MultiPoly, "_aligned"), (MultiPoly, "split_linear"), (MultiPoly, "__init__"),
+    (MultiPoly, "_aligned"), (MultiPoly, "__init__"),
 ]
 
 

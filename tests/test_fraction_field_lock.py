@@ -1,12 +1,14 @@
-"""Only ``rings`` may name ``FracElem`` or ``Dual``, and ``cech`` names no
-``Fraction``.
+"""Only ``rings`` may name ``FracElem`` or ``Dual``, ``cech`` names no
+``Fraction``, and no module names the helpers that only tests use.
 
 No module of the package builds a fraction-field element or a dual number
 any more: the cocycle layer works over Laurent polynomials in its line
 symbol, the moment layer in Lie-algebra coordinates, and ``matrix``
 eliminates over Q only.  ``rings`` still defines both classes for the test
-oracles.  The Cech layer works on integer matrices.  The check walks the
-syntax tree with the standard library, like ``test_unused_imports``.
+oracles.  The Cech layer works on integer matrices.  ``split_linear``,
+the polynomial view of a section and the per-representation Euler pair live
+beside the oracles that use them.  The check walks the syntax tree with the
+standard library, like ``test_unused_imports``.
 """
 
 import ast
@@ -14,17 +16,22 @@ from pathlib import Path
 
 import pytest
 
+from spinorlab.petri import SectionSpace
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "spinorlab"
 MODULES = sorted(SRC.glob("*.py"))
 ALLOWED = {"FracElem": {"rings.py"}, "Dual": {"rings.py"}}
+TEST_ONLY = {"split_linear", "section_polys", "coords_from_polys", "pair_euler_for_rep"}
 
 
 def named(source: str) -> set:
-    """Identifiers a module names: names, attributes, imported names and
-    quoted annotations."""
+    """Identifiers a module names or defines: names, attributes, imported
+    names, quoted annotations, functions and classes."""
     out = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.add(node.name)
+        elif isinstance(node, ast.Name):
             out.add(node.id)
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
@@ -42,6 +49,7 @@ def test_guard_flags_every_kind_of_reference():
         "import spinorlab.rings as r\nx = r.FracElem(1)\n",
         "def f(x: 'FracElem'): pass\n",
         "from .rings import FracElem as F\n",
+        "class FracElem:\n    pass\n",
     ):
         assert "FracElem" in named(source)
     assert "FracElem" not in named('"""Works without a FracElem."""\n')
@@ -55,3 +63,12 @@ def test_fraction_field_and_dual_stay_in_their_modules(path):
 
 def test_cech_works_without_fraction():
     assert "Fraction" not in named((SRC / "cech.py").read_text())
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_test_only_helpers_stay_beside_the_tests(path):
+    assert sorted(TEST_ONLY & named(path.read_text())) == []
+
+
+def test_section_space_does_not_evaluate():
+    assert not hasattr(SectionSpace, "evaluate")

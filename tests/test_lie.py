@@ -290,6 +290,14 @@ class TestSummandBounds:
             rep_from_text(text)
         assert time.perf_counter() - start < 1.0
 
+    def test_huge_exponent_entry_rejected_within_a_second(self):
+        text = rep_to_text(sl2_w_plus_wdual())
+        assert "X 0 1 0 0\n" in text
+        start = time.perf_counter()
+        with pytest.raises(RepFormatError):
+            rep_from_text(text.replace("X 0 1 0 0\n", "X 0 1e100000000 0 0\n"))
+        assert time.perf_counter() - start < 1.0
+
     @pytest.mark.parametrize("mid", ["7", "0", "4", "-1"])
     def test_dual_pair_mid_outside_its_span_rejected(self, mid):
         text = rep_to_text(sl2_w_plus_wdual())

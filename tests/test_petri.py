@@ -8,8 +8,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from petri_oracles import multipoly_petri_matrix
-from petri_oracles import petri_apply_pointwise
+from petri_oracles import evaluate_section, multipoly_petri_matrix, petri_apply_pointwise
 from spinorlab import petri
 from spinorlab.lie import SymplecticRep, sl2_sym_cube, sl2_w_plus_wdual, sp_standard
 from spinorlab.matrix import ExactMatrix, ShapeError, mat_rank_kernel, rank, standard_omega
@@ -36,21 +35,10 @@ class TestSectionSpace:
         sp = SectionSpace(sp_standard(2), 3)
         assert sp.dim == 12
 
-    def test_round_trip_and_evaluation(self):
-        from spinorlab.rings import MultiPoly
-
+    def test_evaluation(self):
+        # coordinates (0, 1, 1, 0) are the section (x, 1)
         space = SectionSpace(sp_standard(1), 2)
-        x = MultiPoly.var("x")
-        coords = space.coords_from_polys([x, MultiPoly.const(1)])
-        assert space.evaluate(coords, Fraction(5)) == (5, 1)
-
-    def test_degree_overflow_rejected(self):
-        from spinorlab.rings import MultiPoly
-
-        space = SectionSpace(sp_standard(1), 1)
-        x = MultiPoly.var("x")
-        with pytest.raises(ShapeError):
-            space.coords_from_polys([x, MultiPoly.const(0)])
+        assert evaluate_section(space, (0, 1, 1, 0), Fraction(5)) == (5, 1)
 
 
 class TestPetriMatrix:
@@ -91,11 +79,9 @@ class TestPetriMatrix:
         assert rank(pm.matrix) == 2
 
     def test_sp2_s2_linear_spinor_injective(self):
-        from spinorlab.rings import MultiPoly
-
+        # the section (x, 1)
         space = SectionSpace(sp_standard(1), 2)
-        x = MultiPoly.var("x")
-        psi = space.coords_from_polys([x, MultiPoly.const(1)])
+        psi = (0, 1, 1, 0)
         pm = petri_matrix(space, psi)
         assert rank(pm.matrix) == 4
         assert petri_kernel(space, psi) == []

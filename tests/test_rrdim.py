@@ -8,7 +8,6 @@ from spinorlab.rrdim import (
     BundleNumerics,
     InfeasibleCaseError,
     SubobjectCase,
-    pair_euler_for_rep,
     pair_euler_identity,
     pair_euler_identity_symbolic,
     rr_chi,
@@ -73,9 +72,10 @@ class TestPairEuler:
         # twisted sections vanishes for every rep, not just the standard one
         for rep in (sp_standard(2), sl2_sym_cube()):
             for g in (2, 3, 5):
-                rec = pair_euler_for_rep(rep, g)
-                assert rec.chi_twisted_sections == 0
-                assert rec.ok
+                ad = rr_chi(BundleNumerics(rep.algebra.dim, 0, g))
+                tw = rr_chi(BundleNumerics(rep.dimV, rep.dimV * (g - 1), g))
+                assert tw == 0
+                assert ad - tw == rep.algebra.dim * (1 - g)
 
 
 class TestYDimension:
