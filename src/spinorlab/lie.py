@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .matrix import ExactMatrix, _cleared_rows, _reduce, in_sp, inverse, mat_rank_kernel, standard_omega
+from .matrix import ExactMatrix, _cleared_rows, _reduce, in_sp, inverse, mat_rank_kernel, rank, standard_omega
 from .rings import _is_rat, is_zero
 
 
@@ -282,8 +282,7 @@ def verify_symplectic_rep(rep: SymplecticRep) -> CheckReport:
     checks = []
     omega = rep.omega
     checks.append(("omega antisymmetric", omega.transpose() == omega.scale(-1)))
-    rk, _ = mat_rank_kernel(omega)
-    checks.append(("omega invertible", rk == rep.dimV))
+    checks.append(("omega invertible", rank(omega) == rep.dimV))
 
     for i, R in enumerate(rep.rho):
         checks.append((f"sp-membership rho(X{i})", in_sp(R, omega)))
@@ -313,8 +312,7 @@ def verify_symplectic_rep(rep: SymplecticRep) -> CheckReport:
     for i, s in enumerate(rep.summands):
         if s.kind == "irreducible":
             sub = omega.submatrix(range(s.lo, s.hi), range(s.lo, s.hi))
-            rk, _ = mat_rank_kernel(sub)
-            checks.append((f"omega nondegenerate on summand{i}", rk == s.hi - s.lo))
+            checks.append((f"omega nondegenerate on summand{i}", rank(sub) == s.hi - s.lo))
         else:
             w_iso = omega.submatrix(range(s.lo, s.mid), range(s.lo, s.mid)).is_zero
             ws_iso = omega.submatrix(range(s.mid, s.hi), range(s.mid, s.hi)).is_zero
@@ -323,24 +321,11 @@ def verify_symplectic_rep(rep: SymplecticRep) -> CheckReport:
     return CheckReport(tuple(checks))
 
 
-def _iterative_kernel(maps):
-    """Basis of the joint kernel of a list of linear maps (as ExactMatrix),
-    refined one map at a time to keep eliminations small."""
-    if not maps:
-        return []
-    ncols = maps[0].cols
-    basis = None  # None means the full space
-    for M in maps:
-        if basis is None:
-            _, ker = mat_rank_kernel(M)
-            basis = [list(v) for v in ker]
-        else:
-            if not basis:
-                return []
-            B = ExactMatrix(basis).transpose()
-            _, ker = mat_rank_kernel(M * B)
-            basis = [list(B.apply(v)) for v in ker]
-    return [tuple(v) for v in (basis or [])]
+def _joint_kernel(maps):
+    """Basis of the joint kernel of linear maps (as ExactMatrix) with a
+    common column count: one ``mat_rank_kernel`` of their stacked rows."""
+    stacked = ExactMatrix([row for M in maps for row in M.entries], cols=maps[0].cols)
+    return mat_rank_kernel(stacked)[1]
 
 
 def _sylvester(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
@@ -363,7 +348,7 @@ def commutant(rep: SymplecticRep):
     """Basis of End_g(V), computed as the joint kernel of
     A -> A rho(X_i) - rho(X_i) A."""
     m = rep.dimV
-    ker = _iterative_kernel([_sylvester(R, -R) for R in rep.rho])
+    ker = _joint_kernel([_sylvester(R, -R) for R in rep.rho])
     return [ExactMatrix([v[r * m : (r + 1) * m] for r in range(m)]) for v in ker]
 
 
@@ -376,7 +361,7 @@ def hom_space(rep: SymplecticRep, a: int, b: int) -> int:
     ra, rb = range(*cons[a][1]), range(*cons[b][1])
     # unknown T (len(rb) x len(ra)): T Ra - Rb T = 0
     maps = [_sylvester(R.submatrix(ra, ra), -R.submatrix(rb, rb)) for R in rep.rho]
-    return len(_iterative_kernel(maps))
+    return len(_joint_kernel(maps))
 
 
 @dataclass(frozen=True)
@@ -507,14 +492,14 @@ def sl2_sym_cube() -> SymplecticRep:
     rho = [_sym_cube_action(X) for X in alg.basis]
 
     # solve W rho(X) + rho(X)^T W = 0, W antisymmetric, over 16 unknowns
-    rows = [row for R in rho for row in _sylvester(R, R.transpose()).entries]
+    symmetric_part = []
     for r in range(4):
         for c in range(4):
             row = [0] * 16
             row[r * 4 + c] += 1
             row[c * 4 + r] += 1
-            rows.append(row)
-    _, ker = mat_rank_kernel(ExactMatrix(rows))
+            symmetric_part.append(row)
+    ker = _joint_kernel([_sylvester(R, R.transpose()) for R in rho] + [ExactMatrix(symmetric_part)])
     if len(ker) != 1:
         raise InvariantFormError(f"expected a unique invariant form up to scale, found {len(ker)}")
     v = ker[0]
@@ -592,6 +577,7 @@ def conjugate_rep(rep: SymplecticRep, g: ExactMatrix) -> SymplecticRep:
 
 
 _RATIONAL = r"-?[0-9]+(?:/[0-9]+)?"
+_COUNT = "[0-9]+"
 
 
 def _fmt_frac(x) -> str:
@@ -616,8 +602,12 @@ def _parse_matrix(tokens, n: int) -> ExactMatrix:
 
 def rep_to_text(rep: SymplecticRep) -> str:
     """Line-oriented text form: header, algebra basis, omega, rho images,
-    and summand declarations, with all entries as rationals."""
-    lines = [f"spinorlab-rep 1 {rep.name or 'unnamed'}"]
+    and summand declarations, with all entries as rationals.  The name must
+    be one token of ``str.split`` (an empty name is written as "unnamed")."""
+    name = rep.name or "unnamed"
+    if name.split() != [name]:
+        raise ValueError(f"a representation name must be one token without whitespace, not {name!r}")
+    lines = [f"spinorlab-rep 1 {name}"]
     lines.append(f"algebra {rep.algebra.dim} {rep.algebra.ambient_dim}")
     for X in rep.algebra.basis:
         lines.append("X " + _fmt_matrix(X))
@@ -634,54 +624,58 @@ def rep_to_text(rep: SymplecticRep) -> str:
 
 
 def rep_from_text(text: str) -> SymplecticRep:
-    """Inverse of ``rep_to_text``.  Truncated, garbled or inconsistent text
-    raises RepFormatError."""
+    """Inverse of ``rep_to_text``.  Truncated, garbled or inconsistent text,
+    or any line that ``rep_to_text`` would not write, raises RepFormatError."""
     try:
         return _parse_rep(text)
     except (IndexError, ValueError, ZeroDivisionError) as exc:
         raise RepFormatError(f"malformed representation text: {exc}") from exc
 
 
+def _fields(tokens, tag: str):
+    """The tokens after ``tag`` on a line that starts with it."""
+    if tokens[0] != tag:
+        raise ValueError(f"expected a {tag} line, got {tokens[0]!r}")
+    return tokens[1:]
+
+
+def _counts(tokens, tag: str, k: int):
+    """The k counts after ``tag``, each written in ASCII digits only: int()
+    alone would also take a sign, underscores and non-ASCII digits."""
+    fields = _fields(tokens, tag)
+    if len(fields) != k or not all(re.fullmatch(_COUNT, t) for t in fields):
+        raise ValueError(f"{tag} takes {k} counts in ASCII digits, got {fields}")
+    return [int(t) for t in fields]
+
+
 def _parse_rep(text: str) -> SymplecticRep:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[:2] != ["spinorlab-rep", "1"]:
-        raise ValueError("unrecognized representation format")
-    name = head[2] if len(head) > 2 else ""
-    _, dim_s, amb_s = lines[1].split()
-    dim, amb = int(dim_s), int(amb_s)
+    lines = [tokens for tokens in map(str.split, text.splitlines()) if tokens]
+    head = lines[0]
+    if len(head) != 3 or head[:2] != ["spinorlab-rep", "1"]:
+        raise ValueError("the header must be 'spinorlab-rep 1 NAME'")
+    dim, amb = _counts(lines[1], "algebra", 2)
     idx = 2
     basis = []
     for _ in range(dim):
-        tag, *toks = lines[idx].split()
-        if tag != "X":
-            raise ValueError(f"expected basis line, got {tag!r}")
-        basis.append(_parse_matrix(toks, amb))
+        basis.append(_parse_matrix(_fields(lines[idx], "X"), amb))
         idx += 1
     algebra = MatrixLieAlgebra(basis)
-    dimv = int(lines[idx].split()[1])
-    idx += 1
-    tag, *toks = lines[idx].split()
-    if tag != "omega":
-        raise ValueError(f"expected omega line, got {tag!r}")
-    omega = _parse_matrix(toks, dimv)
-    idx += 1
+    (dimv,) = _counts(lines[idx], "dimV", 1)
+    omega = _parse_matrix(_fields(lines[idx + 1], "omega"), dimv)
+    idx += 2
     rho = []
     for _ in range(dim):
-        tag, *toks = lines[idx].split()
-        if tag != "rho":
-            raise ValueError(f"expected rho line, got {tag!r}")
-        rho.append(_parse_matrix(toks, dimv))
+        rho.append(_parse_matrix(_fields(lines[idx], "rho"), dimv))
         idx += 1
     summands = []
-    for ln in lines[idx:]:
-        parts = ln.split()
-        if parts[0] != "summand":
-            raise ValueError(f"unexpected line: {ln}")
-        if parts[1] == "irr":
-            summands.append(Summand("irreducible", int(parts[2]), int(parts[3])))
+    for tokens in lines[idx:]:
+        kind = _fields(tokens, "summand")[:1]
+        if kind == ["irr"]:
+            lo, hi = _counts(tokens[1:], "irr", 2)
+            summands.append(Summand("irreducible", lo, hi))
+        elif kind == ["dual"]:
+            lo, mid, hi = _counts(tokens[1:], "dual", 3)
+            summands.append(Summand("dual-pair", lo, hi, mid=mid))
         else:
-            summands.append(
-                Summand("dual-pair", int(parts[2]), int(parts[4]), mid=int(parts[3]))
-            )
-    return SymplecticRep(algebra, omega, rho, summands, name=name)
+            raise ValueError(f"a summand is irr or dual, not {kind}")
+    return SymplecticRep(algebra, omega, rho, summands, name=head[2])

@@ -8,13 +8,16 @@ nonzeros of y.  The routes below are the ones it replaced: the dense product
 -Omega S, and a solve that walks every pivot of a Fraction-row Gauss-Jordan
 reduction of [F | I] (``matrix_oracles._rref``) into a dense coordinate
 list.  ``dense_combination`` is the route ``lie._combination`` replaced: one
-dense ``scale`` and ``+`` per coordinate.
+dense ``scale`` and ``+`` per coordinate.  ``iterative_kernel`` is the route
+the joint kernels of ``commutant`` and ``hom_space`` replaced: one kernel,
+one dense product and one ``apply`` per map, where the package takes one
+kernel of the stacked rows.
 """
 
 from fractions import Fraction
 
 from matrix_oracles import _rref
-from spinorlab.matrix import ExactMatrix, standard_omega
+from spinorlab.matrix import ExactMatrix, mat_rank_kernel, standard_omega
 from spinorlab.rings import _is_rat
 
 
@@ -25,6 +28,25 @@ def dense_combination(coords, mats, d):
         if not (_is_rat(c) and c == 0):
             acc = acc + X.scale(c)
     return acc
+
+
+def iterative_kernel(maps):
+    """Basis of the joint kernel of a list of linear maps (as ExactMatrix),
+    refined one map at a time."""
+    if not maps:
+        return []
+    basis = None  # None means the full space
+    for M in maps:
+        if basis is None:
+            _, ker = mat_rank_kernel(M)
+            basis = [list(v) for v in ker]
+        else:
+            if not basis:
+                return []
+            B = ExactMatrix(basis).transpose()
+            _, ker = mat_rank_kernel(M * B)
+            basis = [list(B.apply(v)) for v in ker]
+    return [tuple(v) for v in (basis or [])]
 
 
 def dense_sp_basis(n):

@@ -7,7 +7,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spinorlab.lie import (
@@ -68,6 +68,62 @@ class TestAlgebra:
             assert mat_rank_kernel(g)[0] == alg.dim
 
 
+def _on_sl2(omega, summands, rho=None):
+    """A representation of sl2 on Q^d with the given form; rho is zero
+    unless given."""
+    d = len(omega)
+    rho = rho or [ExactMatrix.zeros(d, d)] * 3
+    return SymplecticRep(sl2_algebra(), ExactMatrix(omega), rho, summands)
+
+
+def _on_own_span(N, omega, summands):
+    """The abelian algebra spanned by N, acting by N itself."""
+    N = ExactMatrix(N)
+    return SymplecticRep(MatrixLieAlgebra([N]), ExactMatrix(omega), [N], summands)
+
+
+_DUALITY = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
+# invertible, with a nondegenerate (0, 2) block and a zero (2, 4) block
+_FIRST_BLOCK_ONLY = [[0, 1, 1, 0], [-1, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
+_IRR_IRR = [Summand("irreducible", 0, 2), Summand("irreducible", 2, 4)]
+_DUAL = [Summand("dual-pair", 0, 4, mid=2)]
+_CORRUPTED = {
+    "omega not antisymmetric": lambda: (
+        _on_sl2([[0, 1], [2, 0]], [Summand("irreducible", 0, 2)]), ["omega antisymmetric"]
+    ),
+    "omega singular": lambda: (_on_sl2([[0] * 4] * 4, _DUAL), ["omega invertible"]),
+    "omega degenerate on one block": lambda: (
+        _on_sl2(_FIRST_BLOCK_ONLY, _IRR_IRR), ["omega nondegenerate on summand1"]
+    ),
+    "W not isotropic": lambda: (_on_sl2(_FIRST_BLOCK_ONLY, _DUAL), ["W isotropic in summand0"]),
+    "W* not isotropic": lambda: (
+        _on_sl2([[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 1], [0, -1, -1, 0]], _DUAL),
+        ["W* isotropic in summand0"],
+    ),
+    "W* not invariant": lambda: (
+        # N = [[0, I], [0, 0]] lies in sp for the duality pairing and maps W*
+        # into W: W is invariant and W* is not
+        _on_own_span([[0, 0, 1, 0], [0, 0, 0, 1], [0] * 4, [0] * 4], _DUALITY, _DUAL),
+        ["invariance of summand0.W*"],
+    ),
+    "summands swapped by rho": lambda: (
+        # N = -Omega S for S = [[0, I], [I, 0]]: in sp, off the diagonal blocks
+        _on_own_span(
+            [[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]],
+            [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]],
+            _IRR_IRR,
+        ),
+        ["invariance of summand0", "invariance of summand1"],
+    ),
+    "rho not a homomorphism": lambda: (
+        # (e, h, 2f): [e, 2f] = 2h, but rho([e, f]) = rho(h) = h
+        _on_sl2([[0, 1], [-1, 0]], [Summand("irreducible", 0, 2)],
+                [sl2_algebra().basis[0], sl2_algebra().basis[1], sl2_algebra().basis[2].scale(2)]),
+        ["homomorphism fails on (X0, X2)"],
+    ),
+}
+
+
 class TestVerify:
     def test_sp4_standard_passes(self):
         report = verify_symplectic_rep(sp_standard(2))
@@ -101,6 +157,11 @@ class TestVerify:
         report = verify_symplectic_rep(corrupted)
         assert not report.passed
         assert any("sp-membership rho(X0)" in n for n in report.failed_names())
+
+    @pytest.mark.parametrize("case", list(_CORRUPTED))
+    def test_each_failing_check_is_reported(self, case):
+        rep, failed = _CORRUPTED[case]()
+        assert verify_symplectic_rep(rep).failed_names() == failed
 
     def test_homomorphism_random_pairs(self):
         rng = random.Random(2)
@@ -143,6 +204,28 @@ class TestCommutant:
             with_id = ExactMatrix(cols + [ident]).transpose()
             without = ExactMatrix(cols).transpose()
             assert mat_rank_kernel(with_id)[0] == mat_rank_kernel(without)[0]
+
+    def test_each_joint_kernel_is_one_elimination(self, monkeypatch):
+        import spinorlab.lie as lie
+
+        calls = []
+        real = lie.mat_rank_kernel
+        monkeypatch.setattr(lie, "mat_rank_kernel", lambda M: calls.append(M.rows) or real(M))
+        for rep in (sp_standard(3), sl2_w_plus_wdual(), direct_sum(sl2_standard(), sl2_sym_cube())):
+            calls.clear()
+            commutant(rep)
+            assert len(calls) == 1
+            count = len(rep.constituents())
+            for a, b in itertools.product(range(count), repeat=2):
+                calls.clear()
+                hom_space(rep, a, b)
+                assert len(calls) == 1
+            calls.clear()
+            assert verify_symplectic_rep(rep).passed
+            assert calls == []
+        calls.clear()
+        lie.sl2_sym_cube.__wrapped__()
+        assert len(calls) == 1
 
     def test_dimension_invariant_under_conjugation(self):
         for seed in (3, 8):
@@ -253,6 +336,46 @@ class TestSerialization:
     def test_bad_header_rejected(self):
         with pytest.raises(RepFormatError):
             rep_from_text("not-a-rep 9\n")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(max_size=12))
+    @example("std rep")
+    @example("")
+    @example("a\x85b")
+    @example("a\u2028b")
+    @example("\x00")
+    def test_names_round_trip_or_are_refused(self, name):
+        base = sl2_standard()
+        rep = SymplecticRep(base.algebra, base.omega, base.rho, base.summands, name=name)
+        try:
+            text = rep_to_text(rep)
+        except ValueError:
+            assert name.split() != [name] and name
+            return
+        assert rep_to_text(rep_from_text(text)) == text
+
+    @pytest.mark.parametrize(
+        "make, old, new",
+        [
+            (sl2_standard, "spinorlab-rep 1 sl2-standard", "spinorlab-rep 1 std rep"),
+            (sl2_standard, "spinorlab-rep 1 sl2-standard", "spinorlab-rep 1"),
+            (sl2_w_plus_wdual, "algebra 3 2", "algebra \u0663 0_2"),
+            (sl2_w_plus_wdual, "algebra 3 2", "zzz 3 2"),
+            (sl2_w_plus_wdual, "dimV 4", "nope 4"),
+            (sl2_w_plus_wdual, "dimV 4", "dimV 4 4"),
+            (sl2_w_plus_wdual, "summand dual 0 2 4", "summand dual +0 2 4"),
+            (sl2_w_plus_wdual, "summand dual 0 2 4", "summand foo 0 2 4"),
+            (sl2_w_plus_wdual, "summand dual 0 2 4", "summand dual 0 2 4 junk"),
+            (sl2_w_plus_wdual, "summand dual 0 2 4", "summand dual 0 2"),
+            (sl2_standard, "summand irr 0 2", "summand irr 0 2 2"),
+            (sl2_standard, "summand irr 0 2", "summand irr 0 \uff12"),
+        ],
+    )
+    def test_only_what_rep_to_text_writes_is_read(self, make, old, new):
+        text = rep_to_text(make())
+        assert old + "\n" in text
+        with pytest.raises(RepFormatError):
+            rep_from_text(text.replace(old + "\n", new + "\n"))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

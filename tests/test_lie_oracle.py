@@ -1,12 +1,16 @@
 """The sparse integer set-up of a matrix Lie algebra against the routes it
 replaced (tests/lie_oracles.py): the sp(2n) bases, the structure constants and
-``coordinates_of``, values and types alike; and the sparse sums behind
-``from_coordinates`` and ``rho_of`` against the dense ones."""
+``coordinates_of``, values and types alike; the sparse sums behind
+``from_coordinates`` and ``rho_of`` against the dense ones; and the joint
+kernels of ``commutant`` and ``hom_space`` against the map-by-map route and
+sympy's nullspace."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from sympy import QQ
+from sympy.polys.matrices import DomainMatrix
 
 from lie_oracles import (
     DenseCoordinateSolver,
@@ -14,21 +18,28 @@ from lie_oracles import (
     dense_sp_basis,
     dense_structure_constants,
     flattened,
+    iterative_kernel,
 )
 from spinorlab.lie import (
     MatrixLieAlgebra,
+    Summand,
     SymplecticRep,
+    _sylvester,
+    commutant,
     conjugate_rep,
     direct_sum,
+    hom_space,
     rep_from_text,
     rep_to_text,
     sl2_algebra,
+    sl2_standard,
     sl2_sym_cube,
     sl2_w_plus_wdual,
     sp_algebra,
     sp_standard,
+    trivial_rep,
 )
-from spinorlab.matrix import ExactMatrix
+from spinorlab.matrix import ExactMatrix, random_symplectic, rank, standard_omega
 from spinorlab.rings import MultiPoly
 
 _SHEAR = ExactMatrix(
@@ -155,3 +166,81 @@ def test_combination_matches_the_dense_sum(name):
                 assert got == want
                 if one_type:
                     assert exactly_equal(got.entries, want.entries)
+
+
+def standard_rep(n):
+    """The standard representation of sp(2n), built on ``sp_algebra`` for
+    any n (``sp_standard`` stops at n = 4)."""
+    alg = sp_algebra(n)
+    return SymplecticRep(alg, standard_omega(n), alg.basis, [Summand("irreducible", 0, 2 * n)])
+
+
+CONJUGATING_SEEDS = (3, 8, 11)
+
+KERNEL_REPS = {
+    **{f"sp{2 * n}": (lambda n=n: standard_rep(n)) for n in range(1, 7)},
+    "sl2-standard": sl2_standard,
+    "sl2-W+W*": sl2_w_plus_wdual,
+    "sl2-Sym3": sl2_sym_cube,
+    "trivial": lambda: trivial_rep(sl2_algebra(), n=2),
+    "sp2+sp2": lambda: direct_sum(sp_standard(1), sp_standard(1)),
+    "W+W*+Sym3": lambda: direct_sum(sl2_w_plus_wdual(), sl2_sym_cube()),
+    **{
+        f"sp4-conjugated-{seed}": (lambda seed=seed: conjugate_rep(sp_standard(2), random_symplectic(2, seed)))
+        for seed in CONJUGATING_SEEDS
+    },
+}
+
+
+def sylvester_maps(rep, a=None, b=None):
+    """The maps whose joint kernel is End_g(V), or Hom_g between the
+    constituents a and b."""
+    if a is None:
+        return [_sylvester(R, -R) for R in rep.rho]
+    cons = rep.constituents()
+    ra, rb = range(*cons[a][1]), range(*cons[b][1])
+    return [_sylvester(R.submatrix(ra, ra), -R.submatrix(rb, rb)) for R in rep.rho]
+
+
+def sympy_kernel_dim(maps):
+    """Dimension of the joint kernel from sympy's sparse nullspace over QQ."""
+    rows = [r for M in maps for r in M.entries]
+    sparse = {}
+    for i, r in enumerate(rows):
+        entries = {j: QQ(Fraction(x).numerator, Fraction(x).denominator) for j, x in enumerate(r) if x}
+        if entries:
+            sparse[i] = entries
+    return DomainMatrix(sparse, (len(rows), maps[0].cols), QQ).nullspace().shape[0]
+
+
+def span_rank(vectors, ncols):
+    return rank(ExactMatrix([list(v) for v in vectors], cols=ncols))
+
+
+def test_conjugated_reps_have_fractional_entries():
+    for seed in CONJUGATING_SEEDS:
+        rep = KERNEL_REPS[f"sp4-conjugated-{seed}"]()
+        assert any(type(x) is Fraction and x.denominator > 1 for R in rep.rho for r in R.entries for x in r)
+
+
+@pytest.mark.parametrize("name", list(KERNEL_REPS))
+def test_commutant_spans_the_oracle_space(name):
+    rep = KERNEL_REPS[name]()
+    m = rep.dimV
+    basis = commutant(rep)
+    assert all(B * R == R * B for B in basis for R in rep.rho)
+    got = [tuple(x for r in B.entries for x in r) for B in basis]
+    maps = sylvester_maps(rep)
+    want = iterative_kernel(maps)
+    assert len(got) == len(want) == sympy_kernel_dim(maps)
+    assert span_rank(got, m * m) == span_rank(want, m * m) == span_rank(got + want, m * m) == len(got)
+
+
+@pytest.mark.parametrize("name", list(KERNEL_REPS))
+def test_hom_space_has_the_oracle_dimension(name):
+    rep = KERNEL_REPS[name]()
+    count = len(rep.constituents())
+    for a in range(count):
+        for b in range(count):
+            maps = sylvester_maps(rep, a, b)
+            assert hom_space(rep, a, b) == len(iterative_kernel(maps)) == sympy_kernel_dim(maps)
