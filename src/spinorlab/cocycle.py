@@ -189,7 +189,7 @@ def _laurent_var(entries):
 
 def _terms(x, var):
     """The pairs ``((e, m), q)`` with x = sum q * var^e * m over nonzero
-    rationals q, for a value x of the tower: m is a monomial
+    rationals q, for a value x of the tower: m is a ``MultiPoly`` monomial
     ``((name, exponent), ...)`` in the symbols other than the Laurent
     variable var."""
     if _is_rat(x):
@@ -202,8 +202,8 @@ def _terms(x, var):
     elif isinstance(x, MultiPoly):
         if var in x.vars:
             raise ValueError(f"coefficient contains the Laurent variable {var!r}")
-        for exp, q in x.terms.items():
-            yield (0, tuple((nm, k) for nm, k in zip(x.vars, exp) if k)), q
+        for m, q in x.terms.items():
+            yield (0, m), q
     else:
         raise TypeError(f"cannot expand a {type(x).__name__} in the cocycle symbols")
 
@@ -218,17 +218,7 @@ def _element(terms, var):
     by_power = {}
     for (e, m), q in terms.items():
         by_power.setdefault(e, {})[m] = q
-    polys = {}
-    for e, mq in by_power.items():
-        names = sorted({nm for m in mq for nm, _ in m})
-        pos = {nm: i for i, nm in enumerate(names)}
-        exps = {}
-        for m, q in mq.items():
-            exp = [0] * len(names)
-            for nm, k in m:
-                exp[pos[nm]] = k
-            exps[tuple(exp)] = q
-        polys[e] = MultiPoly._trusted(tuple(names), exps)
+    polys = {e: MultiPoly._trusted(mq) for e, mq in by_power.items()}
     return polys[0] if var is None else LaurentPoly._trusted(var, polys)
 
 

@@ -32,10 +32,7 @@ class HeckeIdentityError(ValueError):
 
 def poly_mod(p: MultiPoly, prec: int) -> MultiPoly:
     """Truncate a polynomial in z below z^prec."""
-    if _Z not in p.vars:
-        return p
-    i = p.vars.index(_Z)
-    return MultiPoly(p.vars, {e: c for e, c in p.terms.items() if e[i] < prec})
+    return MultiPoly._trusted({m: c for m, c in p.terms.items() if dict(m).get(_Z, 0) < prec})
 
 
 def series_inverse(p: MultiPoly, prec: int) -> MultiPoly:

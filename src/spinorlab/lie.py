@@ -59,29 +59,16 @@ class MatrixLieAlgebra:
         self.structure_constants = self._compute_structure_constants()
 
     def _compute_structure_constants(self):
-        d = self.ambient_dim
-        by_row = [{} for _ in self.basis]
-        for rows, X in zip(by_row, self.basis):
-            for r, c, x in nonzero_entries(X):
-                rows.setdefault(r, []).append((c, x))
         table: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                # [X_i, X_j] = X_i X_j - X_j X_i, entry by entry
-                br = {}
-                for a, b, sign in ((i, j, 1), (j, i, -1)):
-                    for r, rows in by_row[a].items():
-                        for m, x in rows:
-                            for c, y in by_row[b].get(m, ()):
-                                br[r * d + c] = br.get(r * d + c, 0) + sign * x * y
-                scaled = self._coord_solver.scaled_coords(br)
-                if scaled is None:
-                    raise ValueError("basis is not closed under the bracket")
-                den = self._coord_solver.den
-                cs = {k: Fraction(x, den) for k, x in sorted(scaled.items()) if x}
-                if cs:
-                    table[(i, j)] = cs
-                    table[(j, i)] = {k: -c for k, c in cs.items()}
+        for i, j, br in _brackets(self._flat, self.ambient_dim):
+            scaled = self._coord_solver.scaled_coords(br)
+            if scaled is None:
+                raise ValueError("basis is not closed under the bracket")
+            den = self._coord_solver.den
+            cs = {k: Fraction(x, den) for k, x in sorted(scaled.items()) if x}
+            if cs:
+                table[(i, j)] = cs
+                table[(j, i)] = {k: -c for k, c in cs.items()}
         return table
 
     def bracket_coords(self, i: int, j: int) -> dict:
@@ -112,6 +99,26 @@ class MatrixLieAlgebra:
                 for j, y in at.get(p, ()):
                     row[j] += x * y
         return ExactMatrix(gram)
+
+
+def _brackets(flats, d: int):
+    """Yield (i, j, [X_i, X_j]) for every pair i < j, in order, of d x d
+    matrices X given by their nonzero entries keyed by flattened position
+    (``_flattened``).  Each bracket X_i X_j - X_j X_i is a map of the same
+    kind, computed entry by entry from the nonzeros; it may hold zeros."""
+    by_row = [{} for _ in flats]
+    for rows, flat in zip(by_row, flats):
+        for p, x in flat.items():
+            rows.setdefault(p // d, []).append((p % d, x))
+    for i in range(len(flats)):
+        for j in range(i + 1, len(flats)):
+            br = {}
+            for a, b, sign in ((i, j, 1), (j, i, -1)):
+                for r, rows in by_row[a].items():
+                    for m, x in rows:
+                        for c, y in by_row[b].get(m, ()):
+                            br[r * d + c] = br.get(r * d + c, 0) + sign * x * y
+            yield i, j, br
 
 
 class _CoordinateSolver:
@@ -287,18 +294,17 @@ def verify_symplectic_rep(rep: SymplecticRep) -> CheckReport:
     for i, R in enumerate(rep.rho):
         checks.append((f"sp-membership rho(X{i})", in_sp(R, omega)))
 
-    alg = rep.algebra
-    hom_ok, hom_name = True, "homomorphism on all basis pairs"
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            lhs = rep.rho_of([alg.bracket_coords(i, j).get(k, 0) for k in range(alg.dim)])
-            rhs = rep.rho[i] * rep.rho[j] - rep.rho[j] * rep.rho[i]
-            if lhs != rhs:
-                hom_ok, hom_name = False, f"homomorphism fails on (X{i}, X{j})"
-                break
-        if not hom_ok:
+    # [rho_i, rho_j] = sum_k c^k_ij rho_k, compared on the nonzero entries
+    hom = ("homomorphism on all basis pairs", True)
+    for i, j, br in _brackets(rep._rho_flat, rep.dimV):
+        want = {}
+        for k, c in rep.algebra.bracket_coords(i, j).items():
+            for p, x in rep._rho_flat[k].items():
+                want[p] = want.get(p, 0) + c * x
+        if any(br.get(p, 0) != want.get(p, 0) for p in br.keys() | want.keys()):
+            hom = (f"homomorphism fails on (X{i}, X{j})", False)
             break
-    checks.append((hom_name, hom_ok))
+    checks.append(hom)
 
     for tag, (lo, hi) in rep.constituents():
         inv_ok = all(

@@ -5,6 +5,13 @@ which sit sparse multivariate polynomials, their fraction field, Laurent
 polynomials in one distinguished variable, and dual numbers for first-order
 derivatives.  All values are immutable and all arithmetic is exact; nothing
 in this package ever touches floating point.
+
+A ``MultiPoly`` keeps one format: a dict from monomials to nonzero
+``Fraction`` coefficients, where a monomial is a name-sorted tuple of
+``(name, exponent)`` pairs with positive exponents and ``()`` is 1, so
+``3*x^2*y - 1`` is ``{(("x", 2), ("y", 1)): 3, (): -1}``.  Only the public
+constructor ``MultiPoly(vars, terms)`` reads exponent tuples aligned with a
+list of names; it converts them once.
 """
 
 from __future__ import annotations
@@ -71,17 +78,21 @@ def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
 class MultiPoly:
     """Sparse multivariate polynomial over the rationals.
 
-    ``vars`` is a sorted tuple of variable names and ``terms`` maps exponent
-    tuples (aligned with ``vars``) to nonzero ``Fraction`` coefficients.
-    Construction normalizes: zero coefficients are dropped and variables that
-    appear in no term are pruned, so equal polynomials compare equal
-    structurally.
+    ``terms`` maps monomials to nonzero ``Fraction`` coefficients.  A
+    monomial is a tuple of ``(name, exponent)`` pairs sorted by name, each
+    exponent a positive int, and ``()`` is the monomial 1; so equal
+    polynomials have equal ``terms``.  ``vars`` is the sorted tuple of the
+    names that occur.  The constructor takes exponent tuples aligned with a
+    tuple of distinct names and converts them once; arithmetic works on the
+    monomials directly.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("terms",)
 
     def __init__(self, vars: Iterable[str] = (), terms: Mapping[tuple, Rat] | None = None):
         vs = tuple(vars)
+        if len(set(vs)) != len(vs):
+            raise ValueError(f"repeated variable names in {vs!r}")
         tm = {}
         if terms:
             for exp, c in terms.items():
@@ -91,36 +102,20 @@ class MultiPoly:
                 exp = tuple(exp)
                 if len(exp) != len(vs):
                     raise ValueError("exponent/variable length mismatch")
-                tm[exp] = tm.get(exp, Fraction(0)) + c
-        # prune unused variables and sort the remaining ones
-        used = [i for i in range(len(vs)) if any(e[i] for e in tm)]
-        if len(used) < len(vs) or list(vs) != sorted(vs):
-            names = sorted(vs[i] for i in used)
-            order = [vs.index(nm) for nm in names]
-            tm = {tuple(e[i] for i in order): c for e, c in tm.items() if c != 0}
-            vs = tuple(names)
-        object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "terms", {e: c for e, c in tm.items() if c != 0})
+                if not all(isinstance(k, int) and k >= 0 for k in exp):
+                    raise ValueError("exponents must be nonnegative integers")
+                m = tuple(sorted((nm, k) for nm, k in zip(vs, exp) if k))
+                tm[m] = tm.get(m, Fraction(0)) + c
+        object.__setattr__(self, "terms", {m: c for m, c in tm.items() if c != 0})
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
 
     @classmethod
-    def _trusted(cls, vars: tuple, terms: dict) -> "MultiPoly":
+    def _trusted(cls, terms: dict) -> "MultiPoly":
         """Internal constructor for results of this class's own arithmetic:
-        ``vars`` already sorted and every coefficient a nonzero ``Fraction``.
-        Skips the re-normalization of ``__init__`` but still prunes variables
-        that no term uses any more (``x*y - x*y + x`` has vars ``('x',)``)."""
-        if not terms:
-            vars = ()
-        elif vars:
-            used = [any(col) for col in zip(*terms)]
-            if not all(used):
-                keep = [i for i, u in enumerate(used) if u]
-                vars = tuple(vars[i] for i in keep)
-                terms = {tuple(e[i] for i in keep): c for e, c in terms.items()}
+        ``terms`` already maps monomials to nonzero ``Fraction`` values."""
         self = object.__new__(cls)
-        object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", terms)
         return self
 
@@ -129,13 +124,17 @@ class MultiPoly:
     @classmethod
     def const(cls, c: Rat) -> "MultiPoly":
         c = Fraction(c)
-        return cls._trusted((), {(): c} if c != 0 else {})
+        return cls._trusted({(): c} if c != 0 else {})
 
     @classmethod
     def var(cls, name: str) -> "MultiPoly":
-        return cls._trusted((name,), {(1,): Fraction(1)})
+        return cls._trusted({((name, 1),): Fraction(1)})
 
     # -- predicates ----------------------------------------------------
+
+    @property
+    def vars(self) -> tuple:
+        return tuple(sorted({nm for m in self.terms for nm, _ in m}))
 
     @property
     def is_zero(self) -> bool:
@@ -146,34 +145,15 @@ class MultiPoly:
 
     @property
     def is_constant(self) -> bool:
-        return not self.vars
+        return self.terms.keys() <= {()}
 
     def constant_value(self) -> Fraction:
-        if self.vars:
+        if not self.is_constant:
             raise ValueError("not a constant polynomial")
         return self.terms.get((), Fraction(0))
 
     def degree_in(self, name: str) -> int:
-        if name not in self.vars:
-            return 0
-        i = self.vars.index(name)
-        return max((e[i] for e in self.terms), default=0)
-
-    # -- alignment of variable sets -------------------------------------
-
-    def _aligned(self, other: "MultiPoly"):
-        if self.vars == other.vars:
-            return self.vars, self.terms, other.terms
-        names = sorted(set(self.vars) | set(other.vars))
-
-        def remap(p):
-            idx = [p.vars.index(nm) if nm in p.vars else None for nm in names]
-            out = {}
-            for e, c in p.terms.items():
-                out[tuple(e[i] if i is not None else 0 for i in idx)] = c
-            return out
-
-        return tuple(names), remap(self), remap(other)
+        return max((k for m in self.terms for nm, k in m if nm == name), default=0)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -182,24 +162,23 @@ class MultiPoly:
             other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        vs, a, b = self._aligned(other)
-        out = dict(a)
-        for e, c in b.items():
-            s = out.get(e)
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            s = out.get(m)
             if s is None:
-                out[e] = c
+                out[m] = c
             else:
                 s = s + c
                 if s:
-                    out[e] = s
+                    out[m] = s
                 else:
-                    del out[e]
-        return MultiPoly._trusted(vs, out)
+                    del out[m]
+        return MultiPoly._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         if _is_rat(other):
@@ -214,26 +193,25 @@ class MultiPoly:
     def __mul__(self, other):
         if _is_rat(other):
             if other == 0:
-                return MultiPoly._trusted((), {})
+                return MultiPoly._trusted({})
             c0 = Fraction(other)
-            return MultiPoly._trusted(self.vars, {e: c * c0 for e, c in self.terms.items()})
+            return MultiPoly._trusted({m: c * c0 for m, c in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        vs, a, b = self._aligned(other)
         out = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e)
+        for m1, c1 in self.terms.items():
+            for m2, c2 in other.terms.items():
+                m = _monomial_product(m1, m2)
+                s = out.get(m)
                 if s is None:
-                    out[e] = c1 * c2
+                    out[m] = c1 * c2
                 else:
                     s = s + c1 * c2
                     if s:
-                        out[e] = s
+                        out[m] = s
                     else:
-                        del out[e]
-        return MultiPoly._trusted(vs, out)
+                        del out[m]
+        return MultiPoly._trusted(out)
 
     __rmul__ = __mul__
 
@@ -251,35 +229,28 @@ class MultiPoly:
 
     def coeff(self, assignment: Mapping[str, int]) -> Fraction:
         """Coefficient of the monomial with the given exponents (others 0)."""
-        exp = tuple(assignment.get(nm, 0) for nm in self.vars)
-        for nm, e in assignment.items():
-            if e and nm not in self.vars:
-                return Fraction(0)
-        return self.terms.get(exp, Fraction(0))
+        m = tuple(sorted((nm, k) for nm, k in assignment.items() if k))
+        return self.terms.get(m, Fraction(0))
 
     def coeffs_in(self, name: str) -> dict:
         """View this polynomial as univariate in ``name``: degree -> MultiPoly."""
-        if name not in self.vars:
-            return {0: self} if self.terms else {}
-        i = self.vars.index(name)
-        rest = self.vars[:i] + self.vars[i + 1 :]
         buckets: dict[int, dict] = {}
-        for e, c in self.terms.items():
-            re = e[:i] + e[i + 1 :]
-            buckets.setdefault(e[i], {})[re] = c
-        return {d: MultiPoly._trusted(rest, t) for d, t in sorted(buckets.items())}
+        for m, c in self.terms.items():
+            k = dict(m).get(name, 0)
+            rest = tuple(p for p in m if p[0] != name) if k else m
+            buckets.setdefault(k, {})[rest] = c
+        return {d: MultiPoly._trusted(t) for d, t in sorted(buckets.items())}
 
     def substitute(self, values: Mapping[str, object]):
         """Substitute ring values for variables; unmentioned variables remain."""
-        keep = [nm for nm in self.vars if nm not in values]
         acc = None
-        for e, c in self.terms.items():
-            term = MultiPoly(tuple(keep), {tuple(e[self.vars.index(nm)] for nm in keep): c})
+        for m, c in self.terms.items():
+            term = MultiPoly._trusted({tuple(p for p in m if p[0] not in values): c})
+            exps = dict(m)
             for nm, val in values.items():
-                if nm in self.vars:
-                    k = e[self.vars.index(nm)]
-                    if k:
-                        term = term * (val ** k if not _is_rat(val) else Fraction(val) ** k)
+                k = exps.get(nm)
+                if k:
+                    term = term * (val ** k if not _is_rat(val) else Fraction(val) ** k)
             acc = term if acc is None else acc + term
         if acc is None:
             return MultiPoly.const(0)
@@ -289,29 +260,41 @@ class MultiPoly:
 
     def __eq__(self, other):
         if _is_rat(other):
-            return (not self.vars) and self.terms.get((), Fraction(0)) == other
+            return self.is_constant and self.terms.get((), Fraction(0)) == other
         if isinstance(other, MultiPoly):
-            return self.vars == other.vars and self.terms == other.terms
+            return self.terms == other.terms
         return NotImplemented
 
     def __hash__(self):
-        if not self.vars:  # constants hash like their rational value
+        if self.is_constant:  # constants hash like their rational value
             return hash(self.terms.get((), Fraction(0)))
-        return hash((self.vars, frozenset(self.terms.items())))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
         if not self.terms:
             return "0"
+        # ascending exponent tuples over the sorted names: at the first name
+        # where two monomials differ, the one lacking an earlier name or with
+        # the lower exponent comes first
+        pos = {nm: i for i, nm in enumerate(self.vars)}
         parts = []
-        for e, c in sorted(self.terms.items()):
-            mono = "*".join(
-                f"{nm}^{k}" if k > 1 else nm for nm, k in zip(self.vars, e) if k
-            )
+        for m, c in sorted(self.terms.items(), key=lambda t: [(-pos[nm], k) for nm, k in t[0]]):
+            mono = "*".join(f"{nm}^{k}" if k > 1 else nm for nm, k in m)
             if mono:
                 parts.append(f"{c}*{mono}" if c != 1 else mono)
             else:
                 parts.append(str(c))
         return " + ".join(parts)
+
+
+def _monomial_product(m1: tuple, m2: tuple) -> tuple:
+    """Product of two monomials: exponents of shared names add."""
+    if not m1 or not m2:
+        return m1 or m2
+    exps = dict(m1)
+    for nm, k in m2:
+        exps[nm] = exps.get(nm, 0) + k
+    return tuple(sorted(exps.items()))
 
 
 def as_poly(x) -> MultiPoly:
@@ -436,25 +419,27 @@ def _as_frac(x):
 
 def _strip_common(num: MultiPoly, den: MultiPoly):
     """Divide out the common monomial and rational content of num and den."""
-    vs, a, b = num._aligned(den)
-    exps = list(a) + list(b)
-    mono = tuple(min(e[i] for e in exps) for i in range(len(vs)))
-    coeffs = list(a.values()) + list(b.values())
-    content = coeffs[0]
-    for c in coeffs[1:]:
+    terms = list(num.terms.items()) + list(den.terms.items())
+    common = dict(terms[0][0])
+    for m, _ in terms[1:]:
+        exps = dict(m)
+        common = {nm: min(k, exps[nm]) for nm, k in common.items() if nm in exps}
+    content = terms[0][1]
+    for _, c in terms[1:]:
         content = _frac_gcd(content, c)
         if content == 1:
             break
-    if content == 0:
-        content = Fraction(1)
-    if not any(mono) and content == 1:
+    if not common and content == 1:
         return num, den
     inv = Fraction(1) / content
 
-    def strip(tm):
-        return {tuple(x - m for x, m in zip(e, mono)): c * inv for e, c in tm.items()}
+    def strip(p):
+        return MultiPoly._trusted({
+            tuple((nm, k - common.get(nm, 0)) for nm, k in m if k > common.get(nm, 0)): c * inv
+            for m, c in p.terms.items()
+        })
 
-    return MultiPoly(vs, strip(a)), MultiPoly(vs, strip(b))
+    return strip(num), strip(den)
 
 
 class LaurentPoly:
@@ -611,6 +596,11 @@ class LaurentPoly:
         )
 
     def __eq__(self, other):
+        if isinstance(other, LaurentPoly) and other.var != self.var:
+            # in different Laurent variables only constants can be equal
+            return self.coeffs.keys() <= {0} and other.coeffs.keys() <= {0} and self.coeffs == other.coeffs
+        if isinstance(other, MultiPoly) and self.var in other.vars:
+            return False
         o = self._coerce(other)
         if o is None:
             return NotImplemented

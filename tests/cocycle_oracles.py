@@ -45,22 +45,19 @@ def split_linear(poly, unknowns):
 
     Raises ValueError if any term has total degree >= 2 in the unknowns.
     """
-    unk = list(unknowns)
-    pos = {nm: poly.vars.index(nm) for nm in unk if nm in poly.vars}
+    unk = set(unknowns)
     const_terms = {}
-    lin = {nm: {} for nm in unk}
-    for e, c in poly.terms.items():
-        deg = sum(e[i] for i in pos.values())
-        if deg == 0:
-            const_terms[e] = c
-        elif deg == 1:
-            nm = next(n for n, i in pos.items() if e[i])
-            re = tuple(0 if i == pos[nm] else x for i, x in enumerate(e))
-            lin[nm][re] = c
+    lin = {nm: {} for nm in unknowns}
+    for m, c in poly.terms.items():
+        hits = [(nm, k) for nm, k in m if nm in unk]
+        if not hits:
+            const_terms[m] = c
+        elif len(hits) == 1 and hits[0][1] == 1:
+            nm = hits[0][0]
+            lin[nm][tuple(p for p in m if p[0] != nm)] = c
         else:
             raise ValueError("polynomial is not linear in the unknowns")
-    const = MultiPoly(poly.vars, const_terms)
-    return const, {nm: MultiPoly(poly.vars, t) for nm, t in lin.items()}
+    return MultiPoly._trusted(const_terms), {nm: MultiPoly._trusted(t) for nm, t in lin.items()}
 
 
 def loop_block_form(n):

@@ -1,4 +1,7 @@
-"""Every narrative script under demos/ must run clean end to end."""
+"""Every narrative script under demos/ must run clean end to end and print
+exactly its committed output in tests/demo_golden/ (the output depends on no
+hash seed, so a byte-for-byte comparison locks every printed value and
+term order)."""
 
 import contextlib
 import io
@@ -7,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+HERE = Path(__file__).resolve().parent
+DEMOS = sorted((HERE.parent / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[p.name for p in DEMOS])
@@ -16,3 +20,8 @@ def test_demo_runs(script):
     with contextlib.redirect_stdout(buf):
         runpy.run_path(str(script), run_name="__main__")
     assert buf.getvalue().strip()
+    assert buf.getvalue() == (HERE / "demo_golden" / f"{script.stem}.txt").read_text()
+
+
+def test_every_golden_file_has_its_demo():
+    assert sorted(p.stem for p in (HERE / "demo_golden").glob("*.txt")) == [p.stem for p in DEMOS]

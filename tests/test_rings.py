@@ -26,7 +26,22 @@ class TestMultiPoly:
     def test_construction_normalizes(self):
         p = MultiPoly(("y", "x"), {(0, 2): 3, (1, 0): 0})
         assert p.vars == ("x",)
-        assert p.terms == {(2,): Fraction(3)}
+        assert p.terms == {(("x", 2),): Fraction(3)}
+        q = MultiPoly(("y", "x"), {(1, 2): 1, (0, 0): Fraction(1, 2), (2, 0): 3, (0, 1): 0})
+        assert q.vars == ("x", "y")
+        assert q.terms == {(("x", 2), ("y", 1)): 1, (): Fraction(1, 2), (("y", 2),): 3}
+        r = MultiPoly(("x", "y"), {(1, 1): 2, (1, 0): -1}) - MultiPoly(("y", "x"), {(1, 1): 2})
+        assert r == -MultiPoly.var("x") and r.terms == {(("x", 1),): -1}
+
+    def test_repeated_names_or_bad_exponents_rejected(self):
+        with pytest.raises(ValueError, match="repeated"):
+            MultiPoly(("x", "x"), {(1, 2): 1})
+        with pytest.raises(ValueError, match="repeated"):
+            MultiPoly(("x", "y", "x"), {})
+        for bad in (-1, 1.5, Fraction(1, 2)):
+            with pytest.raises(ValueError, match="nonnegative integers"):
+                MultiPoly(("x",), {(bad,): 1})
+        assert MultiPoly(("x",), {(3,): 1}) == MultiPoly.var("x") ** 3
 
     def test_constant_and_var(self):
         x = MultiPoly.var("x")
@@ -73,20 +88,29 @@ class TestMultiPoly:
 
 
 def _normal(r):
-    """Whether r is exactly what the normalizing constructor builds from it."""
-    rebuilt = MultiPoly(r.vars, r.terms)
+    """Whether r is in the monomial normal form and is exactly what the
+    public constructor builds from its terms laid out over ``r.vars``."""
+    names = r.vars
+    aligned = {tuple(dict(m).get(nm, 0) for nm in names): c for m, c in r.terms.items()}
+    rebuilt = MultiPoly(names, aligned)
     return (
-        r.vars == rebuilt.vars
-        and r.terms == rebuilt.terms
+        r.terms == rebuilt.terms
         and hash(r) == hash(rebuilt)
         and all(type(c) is Fraction and c != 0 for c in r.terms.values())
+        and all(
+            type(m) is tuple
+            and list(m) == sorted(m)
+            and len({nm for nm, _ in m}) == len(m)
+            and all(type(nm) is str and type(k) is int and k > 0 for nm, k in m)
+            for m in r.terms
+        )
     )
 
 
 class TestTrustedConstructor:
     """Arithmetic results skip ``MultiPoly.__init__``; they must still be in
-    normal form: sorted variables, no unused variable, nonzero Fraction
-    coefficients."""
+    normal form: monomials sorted by name with distinct names and positive
+    exponents (so no unused variable), nonzero Fraction coefficients."""
 
     def test_cancelled_variable_is_pruned(self):
         x, y = MultiPoly.var("x"), MultiPoly.var("y")
@@ -216,6 +240,33 @@ class TestLaurentPoly:
         for op in (lambda p: p * z, lambda p: z * p, lambda p: p + z, lambda p: p - z):
             with pytest.raises(ValueError):
                 op(LaurentPoly.term("z", 1, 2))
+
+
+class TestLaurentEquality:
+    """``==`` compares by value and never raises; arithmetic on mixed
+    variables still does."""
+
+    def test_constants_in_other_variables(self):
+        one_z, one_s = LaurentPoly.const("z", 1), LaurentPoly.const("s", 1)
+        assert one_z == one_s and hash(one_z) == hash(one_s)
+        assert len({one_z, one_s}) == 1
+        t = MultiPoly.var("t")
+        assert LaurentPoly.const("z", t) == LaurentPoly.const("s", t)
+        assert LaurentPoly("z", {}) == LaurentPoly("s", {})
+        assert one_z != LaurentPoly.const("s", 2)
+        assert LaurentPoly.term("z", 1) != LaurentPoly.term("s", 1)
+        assert LaurentPoly.term("z", 1) != one_s and one_s != LaurentPoly.term("z", 1)
+        with pytest.raises(ValueError, match="mixed Laurent"):
+            one_z + LaurentPoly.term("s", 1)
+
+    def test_polynomial_in_the_laurent_variable_is_unequal(self):
+        z = LaurentPoly("z", {1: 1})
+        assert (z == MultiPoly.var("z")) is False
+        assert (MultiPoly.var("z") == z) is False
+        assert z not in [MultiPoly.var("z")]
+        assert LaurentPoly.const("z", MultiPoly.var("t")) == MultiPoly.var("t")
+        with pytest.raises(ValueError):
+            z + MultiPoly.var("z")
 
 
 class TestEdgeCases:
@@ -443,9 +494,10 @@ class TestLaurentTrusted:
         a = MultiPoly.var("a") + 1
         assert p._coerce(a).coeffs == {0: a} and p + a == p + LaurentPoly.const("z", a)
         assert p._coerce(MultiPoly.const(0)).coeffs == {}
-        for op in (p._coerce, p.__eq__, p.__add__, p.__sub__):
+        for op in (p._coerce, p.__add__, p.__sub__):
             with pytest.raises(ValueError):
                 op(MultiPoly.var("z") + 1)
+        assert p.__eq__(MultiPoly.var("z") + 1) is False
 
 
 _POWER_BASES = [
