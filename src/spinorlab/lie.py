@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .matrix import ExactMatrix, _cleared_rows, _reduce, in_sp, inverse, mat_rank_kernel, rank, standard_omega
+from .matrix import ExactMatrix, _cleared_rows, _echelon, _integer_rows, in_sp, inverse, mat_rank_kernel, rank, standard_omega
 from .rings import _is_rat, is_zero
 
 
@@ -125,11 +125,13 @@ class _CoordinateSolver:
     """Solves sum_j c_j X_j = Y for a fixed linearly independent list of
     flattened matrices X_j, given as sparse {position: value} maps.
 
-    One fraction-free RREF of the D x (size + D) matrix [F | I], with F the
-    D x size matrix whose rows are the X_j, does all the elimination.  Its
-    pivots P are D positions at which the X_j are independent; its integer
-    row r divided by its pivot entry has, in the right block, row r of the
-    inverse E of F restricted to the columns P, so c_j = sum_r E[r][j] y[P_r].
+    One fraction-free RREF (``matrix._echelon``) of the D x (size + D)
+    matrix [F | I], with F the D x size matrix whose rows are the X_j, does
+    all the elimination; the X_j are dependent exactly when a pivot lands in
+    the identity block.  Otherwise its pivots P are D positions at which the
+    X_j are independent, and its reduced row at P_r divided by its pivot
+    entry has, in the right block, row r of the inverse E of F restricted to
+    the columns P, so c_j = sum_r E[r][j] y[P_r].
     With den the lcm of the denominators of E (``matrix._cleared_rows``),
     den E is an integer matrix, kept as a map from each pivot position to its
     nonzero (j, den E[r][j]).  A solve walks the nonzeros of y only and sums
@@ -146,11 +148,12 @@ class _CoordinateSolver:
                 row[pos] = x
             row[size + j] = 1
             entries.append(row)
-        rows, self.sel = _reduce(entries, size)
-        if len(self.sel) != dim:
+        kept = _echelon(_integer_rows(entries), size + dim)
+        self.sel = list(kept)
+        if any(p >= size for p in self.sel):
             raise ValueError("basis matrices are linearly dependent")
         self.columns = columns
-        self.den, inv = _cleared_rows(rows, self.sel, size)
+        self.den, inv = _cleared_rows(kept, size, size + dim)
         self.inv = {p: [(j, e) for j, e in enumerate(row) if e] for p, row in zip(self.sel, inv)}
 
     def scaled_coords(self, y: dict):

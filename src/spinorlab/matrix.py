@@ -11,11 +11,12 @@ entry has the value and type of ``rings.dot`` on its row and column (int
 rectangular by construction and skip the checks of the public constructor.
 
 Elimination builds no Fraction: rows are cleared of their denominators and
-reduced over Z by fraction-free elimination (Bareiss), below the pivots for
-``rank`` and Gauss-Jordan style for ``solve_linear`` and ``inverse``, which
-divide only the entries they return.  ``mat_rank_kernel`` reduces sparse
-rows one at a time, sparsest first, and stops as soon as the rank is full.
-Entries that are not rational raise ``UnsupportedRingError``.
+reduced over Z.  One sparse Gauss-Jordan pass (``_echelon``) hands back the
+reduced row echelon form as primitive integer rows, taken sparsest first and
+stopped as soon as the rank is full; ``mat_rank_kernel``, ``solve_linear``
+and ``inverse`` read their results off it and divide only the entries they
+return.  ``rank`` runs eager fraction-free elimination (Bareiss) below the
+pivots.  Entries that are not rational raise ``UnsupportedRingError``.
 """
 
 from __future__ import annotations
@@ -214,28 +215,24 @@ class ExactMatrix:
 #
 # rank, mat_rank_kernel, solve_linear and inverse take rational entries only;
 # any other entry raises UnsupportedRingError.  Each row is cleared of its
-# denominators and the rows are eliminated over Z without fractions (after
-# Bareiss, Math. Comp. 22 (1968)): below the pivots for rank (_rank_bareiss),
-# Gauss-Jordan style for solve_linear and inverse (_rref_int).  After k
-# pivots every entry of a Bareiss row is a k+1 minor of the input, so the
-# division by the previous pivot is exact.  _rref_int is lazy: a row that is
-# zero in the pivot column keeps its stored entries, and the pivot it last
-# saw (its level) tells the next update what to divide by.  It hands back
-# integer rows: a pivot row divided by its own pivot entry is a row of the
-# reduced form, and each caller divides only the entries it reads
-# (solve_linear, inverse, and _cleared_rows, which serves den * M^-1 to cech,
-# moment and lie).  _rank_bareiss stays eager: its inputs are small and
-# dense, where the bookkeeping costs more than the skipped rows save.
+# denominators and the rows are eliminated over Z without fractions.
 #
-# Kernels (mat_rank_kernel, and petri_kernel on the tall sparse Petri rows)
-# go through _row_echelon instead: it takes the rows one at a time as dicts
-# of their nonzeros, sparsest first, keeps each row primitive, and stops
-# once the rank is full, so it never touches the rows past that point; the
-# Petri rows of sp(8) at degree bound 4 reach rank 32 after about half of
-# their 252 rows.  solve_linear and inverse stay on _rref_int because the
-# augmented part of their pivot rows depends on the elimination order; rank
-# stays on _rank_bareiss because the dict rows cost more on its small dense
-# inputs.
+# Every Gauss-Jordan caller goes through _echelon, which hands back the
+# reduced row echelon form as {pivot column: primitive sparse int row}: the
+# kernels of mat_rank_kernel and petri_kernel (_row_echelon), solve_linear
+# on [A | b], inverse and _cleared_inverse on [M | I], and the coordinate
+# solver of lie on [F | I].  It takes the rows one at a time as dicts of
+# their nonzeros, sparsest first, and stops once the rank is full, so it
+# never touches the rows past that point; the Petri rows of sp(8) at degree
+# bound 4 reach rank 32 after about half of their 252 rows.  The reduced
+# form is unique and each caller divides a row only by its own pivot entry
+# (or clears the quotients, _cleared_rows), so no result depends on the
+# order of the rows or on how a row is scaled.
+#
+# rank stays on _rank_bareiss, eager fraction-free elimination below the
+# pivots (after Bareiss, Math. Comp. 22 (1968)): after k pivots every entry
+# of a row is a k+1 minor of the input, so the division by the previous
+# pivot is exact, and on its small dense inputs the dict rows cost more.
 
 
 _INT_ONLY = {int}
@@ -249,8 +246,8 @@ def _clear_denominators(vec):
 
 def _integer_rows(entries):
     """Each rational row times the lcm of its denominators, as new lists of
-    ints (the callers eliminate them in place); a row of ints is copied as it
-    is.  Raises UnsupportedRingError on an entry that is not rational."""
+    ints (``_rank_bareiss`` eliminates them in place); a row of ints is
+    copied as it is.  Raises UnsupportedRingError on an entry that is not rational."""
     rows = []
     for r in entries:
         if set(map(type, r)) <= _INT_ONLY:
@@ -263,70 +260,6 @@ def _integer_rows(entries):
             )
         rows.append(_clear_denominators(r)[0])
     return rows
-
-
-def _rref_int(rows, ncols):
-    """Fraction-free Gauss-Jordan elimination of integer rows, in place, on
-    the first ncols columns; returns the pivot column list.
-
-    Lazy Bareiss: with prev the last pivot, each row i keeps a level lev[i],
-    the pivot at its last update (1 at the start), and is stored as its
-    Bareiss row at level prev times lev[i] / prev.  At pivot p in column c
-    a row that is zero in column c is left alone (its Bareiss row would only
-    be rescaled by p / prev), and every other row a becomes
-    (p*a - a[c]*b) // lev[i] with lev[i] = p.  The pivot row b is first
-    brought up to its Bareiss row with x * prev // lev[r] if it is behind.
-    Both divisions are exact, because each result is a Bareiss row, whose
-    entries are minors of the input.  A stored row is a nonzero multiple of
-    its Bareiss row, so the zero tests choose the same pivots as eager
-    elimination.  The rows stay integers: pivot row r has the nonzero
-    entry rows[r][pivots[r]], is zero in every other pivot column, and
-    divided by that entry is row r of the reduced form.  The rows past the
-    rank are zero in the first ncols columns.
-    """
-    pivots = []
-    lev = [1] * len(rows)
-    prev = 1
-    for c in range(ncols):
-        r = len(pivots)
-        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        lev[r], lev[pr] = lev[pr], lev[r]
-        b = rows[r]
-        if lev[r] != prev:
-            d = lev[r]
-            b = rows[r] = [x * prev // d for x in b]
-        p = b[c]
-        for i in range(r):
-            a = rows[i]
-            f = a[c]
-            if f:
-                d = lev[i]
-                rows[i] = [(p * x - f * y) // d for x, y in zip(a, b)]
-                lev[i] = p
-        # b and the rows below it are zero left of column c
-        tail = b[c:]
-        for i in range(r + 1, len(rows)):
-            a = rows[i]
-            f = a[c]
-            if f:
-                d = lev[i]
-                rows[i] = a[:c] + [(p * x - f * y) // d for x, y in zip(a[c:], tail)]
-                lev[i] = p
-        lev[r] = prev = p
-        pivots.append(c)
-        if len(pivots) == len(rows):
-            break
-    return pivots
-
-
-def _reduce(entries, ncols):
-    """Rational rows cleared of denominators and reduced by ``_rref_int`` on
-    the first ncols columns; returns ``(rows, pivots)`` with integer rows."""
-    rows = _integer_rows(entries)
-    return rows, _rref_int(rows, ncols)
 
 
 def _eliminate(v, b, c):
@@ -351,11 +284,11 @@ def _primitive(v):
     return v if g == 1 else {j: x // g for j, x in v.items()}
 
 
-def _row_echelon(rows, ncols):
-    """``(rank, kernel)`` of integer rows with no nonzero entry past column
-    ncols, the kernel read off the reduced row echelon form: one vector per
-    free column fc, with 1 at fc and -row[fc] / row[pc] at the pivot column
-    pc of each reduced row.
+def _echelon(rows, ncols):
+    """The reduced row echelon form of integer rows with no nonzero entry
+    past column ncols, as ``{pivot column pc: row}`` in ascending pc: each
+    row a dict of its nonzero ints, primitive, zero at every other pivot
+    column, so divided by its entry at pc it is a row of the reduced form.
 
     Rows are taken sparsest first (a stable sort on the count of nonzeros),
     each as a dict of its nonzeros.  Each is reduced fraction-free at its
@@ -363,9 +296,9 @@ def _row_echelon(rows, ncols):
     a column with no kept row; it is then divided by its content and kept at
     that column.  Every step keeps the row space, which alone fixes the
     reduced form, so the order of the rows changes no result.  Once every
-    column has a kept row the kernel is empty and the other rows are never
-    converted; otherwise the kept rows are back-substituted in descending
-    pivot order.
+    column has a kept row the form is the identity and the other rows are
+    never converted; otherwise the kept rows are back-substituted in
+    descending pivot order.
     """
     kept = {}
     for r in sorted(rows, key=lambda r: len(r) - r.count(0)):
@@ -381,7 +314,7 @@ def _row_echelon(rows, ncols):
         else:
             kept[c] = _primitive(v)
             if len(kept) == ncols:
-                return ncols, []
+                return {c: {c: 1} for c in range(ncols)}
     # kept[c] is zero left of column c; clear its other pivot columns with
     # rows that are already zero at every pivot column but their own
     for c in sorted(kept, reverse=True):
@@ -391,7 +324,15 @@ def _row_echelon(rows, ncols):
             v = _eliminate(v, kept[j], j)
         if later:
             kept[c] = _primitive(v)
-    # each reduced row is now zero at every pivot column but its own
+    return dict(sorted(kept.items()))
+
+
+def _row_echelon(rows, ncols):
+    """``(rank, kernel)`` of integer rows with no nonzero entry past column
+    ncols, the kernel read off ``_echelon``'s reduced rows: one vector per
+    free column fc, with 1 at fc and -row[fc] / row[pc] at the pivot column
+    pc of each reduced row."""
+    kept = _echelon(rows, ncols)
     zero, one = Fraction(0), Fraction(1)
     kernel = {}
     for fc in range(ncols):
@@ -454,47 +395,50 @@ def solve_linear(M: ExactMatrix, b):
     """
     if len(b) != M.rows:
         raise ShapeError("right-hand side length mismatch")
-    aug, pivots = _reduce([(*row, x) for row, x in zip(M.entries, b)], M.cols)
-    if any(row[M.cols] for row in aug[len(pivots):]):
+    n = M.cols
+    kept = _echelon(_integer_rows([(*row, x) for row, x in zip(M.entries, b)]), n + 1)
+    if n in kept:
         return None
-    x = [Fraction(0)] * M.cols
-    for row, pc in zip(aug, pivots):
-        x[pc] = Fraction(row[M.cols], row[pc])
+    x = [Fraction(0)] * n
+    for pc, row in kept.items():
+        x[pc] = Fraction(row.get(n, 0), row[pc])
     return tuple(x)
 
 
 def _inverse_rows(M: ExactMatrix):
-    """The integer rows of [M | I] reduced by ``_rref_int``: row r divided by
-    its pivot entry rows[r][r] is row r of [I | M^-1].  Raises ValueError
-    when M is singular."""
+    """``_echelon``'s reduced rows of [M | I], keyed by pivots 0..n-1: row r
+    divided by its entry at r is row r of [I | M^-1].  Raises ValueError
+    when M is singular, that is when a pivot lands in the identity block."""
     if not M.is_square:
         raise ShapeError("inverse needs a square matrix")
     n = M.rows
     ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    aug, pivots = _reduce([(*r, *e) for r, e in zip(M.entries, ident)], n)
-    if len(pivots) != n:
+    kept = _echelon(_integer_rows([(*r, *e) for r, e in zip(M.entries, ident)]), 2 * n)
+    if any(c >= n for c in kept):
         raise ValueError("matrix is singular")
-    return aug
+    return kept
 
 
 def inverse(M: ExactMatrix) -> ExactMatrix:
     """Exact inverse of a square matrix over Q."""
     n = M.rows
     return ExactMatrix(
-        [[Fraction(x, row[r]) for x in row[n:]] for r, row in enumerate(_inverse_rows(M))]
+        [[Fraction(row.get(j, 0), row[r]) for j in range(n, 2 * n)]
+         for r, row in _inverse_rows(M).items()]
     )
 
 
-def _cleared_rows(rows, pivots, n):
-    """``(den, N)`` from integer rows that ``_rref_int`` reduced on their
-    first n columns: for each pivot row with pivot entry p and entries x past
-    column n, g = gcd(p, x) makes |p| / g the reduced denominator of x / p,
-    den is the lcm of those, and N lists den * x / p = (x / g) * (den / (p / g)).
+def _cleared_rows(kept, n, width):
+    """``(den, N)`` from ``_echelon``'s reduced rows, in their pivot order:
+    for each row with pivot entry p and entries x at columns n..width-1,
+    g = gcd(p, x) makes |p| / g the reduced denominator of x / p, den is the
+    lcm of those, and N lists den * x / p = (x / g) * (den / (p / g)).
     """
     cleared = []
-    for row, pc in zip(rows, pivots):
-        g = math.gcd(row[pc], *row[n:])
-        cleared.append((row[pc] // g, [x // g for x in row[n:]]))
+    for pc, row in kept.items():
+        xs = [row.get(j, 0) for j in range(n, width)]
+        g = math.gcd(row[pc], *xs)
+        cleared.append((row[pc] // g, [x // g for x in xs]))
     den = math.lcm(*(p for p, _ in cleared))
     return den, [[x * (den // p) for x in xs] for p, xs in cleared]
 
@@ -503,7 +447,7 @@ def _cleared_inverse(M: ExactMatrix):
     """``(den, N)``: den is the lcm of the denominators of M^-1 and
     N = den M^-1, an integer matrix.  Raises ValueError when M is singular."""
     n = M.cols
-    den, N = _cleared_rows(_inverse_rows(M), range(n), n)
+    den, N = _cleared_rows(_inverse_rows(M), n, 2 * n)
     return den, ExactMatrix(N, cols=n)
 
 

@@ -324,11 +324,13 @@ class FracElem:
             raise ZeroDivisionError("zero denominator")
         if num.is_zero:
             den = MultiPoly.const(1)
-        elif den.is_constant:
-            num = num * (Fraction(1) / den.constant_value())
-            den = MultiPoly.const(1)
         else:
-            num, den = _strip_common(num, den)
+            if not den.is_constant:
+                num, den = _strip_common(num, den)
+            # the strip can leave a constant denominator, such as 2 in x / (2x)
+            if den.is_constant:
+                num = num * (Fraction(1) / den.constant_value())
+                den = MultiPoly.const(1)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
@@ -459,6 +461,8 @@ class LaurentPoly:
         cs = {}
         if coeffs:
             for k, c in coeffs.items():
+                if not isinstance(k, int):
+                    raise ValueError(f"Laurent exponent {k!r} is not an integer")
                 c = as_poly(c)
                 if not c.is_zero:
                     if var in c.vars:

@@ -14,7 +14,9 @@ that lifted its identity, its form and its vectors to Laurent constants,
 checked against the lifted form.
 ``rref_int_rank_kernel`` is the route ``mat_rank_kernel`` and
 ``petri_kernel`` took before ``_row_echelon``: Gauss-Jordan elimination of
-every row by ``_rref_int``, the kernel read off by ``kernel_from``.
+every row by ``_rref_int`` (through ``_reduce``), the kernel read off by
+``kernel_from``; ``solve_linear``, ``inverse`` and the coordinate solver of
+``lie`` ran on ``_reduce`` too, before ``matrix._echelon``.
 ``transvection_product_symplectic`` is ``random_symplectic`` as the product
 of its transvection matrices, before the rank-one updates, and
 ``dense_is_symplectic`` the ``M^T Omega M == Omega`` product that
@@ -25,7 +27,7 @@ import random
 
 from fractions import Fraction
 
-from spinorlab.matrix import ExactMatrix, _rref_int
+from spinorlab.matrix import ExactMatrix, _integer_rows
 from spinorlab.matrix import is_symplectic, standard_omega, transvection
 from spinorlab.rings import FracElem, MultiPoly, UnsupportedRingError, dot, is_zero
 from spinorlab.rings import LaurentPoly
@@ -153,10 +155,71 @@ def kernel_from(rows, pivots, ncols):
     return kernel
 
 
+def _rref_int(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place, on
+    the first ncols columns; returns the pivot column list.
+
+    Lazy Bareiss: with prev the last pivot, each row i keeps a level lev[i],
+    the pivot at its last update (1 at the start), and is stored as its
+    Bareiss row at level prev times lev[i] / prev.  At pivot p in column c
+    a row that is zero in column c is left alone (its Bareiss row would only
+    be rescaled by p / prev), and every other row a becomes
+    (p*a - a[c]*b) // lev[i] with lev[i] = p.  The pivot row b is first
+    brought up to its Bareiss row with x * prev // lev[r] if it is behind.
+    Both divisions are exact, because each result is a Bareiss row, whose
+    entries are minors of the input.  The rows stay integers: pivot row r
+    has the nonzero entry rows[r][pivots[r]], is zero in every other pivot
+    column, and divided by that entry is row r of the reduced form.  The
+    rows past the rank are zero in the first ncols columns.
+    """
+    pivots = []
+    lev = [1] * len(rows)
+    prev = 1
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        lev[r], lev[pr] = lev[pr], lev[r]
+        b = rows[r]
+        if lev[r] != prev:
+            d = lev[r]
+            b = rows[r] = [x * prev // d for x in b]
+        p = b[c]
+        for i in range(r):
+            a = rows[i]
+            f = a[c]
+            if f:
+                d = lev[i]
+                rows[i] = [(p * x - f * y) // d for x, y in zip(a, b)]
+                lev[i] = p
+        # b and the rows below it are zero left of column c
+        tail = b[c:]
+        for i in range(r + 1, len(rows)):
+            a = rows[i]
+            f = a[c]
+            if f:
+                d = lev[i]
+                rows[i] = a[:c] + [(p * x - f * y) // d for x, y in zip(a[c:], tail)]
+                lev[i] = p
+        lev[r] = prev = p
+        pivots.append(c)
+        if len(pivots) == len(rows):
+            break
+    return pivots
+
+
+def _reduce(entries, ncols):
+    """Rational rows cleared of denominators and reduced by ``_rref_int`` on
+    the first ncols columns; returns ``(rows, pivots)`` with integer rows."""
+    rows = _integer_rows(entries)
+    return rows, _rref_int(rows, ncols)
+
+
 def rref_int_rank_kernel(rows, ncols):
-    """``(rank, kernel)`` of integer rows (not modified) by ``_rref_int``."""
-    rows = [list(r) for r in rows]
-    pivots = _rref_int(rows, ncols)
+    """``(rank, kernel)`` of integer rows (not modified) by ``_reduce``."""
+    rows, pivots = _reduce(rows, ncols)
     return len(pivots), kernel_from(rows, pivots, ncols)
 
 

@@ -1,11 +1,10 @@
 """Fraction-free elimination over Q against the Fraction route it replaced
 (tests/matrix_oracles.py), with sympy for the ranks: the results of each
-caller, the integer rows ``_rref_int`` hands back, and the typed error on
+caller, the reduced rows ``_echelon`` hands back, and the typed error on
 entries that are not rational."""
 
-import inspect
+import math
 import random
-import sys
 from fractions import Fraction
 
 import pytest
@@ -21,8 +20,9 @@ from matrix_oracles import (
 )
 from spinorlab.matrix import (
     ExactMatrix,
+    _cleared_inverse,
+    _echelon,
     _integer_rows,
-    _rref_int,
     inverse,
     mat_rank_kernel,
     rank,
@@ -108,49 +108,26 @@ def deficient(rng, M, k):
 
 
 def check_integer_rows(entries, ncols):
-    """The contract of ``_rref_int`` on the integer rows of entries: the
-    pivots of the Fraction route, a nonzero int pivot entry in each pivot
-    row, each pivot row divided by that entry equal to the oracle's reduced
-    row, and rows past the rank zero in the first ncols columns."""
-    rows = _integer_rows(entries)
-    pivots = _rref_int(rows, ncols)
+    """The contract of ``_echelon`` on the integer rows of entries: the
+    pivots of the Fraction route, in ascending order, each kept row a
+    primitive dict of nonzero ints, and each divided by its pivot entry
+    equal to the oracle's reduced row."""
+    kept = _echelon(_integer_rows(entries), ncols)
     want = _field_rows(entries)
-    assert pivots == _rref(want, ncols)
-    assert all(type(x) is int for row in rows for x in row)
-    for row, pc, ref in zip(rows, pivots, want):
-        assert row[pc] != 0
-        assert [Fraction(x, row[pc]) for x in row] == ref
-    assert not any(x for row in rows[len(pivots):] for x in row[:ncols])
-
-
-def reaches_catch_up(fn, *args):
-    """Whether fn(*args) runs the step of _rref_int that brings a stale pivot
-    row up to the current level."""
-    lines, first = inspect.getsourcelines(_rref_int)
-    (target,) = [first + i for i, ln in enumerate(lines) if "rows[r] = [x * prev //" in ln]
-    code, hit = _rref_int.__code__, set()
-
-    def local(frame, event, arg):
-        if event == "line":
-            hit.add(frame.f_lineno)
-        return local
-
-    old = sys.gettrace()
-    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
-    try:
-        fn(*args)
-    finally:
-        sys.settrace(old)
-    return target in hit
+    assert list(kept) == _rref(want, ncols)
+    for (pc, row), ref in zip(kept.items(), want):
+        assert all(type(x) is int and x for x in row.values())
+        assert math.gcd(*row.values()) == 1
+        assert [Fraction(row.get(j, 0), row[pc]) for j in range(ncols)] == ref
+    return kept
 
 
 @pytest.mark.parametrize("block", range(4))
 def test_sparse_and_tall_match_the_fraction_route(block):
-    """Sparse tall matrices leave most rows zero in each pivot column, so
-    the elimination skips them and later meets them, stale, as pivot rows:
-    full column rank, rank-deficient, [A|b] and [A|I] shapes."""
+    """Sparse tall matrices: full column rank, rank-deficient, [A|b] and
+    [A|I] shapes."""
     counts = {"full": 0, "deficient": 0, "none": 0, "solved": 0,
-              "singular": 0, "inverted": 0, "stale": 0}
+              "singular": 0, "inverted": 0}
     for seed in range(block * 20, block * 20 + 20):
         rng = random.Random(10_000 + seed)
         n = rng.randint(2, 12)
@@ -172,10 +149,10 @@ def test_sparse_and_tall_match_the_fraction_route(block):
             counts["none" if x is None else "solved"] += 1
             if x is not None:
                 assert M.apply(x) == tuple(b)
-            check_integer_rows([(*row, y) for row, y in zip(M.entries, b)], n)
+            check_integer_rows([(*row, y) for row, y in zip(M.entries, b)], n + 1)
 
         S = sparse_matrix(rng, n, n, 0.25)
-        check_integer_rows([(*r, *(int(i == j) for j in range(n))) for i, r in enumerate(S.entries)], n)
+        check_integer_rows([(*r, *(int(i == j) for j in range(n))) for i, r in enumerate(S.entries)], 2 * n)
         try:
             want = rref_inverse(S)
         except ValueError:
@@ -187,11 +164,39 @@ def test_sparse_and_tall_match_the_fraction_route(block):
             assert exactly_equal(got_inv, want), (seed, S)
             assert S * got_inv == ExactMatrix.identity(n)
             counts["inverted"] += 1
-
-        # the rows mat_rank_kernel handed to _rref_int before _row_echelon
-        counts["stale"] += reaches_catch_up(_rref_int, _integer_rows(M.entries), n)
-    # every shape and outcome, and stale pivot rows, occur in every block
+    # every shape and outcome occurs in every block
     assert all(counts.values()), counts
+
+
+class Untouched(list):
+    """An integer row that fails the test if the elimination reads it."""
+
+    def __iter__(self):
+        raise AssertionError("a row past the full rank was read")
+
+
+def test_inconsistent_tall_system_stops_at_full_width():
+    """[A | b] of rank A.cols + 1 before its densest row: the reduced form
+    is the identity, the densest row is never read, and solve_linear sees
+    the pivot in the column of b."""
+    A = ExactMatrix([[1, 0], [0, 2], [1, 1], [3, 5]])
+    b = [0, 0, 1, 4]
+    aug = [[*row, x] for row, x in zip(A.entries, b)]
+    kept = check_integer_rows(aug, 3)
+    assert kept == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
+    assert _echelon([*aug[:3], Untouched(aug[3])], 3) == kept
+    assert solve_linear(A, b) is None and rref_solve(A, b) is None
+
+
+def test_singular_inverse_pivots_in_the_identity_block():
+    """[M | I] for a singular M: a pivot lands past column n, and inverse
+    and _cleared_inverse raise."""
+    M = ExactMatrix([[1, 2, 0], [2, 4, 0], [0, 1, 3]])
+    aug = [(*r, *(int(i == j) for j in range(3))) for i, r in enumerate(M.entries)]
+    assert list(check_integer_rows(aug, 6)) == [0, 1, 3]
+    for call in (inverse, _cleared_inverse, rref_inverse):
+        with pytest.raises(ValueError):
+            call(M)
 
 
 def test_integer_and_zero_entries():

@@ -6,9 +6,10 @@ any more: the cocycle layer works over Laurent polynomials in its line
 symbol, the moment layer in Lie-algebra coordinates, and ``matrix``
 eliminates over Q only.  ``rings`` still defines both classes for the test
 oracles.  The Cech layer works on integer matrices.  ``split_linear``,
-the polynomial view of a section, the per-representation Euler pair and the
-map-by-map joint kernel live beside the oracles that use them.  The check walks the syntax tree with the
-standard library, like ``test_unused_imports``.
+the polynomial view of a section, the per-representation Euler pair, the
+map-by-map joint kernel and the lazy Bareiss Gauss-Jordan (``_rref_int``,
+``_reduce``) live beside the oracles that use them.  The check walks the
+syntax tree with the standard library, like ``test_unused_imports``.
 """
 
 import ast
@@ -28,6 +29,8 @@ TEST_ONLY = {
     "pair_euler_for_rep",
     "_iterative_kernel",
     "iterative_kernel",
+    "_rref_int",
+    "_reduce",
 }
 
 

@@ -16,6 +16,7 @@ from spinorlab.lie import (
     RepFormatError,
     Summand,
     SymplecticRep,
+    _CoordinateSolver,
     almost_saturated_check,
     commutant,
     conjugate_rep,
@@ -59,6 +60,17 @@ class TestAlgebra:
         e = ExactMatrix([[0, 1], [0, 0]])
         with pytest.raises(ValueError):
             MatrixLieAlgebra([e, e.scale(2)])
+
+    def test_dependence_in_the_last_row_rejected(self):
+        """h, e, f and the densest 2h + 3e - f: the last, reduced last in
+        [F | I], is the only row whose pivot lands in the identity block."""
+        cols = [{0: 1, 3: -1}, {1: 1}, {2: 1}, {0: 2, 1: 3, 2: -1, 3: -2}]
+        assert _CoordinateSolver(cols[:3], 4).sel == [0, 1, 2]
+        with pytest.raises(ValueError, match="linearly dependent"):
+            _CoordinateSolver(cols, 4)
+        h, e, f = ExactMatrix([[1, 0], [0, -1]]), ExactMatrix([[0, 1], [0, 0]]), ExactMatrix([[0, 0], [1, 0]])
+        with pytest.raises(ValueError, match="linearly dependent"):
+            MatrixLieAlgebra([h, e, f, h.scale(2) + e.scale(3) - f])
 
     def test_trace_gram_nondegenerate(self):
         from spinorlab.matrix import mat_rank_kernel

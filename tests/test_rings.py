@@ -168,6 +168,13 @@ class TestFracElem:
         if not q.is_zero:
             assert (a / b) * b == a
 
+    def test_constant_denominator_left_by_the_strip_is_folded(self):
+        x = MultiPoly.var("x")
+        f = FracElem(x, 2 * x)  # strips to 1/2
+        assert f.den == 1 and f.num == Fraction(1, 2)
+        assert repr(f) == repr(FracElem(1, 2)) == "1/2"
+        assert f == FracElem(1, 2)
+
     def test_equivalence_relation(self):
         x = MultiPoly.var("x")
         a = FracElem(x, x * x)  # strips to 1/x
@@ -231,6 +238,11 @@ class TestLaurentPoly:
     def test_substitute_power(self):
         lam = LaurentPoly.term("lam", 1, 3)
         assert lam.substitute_power("s", -2) == LaurentPoly.term("s", -2, 3)
+
+    @pytest.mark.parametrize("exponent", [0.5, 1.5, "2"])
+    def test_exponent_that_is_not_an_int_rejected(self, exponent):
+        with pytest.raises(ValueError, match="not an integer"):
+            LaurentPoly("z", {exponent: 1})
 
     def test_mixing_laurent_var_into_coefficient_rejected(self):
         with pytest.raises(ValueError):
