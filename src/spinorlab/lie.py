@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .matrix import ExactMatrix, _cleared_rows, _echelon, _integer_rows, in_sp, inverse, mat_rank_kernel, rank, standard_omega
+from .matrix import ExactMatrix, _cleared_rows, _echelon, _integer_row, _row_echelon, in_sp, inverse, rank, standard_omega
 from .rings import _is_rat, is_zero
 
 
@@ -127,11 +127,12 @@ class _CoordinateSolver:
 
     One fraction-free RREF (``matrix._echelon``) of the D x (size + D)
     matrix [F | I], with F the D x size matrix whose rows are the X_j, does
-    all the elimination; the X_j are dependent exactly when a pivot lands in
-    the identity block.  Otherwise its pivots P are D positions at which the
-    X_j are independent, and its reduced row at P_r divided by its pivot
-    entry has, in the right block, row r of the inverse E of F restricted to
-    the columns P, so c_j = sum_r E[r][j] y[P_r].
+    all the elimination; row j is the nonzeros of X_j and one identity entry
+    at size + j, cleared of denominators.  The X_j are dependent exactly
+    when a pivot lands in the identity block.  Otherwise its pivots P are D
+    positions at which the X_j are independent, and its reduced row at P_r
+    divided by its pivot entry has, in the right block, row r of the inverse
+    E of F restricted to the columns P, so c_j = sum_r E[r][j] y[P_r].
     With den the lcm of the denominators of E (``matrix._cleared_rows``),
     den E is an integer matrix, kept as a map from each pivot position to its
     nonzero (j, den E[r][j]).  A solve walks the nonzeros of y only and sums
@@ -140,21 +141,13 @@ class _CoordinateSolver:
     """
 
     def __init__(self, columns, size: int):
-        dim = len(columns)
-        entries = []
-        for j, col in enumerate(columns):
-            row = [0] * (size + dim)
-            for pos, x in col.items():
-                row[pos] = x
-            row[size + j] = 1
-            entries.append(row)
-        kept = _echelon(_integer_rows(entries), size + dim)
+        kept = _echelon([_integer_row({**col, size + j: 1}) for j, col in enumerate(columns)], size + len(columns))
         self.sel = list(kept)
         if any(p >= size for p in self.sel):
             raise ValueError("basis matrices are linearly dependent")
         self.columns = columns
-        self.den, inv = _cleared_rows(kept, size, size + dim)
-        self.inv = {p: [(j, e) for j, e in enumerate(row) if e] for p, row in zip(self.sel, inv)}
+        self.den, inv = _cleared_rows(kept, size)
+        self.inv = {p: list(row.items()) for p, row in zip(self.sel, inv)}
 
     def scaled_coords(self, y: dict):
         """``{j: den c_j}`` over the j that the nonzeros of ``y`` reach, for
@@ -330,34 +323,37 @@ def verify_symplectic_rep(rep: SymplecticRep) -> CheckReport:
     return CheckReport(tuple(checks))
 
 
-def _joint_kernel(maps):
-    """Basis of the joint kernel of linear maps (as ExactMatrix) with a
-    common column count: one ``mat_rank_kernel`` of their stacked rows."""
-    stacked = ExactMatrix([row for M in maps for row in M.entries], cols=maps[0].cols)
-    return mat_rank_kernel(stacked)[1]
+def _joint_kernel(maps, ncols: int):
+    """Basis of the joint kernel of linear maps on Q^ncols, each given by
+    its sparse rational rows: one ``_row_echelon`` of all their rows."""
+    return _row_echelon([_integer_row(r) for rows in maps for r in rows if r], ncols)[1]
 
 
-def _sylvester(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
-    """Matrix of the map T -> T A + B T on p x q matrices T flattened row by
-    row, for A of size q x q and B of size p x p."""
-    p, q = B.rows, A.rows
+def _sylvester(A: ExactMatrix, B: ExactMatrix):
+    """Rows of the map T -> T A + B T on p x q matrices T flattened row by
+    row, for A of size q x q and B of size p x p, as dicts of nonzeros: row
+    r q + c holds A[k][c] at r q + k and B[r][k] at k q + c, whose sum at
+    r q + c is dropped when it cancels (on every row r = c for B = -A)."""
+    q = A.rows
+    a_cols = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*A.entries)]
     rows = []
-    for r in range(p):
-        for c in range(q):
-            row = [0] * (p * q)
-            for k in range(q):
-                row[r * q + k] += A.entries[k][c]  # (T A)_{rc} = sum_k T_{rk} A_{kc}
-            for k in range(p):
-                row[k * q + c] += B.entries[r][k]  # (B T)_{rc} = sum_k B_{rk} T_{kc}
+    for r, b_row in enumerate(B.entries):
+        b_nz = [(k, x) for k, x in enumerate(b_row) if x]
+        for c, a_col in enumerate(a_cols):
+            row = {r * q + k: x for k, x in a_col}  # (T A)_{rc} = sum_k T_{rk} A_{kc}
+            for k, x in b_nz:  # (B T)_{rc} = sum_k B_{rk} T_{kc}
+                row[k * q + c] = row.get(k * q + c, 0) + x
+            if not row.get(r * q + c, 1):
+                del row[r * q + c]
             rows.append(row)
-    return ExactMatrix(rows, cols=p * q)
+    return rows
 
 
 def commutant(rep: SymplecticRep):
     """Basis of End_g(V), computed as the joint kernel of
     A -> A rho(X_i) - rho(X_i) A."""
     m = rep.dimV
-    ker = _joint_kernel([_sylvester(R, -R) for R in rep.rho])
+    ker = _joint_kernel([_sylvester(R, -R) for R in rep.rho], m * m)
     return [ExactMatrix([v[r * m : (r + 1) * m] for r in range(m)]) for v in ker]
 
 
@@ -370,7 +366,7 @@ def hom_space(rep: SymplecticRep, a: int, b: int) -> int:
     ra, rb = range(*cons[a][1]), range(*cons[b][1])
     # unknown T (len(rb) x len(ra)): T Ra - Rb T = 0
     maps = [_sylvester(R.submatrix(ra, ra), -R.submatrix(rb, rb)) for R in rep.rho]
-    return len(_joint_kernel(maps))
+    return len(_joint_kernel(maps, len(ra) * len(rb)))
 
 
 @dataclass(frozen=True)
@@ -500,15 +496,11 @@ def sl2_sym_cube() -> SymplecticRep:
     alg = sl2_algebra()
     rho = [_sym_cube_action(X) for X in alg.basis]
 
-    # solve W rho(X) + rho(X)^T W = 0, W antisymmetric, over 16 unknowns
-    symmetric_part = []
-    for r in range(4):
-        for c in range(4):
-            row = [0] * 16
-            row[r * 4 + c] += 1
-            row[c * 4 + r] += 1
-            symmetric_part.append(row)
-    ker = _joint_kernel([_sylvester(R, R.transpose()) for R in rho] + [ExactMatrix(symmetric_part)])
+    # solve W rho(X) + rho(X)^T W = 0, W + W^T = 0 (2 W_rr at r = c), over 16 unknowns
+    symmetric_part = [
+        {r * 4 + c: 1, c * 4 + r: 1} if r != c else {r * 5: 2} for r in range(4) for c in range(4)
+    ]
+    ker = _joint_kernel([_sylvester(R, R.transpose()) for R in rho] + [symmetric_part], 16)
     if len(ker) != 1:
         raise InvariantFormError(f"expected a unique invariant form up to scale, found {len(ker)}")
     v = ker[0]

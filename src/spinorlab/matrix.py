@@ -217,17 +217,16 @@ class ExactMatrix:
 # any other entry raises UnsupportedRingError.  Each row is cleared of its
 # denominators and the rows are eliminated over Z without fractions.
 #
-# Every Gauss-Jordan caller goes through _echelon, which hands back the
-# reduced row echelon form as {pivot column: primitive sparse int row}: the
-# kernels of mat_rank_kernel and petri_kernel (_row_echelon), solve_linear
-# on [A | b], inverse and _cleared_inverse on [M | I], and the coordinate
-# solver of lie on [F | I].  It takes the rows one at a time as dicts of
-# their nonzeros, sparsest first, and stops once the rank is full, so it
-# never touches the rows past that point; the Petri rows of sp(8) at degree
-# bound 4 reach rank 32 after about half of their 252 rows.  The reduced
-# form is unique and each caller divides a row only by its own pivot entry
-# (or clears the quotients, _cleared_rows), so no result depends on the
-# order of the rows or on how a row is scaled.
+# Every Gauss-Jordan caller goes through _echelon, which takes sparse rows
+# {column: nonzero int} and hands back the reduced row echelon form as
+# {pivot column: primitive sparse int row}.  The public callers reach it
+# through one adapter, _sparse_rows: mat_rank_kernel (_row_echelon),
+# solve_linear on [A | b], inverse and _cleared_inverse on [M | I]; petri
+# and lie build their rows sparse.  _echelon takes the rows sparsest first
+# and stops once the rank is full, never reading the rows past that point.
+# The reduced form is unique and each caller divides a row only by its own
+# pivot entry (or clears the quotients, _cleared_rows), so no result
+# depends on the order of the rows or on how a row is scaled.
 #
 # rank stays on _rank_bareiss, eager fraction-free elimination below the
 # pivots (after Bareiss, Math. Comp. 22 (1968)): after k pivots every entry
@@ -244,22 +243,30 @@ def _clear_denominators(vec):
     return [x.numerator * (L // x.denominator) for x in vec], L
 
 
+def _cleared(values):
+    """Rational values times the lcm of their denominators, as a new list of
+    ints.  Raises UnsupportedRingError on a value that is not rational."""
+    if set(map(type, values)) <= _INT_ONLY:
+        return list(values)
+    if not all(map(_is_rat, values)):
+        bad = next(x for x in values if not _is_rat(x))
+        raise UnsupportedRingError(f"elimination needs rational entries, not {type(bad).__name__}")
+    return _clear_denominators(values)[0]
+
+
 def _integer_rows(entries):
-    """Each rational row times the lcm of its denominators, as new lists of
-    ints (``_rank_bareiss`` eliminates them in place); a row of ints is
-    copied as it is.  Raises UnsupportedRingError on an entry that is not rational."""
-    rows = []
-    for r in entries:
-        if set(map(type, r)) <= _INT_ONLY:
-            rows.append(list(r))
-            continue
-        if not all(map(_is_rat, r)):
-            bad = next(x for x in r if not _is_rat(x))
-            raise UnsupportedRingError(
-                f"elimination needs rational entries, not {type(bad).__name__}"
-            )
-        rows.append(_clear_denominators(r)[0])
-    return rows
+    """Dense rational rows ``_cleared``, for ``_rank_bareiss`` and cech."""
+    return list(map(_cleared, entries))
+
+
+def _integer_row(v):
+    """A sparse rational row ``_cleared``, as ``{column: nonzero int}``."""
+    return {j: x for j, x in zip(v, _cleared(v.values())) if x}
+
+
+def _sparse_rows(entries):
+    """Dense rational rows ``_cleared``, each as ``{column: nonzero int}``."""
+    return [dict(compress(enumerate(r), r)) for r in map(_cleared, entries)]
 
 
 def _eliminate(v, b, c):
@@ -285,24 +292,23 @@ def _primitive(v):
 
 
 def _echelon(rows, ncols):
-    """The reduced row echelon form of integer rows with no nonzero entry
-    past column ncols, as ``{pivot column pc: row}`` in ascending pc: each
-    row a dict of its nonzero ints, primitive, zero at every other pivot
-    column, so divided by its entry at pc it is a row of the reduced form.
+    """The reduced row echelon form of rows ``{column < ncols: nonzero
+    int}`` (a zero would be taken for a leading entry and divided by), as
+    ``{pivot column pc: row}`` in ascending pc: each row a dict of its
+    nonzero ints, primitive, zero at every other pivot column, so divided
+    by its entry at pc it is a row of the reduced form.
 
-    Rows are taken sparsest first (a stable sort on the count of nonzeros),
-    each as a dict of its nonzeros.  Each is reduced fraction-free at its
-    leading column against the row kept there, until it is zero or leads at
-    a column with no kept row; it is then divided by its content and kept at
-    that column.  Every step keeps the row space, which alone fixes the
-    reduced form, so the order of the rows changes no result.  Once every
-    column has a kept row the form is the identity and the other rows are
-    never converted; otherwise the kept rows are back-substituted in
-    descending pivot order.
+    Rows are taken sparsest first (a stable sort on ``len``).  Each is
+    reduced fraction-free at its leading column against the row kept there,
+    until it is zero or leads at a column with no kept row; it is then
+    divided by its content and kept at that column.  Every step keeps the
+    row space, which alone fixes the reduced form, so the order of the rows
+    changes no result.  Once every column has a kept row the form is the
+    identity and the other rows are never read; otherwise the kept rows are
+    back-substituted in descending pivot order.
     """
     kept = {}
-    for r in sorted(rows, key=lambda r: len(r) - r.count(0)):
-        v = dict(compress(enumerate(r), r))
+    for v in sorted(rows, key=len):
         if not v:
             continue
         c = min(v)
@@ -328,8 +334,8 @@ def _echelon(rows, ncols):
 
 
 def _row_echelon(rows, ncols):
-    """``(rank, kernel)`` of integer rows with no nonzero entry past column
-    ncols, the kernel read off ``_echelon``'s reduced rows: one vector per
+    """``(rank, kernel)`` of sparse integer rows as ``_echelon`` takes them,
+    the kernel read off ``_echelon``'s reduced rows: one vector per
     free column fc, with 1 at fc and -row[fc] / row[pc] at the pivot column
     pc of each reduced row."""
     kept = _echelon(rows, ncols)
@@ -353,7 +359,7 @@ def mat_rank_kernel(M: ExactMatrix):
     Returns ``(rank, kernel_basis)`` where each kernel vector v satisfies
     M.apply(v) == 0 and rank + len(kernel_basis) == M.cols.
     """
-    return _row_echelon(_integer_rows(M.entries), M.cols)
+    return _row_echelon(_sparse_rows(M.entries), M.cols)
 
 
 def rank(M: ExactMatrix) -> int:
@@ -396,7 +402,7 @@ def solve_linear(M: ExactMatrix, b):
     if len(b) != M.rows:
         raise ShapeError("right-hand side length mismatch")
     n = M.cols
-    kept = _echelon(_integer_rows([(*row, x) for row, x in zip(M.entries, b)]), n + 1)
+    kept = _echelon(_sparse_rows([(*row, x) for row, x in zip(M.entries, b)]), n + 1)
     if n in kept:
         return None
     x = [Fraction(0)] * n
@@ -413,7 +419,7 @@ def _inverse_rows(M: ExactMatrix):
         raise ShapeError("inverse needs a square matrix")
     n = M.rows
     ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    kept = _echelon(_integer_rows([(*r, *e) for r, e in zip(M.entries, ident)]), 2 * n)
+    kept = _echelon(_sparse_rows([(*r, *e) for r, e in zip(M.entries, ident)]), 2 * n)
     if any(c >= n for c in kept):
         raise ValueError("matrix is singular")
     return kept
@@ -428,27 +434,27 @@ def inverse(M: ExactMatrix) -> ExactMatrix:
     )
 
 
-def _cleared_rows(kept, n, width):
+def _cleared_rows(kept, n):
     """``(den, N)`` from ``_echelon``'s reduced rows, in their pivot order:
-    for each row with pivot entry p and entries x at columns n..width-1,
+    for each row with pivot entry p and nonzero entries x at columns j >= n,
     g = gcd(p, x) makes |p| / g the reduced denominator of x / p, den is the
-    lcm of those, and N lists den * x / p = (x / g) * (den / (p / g)).
+    lcm of those, and N lists {j - n: den * x / p = (x / g) * (den / (p / g))}.
     """
     cleared = []
     for pc, row in kept.items():
-        xs = [row.get(j, 0) for j in range(n, width)]
-        g = math.gcd(row[pc], *xs)
-        cleared.append((row[pc] // g, [x // g for x in xs]))
-    den = math.lcm(*(p for p, _ in cleared))
-    return den, [[x * (den // p) for x in xs] for p, xs in cleared]
+        xs = {j - n: x for j, x in row.items() if j >= n}
+        g = math.gcd(row[pc], *xs.values())
+        cleared.append((row[pc] // g, g, xs))
+    den = math.lcm(*(p for p, _, _ in cleared))
+    return den, [{j: x // g * (den // p) for j, x in xs.items()} for p, g, xs in cleared]
 
 
 def _cleared_inverse(M: ExactMatrix):
     """``(den, N)``: den is the lcm of the denominators of M^-1 and
     N = den M^-1, an integer matrix.  Raises ValueError when M is singular."""
     n = M.cols
-    den, N = _cleared_rows(_inverse_rows(M), n, 2 * n)
-    return den, ExactMatrix(N, cols=n)
+    den, N = _cleared_rows(_inverse_rows(M), n)
+    return den, ExactMatrix([[row.get(j, 0) for j in range(n)] for row in N], cols=n)
 
 
 def char_poly(M: ExactMatrix):

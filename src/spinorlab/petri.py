@@ -10,9 +10,9 @@ decides injectivity.  Outputs are algebra-valued polynomials of degree
 The differential is the bilinear form psi^T S_k psidot / q of the moment
 layer, so the matrix is built by convolving the integer coefficients of psi
 (cleared of denominators) against the sparse forms S_k, with no polynomial
-objects.  That gives integer rows and one common denominator; the kernel
-is that of the integer rows, so ``petri_kernel`` hands them straight to
-``matrix._row_echelon`` and builds Fractions only for the kernel vectors,
+objects.  That gives sparse integer rows and one common denominator; the
+kernel is that of the integer rows, so ``petri_kernel`` hands them straight
+to ``matrix._row_echelon`` and builds Fractions only for the kernel vectors,
 and ``in_petri_kernel`` applies them to one direction in ints.
 The rows are tall and sparse (252 x 32 with about four nonzeros per row for
 sp(8) at degree bound 4), and the row-by-row elimination stops as soon as
@@ -27,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
 
 from .lie import SymplecticRep
 from .matrix import ExactMatrix, ShapeError, _clear_denominators, _row_echelon
@@ -63,14 +62,14 @@ class PetriMatrix:
 
 def _petri_rows(space: SectionSpace, psi):
     """``(psi, rows, den)``: the matrix of ``petri_matrix`` is ``rows / den``
-    with ``rows`` lists of ints.
+    with ``rows`` dicts ``{column: nonzero int}``.
 
     Rows are indexed by (output degree, algebra basis index) with degree
     major; columns by the section basis e_j x^k, degree major as well.  With
     psi = P/L cleared of denominators, the entry in row (l+k)*dim_g + i,
     column k*m + j is sum_r S_i[r][j] P[l*m + r] / (L q): a convolution of
     the coefficients of psi against the sparse polarized forms S_i, summed
-    in Python ints.
+    in Python ints; an entry whose terms cancel is dropped.
     """
     psi = tuple(psi)
     if len(psi) != space.dim:
@@ -79,14 +78,18 @@ def _petri_rows(space: SectionSpace, psi):
     s = space.degree_bound
     dim_g = space.rep.algebra.dim
     m = space.rep.dimV
-    rows = [[0] * (s * m) for _ in range((2 * s - 1) * dim_g)]
+    rows = [{} for _ in range((2 * s - 1) * dim_g)]
     for i, S in enumerate(space.ctx._S):
         for r, j, v in S:
             for l in range(s):
                 p = P[l * m + r]
                 if p:
+                    x = v * p
                     for k in range(s):
-                        rows[(l + k) * dim_g + i][k * m + j] += v * p
+                        row, col = rows[(l + k) * dim_g + i], k * m + j
+                        row[col] = y = row.get(col, 0) + x
+                        if not y:
+                            del row[col]
     return psi, rows, L * space.ctx._q_inv.denominator
 
 
@@ -94,21 +97,20 @@ def petri_matrix(space: SectionSpace, psi) -> PetriMatrix:
     """Matrix of psidot -> (x -> dmu at psi(x) of psidot(x)) on section
     spaces, with the layout of ``_petri_rows``."""
     psi, rows, den = _petri_rows(space, psi)
-    return PetriMatrix(
-        space, psi, ExactMatrix([[Fraction(x, den) if x else 0 for x in row] for row in rows])
-    )
+    dense = [[Fraction(row[j], den) if j in row else 0 for j in range(space.dim)] for row in rows]
+    return PetriMatrix(space, psi, ExactMatrix(dense))
 
 
 def in_petri_kernel(space: SectionSpace, psi, vec) -> bool:
     """Whether the matrix of ``petri_matrix`` at psi maps the section
-    coordinates vec to zero.  The integer rows of ``_petri_rows`` are den
-    times that matrix, so they are applied in Python ints to vec cleared of
-    its denominators, and no Fraction is built."""
+    coordinates vec to zero.  The sparse integer rows of ``_petri_rows`` are
+    den times that matrix, so their nonzeros are applied in Python ints to
+    vec cleared of its denominators, and no Fraction is built."""
     if len(vec) != space.dim:
         raise ShapeError("section coordinate length mismatch")
     _, rows, _ = _petri_rows(space, psi)
     v, _ = _clear_denominators(vec)
-    return not any(sum(map(mul, row, v)) for row in rows)
+    return not any(sum(x * v[j] for j, x in row.items()) for row in rows)
 
 
 def petri_kernel(space: SectionSpace, psi):

@@ -11,7 +11,9 @@ list.  ``dense_combination`` is the route ``lie._combination`` replaced: one
 dense ``scale`` and ``+`` per coordinate.  ``iterative_kernel`` is the route
 the joint kernels of ``commutant`` and ``hom_space`` replaced: one kernel,
 one dense product and one ``apply`` per map, where the package takes one
-kernel of the stacked rows.
+kernel of the stacked rows.  ``dense_sylvester`` is the dense matrix of the
+map whose sparse rows ``lie._sylvester`` yields; the oracles above take
+their inputs from it, not from the code they check.
 """
 
 from fractions import Fraction
@@ -28,6 +30,22 @@ def dense_combination(coords, mats, d):
         if not (_is_rat(c) and c == 0):
             acc = acc + X.scale(c)
     return acc
+
+
+def dense_sylvester(A, B):
+    """Matrix of the map T -> T A + B T on p x q matrices T flattened row by
+    row, for A of size q x q and B of size p x p."""
+    p, q = B.rows, A.rows
+    rows = []
+    for r in range(p):
+        for c in range(q):
+            row = [0] * (p * q)
+            for k in range(q):
+                row[r * q + k] += A.entries[k][c]  # (T A)_{rc} = sum_k T_{rk} A_{kc}
+            for k in range(p):
+                row[k * q + c] += B.entries[r][k]  # (B T)_{rc} = sum_k B_{rk} T_{kc}
+            rows.append(row)
+    return ExactMatrix(rows, cols=p * q)
 
 
 def iterative_kernel(maps):

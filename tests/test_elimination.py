@@ -1,8 +1,10 @@
 """Fraction-free elimination over Q against the Fraction route it replaced
 (tests/matrix_oracles.py), with sympy for the ranks: the results of each
-caller, the reduced rows ``_echelon`` hands back, and the typed error on
+caller, the reduced rows ``_echelon`` hands back, the contract that every
+row reaching ``_echelon`` holds nonzero ints only, and the typed error on
 entries that are not rational."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -18,16 +20,32 @@ from matrix_oracles import (
     rref_rank_kernel,
     rref_solve,
 )
+from spinorlab import lie, matrix
+from spinorlab.lie import (
+    MatrixLieAlgebra,
+    Summand,
+    SymplecticRep,
+    commutant,
+    conjugate_rep,
+    hom_space,
+    sl2_standard,
+    sl2_w_plus_wdual,
+    sp_standard,
+)
 from spinorlab.matrix import (
     ExactMatrix,
     _cleared_inverse,
     _echelon,
+    _integer_row,
     _integer_rows,
+    _sparse_rows,
     inverse,
     mat_rank_kernel,
+    random_symplectic,
     rank,
     solve_linear,
 )
+from spinorlab.petri import SectionSpace, _context, petri_kernel, petri_matrix
 from spinorlab.rings import FracElem, LaurentPoly, MultiPoly, UnsupportedRingError
 
 
@@ -108,11 +126,11 @@ def deficient(rng, M, k):
 
 
 def check_integer_rows(entries, ncols):
-    """The contract of ``_echelon`` on the integer rows of entries: the
-    pivots of the Fraction route, in ascending order, each kept row a
-    primitive dict of nonzero ints, and each divided by its pivot entry
-    equal to the oracle's reduced row."""
-    kept = _echelon(_integer_rows(entries), ncols)
+    """The contract of ``_echelon`` on the sparse integer rows of entries:
+    the pivots of the Fraction route on the dense entries, in ascending
+    order, each kept row a primitive dict of nonzero ints, and each divided
+    by its pivot entry equal to the oracle's reduced row."""
+    kept = _echelon(_sparse_rows(entries), ncols)
     want = _field_rows(entries)
     assert list(kept) == _rref(want, ncols)
     for (pc, row), ref in zip(kept.items(), want):
@@ -168,11 +186,15 @@ def test_sparse_and_tall_match_the_fraction_route(block):
     assert all(counts.values()), counts
 
 
-class Untouched(list):
-    """An integer row that fails the test if the elimination reads it."""
+class Untouched(dict):
+    """A sparse integer row that fails the test if the elimination reads
+    it: every read but ``len``, which the sparsest-first sort takes, raises."""
 
-    def __iter__(self):
+    def _read(self, *args):
         raise AssertionError("a row past the full rank was read")
+
+    __bool__ = __contains__ = __getitem__ = __iter__ = __reversed__ = _read
+    copy = get = items = keys = values = _read
 
 
 def test_inconsistent_tall_system_stops_at_full_width():
@@ -184,7 +206,10 @@ def test_inconsistent_tall_system_stops_at_full_width():
     aug = [[*row, x] for row, x in zip(A.entries, b)]
     kept = check_integer_rows(aug, 3)
     assert kept == {0: {0: 1}, 1: {1: 1}, 2: {2: 1}}
-    assert _echelon([*aug[:3], Untouched(aug[3])], 3) == kept
+    rows = _sparse_rows(aug)
+    assert _echelon([*rows[:3], Untouched(rows[3])], 3) == kept
+    with pytest.raises(AssertionError):
+        _echelon([Untouched(rows[0])], 3)
     assert solve_linear(A, b) is None and rref_solve(A, b) is None
 
 
@@ -272,3 +297,81 @@ def test_type_scan_picks_the_route_per_row():
         for row in ([bad, 1], [1, 2, bad], [half, bad]):
             with pytest.raises(UnsupportedRingError):
                 _integer_rows([[1, 2], row])
+            with pytest.raises(UnsupportedRingError):
+                _sparse_rows([[1, 2], row])
+            with pytest.raises(UnsupportedRingError):
+                _integer_row(dict(enumerate(row)))
+
+
+def test_sparse_rows_hold_their_cleared_nonzeros():
+    """The same cleared ints as ``_integer_rows``, without the zeros, and
+    ``_integer_row`` does the same for a row given sparse."""
+    half = Fraction(1, 2)
+    dense = [[3, 0, -1], [True, 2, False], [half, 1, Fraction(2, 3)], [0, Fraction(0)], []]
+    got = _sparse_rows(dense)
+    assert got == [{0: 3, 2: -1}, {0: 1, 1: 2}, {0: 3, 1: 6, 2: 4}, {}, {}]
+    assert got == [{j: x for j, x in enumerate(r) if x} for r in _integer_rows(dense)]
+    assert all(type(x) is int for r in got for x in r.values())
+    assert _integer_row({4: half, 1: 0, 0: Fraction(-2, 3), 7: Fraction(0)}) == {4: 3, 0: -4}
+
+
+def cancelling_petri_case():
+    """A section space and a section psi at which two terms of one entry of
+    the Petri rows cancel: two entries (r1, j, v1) and (r2, j, v2) of one
+    polarized form S_i in the same column j, and psi = v2 e_r1 - v1 e_r2, so
+    the entry in row i, column j is v1 v2 - v2 v1 = 0."""
+    rep = conjugate_rep(sp_standard(1), random_symplectic(1, 3))
+    space = SectionSpace(rep, 2)
+    for i, S in enumerate(_context(rep)._S):
+        for (r1, j1, v1), (r2, j2, v2) in itertools.combinations(S, 2):
+            if j1 == j2:
+                psi = [0] * space.dim
+                psi[r1], psi[r2] = v2, -v1
+                assert petri_matrix(space, psi).matrix[i, j1] == 0
+                return space, psi
+    raise AssertionError("no form with two entries in one column")
+
+
+def test_every_row_reaching_the_elimination_holds_nonzero_ints(monkeypatch):
+    """The contract of ``_echelon``, checked on every row each caller hands
+    it: a dict of columns below ncols to nonzero ints.  ``commutant`` and
+    ``hom_space`` pass Sylvester rows whose terms cancel on every row r = c,
+    the algebra builds pass [F | I], and the Petri rows cancel at one entry."""
+    calls = []
+    real = matrix._echelon
+
+    def checked(rows, ncols):
+        for r in rows:
+            assert type(r) is dict, r
+            assert all(type(j) is int and 0 <= j < ncols and type(x) is int and x for j, x in r.items()), r
+        calls.append(len(rows))
+        return real(rows, ncols)
+
+    monkeypatch.setattr(matrix, "_echelon", checked)
+    monkeypatch.setattr(lie, "_echelon", checked)
+    space, psi = cancelling_petri_case()
+    runs = [
+        lambda: commutant(sp_standard(2)),
+        lambda: hom_space(sl2_w_plus_wdual(), 0, 1),
+        lambda: lie.sl2_sym_cube.__wrapped__(),
+        lambda: lie.sp_algebra.__wrapped__(2),
+        lambda: MatrixLieAlgebra(conjugate_rep(sp_standard(1), random_symplectic(1, 3)).rho),
+        lambda: petri_kernel(space, psi),
+    ]
+    for run in runs:
+        calls.clear()
+        run()
+        assert calls, run
+
+
+def test_lie_eliminations_reject_polynomial_entries():
+    """A polynomial entry raises UnsupportedRingError in the joint kernels
+    and in the coordinate solver of an algebra build, as in the public
+    eliminations."""
+    x = MultiPoly.var("x")
+    rep = sl2_standard()
+    rho = [R.map_entries(lambda e: e * x) for R in rep.rho]
+    poly = SymplecticRep(rep.algebra, rep.omega, rho, [Summand("irreducible", 0, 2)])
+    for call in (lambda: commutant(poly), lambda: hom_space(poly, 0, 0), lambda: MatrixLieAlgebra(rho)):
+        with pytest.raises(UnsupportedRingError):
+            call()

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lie_oracles import dense_sylvester
 from spinorlab.lie import (
     InvariantFormError,
     MatrixLieAlgebra,
@@ -221,8 +222,8 @@ class TestCommutant:
         import spinorlab.lie as lie
 
         calls = []
-        real = lie.mat_rank_kernel
-        monkeypatch.setattr(lie, "mat_rank_kernel", lambda M: calls.append(M.rows) or real(M))
+        real = lie._row_echelon
+        monkeypatch.setattr(lie, "_row_echelon", lambda rows, ncols: calls.append(len(rows)) or real(rows, ncols))
         for rep in (sp_standard(3), sl2_w_plus_wdual(), direct_sum(sl2_standard(), sl2_sym_cube())):
             calls.clear()
             commutant(rep)
@@ -249,6 +250,9 @@ class TestCommutant:
 
 class TestSylvester:
     def test_against_brute_force_products(self):
+        """The rows hold the nonzeros of the dense oracle's rows, with the
+        terms that cancel dropped (B = -A cancels on every row r = c), and
+        applied to T they give T A + B T."""
         rng = random.Random(23)
 
         def rand(rows, cols):
@@ -257,14 +261,18 @@ class TestSylvester:
                  for _ in range(rows)]
             )
 
-        for p, q in [(2, 3), (3, 2), (1, 4), (4, 4)]:
+        for p, q in [(2, 3), (3, 2), (1, 4), (4, 4), (3, 3)]:
             A, B, T = rand(q, q), rand(p, p), rand(p, q)
-            S = _sylvester(A, B)
-            assert (S.rows, S.cols) == (p * q, p * q)
-            want = T * A + B * T
-            assert S.apply([x for r in T.entries for x in r]) == tuple(
-                x for r in want.entries for x in r
-            )
+            for B in (B, -A) if p == q else (B,):
+                rows = _sylvester(A, B)
+                assert rows == [
+                    {j: x for j, x in enumerate(r) if x} for r in dense_sylvester(A, B).entries
+                ]
+                t = [x for r in T.entries for x in r]
+                want = T * A + B * T
+                assert [sum(x * t[j] for j, x in row.items()) for row in rows] == [
+                    x for r in want.entries for x in r
+                ]
 
 
 class TestHomSpace:

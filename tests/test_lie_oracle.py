@@ -3,8 +3,11 @@ replaced (tests/lie_oracles.py): the sp(2n) bases, the structure constants and
 ``coordinates_of``, values and types alike; the sparse sums behind
 ``from_coordinates`` and ``rho_of`` against the dense ones; and the joint
 kernels of ``commutant`` and ``hom_space`` against the map-by-map route and
-sympy's nullspace."""
+sympy's nullspace, all on the dense Sylvester matrices of the oracle module,
+and their bases, values and types alike, against the kernel of the stacked
+dense rows."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -17,14 +20,15 @@ from lie_oracles import (
     dense_combination,
     dense_sp_basis,
     dense_structure_constants,
+    dense_sylvester,
     flattened,
     iterative_kernel,
 )
+from spinorlab import lie
 from spinorlab.lie import (
     MatrixLieAlgebra,
     Summand,
     SymplecticRep,
-    _sylvester,
     commutant,
     conjugate_rep,
     direct_sum,
@@ -39,7 +43,7 @@ from spinorlab.lie import (
     sp_standard,
     trivial_rep,
 )
-from spinorlab.matrix import ExactMatrix, random_symplectic, rank, standard_omega
+from spinorlab.matrix import ExactMatrix, mat_rank_kernel, random_symplectic, rank, standard_omega
 from spinorlab.rings import MultiPoly
 
 _SHEAR = ExactMatrix(
@@ -196,10 +200,10 @@ def sylvester_maps(rep, a=None, b=None):
     """The maps whose joint kernel is End_g(V), or Hom_g between the
     constituents a and b."""
     if a is None:
-        return [_sylvester(R, -R) for R in rep.rho]
+        return [dense_sylvester(R, -R) for R in rep.rho]
     cons = rep.constituents()
     ra, rb = range(*cons[a][1]), range(*cons[b][1])
-    return [_sylvester(R.submatrix(ra, ra), -R.submatrix(rb, rb)) for R in rep.rho]
+    return [dense_sylvester(R.submatrix(ra, ra), -R.submatrix(rb, rb)) for R in rep.rho]
 
 
 def sympy_kernel_dim(maps):
@@ -244,3 +248,39 @@ def test_hom_space_has_the_oracle_dimension(name):
         for b in range(count):
             maps = sylvester_maps(rep, a, b)
             assert hom_space(rep, a, b) == len(iterative_kernel(maps)) == sympy_kernel_dim(maps)
+
+
+def stacked_kernel(maps):
+    """Kernel basis of the stacked rows of dense maps, by ``mat_rank_kernel``."""
+    return mat_rank_kernel(ExactMatrix([r for M in maps for r in M.entries], cols=maps[0].cols))[1]
+
+
+@pytest.mark.parametrize("name", list(KERNEL_REPS))
+def test_commutant_basis_is_the_stacked_kernel(name):
+    """The basis itself, values and types, not only its span."""
+    rep = KERNEL_REPS[name]()
+    got = [tuple(x for r in B.entries for x in r) for B in commutant(rep)]
+    assert exactly_equal(got, stacked_kernel(sylvester_maps(rep)))
+
+
+@pytest.mark.parametrize("name", list(KERNEL_REPS))
+def test_hom_space_kernel_is_the_stacked_kernel(name, monkeypatch):
+    """The kernel behind each ``hom_space`` dimension, values and types."""
+    rep = KERNEL_REPS[name]()
+    seen = []
+    real = lie._joint_kernel
+    monkeypatch.setattr(lie, "_joint_kernel", lambda maps, ncols: seen.append(real(maps, ncols)) or seen[-1])
+    for a, b in itertools.product(range(len(rep.constituents())), repeat=2):
+        seen.clear()
+        dim = hom_space(rep, a, b)
+        assert len(seen) == 1 and dim == len(seen[0])
+        assert exactly_equal(seen[0], stacked_kernel(sylvester_maps(rep, a, b)))
+
+
+def test_sym_cube_form_is_pinned():
+    """The invariant form of sl2-Sym3 as the dense joint kernel gave it:
+    Fraction entries, 9 at (0, 3) and -3 at (1, 2)."""
+    F = Fraction
+    want = ((F(0), F(0), F(0), F(9)), (F(0), F(0), F(-3), F(0)),
+            (F(0), F(3), F(0), F(0)), (F(-9), F(0), F(0), F(0)))
+    assert exactly_equal(sl2_sym_cube.__wrapped__().omega.entries, want)

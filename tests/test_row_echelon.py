@@ -21,8 +21,9 @@ def rand_section(rng, dim):
 
 
 def petri_oracle(space, psi):
+    """The old route on the Petri rows densified."""
     _, rows, _ = _petri_rows(space, psi)
-    return rref_int_rank_kernel(rows, space.dim)
+    return rref_int_rank_kernel([[row.get(j, 0) for j in range(space.dim)] for row in rows], space.dim)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
