@@ -15,17 +15,12 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .matrix import ExactMatrix, _cleared_rows, _echelon, _integer_row, _row_echelon, in_sp, inverse, rank, standard_omega
-from .rings import _is_rat, is_zero
-
-
-def nonzero_entries(M: ExactMatrix):
-    """The nonzero entries of a matrix as (row, col, value) triples."""
-    return tuple((r, c, x) for r, row in enumerate(M.entries) for c, x in enumerate(row) if x)
+from .rings import _is_rat
 
 
 def _flattened(M: ExactMatrix) -> dict:
     """Nonzero entries of a square matrix keyed by flattened position."""
-    return {r * M.cols + c: x for r, c, x in nonzero_entries(M)}
+    return {r * M.cols + c: x for r, row in enumerate(M.entries) for c, x in enumerate(row) if x}
 
 
 class InvariantFormError(ValueError):
@@ -302,14 +297,11 @@ def verify_symplectic_rep(rep: SymplecticRep) -> CheckReport:
             break
     checks.append(hom)
 
+    # a span is invariant when no nonzero of a rho maps into its complement
+    at = [divmod(p, rep.dimV) for flat in rep._rho_flat for p in flat]
     for tag, (lo, hi) in rep.constituents():
-        inv_ok = all(
-            is_zero(R.entries[r][c])
-            for R in rep.rho
-            for c in range(lo, hi)
-            for r in list(range(0, lo)) + list(range(hi, rep.dimV))
-        )
-        checks.append((f"invariance of {tag}", inv_ok))
+        span = range(lo, hi)
+        checks.append((f"invariance of {tag}", not any(c in span and r not in span for r, c in at)))
 
     for i, s in enumerate(rep.summands):
         if s.kind == "irreducible":
@@ -325,35 +317,47 @@ def verify_symplectic_rep(rep: SymplecticRep) -> CheckReport:
 
 def _joint_kernel(maps, ncols: int):
     """Basis of the joint kernel of linear maps on Q^ncols, each given by
-    its sparse rational rows: one ``_row_echelon`` of all their rows."""
-    return _row_echelon([_integer_row(r) for rows in maps for r in rows if r], ncols)[1]
+    its nonempty sparse rational rows: one ``_row_echelon`` of all of them."""
+    return _row_echelon([_integer_row(r) for rows in maps for r in rows], ncols)[1]
 
 
-def _sylvester(A: ExactMatrix, B: ExactMatrix):
+def _sylvester(a, b, p: int, q: int):
     """Rows of the map T -> T A + B T on p x q matrices T flattened row by
-    row, for A of size q x q and B of size p x p, as dicts of nonzeros: row
-    r q + c holds A[k][c] at r q + k and B[r][k] at k q + c, whose sum at
-    r q + c is dropped when it cancels (on every row r = c for B = -A)."""
-    q = A.rows
-    a_cols = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*A.entries)]
-    rows = []
-    for r, b_row in enumerate(B.entries):
-        b_nz = [(k, x) for k, x in enumerate(b_row) if x]
-        for c, a_col in enumerate(a_cols):
-            row = {r * q + k: x for k, x in a_col}  # (T A)_{rc} = sum_k T_{rk} A_{kc}
-            for k, x in b_nz:  # (B T)_{rc} = sum_k B_{rk} T_{kc}
-                row[k * q + c] = row.get(k * q + c, 0) + x
-            if not row.get(r * q + c, 1):
-                del row[r * q + c]
-            rows.append(row)
-    return rows
+    row, for A (q x q) and B (p x p) given by their nonzero (row, col,
+    value) entries: ``{r q + c: row}`` over the nonempty rows, each a dict
+    of nonzeros.  Row r q + c holds A[k][c] at r q + k and B[r][k] at
+    k q + c; the two meet only at r q + c, dropped there when they cancel."""
+    rows = {}
+    for k, c, x in a:  # (T A)_{rc} = sum_k T_{rk} A_{kc}
+        for r in range(p):
+            rows.setdefault(r * q + c, {})[r * q + k] = x
+    for r, k, y in b:  # (B T)_{rc} = sum_k B_{rk} T_{kc}
+        for c in range(q):
+            row = rows.setdefault(r * q + c, {})
+            s = row.pop(k * q + c, 0) + y
+            if s:
+                row[k * q + c] = s
+    return {i: row for i, row in rows.items() if row}
+
+
+def _intertwiners(rep: SymplecticRep, ra: range, rb: range):
+    """Basis of the len(rb) x len(ra) matrices T, flattened, with
+    T rho_a(X) = rho_b(X) T for every basis image, rho_a and rho_b the
+    diagonal blocks of rho(X) on the coordinate ranges ra and rb."""
+    maps = []
+    for flat in rep._rho_flat:
+        at = [(*divmod(p, rep.dimV), x) for p, x in flat.items()]
+        a = [(r - ra.start, c - ra.start, x) for r, c, x in at if r in ra and c in ra]
+        b = [(r - rb.start, c - rb.start, -x) for r, c, x in at if r in rb and c in rb]
+        maps.append(_sylvester(a, b, len(rb), len(ra)).values())
+    return _joint_kernel(maps, len(ra) * len(rb))
 
 
 def commutant(rep: SymplecticRep):
     """Basis of End_g(V), computed as the joint kernel of
     A -> A rho(X_i) - rho(X_i) A."""
     m = rep.dimV
-    ker = _joint_kernel([_sylvester(R, -R) for R in rep.rho], m * m)
+    ker = _intertwiners(rep, range(m), range(m))
     return [ExactMatrix([v[r * m : (r + 1) * m] for r in range(m)]) for v in ker]
 
 
@@ -363,10 +367,7 @@ def hom_space(rep: SymplecticRep, a: int, b: int) -> int:
     cons = rep.constituents()
     if not (0 <= a < len(cons) and 0 <= b < len(cons)):
         raise IndexError("constituent index out of range")
-    ra, rb = range(*cons[a][1]), range(*cons[b][1])
-    # unknown T (len(rb) x len(ra)): T Ra - Rb T = 0
-    maps = [_sylvester(R.submatrix(ra, ra), -R.submatrix(rb, rb)) for R in rep.rho]
-    return len(_joint_kernel(maps, len(ra) * len(rb)))
+    return len(_intertwiners(rep, range(*cons[a][1]), range(*cons[b][1])))
 
 
 @dataclass(frozen=True)
@@ -500,7 +501,9 @@ def sl2_sym_cube() -> SymplecticRep:
     symmetric_part = [
         {r * 4 + c: 1, c * 4 + r: 1} if r != c else {r * 5: 2} for r in range(4) for c in range(4)
     ]
-    ker = _joint_kernel([_sylvester(R, R.transpose()) for R in rho] + [symmetric_part], 16)
+    entries = [[(*divmod(p, 4), x) for p, x in _flattened(R).items()] for R in rho]
+    maps = [_sylvester(a, [(c, r, x) for r, c, x in a], 4, 4).values() for a in entries]
+    ker = _joint_kernel(maps + [symmetric_part], 16)
     if len(ker) != 1:
         raise InvariantFormError(f"expected a unique invariant form up to scale, found {len(ker)}")
     v = ker[0]

@@ -221,8 +221,9 @@ class ExactMatrix:
 # {column: nonzero int} and hands back the reduced row echelon form as
 # {pivot column: primitive sparse int row}.  The public callers reach it
 # through one adapter, _sparse_rows: mat_rank_kernel (_row_echelon),
-# solve_linear on [A | b], inverse and _cleared_inverse on [M | I]; petri
-# and lie build their rows sparse.  _echelon takes the rows sparsest first
+# solve_linear on [A | b], inverse, and _inverse_rows on [M | I] for cech's
+# _cleared_inverse and the moment Gram inverse (_cleared_rows); petri and
+# lie build their rows sparse.  _echelon takes the rows sparsest first
 # and stops once the rank is full, never reading the rows past that point.
 # The reduced form is unique and each caller divides a row only by its own
 # pivot entry (or clears the quotients, _cleared_rows), so no result

@@ -25,8 +25,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .lie import SymplecticRep, nonzero_entries
-from .matrix import ExactMatrix, _clear_denominators, _cleared_inverse, char_poly
+from .lie import SymplecticRep
+from .matrix import ExactMatrix, _clear_denominators, _cleared_rows, _inverse_rows, char_poly
 from .rings import is_zero
 
 
@@ -45,13 +45,13 @@ class MomentContext:
     denominator) and the structure constants (likewise) are all kept as
     sparse integer (row, col, value) entries.
 
-    The Gram inverse comes from ``matrix._cleared_inverse``: with den_G the
-    lcm of the reduced denominators of G^-1, den_G G^-1 is an integer
-    matrix, kept as sparse columns.  The A_j = rho_j^T Omega are cleared of
-    their common denominator t, so every sum below is an integer multiple
-    of 1/(den_G t), and q is den_G t over the gcd of den_G t and all sums:
-    the lcm of their reduced denominators, whatever common denominator
-    den_G is.
+    The Gram inverse comes as sparse rows (``matrix._cleared_rows`` of
+    ``_inverse_rows``): with den_G the lcm of the reduced denominators of
+    G^-1, row k of den_G G^-1 is an integer row.  The A_j = rho_j^T Omega
+    are cleared of their common denominator t, so every sum below is an
+    integer multiple of 1/(den_G t), and q is den_G t over the gcd of den_G t
+    and all sums: the lcm of their reduced denominators, whatever common
+    denominator den_G is.
     """
 
     def __init__(self, rep: SymplecticRep, b_scale=1):
@@ -59,36 +59,30 @@ class MomentContext:
             raise InvalidContextError("B-scale must be nonzero")
         self.rep = rep
         gram = rep.algebra.trace_gram().scale(b_scale)
-        self.gram_B = gram
+        D = rep.algebra.dim
         try:
-            den_g, ginv = _cleared_inverse(gram)
+            den_g, ginv = _cleared_rows(_inverse_rows(gram), D)
         except ValueError as exc:
             raise InvalidContextError("Gram matrix of B is singular") from exc
-        D = rep.algebra.dim
-        # ginv_cols[j] lists (k, den_G ginv[k][j]) over the nonzero entries
-        ginv_cols = [[] for _ in range(D)]
-        for k, j, x in nonzero_entries(ginv):
-            ginv_cols[j].append((k, x))
-        omega_rows = {}
-        for m, c, w in nonzero_entries(rep.omega):
-            omega_rows.setdefault(m, []).append((c, w))
+        omega_rows = [[(c, w) for c, w in enumerate(row) if w] for row in rep.omega.entries]
         # rhs_j(psi) = omega(rho(X_j) psi, psi) = psi^T A_j psi, A_j = rho_j^T Omega,
         # and Z_k / q = sum_j ginv[k][j] A_j
-        rho = [nonzero_entries(R) for R in rep.rho]
+        rho = [[(*divmod(p, rep.dimV), x) for p, x in flat.items()] for flat in rep._rho_flat]
         As = []
         for entries in rho:
             A = {}
             for m, r, x in entries:
-                for c, w in omega_rows.get(m, ()):
+                for c, w in omega_rows[m]:
                     A[r, c] = A.get((r, c), 0) + x * w
             As.append(A)
         As, t = _cleared([list(A.items()) for A in As])
-        qs = [{} for _ in range(D)]
-        for col, A in zip(ginv_cols, As):
-            for k, g in col:
-                f = qs[k]
-                for rc, a in A:
+        qs = []
+        for row in ginv:
+            f = {}
+            for j, g in sorted(row.items()):
+                for rc, a in As[j]:
                     f[rc] = f.get(rc, 0) + g * a
+            qs.append(f)
         h = math.gcd(den_g * t, *(x for f in qs for x in f.values()))
         self._q_inv = Fraction(h, den_g * t)
         self._Z = [_sparse({rc: x // h for rc, x in f.items()}) for f in qs]

@@ -13,14 +13,17 @@ the joint kernels of ``commutant`` and ``hom_space`` replaced: one kernel,
 one dense product and one ``apply`` per map, where the package takes one
 kernel of the stacked rows.  ``dense_sylvester`` is the dense matrix of the
 map whose sparse rows ``lie._sylvester`` yields; the oracles above take
-their inputs from it, not from the code they check.
+their inputs from it, not from the code they check.  ``dense_invariance_checks``
+is the scan ``verify_symplectic_rep`` replaced: every entry of every rho in
+a column of a constituent's span and a row outside it, where the package
+reads only the nonzeros of each rho.
 """
 
 from fractions import Fraction
 
 from matrix_oracles import _rref
 from spinorlab.matrix import ExactMatrix, mat_rank_kernel, standard_omega
-from spinorlab.rings import _is_rat
+from spinorlab.rings import _is_rat, is_zero
 
 
 def dense_combination(coords, mats, d):
@@ -46,6 +49,21 @@ def dense_sylvester(A, B):
                 row[k * q + c] += B.entries[r][k]  # (B T)_{rc} = sum_k B_{rk} T_{kc}
             rows.append(row)
     return ExactMatrix(rows, cols=p * q)
+
+
+def dense_invariance_checks(rep):
+    """("invariance of <tag>", ok) for each constituent, in order: ok when
+    rho maps the constituent's span into itself, read entry by entry."""
+    checks = []
+    for tag, (lo, hi) in rep.constituents():
+        inv_ok = all(
+            is_zero(R.entries[r][c])
+            for R in rep.rho
+            for c in range(lo, hi)
+            for r in list(range(0, lo)) + list(range(hi, rep.dimV))
+        )
+        checks.append((f"invariance of {tag}", inv_ok))
+    return checks
 
 
 def iterative_kernel(maps):

@@ -6,14 +6,14 @@ equivariance check.  The routes below are the direct ones it replaced: the
 differential as the eps-linear part of mu over the dual numbers, and the
 equivariance identity checked on ambient matrices.  ``MomentContext`` reads
 its Gram inverse from integer rows and forms its sums in integers; the
-Fraction route it replaced is ``fraction_context_fields``.
+Fraction route it replaced is ``fraction_context_fields``, which scans
+omega and each rho for their nonzeros itself rather than through the package.
 """
 
 import math
 from fractions import Fraction
 
 from matrix_oracles import rref_inverse
-from spinorlab.lie import nonzero_entries
 from spinorlab.moment import moment_map
 from spinorlab.rings import Dual
 
@@ -43,12 +43,12 @@ def fraction_context_fields(rep, b_scale=1):
     ginv = rref_inverse(rep.algebra.trace_gram().scale(b_scale))
     D = rep.algebra.dim
     omega_rows = {}
-    for m, c, w in nonzero_entries(rep.omega):
+    for m, c, w in _nonzeros(rep.omega):
         omega_rows.setdefault(m, []).append((c, w))
     qs = [{} for _ in range(D)]
     for j, R in enumerate(rep.rho):
         A = {}
-        for m, r, x in nonzero_entries(R):
+        for m, r, x in _nonzeros(R):
             for c, w in omega_rows.get(m, ()):
                 A[r, c] = A.get((r, c), 0) + x * w
         for k in range(D):
@@ -65,7 +65,7 @@ def fraction_context_fields(rep, b_scale=1):
             P[r, c] = P.get((r, c), 0) + v
             P[c, r] = P.get((c, r), 0) + v
         S.append(_sparse(P))
-    rho = [nonzero_entries(R) for R in rep.rho]
+    rho = [_nonzeros(R) for R in rep.rho]
     rho_den = math.lcm(*(Fraction(x).denominator for e in rho for _, _, x in e))
     table = rep.algebra.structure_constants
     bracket_den = math.lcm(*(Fraction(x).denominator for cs in table.values() for x in cs.values()))
@@ -82,6 +82,11 @@ def fraction_context_fields(rep, b_scale=1):
         "_bracket_den": bracket_den,
         "_ad": ad,
     }
+
+
+def _nonzeros(M):
+    """The nonzero entries of a matrix as (row, col, value), row by row."""
+    return [(r, c, x) for r, row in enumerate(M.entries) for c, x in enumerate(row) if x]
 
 
 def _sparse(entries):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lie_oracles import dense_sylvester
+from lie_oracles import dense_invariance_checks, dense_sylvester
 from spinorlab.lie import (
     InvariantFormError,
     MatrixLieAlgebra,
@@ -137,6 +137,10 @@ _CORRUPTED = {
 }
 
 
+def _invariance_checks(rep):
+    return [check for check in verify_symplectic_rep(rep).checks if check[0].startswith("invariance of ")]
+
+
 class TestVerify:
     def test_sp4_standard_passes(self):
         report = verify_symplectic_rep(sp_standard(2))
@@ -175,6 +179,46 @@ class TestVerify:
     def test_each_failing_check_is_reported(self, case):
         rep, failed = _CORRUPTED[case]()
         assert verify_symplectic_rep(rep).failed_names() == failed
+
+    @pytest.mark.parametrize("case", list(_CORRUPTED))
+    def test_invariance_matches_the_dense_scan_on_corrupted_reps(self, case):
+        rep, _ = _CORRUPTED[case]()
+        assert _invariance_checks(rep) == dense_invariance_checks(rep)
+
+    def test_invariance_matches_the_dense_scan_on_built_in_reps(self):
+        reps = [sp_standard(n) for n in (1, 2, 3, 4)]
+        reps += [sl2_standard(), sl2_w_plus_wdual(), sl2_sym_cube(), trivial_rep(sl2_algebra(), n=2)]
+        reps += [direct_sum(r1, r2) for r1, r2 in itertools.product(reps[4:], repeat=2)]
+        reps.append(conjugate_rep(sp_standard(2), random_symplectic(2, 3)))
+        for rep in reps:
+            checks = _invariance_checks(rep)
+            assert checks == dense_invariance_checks(rep)
+            assert len(checks) == len(rep.constituents()) and all(ok for _, ok in checks)
+
+    def test_invariance_matches_the_dense_scan_under_single_entry_changes(self):
+        """One entry of one rho set to a random value, on sums whose
+        constituents sit at different offsets: the flat scan reads columns
+        as columns, and both verdicts occur."""
+        rng = random.Random(19)
+        bases = [
+            direct_sum(sl2_w_plus_wdual(), sl2_sym_cube()),
+            direct_sum(sl2_sym_cube(), sl2_standard()),
+            direct_sum(sp_standard(1), sp_standard(1)),
+        ]
+        seen = set()
+        for _ in range(300):
+            rep = rng.choice(bases)
+            d = rep.dimV
+            i, r, c = rng.randrange(len(rep.rho)), rng.randrange(d), rng.randrange(d)
+            R = [list(row) for row in rep.rho[i].entries]
+            R[r][c] = rng.choice([0, 1, -2, Fraction(1, 3)])
+            rho = list(rep.rho)
+            rho[i] = ExactMatrix(R)
+            bad = SymplecticRep(rep.algebra, rep.omega, rho, rep.summands)
+            checks = _invariance_checks(bad)
+            assert checks == dense_invariance_checks(bad), (i, r, c)
+            seen.update(ok for _, ok in checks)
+        assert seen == {True, False}
 
     def test_homomorphism_random_pairs(self):
         rng = random.Random(2)
@@ -248,31 +292,69 @@ class TestCommutant:
             assert len(commutant(conj)) == len(commutant(rep))
 
 
+def _nonzeros(M):
+    return [(r, c, x) for r, row in enumerate(M.entries) for c, x in enumerate(row) if x]
+
+
 class TestSylvester:
     def test_against_brute_force_products(self):
-        """The rows hold the nonzeros of the dense oracle's rows, with the
-        terms that cancel dropped (B = -A cancels on every row r = c), and
-        applied to T they give T A + B T."""
+        """The rows, keyed by position, are the nonzeros of the dense
+        oracle's nonempty rows, with the terms that cancel dropped (B = -A
+        cancels on every row r = c), and applied to T they give T A + B T."""
         rng = random.Random(23)
 
-        def rand(rows, cols):
+        def rand(rows, cols, density=1.0):
             return ExactMatrix(
-                [[Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(cols)]
-                 for _ in range(rows)]
+                [[Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3])) if rng.random() < density else 0
+                  for _ in range(cols)] for _ in range(rows)]
             )
 
-        for p, q in [(2, 3), (3, 2), (1, 4), (4, 4), (3, 3)]:
-            A, B, T = rand(q, q), rand(p, p), rand(p, q)
-            for B in (B, -A) if p == q else (B,):
-                rows = _sylvester(A, B)
-                assert rows == [
-                    {j: x for j, x in enumerate(r) if x} for r in dense_sylvester(A, B).entries
-                ]
+        shapes = [(2, 3), (3, 2), (1, 4), (4, 4), (3, 3), (4, 3), (5, 5)]
+        for (p, q), density in itertools.product(shapes, (1.0, 0.2)):
+            A, B, T = rand(q, q, density), rand(p, p, density), rand(p, q)
+            for B in (B, -A, ExactMatrix.zeros(p, p)) if p == q else (B,):
+                rows = _sylvester(_nonzeros(A), _nonzeros(B), p, q)
+                assert rows == {
+                    i: {j: x for j, x in enumerate(r) if x}
+                    for i, r in enumerate(dense_sylvester(A, B).entries) if any(r)
+                }
+                assert all(rows.values())
                 t = [x for r in T.entries for x in r]
                 want = T * A + B * T
-                assert [sum(x * t[j] for j, x in row.items()) for row in rows] == [
+                assert [sum(x * t[j] for j, x in rows.get(i, {}).items()) for i in range(p * q)] == [
                     x for r in want.entries for x in r
                 ]
+
+    def test_no_row_is_empty(self):
+        """A row whose only two terms cancel is dropped with them, and a row
+        that neither matrix reaches is never built: for A = diag(1, 0, 2),
+        T A - A T has (a_c - a_r) T_rc at r q + c, zero on the diagonal."""
+        A = ExactMatrix([[1, 0, 0], [0, 0, 0], [0, 0, 2]])
+        rows = _sylvester(_nonzeros(A), _nonzeros(-A), 3, 3)
+        assert rows == {1: {1: -1}, 2: {2: 1}, 3: {3: 1}, 5: {5: 2}, 6: {6: -1}, 7: {7: -2}}
+        assert _sylvester([], [], 3, 3) == {}
+        for rep in (sp_standard(3), direct_sum(sl2_w_plus_wdual(), sl2_sym_cube())):
+            d = rep.dimV
+            for flat in rep._rho_flat:
+                at = [(*divmod(p, d), x) for p, x in flat.items()]
+                assert all(_sylvester(at, [(r, c, -x) for r, c, x in at], d, d).values())
+
+    def test_commutant_and_hom_space_build_no_dense_block(self, monkeypatch):
+        """Every Sylvester set-up reads the nonzeros of rho: no negated copy
+        and no submatrix of a representation matrix is formed.  The
+        dimensions are Schur's: W is self-dual, Sym3 is not W."""
+        rep = direct_sum(sl2_w_plus_wdual(), sl2_sym_cube())
+
+        def refuse(*args):
+            raise AssertionError("dense block of a representation matrix")
+
+        monkeypatch.setattr(ExactMatrix, "submatrix", refuse)
+        monkeypatch.setattr(ExactMatrix, "__neg__", refuse)
+        assert len(commutant(rep)) == 5
+        cons = rep.constituents()
+        assert len(cons) == 3
+        dims = {(a, b): hom_space(rep, a, b) for a, b in itertools.product(range(3), repeat=2)}
+        assert dims == {(a, b): int(a == b or {a, b} == {0, 1}) for a, b in dims}
 
 
 class TestHomSpace:

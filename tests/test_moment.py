@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from spinorlab.lie import MatrixLieAlgebra, Summand, SymplecticRep, sp_standard, sl2_w_plus_wdual
-from spinorlab.matrix import ExactMatrix, rank, standard_omega
+from moment_oracles import fraction_context_fields
+from spinorlab.lie import MatrixLieAlgebra, Summand, SymplecticRep, sl2_algebra, sp_standard, sl2_w_plus_wdual
+from spinorlab.matrix import ExactMatrix, _cleared_rows, _inverse_rows, rank, standard_omega
 from spinorlab.moment import (
     InvalidContextError,
     MomentContext,
@@ -165,6 +166,20 @@ class TestEquivariance:
         ctx = MomentContext(corrupted)
         ok, res = equivariance_check(ctx, [1, 1], [1, 0, 0])
         assert not ok and not res.is_zero
+
+    def test_context_on_a_skew_basis_matches_the_fraction_route(self):
+        """sl2 in the basis (f, h, e + f), whose cleared Gram inverse has a
+        row of two nonzeros that the elimination leaves out of column order:
+        each Z_k still sums its row's terms in ascending j, as the oracle."""
+        e, h, f = sl2_algebra().basis
+        alg = MatrixLieAlgebra([f, h, e + f])
+        rep = SymplecticRep(alg, standard_omega(1), alg.basis, [Summand("irreducible", 0, 2)])
+        rows = _cleared_rows(_inverse_rows(alg.trace_gram()), alg.dim)[1]
+        assert any(list(row) != sorted(row) for row in rows)
+        for b_scale in (1, 5, Fraction(-2, 3)):
+            ctx = MomentContext(rep, b_scale)
+            want = fraction_context_fields(rep, b_scale)
+            assert {field: getattr(ctx, field) for field in want} == want
 
     def test_singular_gram_rejected(self):
         e = ExactMatrix([[0, 1], [0, 0]])
