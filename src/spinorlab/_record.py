@@ -1,0 +1,44 @@
+"""Immutable value records.
+
+A record class lists its field names in ``_fields`` and writes its own
+``__init__``, which stores each field into ``self.__dict__`` in that order
+and then runs the class's checks.  ``Record`` supplies what the fields
+determine: equality against the same class only, a hash of the field tuple,
+the repr ``Name(a=1, b=2)``, and refusal of every attribute assignment or
+deletion.  Attributes outside ``_fields`` (the values of a
+``functools.cached_property``, which writes to ``__dict__`` directly) take no
+part in equality, hashing or the repr.  Instances keep their ``__dict__``, so
+``pickle`` and ``copy`` restore them without calling ``__setattr__``.
+
+Plain classes cost nothing to build at import, where a code-generating
+decorator compiles several methods for each class.
+"""
+
+from __future__ import annotations
+
+
+class Record:
+    _fields: tuple = ()
+
+    def _values(self) -> tuple:
+        d = self.__dict__
+        return tuple([d[f] for f in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        d = self.__dict__
+        body = ", ".join([f"{f}={d[f]!r}" for f in self._fields])
+        return f"{self.__class__.__qualname__}({body})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")

@@ -11,9 +11,9 @@ exact Laurent identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .matrix import ExactMatrix, is_symplectic, line_block_form, rank
 from .rings import LaurentPoly, is_zero
 
@@ -33,26 +33,27 @@ def graded_weights(n: int) -> tuple:
     return tuple([1] + [0] * (2 * n - 2) + [-1])
 
 
-@dataclass(frozen=True)
-class GradedHiggsModel:
-    weights: tuple
-    omega: ExactMatrix
-    phi: ExactMatrix
+class GradedHiggsModel(Record):
+    _fields = ("weights", "omega", "phi")
 
-    def __post_init__(self):
-        dim = len(self.weights)
-        if self.omega.rows != dim or self.phi.rows != dim or not self.phi.is_square:
+    def __init__(self, weights: tuple, omega: ExactMatrix, phi: ExactMatrix):
+        d = self.__dict__
+        d["weights"] = weights
+        d["omega"] = omega
+        d["phi"] = phi
+        dim = len(weights)
+        if omega.rows != dim or phi.rows != dim or not phi.is_square:
             raise ValueError("dimension mismatch")
-        if self.omega.transpose() != -self.omega or rank(self.omega) != dim:
+        if omega.transpose() != -omega or rank(omega) != dim:
             raise ValueError("form is not symplectic: not antisymmetric or degenerate")
-        ws = sorted(self.weights)
+        ws = sorted(weights)
         if ws != sorted([1] + [0] * (dim - 2) + [-1]):
             raise ValueError("weight multiset must be one +1, one -1, rest 0")
         for i in range(dim):
             for j in range(dim):
-                x = self.omega.entries[i][j]
+                x = omega.entries[i][j]
                 if not is_zero(x):
-                    if self.weights[i] + self.weights[j] != 0:
+                    if weights[i] + weights[j] != 0:
                         raise ValueError("form pairs slots of nonzero total weight")
 
     @property

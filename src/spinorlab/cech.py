@@ -18,9 +18,9 @@ differentials and their ranks once.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import Record
 from .matrix import ExactMatrix, _cleared_inverse, _integer_rows, mat_rank_kernel, rank
 
 
@@ -32,12 +32,21 @@ class EulerCharError(ValueError):
     """The two Euler characteristic formulas disagree."""
 
 
-@dataclass(frozen=True)
-class TwoTermCechModel:
-    cech_d0: ExactMatrix  # A00 -> A01
-    cech_d1: ExactMatrix  # A10 -> A11
-    diff_a0: ExactMatrix  # A00 -> A10
-    diff_a1: ExactMatrix  # A01 -> A11
+class TwoTermCechModel(Record):
+    _fields = ("cech_d0", "cech_d1", "diff_a0", "diff_a1")
+
+    def __init__(
+        self,
+        cech_d0: ExactMatrix,  # A00 -> A01
+        cech_d1: ExactMatrix,  # A10 -> A11
+        diff_a0: ExactMatrix,  # A00 -> A10
+        diff_a1: ExactMatrix,  # A01 -> A11
+    ):
+        d = self.__dict__
+        d["cech_d0"] = cech_d0
+        d["cech_d1"] = cech_d1
+        d["diff_a0"] = diff_a0
+        d["diff_a1"] = diff_a1
 
     @property
     def dims(self):
@@ -111,15 +120,24 @@ def euler_char(model: TwoTermCechModel) -> int:
     return from_cohomology
 
 
-@dataclass(frozen=True)
-class ComplexMorphism:
+class ComplexMorphism(Record):
     """Morphism of two-term models that is the identity on the degree-0 part
     (the models share A00, A01 and the Cech differential between them)."""
 
-    source: TwoTermCechModel
-    target: TwoTermCechModel
-    phi1_0: ExactMatrix  # A10_src -> A10_tgt
-    phi1_1: ExactMatrix  # A11_src -> A11_tgt
+    _fields = ("source", "target", "phi1_0", "phi1_1")
+
+    def __init__(
+        self,
+        source: TwoTermCechModel,
+        target: TwoTermCechModel,
+        phi1_0: ExactMatrix,  # A10_src -> A10_tgt
+        phi1_1: ExactMatrix,  # A11_src -> A11_tgt
+    ):
+        d = self.__dict__
+        d["source"] = source
+        d["target"] = target
+        d["phi1_0"] = phi1_0
+        d["phi1_1"] = phi1_1
 
     def validate(self):
         """Raise InvalidModelError unless both models are valid and phi
@@ -153,12 +171,21 @@ def _preimage_dim(K: ExactMatrix, T: ExactMatrix, B: ExactMatrix, rank_b: int) -
     return K.cols + rank_b - rank(ExactMatrix.from_blocks([[T * K, B]]))
 
 
-@dataclass(frozen=True)
-class ChaseVerdict:
-    hypothesis: bool     # degree-1 map injective on ker(cech_d1) of the source
-    conclusion: bool     # induced map on H^1 injective
-    h1_source: int
-    h1_target: int
+class ChaseVerdict(Record):
+    _fields = ("hypothesis", "conclusion", "h1_source", "h1_target")
+
+    def __init__(
+        self,
+        hypothesis: bool,  # degree-1 map injective on ker(cech_d1) of the source
+        conclusion: bool,  # induced map on H^1 injective
+        h1_source: int,
+        h1_target: int,
+    ):
+        d = self.__dict__
+        d["hypothesis"] = hypothesis
+        d["conclusion"] = conclusion
+        d["h1_source"] = h1_source
+        d["h1_target"] = h1_target
 
     @property
     def implication_holds(self) -> bool:
@@ -195,13 +222,16 @@ def j_injectivity_experiment(morphism: ComplexMorphism) -> ChaseVerdict:
 # -- five-term exact sequence --------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuotientSpace:
+class QuotientSpace(Record):
     """Subquotient span(Z)/span(B) of an ambient coordinate space; Z columns
     are independent and span(B) is contained in span(Z)."""
 
-    Z: ExactMatrix
-    B: ExactMatrix
+    _fields = ("Z", "B")
+
+    def __init__(self, Z: ExactMatrix, B: ExactMatrix):
+        d = self.__dict__
+        d["Z"] = Z
+        d["B"] = B
 
     @cached_property
     def rank_z(self) -> int:
@@ -216,15 +246,27 @@ class QuotientSpace:
         return self.Z.cols - self.rank_b
 
 
-@dataclass(frozen=True)
-class FiveTermData:
-    spaces: tuple       # five QuotientSpace nodes
-    maps: tuple         # four ambient matrices
+class FiveTermData(Record):
+    _fields = ("spaces", "maps")
+
+    def __init__(
+        self,
+        spaces: tuple,  # five QuotientSpace nodes
+        maps: tuple,  # four ambient matrices
+    ):
+        d = self.__dict__
+        d["spaces"] = spaces
+        d["maps"] = maps
 
 
-@dataclass(frozen=True)
-class ExactnessReport:
-    nodes: tuple  # (name, composite_zero, rank_in, rank_out, dim, exact)
+class ExactnessReport(Record):
+    _fields = ("nodes",)
+
+    def __init__(
+        self,
+        nodes: tuple,  # (name, composite_zero, rank_in, rank_out, dim, exact)
+    ):
+        self.__dict__["nodes"] = nodes
 
     @property
     def all_exact(self) -> bool:

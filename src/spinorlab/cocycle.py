@@ -32,11 +32,11 @@ and is the independent check of ``necessity_solve``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
 
+from ._record import Record
 from .matrix import (
     ExactMatrix,
     _clear_denominators,
@@ -100,8 +100,7 @@ def _line_inverse(l):
     return q if var is None else LaurentPoly(var, {e: q})
 
 
-@dataclass(frozen=True)
-class BlockCocycle:
+class BlockCocycle(Record):
     """Transition data (l, d, a | u, gamma) for one chart overlap.
 
     l is the invertible line transition (a nonzero rational or a unit Laurent
@@ -110,22 +109,25 @@ class BlockCocycle:
     gamma the mixed column block.
     """
 
-    n: int
-    l: object
-    u: ExactMatrix
-    d: tuple
-    a: object
-    gamma: tuple
+    _fields = ("n", "l", "u", "d", "a", "gamma")
 
-    def __post_init__(self):
-        self._check_blocks()
-        if not is_symplectic(self.u, middle_theta(self.n)):
+    def __init__(self, n: int, l: object, u: ExactMatrix, d: tuple, a: object, gamma: tuple):
+        self._set_blocks(n, l, u, d, a, gamma)
+        if not is_symplectic(u, middle_theta(n)):
             raise InvalidCocycleError("middle block is not symplectic")
 
-    def _check_blocks(self):
-        _inverse_term(self.l)
-        k = 2 * self.n - 2
-        if self.u.rows != k or len(self.d) != k or len(self.gamma) != k:
+    def _set_blocks(self, n, l, u, d, a, gamma):
+        """Store the fields and run every check but the symplectic one."""
+        attrs = self.__dict__
+        attrs["n"] = n
+        attrs["l"] = l
+        attrs["u"] = u
+        attrs["d"] = d
+        attrs["a"] = a
+        attrs["gamma"] = gamma
+        _inverse_term(l)
+        k = 2 * n - 2
+        if u.rows != k or len(d) != k or len(gamma) != k:
             raise InvalidCocycleError("block sizes inconsistent with n")
 
     @classmethod
@@ -133,11 +135,9 @@ class BlockCocycle:
         """Internal constructor for a u already known to preserve
         ``middle_theta(n)``: a u from ``random_symplectic(n - 1, ...)``, which
         checked it against that form, or the u of a cocycle built before.
-        Runs every check of ``__post_init__`` but the symplectic one."""
+        Runs every check of ``__init__`` but the symplectic one."""
         self = object.__new__(cls)
-        for name, value in zip(("n", "l", "u", "d", "a", "gamma"), (n, l, u, d, a, gamma)):
-            object.__setattr__(self, name, value)
-        self._check_blocks()
+        self._set_blocks(n, l, u, d, a, gamma)
         return self
 
 
@@ -346,11 +346,14 @@ def perturb_gamma(c: BlockCocycle, slot: int = 0, amount=1) -> BlockCocycle:
     return BlockCocycle._with_symplectic_u(c.n, c.l, c.u, c.d, c.a, tuple(gamma))
 
 
-@dataclass(frozen=True)
-class NecessityResult:
-    gamma: tuple
-    system_rank: int
-    unknowns: int
+class NecessityResult(Record):
+    _fields = ("gamma", "system_rank", "unknowns")
+
+    def __init__(self, gamma: tuple, system_rank: int, unknowns: int):
+        d = self.__dict__
+        d["gamma"] = gamma
+        d["system_rank"] = system_rank
+        d["unknowns"] = unknowns
 
     @property
     def unique(self) -> bool:

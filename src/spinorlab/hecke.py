@@ -11,9 +11,9 @@ basis completion, whose output is certified mod z^prec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .matrix import ExactMatrix, in_sp, is_symplectic, rank, standard_omega
 from .moment import gaiotto_field
 from .rings import LaurentPoly, MultiPoly, as_poly, dot
@@ -48,17 +48,17 @@ def series_inverse(p: MultiPoly, prec: int) -> MultiPoly:
     return MultiPoly((_Z,), {(k,): c for k, c in enumerate(inv) if c != 0})
 
 
-@dataclass(frozen=True)
-class TruncatedSeriesVector:
+class TruncatedSeriesVector(Record):
     """Vector of polynomials in z, with identities asserted mod z^precision."""
 
-    entries: tuple
-    precision: int
+    _fields = ("entries", "precision")
 
-    def __post_init__(self):
-        if self.precision < 1:
+    def __init__(self, entries: tuple, precision: int):
+        if precision < 1:
             raise ValueError("precision must be >= 1")
-        object.__setattr__(self, "entries", tuple(map(as_poly, self.entries)))
+        d = self.__dict__
+        d["entries"] = tuple(map(as_poly, entries))
+        d["precision"] = precision
 
     @property
     def dim(self) -> int:
@@ -139,13 +139,23 @@ def smoothing_nilpotent(n: int) -> ExactMatrix:
     return N
 
 
-@dataclass(frozen=True)
-class HeckeFamily:
-    n: int
-    m: int
-    N: ExactMatrix
-    h_t: ExactMatrix      # over Laurent-in-z, polynomial-in-t coefficients
-    h_inv: ExactMatrix    # I - t z^{-m} N, verified inverse
+class HeckeFamily(Record):
+    _fields = ("n", "m", "N", "h_t", "h_inv")
+
+    def __init__(
+        self,
+        n: int,
+        m: int,
+        N: ExactMatrix,
+        h_t: ExactMatrix,  # over Laurent-in-z, polynomial-in-t coefficients
+        h_inv: ExactMatrix,  # I - t z^{-m} N, verified inverse
+    ):
+        d = self.__dict__
+        d["n"] = n
+        d["m"] = m
+        d["N"] = N
+        d["h_t"] = h_t
+        d["h_inv"] = h_inv
 
     def at_t_zero(self) -> ExactMatrix:
         return self.h_t.map_entries(lambda p: p.substitute_coeff_var(_T, 0))
@@ -190,12 +200,21 @@ def verify_symplectic_family(fam: HeckeFamily) -> bool:
     return is_symplectic(fam.h_t, standard_omega(fam.n))
 
 
-@dataclass(frozen=True)
-class GlueReport:
-    spinor_regular: bool
-    spinor_nonzero_at_origin: bool
-    higgs_glues: bool
-    higgs_regular: bool
+class GlueReport(Record):
+    _fields = ("spinor_regular", "spinor_nonzero_at_origin", "higgs_glues", "higgs_regular")
+
+    def __init__(
+        self,
+        spinor_regular: bool,
+        spinor_nonzero_at_origin: bool,
+        higgs_glues: bool,
+        higgs_regular: bool,
+    ):
+        d = self.__dict__
+        d["spinor_regular"] = spinor_regular
+        d["spinor_nonzero_at_origin"] = spinor_nonzero_at_origin
+        d["higgs_glues"] = higgs_glues
+        d["higgs_regular"] = higgs_regular
 
     @property
     def passed(self) -> bool:

@@ -10,10 +10,10 @@ through commutant dimensions instead of running a full Meataxe.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
+from ._record import Record
 from .matrix import ExactMatrix, _cleared_rows, _echelon, _integer_row, _row_echelon, in_sp, inverse, rank, standard_omega
 from .rings import _is_rat
 
@@ -177,19 +177,28 @@ class _CoordinateSolver:
         return tuple(c)
 
 
-@dataclass(frozen=True)
-class Summand:
+class Summand(Record):
     """Declared indecomposable symplectic summand.
 
     ``kind`` is "irreducible" for an irreducible symplectic summand or
     "dual-pair" for a summand of shape W + W*, in which case ``mid`` separates
-    the two isotropic halves.
+    the two isotropic halves; any other kind, or a ``mid`` on an irreducible
+    summand, raises ValueError.
     """
 
-    kind: str
-    lo: int
-    hi: int
-    mid: int | None = None
+    _fields = ("kind", "lo", "hi", "mid")
+
+    def __init__(self, kind: str, lo: int, hi: int, mid: int | None = None):
+        d = self.__dict__
+        d["kind"] = kind
+        d["lo"] = lo
+        d["hi"] = hi
+        d["mid"] = mid
+        if kind == "irreducible":
+            if mid is not None:
+                raise ValueError("an irreducible summand has no mid")
+        elif kind != "dual-pair":
+            raise ValueError(f"a summand kind is 'irreducible' or 'dual-pair', not {kind!r}")
 
     def constituents(self, tag: str):
         if self.kind == "irreducible":
@@ -197,9 +206,11 @@ class Summand:
         return [(f"{tag}.W", (self.lo, self.mid)), (f"{tag}.W*", (self.mid, self.hi))]
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    checks: tuple
+class CheckReport(Record):
+    _fields = ("checks",)
+
+    def __init__(self, checks: tuple):
+        self.__dict__["checks"] = checks
 
     @property
     def passed(self) -> bool:
@@ -370,10 +381,17 @@ def hom_space(rep: SymplecticRep, a: int, b: int) -> int:
     return len(_intertwiners(rep, range(*cons[a][1]), range(*cons[b][1])))
 
 
-@dataclass(frozen=True)
-class SaturationVerdict:
-    status: str  # "TRUE", "FALSE", or "INCONCLUSIVE"
-    witnesses: tuple = ()
+class SaturationVerdict(Record):
+    _fields = ("status", "witnesses")
+
+    def __init__(
+        self,
+        status: str,  # "TRUE", "FALSE", or "INCONCLUSIVE"
+        witnesses: tuple = (),
+    ):
+        d = self.__dict__
+        d["status"] = status
+        d["witnesses"] = witnesses
 
     def __bool__(self):
         return self.status == "TRUE"

@@ -61,6 +61,10 @@ class ExactMatrix:
     def __setattr__(self, *a):
         raise AttributeError("ExactMatrix is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through _trusted, never through __setattr__
+        return type(self)._trusted, (self.entries, self.cols)
+
     @classmethod
     def _trusted(cls, rows: tuple, cols: int) -> "ExactMatrix":
         """Internal constructor for results of this module's own arithmetic:

@@ -24,10 +24,10 @@ the polynomial view of a section and its evaluation at a point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from ._record import Record
 from .lie import SymplecticRep
 from .matrix import ExactMatrix, ShapeError, _clear_denominators, _row_echelon
 from .moment import MomentContext, moment_map
@@ -53,11 +53,14 @@ class SectionSpace:
         self.ctx = _context(rep)
 
 
-@dataclass(frozen=True)
-class PetriMatrix:
-    space: SectionSpace
-    base_psi: tuple
-    matrix: ExactMatrix
+class PetriMatrix(Record):
+    _fields = ("space", "base_psi", "matrix")
+
+    def __init__(self, space: SectionSpace, base_psi: tuple, matrix: ExactMatrix):
+        d = self.__dict__
+        d["space"] = space
+        d["base_psi"] = base_psi
+        d["matrix"] = matrix
 
 
 def _petri_rows(space: SectionSpace, psi):

@@ -16,11 +16,11 @@ list of names; it converts them once.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Union
 
-Rat = Union[int, Fraction]
+Rat = int | Fraction
 
 
 class UnsupportedRingError(TypeError):
@@ -110,6 +110,10 @@ class MultiPoly:
 
     def __setattr__(self, *a):
         raise AttributeError("MultiPoly is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through _trusted, never through __setattr__
+        return type(self)._trusted, (self.terms,)
 
     @classmethod
     def _trusted(cls, terms: dict) -> "MultiPoly":
@@ -473,6 +477,9 @@ class LaurentPoly:
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
+
+    def __reduce__(self):
+        return type(self)._trusted, (self.var, self.coeffs)
 
     @classmethod
     def _trusted(cls, var: str, coeffs: dict) -> "LaurentPoly":

@@ -10,8 +10,7 @@ silently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
+from ._record import Record
 from .rings import MultiPoly
 
 N = MultiPoly.var("n")
@@ -22,16 +21,17 @@ class InfeasibleCaseError(ValueError):
     """The declared degree constraints are not satisfiable."""
 
 
-@dataclass(frozen=True)
-class BundleNumerics:
-    rank: int
-    degree: int
-    genus: int
+class BundleNumerics(Record):
+    _fields = ("rank", "degree", "genus")
 
-    def __post_init__(self):
-        if self.rank < 1:
+    def __init__(self, rank: int, degree: int, genus: int):
+        d = self.__dict__
+        d["rank"] = rank
+        d["degree"] = degree
+        d["genus"] = genus
+        if rank < 1:
             raise ValueError("rank must be positive")
-        if self.genus < 2:
+        if genus < 2:
             raise ValueError("genus must be >= 2")
 
 
@@ -49,12 +49,15 @@ def sp_dim(n):
     return n * (2 * n + 1)
 
 
-@dataclass(frozen=True)
-class EulerPairRecord:
-    chi_adjoint: int
-    chi_twisted_sections: int
-    chi_pair: int
-    expected: int
+class EulerPairRecord(Record):
+    _fields = ("chi_adjoint", "chi_twisted_sections", "chi_pair", "expected")
+
+    def __init__(self, chi_adjoint: int, chi_twisted_sections: int, chi_pair: int, expected: int):
+        d = self.__dict__
+        d["chi_adjoint"] = chi_adjoint
+        d["chi_twisted_sections"] = chi_twisted_sections
+        d["chi_pair"] = chi_pair
+        d["expected"] = expected
 
     @property
     def ok(self) -> bool:
@@ -78,14 +81,23 @@ def pair_euler_identity_symbolic() -> MultiPoly:
     return (ad - tw) - sp_dim(N) * (1 - G)
 
 
-@dataclass(frozen=True)
-class YDimensionRecord:
+class YDimensionRecord(Record):
     """The three-part dimension count for the reconstruction family."""
 
-    moduli_term: int          # dim of the rank 2n-2 symplectic moduli input
-    extension_term: int       # h1 of (middle block) x (dual of the spinor line)
-    torsor_term: int          # h1 of the inverse canonical bundle
-    hypotheses: tuple = field(default=())
+    _fields = ("moduli_term", "extension_term", "torsor_term", "hypotheses")
+
+    def __init__(
+        self,
+        moduli_term: int,  # dim of the rank 2n-2 symplectic moduli input
+        extension_term: int,  # h1 of (middle block) x (dual of the spinor line)
+        torsor_term: int,  # h1 of the inverse canonical bundle
+        hypotheses: tuple = (),
+    ):
+        d = self.__dict__
+        d["moduli_term"] = moduli_term
+        d["extension_term"] = extension_term
+        d["torsor_term"] = torsor_term
+        d["hypotheses"] = hypotheses
 
     @property
     def total(self) -> int:
@@ -125,8 +137,7 @@ def y_dimension_symbolic() -> MultiPoly:
 # -- stability case analysis ------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SubobjectCase:
+class SubobjectCase(Record):
     """Degree data of an isotropic subbundle respecting the spinor line.
 
     ``F_in_L``: the subbundle sits inside the spinor line (deg <= 1-g).
@@ -134,37 +145,49 @@ class SubobjectCase:
     degree, while the part meeting the line contributes at most zero.
     """
 
-    case_tag: str
-    genus: int
-    deg_f_prime: int
-    deg_s: int | None = None
-    deg_f_mod_f_prime: int | None = None
+    _fields = ("case_tag", "genus", "deg_f_prime", "deg_s", "deg_f_mod_f_prime")
 
-    def __post_init__(self):
-        if self.genus < 2:
+    def __init__(
+        self,
+        case_tag: str,
+        genus: int,
+        deg_f_prime: int,
+        deg_s: int | None = None,
+        deg_f_mod_f_prime: int | None = None,
+    ):
+        d = self.__dict__
+        d["case_tag"] = case_tag
+        d["genus"] = genus
+        d["deg_f_prime"] = deg_f_prime
+        d["deg_s"] = deg_s
+        d["deg_f_mod_f_prime"] = deg_f_mod_f_prime
+        if genus < 2:
             raise InfeasibleCaseError("genus must be >= 2")
-        if self.case_tag == "F_in_L":
-            if self.deg_f_prime > 1 - self.genus:
+        if case_tag == "F_in_L":
+            if deg_f_prime > 1 - genus:
                 raise InfeasibleCaseError(
                     "a nonzero subsheaf of the spinor line has degree <= 1-g"
                 )
-        elif self.case_tag == "F_maps_to_U":
-            if self.deg_f_prime > 0:
+        elif case_tag == "F_maps_to_U":
+            if deg_f_prime > 0:
                 raise InfeasibleCaseError("the line part contributes degree <= 0")
-            if self.deg_s is None or self.deg_s >= 0:
+            if deg_s is None or deg_s >= 0:
                 raise InfeasibleCaseError(
                     "an isotropic subbundle of a stable degree-zero block has negative degree"
                 )
-            if self.deg_f_mod_f_prime is None or self.deg_f_mod_f_prime > self.deg_s:
+            if deg_f_mod_f_prime is None or deg_f_mod_f_prime > deg_s:
                 raise InfeasibleCaseError("saturation can only increase degree")
         else:
-            raise InfeasibleCaseError(f"unknown case tag {self.case_tag!r}")
+            raise InfeasibleCaseError(f"unknown case tag {case_tag!r}")
 
 
-@dataclass(frozen=True)
-class CaseVerdict:
-    deg_f: int
-    steps: tuple
+class CaseVerdict(Record):
+    _fields = ("deg_f", "steps")
+
+    def __init__(self, deg_f: int, steps: tuple):
+        d = self.__dict__
+        d["deg_f"] = deg_f
+        d["steps"] = steps
 
     @property
     def negative(self) -> bool:

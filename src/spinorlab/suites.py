@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import bbflow, cech, cocycle, hecke, petri, rrdim
+from ._record import Record
 from .lie import sl2_sym_cube, sl2_w_plus_wdual, sp_standard
 from .matrix import ExactMatrix, in_sp, standard_omega
 from .moment import MomentContext, equivariance_check, gaiotto_field, hitchin_invariants
@@ -27,47 +27,69 @@ SCHEMA_VERSION = 1
 
 
 class ConfigError(ValueError):
-    """Unknown suite or out-of-range parameter."""
+    """Unknown suite, or a parameter that is not an int or is out of range."""
 
 
-@dataclass(frozen=True)
-class SuiteConfig:
-    suite: str
-    n: int = 2
-    g: int = 2
-    m: int = 1
-    s: int = 2
-    prec: int = 4
-    trials: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.suite not in SUITE_NAMES:
-            raise ConfigError(f"unknown suite {self.suite!r}; known: {', '.join(SUITE_NAMES)}")
-        if not 1 <= self.n <= 4:
-            raise ConfigError("n must be in 1..4")
-        if not 2 <= self.g <= 1000:
-            raise ConfigError("g must be in 2..1000")
-        if not 1 <= self.m <= 64:
-            raise ConfigError("m must be in 1..64")
-        if not 1 <= self.s <= 4:
-            raise ConfigError("s must be in 1..4")
-        if not 1 <= self.prec <= 64:
-            raise ConfigError("prec must be in 1..64")
-        if not 1 <= self.trials <= 10_000:
-            raise ConfigError("trials must be in 1..10000")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError("seed must fit in 64 bits")
+# Each int field of SuiteConfig, its inclusive bounds, and the message when
+# it is out of them; the fields are checked in this order.
+_INT_FIELDS = (
+    ("n", 1, 4, "n must be in 1..4"),
+    ("g", 2, 1000, "g must be in 2..1000"),
+    ("m", 1, 64, "m must be in 1..64"),
+    ("s", 1, 4, "s must be in 1..4"),
+    ("prec", 1, 64, "prec must be in 1..64"),
+    ("trials", 1, 10_000, "trials must be in 1..10000"),
+    ("seed", 0, 2 ** 64 - 1, "seed must fit in 64 bits"),
+)
 
 
-@dataclass
-class SuiteReport:
-    suite: str
-    config: dict
-    passed: int
-    failed: int
-    failures: list
-    wall_time: float
+class SuiteConfig(Record):
+    """Validated run parameters: a known suite name and ints in range (a
+    ``bool`` is not an int here); anything else raises ConfigError."""
+
+    _fields = ("suite", "n", "g", "m", "s", "prec", "trials", "seed")
+
+    def __init__(
+        self,
+        suite: str,
+        n: int = 2,
+        g: int = 2,
+        m: int = 1,
+        s: int = 2,
+        prec: int = 4,
+        trials: int = 100,
+        seed: int = 0,
+    ):
+        d = self.__dict__
+        d["suite"] = suite
+        d["n"] = n
+        d["g"] = g
+        d["m"] = m
+        d["s"] = s
+        d["prec"] = prec
+        d["trials"] = trials
+        d["seed"] = seed
+        if suite not in SUITE_NAMES:
+            raise ConfigError(f"unknown suite {suite!r}; known: {', '.join(SUITE_NAMES)}")
+        for name, lo, hi, message in _INT_FIELDS:
+            value = d[name]
+            if type(value) is not int:
+                raise ConfigError(f"{name} must be an int, not {type(value).__name__}")
+            if not lo <= value <= hi:
+                raise ConfigError(message)
+
+
+class SuiteReport(Record):
+    _fields = ("suite", "config", "passed", "failed", "failures", "wall_time")
+
+    def __init__(self, suite: str, config: dict, passed: int, failed: int, failures: list, wall_time: float):
+        d = self.__dict__
+        d["suite"] = suite
+        d["config"] = config
+        d["passed"] = passed
+        d["failed"] = failed
+        d["failures"] = failures
+        d["wall_time"] = wall_time
 
     def to_json_dict(self) -> dict:
         """Determinism contract: wall_time and timestamps stay out of the body."""
@@ -444,7 +466,7 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
             failures.append((prefix + "error", _error_detail(exc)))
     return SuiteReport(
         suite=config.suite,
-        config=asdict(config),
+        config={f: getattr(config, f) for f in SuiteConfig._fields},
         passed=passed,
         failed=len(failures),
         failures=failures,

@@ -535,6 +535,17 @@ class TestSummandBounds:
         with pytest.raises(ValueError):
             SymplecticRep(base.algebra, base.omega, base.rho, [Summand("dual-pair", 0, 4)])
 
+    @pytest.mark.parametrize("kind", ["dual-pairs", "dual", "irr", "Irreducible", ""])
+    def test_unknown_kind_rejected(self, kind):
+        # a misspelt dual pair used to be skipped by the W-vs-W* test of
+        # almost_saturated_check, so sl2 W + W* came out TRUE
+        with pytest.raises(ValueError, match="irreducible' or 'dual-pair"):
+            Summand(kind, 0, 4, mid=2)
+
+    def test_mid_on_irreducible_rejected(self):
+        with pytest.raises(ValueError, match="no mid"):
+            Summand("irreducible", 0, 4, mid=2)
+
     def test_span_walk_accepts_what_the_coordinate_list_accepted(self):
         alg = sl2_algebra()
         spans = list(itertools.product(range(-1, 4), repeat=2))

@@ -49,6 +49,27 @@ class TestConfig:
         with pytest.raises(ConfigError):
             SuiteConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 2.5),
+            ("seed", 1.5),
+            ("trials", True),
+            ("n", False),
+            ("g", "2"),
+            ("m", None),
+            ("s", Fraction(2)),
+            ("prec", 4.0),
+        ],
+    )
+    def test_non_int_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} must be an int, not {type(value).__name__}"):
+            SuiteConfig(suite="dims", **{field: value})
+
+    def test_range_checked_in_field_order(self):
+        with pytest.raises(ConfigError, match="n must be in 1..4"):
+            SuiteConfig(suite="dims", n=5, g=2.5)
+
     def test_upper_bounds_accepted(self):
         cfg = SuiteConfig(suite="dims", g=1000, m=64, prec=64)
         assert (cfg.g, cfg.m, cfg.prec) == (1000, 64, 64)
