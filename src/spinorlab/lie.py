@@ -51,19 +51,27 @@ class MatrixLieAlgebra:
         self.dim = len(basis)
         self._flat = [_flattened(b) for b in basis]
         self._coord_solver = _CoordinateSolver(self._flat, d * d)
-        self.structure_constants = self._compute_structure_constants()
-
-    def _compute_structure_constants(self):
-        table: dict[tuple[int, int], dict[int, Fraction]] = {}
-        for i, j, br in _brackets(self._flat, self.ambient_dim):
+        # the closure check: den c^k_ij for i < j over the nonzero c, with
+        # den the solver's; a pair with no product term brackets to zero
+        self._den = self._coord_solver.den
+        self._scaled_constants = {}
+        for i, j, br in _brackets(self._flat, d):
             scaled = self._coord_solver.scaled_coords(br)
             if scaled is None:
                 raise ValueError("basis is not closed under the bracket")
-            den = self._coord_solver.den
-            cs = {k: Fraction(x, den) for k, x in sorted(scaled.items()) if x}
+            cs = {k: x for k, x in sorted(scaled.items()) if x}
             if cs:
-                table[(i, j)] = cs
-                table[(j, i)] = {k: -c for k, c in cs.items()}
+                self._scaled_constants[i, j] = cs
+
+    @cached_property
+    def structure_constants(self) -> dict:
+        """``{(i, j): {k: c^k_ij}}`` over the nonzero c, for i != j, as
+        Fractions: [X_i, X_j] = sum_k c^k_ij X_k."""
+        table = {}
+        for (i, j), cs in self._scaled_constants.items():
+            cs = {k: Fraction(x, self._den) for k, x in cs.items()}
+            table[i, j] = cs
+            table[j, i] = {k: -c for k, c in cs.items()}
         return table
 
     def bracket_coords(self, i: int, j: int) -> dict:
@@ -97,23 +105,36 @@ class MatrixLieAlgebra:
 
 
 def _brackets(flats, d: int):
-    """Yield (i, j, [X_i, X_j]) for every pair i < j, in order, of d x d
+    """``[(i, j, [X_i, X_j])]`` in ascending (i, j), i < j, of d x d
     matrices X given by their nonzero entries keyed by flattened position
-    (``_flattened``).  Each bracket X_i X_j - X_j X_i is a map of the same
-    kind, computed entry by entry from the nonzeros; it may hold zeros."""
-    by_row = [{} for _ in flats]
-    for rows, flat in zip(by_row, flats):
+    (``_flattened``), over the pairs whose products have a term; every
+    other pair brackets to zero.  One sparse all-pairs product, row by row
+    (Gustavson, ACM TOMS 4 (1978)): each nonzero X_i[r][m] meets every
+    nonzero X_j[m][c] of row m, adding X_i[r][m] X_j[m][c] at (r, c) to
+    [X_i, X_j] when i < j and subtracting it from [X_j, X_i] when j < i.
+    A bracket may hold zeros where its terms cancel."""
+    at_row = {}
+    for j, flat in enumerate(flats):
+        for p, y in flat.items():
+            m, c = divmod(p, d)
+            at_row.setdefault(m, []).append((j, c, y))
+    out = {}
+    for i, flat in enumerate(flats):
         for p, x in flat.items():
-            rows.setdefault(p // d, []).append((p % d, x))
-    for i in range(len(flats)):
-        for j in range(i + 1, len(flats)):
-            br = {}
-            for a, b, sign in ((i, j, 1), (j, i, -1)):
-                for r, rows in by_row[a].items():
-                    for m, x in rows:
-                        for c, y in by_row[b].get(m, ()):
-                            br[r * d + c] = br.get(r * d + c, 0) + sign * x * y
-            yield i, j, br
+            m = p % d
+            rd = p - m  # r d, for p in row r
+            for j, c, y in at_row.get(m, ()):
+                if j > i:
+                    pair, v = (i, j), x * y
+                elif j < i:
+                    pair, v = (j, i), -x * y
+                else:
+                    continue
+                br = out.get(pair)
+                if br is None:
+                    out[pair] = br = {}
+                br[rd + c] = br.get(rd + c, 0) + v
+    return [(i, j, out[i, j]) for i, j in sorted(out)]
 
 
 class _CoordinateSolver:
@@ -296,14 +317,18 @@ def verify_symplectic_rep(rep: SymplecticRep) -> CheckReport:
     for i, R in enumerate(rep.rho):
         checks.append((f"sp-membership rho(X{i})", in_sp(R, omega)))
 
-    # [rho_i, rho_j] = sum_k c^k_ij rho_k, compared on the nonzero entries
+    # den [rho_i, rho_j] = sum_k den c^k_ij rho_k, compared on the nonzero
+    # entries, over every pair where either side has a term
+    alg = rep.algebra
+    rho_brackets = {(i, j): br for i, j, br in _brackets(rep._rho_flat, rep.dimV)}
     hom = ("homomorphism on all basis pairs", True)
-    for i, j, br in _brackets(rep._rho_flat, rep.dimV):
+    for i, j in sorted(rho_brackets.keys() | alg._scaled_constants.keys()):
         want = {}
-        for k, c in rep.algebra.bracket_coords(i, j).items():
+        for k, c in alg._scaled_constants.get((i, j), {}).items():
             for p, x in rep._rho_flat[k].items():
                 want[p] = want.get(p, 0) + c * x
-        if any(br.get(p, 0) != want.get(p, 0) for p in br.keys() | want.keys()):
+        br = rho_brackets.get((i, j), {})
+        if any(alg._den * br.get(p, 0) != want.get(p, 0) for p in br.keys() | want.keys()):
             hom = (f"homomorphism fails on (X{i}, X{j})", False)
             break
     checks.append(hom)

@@ -224,11 +224,12 @@ class ExactMatrix:
 # Every Gauss-Jordan caller goes through _echelon, which takes sparse rows
 # {column: nonzero int} and hands back the reduced row echelon form as
 # {pivot column: primitive sparse int row}.  The public callers reach it
-# through one adapter, _sparse_rows: mat_rank_kernel (_row_echelon),
-# solve_linear on [A | b], inverse, and _inverse_rows on [M | I] for cech's
-# _cleared_inverse and the moment Gram inverse (_cleared_rows); petri and
-# lie build their rows sparse.  _echelon takes the rows sparsest first
-# and stops once the rank is full, never reading the rows past that point.
+# through one adapter, _sparse_rows: mat_rank_kernel (_row_echelon) and
+# solve_linear on [A | b].  _inverse_rows builds the rows of [M | I] for
+# inverse, cech's _cleared_inverse and the moment Gram inverse
+# (_cleared_rows) with one identity entry each; petri and lie build their
+# rows sparse.  _echelon takes the rows sparsest first and stops once the
+# rank is full, never reading the rows past that point.
 # The reduced form is unique and each caller divides a row only by its own
 # pivot entry (or clears the quotients, _cleared_rows), so no result
 # depends on the order of the rows or on how a row is scaled.
@@ -423,8 +424,14 @@ def _inverse_rows(M: ExactMatrix):
     if not M.is_square:
         raise ShapeError("inverse needs a square matrix")
     n = M.rows
-    ident = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    kept = _echelon(_sparse_rows([(*r, *e) for r, e in zip(M.entries, ident)]), 2 * n)
+    # row i of [M | I] is row i of M and a 1 at n + i: clear the row with its
+    # 1 (every entry type-checked), keep the nonzeros, and move the 1 to n + i
+    rows = []
+    for i, v in enumerate(_cleared((*r, 1)) for r in M.entries):
+        row = dict(compress(enumerate(v), v))
+        row[n + i] = row.pop(n)
+        rows.append(row)
+    kept = _echelon(rows, 2 * n)
     if any(c >= n for c in kept):
         raise ValueError("matrix is singular")
     return kept

@@ -94,14 +94,22 @@ class MomentContext:
                 S[c, r] = S.get((c, r), 0) + v
             self._S.append(_sparse(S))
         self._rho, self._rho_den = _cleared(rho)
-        table = rep.algebra.structure_constants
-        (brackets,), self._bracket_den = _cleared(
-            [[(i, j, k, x) for (i, j), cs in table.items() for k, x in cs.items()]]
-        )
+        # the closure check's scaled constants s = den c^k_ij for i < j,
+        # cleared by the lcm L of their denominators: c = sL / (den L) and
+        # e = den L / gcd(den L, all sL), the lcm of the reduced denominators
+        alg = rep.algebra
+        table = alg._scaled_constants
+        ints, L = _clear_denominators([x for cs in table.values() for x in cs.values()])
+        h = math.gcd(alg._den * L, *ints)
+        self._bracket_den = alg._den * L // h
         # _ad[i] lists (j, k, e c^k_ij): [X_i, X_j] = sum_k c^k_ij X_k
         self._ad = [[] for _ in range(D)]
-        for i, j, k, v in brackets:
-            self._ad[i].append((j, k, v))
+        it = iter(ints)
+        for (i, j), cs in table.items():
+            for k in cs:
+                v = next(it) // h
+                self._ad[i].append((j, k, v))
+                self._ad[j].append((i, k, -v))
 
     # -- evaluation -----------------------------------------------------
 

@@ -341,6 +341,11 @@ class FracElem:
     def __setattr__(self, *a):
         raise AttributeError("FracElem is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, which gives back
+        # the same normalized num and den
+        return type(self), (self.num, self.den)
+
     @property
     def is_zero(self) -> bool:
         return self.num.is_zero
@@ -652,6 +657,9 @@ class Dual:
 
     def __setattr__(self, *a):
         raise AttributeError("Dual is immutable")
+
+    def __reduce__(self):
+        return type(self), (self.re, self.eps)
 
     @property
     def is_zero(self) -> bool:

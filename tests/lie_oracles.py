@@ -16,7 +16,10 @@ map whose sparse rows ``lie._sylvester`` yields; the oracles above take
 their inputs from it, not from the code they check.  ``dense_invariance_checks``
 is the scan ``verify_symplectic_rep`` replaced: every entry of every rho in
 a column of a constituent's span and a row outside it, where the package
-reads only the nonzeros of each rho.
+reads only the nonzeros of each rho.  ``pairwise_brackets`` is the
+per-pair loop that ``lie._brackets`` replaced: every pair i < j in turn,
+each product X_i X_j and X_j X_i formed from the nonzeros, where the package
+takes one sparse all-pairs product.
 """
 
 from fractions import Fraction
@@ -170,3 +173,24 @@ def dense_structure_constants(basis):
                 table[(i, j)] = cs
                 table[(j, i)] = {k: -c for k, c in cs.items()}
     return table
+
+
+def pairwise_brackets(flats, d):
+    """(i, j, [X_i, X_j]) for every pair i < j, in order, of d x d matrices
+    given by their nonzero entries keyed by flattened position; a bracket
+    may hold zeros, and is empty when no product has a term."""
+    by_row = [{} for _ in flats]
+    for rows, flat in zip(by_row, flats):
+        for p, x in flat.items():
+            rows.setdefault(p // d, []).append((p % d, x))
+    out = []
+    for i in range(len(flats)):
+        for j in range(i + 1, len(flats)):
+            br = {}
+            for a, b, sign in ((i, j, 1), (j, i, -1)):
+                for r, rows in by_row[a].items():
+                    for m, x in rows:
+                        for c, y in by_row[b].get(m, ()):
+                            br[r * d + c] = br.get(r * d + c, 0) + sign * x * y
+            out.append((i, j, br))
+    return out

@@ -255,6 +255,21 @@ def test_laurent_entries_unsupported(call):
                 call(M)
 
 
+@pytest.mark.parametrize("call", [
+    lambda M: mat_rank_kernel(M),
+    lambda M: solve_linear(M, [1, 0]),
+    lambda M: inverse(M),
+    lambda M: rank(M),
+])
+def test_a_zero_that_is_not_rational_is_unsupported_too(call):
+    """Every entry is type-checked, zeros included: a row is cleared before
+    its nonzeros are kept."""
+    x = MultiPoly.var("x")
+    for bad in (0.0, x - x, LaurentPoly.term("z", 1) * 0):
+        with pytest.raises(UnsupportedRingError):
+            call(ExactMatrix([[1, bad], [0, 1]]))
+
+
 def test_int_rows_are_copied():
     """Rows of ints come back as they are but as new lists, which the
     eliminations overwrite in place; the matrix keeps its entries."""

@@ -7,8 +7,9 @@ symbol, the moment layer in Lie-algebra coordinates, and ``matrix``
 eliminates over Q only.  ``rings`` still defines both classes for the test
 oracles.  The Cech layer works on integer matrices.  ``split_linear``,
 the polynomial view of a section, the per-representation Euler pair, the
-map-by-map joint kernel and the lazy Bareiss Gauss-Jordan (``_rref_int``,
-``_reduce``) live beside the oracles that use them.  The check walks the
+map-by-map joint kernel, the lazy Bareiss Gauss-Jordan (``_rref_int``,
+``_reduce``) and the per-pair bracket loop (``pairwise_brackets``) live
+beside the oracles that use them.  The check walks the
 syntax tree with the standard library, like ``test_unused_imports``.
 """
 
@@ -31,6 +32,7 @@ TEST_ONLY = {
     "iterative_kernel",
     "_rref_int",
     "_reduce",
+    "pairwise_brackets",
 }
 
 

@@ -18,6 +18,7 @@ from spinorlab.lie import (
     Summand,
     SymplecticRep,
     _CoordinateSolver,
+    _brackets,
     almost_saturated_check,
     commutant,
     conjugate_rep,
@@ -51,11 +52,23 @@ class TestAlgebra:
             assert sp_algebra(n).dim == n * (2 * n + 1)
 
     def test_closure_violation_rejected(self):
-        # e and f alone do not close: [e,f] = h is outside the span
+        # e and f alone do not close: [e,f] = h is outside the span, with
+        # integer or rational entries
         e = ExactMatrix([[0, 1], [0, 0]])
         f = ExactMatrix([[0, 0], [1, 0]])
-        with pytest.raises(ValueError):
-            MatrixLieAlgebra([e, f])
+        for first in (e, e.scale(Fraction(1, 2))):
+            with pytest.raises(ValueError, match="^basis is not closed under the bracket$"):
+                MatrixLieAlgebra([first, f])
+
+    def test_cancelling_products_give_no_table_entry(self):
+        # I E12 and E12 I meet at the same entry and cancel: the pair has
+        # product terms, but its bracket is zero
+        one, e = ExactMatrix.identity(2), ExactMatrix([[0, 1], [0, 0]])
+        alg = MatrixLieAlgebra([one, e])
+        assert _brackets(alg._flat, 2) == [(0, 1, {1: 0})]
+        assert alg._scaled_constants == {}
+        assert alg.structure_constants == {}
+        assert alg.bracket_coords(0, 1) == alg.bracket_coords(1, 0) == {}
 
     def test_dependent_basis_rejected(self):
         e = ExactMatrix([[0, 1], [0, 0]])
@@ -132,6 +145,13 @@ _CORRUPTED = {
         # (e, h, 2f): [e, 2f] = 2h, but rho([e, f]) = rho(h) = h
         _on_sl2([[0, 1], [-1, 0]], [Summand("irreducible", 0, 2)],
                 [sl2_algebra().basis[0], sl2_algebra().basis[1], sl2_algebra().basis[2].scale(2)]),
+        ["homomorphism fails on (X0, X2)"],
+    ),
+    "rho brackets all zero": lambda: (
+        # (0, h, 0): no two images have a product term, so every rho
+        # bracket is zero, yet [e, f] = h asks for rho(h) = h
+        _on_sl2([[0, 1], [-1, 0]], [Summand("irreducible", 0, 2)],
+                [ExactMatrix.zeros(2, 2), sl2_algebra().basis[1], ExactMatrix.zeros(2, 2)]),
         ["homomorphism fails on (X0, X2)"],
     ),
 }

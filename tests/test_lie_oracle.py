@@ -1,6 +1,7 @@
 """The sparse integer set-up of a matrix Lie algebra against the routes it
-replaced (tests/lie_oracles.py): the sp(2n) bases, the structure constants and
-``coordinates_of``, values and types alike; the sparse sums behind
+replaced (tests/lie_oracles.py): the sp(2n) bases, the all-pairs brackets
+against the per-pair loop, the structure constants and ``coordinates_of``,
+values and types alike; the sparse sums behind
 ``from_coordinates`` and ``rho_of`` against the dense ones; and the joint
 kernels of ``commutant`` and ``hom_space`` against the map-by-map route and
 sympy's nullspace, all on the dense Sylvester matrices of the oracle module,
@@ -23,6 +24,7 @@ from lie_oracles import (
     dense_sylvester,
     flattened,
     iterative_kernel,
+    pairwise_brackets,
 )
 from spinorlab import lie
 from spinorlab.lie import (
@@ -106,6 +108,18 @@ def test_from_text_basis_is_fractional():
 def test_structure_constants_match_the_dense_solver(name):
     alg = ALGEBRAS[name]()
     assert exactly_equal(alg.structure_constants, dense_structure_constants(alg.basis))
+
+
+@pytest.mark.parametrize("name", list(ALGEBRAS))
+def test_brackets_match_the_per_pair_loop(name):
+    """The all-pairs product gives the per-pair loop's brackets, entry
+    order and cancelled zeros included, on exactly the pairs whose products
+    have a term, in ascending order."""
+    alg = ALGEBRAS[name]()
+    got = lie._brackets(alg._flat, alg.ambient_dim)
+    want = [(i, j, br) for i, j, br in pairwise_brackets(alg._flat, alg.ambient_dim) if br]
+    assert [(i, j) for i, j, _ in got] == [(i, j) for i, j, _ in want]
+    assert all(exactly_equal(list(g.items()), list(w.items())) for (_, _, g), (_, _, w) in zip(got, want))
 
 
 @pytest.mark.parametrize("name", list(ALGEBRAS))

@@ -108,6 +108,18 @@ def test_context_fields_match_the_fraction_route(name, b_scale):
         assert all(type(v) is int for entries in got[field] for *_, v in entries)
 
 
+def test_context_builds_no_fraction_structure_constants():
+    """``MomentContext`` reads the algebra's integer structure constants:
+    the ``Fraction`` table is built only when something asks for it."""
+    alg = MatrixLieAlgebra(sp_algebra(2).basis)
+    rep = SymplecticRep(alg, standard_omega(2), alg.basis, [Summand("irreducible", 0, 4)])
+    ctx = MomentContext(rep)
+    assert "structure_constants" not in alg.__dict__
+    assert ctx._bracket_den == 1 and any(ctx._ad)
+    assert alg.structure_constants == sp_algebra(2).structure_constants
+    assert "structure_constants" in alg.__dict__
+
+
 @pytest.mark.parametrize("name", ["sp2", "sp4", "sl2-halved"])
 def test_corrupted_rho_fails_with_the_ambient_residual(name):
     rep = REPS[name]()

@@ -1,5 +1,7 @@
 """Ring-law and structure tests for the exact coefficient tower."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -333,6 +335,41 @@ class TestDual:
         x = MultiPoly.var("x")
         d = Dual(x, MultiPoly.const(1))
         assert (d * d).eps == 2 * x
+
+
+def _pickled(x):
+    return pickle.loads(pickle.dumps(x))
+
+
+class TestFracElemAndDualRoundTrips:
+    """``pickle``, ``copy.copy`` and ``copy.deepcopy`` rebuild a ``FracElem``
+    or a ``Dual`` through its constructor, never through the immutable
+    ``__setattr__``, and give back the same parts."""
+
+    @pytest.mark.parametrize("round_trip", [_pickled, copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+    def test_frac_elem(self, round_trip):
+        x, y = MultiPoly.var("x"), MultiPoly.var("y")
+        for f in (
+            FracElem(x, x + 1),  # a denominator that is not constant
+            FracElem(2 * x * y + 4 * x, 6 * x * x * y + y + 1),
+            FracElem(x ** 3 + x ** 2, 3 * x ** 2 + x),  # stripped on construction
+            FracElem(x, 2 * x),  # folds to the constant 1/2
+            FracElem(0, x),
+        ):
+            again = round_trip(f)
+            assert type(again) is FracElem
+            assert again == f and repr(again) == repr(f)
+            assert again.num.terms == f.num.terms and again.den.terms == f.den.terms
+
+    @pytest.mark.parametrize("round_trip", [_pickled, copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+    def test_dual(self, round_trip):
+        x = MultiPoly.var("x")
+        for d in (Dual(1, 2), Dual(Fraction(1, 3)), Dual(x, FracElem(x, x + 1))):
+            again = round_trip(d)
+            assert type(again) is Dual
+            assert again == d and repr(again) == repr(d)
+            assert (again.re, again.eps) == (d.re, d.eps)
+            assert type(again.eps) is type(d.eps)
 
 
 class TestDot:
