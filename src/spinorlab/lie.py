@@ -279,6 +279,9 @@ class SymplecticRep:
 
     @cached_property
     def _rho_flat(self):
+        # the algebra's own basis (sp_standard, sl2_standard) is flat already
+        if self.rho is self.algebra.basis:
+            return self.algebra._flat
         return [_flattened(R) for R in self.rho]
 
 

@@ -244,7 +244,10 @@ _INT_ONLY = {int}
 
 
 def _clear_denominators(vec):
-    """(integers, L) with vec == integers / L for a rational vector."""
+    """(integers, L) with vec == integers / L for a rational vector; a
+    vector of ints comes back as a new list with L = 1."""
+    if set(map(type, vec)) <= _INT_ONLY:
+        return list(vec), 1
     L = math.lcm(*(x.denominator for x in vec))
     return [x.numerator * (L // x.denominator) for x in vec], L
 
@@ -598,6 +601,36 @@ def _rank_one_update(U, v, w, p, q):
     return [[q * x + p * a * y for x, y in zip(row, w)] for row, a in zip(U, mv)]
 
 
+class TrialRandom(random.Random):
+    """``random.Random`` whose ``randint`` and ``choice`` draw straight from
+    ``getrandbits``, by the base class's own rule: with n the size of the
+    range or sequence, take r = getrandbits(n.bit_length()) and draw again
+    while r >= n.  Every seed gives the stream ``random.Random`` gives, with
+    none of the base methods' nested calls per draw.  An empty range or
+    sequence, or a bound that is not an int, goes to the base method, which
+    raises (or converts) as before; with n = 0 the loop would never end."""
+
+    def randint(self, a, b):
+        if type(a) is int and type(b) is int and a <= b:
+            n = b - a + 1
+            k = n.bit_length()
+            r = self.getrandbits(k)
+            while r >= n:
+                r = self.getrandbits(k)
+            return a + r
+        return super().randint(a, b)
+
+    def choice(self, seq):
+        n = len(seq)
+        if n:
+            k = n.bit_length()
+            r = self.getrandbits(k)
+            while r >= n:
+                r = self.getrandbits(k)
+            return seq[r]
+        return super().choice(seq)
+
+
 def random_symplectic(n: int, seed: int) -> ExactMatrix:
     """Deterministic random element of Sp(2n, Q) with exact entries.
 
@@ -614,7 +647,7 @@ def random_symplectic(n: int, seed: int) -> ExactMatrix:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    rng = random.Random(seed)
+    rng = TrialRandom(seed)
     omega = standard_omega(n)
     dim = 2 * n
     U = [[int(i == j) for j in range(dim)] for i in range(dim)]
@@ -655,7 +688,7 @@ def random_symplectic_laurent(n: int, seed: int, var: str = "z") -> ExactMatrix:
     Product of transvections whose scalar parameter is c*var^k; each factor is
     exactly symplectic for the standard form, hence so is the product.
     """
-    rng = random.Random(seed)
+    rng = TrialRandom(seed)
     omega = standard_omega(n)
     dim = 2 * n
     M = ExactMatrix.identity(dim)

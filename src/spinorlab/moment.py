@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 
 from .lie import SymplecticRep
 from .matrix import ExactMatrix, _clear_denominators, _cleared_rows, _inverse_rows, char_poly
@@ -194,10 +195,16 @@ def equivariance_check(ctx: MomentContext, psi, xi_coords):
     e, d = ctx._bracket_den, ctx._rho_den
     residual = [e * a - d * b for a, b in zip(lhs, rhs)]
     if not any(residual):
-        n = rep.algebra.ambient_dim
-        return True, ExactMatrix.zeros(n, n)
+        return True, _zero_residual(rep.algebra.ambient_dim)
     scale = ctx._q_inv / (L * L * M * d * e)
     return False, rep.algebra.from_coordinates([r * scale for r in residual])
+
+
+@cache
+def _zero_residual(n: int) -> ExactMatrix:
+    """The n x n zero matrix of every passing check: one instance per n,
+    which the immutability of ``ExactMatrix`` makes safe to share."""
+    return ExactMatrix.zeros(n, n)
 
 
 def gaiotto_field(omega: ExactMatrix, psi) -> ExactMatrix:

@@ -194,17 +194,24 @@ class CaseVerdict(Record):
         return self.deg_f < 0
 
 
+def _deg_f(case_tag: str, deg_f_prime: int, deg_f_mod_f_prime) -> int:
+    """deg F of a subobject case: deg F' inside the spinor line, and
+    deg F' + deg(F/F') when it maps to the middle block."""
+    if case_tag == "F_in_L":
+        return deg_f_prime
+    return deg_f_prime + deg_f_mod_f_prime
+
+
 def stability_case_verdict(case: SubobjectCase) -> CaseVerdict:
     """Total degree of the subbundle with the proof-step trace; every
     feasible case comes out strictly negative."""
+    deg_f = _deg_f(case.case_tag, case.deg_f_prime, case.deg_f_mod_f_prime)
     if case.case_tag == "F_in_L":
-        deg_f = case.deg_f_prime
         steps = (
             f"subbundle contained in the spinor line: deg F = deg F' = {case.deg_f_prime}",
             f"deg F <= 1 - g = {1 - case.genus} < 0",
         )
     else:
-        deg_f = case.deg_f_prime + case.deg_f_mod_f_prime
         steps = (
             f"line part: deg F' = {case.deg_f_prime} <= 0",
             f"image in the middle block is isotropic in a stable degree-zero bundle: deg S = {case.deg_s} < 0",
@@ -222,22 +229,33 @@ def stability_scan(
 ):
     """Exhaustive integer scan of both cases; returns (cases checked,
     counterexamples with deg F >= 0).  The expected counterexample list is
-    empty."""
+    empty.
+
+    Each case's degree comes from ``_deg_f``, the rule of
+    ``stability_case_verdict``; the ``SubobjectCase`` and its verdict are
+    built only for a counterexample, or for a case outside the declared
+    constraints (genus below 2, deg F' > 0 or deg S >= 0 in the middle-block
+    case), whose constructor raises ``InfeasibleCaseError`` as before.
+    """
     checked = 0
     bad = []
+
+    def flag(*fields):
+        case = SubobjectCase(*fields)
+        v = stability_case_verdict(case)
+        if not v.negative:
+            bad.append((case, v.deg_f))
+
     for g in genus_range:
         for df in fprime_range:
             if df <= 1 - g:
-                case = SubobjectCase("F_in_L", g, df)
-                v = stability_case_verdict(case)
                 checked += 1
-                if not v.negative:
-                    bad.append((case, v.deg_f))
+                if g < 2 or _deg_f("F_in_L", df, None) >= 0:
+                    flag("F_in_L", g, df)
             for ds in s_range:
+                infeasible = g < 2 or df > 0 or ds >= 0
                 for dm in range(fmod_lo, ds + 1):
-                    case = SubobjectCase("F_maps_to_U", g, df, ds, dm)
-                    v = stability_case_verdict(case)
                     checked += 1
-                    if not v.negative:
-                        bad.append((case, v.deg_f))
+                    if infeasible or _deg_f("F_maps_to_U", df, dm) >= 0:
+                        flag("F_maps_to_U", g, df, ds, dm)
     return checked, bad

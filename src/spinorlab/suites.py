@@ -7,19 +7,20 @@ plus its explicit inputs and returns ``(ok, detail)``; the acceptance tests call
 the same checks with their own seeds.  Per-trial randomness is derived from the
 master seed through a splittable counter mix (trial i uses seed XOR
 splitmix64(i)), so each trial is independently reproducible and the report body
-is a pure function of (config, seed).
+is a pure function of (config, seed).  A trial draws from a ``TrialRandom``,
+which gives the stream ``random.Random`` gives from the same seed.
 """
 
 from __future__ import annotations
 
-import random
 import time
 from fractions import Fraction
+from functools import cache
 
 from . import bbflow, cech, cocycle, hecke, petri, rrdim
 from ._record import Record
 from .lie import sl2_sym_cube, sl2_w_plus_wdual, sp_standard
-from .matrix import ExactMatrix, in_sp, standard_omega
+from .matrix import ExactMatrix, TrialRandom, in_sp, standard_omega
 from .moment import MomentContext, equivariance_check, gaiotto_field, hitchin_invariants
 from .rings import LaurentPoly, MultiPoly
 
@@ -115,12 +116,20 @@ def trial_seed(master: int, i: int) -> int:
     return (master ^ splitmix64(i)) & 0xFFFFFFFFFFFFFFFF
 
 
-def _rng(cfg: SuiteConfig, i: int) -> random.Random:
-    return random.Random(trial_seed(cfg.seed, i))
+def _rng(cfg: SuiteConfig, i: int) -> TrialRandom:
+    return TrialRandom(trial_seed(cfg.seed, i))
+
+
+@cache
+def _rationals(bound: int) -> tuple:
+    """Row n + bound holds Fraction(n, d) for d in (1, 1, 2, 3)."""
+    return tuple(tuple(Fraction(n, d) for d in (1, 1, 2, 3)) for n in range(-bound, bound + 1))
 
 
 def _rand_rational(rng, bound=6):
-    return Fraction(rng.randint(-bound, bound), rng.choice([1, 1, 2, 3]))
+    """Fraction(rng.randint(-bound, bound), rng.choice((1, 1, 2, 3))): the
+    same two draws, read off a table of the reduced values."""
+    return rng.choice(_rationals(bound)[rng.randint(-bound, bound) + bound])
 
 
 # -- checks: each returns (ok, detail) --------------------------------------

@@ -19,6 +19,7 @@ from spinorlab.lie import (
     SymplecticRep,
     _CoordinateSolver,
     _brackets,
+    _flattened,
     almost_saturated_check,
     commutant,
     conjugate_rep,
@@ -36,7 +37,30 @@ from spinorlab.lie import (
     _sylvester,
     verify_symplectic_rep,
 )
-from spinorlab.matrix import ExactMatrix, random_symplectic
+from spinorlab.matrix import ExactMatrix, random_symplectic, standard_omega
+
+
+class TestFlatRho:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_a_rep_on_its_own_basis_shares_the_algebra_flats(self, n):
+        rep = sp_standard(n)
+        assert rep._rho_flat is sp_algebra(n)._flat
+        assert sl2_standard()._rho_flat is sl2_standard().algebra._flat
+
+    def test_a_conjugated_rep_flattens_its_own_rho(self):
+        rep = sp_standard(2)
+        g = random_symplectic(2, 5)
+        conj = conjugate_rep(rep, g)
+        assert conj.rho is not conj.algebra.basis
+        assert conj._rho_flat is not rep.algebra._flat
+        assert conj._rho_flat == [_flattened(R) for R in conj.rho]
+        assert conj._rho_flat != rep._rho_flat
+
+    def test_an_equal_but_distinct_rho_is_flattened(self):
+        alg = sp_algebra(1)
+        rep = SymplecticRep(alg, standard_omega(1), list(alg.basis), [Summand("irreducible", 0, 2)])
+        assert rep.rho == alg.basis and rep.rho is not alg.basis
+        assert rep._rho_flat is not alg._flat and rep._rho_flat == alg._flat
 
 
 class TestAlgebra:

@@ -1,5 +1,6 @@
 """Exact linear algebra tests, with sympy as the independent oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from spinorlab.matrix import (
     ExactMatrix,
+    _clear_denominators,
     NotSymplecticError,
     ShapeError,
     char_poly,
@@ -218,6 +220,44 @@ class TestCharPoly:
 
 
 small_ints = st.integers(min_value=-5, max_value=5)
+
+
+def general_clearing(vec):
+    """The lcm of the denominators and every entry times it, for any
+    rational vector."""
+    L = math.lcm(*(x.denominator for x in vec))
+    return [x.numerator * (L // x.denominator) for x in vec], L
+
+
+class TestClearDenominators:
+    @pytest.mark.parametrize(
+        "vec",
+        [
+            [3, -1, 0, 7],
+            (0, 0),
+            [2 ** 70, -(2 ** 65)],
+            [Fraction(1, 2), Fraction(-2, 3), Fraction(5)],
+            [1, Fraction(1, 6), -4, Fraction(-3, 4)],
+            [Fraction(4, 2), 3],
+            [True, False, 2],
+            [True],
+            [],
+            (),
+        ],
+    )
+    def test_matches_the_general_formula(self, vec):
+        got, L = _clear_denominators(vec)
+        want, want_L = general_clearing(vec)
+        assert got == want and L == want_L
+        assert type(got) is list and got is not vec
+        assert all(type(x) is int for x in got)
+        assert type(L) is int
+
+    def test_int_vectors_come_back_as_a_copy(self):
+        vec = [5, -2]
+        got, L = _clear_denominators(vec)
+        got.append(9)
+        assert vec == [5, -2] and L == 1
 
 
 class TestMatrixProperties:

@@ -146,6 +146,22 @@ class TestEquivariance:
             ok, res = equivariance_check(ctx, psi, xi)
             assert ok, res
 
+    def test_passing_checks_share_one_zero_residual(self):
+        rng = random.Random(12)
+        for rep in (sp_standard(2), sl2_w_plus_wdual()):
+            ctx = MomentContext(rep)
+            n = rep.algebra.ambient_dim
+            residuals = []
+            for _ in range(3):
+                ok, res = equivariance_check(
+                    ctx, rand_vec(rng, rep.dimV, rational=True), rand_vec(rng, rep.algebra.dim)
+                )
+                assert ok
+                residuals.append(res)
+            assert residuals[0] is residuals[1] is residuals[2]
+            assert residuals[0] == ExactMatrix.zeros(n, n)
+            assert (residuals[0].rows, residuals[0].cols) == (n, n)
+
     def test_b_scale_invariance(self):
         rng = random.Random(9)
         rep = sp_standard(2)

@@ -3,6 +3,7 @@ the exhaustive stability scan."""
 
 import pytest
 
+from spinorlab import rrdim
 from spinorlab.lie import sl2_sym_cube, sp_standard
 from spinorlab.rrdim import (
     BundleNumerics,
@@ -131,3 +132,73 @@ class TestStabilityCases:
         checked, bad = stability_scan()
         assert checked > 3000
         assert bad == []
+
+
+def case_by_case_scan(
+    fprime_range=range(-10, 1), s_range=range(-10, 0), genus_range=range(2, 7), fmod_lo=-10
+):
+    """The scan with a SubobjectCase and a verdict for every case: the oracle
+    of ``stability_scan``, which builds them only for a counterexample."""
+    checked = 0
+    bad = []
+    for g in genus_range:
+        for df in fprime_range:
+            if df <= 1 - g:
+                case = SubobjectCase("F_in_L", g, df)
+                v = stability_case_verdict(case)
+                checked += 1
+                if not v.negative:
+                    bad.append((case, v.deg_f))
+            for ds in s_range:
+                for dm in range(fmod_lo, ds + 1):
+                    case = SubobjectCase("F_maps_to_U", g, df, ds, dm)
+                    v = stability_case_verdict(case)
+                    checked += 1
+                    if not v.negative:
+                        bad.append((case, v.deg_f))
+    return checked, bad
+
+
+class TestScanAgainstCaseByCase:
+    @pytest.mark.parametrize("genus_range", [range(2, 7), range(2, 9), range(5, 6), range(0)])
+    def test_same_result_at_the_suite_ranges(self, genus_range):
+        assert stability_scan(genus_range=genus_range) == case_by_case_scan(genus_range=genus_range)
+        assert stability_scan()[0] == 3065
+
+    def test_same_counterexamples_under_another_degree_rule(self, monkeypatch):
+        def lenient(case_tag, deg_f_prime, deg_f_mod_f_prime):
+            if case_tag == "F_in_L":
+                return deg_f_prime + 3
+            return deg_f_prime + deg_f_mod_f_prime + 12
+
+        monkeypatch.setattr(rrdim, "_deg_f", lenient)
+        checked, bad = stability_scan()
+        assert len(bad) > 10
+        assert {case.case_tag for case, _ in bad} == {"F_in_L", "F_maps_to_U"}
+        assert (checked, bad) == case_by_case_scan()
+        assert all(d == stability_case_verdict(case).deg_f >= 0 for case, d in bad)
+
+    def test_the_verdict_reads_the_same_rule(self, monkeypatch):
+        monkeypatch.setattr(rrdim, "_deg_f", lambda *fields: 7)
+        assert stability_case_verdict(SubobjectCase("F_in_L", 2, -1)).deg_f == 7
+
+    @pytest.mark.parametrize(
+        "ranges, raises",
+        [
+            (dict(genus_range=range(1, 4)), True),
+            (dict(fprime_range=range(-2, 3)), True),
+            (dict(s_range=range(-2, 2)), True),
+            (dict(fprime_range=range(-5, -1), s_range=range(-2, 2)), True),  # deg F < 0 throughout
+            (dict(fprime_range=range(-3, 2), s_range=range(0)), False),  # F_in_L only
+        ],
+    )
+    def test_ranges_outside_the_constraints_behave_as_case_by_case(self, ranges, raises):
+        def outcome(scan):
+            try:
+                return scan(**ranges)
+            except InfeasibleCaseError as exc:
+                return "raises", str(exc)
+
+        got = outcome(stability_scan)
+        assert got == outcome(case_by_case_scan)
+        assert (got[0] == "raises") == raises
