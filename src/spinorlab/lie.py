@@ -35,7 +35,9 @@ class MatrixLieAlgebra:
     """A Lie algebra given by a linearly independent list of ambient square
     matrices, closed under the bracket.  Structure constants are computed and
     the closure identity [X_i, X_j] = sum_k c^k_ij X_k is verified exactly at
-    construction.
+    construction.  The nonzeros of the basis matrices (``_flat``) are the
+    stored format; ``basis`` keeps the matrices given to the constructor, or
+    is built from ``_flat`` on first read.
     """
 
     def __init__(self, basis, name: str = ""):
@@ -45,23 +47,30 @@ class MatrixLieAlgebra:
         d = basis[0].rows
         if any(not b.is_square or b.rows != d for b in basis):
             raise ValueError("basis matrices must be square of equal size")
-        self.name = name
         self.basis = basis
+        self._set_up([_flattened(b) for b in basis], d, name)
+
+    def _set_up(self, flat, d: int, name: str):
+        self.name = name
         self.ambient_dim = d
-        self.dim = len(basis)
-        self._flat = [_flattened(b) for b in basis]
-        self._coord_solver = _CoordinateSolver(self._flat, d * d)
+        self.dim = len(flat)
+        self._flat = flat
+        self._coord_solver = _CoordinateSolver(flat, d * d)
         # the closure check: den c^k_ij for i < j over the nonzero c, with
         # den the solver's; a pair with no product term brackets to zero
         self._den = self._coord_solver.den
         self._scaled_constants = {}
-        for i, j, br in _brackets(self._flat, d):
+        for i, j, br in _brackets(flat, d):
             scaled = self._coord_solver.scaled_coords(br)
             if scaled is None:
                 raise ValueError("basis is not closed under the bracket")
             cs = {k: x for k, x in sorted(scaled.items()) if x}
             if cs:
                 self._scaled_constants[i, j] = cs
+
+    @cached_property
+    def basis(self) -> tuple:
+        return tuple(_combination((1,), (f,), self.ambient_dim) for f in self._flat)
 
     @cached_property
     def structure_constants(self) -> dict:
@@ -243,16 +252,24 @@ class CheckReport(Record):
 
 class SymplecticRep:
     """A symplectic representation rho: g -> sp(V, omega) with a declared
-    decomposition into indecomposable symplectic summands."""
+    decomposition into indecomposable symplectic summands.  As in
+    ``MatrixLieAlgebra``, the nonzeros of the rho images (``_rho_flat``) are
+    stored, and ``rho`` keeps the given matrices or is built on first read."""
 
     def __init__(self, algebra: MatrixLieAlgebra, omega: ExactMatrix, rho, summands, name: str = ""):
+        self.rho = tuple(rho)
+        if any((R.rows, R.cols) != (omega.rows, omega.rows) for R in self.rho):
+            raise ValueError("each rho image must be dimV x dimV")
+        self._set_up(algebra, omega, [_flattened(R) for R in self.rho], summands, name)
+
+    def _set_up(self, algebra, omega, rho_flat, summands, name: str):
         self.algebra = algebra
         self.omega = omega
-        self.rho = tuple(rho)
+        self._rho_flat = rho_flat
         self.summands = tuple(summands)
         self.name = name
         self.dimV = omega.rows
-        if len(self.rho) != algebra.dim:
+        if len(rho_flat) != algebra.dim:
             raise ValueError("need one image per basis element")
         # the sorted nonempty spans must tile range(dimV) end to end
         end = 0
@@ -267,6 +284,10 @@ class SymplecticRep:
             if s.kind != "irreducible" and not (s.mid is not None and s.lo < s.mid < s.hi):
                 raise ValueError("a dual-pair summand needs lo < mid < hi")
 
+    @cached_property
+    def rho(self) -> tuple:
+        return tuple(_combination((1,), (f,), self.dimV) for f in self._rho_flat)
+
     def constituents(self):
         out = []
         for i, s in enumerate(self.summands):
@@ -277,12 +298,12 @@ class SymplecticRep:
         """Image of the algebra element with the given basis coordinates."""
         return _combination(coords, self._rho_flat, self.dimV)
 
-    @cached_property
-    def _rho_flat(self):
-        # the algebra's own basis (sp_standard, sl2_standard) is flat already
-        if self.rho is self.algebra.basis:
-            return self.algebra._flat
-        return [_flattened(R) for R in self.rho]
+
+def _sparse(cls, *args):
+    """A ``cls`` set up from nonzeros by its ``_set_up``, past its dense constructor."""
+    self = cls.__new__(cls)
+    self._set_up(*args)
+    return self
 
 
 def _combination(coords, flats, d: int) -> ExactMatrix:
@@ -470,16 +491,14 @@ def almost_saturated_check(rep: SymplecticRep) -> SaturationVerdict:
 def sp_algebra(n: int) -> MatrixLieAlgebra:
     """sp(2n) in the interleaved frame: X = Omega^{-1} S for S symmetric."""
     dim = 2 * n
-    basis = []
-    for i in range(dim):
-        for j in range(i, dim):
-            # -Omega (E_ij + E_ji), or -Omega E_ii: row 2k of -Omega is
-            # -e_{2k+1} and row 2k+1 is e_{2k}, so E_ab moves to row a ^ 1
-            X = [[0] * dim for _ in range(dim)]
-            for a, b in ((i, j), (j, i)):
-                X[a ^ 1][b] = -1 if a % 2 else 1
-            basis.append(ExactMatrix(X))
-    return MatrixLieAlgebra(basis, name=f"sp{2*n}")
+    # -Omega (E_ij + E_ji), or -Omega E_ii: row 2k of -Omega is -e_{2k+1}
+    # and row 2k+1 is e_{2k}, so E_ab moves to row a ^ 1; each element's one
+    # or two nonzeros in ascending position
+    flat = [
+        dict(sorted({(a ^ 1) * dim + b: -1 if a % 2 else 1 for a, b in ((i, j), (j, i))}.items()))
+        for i in range(dim) for j in range(i, dim)
+    ]
+    return _sparse(MatrixLieAlgebra, flat, dim, f"sp{2*n}")
 
 
 @lru_cache(maxsize=None)
@@ -488,12 +507,8 @@ def sp_standard(n: int) -> SymplecticRep:
     if not 1 <= n <= 4:
         raise ValueError("supported range is 1 <= n <= 4")
     alg = sp_algebra(n)
-    return SymplecticRep(
-        alg,
-        standard_omega(n),
-        alg.basis,
-        [Summand("irreducible", 0, 2 * n)],
-        name=f"sp{2*n}-standard",
+    return _sparse(
+        SymplecticRep, alg, standard_omega(n), alg._flat, [Summand("irreducible", 0, 2 * n)], f"sp{2*n}-standard"
     )
 
 
@@ -510,16 +525,9 @@ def sl2_w_plus_wdual() -> SymplecticRep:
     """sl2 acting on W + W* (W the standard module), with the duality
     pairing as symplectic form; coordinates are (u1, u2, delta1, delta2)."""
     alg = sl2_algebra()
-    rho = []
-    for X in alg.basis:
-        Xt = X.transpose()
-        rho.append(
-            ExactMatrix.from_blocks(
-                [[X, ExactMatrix.zeros(2, 2)], [ExactMatrix.zeros(2, 2), Xt.scale(-1)]]
-            )
-        )
-    I2 = ExactMatrix.identity(2)
-    omega = ExactMatrix.from_blocks([[ExactMatrix.zeros(2, 2), I2], [I2.scale(-1), ExactMatrix.zeros(2, 2)]])
+    z, I2 = ExactMatrix.zeros(2, 2), ExactMatrix.identity(2)
+    rho = [ExactMatrix.from_blocks([[X, z], [z, X.transpose().scale(-1)]]) for X in alg.basis]
+    omega = ExactMatrix.from_blocks([[z, I2], [I2.scale(-1), z]])
     return SymplecticRep(
         alg, omega, rho, [Summand("dual-pair", 0, 4, mid=2)], name="sl2-W+W*"
     )
@@ -529,10 +537,7 @@ def sl2_w_plus_wdual() -> SymplecticRep:
 def sl2_standard() -> SymplecticRep:
     """sl2 on its standard 2-dimensional module, viewed inside sp(2)."""
     alg = sl2_algebra()
-    return SymplecticRep(
-        alg, standard_omega(1), alg.basis, [Summand("irreducible", 0, 2)],
-        name="sl2-standard",
-    )
+    return _sparse(SymplecticRep, alg, standard_omega(1), alg._flat, [Summand("irreducible", 0, 2)], "sl2-standard")
 
 
 @lru_cache(maxsize=None)
@@ -586,29 +591,30 @@ def _sym_cube_action(X: ExactMatrix) -> ExactMatrix:
 
 def trivial_rep(algebra: MatrixLieAlgebra, n: int = 1) -> SymplecticRep:
     """rho = 0 on a standard symplectic space of half-dimension n."""
-    z = ExactMatrix.zeros(2 * n, 2 * n)
-    return SymplecticRep(
-        algebra, standard_omega(n), [z] * algebra.dim,
-        [Summand("irreducible", 0, 2 * n)], name="trivial",
+    return _sparse(
+        SymplecticRep, algebra, standard_omega(n), [{}] * algebra.dim, [Summand("irreducible", 0, 2 * n)], "trivial"
     )
 
 
 def direct_sum(r1: SymplecticRep, r2: SymplecticRep) -> SymplecticRep:
     """Direct sum of two representations of the same algebra."""
-    if r1.algebra is not r2.algebra and r1.algebra.basis != r2.algebra.basis:
+    a1, a2 = r1.algebra, r2.algebra
+    if a1 is not a2 and (a1.ambient_dim, a1._flat) != (a2.ambient_dim, a2._flat):
         raise ValueError("direct sum needs a common algebra")
     z12 = ExactMatrix.zeros(r1.dimV, r2.dimV)
     z21 = ExactMatrix.zeros(r2.dimV, r1.dimV)
-    rho = [
-        ExactMatrix.from_blocks([[A, z12], [z21, B]]) for A, B in zip(r1.rho, r2.rho)
-    ]
     omega = ExactMatrix.from_blocks([[r1.omega, z12], [z21, r2.omega]])
-    off = r1.dimV
+    off, d = r1.dimV, omega.rows
+    # r1's entry (r, c) stays at (r, c), r2's moves to (r + off, c + off)
+    rho = [
+        {(p // k + o) * d + p % k + o: x for f, k, o in ((f1, off, 0), (f2, r2.dimV, off)) for p, x in f.items()}
+        for f1, f2 in zip(r1._rho_flat, r2._rho_flat)
+    ]
     summands = list(r1.summands) + [
         Summand(s.kind, s.lo + off, s.hi + off, None if s.mid is None else s.mid + off)
         for s in r2.summands
     ]
-    return SymplecticRep(r1.algebra, omega, rho, summands, name=f"{r1.name}+{r2.name}")
+    return _sparse(SymplecticRep, r1.algebra, omega, rho, summands, f"{r1.name}+{r2.name}")
 
 
 def conjugate_rep(rep: SymplecticRep, g: ExactMatrix) -> SymplecticRep:
@@ -704,21 +710,12 @@ def _parse_rep(text: str) -> SymplecticRep:
     if len(head) != 3 or head[:2] != ["spinorlab-rep", "1"]:
         raise ValueError("the header must be 'spinorlab-rep 1 NAME'")
     dim, amb = _counts(lines[1], "algebra", 2)
-    idx = 2
-    basis = []
-    for _ in range(dim):
-        basis.append(_parse_matrix(_fields(lines[idx], "X"), amb))
-        idx += 1
-    algebra = MatrixLieAlgebra(basis)
-    (dimv,) = _counts(lines[idx], "dimV", 1)
-    omega = _parse_matrix(_fields(lines[idx + 1], "omega"), dimv)
-    idx += 2
-    rho = []
-    for _ in range(dim):
-        rho.append(_parse_matrix(_fields(lines[idx], "rho"), dimv))
-        idx += 1
+    algebra = MatrixLieAlgebra([_parse_matrix(_fields(lines[2 + k], "X"), amb) for k in range(dim)])
+    (dimv,) = _counts(lines[2 + dim], "dimV", 1)
+    omega = _parse_matrix(_fields(lines[3 + dim], "omega"), dimv)
+    rho = [_parse_matrix(_fields(lines[4 + dim + k], "rho"), dimv) for k in range(dim)]
     summands = []
-    for tokens in lines[idx:]:
+    for tokens in lines[4 + 2 * dim:]:
         kind = _fields(tokens, "summand")[:1]
         if kind == ["irr"]:
             lo, hi = _counts(tokens[1:], "irr", 2)

@@ -502,7 +502,11 @@ class LaurentPoly:
 
     @classmethod
     def term(cls, var: str, exponent: int, coeff=1) -> "LaurentPoly":
-        return cls(var, {exponent: coeff})
+        if not (_is_rat(coeff) and isinstance(exponent, int)):
+            return cls(var, {exponent: coeff})
+        # a rational coefficient cannot contain the Laurent variable, so with
+        # an int exponent the term skips the checks of __init__
+        return cls._trusted(var, {int(exponent): MultiPoly.const(coeff)} if coeff else {})
 
     @property
     def is_zero(self) -> bool:

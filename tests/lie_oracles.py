@@ -1,9 +1,9 @@
 """Reference routes for building a matrix Lie algebra, kept only as test
 oracles.
 
-``spinorlab.lie`` builds each sp(2n) basis matrix -Omega (E_ij + E_ji) entry
-by entry, and solves for coordinates sparsely in integers: den times the
-inverse block of one fraction-free RREF of [F | I], looked up from the
+``spinorlab.lie`` writes the one or two nonzeros of each sp(2n) basis
+matrix -Omega (E_ij + E_ji), and solves for coordinates sparsely in
+integers: den times the inverse block of one fraction-free RREF of [F | I], looked up from the
 nonzeros of y.  The routes below are the ones it replaced: the dense product
 -Omega S, and a solve that walks every pivot of a Fraction-row Gauss-Jordan
 reduction of [F | I] (``matrix_oracles._rref``) into a dense coordinate
@@ -19,12 +19,17 @@ a column of a constituent's span and a row outside it, where the package
 reads only the nonzeros of each rho.  ``pairwise_brackets`` is the
 per-pair loop that ``lie._brackets`` replaced: every pair i < j in turn,
 each product X_i X_j and X_j X_i formed from the nonzeros, where the package
-takes one sparse all-pairs product.
+takes one sparse all-pairs product.  ``dense_sp_standard``,
+``dense_sl2_standard``, ``dense_trivial_rep`` and ``dense_direct_sum`` are
+the dense bodies of the constructors that now write the nonzeros of rho
+(and, for sp(2n), of the basis) directly: each builds every matrix in full
+and goes through the public constructors, which flatten them.
 """
 
 from fractions import Fraction
 
 from matrix_oracles import _rref
+from spinorlab.lie import MatrixLieAlgebra, Summand, SymplecticRep, sl2_algebra
 from spinorlab.matrix import ExactMatrix, mat_rank_kernel, standard_omega
 from spinorlab.rings import _is_rat, is_zero
 
@@ -100,6 +105,41 @@ def dense_sp_basis(n):
             S[j][i] = 1
             basis.append(neg_omega * ExactMatrix(S))
     return basis
+
+
+def dense_sp_standard(n):
+    """The standard representation of sp(2n), on the dense basis."""
+    alg = MatrixLieAlgebra(dense_sp_basis(n), name=f"sp{2*n}")
+    return SymplecticRep(
+        alg, standard_omega(n), alg.basis, [Summand("irreducible", 0, 2 * n)], name=f"sp{2*n}-standard"
+    )
+
+
+def dense_sl2_standard():
+    alg = sl2_algebra()
+    return SymplecticRep(alg, standard_omega(1), alg.basis, [Summand("irreducible", 0, 2)], name="sl2-standard")
+
+
+def dense_trivial_rep(algebra, n=1):
+    z = ExactMatrix.zeros(2 * n, 2 * n)
+    return SymplecticRep(
+        algebra, standard_omega(n), [z] * algebra.dim, [Summand("irreducible", 0, 2 * n)], name="trivial"
+    )
+
+
+def dense_direct_sum(r1, r2):
+    """The direct sum with block-diagonal rho images, assembled in full."""
+    if r1.algebra is not r2.algebra and r1.algebra.basis != r2.algebra.basis:
+        raise ValueError("direct sum needs a common algebra")
+    z12 = ExactMatrix.zeros(r1.dimV, r2.dimV)
+    z21 = ExactMatrix.zeros(r2.dimV, r1.dimV)
+    rho = [ExactMatrix.from_blocks([[A, z12], [z21, B]]) for A, B in zip(r1.rho, r2.rho)]
+    omega = ExactMatrix.from_blocks([[r1.omega, z12], [z21, r2.omega]])
+    off = r1.dimV
+    summands = list(r1.summands) + [
+        Summand(s.kind, s.lo + off, s.hi + off, None if s.mid is None else s.mid + off) for s in r2.summands
+    ]
+    return SymplecticRep(r1.algebra, omega, rho, summands, name=f"{r1.name}+{r2.name}")
 
 
 def flattened(M):

@@ -548,6 +548,40 @@ class TestLaurentTrusted:
                 op(MultiPoly.var("z") + 1)
         assert p.__eq__(MultiPoly.var("z") + 1) is False
 
+    @pytest.mark.parametrize("k", [0, 2, -1, -3, True])
+    @pytest.mark.parametrize("c", [1, -2, 0, True, Fraction(3, 4), Fraction(-5), Fraction(0), MultiPoly.var("a") + 1])
+    def test_term_is_the_checked_term(self, k, c):
+        """A rational coefficient builds its term without the checks of
+        ``__init__``; the term is still the one the checking constructor
+        builds, coefficient types and term order included."""
+        got, want = LaurentPoly.term("z", k, c), LaurentPoly("z", {k: c})
+        assert _laurent_normal(got) and got == want
+        assert [(e, type(e), q.terms) for e, q in got.coeffs.items()] == [
+            (e, type(e), q.terms) for e, q in want.coeffs.items()
+        ]
+        assert all(type(x) is Fraction for q in got.coeffs.values() for x in q.terms.values())
+
+    def test_a_rational_term_skips_the_checks(self, monkeypatch):
+        cases = [(2, 3), (-1, Fraction(1, 2)), (0, 0)]
+        want = [LaurentPoly("z", {k: c}) for k, c in cases]
+
+        def refuse(*args):
+            raise AssertionError("checked LaurentPoly.__init__")
+
+        monkeypatch.setattr(LaurentPoly, "__init__", refuse)
+        assert [LaurentPoly.term("z", k, c) for k, c in cases] == want
+
+    @pytest.mark.parametrize(
+        "k, c",
+        [
+            (1.0, 2), (Fraction(1), 2), ("1", 2), (None, 0), (1.5, MultiPoly.var("a")),
+            (1, MultiPoly.var("z")), (-2, MultiPoly.var("z") * 3 + 1),
+        ],
+    )
+    def test_term_still_rejects_a_non_int_exponent_or_the_laurent_variable(self, k, c):
+        with pytest.raises(ValueError):
+            LaurentPoly.term("z", k, c)
+
 
 _POWER_BASES = [
     MultiPoly.var("x") + MultiPoly.var("y") * Fraction(1, 2) - 1,
