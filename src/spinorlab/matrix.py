@@ -569,10 +569,30 @@ def _preserves_standard_form(flat, dim) -> bool:
 
 def in_sp(X: ExactMatrix, omega: ExactMatrix | None = None) -> bool:
     """Lie algebra membership: X^T Omega + Omega X = 0.  A rational omega
-    serves X over any ring of the tower, as in ``is_symplectic``."""
+    serves X over any ring of the tower, as in ``is_symplectic``.  A square
+    X against the standard form of its size goes through the pair rule of
+    ``_in_standard_sp``; every other X or form through the dense product."""
     if omega is None:
         omega = standard_omega(X.rows // 2)
+    if X.is_square and X.rows % 2 == 0 and omega == standard_omega(X.rows // 2):
+        return _in_standard_sp(X.entries)
     return (X.transpose() * omega + omega * X).is_zero
+
+
+def _in_standard_sp(rows) -> bool:
+    """X^T Omega + Omega X = 0 for the standard Omega, from the rows of X.
+    With s_i = +1 on even i and -1 on odd i, Omega[i][i^1] = s_i is the only
+    nonzero of row i, so entry (i, j) of the sum is
+    s_i X[i^1][j] - s_j X[j^1][i].  It is antisymmetric in (i, j), so only
+    i < j is checked: a difference where s_i = s_j and a sum where not, each
+    zero exactly when falsy (see ``rings.is_zero``), over any ring."""
+    for i in range(len(rows)):
+        top = rows[i ^ 1]
+        for j in range(i + 1, len(rows)):
+            a, b = top[j], rows[j ^ 1][i]
+            if (a + b if (i ^ j) & 1 else a - b):
+                return False
+    return True
 
 
 def transvection(v, c, omega: ExactMatrix) -> ExactMatrix:

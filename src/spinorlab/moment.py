@@ -28,7 +28,7 @@ from functools import cache
 
 from .lie import SymplecticRep
 from .matrix import ExactMatrix, _clear_denominators, _cleared_rows, _inverse_rows, char_poly
-from .rings import is_zero
+from .rings import _is_rat, is_zero
 
 
 class InvalidContextError(ValueError):
@@ -115,7 +115,12 @@ class MomentContext:
     # -- evaluation -----------------------------------------------------
 
     def quadratic_coords(self, psi):
-        """Coordinates of mu(psi)."""
+        """Coordinates of mu(psi).  A rational psi = P/L is cleared of its
+        denominators once and its forms taken in ints, scaled by 1/(q L^2)."""
+        if all(map(_is_rat, psi)):
+            P, L = _clear_denominators(psi)
+            scale = self._q_inv / (L * L)
+            return tuple(x * scale for x in _forms(self._Z, P, P))
         return tuple(x * self._q_inv for x in _forms(self._Z, psi, psi))
 
 

@@ -13,6 +13,7 @@ which gives the stream ``random.Random`` gives from the same seed.
 
 from __future__ import annotations
 
+import gc
 import time
 from fractions import Fraction
 from functools import cache
@@ -458,26 +459,40 @@ def run_suite(config: SuiteConfig) -> SuiteReport:
     An exception raised by a check fails only its own case (``_guard``); one
     raised while a suite sets up ends that suite as one failed case ``error``
     with the same detail, and the run goes on with the next suite.
+
+    The cyclic garbage collector is off for the length of the run, as in
+    ``timeit``, and is switched back on afterwards only if it was on before,
+    whatever way the run ends.  A run makes no reference cycles, so the
+    collector would only walk live objects and free nothing;
+    ``tests/test_collector.py::test_runs_leave_nothing_to_collect`` pins that
+    premise.  ``gc.freeze`` is not used, as it would move the caller's own
+    young objects into the oldest generation for good.
     """
-    start = time.monotonic()
-    names = list(_SUITE_CASES) if config.suite == "all" else [config.suite]
-    passed = 0
-    failures = []
-    for name in names:
-        prefix = f"{name}/" if config.suite == "all" else ""
-        try:
-            for case_id, ok, detail in _SUITE_CASES[name](config):
-                if ok:
-                    passed += 1
-                else:
-                    failures.append((prefix + case_id, detail))
-        except Exception as exc:
-            failures.append((prefix + "error", _error_detail(exc)))
-    return SuiteReport(
-        suite=config.suite,
-        config={f: getattr(config, f) for f in SuiteConfig._fields},
-        passed=passed,
-        failed=len(failures),
-        failures=failures,
-        wall_time=time.monotonic() - start,
-    )
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        start = time.monotonic()
+        names = list(_SUITE_CASES) if config.suite == "all" else [config.suite]
+        passed = 0
+        failures = []
+        for name in names:
+            prefix = f"{name}/" if config.suite == "all" else ""
+            try:
+                for case_id, ok, detail in _SUITE_CASES[name](config):
+                    if ok:
+                        passed += 1
+                    else:
+                        failures.append((prefix + case_id, detail))
+            except Exception as exc:
+                failures.append((prefix + "error", _error_detail(exc)))
+        return SuiteReport(
+            suite=config.suite,
+            config={f: getattr(config, f) for f in SuiteConfig._fields},
+            passed=passed,
+            failed=len(failures),
+            failures=failures,
+            wall_time=time.monotonic() - start,
+        )
+    finally:
+        if was_enabled:
+            gc.enable()

@@ -21,6 +21,8 @@ every row by ``_rref_int`` (through ``_reduce``), the kernel read off by
 of its transvection matrices, before the rank-one updates, and
 ``dense_is_symplectic`` the ``M^T Omega M == Omega`` product that
 ``is_symplectic`` replaced by the pair formula for a rational M.
+``dense_in_sp`` is the ``X^T Omega + Omega X = 0`` product that ``in_sp``
+replaced by the pair rule against the standard form.
 """
 
 import random
@@ -267,3 +269,11 @@ def dense_is_symplectic(M, omega=None):
             return False
         omega = standard_omega(M.rows // 2)
     return M.is_square and M.transpose() * omega * M == omega
+
+
+def dense_in_sp(X, omega=None):
+    """``X^T Omega + Omega X = 0`` by two dense products, the standard form
+    of X's size by default."""
+    if omega is None:
+        omega = standard_omega(X.rows // 2)
+    return (X.transpose() * omega + omega * X).is_zero

@@ -8,13 +8,15 @@ equivariance identity checked on ambient matrices.  ``MomentContext`` reads
 its Gram inverse from integer rows and forms its sums in integers; the
 Fraction route it replaced is ``fraction_context_fields``, which scans
 omega and each rho for their nonzeros itself rather than through the package.
+``generic_quadratic_coords`` is the evaluation ``quadratic_coords`` keeps for
+spinors that are not rational, applied to every spinor.
 """
 
 import math
 from fractions import Fraction
 
 from matrix_oracles import rref_inverse
-from spinorlab.moment import moment_map
+from spinorlab.moment import _forms, moment_map
 from spinorlab.rings import Dual
 
 
@@ -22,6 +24,11 @@ def dual_moment_differential(ctx, psi, psidot):
     """eps-linear part of mu(psi + eps psidot) over R[eps]/(eps^2)."""
     coords = moment_map(ctx, [Dual(a, b) for a, b in zip(psi, psidot)])
     return tuple(c.eps if isinstance(c, Dual) else c * 0 for c in coords)
+
+
+def generic_quadratic_coords(ctx, psi):
+    """Coordinates of mu(psi) as (psi^T Z_k psi) / q over the ring of psi."""
+    return tuple(x * ctx._q_inv for x in _forms(ctx._Z, psi, psi))
 
 
 def ambient_equivariance_check(ctx, psi, xi_coords):

@@ -10,10 +10,12 @@ import sympy
 
 import petri_oracles
 from cech_oracles import fraction_cleared_inverse
+from matrix_oracles import exactly_equal
 from moment_oracles import (
     ambient_equivariance_check,
     dual_moment_differential,
     fraction_context_fields,
+    generic_quadratic_coords,
 )
 from spinorlab import petri
 from spinorlab.lie import (
@@ -30,7 +32,7 @@ from spinorlab.lie import (
 )
 from spinorlab.matrix import ExactMatrix, standard_omega
 from spinorlab.matrix import _cleared_inverse
-from spinorlab.moment import MomentContext, equivariance_check, moment_differential
+from spinorlab.moment import MomentContext, equivariance_check, moment_differential, moment_map
 from spinorlab.rings import MultiPoly
 
 _SHEAR = ExactMatrix(
@@ -214,3 +216,30 @@ def test_coordinate_solver_clears_the_inverse_of_its_pivot_block(name):
     assert solver.inv == {
         p: [(j, x) for j, x in enumerate(row) if x] for p, row in zip(solver.sel, N.entries)
     }
+
+
+@pytest.mark.parametrize("name", sorted(REPS))
+def test_rational_spinors_match_the_generic_forms(name):
+    """A rational psi goes through cleared integers; its coordinates equal
+    the generic evaluation in value and in type (all ``Fraction``), for int,
+    Fraction, mixed and zero spinors.  ``MultiPoly`` spinors keep the
+    generic route."""
+    rep = REPS[name]()
+    ctx = MomentContext(rep, b_scale=Fraction(-2, 3) if name == "sp4" else 1)
+    rng = random.Random(sorted(REPS).index(name) + 100)
+    d = rep.dimV
+    spinors = [
+        [0] * d,
+        [Fraction(0)] * d,
+        [rng.randint(-9, 9) for _ in range(d)],
+        [mixed_rational(rng) for _ in range(d)],
+        [rng.randint(-3, 3) if k % 2 else mixed_rational(rng) for k in range(d)],
+        [True] + [0] * (d - 1),
+        [rand_poly(rng) for _ in range(d)],
+        [rand_poly(rng) if k == 0 else mixed_rational(rng) for k in range(d)],
+    ]
+    for psi in spinors:
+        got = moment_map(ctx, psi)
+        assert exactly_equal(got, generic_quadratic_coords(ctx, psi))
+        assert exactly_equal(ctx.quadratic_coords(tuple(psi)), got)
+    assert all(type(x) is Fraction for x in moment_map(ctx, spinors[2]))
