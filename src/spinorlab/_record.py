@@ -1,17 +1,21 @@
 """Immutable value records.
 
-A record class lists its field names in ``_fields`` and writes its own
-``__init__``, which stores each field into ``self.__dict__`` in that order
-and then runs the class's checks.  ``Record`` supplies what the fields
-determine: equality against the same class only, a hash of the field tuple,
-the repr ``Name(a=1, b=2)``, and refusal of every attribute assignment or
-deletion.  Attributes outside ``_fields`` (the values of a
-``functools.cached_property``, which writes to ``__dict__`` directly) take no
-part in equality, hashing or the repr.  Instances keep their ``__dict__``, so
-``pickle`` and ``copy`` restore them without calling ``__setattr__``.
+A record class declares its fields once, as the parameters of its own
+``__init__``: ``Record.__init_subclass__`` reads their names off the code
+object into ``_fields``, in order.  The ``__init__`` normalises what it must,
+calls ``self._store(locals())`` once, which writes each field into
+``self.__dict__`` in ``_fields`` order (other locals are left out), and then
+runs the class's checks.  ``Record`` supplies what the fields determine:
+equality against the same class only, a hash of the field tuple, the repr
+``Name(a=1, b=2)``, and refusal of every attribute assignment or deletion.
+Attributes outside ``_fields`` (the values of a ``functools.cached_property``,
+which writes to ``__dict__`` directly) take no part in equality, hashing or
+the repr.  Instances keep their ``__dict__``, so ``pickle`` and ``copy``
+restore them without calling ``__setattr__``.
 
 Plain classes cost nothing to build at import, where a code-generating
-decorator compiles several methods for each class.
+decorator compiles several methods for each class; reading the code object
+needs no ``inspect`` either.
 """
 
 from __future__ import annotations
@@ -19,6 +23,18 @@ from __future__ import annotations
 
 class Record:
     _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        init = cls.__dict__.get("__init__")
+        if init is not None:
+            code = init.__code__
+            cls._fields = code.co_varnames[1 : code.co_argcount]
+
+    def _store(self, values: dict) -> None:
+        """Write each field from ``values``, the ``locals()`` of ``__init__``."""
+        d = self.__dict__
+        for f in self._fields:
+            d[f] = values[f]
 
     def _values(self) -> tuple:
         d = self.__dict__

@@ -34,13 +34,8 @@ def graded_weights(n: int) -> tuple:
 
 
 class GradedHiggsModel(Record):
-    _fields = ("weights", "omega", "phi")
-
     def __init__(self, weights: tuple, omega: ExactMatrix, phi: ExactMatrix):
-        d = self.__dict__
-        d["weights"] = weights
-        d["omega"] = omega
-        d["phi"] = phi
+        self._store(locals())
         dim = len(weights)
         if omega.rows != dim or phi.rows != dim or not phi.is_square:
             raise ValueError("dimension mismatch")

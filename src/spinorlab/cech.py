@@ -33,8 +33,6 @@ class EulerCharError(ValueError):
 
 
 class TwoTermCechModel(Record):
-    _fields = ("cech_d0", "cech_d1", "diff_a0", "diff_a1")
-
     def __init__(
         self,
         cech_d0: ExactMatrix,  # A00 -> A01
@@ -42,11 +40,7 @@ class TwoTermCechModel(Record):
         diff_a0: ExactMatrix,  # A00 -> A10
         diff_a1: ExactMatrix,  # A01 -> A11
     ):
-        d = self.__dict__
-        d["cech_d0"] = cech_d0
-        d["cech_d1"] = cech_d1
-        d["diff_a0"] = diff_a0
-        d["diff_a1"] = diff_a1
+        self._store(locals())
 
     @property
     def dims(self):
@@ -124,8 +118,6 @@ class ComplexMorphism(Record):
     """Morphism of two-term models that is the identity on the degree-0 part
     (the models share A00, A01 and the Cech differential between them)."""
 
-    _fields = ("source", "target", "phi1_0", "phi1_1")
-
     def __init__(
         self,
         source: TwoTermCechModel,
@@ -133,11 +125,7 @@ class ComplexMorphism(Record):
         phi1_0: ExactMatrix,  # A10_src -> A10_tgt
         phi1_1: ExactMatrix,  # A11_src -> A11_tgt
     ):
-        d = self.__dict__
-        d["source"] = source
-        d["target"] = target
-        d["phi1_0"] = phi1_0
-        d["phi1_1"] = phi1_1
+        self._store(locals())
 
     def validate(self):
         """Raise InvalidModelError unless both models are valid and phi
@@ -172,8 +160,6 @@ def _preimage_dim(K: ExactMatrix, T: ExactMatrix, B: ExactMatrix, rank_b: int) -
 
 
 class ChaseVerdict(Record):
-    _fields = ("hypothesis", "conclusion", "h1_source", "h1_target")
-
     def __init__(
         self,
         hypothesis: bool,  # degree-1 map injective on ker(cech_d1) of the source
@@ -181,11 +167,7 @@ class ChaseVerdict(Record):
         h1_source: int,
         h1_target: int,
     ):
-        d = self.__dict__
-        d["hypothesis"] = hypothesis
-        d["conclusion"] = conclusion
-        d["h1_source"] = h1_source
-        d["h1_target"] = h1_target
+        self._store(locals())
 
     @property
     def implication_holds(self) -> bool:
@@ -226,12 +208,8 @@ class QuotientSpace(Record):
     """Subquotient span(Z)/span(B) of an ambient coordinate space; Z columns
     are independent and span(B) is contained in span(Z)."""
 
-    _fields = ("Z", "B")
-
     def __init__(self, Z: ExactMatrix, B: ExactMatrix):
-        d = self.__dict__
-        d["Z"] = Z
-        d["B"] = B
+        self._store(locals())
 
     @cached_property
     def rank_z(self) -> int:
@@ -247,26 +225,20 @@ class QuotientSpace(Record):
 
 
 class FiveTermData(Record):
-    _fields = ("spaces", "maps")
-
     def __init__(
         self,
         spaces: tuple,  # five QuotientSpace nodes
         maps: tuple,  # four ambient matrices
     ):
-        d = self.__dict__
-        d["spaces"] = spaces
-        d["maps"] = maps
+        self._store(locals())
 
 
 class ExactnessReport(Record):
-    _fields = ("nodes",)
-
     def __init__(
         self,
         nodes: tuple,  # (name, composite_zero, rank_in, rank_out, dim, exact)
     ):
-        self.__dict__["nodes"] = nodes
+        self._store(locals())
 
     @property
     def all_exact(self) -> bool:

@@ -13,7 +13,19 @@ import contextlib
 import json
 import sys
 
-from .suites import SUITE_NAMES, ConfigError, SuiteConfig, run_suite
+from .suites import _INT_FIELDS, SUITE_NAMES, ConfigError, SuiteConfig, run_suite
+
+# what each int flag is; its range comes from suites._INT_FIELDS and its
+# default from SuiteConfig
+_LABELS = {
+    "n": "half-rank",
+    "g": "genus",
+    "m": "vanishing order",
+    "s": "section degree bound",
+    "prec": "series precision",
+    "trials": "randomized trials",
+    "seed": "64-bit master seed",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -22,13 +34,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact-arithmetic verification suites for symplectic spinor pairs.",
     )
     parser.add_argument("--suite", required=True, help=f"one of: {', '.join(SUITE_NAMES)}")
-    parser.add_argument("--n", type=int, default=2, help="half-rank (1..4)")
-    parser.add_argument("--g", type=int, default=2, help="genus (2..1000)")
-    parser.add_argument("--m", type=int, default=1, help="vanishing order (1..64)")
-    parser.add_argument("--s", type=int, default=2, help="section degree bound (1..4)")
-    parser.add_argument("--prec", type=int, default=4, help="series precision (1..64)")
-    parser.add_argument("--trials", type=int, default=100, help="randomized trials (1..10000)")
-    parser.add_argument("--seed", type=int, default=0, help="64-bit master seed")
+    for name, lo, hi, _ in _INT_FIELDS:
+        parser.add_argument(f"--{name}", type=int, help=f"{_LABELS[name]} ({lo}..{hi})")
     parser.add_argument("--json", metavar="PATH", default=None, help="write the JSON report here")
     return parser
 
@@ -40,16 +47,8 @@ def report_body(report) -> str:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = SuiteConfig(
-            suite=args.suite,
-            n=args.n,
-            g=args.g,
-            m=args.m,
-            s=args.s,
-            prec=args.prec,
-            trials=args.trials,
-            seed=args.seed,
-        )
+        # a flag left out is None here and takes SuiteConfig's default
+        config = SuiteConfig(**{f: v for f in SuiteConfig._fields if (v := getattr(args, f)) is not None})
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

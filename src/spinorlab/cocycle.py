@@ -109,8 +109,6 @@ class BlockCocycle(Record):
     gamma the mixed column block.
     """
 
-    _fields = ("n", "l", "u", "d", "a", "gamma")
-
     def __init__(self, n: int, l: object, u: ExactMatrix, d: tuple, a: object, gamma: tuple):
         self._set_blocks(n, l, u, d, a, gamma)
         if not is_symplectic(u, middle_theta(n)):
@@ -118,13 +116,7 @@ class BlockCocycle(Record):
 
     def _set_blocks(self, n, l, u, d, a, gamma):
         """Store the fields and run every check but the symplectic one."""
-        attrs = self.__dict__
-        attrs["n"] = n
-        attrs["l"] = l
-        attrs["u"] = u
-        attrs["d"] = d
-        attrs["a"] = a
-        attrs["gamma"] = gamma
+        self._store(locals())
         _inverse_term(l)
         k = 2 * n - 2
         if u.rows != k or len(d) != k or len(gamma) != k:
@@ -347,13 +339,8 @@ def perturb_gamma(c: BlockCocycle, slot: int = 0, amount=1) -> BlockCocycle:
 
 
 class NecessityResult(Record):
-    _fields = ("gamma", "system_rank", "unknowns")
-
     def __init__(self, gamma: tuple, system_rank: int, unknowns: int):
-        d = self.__dict__
-        d["gamma"] = gamma
-        d["system_rank"] = system_rank
-        d["unknowns"] = unknowns
+        self._store(locals())
 
     @property
     def unique(self) -> bool:

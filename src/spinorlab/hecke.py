@@ -51,14 +51,11 @@ def series_inverse(p: MultiPoly, prec: int) -> MultiPoly:
 class TruncatedSeriesVector(Record):
     """Vector of polynomials in z, with identities asserted mod z^precision."""
 
-    _fields = ("entries", "precision")
-
     def __init__(self, entries: tuple, precision: int):
         if precision < 1:
             raise ValueError("precision must be >= 1")
-        d = self.__dict__
-        d["entries"] = tuple(map(as_poly, entries))
-        d["precision"] = precision
+        entries = tuple(map(as_poly, entries))
+        self._store(locals())
 
     @property
     def dim(self) -> int:
@@ -140,8 +137,6 @@ def smoothing_nilpotent(n: int) -> ExactMatrix:
 
 
 class HeckeFamily(Record):
-    _fields = ("n", "m", "N", "h_t", "h_inv")
-
     def __init__(
         self,
         n: int,
@@ -150,12 +145,7 @@ class HeckeFamily(Record):
         h_t: ExactMatrix,  # over Laurent-in-z, polynomial-in-t coefficients
         h_inv: ExactMatrix,  # I - t z^{-m} N, verified inverse
     ):
-        d = self.__dict__
-        d["n"] = n
-        d["m"] = m
-        d["N"] = N
-        d["h_t"] = h_t
-        d["h_inv"] = h_inv
+        self._store(locals())
 
     def at_t_zero(self) -> ExactMatrix:
         return self.h_t.map_entries(lambda p: p.substitute_coeff_var(_T, 0))
@@ -201,8 +191,6 @@ def verify_symplectic_family(fam: HeckeFamily) -> bool:
 
 
 class GlueReport(Record):
-    _fields = ("spinor_regular", "spinor_nonzero_at_origin", "higgs_glues", "higgs_regular")
-
     def __init__(
         self,
         spinor_regular: bool,
@@ -210,11 +198,7 @@ class GlueReport(Record):
         higgs_glues: bool,
         higgs_regular: bool,
     ):
-        d = self.__dict__
-        d["spinor_regular"] = spinor_regular
-        d["spinor_nonzero_at_origin"] = spinor_nonzero_at_origin
-        d["higgs_glues"] = higgs_glues
-        d["higgs_regular"] = higgs_regular
+        self._store(locals())
 
     @property
     def passed(self) -> bool:

@@ -216,14 +216,8 @@ class Summand(Record):
     summand, raises ValueError.
     """
 
-    _fields = ("kind", "lo", "hi", "mid")
-
     def __init__(self, kind: str, lo: int, hi: int, mid: int | None = None):
-        d = self.__dict__
-        d["kind"] = kind
-        d["lo"] = lo
-        d["hi"] = hi
-        d["mid"] = mid
+        self._store(locals())
         if kind == "irreducible":
             if mid is not None:
                 raise ValueError("an irreducible summand has no mid")
@@ -237,10 +231,8 @@ class Summand(Record):
 
 
 class CheckReport(Record):
-    _fields = ("checks",)
-
     def __init__(self, checks: tuple):
-        self.__dict__["checks"] = checks
+        self._store(locals())
 
     @property
     def passed(self) -> bool:
@@ -431,16 +423,12 @@ def hom_space(rep: SymplecticRep, a: int, b: int) -> int:
 
 
 class SaturationVerdict(Record):
-    _fields = ("status", "witnesses")
-
     def __init__(
         self,
         status: str,  # "TRUE", "FALSE", or "INCONCLUSIVE"
         witnesses: tuple = (),
     ):
-        d = self.__dict__
-        d["status"] = status
-        d["witnesses"] = witnesses
+        self._store(locals())
 
     def __bool__(self):
         return self.status == "TRUE"

@@ -54,13 +54,8 @@ class SectionSpace:
 
 
 class PetriMatrix(Record):
-    _fields = ("space", "base_psi", "matrix")
-
     def __init__(self, space: SectionSpace, base_psi: tuple, matrix: ExactMatrix):
-        d = self.__dict__
-        d["space"] = space
-        d["base_psi"] = base_psi
-        d["matrix"] = matrix
+        self._store(locals())
 
 
 def _petri_rows(space: SectionSpace, psi):

@@ -22,13 +22,8 @@ class InfeasibleCaseError(ValueError):
 
 
 class BundleNumerics(Record):
-    _fields = ("rank", "degree", "genus")
-
     def __init__(self, rank: int, degree: int, genus: int):
-        d = self.__dict__
-        d["rank"] = rank
-        d["degree"] = degree
-        d["genus"] = genus
+        self._store(locals())
         if rank < 1:
             raise ValueError("rank must be positive")
         if genus < 2:
@@ -50,14 +45,8 @@ def sp_dim(n):
 
 
 class EulerPairRecord(Record):
-    _fields = ("chi_adjoint", "chi_twisted_sections", "chi_pair", "expected")
-
     def __init__(self, chi_adjoint: int, chi_twisted_sections: int, chi_pair: int, expected: int):
-        d = self.__dict__
-        d["chi_adjoint"] = chi_adjoint
-        d["chi_twisted_sections"] = chi_twisted_sections
-        d["chi_pair"] = chi_pair
-        d["expected"] = expected
+        self._store(locals())
 
     @property
     def ok(self) -> bool:
@@ -84,8 +73,6 @@ def pair_euler_identity_symbolic() -> MultiPoly:
 class YDimensionRecord(Record):
     """The three-part dimension count for the reconstruction family."""
 
-    _fields = ("moduli_term", "extension_term", "torsor_term", "hypotheses")
-
     def __init__(
         self,
         moduli_term: int,  # dim of the rank 2n-2 symplectic moduli input
@@ -93,11 +80,7 @@ class YDimensionRecord(Record):
         torsor_term: int,  # h1 of the inverse canonical bundle
         hypotheses: tuple = (),
     ):
-        d = self.__dict__
-        d["moduli_term"] = moduli_term
-        d["extension_term"] = extension_term
-        d["torsor_term"] = torsor_term
-        d["hypotheses"] = hypotheses
+        self._store(locals())
 
     @property
     def total(self) -> int:
@@ -145,8 +128,6 @@ class SubobjectCase(Record):
     degree, while the part meeting the line contributes at most zero.
     """
 
-    _fields = ("case_tag", "genus", "deg_f_prime", "deg_s", "deg_f_mod_f_prime")
-
     def __init__(
         self,
         case_tag: str,
@@ -155,12 +136,7 @@ class SubobjectCase(Record):
         deg_s: int | None = None,
         deg_f_mod_f_prime: int | None = None,
     ):
-        d = self.__dict__
-        d["case_tag"] = case_tag
-        d["genus"] = genus
-        d["deg_f_prime"] = deg_f_prime
-        d["deg_s"] = deg_s
-        d["deg_f_mod_f_prime"] = deg_f_mod_f_prime
+        self._store(locals())
         if genus < 2:
             raise InfeasibleCaseError("genus must be >= 2")
         if case_tag == "F_in_L":
@@ -182,12 +158,8 @@ class SubobjectCase(Record):
 
 
 class CaseVerdict(Record):
-    _fields = ("deg_f", "steps")
-
     def __init__(self, deg_f: int, steps: tuple):
-        d = self.__dict__
-        d["deg_f"] = deg_f
-        d["steps"] = steps
+        self._store(locals())
 
     @property
     def negative(self) -> bool:

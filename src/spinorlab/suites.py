@@ -49,8 +49,6 @@ class SuiteConfig(Record):
     """Validated run parameters: a known suite name and ints in range (a
     ``bool`` is not an int here); anything else raises ConfigError."""
 
-    _fields = ("suite", "n", "g", "m", "s", "prec", "trials", "seed")
-
     def __init__(
         self,
         suite: str,
@@ -62,19 +60,11 @@ class SuiteConfig(Record):
         trials: int = 100,
         seed: int = 0,
     ):
-        d = self.__dict__
-        d["suite"] = suite
-        d["n"] = n
-        d["g"] = g
-        d["m"] = m
-        d["s"] = s
-        d["prec"] = prec
-        d["trials"] = trials
-        d["seed"] = seed
+        self._store(locals())
         if suite not in SUITE_NAMES:
             raise ConfigError(f"unknown suite {suite!r}; known: {', '.join(SUITE_NAMES)}")
         for name, lo, hi, message in _INT_FIELDS:
-            value = d[name]
+            value = getattr(self, name)
             if type(value) is not int:
                 raise ConfigError(f"{name} must be an int, not {type(value).__name__}")
             if not lo <= value <= hi:
@@ -82,16 +72,8 @@ class SuiteConfig(Record):
 
 
 class SuiteReport(Record):
-    _fields = ("suite", "config", "passed", "failed", "failures", "wall_time")
-
     def __init__(self, suite: str, config: dict, passed: int, failed: int, failures: list, wall_time: float):
-        d = self.__dict__
-        d["suite"] = suite
-        d["config"] = config
-        d["passed"] = passed
-        d["failed"] = failed
-        d["failures"] = failures
-        d["wall_time"] = wall_time
+        self._store(locals())
 
     def to_json_dict(self) -> dict:
         """Determinism contract: wall_time and timestamps stay out of the body."""

@@ -6,14 +6,22 @@ order of ``_fields``, which matches the ``__init__`` parameters, equality and
 hashing follow the field values of one class only, the repr has the form
 ``Name(a=1, b=2)``, no attribute can be set or deleted, and ``pickle`` and
 ``copy.deepcopy`` give back an equal record.  A record class without a
-sample fails ``test_every_record_has_a_sample``.
+sample fails ``test_every_record_has_a_sample``.  The same checks run on
+``Interval``, a record of this file whose ``__init__`` binds another local
+before it stores its fields.
+
+The ``__init__`` parameters are the only declaration of a record's fields: a
+scan of the package's syntax tree finds no class but ``Record`` that assigns
+``_fields`` or has a method that writes into ``__dict__`` by subscript.
 """
 
+import ast
 import copy
 import inspect
 import io
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -80,7 +88,23 @@ DEFAULTS = {
     suites.SuiteConfig: (("dims",), dict(n=2, g=2, m=1, s=2, prec=4, trials=100, seed=0)),
 }
 
-CLASSES = sorted(SAMPLES, key=lambda c: c.__qualname__)
+
+class Interval(Record):
+    """A record whose ``__init__`` binds a local that is not a field before
+    storing."""
+
+    def __init__(self, lo: int, hi: int):
+        width = hi - lo
+        if width < 0:
+            raise ValueError("empty interval")
+        self._store(locals())
+
+
+# records of this file: the checks below run on them too
+LOCAL_SAMPLES = {Interval: dict(lo=1, hi=3)}
+
+CLASSES = sorted(SAMPLES, key=lambda c: c.__qualname__) + list(LOCAL_SAMPLES)
+SAMPLES = {**SAMPLES, **LOCAL_SAMPLES}
 IDS = [c.__qualname__ for c in CLASSES]
 
 
@@ -109,7 +133,7 @@ def _deep_copied(record):
 
 
 def test_every_record_has_a_sample():
-    assert RECORDS == set(SAMPLES)
+    assert RECORDS == set(SAMPLES) - set(LOCAL_SAMPLES)
     defaulted = {c for c in RECORDS if any(p.default is not p.empty for p in inspect.signature(c).parameters.values())}
     assert defaulted == set(DEFAULTS)
 
@@ -244,3 +268,88 @@ class TestCachedProperties:
         again = pickle.loads(pickle.dumps(model))
         assert again.__dict__["rank_d0"] == rank
         assert again == model
+
+
+class TestStoredFields:
+    def test_series_entries_are_stored_as_polynomials(self):
+        vector = hecke.TruncatedSeriesVector((1, 0), 2)
+        assert [type(p) for p in vector.entries] == [MultiPoly, MultiPoly]
+        assert vector.entries == (MultiPoly.const(1), MultiPoly.const(0))
+        assert tuple(vector.__dict__) == ("entries", "precision")
+
+    def test_the_validating_store_of_a_cocycle_keeps_its_fields(self):
+        kwargs = SAMPLES[cocycle.BlockCocycle]
+        built = cocycle.BlockCocycle._with_symplectic_u(**kwargs)
+        assert tuple(built.__dict__) == cocycle.BlockCocycle._fields
+        assert built == cocycle.BlockCocycle(**kwargs)
+
+
+# ---- the fields are declared once, by the __init__ parameters ----
+
+SRC = Path(spinorlab.__file__).resolve().parent
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def field_declarations(source: str) -> list:
+    """(class, line) of each assignment to ``_fields`` in a class body or to
+    an attribute ``_fields`` anywhere, and of each write into ``__dict__`` by
+    subscript in a method: ``x.__dict__[k] = v`` or through a name bound to
+    ``x.__dict__``."""
+    found = []
+    for cls in (node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.ClassDef)):
+        for stmt in cls.body:
+            for target in _targets(stmt):
+                if isinstance(target, ast.Name) and target.id == "_fields":
+                    found.append((cls.name, stmt.lineno))
+        for method in (n for n in cls.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))):
+            aliases = set()
+            for node in ast.walk(method):
+                if isinstance(node, ast.Assign) and _is_dict_attr(node.value):
+                    aliases |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+            for node in ast.walk(method):
+                for target in _targets(node):
+                    if isinstance(target, ast.Subscript) and (
+                        _is_dict_attr(target.value) or (isinstance(target.value, ast.Name) and target.value.id in aliases)
+                    ):
+                        found.append((cls.name, node.lineno))
+                    if isinstance(target, ast.Attribute) and target.attr == "_fields":
+                        found.append((cls.name, node.lineno))
+    return found
+
+
+def _targets(node) -> list:
+    if isinstance(node, ast.Assign):
+        return node.targets
+    if isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+        return [node.target]
+    return []
+
+
+def _is_dict_attr(node) -> bool:
+    return isinstance(node, ast.Attribute) and node.attr == "__dict__"
+
+
+def test_scan_flags_every_declaration_form():
+    for source in (
+        "class A:\n    _fields = ('x',)\n",
+        "class A:\n    _fields: tuple = ()\n",
+        "class A:\n    def __init__(self, x):\n        self.__dict__['x'] = x\n",
+        "class A:\n    def __init__(self, x):\n        d = self.__dict__\n        d['x'] = x\n",
+        "class A:\n    def f(self):\n        type(self)._fields = ()\n",
+    ):
+        assert field_declarations(source) == [("A", source.count("\n"))], source
+    for source in (
+        "def _fields(tokens):\n    return tokens\n",
+        "class A:\n    def __init__(self, x):\n        self._store(locals())\n",
+        "class A:\n    def f(self):\n        d = {}\n        d['x'] = 1\n",
+    ):
+        assert field_declarations(source) == [], source
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_record_declares_fields(path):
+    found = field_declarations(path.read_text())
+    if path.name == "_record.py":
+        assert found and {name for name, _ in found} == {"Record"}
+    else:
+        assert found == []

@@ -15,6 +15,7 @@ from spinorlab.suites import (
     SUITE_NAMES,
     ConfigError,
     SuiteConfig,
+    _INT_FIELDS,
     _SUITE_CASES,
     run_suite,
     splitmix64,
@@ -249,6 +250,28 @@ class TestCli:
         monkeypatch.setattr(cli, "run_suite", fake_run)
         assert cli.main(["--suite", "dims"]) == 1
         assert "FAIL case/t0000" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--suite", "dims"], ["--suite", "hecke", "--m", "3", "--seed", "0"], ["--suite", "all", "--n", "4", "--g", "7"]],
+    )
+    def test_flags_left_out_take_the_config_defaults(self, monkeypatch, argv):
+        seen = []
+        monkeypatch.setattr(cli, "run_suite", lambda config: seen.append(config) or run_suite(SuiteConfig("dims")))
+        assert cli.main(argv) == 0
+        given = dict(zip(argv[::2], argv[1::2]))
+        expected = SuiteConfig(**{flag[2:]: value if flag == "--suite" else int(value) for flag, value in given.items()})
+        assert seen == [expected]
+
+    def test_help_states_the_config_ranges(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for name, lo, hi, _ in _INT_FIELDS:
+            assert f"--{name} {name.upper()} " in text
+            assert f"({lo}..{hi})" in text
+        assert "half-rank (1..4)" in text and "randomized trials (1..10000)" in text
 
     def test_raising_check_still_writes_the_report(self, monkeypatch, tmp_path, capsys):
         import spinorlab.hecke as hecke
