@@ -53,15 +53,17 @@ def main(argv=None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     try:
-        # opened before the run, so an unwritable path fails fast
+        # opened before the run, so an unwritable path fails fast; the write
+        # or the close can still fail (a full disk).  An error inside the
+        # suite fails its case, so an OSError here is the report file's.
         out = open(args.json, "w") if args.json else contextlib.nullcontext()
+        with out:
+            report = run_suite(config)
+            if args.json:
+                out.write(report_body(report))
     except OSError as exc:
         print(f"cannot write the JSON report to {args.json}: {exc.strerror}", file=sys.stderr)
         return 2
-    with out:
-        report = run_suite(config)
-        if args.json:
-            out.write(report_body(report))
 
     total = report.passed + report.failed
     print(f"suite {report.suite}: {report.passed}/{total} passed "

@@ -5,6 +5,11 @@ intertwiner computations, and the multiplicity-freeness test.
 Decompositions are declared by constructors and verified, not discovered:
 the verification surface checks invariance and certifies irreducibility
 through commutant dimensions instead of running a full Meataxe.
+
+The built-in constructors (``sp_algebra``, ``sp_standard``, ``sl2_algebra``,
+``sl2_standard``, ``sl2_w_plus_wdual``, ``sl2_sym_cube``, ``trivial_rep`` and
+``direct_sum``) write the nonzeros of their matrices directly; the public
+constructors flatten the matrices they are given.
 """
 
 from __future__ import annotations
@@ -263,13 +268,12 @@ class SymplecticRep:
         self.dimV = omega.rows
         if len(rho_flat) != algebra.dim:
             raise ValueError("need one image per basis element")
-        # the sorted nonempty spans must tile range(dimV) end to end
+        # the sorted spans must each be nonempty and tile range(dimV) end to end
         end = 0
         for lo, hi in sorted((s.lo, s.hi) for s in self.summands):
-            if lo < hi:
-                if lo != end:
-                    raise ValueError("summands must partition the coordinate range")
-                end = hi
+            if not lo == end < hi:
+                raise ValueError("summands must partition the coordinate range")
+            end = hi
         if end != self.dimV:
             raise ValueError("summands must partition the coordinate range")
         for s in self.summands:
@@ -500,12 +504,23 @@ def sp_standard(n: int) -> SymplecticRep:
     )
 
 
+def _sym_power(k: int) -> list:
+    """Nonzeros of e, h and f acting on Sym^k of the standard module of sl2,
+    in the monomial basis x^(k-j) y^j, j = 0..k, keyed by flattened position
+    in ascending order: by derivation from e y = x, h x = x, h y = -y and
+    f x = y, e gives j at (j-1, j), h gives k-2j at (j, j) and f gives k-j at
+    (j+1, j).  Sym^1 is the defining module."""
+    d = k + 1
+    return [
+        {(j - 1) * d + j: j for j in range(1, d)},
+        {j * d + j: k - 2 * j for j in range(d) if k != 2 * j},
+        {(j + 1) * d + j: k - j for j in range(k)},
+    ]
+
+
 @lru_cache(maxsize=None)
 def sl2_algebra() -> MatrixLieAlgebra:
-    e = ExactMatrix([[0, 1], [0, 0]])
-    h = ExactMatrix([[1, 0], [0, -1]])
-    f = ExactMatrix([[0, 0], [1, 0]])
-    return MatrixLieAlgebra([e, h, f], name="sl2")
+    return _sparse(MatrixLieAlgebra, _sym_power(1), 2, "sl2")
 
 
 @lru_cache(maxsize=None)
@@ -513,12 +528,15 @@ def sl2_w_plus_wdual() -> SymplecticRep:
     """sl2 acting on W + W* (W the standard module), with the duality
     pairing as symplectic form; coordinates are (u1, u2, delta1, delta2)."""
     alg = sl2_algebra()
+    # X at (r, c) and -X^T at (c + 2, r + 2), in ascending position
+    rho = []
+    for f in alg._flat:
+        at = [(*divmod(p, 2), x) for p, x in f.items()]
+        pairs = [(r * 4 + c, x) for r, c, x in at] + [((c + 2) * 4 + r + 2, -x) for r, c, x in at]
+        rho.append(dict(sorted(pairs)))
     z, I2 = ExactMatrix.zeros(2, 2), ExactMatrix.identity(2)
-    rho = [ExactMatrix.from_blocks([[X, z], [z, X.transpose().scale(-1)]]) for X in alg.basis]
     omega = ExactMatrix.from_blocks([[z, I2], [I2.scale(-1), z]])
-    return SymplecticRep(
-        alg, omega, rho, [Summand("dual-pair", 0, 4, mid=2)], name="sl2-W+W*"
-    )
+    return _sparse(SymplecticRep, alg, omega, rho, [Summand("dual-pair", 0, 4, mid=2)], "sl2-W+W*")
 
 
 @lru_cache(maxsize=None)
@@ -533,16 +551,16 @@ def sl2_sym_cube() -> SymplecticRep:
     """sl2 on the third symmetric power of the standard module: a
     4-dimensional irreducible symplectic representation.  The invariant
     form is computed (and certified unique up to scale) at construction."""
-    alg = sl2_algebra()
-    rho = [_sym_cube_action(X) for X in alg.basis]
+    k = 3
+    alg, rho, d = sl2_algebra(), _sym_power(k), k + 1
 
-    # solve W rho(X) + rho(X)^T W = 0, W + W^T = 0 (2 W_rr at r = c), over 16 unknowns
+    # solve W rho(X) + rho(X)^T W = 0, W + W^T = 0 (2 W_rr at r = c), over d^2 unknowns
     symmetric_part = [
-        {r * 4 + c: 1, c * 4 + r: 1} if r != c else {r * 5: 2} for r in range(4) for c in range(4)
+        {r * d + c: 1, c * d + r: 1} if r != c else {r * (d + 1): 2} for r in range(d) for c in range(d)
     ]
-    entries = [[(*divmod(p, 4), x) for p, x in _flattened(R).items()] for R in rho]
-    maps = [_sylvester(a, [(c, r, x) for r, c, x in a], 4, 4).values() for a in entries]
-    ker = _joint_kernel(maps + [symmetric_part], 16)
+    entries = [[(*divmod(p, d), x) for p, x in f.items()] for f in rho]
+    maps = [_sylvester(a, [(c, r, x) for r, c, x in a], d, d).values() for a in entries]
+    ker = _joint_kernel(maps + [symmetric_part], d * d)
     if len(ker) != 1:
         raise InvariantFormError(f"expected a unique invariant form up to scale, found {len(ker)}")
     v = ker[0]
@@ -550,31 +568,10 @@ def sl2_sym_cube() -> SymplecticRep:
     for x in v:
         scale = scale * Fraction(x).denominator
     v = [Fraction(x) * scale for x in v]
-    omega = ExactMatrix([[v[r * 4 + c] for c in range(4)] for r in range(4)])
-    if omega.entries[0][3] < 0:
+    omega = ExactMatrix([v[r * d:(r + 1) * d] for r in range(d)])
+    if omega.entries[0][d - 1] < 0:
         omega = omega.scale(-1)
-    return SymplecticRep(
-        alg, omega, rho, [Summand("irreducible", 0, 4)], name="sl2-Sym3"
-    )
-
-
-def _sym_cube_action(X: ExactMatrix) -> ExactMatrix:
-    # basis monomials x^(3-k) y^k, k = 0..3; X acts by derivation with
-    # X.x = X00 x + X10 y and X.y = X01 x + X11 y
-    a, b = X.entries[0][0], X.entries[0][1]
-    c, d = X.entries[1][0], X.entries[1][1]
-    cols = []
-    for k in range(4):
-        img = {}
-        # (3-k) copies of x: replace one x by X.x
-        if 3 - k > 0:
-            img[k] = img.get(k, 0) + (3 - k) * a       # x -> a x
-            img[k + 1] = img.get(k + 1, 0) + (3 - k) * c  # x -> c y
-        if k > 0:
-            img[k - 1] = img.get(k - 1, 0) + k * b     # y -> b x
-            img[k] = img.get(k, 0) + k * d             # y -> d y
-        cols.append([img.get(r, 0) for r in range(4)])
-    return ExactMatrix([[cols[j][i] for j in range(4)] for i in range(4)])
+    return _sparse(SymplecticRep, alg, omega, rho, [Summand("irreducible", 0, d)], "sl2-Sym3")
 
 
 def trivial_rep(algebra: MatrixLieAlgebra, n: int = 1) -> SymplecticRep:

@@ -20,16 +20,28 @@ reads only the nonzeros of each rho.  ``pairwise_brackets`` is the
 per-pair loop that ``lie._brackets`` replaced: every pair i < j in turn,
 each product X_i X_j and X_j X_i formed from the nonzeros, where the package
 takes one sparse all-pairs product.  ``dense_sp_standard``,
-``dense_sl2_standard``, ``dense_trivial_rep`` and ``dense_direct_sum`` are
+``dense_sl2_algebra``, ``dense_sl2_standard``, ``dense_sl2_w_plus_wdual``,
+``dense_sl2_sym_cube``, ``dense_trivial_rep`` and ``dense_direct_sum`` are
 the dense bodies of the constructors that now write the nonzeros of rho
-(and, for sp(2n), of the basis) directly: each builds every matrix in full
-and goes through the public constructors, which flatten them.
+(and, for sp(2n) and sl2, of the basis) directly: each builds every matrix
+in full and goes through the public constructors, which flatten them.
+``dense_sl2_sym_cube`` derives its images by ``sym_cube_action``, the
+derivation on x^(3-k) y^k written out for a general 2 x 2 matrix, where
+the package writes the nonzeros of e, h and f on Sym^k.
 """
 
 from fractions import Fraction
 
 from matrix_oracles import _rref
-from spinorlab.lie import MatrixLieAlgebra, Summand, SymplecticRep, sl2_algebra
+from spinorlab.lie import (
+    InvariantFormError,
+    MatrixLieAlgebra,
+    Summand,
+    SymplecticRep,
+    _joint_kernel,
+    _sylvester,
+    sl2_algebra,
+)
 from spinorlab.matrix import ExactMatrix, mat_rank_kernel, standard_omega
 from spinorlab.rings import _is_rat, is_zero
 
@@ -118,6 +130,64 @@ def dense_sp_standard(n):
 def dense_sl2_standard():
     alg = sl2_algebra()
     return SymplecticRep(alg, standard_omega(1), alg.basis, [Summand("irreducible", 0, 2)], name="sl2-standard")
+
+
+def dense_sl2_algebra():
+    e = ExactMatrix([[0, 1], [0, 0]])
+    h = ExactMatrix([[1, 0], [0, -1]])
+    f = ExactMatrix([[0, 0], [1, 0]])
+    return MatrixLieAlgebra([e, h, f], name="sl2")
+
+
+def dense_sl2_w_plus_wdual():
+    alg = dense_sl2_algebra()
+    z, I2 = ExactMatrix.zeros(2, 2), ExactMatrix.identity(2)
+    rho = [ExactMatrix.from_blocks([[X, z], [z, X.transpose().scale(-1)]]) for X in alg.basis]
+    omega = ExactMatrix.from_blocks([[z, I2], [I2.scale(-1), z]])
+    return SymplecticRep(alg, omega, rho, [Summand("dual-pair", 0, 4, mid=2)], name="sl2-W+W*")
+
+
+def sym_cube_action(X):
+    """X acting on Sym^3 by derivation, in the monomials x^(3-k) y^k, k = 0..3,
+    with X.x = X00 x + X10 y and X.y = X01 x + X11 y."""
+    a, b = X.entries[0][0], X.entries[0][1]
+    c, d = X.entries[1][0], X.entries[1][1]
+    cols = []
+    for k in range(4):
+        img = {}
+        # (3-k) copies of x: replace one x by X.x
+        if 3 - k > 0:
+            img[k] = img.get(k, 0) + (3 - k) * a  # x -> a x
+            img[k + 1] = img.get(k + 1, 0) + (3 - k) * c  # x -> c y
+        if k > 0:
+            img[k - 1] = img.get(k - 1, 0) + k * b  # y -> b x
+            img[k] = img.get(k, 0) + k * d  # y -> d y
+        cols.append([img.get(r, 0) for r in range(4)])
+    return ExactMatrix([[cols[j][i] for j in range(4)] for i in range(4)])
+
+
+def dense_sl2_sym_cube():
+    """Sym^3 with its invariant form solved over the 16 entries of the
+    flattened dense images."""
+    alg = dense_sl2_algebra()
+    rho = [sym_cube_action(X) for X in alg.basis]
+    symmetric_part = [
+        {r * 4 + c: 1, c * 4 + r: 1} if r != c else {r * 5: 2} for r in range(4) for c in range(4)
+    ]
+    entries = [[(*divmod(p, 4), x) for p, x in flattened(R).items()] for R in rho]
+    maps = [_sylvester(a, [(c, r, x) for r, c, x in a], 4, 4).values() for a in entries]
+    ker = _joint_kernel(maps + [symmetric_part], 16)
+    if len(ker) != 1:
+        raise InvariantFormError(f"expected a unique invariant form up to scale, found {len(ker)}")
+    v = ker[0]
+    scale = 1
+    for x in v:
+        scale = scale * Fraction(x).denominator
+    v = [Fraction(x) * scale for x in v]
+    omega = ExactMatrix([[v[r * 4 + c] for c in range(4)] for r in range(4)])
+    if omega.entries[0][3] < 0:
+        omega = omega.scale(-1)
+    return SymplecticRep(alg, omega, rho, [Summand("irreducible", 0, 4)], name="sl2-Sym3")
 
 
 def dense_trivial_rep(algebra, n=1):

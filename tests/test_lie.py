@@ -204,7 +204,8 @@ class TestVerify:
         # with rho = 0 every antisymmetric form is invariant
         import spinorlab.lie as lie
 
-        monkeypatch.setattr(lie, "_sym_cube_action", lambda X: ExactMatrix.zeros(4, 4))
+        lie.sl2_algebra()
+        monkeypatch.setattr(lie, "_sym_power", lambda k: [{}, {}, {}])
         with pytest.raises(InvariantFormError):
             lie.sl2_sym_cube.__wrapped__()
 
@@ -515,6 +516,9 @@ class TestSerialization:
             (sl2_w_plus_wdual, "summand dual 0 2 4", "summand dual 0 2"),
             (sl2_standard, "summand irr 0 2", "summand irr 0 2 2"),
             (sl2_standard, "summand irr 0 2", "summand irr 0 \uff12"),
+            # an empty summand passed verification and made the verdict INCONCLUSIVE
+            (sl2_standard, "summand irr 0 2", "summand irr 0 2\nsummand irr 2 2"),
+            (sl2_standard, "summand irr 0 2", "summand irr 0 2\nsummand irr 5 3"),
         ],
     )
     def test_only_what_rep_to_text_writes_is_read(self, make, old, new):
@@ -547,8 +551,9 @@ class TestSerialization:
 
 def covers_by_coordinate_list(spans, dim):
     """The partition check that ``SymplecticRep`` ran before: one list entry
-    per declared coordinate."""
-    return [x for lo, hi in sorted(spans) for x in range(lo, hi)] == list(range(dim))
+    per declared coordinate, and no summand without a coordinate."""
+    covered = [x for lo, hi in sorted(spans) for x in range(lo, hi)]
+    return all(lo < hi for lo, hi in spans) and covered == list(range(dim))
 
 
 class TestSummandBounds:

@@ -4,10 +4,11 @@ matrices: ``MatrixLieAlgebra._flat`` and ``SymplecticRep._rho_flat``.
 and are otherwise dense views built from the nonzeros on first read.
 
 The constructors that write nonzeros directly (``sp_algebra``,
-``sp_standard``, ``sl2_standard``, ``trivial_rep`` and ``direct_sum``) are
-checked against their dense bodies in ``tests/lie_oracles.py``; their text
-forms against digests taken from the dense constructors; and the suites are
-checked to read no dense view of sp(2n) or of its standard representation.
+``sp_standard``, ``sl2_algebra``, ``sl2_standard``, ``sl2_w_plus_wdual``,
+``sl2_sym_cube``, ``trivial_rep`` and ``direct_sum``) are checked against
+their dense bodies in ``tests/lie_oracles.py``; their text forms against
+digests taken from the dense constructors; and the suites are checked to
+read no dense view of sp(2n), of sl2 or of their built-in representations.
 """
 
 import copy
@@ -23,7 +24,10 @@ import pytest
 import spinorlab
 from lie_oracles import (
     dense_direct_sum,
+    dense_sl2_algebra,
     dense_sl2_standard,
+    dense_sl2_sym_cube,
+    dense_sl2_w_plus_wdual,
     dense_sp_basis,
     dense_sp_standard,
     dense_trivial_rep,
@@ -70,6 +74,12 @@ def test_sp_nonzeros_are_the_flattened_dense_basis(n):
 SPARSE_AND_DENSE = {
     **{f"sp_standard({n})": (lambda n=n: sp_standard(n), lambda n=n: dense_sp_standard(n)) for n in (1, 2, 3, 4)},
     "sl2_standard()": (sl2_standard, dense_sl2_standard),
+    "trivial_rep(sl2_algebra())": (
+        lambda: trivial_rep(sl2_algebra.__wrapped__()),
+        lambda: dense_trivial_rep(dense_sl2_algebra()),
+    ),
+    "sl2_w_plus_wdual()": (sl2_w_plus_wdual.__wrapped__, dense_sl2_w_plus_wdual),
+    "sl2_sym_cube()": (sl2_sym_cube.__wrapped__, dense_sl2_sym_cube),
     "trivial_rep(sl2_algebra(), 2)": (lambda: trivial_rep(sl2_algebra(), 2), lambda: dense_trivial_rep(sl2_algebra(), 2)),
     "trivial_rep(sp_algebra(2))": (lambda: trivial_rep(sp_algebra(2)), lambda: dense_trivial_rep(sp_algebra(2))),
     "direct_sum(W+W*, Sym3)": (
@@ -102,6 +112,7 @@ def test_constructor_is_its_dense_body(name):
     assert typed_entries([got.omega]) == typed_entries([want.omega])
     assert (got.summands, got.name, got.dimV) == (want.summands, want.name, want.dimV)
     assert typed_items(got.algebra._flat) == typed_items(want.algebra._flat)
+    assert typed_entries(got.algebra.basis) == typed_entries(want.algebra.basis)
     assert got.algebra.structure_constants == want.algebra.structure_constants
     assert rep_to_text(got) == rep_to_text(want)
     assert verify_symplectic_rep(got) == verify_symplectic_rep(want)
@@ -220,7 +231,7 @@ def test_round_trip_keeps_nonzeros_and_views(name, round_trip, read_first):
 SUITES_READ_NO_VIEW = """
 import sys
 sys.path.insert(0, {src!r})
-from spinorlab.lie import sp_algebra, sp_standard
+from spinorlab.lie import sl2_algebra, sl2_sym_cube, sl2_w_plus_wdual, sp_algebra, sp_standard
 from spinorlab.suites import SuiteConfig, run_suite
 
 for cfg in (
@@ -235,16 +246,18 @@ print(sorted(
     (n, "basis" in vars(sp_algebra(n)), "rho" in vars(sp_standard(n)))
     for n in range(1, 5)
 ))
+print(["basis" in vars(sl2_algebra()), "rho" in vars(sl2_w_plus_wdual()), "rho" in vars(sl2_sym_cube())])
 """
 
 
 def test_suites_read_no_dense_view_of_sp():
     """The suite path works on nonzeros only: after moment-equivariance,
     petri and every suite, neither sp(2n) nor its standard representation
-    has built its dense view.  Run in a fresh interpreter, since the
-    constructors are cached across this test session."""
+    has built its dense view, nor have sl2, W + W* and Sym^3.  Run in a
+    fresh interpreter, since the constructors are cached across this test
+    session."""
     src = str(Path(spinorlab.__file__).resolve().parent.parent)
     probe = SUITES_READ_NO_VIEW.format(src=src)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == str([(n, False, False) for n in range(1, 5)])
+    assert out.stdout.splitlines() == [str([(n, False, False) for n in range(1, 5)]), str([False] * 3)]

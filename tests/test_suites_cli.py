@@ -1,7 +1,10 @@
 """Suite harness tests: determinism of report bodies, exit codes, JSON
 schema and parameter bounds."""
 
+import errno
+import io
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -295,6 +298,33 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("cannot write the JSON report to ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("stage", ["write", "close"])
+    def test_exit_two_when_the_json_write_fails(self, stage, monkeypatch, capsys):
+        """A report file that opens but cannot take the report (a full disk)
+        is a usage error with one line on stderr, not a traceback."""
+
+        class FullDisk(io.StringIO):
+            def write(self, text):
+                if stage == "write":
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return super().write(text)
+
+            def close(self):
+                if stage == "close":
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                super().close()
+
+        monkeypatch.setattr(cli, "open", lambda path, mode: FullDisk(), raising=False)
+        assert cli.main(["--suite", "dims", "--json", "report.json"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"cannot write the JSON report to report.json: {os.strerror(errno.ENOSPC)}\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+    def test_exit_two_on_dev_full(self, capsys):
+        assert cli.main(["--suite", "dims", "--json", "/dev/full"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("cannot write the JSON report to /dev/full: ") and err.count("\n") == 1
 
     def test_dims_report_carries_decomposition(self, tmp_path):
         out = tmp_path / "dims.json"
