@@ -90,6 +90,11 @@ class TwoTermCechModel(Record):
     def rank_d1(self) -> int:
         return rank(self.total_d1)
 
+    @cached_property
+    def kernel_d1(self) -> ExactMatrix:
+        """Integer kernel basis of D1 as columns (``_kernel_columns``)."""
+        return _kernel_columns(self.total_d1)
+
 
 def hypercohomology(model: TwoTermCechModel):
     """Dimensions (h0, h1, h2) of the total-complex cohomology."""
@@ -104,8 +109,11 @@ def hypercohomology(model: TwoTermCechModel):
 
 def euler_char(model: TwoTermCechModel) -> int:
     """Alternating sum of hypercohomology dimensions; computed independently
-    from the cochain dimensions and checked equal (EulerCharError if not)."""
-    h0, h1, h2 = hypercohomology(model)
+    from the cochain dimensions and checked equal (EulerCharError if not).
+    h1 is read off ``kernel_d1`` and h2 off ``rank_d1``, so the check holds
+    only if rank-nullity of D1 holds across their two eliminations."""
+    h0, _, h2 = hypercohomology(model)
+    h1 = model.kernel_d1.cols - model.rank_d0
     a00, a01, a10, a11 = model.dims
     from_dims = (a00 - a01) - (a10 - a11)
     from_cohomology = h0 - h1 + h2
@@ -183,7 +191,7 @@ def j_injectivity_experiment(morphism: ComplexMorphism) -> ChaseVerdict:
     K = _kernel_columns(src.cech_d1)
     hypothesis = rank(morphism.phi1_0 * K) == K.cols
 
-    K1 = _kernel_columns(src.total_d1)
+    K1 = src.kernel_d1
     r0s = src.rank_d0
     h1s = K1.cols - r0s
     h1t_ = hypercohomology(tgt)[1]
@@ -253,7 +261,7 @@ def five_term_data(model: TwoTermCechModel) -> FiveTermData:
 
     n1 = QuotientSpace(_kernel_columns(model.cech_d0), ExactMatrix.zeros(a00, 0))
     n2 = QuotientSpace(_kernel_columns(model.cech_d1), ExactMatrix.zeros(a10, 0))
-    n3 = QuotientSpace(_kernel_columns(model.total_d1), model.total_d0)
+    n3 = QuotientSpace(model.kernel_d1, model.total_d0)
     n4 = QuotientSpace(ExactMatrix.identity(a01), model.cech_d0)
     n5 = QuotientSpace(ExactMatrix.identity(a11), model.cech_d1)
 

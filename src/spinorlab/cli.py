@@ -56,10 +56,10 @@ def main(argv=None) -> int:
         # opened before the run, so an unwritable path fails fast; the write
         # or the close can still fail (a full disk).  An error inside the
         # suite fails its case, so an OSError here is the report file's.
-        out = open(args.json, "w") if args.json else contextlib.nullcontext()
+        out = open(args.json, "w") if args.json is not None else contextlib.nullcontext()
         with out:
             report = run_suite(config)
-            if args.json:
+            if args.json is not None:
                 out.write(report_body(report))
     except OSError as exc:
         print(f"cannot write the JSON report to {args.json}: {exc.strerror}", file=sys.stderr)
@@ -73,7 +73,7 @@ def main(argv=None) -> int:
     if len(report.failures) > 20:
         print(f"  ... and {len(report.failures) - 20} more failures")
 
-    if args.json:
+    if args.json is not None:
         print(f"report written to {args.json}")
 
     return 0 if report.failed == 0 else 1

@@ -101,8 +101,10 @@ class MatrixLieAlgebra:
     def from_coordinates(self, coords) -> ExactMatrix:
         return _combination(coords, self._flat, self.ambient_dim)
 
-    def trace_gram(self) -> ExactMatrix:
-        """Gram matrix of the trace form B(X,Y) = tr(XY) on the basis."""
+    @cached_property
+    def _trace_form(self) -> list:
+        """Row i of the Gram matrix of the trace form B(X, Y) = tr(XY) as
+        ``{j: B(X_i, X_j)}`` over its nonzeros."""
         d = self.ambient_dim
         # tr(XY) = sum over entries X_rc of X_rc * Y_cr: at[p] lists the
         # (j, X_j entry) whose transposed position is p
@@ -110,12 +112,18 @@ class MatrixLieAlgebra:
         for j, f in enumerate(self._flat):
             for p, y in f.items():
                 at.setdefault((p % d) * d + p // d, []).append((j, y))
-        gram = [[0] * self.dim for _ in range(self.dim)]
-        for row, f in zip(gram, self._flat):
+        rows = []
+        for f in self._flat:
+            row = {}
             for p, x in f.items():
                 for j, y in at.get(p, ()):
-                    row[j] += x * y
-        return ExactMatrix(gram)
+                    row[j] = row.get(j, 0) + x * y
+            rows.append({j: x for j, x in row.items() if x})
+        return rows
+
+    def trace_gram(self) -> ExactMatrix:
+        """Gram matrix of the trace form on the basis, from ``_trace_form``."""
+        return ExactMatrix([[row.get(j, 0) for j in range(self.dim)] for row in self._trace_form])
 
 
 def _brackets(flats, d: int):

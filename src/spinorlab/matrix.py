@@ -226,10 +226,11 @@ class ExactMatrix:
 # {pivot column: primitive sparse int row}.  The public callers reach it
 # through one adapter, _sparse_rows: mat_rank_kernel (_row_echelon) and
 # solve_linear on [A | b].  _inverse_rows builds the rows of [M | I] for
-# inverse, cech's _cleared_inverse and the moment Gram inverse
-# (_cleared_rows) with one identity entry each; petri and lie build their
-# rows sparse.  _echelon takes the rows sparsest first and stops once the
-# rank is full, never reading the rows past that point.
+# inverse and cech's _cleared_inverse (_cleared_rows) with one identity
+# entry each; petri and lie build their rows sparse, and moment inverts its
+# Gram matrix through lie's coordinate solver.  _echelon takes the rows
+# sparsest first and stops once the rank is full, never reading the rows
+# past that point.
 # The reduced form is unique and each caller divides a row only by its own
 # pivot entry (or clears the quotients, _cleared_rows), so no result
 # depends on the order of the rows or on how a row is scaled.
@@ -708,6 +709,8 @@ def random_symplectic_laurent(n: int, seed: int, var: str = "z") -> ExactMatrix:
     Product of transvections whose scalar parameter is c*var^k; each factor is
     exactly symplectic for the standard form, hence so is the product.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     rng = TrialRandom(seed)
     omega = standard_omega(n)
     dim = 2 * n

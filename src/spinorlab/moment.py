@@ -8,16 +8,21 @@ representation of sp(2n) this normalization makes mu(psi) literally equal to
 the matrix of v -> omega(v, psi) psi; no extra scalar is needed (checked in
 the tests by an independent tensor computation).
 
-Everything runs in Lie-algebra coordinates.  Each coordinate of mu is a
-quadratic form psi^T Z_k psi / q with a sparse integer matrix Z_k, so the
-differential is the bilinear form psi^T (Z_k + Z_k^T) psidot / q over any
-commutative ring.  The equivariance check applies rho(xi) through the sparse
-entries of the rho_j and takes [xi, mu] from the algebra's structure
-constants; both sides are quadratic in psi with the common factor 1/q, so it
-clears denominators and compares Python integers.  No ambient matrix is built
-unless the check fails and its residual has to be shown.  The ambient-matrix
-check and the dual-number differential this replaces are kept beside the
-tests (``tests/moment_oracles.py``) as their oracles.
+Everything runs in Lie-algebra coordinates and on nonzeros only.  Each
+coordinate of mu is a quadratic form psi^T Z_k psi / q with a sparse integer
+matrix Z_k, so the differential is the bilinear form
+psi^T (Z_k + Z_k^T) psidot / q over any commutative ring.  The forms are set
+up from the nonzeros of the trace form, inverted by one sparse elimination,
+so no D x D matrix is built.  The equivariance check applies rho(xi) through
+the nonzeros of the rho_j and takes [xi, mu] from the structure constants,
+each stored once for i < j as the algebra keeps them; both sides are
+quadratic in psi with the common factor 1/q, so it clears denominators and
+compares Python integers (for an integer basis, whose constants are
+integers).
+No ambient matrix is built unless the check fails and its residual has to
+be shown.  The ambient-matrix check and the dual-number differential this
+replaces are kept beside the tests (``tests/moment_oracles.py``) as their
+oracles.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .lie import SymplecticRep
-from .matrix import ExactMatrix, _clear_denominators, _cleared_rows, _inverse_rows, char_poly
+from .lie import SymplecticRep, _CoordinateSolver
+from .matrix import ExactMatrix, _clear_denominators, char_poly
 from .rings import _is_rat, is_zero
 
 
@@ -41,112 +46,81 @@ class MomentContext:
     Each coordinate of mu is a quadratic form psi -> (psi^T Z_k psi)/q with an
     integer matrix Z_k and common denominator q, obtained by solving against
     the Gram matrix of B once.  ``b_scale`` rescales B (the map rescales
-    inversely; equivariance is unaffected).  The forms Z_k, their
-    polarizations S_k = Z_k + Z_k^T, the rho_j (cleared of their common
-    denominator) and the structure constants (likewise) are all kept as
-    sparse integer (row, col, value) entries.
+    inversely; equivariance is unaffected).  Every table is one flat list of
+    nonzeros, integers except the constants of a non-integer basis: the
+    forms Z_k and their polarizations S_k = Z_k + Z_k^T as (k, row, col,
+    value), the rho_j cleared of their common denominator d as (j, row, col,
+    value), and each structure constant once as (i, j, k, e c^k_ij) with
+    i < j, copied from the algebra's scaled constants, e its ``_den``.
 
-    The Gram inverse comes as sparse rows (``matrix._cleared_rows`` of
-    ``_inverse_rows``): with den_G the lcm of the reduced denominators of
-    G^-1, row k of den_G G^-1 is an integer row.  The A_j = rho_j^T Omega
-    are cleared of their common denominator t, so every sum below is an
-    integer multiple of 1/(den_G t), and q is den_G t over the gcd of den_G t
-    and all sums: the lcm of their reduced denominators, whatever common
-    denominator den_G is.
+    The Gram matrix comes as the nonzeros of its rows (``_trace_form``)
+    times ``b_scale`` and is inverted by the [G | I] elimination of
+    ``lie._CoordinateSolver``, which gives den_G G^-1 in integer rows.  With
+    d and w the common denominators of rho and omega, every sum
+    Z_k / q = sum_j G^-1[k][j] rho_j^T Omega is an integer multiple of
+    1/(den_G d w), and q is den_G d w over the gcd of den_G d w and all
+    sums: the lcm of their reduced denominators, whatever den_G, d and w are.
     """
 
     def __init__(self, rep: SymplecticRep, b_scale=1):
         if b_scale == 0:
             raise InvalidContextError("B-scale must be nonzero")
         self.rep = rep
-        gram = rep.algebra.trace_gram().scale(b_scale)
-        D = rep.algebra.dim
+        alg, m = rep.algebra, rep.dimV
         try:
-            den_g, ginv = _cleared_rows(_inverse_rows(gram), D)
+            ginv = _CoordinateSolver([{j: b_scale * x for j, x in row.items()} for row in alg._trace_form], alg.dim)
         except ValueError as exc:
             raise InvalidContextError("Gram matrix of B is singular") from exc
-        omega_rows = [[(c, w) for c, w in enumerate(row) if w] for row in rep.omega.entries]
-        # rhs_j(psi) = omega(rho(X_j) psi, psi) = psi^T A_j psi, A_j = rho_j^T Omega,
-        # and Z_k / q = sum_j ginv[k][j] A_j
-        rho = [[(*divmod(p, rep.dimV), x) for p, x in flat.items()] for flat in rep._rho_flat]
-        As = []
-        for entries in rho:
-            A = {}
-            for m, r, x in entries:
-                for c, w in omega_rows[m]:
-                    A[r, c] = A.get((r, c), 0) + x * w
-            As.append(A)
-        As, t = _cleared([list(A.items()) for A in As])
-        qs = []
-        for row in ginv:
-            f = {}
-            for j, g in sorted(row.items()):
-                for rc, a in As[j]:
-                    f[rc] = f.get(rc, 0) + g * a
-            qs.append(f)
-        h = math.gcd(den_g * t, *(x for f in qs for x in f.values()))
-        self._q_inv = Fraction(h, den_g * t)
-        self._Z = [_sparse({rc: x // h for rc, x in f.items()}) for f in qs]
-        self._S = []
-        for Z in self._Z:
-            S = {}
-            for r, c, v in Z:
-                S[r, c] = S.get((r, c), 0) + v
-                S[c, r] = S.get((c, r), 0) + v
-            self._S.append(_sparse(S))
-        self._rho, self._rho_den = _cleared(rho)
-        # the closure check's scaled constants s = den c^k_ij for i < j,
-        # cleared by the lcm L of their denominators: c = sL / (den L) and
-        # e = den L / gcd(den L, all sL), the lcm of the reduced denominators
-        alg = rep.algebra
-        table = alg._scaled_constants
-        ints, L = _clear_denominators([x for cs in table.values() for x in cs.values()])
-        h = math.gcd(alg._den * L, *ints)
-        self._bracket_den = alg._den * L // h
-        # _ad[i] lists (j, k, e c^k_ij): [X_i, X_j] = sum_k c^k_ij X_k
-        self._ad = [[] for _ in range(D)]
-        it = iter(ints)
-        for (i, j), cs in table.items():
-            for k in cs:
-                v = next(it) // h
-                self._ad[i].append((j, k, v))
-                self._ad[j].append((i, k, -v))
+        rho = [(j, *divmod(p, m), x) for j, flat in enumerate(rep._rho_flat) for p, x in flat.items()]
+        ints, self._rho_den = _clear_denominators([x for *_, x in rho])
+        self._rho = [(*t[:-1], v) for t, v in zip(rho, ints)]
+        W, w = _clear_denominators([x for row in rep.omega.entries for x in row])
+        omega_rows = [[(c, v) for c, v in enumerate(W[r * m:(r + 1) * m]) if v] for r in range(m)]
+        # A_j = rho_j^T Omega, d w times: rhs_j(psi) = omega(rho(X_j) psi, psi) = psi^T A_j psi
+        As = [{} for _ in range(alg.dim)]
+        for j, r, c, x in self._rho:
+            A = As[j]
+            for c2, v in omega_rows[r]:
+                A[c, c2] = A.get((c, c2), 0) + x * v
+        # den_G d w Z_k / q = sum_j den_G G^-1[k][j] d w A_j
+        sums = {}
+        for k in range(alg.dim):
+            for j, g in sorted(ginv.inv[k]):
+                for (r, c), a in As[j].items():
+                    sums[k, r, c] = sums.get((k, r, c), 0) + g * a
+        den = ginv.den * self._rho_den * w
+        h = math.gcd(den, *sums.values())
+        self._q_inv = Fraction(h, den)
+        self._Z = [(*krc, x // h) for krc, x in sums.items() if x]
+        S = {}
+        for k, r, c, v in self._Z:
+            S[k, r, c] = S.get((k, r, c), 0) + v
+            S[k, c, r] = S.get((k, c, r), 0) + v
+        self._S = [(*krc, v) for krc, v in S.items() if v]
+        # the algebra's scaled constants e c^k_ij, i < j, as one flat list
+        self._constants = [(i, j, k, c) for (i, j), cs in alg._scaled_constants.items() for k, c in cs.items()]
 
     # -- evaluation -----------------------------------------------------
 
     def quadratic_coords(self, psi):
         """Coordinates of mu(psi).  A rational psi = P/L is cleared of its
         denominators once and its forms taken in ints, scaled by 1/(q L^2)."""
+        D = self.rep.algebra.dim
         if all(map(_is_rat, psi)):
             P, L = _clear_denominators(psi)
             scale = self._q_inv / (L * L)
-            return tuple(x * scale for x in _forms(self._Z, P, P))
-        return tuple(x * self._q_inv for x in _forms(self._Z, psi, psi))
+            return tuple(x * scale for x in _forms(self._Z, D, P, P))
+        return tuple(x * self._q_inv for x in _forms(self._Z, D, psi, psi))
 
 
-def _cleared(groups):
-    """``(groups, L)``: lists of tuples whose last entry is rational, with
-    that entry times L, the lcm of all their denominators."""
-    ints, L = _clear_denominators([t[-1] for g in groups for t in g])
-    it = iter(ints)
-    return [[(*t[:-1], next(it)) for t in g] for g in groups], L
-
-
-def _sparse(entries: dict):
-    return [(r, c, int(v)) for (r, c), v in entries.items() if v]
-
-
-def _forms(forms, a, b):
-    """Values a^T F b of sparse integer forms F, over any commutative ring."""
-    out = []
-    for entries in forms:
-        acc = 0
-        for r, c, v in entries:
-            x, y = a[r], b[c]
-            if not x or not y:
-                continue
-            acc = acc + v * x * y
-        out.append(acc)
+def _forms(forms, D: int, a, b):
+    """Values a^T F_k b, k < D, of the integer forms F_k given by their
+    nonzeros (k, r, c, value), over any commutative ring."""
+    out = [0] * D
+    for k, r, c, v in forms:
+        x, y = a[r], b[c]
+        if x and y:
+            out[k] = out[k] + v * x * y
     return out
 
 
@@ -168,7 +142,7 @@ def moment_differential(ctx: MomentContext, psi, psidot):
     bilinear form psi^T (Z_k + Z_k^T) psidot / q, over any commutative ring."""
     if len(psi) != ctx.rep.dimV or len(psidot) != ctx.rep.dimV:
         raise ValueError("spinor has wrong length")
-    return tuple(x * ctx._q_inv for x in _forms(ctx._S, psi, psidot))
+    return tuple(x * ctx._q_inv for x in _forms(ctx._S, ctx.rep.algebra.dim, psi, psidot))
 
 
 def equivariance_check(ctx: MomentContext, psi, xi_coords):
@@ -176,8 +150,9 @@ def equivariance_check(ctx: MomentContext, psi, xi_coords):
 
     Returns (passed, residual matrix); the residual is identically zero for
     every genuine symplectic representation.  With psi = P/L, xi = X/M,
-    rho_j = R_j/d and structure constants C/e (P, X, R, C integral), the
-    k-th coordinate of the residual is (e lhs_k - d rhs_k) / (q L^2 M d e) for
+    rho_j = R_j/d and structure constants C/e (P, X, R integral; C the
+    values of ``_constants`` and e the algebra's ``_den``), the k-th coordinate
+    of the residual is (e lhs_k - d rhs_k) / (q L^2 M d e) for
     lhs_k = P^T S_k (sum_j X_j R_j P) and rhs_k = sum_ij X_i (P^T Z_j P) C^k_ij.
     """
     rep = ctx.rep
@@ -186,18 +161,17 @@ def equivariance_check(ctx: MomentContext, psi, xi_coords):
     P, L = _clear_denominators(psi)
     X, M = _clear_denominators(xi_coords)
     psidot = [0] * rep.dimV
-    for x, entries in zip(X, ctx._rho):
-        if x:
-            for r, c, v in entries:
-                psidot[r] += x * v * P[c]
-    lhs = _forms(ctx._S, P, psidot)
-    mu = _forms(ctx._Z, P, P)
-    rhs = [0] * rep.algebra.dim
-    for x, ad in zip(X, ctx._ad):
-        if x:
-            for j, k, c in ad:
-                rhs[k] += x * c * mu[j]
-    e, d = ctx._bracket_den, ctx._rho_den
+    for j, r, c, v in ctx._rho:
+        if X[j]:
+            psidot[r] += X[j] * v * P[c]
+    D = rep.algebra.dim
+    lhs = _forms(ctx._S, D, P, psidot)
+    mu = _forms(ctx._Z, D, P, P)
+    # sum over ordered pairs of X_i mu_j C^k_ij, each constant taken once
+    rhs = [0] * D
+    for i, j, k, c in ctx._constants:
+        rhs[k] += c * (X[i] * mu[j] - X[j] * mu[i])
+    e, d = rep.algebra._den, ctx._rho_den
     residual = [e * a - d * b for a, b in zip(lhs, rhs)]
     if not any(residual):
         return True, _zero_residual(rep.algebra.ambient_dim)

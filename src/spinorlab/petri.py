@@ -9,8 +9,9 @@ decides injectivity.  Outputs are algebra-valued polynomials of degree
 
 The differential is the bilinear form psi^T S_k psidot / q of the moment
 layer, so the matrix is built by convolving the integer coefficients of psi
-(cleared of denominators) against the sparse forms S_k, with no polynomial
-objects.  That gives sparse integer rows and one common denominator; the
+(cleared of denominators) against the flat list of nonzeros (k, row, col,
+value) of the forms S_k, with no polynomial objects.  That gives sparse
+integer rows and one common denominator; the
 kernel is that of the integer rows, so ``petri_kernel`` hands them straight
 to ``matrix._row_echelon`` and builds Fractions only for the kernel vectors,
 and ``in_petri_kernel`` applies them to one direction in ints.
@@ -66,8 +67,9 @@ def _petri_rows(space: SectionSpace, psi):
     major; columns by the section basis e_j x^k, degree major as well.  With
     psi = P/L cleared of denominators, the entry in row (l+k)*dim_g + i,
     column k*m + j is sum_r S_i[r][j] P[l*m + r] / (L q): a convolution of
-    the coefficients of psi against the sparse polarized forms S_i, summed
-    in Python ints; an entry whose terms cancel is dropped.
+    the coefficients of psi against the nonzeros (i, r, j, S_i[r][j]),
+    walked once per degree l, summed in Python ints; an entry whose terms
+    cancel is dropped.
     """
     psi = tuple(psi)
     if len(psi) != space.dim:
@@ -77,17 +79,16 @@ def _petri_rows(space: SectionSpace, psi):
     dim_g = space.rep.algebra.dim
     m = space.rep.dimV
     rows = [{} for _ in range((2 * s - 1) * dim_g)]
-    for i, S in enumerate(space.ctx._S):
-        for r, j, v in S:
-            for l in range(s):
-                p = P[l * m + r]
-                if p:
-                    x = v * p
-                    for k in range(s):
-                        row, col = rows[(l + k) * dim_g + i], k * m + j
-                        row[col] = y = row.get(col, 0) + x
-                        if not y:
-                            del row[col]
+    for l in range(s):
+        for i, r, j, v in space.ctx._S:
+            p = P[l * m + r]
+            if p:
+                x = v * p
+                for k in range(s):
+                    row, col = rows[(l + k) * dim_g + i], k * m + j
+                    row[col] = y = row.get(col, 0) + x
+                    if not y:
+                        del row[col]
     return psi, rows, L * space.ctx._q_inv.denominator
 
 

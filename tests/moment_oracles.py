@@ -4,10 +4,13 @@
 differential, structure constants for the bracket, integer arithmetic for the
 equivariance check.  The routes below are the direct ones it replaced: the
 differential as the eps-linear part of mu over the dual numbers, and the
-equivariance identity checked on ambient matrices.  ``MomentContext`` reads
-its Gram inverse from integer rows and forms its sums in integers; the
-Fraction route it replaced is ``fraction_context_fields``, which scans
-omega and each rho for their nonzeros itself rather than through the package.
+equivariance identity checked on ambient matrices.  ``MomentContext``
+inverts the nonzeros of the Gram matrix in integers and forms its sums in
+integers; the Fraction route it replaced is ``fraction_context_fields``,
+which inverts the dense Gram matrix over Fractions and scans omega and each
+rho for their nonzeros itself rather than through the package.  It returns
+the context's flat tables: (k, row, col, value) for the forms, (j, row, col,
+value) for rho and (i, j, k, value), i < j, for the structure constants.
 ``generic_quadratic_coords`` is the evaluation ``quadratic_coords`` keeps for
 spinors that are not rational, applied to every spinor.
 """
@@ -28,7 +31,7 @@ def dual_moment_differential(ctx, psi, psidot):
 
 def generic_quadratic_coords(ctx, psi):
     """Coordinates of mu(psi) as (psi^T Z_k psi) / q over the ring of psi."""
-    return tuple(x * ctx._q_inv for x in _forms(ctx._Z, psi, psi))
+    return tuple(x * ctx._q_inv for x in _forms(ctx._Z, ctx.rep.algebra.dim, psi, psi))
 
 
 def ambient_equivariance_check(ctx, psi, xi_coords):
@@ -64,37 +67,27 @@ def fraction_context_fields(rep, b_scale=1):
                 for rc, a in A.items():
                     qs[k][rc] = qs[k].get(rc, 0) + g * a
     q = math.lcm(*(Fraction(x).denominator for f in qs for x in f.values()))
-    Z = [_sparse({rc: x * q for rc, x in f.items()}) for f in qs]
-    S = []
-    for entries in Z:
-        P = {}
-        for r, c, v in entries:
-            P[r, c] = P.get((r, c), 0) + v
-            P[c, r] = P.get((c, r), 0) + v
-        S.append(_sparse(P))
-    rho = [_nonzeros(R) for R in rep.rho]
-    rho_den = math.lcm(*(Fraction(x).denominator for e in rho for _, _, x in e))
+    Z = [(k, r, c, int(x * q)) for k, f in enumerate(qs) for (r, c), x in f.items() if x]
+    S = {}
+    for k, r, c, v in Z:
+        S[k, r, c] = S.get((k, r, c), 0) + v
+        S[k, c, r] = S.get((k, c, r), 0) + v
+    rho = [(j, r, c, x) for j, R in enumerate(rep.rho) for r, c, x in _nonzeros(R)]
+    rho_den = math.lcm(*(Fraction(x).denominator for *_, x in rho))
     table = rep.algebra.structure_constants
-    bracket_den = math.lcm(*(Fraction(x).denominator for cs in table.values() for x in cs.values()))
-    ad = [[] for _ in range(D)]
-    for (i, j), cs in table.items():
-        for k, x in cs.items():
-            ad[i].append((j, k, int(x * bracket_den)))
+    constants = [
+        (i, j, k, x * rep.algebra._den) for (i, j), cs in sorted(table.items()) if i < j for k, x in sorted(cs.items())
+    ]
     return {
         "_Z": Z,
-        "_S": S,
+        "_S": [(*krc, v) for krc, v in S.items() if v],
         "_q_inv": Fraction(1, q),
         "_rho_den": rho_den,
-        "_rho": [[(r, c, int(x * rho_den)) for r, c, x in e] for e in rho],
-        "_bracket_den": bracket_den,
-        "_ad": ad,
+        "_rho": [(j, r, c, int(x * rho_den)) for j, r, c, x in rho],
+        "_constants": constants,
     }
 
 
 def _nonzeros(M):
     """The nonzero entries of a matrix as (row, col, value), row by row."""
     return [(r, c, x) for r, row in enumerate(M.entries) for c, x in enumerate(row) if x]
-
-
-def _sparse(entries):
-    return [(r, c, int(v)) for (r, c), v in entries.items() if v]

@@ -151,6 +151,16 @@ class TestEulerChar:
         )
         assert out.stdout.strip() == "raised"
 
+    def test_wrong_rank_of_d1_raises(self):
+        """The check compares the Bareiss rank of D1 with the kernel of its
+        elimination: a cached rank off by one either way raises."""
+        rng = random.Random(37)
+        for delta in (1, -1):
+            model = random_model(rng)
+            vars(model)["rank_d1"] = model.rank_d1 + delta
+            with pytest.raises(EulerCharError):
+                euler_char(model)
+
     def test_specific_dims(self):
         rng = random.Random(34)
         for _ in range(5):

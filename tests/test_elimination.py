@@ -332,18 +332,17 @@ def test_sparse_rows_hold_their_cleared_nonzeros():
 
 def cancelling_petri_case():
     """A section space and a section psi at which two terms of one entry of
-    the Petri rows cancel: two entries (r1, j, v1) and (r2, j, v2) of one
-    polarized form S_i in the same column j, and psi = v2 e_r1 - v1 e_r2, so
-    the entry in row i, column j is v1 v2 - v2 v1 = 0."""
+    the Petri rows cancel: two entries (i, r1, j, v1) and (i, r2, j, v2) of
+    one polarized form S_i in the same column j, and psi = v2 e_r1 - v1 e_r2,
+    so the entry in row i, column j is v1 v2 - v2 v1 = 0."""
     rep = conjugate_rep(sp_standard(1), random_symplectic(1, 3))
     space = SectionSpace(rep, 2)
-    for i, S in enumerate(_context(rep)._S):
-        for (r1, j1, v1), (r2, j2, v2) in itertools.combinations(S, 2):
-            if j1 == j2:
-                psi = [0] * space.dim
-                psi[r1], psi[r2] = v2, -v1
-                assert petri_matrix(space, psi).matrix[i, j1] == 0
-                return space, psi
+    for (i, r1, j1, v1), (i2, r2, j2, v2) in itertools.combinations(_context(rep)._S, 2):
+        if (i, j1) == (i2, j2):
+            psi = [0] * space.dim
+            psi[r1], psi[r2] = v2, -v1
+            assert petri_matrix(space, psi).matrix[i, j1] == 0
+            return space, psi
     raise AssertionError("no form with two entries in one column")
 
 

@@ -9,7 +9,8 @@ oracles.  The Cech layer works on integer matrices.  ``split_linear``,
 the polynomial view of a section, the per-representation Euler pair, the
 map-by-map joint kernel, the lazy Bareiss Gauss-Jordan (``_rref_int``,
 ``_reduce``) and the per-pair bracket loop (``pairwise_brackets``) live
-beside the oracles that use them.  The check walks the
+beside the oracles that use them, and ``moment`` names neither the dense
+Gram view nor the dense inverse.  The check walks the
 syntax tree with the standard library, like ``test_unused_imports``.
 """
 
@@ -80,6 +81,13 @@ def test_cech_works_without_fraction():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_test_only_helpers_stay_beside_the_tests(path):
     assert sorted(TEST_ONLY & named(path.read_text())) == []
+
+
+def test_moment_builds_no_dense_gram():
+    """``MomentContext`` inverts the nonzeros of the trace form through the
+    coordinate solver: it neither reads the dense Gram view nor inverts a
+    dense matrix."""
+    assert sorted({"trace_gram", "_inverse_rows", "_cleared_rows"} & named((SRC / "moment.py").read_text())) == []
 
 
 def test_section_space_does_not_evaluate():

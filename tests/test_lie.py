@@ -117,6 +117,20 @@ class TestAlgebra:
             g = alg.trace_gram()
             assert mat_rank_kernel(g)[0] == alg.dim
 
+    def test_trace_form_holds_the_nonzeros_of_tr_xy(self):
+        """Row i of ``_trace_form`` is {j: tr(X_i X_j)} over the nonzeros of
+        the dense products, and ``trace_gram`` is its dense view; the
+        built-in sp(2n) has one nonzero per row."""
+        e, h, f = sl2_algebra().basis
+        skew = MatrixLieAlgebra([f, h, e + f.scale(Fraction(1, 3))])
+        for alg in (sl2_algebra(), skew, sp_algebra(1), sp_algebra(2), sp_algebra(3)):
+            B = alg.basis
+            want = [{j: t for j, Y in enumerate(B) if (t := sum((X * Y)[r, r] for r in range(alg.ambient_dim)))}
+                    for X in B]
+            assert alg._trace_form == want
+            assert alg.trace_gram() == ExactMatrix([[row.get(j, 0) for j in range(alg.dim)] for row in want])
+        assert all(len(row) == 1 for row in sp_algebra(3)._trace_form)
+
 
 def _on_sl2(omega, summands, rho=None):
     """A representation of sl2 on Q^d with the given form; rho is zero

@@ -231,9 +231,13 @@ def test_round_trip_keeps_nonzeros_and_views(name, round_trip, read_first):
 SUITES_READ_NO_VIEW = """
 import sys
 sys.path.insert(0, {src!r})
-from spinorlab.lie import sl2_algebra, sl2_sym_cube, sl2_w_plus_wdual, sp_algebra, sp_standard
+from spinorlab.lie import MatrixLieAlgebra, sl2_algebra, sl2_sym_cube, sl2_w_plus_wdual, sp_algebra, sp_standard
 from spinorlab.suites import SuiteConfig, run_suite
 
+def refuse(self):
+    raise RuntimeError("dense Gram read")
+
+MatrixLieAlgebra.trace_gram = refuse
 for cfg in (
     SuiteConfig("moment-equivariance", n=4, trials=3, seed=2),
     SuiteConfig("petri", n=4, s=4, trials=2, seed=2),
@@ -253,9 +257,11 @@ print(["basis" in vars(sl2_algebra()), "rho" in vars(sl2_w_plus_wdual()), "rho" 
 def test_suites_read_no_dense_view_of_sp():
     """The suite path works on nonzeros only: after moment-equivariance,
     petri and every suite, neither sp(2n) nor its standard representation
-    has built its dense view, nor have sl2, W + W* and Sym^3.  Run in a
-    fresh interpreter, since the constructors are cached across this test
-    session."""
+    has built its dense view, nor have sl2, W + W* and Sym^3, and the moment
+    contexts are set up from the nonzeros of the trace form: a call of
+    ``trace_gram`` raises inside a case and fails it.  Run in a fresh
+    interpreter, since the constructors and contexts are cached across this
+    test session."""
     src = str(Path(spinorlab.__file__).resolve().parent.parent)
     probe = SUITES_READ_NO_VIEW.format(src=src)
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=300)

@@ -323,6 +323,12 @@ class TestSymplectic:
             for seed in range(100):
                 assert is_symplectic(random_symplectic(n, seed))
 
+    @pytest.mark.parametrize("build", [random_symplectic, random_symplectic_laurent])
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_half_rank_below_one_rejected(self, build, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            build(n, 3)
+
     def test_laurent_symplectic(self):
         for seed in range(10):
             M = random_symplectic_laurent(2, seed)

@@ -8,8 +8,8 @@ from fractions import Fraction
 import pytest
 
 from moment_oracles import fraction_context_fields
-from spinorlab.lie import MatrixLieAlgebra, Summand, SymplecticRep, sl2_algebra, sp_standard, sl2_w_plus_wdual
-from spinorlab.matrix import ExactMatrix, _cleared_rows, _inverse_rows, rank, standard_omega
+from spinorlab.lie import MatrixLieAlgebra, Summand, SymplecticRep, _CoordinateSolver, sl2_algebra, sp_standard, sl2_w_plus_wdual
+from spinorlab.matrix import ExactMatrix, rank, standard_omega
 from spinorlab.moment import (
     InvalidContextError,
     MomentContext,
@@ -190,8 +190,8 @@ class TestEquivariance:
         e, h, f = sl2_algebra().basis
         alg = MatrixLieAlgebra([f, h, e + f])
         rep = SymplecticRep(alg, standard_omega(1), alg.basis, [Summand("irreducible", 0, 2)])
-        rows = _cleared_rows(_inverse_rows(alg.trace_gram()), alg.dim)[1]
-        assert any(list(row) != sorted(row) for row in rows)
+        rows = _CoordinateSolver(alg._trace_form, alg.dim).inv.values()
+        assert any(row != sorted(row) for row in rows)
         for b_scale in (1, 5, Fraction(-2, 3)):
             ctx = MomentContext(rep, b_scale)
             want = fraction_context_fields(rep, b_scale)

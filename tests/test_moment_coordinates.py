@@ -22,6 +22,7 @@ from spinorlab.lie import (
     MatrixLieAlgebra,
     Summand,
     SymplecticRep,
+    _CoordinateSolver,
     conjugate_rep,
     direct_sum,
     sl2_algebra,
@@ -52,6 +53,14 @@ def sl2_halved_standard():
     return SymplecticRep(alg, standard_omega(1), alg.basis, [Summand("irreducible", 0, 2)])
 
 
+def sl2_doubled_standard():
+    """sl2 on its standard module in the basis (2e, h, f), whose coordinate
+    solver clears its inverse with den 2: the constants are 2 c^k_ij."""
+    e, h, f = sl2_algebra().basis
+    alg = MatrixLieAlgebra([e.scale(2), h, f])
+    return SymplecticRep(alg, standard_omega(1), alg.basis, [Summand("irreducible", 0, 2)])
+
+
 REPS = {
     "sp2": lambda: sp_standard(1),
     "sp4": lambda: sp_standard(2),
@@ -62,6 +71,7 @@ REPS = {
     "direct-sum": lambda: direct_sum(sl2_w_plus_wdual(), sl2_sym_cube()),
     "conjugated": lambda: conjugate_rep(sl2_sym_cube(), _SHEAR),
     "sl2-halved": sl2_halved_standard,
+    "sl2-doubled": sl2_doubled_standard,
 }
 
 
@@ -82,6 +92,8 @@ def test_equivariance_agrees_with_ambient_route(name, b_scale):
         assert any(Fraction(x).denominator > 1 for R in rep.rho for r in R.entries for x in r)
     if name == "sl2-halved":
         assert rep.algebra.bracket_coords(0, 2) == {1: Fraction(1, 2)}
+    if name == "sl2-doubled":
+        assert rep.algebra._den == 2
     ctx = MomentContext(rep, b_scale=b_scale)
     rng = random.Random(sorted(REPS).index(name) * 10 + int(b_scale * 3))
     for t in range(6):
@@ -106,23 +118,25 @@ def test_context_fields_match_the_fraction_route(name, b_scale):
     got = {field: getattr(ctx, field) for field in want}
     assert got == want
     assert type(ctx._q_inv) is Fraction
-    for field in ("_Z", "_S", "_rho", "_ad"):
-        assert all(type(v) is int for entries in got[field] for *_, v in entries)
+    # the constants are the algebra's, integers for an integer basis only
+    for field in ("_Z", "_S", "_rho") + (("_constants",) if name != "sl2-halved" else ()):
+        assert all(type(v) is int for *_, v in got[field])
 
 
 def test_context_builds_no_fraction_structure_constants():
-    """``MomentContext`` reads the algebra's integer structure constants:
-    the ``Fraction`` table is built only when something asks for it."""
+    """``MomentContext`` and ``equivariance_check`` read the algebra's
+    integer structure constants: the ``Fraction`` table is built only when
+    something asks for it."""
     alg = MatrixLieAlgebra(sp_algebra(2).basis)
     rep = SymplecticRep(alg, standard_omega(2), alg.basis, [Summand("irreducible", 0, 4)])
-    ctx = MomentContext(rep)
+    ok, _ = equivariance_check(MomentContext(rep), [1, Fraction(-2, 3), 3, 5], [Fraction(k + 1, 2) for k in range(10)])
+    assert ok and alg._den == 1
     assert "structure_constants" not in alg.__dict__
-    assert ctx._bracket_den == 1 and any(ctx._ad)
     assert alg.structure_constants == sp_algebra(2).structure_constants
     assert "structure_constants" in alg.__dict__
 
 
-@pytest.mark.parametrize("name", ["sp2", "sp4", "sl2-halved"])
+@pytest.mark.parametrize("name", ["sp2", "sp4", "sl2-halved", "sl2-doubled"])
 def test_corrupted_rho_fails_with_the_ambient_residual(name):
     rep = REPS[name]()
     rng = random.Random(sorted(REPS).index(name))
@@ -195,12 +209,21 @@ def test_coordinate_solver_rows_and_span(n):
 @pytest.mark.parametrize("name", sorted(REPS))
 @pytest.mark.parametrize("b_scale", [1, 5, Fraction(-2, 3)])
 def test_cleared_gram_inverse_matches_the_fraction_route(name, b_scale):
-    """``matrix._cleared_inverse``, which ``MomentContext`` solves with, on
-    the trace-form Gram matrices: den and den G^-1 read off inverse(G)."""
-    gram = REPS[name]().algebra.trace_gram().scale(b_scale)
+    """The [G | I] elimination of ``lie._CoordinateSolver``, which
+    ``MomentContext`` solves with, on the nonzeros of the trace-form Gram
+    matrices, and ``matrix._cleared_inverse`` on their dense view: den and
+    den G^-1 read off inverse(G)."""
+    alg = REPS[name]().algebra
+    gram = alg.trace_gram().scale(b_scale)
     den, N = _cleared_inverse(gram)
     assert (den, N) == fraction_cleared_inverse(gram)
     assert all(type(x) is int for r in N.entries for x in r)
+    solver = _CoordinateSolver([{j: b_scale * x for j, x in row.items()} for row in alg._trace_form], alg.dim)
+    assert solver.den == den
+    assert {k: dict(row) for k, row in solver.inv.items()} == {
+        k: {j: x for j, x in enumerate(row) if x} for k, row in enumerate(N.entries)
+    }
+    assert all(type(x) is int for row in solver.inv.values() for _, x in row)
 
 
 @pytest.mark.parametrize("name", sorted(REPS))

@@ -290,9 +290,11 @@ class TestCli:
         assert all(f["residual"].startswith("HeckeIdentityError: ") for f in data["failures"])
         assert "Traceback" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("target", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("target", ["missing-dir", "directory", "empty"])
     def test_exit_two_on_unwritable_json_path(self, target, monkeypatch, tmp_path, capsys):
-        path = tmp_path / "no" / "such" / "x.json" if target == "missing-dir" else tmp_path
+        """A path that cannot be opened for writing, the empty path among
+        them, exits 2 before the suite runs."""
+        path = {"missing-dir": tmp_path / "no" / "such" / "x.json", "directory": tmp_path, "empty": ""}[target]
         monkeypatch.setattr(cli, "run_suite", lambda config: pytest.fail("the suite ran"))
         assert cli.main(["--suite", "dims", "--json", str(path)]) == 2
         err = capsys.readouterr().err
