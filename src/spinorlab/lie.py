@@ -19,7 +19,18 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from ._record import Record
-from .matrix import ExactMatrix, _cleared_rows, _echelon, _integer_row, _row_echelon, in_sp, inverse, rank, standard_omega
+from .matrix import (
+    ExactMatrix,
+    _cleared_rows,
+    _echelon,
+    _in_standard_sp,
+    _integer_row,
+    _row_echelon,
+    in_sp,
+    inverse,
+    rank,
+    standard_omega,
+)
 from .rings import _is_rat
 
 
@@ -38,11 +49,19 @@ class RepFormatError(ValueError):
 
 class MatrixLieAlgebra:
     """A Lie algebra given by a linearly independent list of ambient square
-    matrices, closed under the bracket.  Structure constants are computed and
-    the closure identity [X_i, X_j] = sum_k c^k_ij X_k is verified exactly at
-    construction.  The nonzeros of the basis matrices (``_flat``) are the
-    stored format; ``basis`` keeps the matrices given to the constructor, or
-    is built from ``_flat`` on first read.
+    matrices, closed under the bracket.  The nonzeros of the basis matrices
+    (``_flat``) are the stored format; ``basis`` keeps the matrices given to
+    the constructor, or is built from ``_flat`` on first read.
+
+    Closure is settled at construction.  A basis of d(d+1)/2 elements of
+    sp(Omega), Omega the standard form of an even size d, each checked by
+    the pair rule on its nonzeros (``matrix._in_standard_sp``), spans
+    sp(Omega): the solver has proved the elements independent, and that is
+    the dimension of sp(Omega).  sp(Omega) is closed, so nothing more is
+    checked.  Any other basis has every bracket solved at construction,
+    which raises ValueError when one lies outside the span.  The structure
+    constants (``_constants``) are built on first read, for a proved basis
+    as for any other, and each bracket is checked on the full system then.
     """
 
     def __init__(self, basis, name: str = ""):
@@ -61,31 +80,38 @@ class MatrixLieAlgebra:
         self.dim = len(flat)
         self._flat = flat
         self._coord_solver = _CoordinateSolver(flat, d * d)
-        # the closure check: den c^k_ij for i < j over the nonzero c, with
-        # den the solver's; a pair with no product term brackets to zero
         self._den = self._coord_solver.den
-        self._scaled_constants = {}
-        for i, j, br in _brackets(flat, d):
-            scaled = self._coord_solver.scaled_coords(br)
-            if scaled is None:
-                raise ValueError("basis is not closed under the bracket")
-            cs = {k: x for k, x in sorted(scaled.items()) if x}
-            if cs:
-                self._scaled_constants[i, j] = cs
+        if not (d % 2 == 0 and len(flat) == d * (d + 1) // 2 and all(_in_standard_sp(f, d) for f in flat)):
+            self._constants  # the all-pairs closure check
 
     @cached_property
     def basis(self) -> tuple:
         return tuple(_combination((1,), (f,), self.ambient_dim) for f in self._flat)
 
     @cached_property
+    def _constants(self) -> list:
+        """Each structure constant once, as (i, j, k, den c^k_ij) for i < j
+        over the nonzero c, ascending, with den the solver's: integers for an
+        integer basis.  Every bracket is solved and checked on the full
+        system; one outside the span raises ValueError.  A pair with no
+        product term brackets to zero."""
+        out = []
+        for i, j, br in _brackets(self._flat, self.ambient_dim):
+            scaled = self._coord_solver.scaled_coords(br)
+            if scaled is None:
+                raise ValueError("basis is not closed under the bracket")
+            out.extend((i, j, k, x) for k, x in sorted(scaled.items()) if x)
+        return out
+
+    @cached_property
     def structure_constants(self) -> dict:
         """``{(i, j): {k: c^k_ij}}`` over the nonzero c, for i != j, as
-        Fractions: [X_i, X_j] = sum_k c^k_ij X_k."""
+        Fractions: [X_i, X_j] = sum_k c^k_ij X_k.  A view of ``_constants``."""
         table = {}
-        for (i, j), cs in self._scaled_constants.items():
-            cs = {k: Fraction(x, self._den) for k, x in cs.items()}
-            table[i, j] = cs
-            table[j, i] = {k: -c for k, c in cs.items()}
+        for i, j, k, x in self._constants:
+            c = Fraction(x, self._den)
+            table.setdefault((i, j), {})[k] = c
+            table.setdefault((j, i), {})[k] = -c
         return table
 
     def bracket_coords(self, i: int, j: int) -> dict:
@@ -342,27 +368,34 @@ def verify_symplectic_rep(rep: SymplecticRep) -> CheckReport:
     checks.append(("omega antisymmetric", omega.transpose() == omega.scale(-1)))
     checks.append(("omega invertible", rank(omega) == rep.dimV))
 
-    for i, R in enumerate(rep.rho):
-        checks.append((f"sp-membership rho(X{i})", in_sp(R, omega)))
+    # the pair rule on the nonzeros against the standard form; the dense
+    # view for any other form
+    m = rep.dimV
+    if m % 2 == 0 and omega == standard_omega(m // 2):
+        members = [_in_standard_sp(f, m) for f in rep._rho_flat]
+    else:
+        members = [in_sp(R, omega) for R in rep.rho]
+    checks.extend((f"sp-membership rho(X{i})", ok) for i, ok in enumerate(members))
 
     # den [rho_i, rho_j] = sum_k den c^k_ij rho_k, compared on the nonzero
     # entries, over every pair where either side has a term
     alg = rep.algebra
-    rho_brackets = {(i, j): br for i, j, br in _brackets(rep._rho_flat, rep.dimV)}
+    want = {}
+    for i, j, k, c in alg._constants:
+        w = want.setdefault((i, j), {})
+        for p, x in rep._rho_flat[k].items():
+            w[p] = w.get(p, 0) + c * x
+    rho_brackets = {(i, j): br for i, j, br in _brackets(rep._rho_flat, m)}
     hom = ("homomorphism on all basis pairs", True)
-    for i, j in sorted(rho_brackets.keys() | alg._scaled_constants.keys()):
-        want = {}
-        for k, c in alg._scaled_constants.get((i, j), {}).items():
-            for p, x in rep._rho_flat[k].items():
-                want[p] = want.get(p, 0) + c * x
-        br = rho_brackets.get((i, j), {})
-        if any(alg._den * br.get(p, 0) != want.get(p, 0) for p in br.keys() | want.keys()):
+    for i, j in sorted(rho_brackets.keys() | want.keys()):
+        br, w = rho_brackets.get((i, j), {}), want.get((i, j), {})
+        if any(alg._den * br.get(p, 0) != w.get(p, 0) for p in br.keys() | w.keys()):
             hom = (f"homomorphism fails on (X{i}, X{j})", False)
             break
     checks.append(hom)
 
     # a span is invariant when no nonzero of a rho maps into its complement
-    at = [divmod(p, rep.dimV) for flat in rep._rho_flat for p in flat]
+    at = [divmod(p, m) for flat in rep._rho_flat for p in flat]
     for tag, (lo, hi) in rep.constituents():
         span = range(lo, hi)
         checks.append((f"invariance of {tag}", not any(c in span and r not in span for r, c in at)))

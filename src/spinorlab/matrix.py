@@ -572,27 +572,35 @@ def in_sp(X: ExactMatrix, omega: ExactMatrix | None = None) -> bool:
     """Lie algebra membership: X^T Omega + Omega X = 0.  A rational omega
     serves X over any ring of the tower, as in ``is_symplectic``.  A square
     X against the standard form of its size goes through the pair rule of
-    ``_in_standard_sp``; every other X or form through the dense product."""
+    ``_in_standard_sp`` on its nonzeros; every other X or form through the
+    dense product."""
     if omega is None:
         omega = standard_omega(X.rows // 2)
-    if X.is_square and X.rows % 2 == 0 and omega == standard_omega(X.rows // 2):
-        return _in_standard_sp(X.entries)
+    d = X.rows
+    if X.is_square and d % 2 == 0 and omega == standard_omega(d // 2):
+        return _in_standard_sp({r * d + c: x for r, row in enumerate(X.entries) for c, x in enumerate(row) if x}, d)
     return (X.transpose() * omega + omega * X).is_zero
 
 
-def _in_standard_sp(rows) -> bool:
-    """X^T Omega + Omega X = 0 for the standard Omega, from the rows of X.
-    With s_i = +1 on even i and -1 on odd i, Omega[i][i^1] = s_i is the only
-    nonzero of row i, so entry (i, j) of the sum is
-    s_i X[i^1][j] - s_j X[j^1][i].  It is antisymmetric in (i, j), so only
-    i < j is checked: a difference where s_i = s_j and a sum where not, each
-    zero exactly when falsy (see ``rings.is_zero``), over any ring."""
-    for i in range(len(rows)):
-        top = rows[i ^ 1]
-        for j in range(i + 1, len(rows)):
-            a, b = top[j], rows[j ^ 1][i]
-            if (a + b if (i ^ j) & 1 else a - b):
-                return False
+def _in_standard_sp(flat: dict, d: int) -> bool:
+    """X^T Omega + Omega X = 0 for the standard Omega of even size d, from
+    the nonzeros of X keyed by flattened position r d + c.  With s_i = +1 on
+    even i and -1 on odd i, Omega[i][i^1] = s_i is the only nonzero of row
+    i, so entry (a^1, b) of the sum is s_(a^1) (X[a][b] + s_a s_b X[b^1][a^1]):
+    it vanishes when X[b^1][a^1] is -X[a][b] for a, b of equal parity and
+    X[a][b] for unequal.  (a, b) -> (b^1, a^1) pairs the positions (a
+    position with b = a^1 pairs with itself and is free), so the condition
+    is read once per pair of nonzeros, at the lower position: a sum or a
+    difference, zero exactly when falsy (see ``rings.is_zero``), over any
+    ring.  A nonzero whose partner is zero fails outright."""
+    for p, x in flat.items():
+        a, b = divmod(p, d)
+        q = (b ^ 1) * d + (a ^ 1)
+        y = flat.get(q)
+        if y is None:
+            return False
+        if q > p and (y - x if (a ^ b) & 1 else y + x):
+            return False
     return True
 
 

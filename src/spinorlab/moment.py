@@ -14,9 +14,11 @@ matrix Z_k, so the differential is the bilinear form
 psi^T (Z_k + Z_k^T) psidot / q over any commutative ring.  The forms are set
 up from the nonzeros of the trace form, inverted by one sparse elimination,
 so no D x D matrix is built.  The equivariance check applies rho(xi) through
-the nonzeros of the rho_j and takes [xi, mu] from the structure constants,
-each stored once for i < j as the algebra keeps them; both sides are
-quadratic in psi with the common factor 1/q, so it clears denominators and
+the nonzeros of the rho_j and takes [xi, mu] from the algebra's one flat
+list of structure constants (``MatrixLieAlgebra._constants``), each stored
+once for i < j; a context copies none of them, so the moment map and its
+differential (petri) never have the list built.  Both sides are quadratic
+in psi with the common factor 1/q, so the check clears denominators and
 compares Python integers (for an integer basis, whose constants are
 integers).
 No ambient matrix is built unless the check fails and its residual has to
@@ -47,11 +49,10 @@ class MomentContext:
     integer matrix Z_k and common denominator q, obtained by solving against
     the Gram matrix of B once.  ``b_scale`` rescales B (the map rescales
     inversely; equivariance is unaffected).  Every table is one flat list of
-    nonzeros, integers except the constants of a non-integer basis: the
-    forms Z_k and their polarizations S_k = Z_k + Z_k^T as (k, row, col,
-    value), the rho_j cleared of their common denominator d as (j, row, col,
-    value), and each structure constant once as (i, j, k, e c^k_ij) with
-    i < j, copied from the algebra's scaled constants, e its ``_den``.
+    integer nonzeros: the forms Z_k and their polarizations
+    S_k = Z_k + Z_k^T as (k, row, col, value), and the rho_j cleared of their
+    common denominator d as (j, row, col, value).  A context holds no
+    structure constant; ``equivariance_check`` reads the algebra's.
 
     The Gram matrix comes as the nonzeros of its rows (``_trace_form``)
     times ``b_scale`` and is inverted by the [G | I] elimination of
@@ -97,8 +98,6 @@ class MomentContext:
             S[k, r, c] = S.get((k, r, c), 0) + v
             S[k, c, r] = S.get((k, c, r), 0) + v
         self._S = [(*krc, v) for krc, v in S.items() if v]
-        # the algebra's scaled constants e c^k_ij, i < j, as one flat list
-        self._constants = [(i, j, k, c) for (i, j), cs in alg._scaled_constants.items() for k, c in cs.items()]
 
     # -- evaluation -----------------------------------------------------
 
@@ -151,7 +150,7 @@ def equivariance_check(ctx: MomentContext, psi, xi_coords):
     Returns (passed, residual matrix); the residual is identically zero for
     every genuine symplectic representation.  With psi = P/L, xi = X/M,
     rho_j = R_j/d and structure constants C/e (P, X, R integral; C the
-    values of ``_constants`` and e the algebra's ``_den``), the k-th coordinate
+    values of the algebra's ``_constants`` and e its ``_den``), the k-th coordinate
     of the residual is (e lhs_k - d rhs_k) / (q L^2 M d e) for
     lhs_k = P^T S_k (sum_j X_j R_j P) and rhs_k = sum_ij X_i (P^T Z_j P) C^k_ij.
     """
@@ -169,7 +168,7 @@ def equivariance_check(ctx: MomentContext, psi, xi_coords):
     mu = _forms(ctx._Z, D, P, P)
     # sum over ordered pairs of X_i mu_j C^k_ij, each constant taken once
     rhs = [0] * D
-    for i, j, k, c in ctx._constants:
+    for i, j, k, c in rep.algebra._constants:
         rhs[k] += c * (X[i] * mu[j] - X[j] * mu[i])
     e, d = rep.algebra._den, ctx._rho_den
     residual = [e * a - d * b for a, b in zip(lhs, rhs)]

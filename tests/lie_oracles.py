@@ -25,6 +25,9 @@ takes one sparse all-pairs product.  ``dense_sp_standard``,
 the dense bodies of the constructors that now write the nonzeros of rho
 (and, for sp(2n) and sl2, of the basis) directly: each builds every matrix
 in full and goes through the public constructors, which flatten them.
+``dense_structure_constants`` is the all-pairs closure check and table
+that ``MatrixLieAlgebra._constants`` builds on first read, on the dense
+solver, and ``dense_constants`` its flat form.
 ``dense_sl2_sym_cube`` derives its images by ``sym_cube_action``, the
 derivation on x^(3-k) y^k written out for a general 2 x 2 matrix, where
 the package writes the nonzeros of e, h and f on Sym^k.
@@ -283,6 +286,18 @@ def dense_structure_constants(basis):
                 table[(i, j)] = cs
                 table[(j, i)] = {k: -c for k, c in cs.items()}
     return table
+
+
+def dense_constants(basis, den):
+    """The flat table ``MatrixLieAlgebra._constants`` holds, from the dense
+    solver on every pair: (i, j, k, den c^k_ij) for i < j over the nonzero
+    c, ascending.  The integer sums of the package give an int for a basis
+    of int entries and a Fraction for a basis of Fraction entries; for a
+    basis of both, whose types vary from constant to constant, every value
+    here is a Fraction."""
+    cast = int if all(type(x) is int for X in basis for row in X.entries for x in row) else Fraction
+    table = dense_structure_constants(basis)
+    return [(i, j, k, cast(c * den)) for (i, j), cs in sorted(table.items()) if i < j for k, c in sorted(cs.items())]
 
 
 def pairwise_brackets(flats, d):

@@ -9,8 +9,8 @@ inverts the nonzeros of the Gram matrix in integers and forms its sums in
 integers; the Fraction route it replaced is ``fraction_context_fields``,
 which inverts the dense Gram matrix over Fractions and scans omega and each
 rho for their nonzeros itself rather than through the package.  It returns
-the context's flat tables: (k, row, col, value) for the forms, (j, row, col,
-value) for rho and (i, j, k, value), i < j, for the structure constants.
+the context's flat tables: (k, row, col, value) for the forms and (j, row,
+col, value) for rho.
 ``generic_quadratic_coords`` is the evaluation ``quadratic_coords`` keeps for
 spinors that are not rational, applied to every spinor.
 """
@@ -74,17 +74,12 @@ def fraction_context_fields(rep, b_scale=1):
         S[k, c, r] = S.get((k, c, r), 0) + v
     rho = [(j, r, c, x) for j, R in enumerate(rep.rho) for r, c, x in _nonzeros(R)]
     rho_den = math.lcm(*(Fraction(x).denominator for *_, x in rho))
-    table = rep.algebra.structure_constants
-    constants = [
-        (i, j, k, x * rep.algebra._den) for (i, j), cs in sorted(table.items()) if i < j for k, x in sorted(cs.items())
-    ]
     return {
         "_Z": Z,
         "_S": [(*krc, v) for krc, v in S.items() if v],
         "_q_inv": Fraction(1, q),
         "_rho_den": rho_den,
         "_rho": [(j, r, c, int(x * rho_den)) for j, r, c, x in rho],
-        "_constants": constants,
     }
 
 

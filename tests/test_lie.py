@@ -90,7 +90,7 @@ class TestAlgebra:
         one, e = ExactMatrix.identity(2), ExactMatrix([[0, 1], [0, 0]])
         alg = MatrixLieAlgebra([one, e])
         assert _brackets(alg._flat, 2) == [(0, 1, {1: 0})]
-        assert alg._scaled_constants == {}
+        assert alg._constants == []
         assert alg.structure_constants == {}
         assert alg.bracket_coords(0, 1) == alg.bracket_coords(1, 0) == {}
 

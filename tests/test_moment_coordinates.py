@@ -10,6 +10,7 @@ import sympy
 
 import petri_oracles
 from cech_oracles import fraction_cleared_inverse
+from lie_oracles import dense_constants
 from matrix_oracles import exactly_equal
 from moment_oracles import (
     ambient_equivariance_check,
@@ -118,9 +119,16 @@ def test_context_fields_match_the_fraction_route(name, b_scale):
     got = {field: getattr(ctx, field) for field in want}
     assert got == want
     assert type(ctx._q_inv) is Fraction
-    # the constants are the algebra's, integers for an integer basis only
-    for field in ("_Z", "_S", "_rho") + (("_constants",) if name != "sl2-halved" else ()):
+    for field in ("_Z", "_S", "_rho"):
         assert all(type(v) is int for *_, v in got[field])
+    # the constants the check reads are the algebra's, not a copy
+    alg = ctx.rep.algebra
+    assert not hasattr(ctx, "_constants")
+    want = dense_constants(alg.basis, alg._den)
+    assert alg._constants == want
+    if name != "sl2-halved":
+        assert exactly_equal(alg._constants, want)
+    assert all(type(v) is int for *_, v in alg._constants) is (name != "sl2-halved")
 
 
 def test_context_builds_no_fraction_structure_constants():
