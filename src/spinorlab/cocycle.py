@@ -140,15 +140,19 @@ def theta_dual(d, u: ExactMatrix, l, theta: ExactMatrix):
     Stripping the arbitrary sections, this is the linear system
     u^T Theta gamma = -l^{-1} d^T, so gamma = -l^{-1} (u^T Theta)^{-1} d^T
     from one rational inverse; the result is re-verified against the
-    defining identity.
+    defining identity.  The inverse fails exactly when theta or u is
+    singular, so the two ranks are taken only then, to name which.
     """
     k = theta.rows
-    if rank(theta) != k:
-        raise InvalidCocycleError("theta is singular")
-    if rank(u) != k:
-        raise InvalidCocycleError("u is singular")
+    try:
+        system_inv = inverse(u.transpose() * theta)
+    except ValueError:
+        if rank(theta) != k:
+            raise InvalidCocycleError("theta is singular") from None
+        if rank(u) != k:
+            raise InvalidCocycleError("u is singular") from None
+        raise
     linv = _line_inverse(l)
-    system_inv = inverse(u.transpose() * theta)
     gamma = tuple(-(linv * dot(row, d)) for row in system_inv.entries)
     # re-check the defining bilinear identity on the u-basis
     for kk in range(k):

@@ -534,11 +534,15 @@ def sp_algebra(n: int) -> MatrixLieAlgebra:
     return _sparse(MatrixLieAlgebra, flat, dim, f"sp{2*n}")
 
 
+# The largest n of sp_standard, and so of a suite's n.
+MAX_N = 4
+
+
 @lru_cache(maxsize=None)
 def sp_standard(n: int) -> SymplecticRep:
     """Standard representation of sp(2n) on its defining symplectic space."""
-    if not 1 <= n <= 4:
-        raise ValueError("supported range is 1 <= n <= 4")
+    if not 1 <= n <= MAX_N:
+        raise ValueError(f"supported range is 1 <= n <= {MAX_N}")
     alg = sp_algebra(n)
     return _sparse(
         SymplecticRep, alg, standard_omega(n), alg._flat, [Summand("irreducible", 0, 2 * n)], f"sp{2*n}-standard"

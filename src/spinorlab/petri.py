@@ -11,16 +11,24 @@ The differential is the bilinear form psi^T S_k psidot / q of the moment
 layer, so the matrix is built by convolving the integer coefficients of psi
 (cleared of denominators) against the flat list of nonzeros (k, row, col,
 value) of the forms S_k, with no polynomial objects.  That gives sparse
-integer rows and one common denominator; the
-kernel is that of the integer rows, so ``petri_kernel`` hands them straight
-to ``matrix._row_echelon`` and builds Fractions only for the kernel vectors,
-and ``in_petri_kernel`` applies them to one direction in ints.
-The rows are tall and sparse (252 x 32 with about four nonzeros per row for
-sp(8) at degree bound 4), and the row-by-row elimination stops as soon as
-the rank is full, which for the standard representation is after about
-half of them.  The column-by-column ``MultiPoly`` route it replaced is kept
-beside the tests (``tests/petri_oracles.py``) as its oracle, together with
-the polynomial view of a section and its evaluation at a point.
+integer rows and one common denominator; the kernel is that of the integer
+rows, so ``petri_kernel`` eliminates them as they are and builds Fractions
+only for the kernel vectors, and ``in_petri_kernel`` applies them to one
+direction in ints.
+
+Row block t and column block k hold dmu at psi_{t-k} (zero unless
+0 <= t-k < s), so the matrix is block lower-triangular Toeplitz in the
+degree with W0 = dmu at psi_0 on its diagonal.  If W0 has full column rank
+the map is injective: the lowest coefficient v_0 of a kernel vector has
+W0 v_0 = 0, so v_0 = 0, then W0 v_1 = 0, and so on up the degrees.
+``petri_kernel`` therefore eliminates the dim(g) rows of output degree 0
+first (36 x 8 for sp(8), where the full rows at degree bound 4 are
+252 x 32), and builds and eliminates the full rows only when W0 is
+singular.  On W + W* and Sym^3 dim(g) < dim(V), so W0 is always singular
+there and the full rows are eliminated at once.
+The column-by-column ``MultiPoly`` route is kept beside the tests
+(``tests/petri_oracles.py``) as the oracle of the rows, together with the
+polynomial view of a section and its evaluation at a point.
 """
 
 from __future__ import annotations
@@ -30,8 +38,9 @@ from functools import lru_cache
 
 from ._record import Record
 from .lie import SymplecticRep
-from .matrix import ExactMatrix, ShapeError, _clear_denominators, _row_echelon
+from .matrix import ExactMatrix, ShapeError, _clear_denominators, _echelon, _row_echelon
 from .moment import MomentContext, moment_map
+from .rings import UnsupportedRingError, _is_rat
 
 
 @lru_cache(maxsize=16)
@@ -46,6 +55,8 @@ class SectionSpace:
     """Spinor sections of bounded degree for a fixed representation."""
 
     def __init__(self, rep: SymplecticRep, degree_bound: int):
+        if type(degree_bound) is not int:
+            raise TypeError(f"degree bound must be an int, not {type(degree_bound).__name__}")
         if degree_bound < 1:
             raise ValueError("degree bound must be >= 1")
         self.rep = rep
@@ -59,7 +70,19 @@ class PetriMatrix(Record):
         self._store(locals())
 
 
-def _petri_rows(space: SectionSpace, psi):
+def _cleared_section(space: SectionSpace, vec):
+    """(integers, L) with vec == integers / L for section coordinates vec.
+    A wrong length raises ShapeError and a coordinate that is not rational
+    UnsupportedRingError."""
+    if len(vec) != space.dim:
+        raise ShapeError("section coordinate length mismatch")
+    if not all(map(_is_rat, vec)):
+        bad = next(x for x in vec if not _is_rat(x))
+        raise UnsupportedRingError(f"section coordinates must be rational, not {type(bad).__name__}")
+    return _clear_denominators(vec)
+
+
+def _petri_rows(space: SectionSpace, psi, degrees: int | None = None):
     """``(psi, rows, den)``: the matrix of ``petri_matrix`` is ``rows / den``
     with ``rows`` dicts ``{column: nonzero int}``.
 
@@ -69,22 +92,23 @@ def _petri_rows(space: SectionSpace, psi):
     column k*m + j is sum_r S_i[r][j] P[l*m + r] / (L q): a convolution of
     the coefficients of psi against the nonzeros (i, r, j, S_i[r][j]),
     walked once per degree l, summed in Python ints; an entry whose terms
-    cancel is dropped.
+    cancel is dropped.  ``degrees`` keeps only the rows of output degree
+    below it (all 2s-1 by default); ``degrees=1`` gives W0 = dmu at psi_0.
     """
     psi = tuple(psi)
-    if len(psi) != space.dim:
-        raise ShapeError("section coordinate length mismatch")
-    P, L = _clear_denominators(psi)
+    P, L = _cleared_section(space, psi)
     s = space.degree_bound
     dim_g = space.rep.algebra.dim
     m = space.rep.dimV
-    rows = [{} for _ in range((2 * s - 1) * dim_g)]
-    for l in range(s):
+    t = 2 * s - 1 if degrees is None else degrees
+    rows = [{} for _ in range(t * dim_g)]
+    for l in range(min(s, t)):
+        ks = range(min(s, t - l))
         for i, r, j, v in space.ctx._S:
             p = P[l * m + r]
             if p:
                 x = v * p
-                for k in range(s):
+                for k in ks:
                     row, col = rows[(l + k) * dim_g + i], k * m + j
                     row[col] = y = row.get(col, 0) + x
                     if not y:
@@ -105,18 +129,23 @@ def in_petri_kernel(space: SectionSpace, psi, vec) -> bool:
     coordinates vec to zero.  The sparse integer rows of ``_petri_rows`` are
     den times that matrix, so their nonzeros are applied in Python ints to
     vec cleared of its denominators, and no Fraction is built."""
-    if len(vec) != space.dim:
-        raise ShapeError("section coordinate length mismatch")
+    v, _ = _cleared_section(space, vec)
     _, rows, _ = _petri_rows(space, psi)
-    v, _ = _clear_denominators(vec)
     return not any(sum(x * v[j] for j, x in row.items()) for row in rows)
 
 
 def petri_kernel(space: SectionSpace, psi):
     """Exact kernel basis of the section-level differential at psi; empty
-    means the map is injective.  The integer rows are den times the matrix
-    and have its kernel, so they are eliminated as they are: no Fraction
-    entry is built before the kernel vectors."""
+    means the map is injective.  Full column rank of the degree-0 rows W0
+    proves injectivity (see the module docstring); W0 has dim(g) rows, so
+    it is tried only when dim(g) >= dim(V).  Otherwise the integer rows, den
+    times the matrix and with its kernel, are all eliminated as they are:
+    no Fraction entry is built before the kernel vectors."""
+    m = space.rep.dimV
+    if space.rep.algebra.dim >= m:
+        psi, block, _ = _petri_rows(space, psi, 1)
+        if len(_echelon(block, m)) == m:
+            return []
     _, rows, _ = _petri_rows(space, psi)
     return _row_echelon(rows, space.dim)[1]
 

@@ -20,7 +20,7 @@ from functools import cache
 
 from . import bbflow, cech, cocycle, hecke, petri, rrdim
 from ._record import Record
-from .lie import sl2_sym_cube, sl2_w_plus_wdual, sp_standard
+from .lie import MAX_N, sl2_sym_cube, sl2_w_plus_wdual, sp_standard
 from .matrix import ExactMatrix, TrialRandom, in_sp, standard_omega
 from .moment import MomentContext, equivariance_check, gaiotto_field, hitchin_invariants
 from .rings import LaurentPoly, MultiPoly
@@ -35,7 +35,7 @@ class ConfigError(ValueError):
 # Each int field of SuiteConfig, its inclusive bounds, and the message when
 # it is out of them; the fields are checked in this order.
 _INT_FIELDS = (
-    ("n", 1, 4, "n must be in 1..4"),
+    ("n", 1, MAX_N, f"n must be in 1..{MAX_N}"),
     ("g", 2, 1000, "g must be in 2..1000"),
     ("m", 1, 64, "m must be in 1..64"),
     ("s", 1, 4, "s must be in 1..4"),

@@ -20,10 +20,10 @@ from spinorlab.cocycle import (
     theta_dual,
     verify_form_preservation,
 )
-from spinorlab.matrix import ExactMatrix, random_symplectic
+from spinorlab.matrix import ExactMatrix, ShapeError, random_symplectic
 from spinorlab.rings import FracElem, LaurentPoly, MultiPoly
 
-from cocycle_oracles import frac_assemble_transition, frac_fresh_symbol_cocycle
+from cocycle_oracles import frac_assemble_transition, frac_fresh_symbol_cocycle, frac_theta_dual
 from cocycle_oracles import loop_block_form
 from spinorlab.bbflow import graded_omega
 
@@ -55,6 +55,36 @@ class TestThetaDual:
         theta = middle_theta(2)
         with pytest.raises(InvalidCocycleError):
             theta_dual((1, 0), ExactMatrix.zeros(2, 2), 1, theta)
+
+    @pytest.mark.parametrize("u", [ExactMatrix.identity(2), ExactMatrix([[1, 2], [2, 4]])],
+                             ids=["u-regular", "u-singular"])
+    def test_singular_theta_named(self, u):
+        """theta is checked before u, as it was when the ranks came first."""
+        with pytest.raises(InvalidCocycleError, match=r"^theta is singular$"):
+            theta_dual((1, 0), u, 1, ExactMatrix([[0, 1], [0, 0]]))
+
+    def test_singular_u_named(self):
+        with pytest.raises(InvalidCocycleError, match=r"^u is singular$"):
+            theta_dual((1, 0), ExactMatrix([[1, 2], [2, 4]]), 1, middle_theta(2))
+
+    @pytest.mark.parametrize("u, error, message", [
+        (ExactMatrix([[1, 0, 1], [0, 1, 1]]), ShapeError, "inverse needs a square matrix"),
+        (ExactMatrix([[1, 0], [0, 1], [1, 1]]), ShapeError, "multiplication shape mismatch"),
+    ], ids=["wide", "tall"])
+    def test_u_of_full_rank_but_not_square_keeps_its_error(self, u, error, message):
+        with pytest.raises(error, match=f"^{message}$") as caught:
+            theta_dual((1, 0), u, 1, middle_theta(2))
+        assert not isinstance(caught.value, InvalidCocycleError)
+
+    def test_ranks_taken_only_after_a_failed_inverse(self, monkeypatch):
+        def no_rank(M):
+            raise AssertionError("rank taken on a regular input")
+
+        monkeypatch.setattr(cocycle, "rank", no_rank)
+        for n in (2, 3, 5):
+            u = random_symplectic(n - 1, 7)
+            d = tuple(range(1, 2 * n - 1))
+            assert theta_dual(d, u, 2, middle_theta(n)) == frac_theta_dual(d, u, 2, middle_theta(n))
 
     def test_wrong_solution_raises(self, monkeypatch):
         good = cocycle.inverse

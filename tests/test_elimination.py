@@ -20,7 +20,7 @@ from matrix_oracles import (
     rref_rank_kernel,
     rref_solve,
 )
-from spinorlab import lie, matrix
+from spinorlab import lie, matrix, petri
 from spinorlab.lie import (
     MatrixLieAlgebra,
     Summand,
@@ -330,18 +330,22 @@ def test_sparse_rows_hold_their_cleared_nonzeros():
     assert _integer_row({4: half, 1: 0, 0: Fraction(-2, 3), 7: Fraction(0)}) == {4: 3, 0: -4}
 
 
-def cancelling_petri_case():
+def cancelling_petri_case(degree):
     """A section space and a section psi at which two terms of one entry of
     the Petri rows cancel: two entries (i, r1, j, v1) and (i, r2, j, v2) of
-    one polarized form S_i in the same column j, and psi = v2 e_r1 - v1 e_r2,
-    so the entry in row i, column j is v1 v2 - v2 v1 = 0."""
+    one polarized form S_i in the same column j, and psi = (v2 e_r1 - v1 e_r2)
+    x^degree, so the entry in row degree*dim_g + i, column j is
+    v1 v2 - v2 v1 = 0.  At degree 0 the degree-0 rows prove the map
+    injective; at degree 1 they are zero, and the full rows are eliminated
+    (the map is injective there too)."""
     rep = conjugate_rep(sp_standard(1), random_symplectic(1, 3))
     space = SectionSpace(rep, 2)
+    m = rep.dimV
     for (i, r1, j1, v1), (i2, r2, j2, v2) in itertools.combinations(_context(rep)._S, 2):
         if (i, j1) == (i2, j2):
             psi = [0] * space.dim
-            psi[r1], psi[r2] = v2, -v1
-            assert petri_matrix(space, psi).matrix[i, j1] == 0
+            psi[degree * m + r1], psi[degree * m + r2] = v2, -v1
+            assert petri_matrix(space, psi).matrix[degree * rep.algebra.dim + i, j1] == 0
             return space, psi
     raise AssertionError("no form with two entries in one column")
 
@@ -350,7 +354,9 @@ def test_every_row_reaching_the_elimination_holds_nonzero_ints(monkeypatch):
     """The contract of ``_echelon``, checked on every row each caller hands
     it: a dict of columns below ncols to nonzero ints.  ``commutant`` and
     ``hom_space`` pass Sylvester rows whose terms cancel on every row r = c,
-    the algebra builds pass [F | I], and the Petri rows cancel at one entry."""
+    the algebra builds pass [F | I], and the Petri rows cancel at one entry:
+    in the degree-0 rows, which alone prove injectivity, and past degree 0,
+    which the full rows reach."""
     calls = []
     real = matrix._echelon
 
@@ -358,24 +364,28 @@ def test_every_row_reaching_the_elimination_holds_nonzero_ints(monkeypatch):
         for r in rows:
             assert type(r) is dict, r
             assert all(type(j) is int and 0 <= j < ncols and type(x) is int and x for j, x in r.items()), r
-        calls.append(len(rows))
+        calls.append((len(rows), ncols))
         return real(rows, ncols)
 
     monkeypatch.setattr(matrix, "_echelon", checked)
     monkeypatch.setattr(lie, "_echelon", checked)
-    space, psi = cancelling_petri_case()
+    monkeypatch.setattr(petri, "_echelon", checked)
     runs = [
         lambda: commutant(sp_standard(2)),
         lambda: hom_space(sl2_w_plus_wdual(), 0, 1),
         lambda: lie.sl2_sym_cube.__wrapped__(),
         lambda: lie.sp_algebra.__wrapped__(2),
         lambda: MatrixLieAlgebra(conjugate_rep(sp_standard(1), random_symplectic(1, 3)).rho),
-        lambda: petri_kernel(space, psi),
     ]
     for run in runs:
         calls.clear()
         run()
         assert calls, run
+    for degree, want in ((0, [(3, 2)]), (1, [(3, 2), (9, 4)])):
+        space, psi = cancelling_petri_case(degree)
+        calls.clear()
+        assert petri_kernel(space, psi) == []
+        assert calls == want
 
 
 def test_lie_eliminations_reject_polynomial_entries():

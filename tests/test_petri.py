@@ -4,14 +4,15 @@ invariance that explains the kernel."""
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 import sympy
 
 from petri_oracles import evaluate_section, multipoly_petri_matrix, petri_apply_pointwise
 from spinorlab import petri
-from spinorlab.lie import SymplecticRep, sl2_sym_cube, sl2_w_plus_wdual, sp_standard
-from spinorlab.matrix import ExactMatrix, ShapeError, mat_rank_kernel, rank, standard_omega
+from spinorlab.lie import SymplecticRep, sl2_standard, sl2_sym_cube, sl2_w_plus_wdual, sp_standard
+from spinorlab.matrix import ExactMatrix, ShapeError, _row_echelon, mat_rank_kernel, rank, standard_omega
 from spinorlab.moment import MomentContext
 from spinorlab.petri import (
     SectionSpace,
@@ -21,6 +22,7 @@ from spinorlab.petri import (
     scalar_action_invariance,
     scale_dual_pair,
 )
+from spinorlab.rings import MultiPoly, UnsupportedRingError
 
 
 def rand_section(rng, space, ensure_nonzero=True):
@@ -34,6 +36,11 @@ class TestSectionSpace:
     def test_dimension(self):
         sp = SectionSpace(sp_standard(2), 3)
         assert sp.dim == 12
+
+    @pytest.mark.parametrize("bound", [2.0, True, Fraction(2), "2", None])
+    def test_degree_bound_that_is_not_an_int_rejected(self, bound):
+        with pytest.raises(TypeError, match=f"degree bound must be an int, not {type(bound).__name__}"):
+            SectionSpace(sp_standard(1), bound)
 
     def test_evaluation(self):
         # coordinates (0, 1, 1, 0) are the section (x, 1)
@@ -206,6 +213,146 @@ class TestInPetriKernel:
             petri.in_petri_kernel(space, [1] * space.dim, [1] * (space.dim + 1))
         with pytest.raises(ShapeError):
             petri.in_petri_kernel(space, [1] * (space.dim + 1), [1] * space.dim)
+
+
+def _typed(kernel):
+    return [[(type(x), x) for x in v] for v in kernel]
+
+
+def full_row_kernel(space, psi):
+    """The kernel by eliminating every row of ``_petri_rows``, the route
+    ``petri_kernel`` takes when the degree-0 rows are singular."""
+    return _row_echelon(petri._petri_rows(space, psi)[1], space.dim)[1]
+
+
+class TestDegreeZeroProof:
+    """``petri_kernel`` proves injectivity from the degree-0 rows W0 = dmu
+    at psi_0 when they have full column rank, and eliminates the full rows
+    otherwise; either way its kernel is the full-row route's and the
+    MultiPoly oracle's, in value and type."""
+
+    REPS = {**TestConvolutionOracle.REPS, "sl2-standard": sl2_standard}
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", sorted(REPS))
+    def test_matches_the_full_rows_and_the_oracle(self, name, s):
+        rep = self.REPS[name]()
+        space = SectionSpace(rep, s)
+        m, dim_g = rep.dimV, rep.algebra.dim
+        rng = random.Random(1000 * s + sorted(self.REPS).index(name))
+        dense = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 5, 12])) for _ in range(space.dim)]
+        sections = [
+            [0] * space.dim,
+            dense,
+            [rng.choice([0, 0, 0, 1, -3]) for _ in range(space.dim)],
+            [0] * m + dense[m:],
+            dense[:m] + [0] * (space.dim - m),
+        ]
+        proved = set()
+        for psi in sections:
+            want = multipoly_petri_matrix(space, psi)
+            kernel = petri_kernel(space, psi)
+            assert _typed(kernel) == _typed(full_row_kernel(space, psi)) == _typed(mat_rank_kernel(want)[1])
+            proved.add(rank(want.submatrix(range(dim_g), range(m))) == m)
+        # sp(2n) has full-rank W0 at every nonzero psi_0 and none at psi_0 = 0;
+        # W + W* and Sym^3 have dim g < dim V, so W0 is always singular
+        if dim_g < m:
+            assert proved == {False}
+        else:
+            assert proved == {True, False}
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_injective_verdict_never_builds_the_full_rows(self, monkeypatch, n):
+        real = petri._petri_rows
+
+        def degree_zero_only(space, psi, degrees=None):
+            assert degrees == 1, "the full rows were built"
+            return real(space, psi, degrees)
+
+        monkeypatch.setattr(petri, "_petri_rows", degree_zero_only)
+        rng = random.Random(31 + n)
+        for s in (1, 2, 3, 4):
+            space = SectionSpace(sp_standard(n), s)
+            for _ in range(3):
+                psi = rand_section(rng, space)
+                psi[rng.randrange(space.rep.dimV)] = Fraction(rng.choice([-2, 1, 3]), rng.choice([1, 7]))
+                assert petri_kernel(space, psi) == []
+        # a singular W0 is the one case that builds them
+        with pytest.raises(AssertionError, match="the full rows were built"):
+            petri_kernel(space, [0] * space.rep.dimV + psi[space.rep.dimV:])
+
+    def test_no_degree_zero_rows_when_dim_g_is_below_dim_v(self, monkeypatch):
+        """W0 has dim(g) rows, so on W + W* and Sym^3 it cannot have full
+        column rank and only the full rows are built."""
+        built = []
+        real = petri._petri_rows
+
+        def recording(space, psi, degrees=None):
+            built.append(degrees)
+            return real(space, psi, degrees)
+
+        monkeypatch.setattr(petri, "_petri_rows", recording)
+        for rep in (sl2_w_plus_wdual(), sl2_sym_cube(), sp_standard(1)):
+            built.clear()
+            space = SectionSpace(rep, 2)
+            petri_kernel(space, [1] * space.dim)
+            assert built == ([None] if rep.algebra.dim < rep.dimV else [1])
+
+    @staticmethod
+    def synthetic_space(s):
+        """A stub space with dim g = dim V = 3 and hand-made forms: at the
+        section psi = (1, x, x^2) its pointwise matrix is
+        W(x) = [[1, x, 0], [x, x^2, 0], [0, 0, x]], that is W0 = e_00,
+        W1 = [[0, 1, 0], [1, 0, 0], [0, 0, 1]] and W2 = e_11.  W0 is
+        singular and W1 invertible, and W(x) (x, -1, 0) = 0, so the section
+        map has a kernel from s = 2 on."""
+        forms = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 1, 0, 1), (1, 2, 1, 1), (2, 1, 2, 1)]
+        rep = SimpleNamespace(dimV=3, algebra=SimpleNamespace(dim=3))
+        ctx = SimpleNamespace(_S=forms, _q_inv=Fraction(1))
+        return SimpleNamespace(rep=rep, degree_bound=s, dim=3 * s, ctx=ctx)
+
+    @pytest.mark.parametrize("s", [3, 4])
+    def test_an_injective_block_past_degree_zero_proves_nothing(self, s):
+        """A proof that read any row block but degree 0 would call this map
+        injective: W1 sits at output degree 1, column degree 0."""
+        space = self.synthetic_space(s)
+        psi = [0] * space.dim
+        psi[0] = psi[3 + 1] = psi[6 + 2] = 1
+        rows = petri._petri_rows(space, psi)[1]
+        block = ExactMatrix([[row.get(j, 0) for j in range(3)] for row in rows[3:6]])
+        assert block == ExactMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+        kernel = petri_kernel(space, psi)
+        assert _typed(kernel) == _typed(full_row_kernel(space, psi))
+        assert len(kernel) == s - 1
+        direction = [0] * space.dim
+        direction[3], direction[1] = 1, -1
+        assert petri.in_petri_kernel(space, psi, direction)
+        assert mat_rank_kernel(ExactMatrix([*kernel, direction]))[0] == len(kernel)
+
+
+class TestCoordinateTypes:
+    """A section coordinate that is not rational raises
+    UnsupportedRingError, as elimination does, at every entry point."""
+
+    BAD = [MultiPoly.var("x"), MultiPoly.const(1), 0.5, 0.0, "1", None]
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    @pytest.mark.parametrize("call", [
+        petri_kernel,
+        petri_matrix,
+        lambda space, psi: petri.in_petri_kernel(space, psi, [0] * space.dim),
+        lambda space, psi: petri.in_petri_kernel(space, [1] * space.dim, psi),
+    ], ids=["kernel", "matrix", "in_kernel_psi", "in_kernel_vec"])
+    def test_rejected(self, call, bad):
+        space = SectionSpace(sp_standard(1), 2)
+        psi = [1, 0, bad, Fraction(1, 2)]
+        with pytest.raises(UnsupportedRingError, match=f"not {type(bad).__name__}"):
+            call(space, psi)
+
+    def test_bool_and_int_coordinates_are_rational(self):
+        space = SectionSpace(sp_standard(1), 2)
+        assert petri_kernel(space, [True, False, 0, 1]) == petri_kernel(space, [1, 0, 0, 1]) == []
+        assert petri.in_petri_kernel(space, [1, 0, 0, 1], [False] * 4)
 
 
 class TestInjectivityDichotomy:

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import spinorlab.cli as cli
-from spinorlab.lie import SymplecticRep
+from spinorlab.lie import MAX_N, SymplecticRep, sp_standard
 from spinorlab.matrix import ExactMatrix
 from spinorlab.moment import MomentContext
 from spinorlab.suites import (
@@ -73,6 +73,19 @@ class TestConfig:
     def test_range_checked_in_field_order(self):
         with pytest.raises(ConfigError, match="n must be in 1..4"):
             SuiteConfig(suite="dims", n=5, g=2.5)
+
+    def test_n_is_capped_by_the_standard_representations(self):
+        """One cap: the suites' n range is the range of ``sp_standard``,
+        and both messages read as they did."""
+        assert [field[:3] for field in _INT_FIELDS if field[0] == "n"] == [("n", 1, MAX_N)]
+        assert MAX_N == 4
+        sp_standard(MAX_N)
+        SuiteConfig(suite="dims", n=MAX_N)
+        for n in (0, MAX_N + 1):
+            with pytest.raises(ValueError, match=r"^supported range is 1 <= n <= 4$"):
+                sp_standard(n)
+            with pytest.raises(ConfigError, match=r"^n must be in 1\.\.4$"):
+                SuiteConfig(suite="dims", n=n)
 
     def test_upper_bounds_accepted(self):
         cfg = SuiteConfig(suite="dims", g=1000, m=64, prec=64)
