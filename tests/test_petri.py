@@ -114,8 +114,8 @@ class TestPetriMatrix:
                 assert tuple(got) == tuple(want)
 
 
-def _exact_entries(M):
-    return [[(type(x), x) for x in row] for row in M.entries]
+def _exact_entries(rows):
+    return [[(type(x), x) for x in row] for row in rows]
 
 
 class TestConvolutionOracle:
@@ -144,7 +144,7 @@ class TestConvolutionOracle:
         for psi in sections:
             got = petri_matrix(space, psi).matrix
             want = multipoly_petri_matrix(space, psi)
-            assert _exact_entries(got) == _exact_entries(want)
+            assert _exact_entries(got.entries) == _exact_entries(want.entries)
 
     @pytest.mark.parametrize("name, s", [
         *((name, s) for name in ("sp2", "sp4", "sp6", "sp8") for s in (1, 2, 3, 4)),
@@ -215,10 +215,6 @@ class TestInPetriKernel:
             petri.in_petri_kernel(space, [1] * (space.dim + 1), [1] * space.dim)
 
 
-def _typed(kernel):
-    return [[(type(x), x) for x in v] for v in kernel]
-
-
 def full_row_kernel(space, psi):
     """The kernel by eliminating every row of ``_petri_rows``, the route
     ``petri_kernel`` takes when the degree-0 rows are singular."""
@@ -252,7 +248,7 @@ class TestDegreeZeroProof:
         for psi in sections:
             want = multipoly_petri_matrix(space, psi)
             kernel = petri_kernel(space, psi)
-            assert _typed(kernel) == _typed(full_row_kernel(space, psi)) == _typed(mat_rank_kernel(want)[1])
+            assert _exact_entries(kernel) == _exact_entries(full_row_kernel(space, psi)) == _exact_entries(mat_rank_kernel(want)[1])
             proved.add(rank(want.submatrix(range(dim_g), range(m))) == m)
         # sp(2n) has full-rank W0 at every nonzero psi_0 and none at psi_0 = 0;
         # W + W* and Sym^3 have dim g < dim V, so W0 is always singular
@@ -322,7 +318,7 @@ class TestDegreeZeroProof:
         block = ExactMatrix([[row.get(j, 0) for j in range(3)] for row in rows[3:6]])
         assert block == ExactMatrix([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
         kernel = petri_kernel(space, psi)
-        assert _typed(kernel) == _typed(full_row_kernel(space, psi))
+        assert _exact_entries(kernel) == _exact_entries(full_row_kernel(space, psi))
         assert len(kernel) == s - 1
         direction = [0] * space.dim
         direction[3], direction[1] = 1, -1
