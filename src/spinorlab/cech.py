@@ -343,6 +343,16 @@ def _extend_to_basis(rng, M):
     return ExactMatrix(extra).transpose() if extra else ExactMatrix.zeros(n, 0)
 
 
+def _solve_on_complement(rng, inj, forced, r_scale=1):
+    """``(den, X)`` with X [inj | C] = den [forced | r_scale R]: C completes
+    the injective inj to a basis, then R is drawn on C, and den is that of
+    ``_cleared_inverse`` of [inj | C]."""
+    C = _extend_to_basis(rng, inj)
+    R = _rand_matrix(rng, forced.rows, C.cols)
+    den, N = _cleared_inverse(ExactMatrix.from_blocks([[inj, C]]))
+    return den, ExactMatrix.from_blocks([[forced, R.scale(r_scale)]]) * N
+
+
 def _random_square(rng: random.Random, max_dim: int):
     """``random_model``'s square, unvalidated, and the factor den that scaled
     its (d1, a1): solving a1 P = [d1 a0 | R] with den P^-1 in place of P^-1
@@ -355,12 +365,7 @@ def _random_square(rng: random.Random, max_dim: int):
     d0 = _rand_injective(rng, a01, a00)
     a0 = _rand_matrix(rng, a10, a00)
     d1 = _rand_matrix(rng, a11, a10)
-    C = _extend_to_basis(rng, d0)
-    P = ExactMatrix.from_blocks([[d0, C]])
-    forced = d1 * a0  # a11 x a00
-    R = _rand_matrix(rng, a11, C.cols)
-    den, N = _cleared_inverse(P)
-    a1 = ExactMatrix.from_blocks([[forced, R]]) * N
+    den, a1 = _solve_on_complement(rng, d0, d1 * a0)
     return TwoTermCechModel(d0, d1.scale(den), a0, a1), den
 
 
@@ -390,15 +395,10 @@ def random_morphism(rng: random.Random, max_dim: int = 5, ensure_hypothesis: boo
         )
         phi10 = P * incl
         phi11 = _rand_matrix(rng, a11t, a11s)
-        C2 = _extend_to_basis(rng, phi10)
-        Q = ExactMatrix.from_blocks([[phi10, C2]])
-        forced = phi11 * src.cech_d1
-        R2 = _rand_matrix(rng, a11t, C2.cols)
-        # the source's d1 carries den_src, so R2 does too; solving with
-        # den Q^-1 scales d1t by den, and phi11 is scaled to match: the target
+        # the source's d1 carries den_src, so the random block does too;
+        # solving scales d1t by den, and phi11 is scaled to match: the target
         # is the unscaled target times den_src * den
-        den, N = _cleared_inverse(Q)
-        d1t = ExactMatrix.from_blocks([[forced, R2.scale(den_src)]]) * N
+        den, d1t = _solve_on_complement(rng, phi10, phi11 * src.cech_d1, den_src)
         phi11 = phi11.scale(den)
         tgt = TwoTermCechModel(src.cech_d0, d1t, phi10 * src.diff_a0, phi11 * src.diff_a1)
     else:

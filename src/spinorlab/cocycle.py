@@ -39,7 +39,7 @@ from operator import mul
 from ._record import Record
 from .matrix import (
     ExactMatrix,
-    _clear_denominators,
+    _cleared,
     inverse,
     is_symplectic,
     line_block_form,
@@ -48,7 +48,7 @@ from .matrix import (
     solve_linear,
     standard_omega,
 )
-from .rings import LaurentPoly, MultiPoly, _is_rat, dot
+from .rings import LaurentPoly, MultiPoly, UnsupportedRingError, _is_rat, dot
 
 
 class InvalidCocycleError(ValueError):
@@ -251,10 +251,10 @@ def _residual_forms(c: BlockCocycle):
         for (e, m), q in _terms(di, var):
             scaled_d.setdefault((e + e_inv, m), [0] * k)[i] = q_inv * q
     E = lcm(*(q.denominator for vec in (*gamma.values(), *scaled_d.values()) for q in vec))
-    flat = [x for row in c.u.entries for x in row]
-    if not all(map(_is_rat, flat)):
-        raise InvalidCocycleError("middle block must be rational")
-    U, D = _clear_denominators(flat)
+    try:
+        U, D = _cleared([x for row in c.u.entries for x in row])
+    except UnsupportedRingError as exc:
+        raise InvalidCocycleError("middle block must be rational") from exc
     W = [_times_theta(U[i::k]) for i in range(k)]
     zero = [0] * k
     forms = {}

@@ -152,21 +152,8 @@ class HeckeFamily(Record):
 
 
 def _family_matrix(N: ExactMatrix, m: int, sign: int) -> ExactMatrix:
-    t = MultiPoly.var(_T)
-    dim = N.rows
-    rows = []
-    for i in range(dim):
-        row = []
-        for j in range(dim):
-            coeffs = {}
-            if i == j:
-                coeffs[0] = MultiPoly.const(1)
-            nij = N.entries[i][j]
-            if nij:
-                coeffs[-m] = coeffs.get(-m, MultiPoly.const(0)) + sign * nij * t
-            row.append(LaurentPoly(_Z, coeffs))
-        rows.append(row)
-    return ExactMatrix(rows)
+    """I + sign t z^-m N, every entry a ``LaurentPoly`` in z."""
+    return ExactMatrix.identity(N.rows) + N.scale(LaurentPoly.term(_Z, -m, sign * MultiPoly.var(_T)))
 
 
 def hecke_family(n: int, m: int, nilpotent: ExactMatrix | None = None) -> HeckeFamily:

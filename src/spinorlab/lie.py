@@ -23,6 +23,7 @@ from .matrix import (
     ExactMatrix,
     _cleared_rows,
     _echelon,
+    _flattened,
     _in_standard_sp,
     _integer_row,
     _row_echelon,
@@ -32,11 +33,6 @@ from .matrix import (
     standard_omega,
 )
 from .rings import _is_rat
-
-
-def _flattened(M: ExactMatrix) -> dict:
-    """Nonzero entries of a square matrix keyed by flattened position."""
-    return {r * M.cols + c: x for r, row in enumerate(M.entries) for c, x in enumerate(row) if x}
 
 
 class InvariantFormError(ValueError):

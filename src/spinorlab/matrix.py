@@ -10,13 +10,18 @@ entry has the value and type of ``rings.dot`` on its row and column (int
 ``+``, ``-``, ``*``, ``scale``, ``transpose`` and ``from_blocks`` are
 rectangular by construction and skip the checks of the public constructor.
 
+``_cleared`` is the one rule for what is rational: it clears a vector of
+ints and Fractions to ints over the lcm of its denominators and raises
+``UnsupportedRingError``, naming the type, on any other entry.  Every vector
+the package clears to ints goes through it.
+
 Elimination builds no Fraction: rows are cleared of their denominators and
 reduced over Z.  One sparse Gauss-Jordan pass (``_echelon``) hands back the
 reduced row echelon form as primitive integer rows, taken sparsest first and
 stopped as soon as the rank is full; ``mat_rank_kernel``, ``solve_linear``
 and ``inverse`` read their results off it and divide only the entries they
 return.  ``rank`` runs eager fraction-free elimination (Bareiss) below the
-pivots.  Entries that are not rational raise ``UnsupportedRingError``.
+pivots.
 """
 
 from __future__ import annotations
@@ -218,8 +223,9 @@ class ExactMatrix:
 # -- elimination ---------------------------------------------------------
 #
 # rank, mat_rank_kernel, solve_linear and inverse take rational entries only;
-# any other entry raises UnsupportedRingError.  Each row is cleared of its
-# denominators and the rows are eliminated over Z without fractions.
+# each row is cleared of its denominators by _cleared, which raises
+# UnsupportedRingError on any other entry, and the rows are eliminated over Z
+# without fractions.
 #
 # Every Gauss-Jordan caller goes through _echelon, which takes sparse rows
 # {column: nonzero int} and hands back the reduced row echelon form as
@@ -242,41 +248,38 @@ class ExactMatrix:
 
 
 _INT_ONLY = {int}
-
-
-def _clear_denominators(vec):
-    """(integers, L) with vec == integers / L for a rational vector; a
-    vector of ints comes back as a new list with L = 1."""
-    if set(map(type, vec)) <= _INT_ONLY:
-        return list(vec), 1
-    L = math.lcm(*(x.denominator for x in vec))
-    return [x.numerator * (L // x.denominator) for x in vec], L
+_RATIONAL = {int, Fraction}
 
 
 def _cleared(values):
-    """Rational values times the lcm of their denominators, as a new list of
-    ints.  Raises UnsupportedRingError on a value that is not rational."""
-    if set(map(type, values)) <= _INT_ONLY:
-        return list(values)
-    if not all(map(_is_rat, values)):
-        bad = next(x for x in values if not _is_rat(x))
-        raise UnsupportedRingError(f"elimination needs rational entries, not {type(bad).__name__}")
-    return _clear_denominators(values)[0]
+    """(ints, L) with values == ints / L as a new list, L the lcm of the
+    denominators (1 for ints).  A value is rational when it is an int (a
+    bool too) or a Fraction; any other raises UnsupportedRingError.  One
+    scan of the types picks the int path and decides rationality."""
+    types = set(map(type, values))
+    if types <= _INT_ONLY:
+        return list(values), 1
+    if not types <= _RATIONAL:
+        for x in values:
+            if not _is_rat(x):
+                raise UnsupportedRingError(f"entries must be rational, not {type(x).__name__}")
+    L = math.lcm(*(x.denominator for x in values))
+    return [x.numerator * (L // x.denominator) for x in values], L
 
 
 def _integer_rows(entries):
     """Dense rational rows ``_cleared``, for ``_rank_bareiss`` and cech."""
-    return list(map(_cleared, entries))
+    return [_cleared(r)[0] for r in entries]
 
 
 def _integer_row(v):
     """A sparse rational row ``_cleared``, as ``{column: nonzero int}``."""
-    return {j: x for j, x in zip(v, _cleared(v.values())) if x}
+    return {j: x for j, x in zip(v, _cleared(v.values())[0]) if x}
 
 
 def _sparse_rows(entries):
     """Dense rational rows ``_cleared``, each as ``{column: nonzero int}``."""
-    return [dict(compress(enumerate(r), r)) for r in map(_cleared, entries)]
+    return [dict(compress(enumerate(v), v)) for v, _ in map(_cleared, entries)]
 
 
 def _eliminate(v, b, c):
@@ -431,7 +434,7 @@ def _inverse_rows(M: ExactMatrix):
     # row i of [M | I] is row i of M and a 1 at n + i: clear the row with its
     # 1 (every entry type-checked), keep the nonzeros, and move the 1 to n + i
     rows = []
-    for i, v in enumerate(_cleared((*r, 1)) for r in M.entries):
+    for i, (v, _) in enumerate(_cleared((*r, 1)) for r in M.entries):
         row = dict(compress(enumerate(v), v))
         row[n + i] = row.pop(n)
         rows.append(row)
@@ -532,8 +535,8 @@ def is_symplectic(M: ExactMatrix, omega: ExactMatrix | None = None) -> bool:
     the standard form of M's size by default.  A rational omega serves M over
     any ring of the tower, since products and ``==`` mix rational entries in.
     A rational M against the standard form goes through the pair formula of
-    ``_preserves_standard_form``; every other M or form through the dense
-    product."""
+    ``_preserves_standard_form``; an M that ``_cleared`` rejects, or any
+    other form, through the dense product."""
     if omega is None:
         if M.rows % 2:
             return False
@@ -541,20 +544,22 @@ def is_symplectic(M: ExactMatrix, omega: ExactMatrix | None = None) -> bool:
     if not M.is_square:
         return False
     if M.rows % 2 == 0 and omega == standard_omega(M.rows // 2):
-        flat = [x for r in M.entries for x in r]
-        if all(map(_is_rat, flat)):
-            return _preserves_standard_form(flat, M.rows)
+        try:
+            U, D = _cleared([x for r in M.entries for x in r])
+        except UnsupportedRingError:
+            pass
+        else:
+            return _preserves_standard_form(U, D, M.rows)
     return M.transpose() * omega * M == omega
 
 
-def _preserves_standard_form(flat, dim) -> bool:
+def _preserves_standard_form(U, D, dim) -> bool:
     """M^T Omega M = Omega for the standard Omega of size dim, from the
-    entries of a rational M listed row by row.  With U = D M cleared of
-    denominators, entry (i, j) of U^T Omega U is the pair sum
+    entries of U = D M, a rational M cleared of denominators (``_cleared``),
+    listed row by row.  Entry (i, j) of U^T Omega U is the pair sum
     sum_k (U[2k][i] U[2k+1][j] - U[2k+1][i] U[2k][j]), which must equal
     D^2 Omega[i][j].  It is antisymmetric in (i, j), so only i < j is
     checked, all in Python ints."""
-    U, D = _clear_denominators(flat)
     cols = [U[j::dim] for j in range(dim)]
     evens = [c[0::2] for c in cols]
     odds = [c[1::2] for c in cols]
@@ -578,8 +583,13 @@ def in_sp(X: ExactMatrix, omega: ExactMatrix | None = None) -> bool:
         omega = standard_omega(X.rows // 2)
     d = X.rows
     if X.is_square and d % 2 == 0 and omega == standard_omega(d // 2):
-        return _in_standard_sp({r * d + c: x for r, row in enumerate(X.entries) for c, x in enumerate(row) if x}, d)
+        return _in_standard_sp(_flattened(X), d)
     return (X.transpose() * omega + omega * X).is_zero
+
+
+def _flattened(M: ExactMatrix) -> dict:
+    """Nonzero entries of a square matrix keyed by flattened position."""
+    return {r * M.cols + c: x for r, row in enumerate(M.entries) for c, x in enumerate(row) if x}
 
 
 def _in_standard_sp(flat: dict, d: int) -> bool:

@@ -20,7 +20,10 @@ once for i < j; a context copies none of them, so the moment map and its
 differential (petri) never have the list built.  Both sides are quadratic
 in psi with the common factor 1/q, so the check clears denominators and
 compares Python integers (for an integer basis, whose constants are
-integers).
+integers).  Every vector is cleared by ``matrix._cleared``, the one rule for
+what is rational: a context over a rep with an entry of rho or omega that is
+not rational, and an equivariance check with such a coordinate, raise
+``UnsupportedRingError`` naming its type.
 No ambient matrix is built unless the check fails and its residual has to
 be shown.  The ambient-matrix check and the dual-number differential this
 replaces are kept beside the tests (``tests/moment_oracles.py``) as their
@@ -34,8 +37,8 @@ from fractions import Fraction
 from functools import cache
 
 from .lie import SymplecticRep, _CoordinateSolver
-from .matrix import ExactMatrix, _clear_denominators, char_poly
-from .rings import _is_rat, is_zero
+from .matrix import ExactMatrix, _cleared, char_poly
+from .rings import UnsupportedRingError, is_zero
 
 
 class InvalidContextError(ValueError):
@@ -73,9 +76,9 @@ class MomentContext:
         except ValueError as exc:
             raise InvalidContextError("Gram matrix of B is singular") from exc
         rho = [(j, *divmod(p, m), x) for j, flat in enumerate(rep._rho_flat) for p, x in flat.items()]
-        ints, self._rho_den = _clear_denominators([x for *_, x in rho])
+        ints, self._rho_den = _cleared([x for *_, x in rho])
         self._rho = [(*t[:-1], v) for t, v in zip(rho, ints)]
-        W, w = _clear_denominators([x for row in rep.omega.entries for x in row])
+        W, w = _cleared([x for row in rep.omega.entries for x in row])
         omega_rows = [[(c, v) for c, v in enumerate(W[r * m:(r + 1) * m]) if v] for r in range(m)]
         # A_j = rho_j^T Omega, d w times: rhs_j(psi) = omega(rho(X_j) psi, psi) = psi^T A_j psi
         As = [{} for _ in range(alg.dim)]
@@ -103,13 +106,15 @@ class MomentContext:
 
     def quadratic_coords(self, psi):
         """Coordinates of mu(psi).  A rational psi = P/L is cleared of its
-        denominators once and its forms taken in ints, scaled by 1/(q L^2)."""
+        denominators once and its forms taken in ints, scaled by 1/(q L^2);
+        a psi that ``_cleared`` rejects has its forms taken over its ring."""
         D = self.rep.algebra.dim
-        if all(map(_is_rat, psi)):
-            P, L = _clear_denominators(psi)
-            scale = self._q_inv / (L * L)
-            return tuple(x * scale for x in _forms(self._Z, D, P, P))
-        return tuple(x * self._q_inv for x in _forms(self._Z, D, psi, psi))
+        try:
+            P, L = _cleared(psi)
+        except UnsupportedRingError:
+            return tuple(x * self._q_inv for x in _forms(self._Z, D, psi, psi))
+        scale = self._q_inv / (L * L)
+        return tuple(x * scale for x in _forms(self._Z, D, P, P))
 
 
 def _forms(forms, D: int, a, b):
@@ -145,7 +150,8 @@ def moment_differential(ctx: MomentContext, psi, psidot):
 
 
 def equivariance_check(ctx: MomentContext, psi, xi_coords):
-    """Exactness of dmu_psi(rho(xi) psi) = [xi, mu(psi)] for rational psi and xi.
+    """Exactness of dmu_psi(rho(xi) psi) = [xi, mu(psi)] for rational psi and
+    xi; a coordinate that is not rational raises UnsupportedRingError.
 
     Returns (passed, residual matrix); the residual is identically zero for
     every genuine symplectic representation.  With psi = P/L, xi = X/M,
@@ -157,8 +163,8 @@ def equivariance_check(ctx: MomentContext, psi, xi_coords):
     rep = ctx.rep
     if len(psi) != rep.dimV or len(xi_coords) != rep.algebra.dim:
         raise ValueError("spinor or algebra element has wrong length")
-    P, L = _clear_denominators(psi)
-    X, M = _clear_denominators(xi_coords)
+    P, L = _cleared(psi)
+    X, M = _cleared(xi_coords)
     psidot = [0] * rep.dimV
     for j, r, c, v in ctx._rho:
         if X[j]:

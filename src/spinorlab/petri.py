@@ -9,8 +9,10 @@ decides injectivity.  Outputs are algebra-valued polynomials of degree
 
 The differential is the bilinear form psi^T S_k psidot / q of the moment
 layer, so the matrix is built by convolving the integer coefficients of psi
-(cleared of denominators) against the flat list of nonzeros (k, row, col,
-value) of the forms S_k, with no polynomial objects.  That gives sparse
+(cleared of denominators by ``matrix._cleared``, the one rule for what is
+rational, so a coordinate that is not rational raises
+``UnsupportedRingError`` naming its type) against the flat list of nonzeros
+(k, row, col, value) of the forms S_k, with no polynomial objects.  That gives sparse
 integer rows and one common denominator; the kernel is that of the integer
 rows, so ``petri_kernel`` eliminates them as they are and builds Fractions
 only for the kernel vectors, and ``in_petri_kernel`` applies them to one
@@ -38,9 +40,8 @@ from functools import lru_cache
 
 from ._record import Record
 from .lie import SymplecticRep
-from .matrix import ExactMatrix, ShapeError, _clear_denominators, _echelon, _row_echelon
+from .matrix import ExactMatrix, ShapeError, _cleared, _echelon, _row_echelon
 from .moment import MomentContext, moment_map
-from .rings import UnsupportedRingError, _is_rat
 
 
 @lru_cache(maxsize=16)
@@ -71,15 +72,12 @@ class PetriMatrix(Record):
 
 
 def _cleared_section(space: SectionSpace, vec):
-    """(integers, L) with vec == integers / L for section coordinates vec.
-    A wrong length raises ShapeError and a coordinate that is not rational
-    UnsupportedRingError."""
+    """(integers, L) with vec == integers / L for section coordinates vec
+    (``matrix._cleared``).  A wrong length raises ShapeError and a
+    coordinate that is not rational UnsupportedRingError."""
     if len(vec) != space.dim:
         raise ShapeError("section coordinate length mismatch")
-    if not all(map(_is_rat, vec)):
-        bad = next(x for x in vec if not _is_rat(x))
-        raise UnsupportedRingError(f"section coordinates must be rational, not {type(bad).__name__}")
-    return _clear_denominators(vec)
+    return _cleared(vec)
 
 
 def _petri_rows(space: SectionSpace, psi, degrees: int | None = None):

@@ -24,8 +24,9 @@ Rat = int | Fraction
 
 
 class UnsupportedRingError(TypeError):
-    """Raised when an elimination function of ``matrix``, which works over Q
-    only, gets an entry that is not rational."""
+    """Raised by ``matrix._cleared``, the one rule for what is rational, on
+    a value that is not an int or a Fraction: in elimination, which works
+    over Q only, and wherever moment, petri or cocycle clear a vector."""
 
 
 def _is_rat(x) -> bool:

@@ -89,6 +89,19 @@ def test_necessity_matches_the_laurent_route(n):
         assert list(res.gamma) == list(theta_dual(d, u, l, middle_theta(n)))
 
 
+@pytest.mark.parametrize(
+    "convert", [MultiPoly.const, float, lambda x: LaurentPoly.term("z", 0, x)], ids=["MultiPoly", "float", "LaurentPoly"]
+)
+def test_a_middle_block_that_is_not_rational_is_rejected(convert):
+    """A symplectic u with an entry outside the rationals passes the dense
+    check and is rejected where its entries are cleared."""
+    rows = [list(r) for r in random_symplectic(1, 3).entries]
+    rows[0][1] = convert(rows[0][1])
+    c = BlockCocycle(2, 1, ExactMatrix(rows), (0, 0), 0, (0, 0))
+    with pytest.raises(InvalidCocycleError, match="middle block must be rational"):
+        verify_form_preservation(c)
+
+
 def test_residual_rejects_what_the_forms_cannot_hold():
     n, k = 2, 2
     u = random_symplectic_laurent(1, 3)

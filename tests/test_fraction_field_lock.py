@@ -10,7 +10,10 @@ the polynomial view of a section, the per-representation Euler pair, the
 map-by-map joint kernel, the lazy Bareiss Gauss-Jordan (``_rref_int``,
 ``_reduce``) and the per-pair bracket loop (``pairwise_brackets``) live
 beside the oracles that use them, and ``moment`` names neither the dense
-Gram view nor the dense inverse.  The check walks the
+Gram view nor the dense inverse.  The removed copies of a rule stay out
+of the package: ``_clear_denominators`` (``matrix._cleared`` alone decides
+what is rational) and ``check_glue_at_config`` (``check_glue`` serves the
+off-grid glue case).  The check walks the
 syntax tree with the standard library, like ``test_unused_imports``.
 """
 
@@ -35,6 +38,7 @@ TEST_ONLY = {
     "_reduce",
     "pairwise_brackets",
 }
+REMOVED = {"_clear_denominators", "check_glue_at_config"}
 
 
 def named(source: str) -> set:
@@ -81,6 +85,11 @@ def test_cech_works_without_fraction():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_test_only_helpers_stay_beside_the_tests(path):
     assert sorted(TEST_ONLY & named(path.read_text())) == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_removed_copies_stay_out_of_the_package(path):
+    assert sorted(REMOVED & named(path.read_text())) == []
 
 
 def test_moment_builds_no_dense_gram():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from spinorlab.matrix import (
     ExactMatrix,
-    _clear_denominators,
+    _cleared,
     NotSymplecticError,
     ShapeError,
     char_poly,
@@ -230,6 +230,9 @@ def general_clearing(vec):
 
 
 class TestClearDenominators:
+    """``_cleared``, the one rule for what is rational, against the general
+    formula on rational vectors."""
+
     @pytest.mark.parametrize(
         "vec",
         [
@@ -246,7 +249,7 @@ class TestClearDenominators:
         ],
     )
     def test_matches_the_general_formula(self, vec):
-        got, L = _clear_denominators(vec)
+        got, L = _cleared(vec)
         want, want_L = general_clearing(vec)
         assert got == want and L == want_L
         assert type(got) is list and got is not vec
@@ -255,9 +258,17 @@ class TestClearDenominators:
 
     def test_int_vectors_come_back_as_a_copy(self):
         vec = [5, -2]
-        got, L = _clear_denominators(vec)
+        got, L = _cleared(vec)
         got.append(9)
         assert vec == [5, -2] and L == 1
+
+    @pytest.mark.parametrize(
+        "bad", [0.5, MultiPoly.const(0), MultiPoly.var("x"), LaurentPoly.term("z", -1), "1", None], ids=repr
+    )
+    def test_a_value_that_is_not_rational_raises_naming_its_type(self, bad):
+        for vec in ([1, bad], [Fraction(1, 2), bad, 3], [bad]):
+            with pytest.raises(UnsupportedRingError, match=f"not {type(bad).__name__}$"):
+                _cleared(vec)
 
 
 class TestMatrixProperties:

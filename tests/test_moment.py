@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from moment_oracles import fraction_context_fields
+from moment_oracles import fraction_context_fields, generic_quadratic_coords
 from spinorlab.lie import MatrixLieAlgebra, Summand, SymplecticRep, _CoordinateSolver, sl2_algebra, sp_standard, sl2_w_plus_wdual
 from spinorlab.matrix import ExactMatrix, rank, standard_omega
 from spinorlab.moment import (
@@ -21,6 +21,7 @@ from spinorlab.moment import (
     moment_map,
     moment_matrix,
 )
+from spinorlab.rings import LaurentPoly, MultiPoly, UnsupportedRingError
 
 
 def rand_vec(rng, n, rational=False):
@@ -203,6 +204,49 @@ class TestEquivariance:
         rep = SymplecticRep(nil, standard_omega(1), [e], [Summand("irreducible", 0, 2)])
         with pytest.raises(InvalidContextError):
             MomentContext(rep)
+
+
+class TestCoordinateTypes:
+    """A coordinate that is not rational raises UnsupportedRingError, naming
+    its type, wherever the moment layer clears a vector (``matrix._cleared``);
+    ``moment_map`` takes its route over the ring of psi instead."""
+
+    BAD = [MultiPoly.var("x"), MultiPoly.const(1), 0.5, 0.0, "a", None]
+
+    @pytest.mark.parametrize("bad", BAD, ids=repr)
+    @pytest.mark.parametrize("where", ["psi", "xi"])
+    def test_equivariance_check_rejects(self, where, bad):
+        ctx = MomentContext(sp_standard(1))
+        psi, xi = [1, Fraction(1, 2)], [1, 0, Fraction(2, 3)]
+        (psi if where == "psi" else xi)[1] = bad
+        with pytest.raises(UnsupportedRingError, match=f"not {type(bad).__name__}$"):
+            equivariance_check(ctx, psi, xi)
+
+    @pytest.mark.parametrize("bad", [MultiPoly.var("x"), MultiPoly.const(1)], ids=repr)
+    @pytest.mark.parametrize("where", ["omega", "rho"])
+    def test_context_rejects(self, where, bad):
+        rep = sp_standard(1)
+        omega, rho = [list(r) for r in rep.omega.entries], list(rep.rho)
+        if where == "omega":
+            omega[0][1] = bad
+        else:
+            image = [list(r) for r in rho[0].entries]
+            r, c = next((r, c) for r, row in enumerate(image) for c, x in enumerate(row) if x)
+            image[r][c] = bad
+            rho[0] = ExactMatrix(image)
+        bad_rep = SymplecticRep(rep.algebra, ExactMatrix(omega), rho, rep.summands)
+        with pytest.raises(UnsupportedRingError, match="not MultiPoly$"):
+            MomentContext(bad_rep)
+
+    def test_moment_map_keeps_its_generic_route(self):
+        ctx = MomentContext(sp_standard(1))
+        x, z = MultiPoly.var("x"), LaurentPoly.term("z", -1)
+        for psi in ([x, 1], [z, Fraction(1, 2)], [x, x * x]):
+            got = moment_map(ctx, psi)
+            assert got == generic_quadratic_coords(ctx, psi)
+            assert moment_matrix(ctx, psi) == gaiotto_field(standard_omega(1), psi)
+        assert moment_map(ctx, [x, 1]) == (1, -x, x * x)
+        assert moment_map(ctx, [z, Fraction(1, 2)]) == (Fraction(1, 4), z * Fraction(-1, 2), z * z)
 
 
 class TestGaiotto:

@@ -142,6 +142,23 @@ class TestSuites:
         ]
         assert report.passed == 2
 
+    def test_off_grid_glue_failure_names_the_four_flags(self, monkeypatch):
+        import spinorlab.hecke as hecke
+
+        good = hecke.glue_check
+
+        def off_grid_broken(n, m):
+            report = good(n, m)
+            if (n, m) != (4, 5):
+                return report
+            return hecke.GlueReport(report.spinor_regular, False, report.higgs_glues, report.higgs_regular)
+
+        monkeypatch.setattr(hecke, "glue_check", off_grid_broken)
+        report = run_suite(SuiteConfig(suite="hecke", n=4, m=5, trials=1, seed=4))
+        assert report.failures == [
+            ("glue/n4/m5", "regular=True nonzero=False glues=True higgs_regular=True"),
+        ]
+
     def test_raising_check_fails_only_its_case(self, monkeypatch):
         import spinorlab.hecke as hecke
 

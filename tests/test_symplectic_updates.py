@@ -15,7 +15,7 @@ from spinorlab.matrix import (
     random_symplectic_laurent,
     standard_omega,
 )
-from spinorlab.rings import LaurentPoly
+from spinorlab.rings import LaurentPoly, MultiPoly
 
 from matrix_oracles import dense_is_symplectic, exactly_equal, transvection_product_symplectic
 
@@ -100,6 +100,25 @@ def test_other_forms_and_rings_keep_the_dense_product(n):
         assert not is_symplectic(scaled) and not dense_is_symplectic(scaled)
     assert not is_symplectic(ExactMatrix.zeros(2 * n, 2 * n - 1))
     assert not is_symplectic(ExactMatrix.identity(3))
+
+
+@pytest.mark.parametrize("convert", [MultiPoly.const, lambda x: LaurentPoly.term("z", 0, x)], ids=["MultiPoly", "LaurentPoly"])
+def test_a_matrix_that_is_not_rational_takes_the_dense_product(monkeypatch, convert):
+    """One entry outside the rationals sends M to the dense product when
+    ``_cleared`` rejects it, with the verdict of the equal rational M."""
+    calls = []
+    dense = ExactMatrix.__mul__
+    monkeypatch.setattr(ExactMatrix, "__mul__", lambda a, b: calls.append(1) or dense(a, b))
+    for M, want in ((random_symplectic(2, 5), True), (ExactMatrix.diag([2, 1, 1, 1]), False)):
+        rows = [list(r) for r in M.entries]
+        rows[0][0] = convert(rows[0][0])
+        other = ExactMatrix(rows)
+        got = is_symplectic(other)
+        assert calls
+        assert got == want == dense_is_symplectic(other)
+        calls.clear()
+    x = MultiPoly.var("x")
+    assert not is_symplectic(random_symplectic(2, 5).scale(x))
 
 
 def test_rank_one_update_is_the_transvection_product():
