@@ -9,7 +9,16 @@ through commutant dimensions instead of running a full Meataxe.
 The built-in constructors (``sp_algebra``, ``sp_standard``, ``sl2_algebra``,
 ``sl2_standard``, ``sl2_w_plus_wdual``, ``sl2_sym_cube``, ``trivial_rep`` and
 ``direct_sum``) write the nonzeros of their matrices directly; the public
-constructors flatten the matrices they are given.
+constructors flatten the matrices they are given, and a None, 0.0 or ""
+entry, which flattening would read as zero, raises UnsupportedRingError.
+
+An algebra proves its basis independent at construction by one elimination
+of the basis rows alone; its coordinate solver, an elimination of [F | I],
+is built on first read (by ``coordinates_of``, the structure constants or
+``_den``), so an algebra that only petri uses never builds it.  A
+representation holds one cached table of the pairing forms
+A_j = rho_j^T Omega (``SymplecticRep._pairing``): the moment context solves
+its quadratic forms from it, and petri takes its kernels from it directly.
 """
 
 from __future__ import annotations
@@ -21,6 +30,7 @@ from functools import cached_property, lru_cache
 from ._record import Record
 from .matrix import (
     ExactMatrix,
+    _cleared,
     _cleared_rows,
     _echelon,
     _flattened,
@@ -52,12 +62,15 @@ class MatrixLieAlgebra:
     Closure is settled at construction.  A basis of d(d+1)/2 elements of
     sp(Omega), Omega the standard form of an even size d, each checked by
     the pair rule on its nonzeros (``matrix._in_standard_sp``), spans
-    sp(Omega): the solver has proved the elements independent, and that is
-    the dimension of sp(Omega).  sp(Omega) is closed, so nothing more is
-    checked.  Any other basis has every bracket solved at construction,
-    which raises ValueError when one lies outside the span.  The structure
-    constants (``_constants``) are built on first read, for a proved basis
-    as for any other, and each bracket is checked on the full system then.
+    sp(Omega): one elimination of the basis rows alone, which every basis
+    gets at construction (a dependent one raises ValueError), has proved
+    the elements independent, and that is the dimension of sp(Omega).
+    sp(Omega) is closed, so nothing more is checked.  Any other basis has
+    every bracket solved at construction, which raises ValueError when one
+    lies outside the span.  The coordinate solver (``_coord_solver``, and
+    with it ``_den``) and the structure constants (``_constants``) are
+    built on first read, for a proved basis as for any other, and each
+    bracket is checked on the full system then.
     """
 
     def __init__(self, basis, name: str = ""):
@@ -75,10 +88,19 @@ class MatrixLieAlgebra:
         self.ambient_dim = d
         self.dim = len(flat)
         self._flat = flat
-        self._coord_solver = _CoordinateSolver(flat, d * d)
-        self._den = self._coord_solver.den
+        if len(_echelon(_integer_flats(flat)[0], d * d)) < len(flat):
+            raise ValueError("basis matrices are linearly dependent")
         if not (d % 2 == 0 and len(flat) == d * (d + 1) // 2 and all(_in_standard_sp(f, d) for f in flat)):
             self._constants  # the all-pairs closure check
+
+    @cached_property
+    def _coord_solver(self) -> "_CoordinateSolver":
+        return _CoordinateSolver(self._flat, self.ambient_dim ** 2)
+
+    @property
+    def _den(self) -> int:
+        """The solver's den: the structure constants are integers over it."""
+        return self._coord_solver.den
 
     @cached_property
     def basis(self) -> tuple:
@@ -188,8 +210,10 @@ class _CoordinateSolver:
     One fraction-free RREF (``matrix._echelon``) of the D x (size + D)
     matrix [F | I], with F the D x size matrix whose rows are the X_j, does
     all the elimination; row j is the nonzeros of X_j and one identity entry
-    at size + j, cleared of denominators.  The X_j are dependent exactly
-    when a pivot lands in the identity block.  Otherwise its pivots P are D
+    at size + j, all rows cleared by one common denominator
+    (``_integer_flats``): ``_echelon`` hands back primitive rows of the
+    reduced form, which one common scale does not change.  The X_j are
+    dependent exactly when a pivot lands in the identity block.  Otherwise its pivots P are D
     positions at which the X_j are independent, and its reduced row at P_r
     divided by its pivot entry has, in the right block, row r of the inverse
     E of F restricted to the columns P, so c_j = sum_r E[r][j] y[P_r].
@@ -201,7 +225,8 @@ class _CoordinateSolver:
     """
 
     def __init__(self, columns, size: int):
-        kept = _echelon([_integer_row({**col, size + j: 1}) for j, col in enumerate(columns)], size + len(columns))
+        rows, L = _integer_flats(columns)
+        kept = _echelon([{**row, size + j: L} for j, row in enumerate(rows)], size + len(columns))
         self.sel = list(kept)
         if any(p >= size for p in self.sel):
             raise ValueError("basis matrices are linearly dependent")
@@ -240,6 +265,15 @@ class _CoordinateSolver:
         for j, x in scaled.items():
             c[j] = Fraction(x, self.den)
         return tuple(c)
+
+
+def _integer_flats(flats):
+    """``(rows, L)``: the sparse rational rows ``flats`` (``{position:
+    nonzero}``) times L, the lcm of all their denominators, as int rows,
+    cleared by one ``matrix._cleared`` call."""
+    ints, L = _cleared([x for f in flats for x in f.values()])
+    it = iter(ints)
+    return [dict(zip(f, it)) for f in flats], L
 
 
 class Summand(Record):
@@ -281,7 +315,11 @@ class SymplecticRep:
     """A symplectic representation rho: g -> sp(V, omega) with a declared
     decomposition into indecomposable symplectic summands.  As in
     ``MatrixLieAlgebra``, the nonzeros of the rho images (``_rho_flat``) are
-    stored, and ``rho`` keeps the given matrices or is built on first read."""
+    stored, and ``rho`` keeps the given matrices or is built on first read.
+    The public constructor takes only values of the coefficient tower in
+    rho (``rings._check_tower``), so no entry is read as zero unless it
+    is one.  ``_pairing`` holds the forms omega(rho(X_j) psi, psi) that
+    moment and petri read."""
 
     def __init__(self, algebra: MatrixLieAlgebra, omega: ExactMatrix, rho, summands, name: str = ""):
         self.rho = tuple(rho)
@@ -313,6 +351,28 @@ class SymplecticRep:
     @cached_property
     def rho(self) -> tuple:
         return tuple(_combination((1,), (f,), self.dimV) for f in self._rho_flat)
+
+    @cached_property
+    def _pairing(self) -> tuple:
+        """``(den, table)``: the pairing forms A_j = rho_j^T Omega, with
+        psi^T A_j psi = omega(rho(X_j) psi, psi), as the flat list ``table``
+        of the nonzeros (j, row, col, value) of den A_j, in ints.  rho and
+        omega are each cleared by ``matrix._cleared`` (an entry that is not
+        rational raises UnsupportedRingError naming its type), and den is
+        the product of their two denominators.  Each A_j is listed in the
+        order its entries are first reached, walking the nonzeros of rho_j
+        and then of the matching row of Omega."""
+        m = self.dimV
+        rho = [(j, *divmod(p, m)) for j, flat in enumerate(self._rho_flat) for p in flat]
+        R, d = _cleared([x for flat in self._rho_flat for x in flat.values()])
+        W, w = _cleared([x for row in self.omega.entries for x in row])
+        omega_rows = [[(c, v) for c, v in enumerate(W[r * m:(r + 1) * m]) if v] for r in range(m)]
+        As = [{} for _ in self._rho_flat]
+        for (j, r, c), x in zip(rho, R):
+            A = As[j]
+            for c2, v in omega_rows[r]:
+                A[c, c2] = A.get((c, c2), 0) + x * v
+        return d * w, [(j, *rc, a) for j, A in enumerate(As) for rc, a in A.items() if a]
 
     def constituents(self):
         out = []

@@ -13,7 +13,12 @@ rectangular by construction and skip the checks of the public constructor.
 ``_cleared`` is the one rule for what is rational: it clears a vector of
 ints and Fractions to ints over the lcm of its denominators and raises
 ``UnsupportedRingError``, naming the type, on any other entry.  Every vector
-the package clears to ints goes through it.
+the package clears to ints goes through it.  ``rings._check_tower`` is the
+rule for what a route over any ring takes: the values of the coefficient
+tower, whose zeros are exactly the falsy values.  ``_flattened`` and the dense
+routes of ``is_symplectic`` and ``in_sp`` go through it, so a ``None``,
+``0.0`` or ``""`` entry raises ``UnsupportedRingError`` instead of being
+read as zero.
 
 Elimination builds no Fraction: rows are cleared of their denominators and
 reduced over Z.  One sparse Gauss-Jordan pass (``_echelon``) hands back the
@@ -33,7 +38,7 @@ from functools import cache
 from itertools import compress
 from operator import mul
 
-from .rings import LaurentPoly, UnsupportedRingError, _is_rat, dot
+from .rings import LaurentPoly, UnsupportedRingError, _check_tower, _is_rat, dot
 
 
 class ShapeError(ValueError):
@@ -536,7 +541,8 @@ def is_symplectic(M: ExactMatrix, omega: ExactMatrix | None = None) -> bool:
     any ring of the tower, since products and ``==`` mix rational entries in.
     A rational M against the standard form goes through the pair formula of
     ``_preserves_standard_form``; an M that ``_cleared`` rejects, or any
-    other form, through the dense product."""
+    other form, through the dense product, which takes only values of the
+    coefficient tower (``_check_tower``) in M and omega."""
     if omega is None:
         if M.rows % 2:
             return False
@@ -550,6 +556,7 @@ def is_symplectic(M: ExactMatrix, omega: ExactMatrix | None = None) -> bool:
             pass
         else:
             return _preserves_standard_form(U, D, M.rows)
+    _check_tower(M.entries + omega.entries)
     return M.transpose() * omega * M == omega
 
 
@@ -578,17 +585,22 @@ def in_sp(X: ExactMatrix, omega: ExactMatrix | None = None) -> bool:
     serves X over any ring of the tower, as in ``is_symplectic``.  A square
     X against the standard form of its size goes through the pair rule of
     ``_in_standard_sp`` on its nonzeros; every other X or form through the
-    dense product."""
+    dense product.  Either route takes only values of the coefficient tower
+    (``_check_tower``)."""
     if omega is None:
         omega = standard_omega(X.rows // 2)
     d = X.rows
     if X.is_square and d % 2 == 0 and omega == standard_omega(d // 2):
         return _in_standard_sp(_flattened(X), d)
+    _check_tower(X.entries + omega.entries)
     return (X.transpose() * omega + omega * X).is_zero
 
 
 def _flattened(M: ExactMatrix) -> dict:
-    """Nonzero entries of a square matrix keyed by flattened position."""
+    """Nonzero entries of a square matrix keyed by flattened position.  An
+    entry is read as zero when it is falsy, so every entry must be a value
+    of the coefficient tower (``_check_tower``)."""
+    _check_tower(M.entries)
     return {r * M.cols + c: x for r, row in enumerate(M.entries) for c, x in enumerate(row) if x}
 
 

@@ -12,8 +12,13 @@ Everything runs in Lie-algebra coordinates and on nonzeros only.  Each
 coordinate of mu is a quadratic form psi^T Z_k psi / q with a sparse integer
 matrix Z_k, so the differential is the bilinear form
 psi^T (Z_k + Z_k^T) psidot / q over any commutative ring.  The forms are set
-up from the nonzeros of the trace form, inverted by one sparse elimination,
-so no D x D matrix is built.  The equivariance check applies rho(xi) through
+up from the rep's cached pairing forms A_j = rho_j^T Omega
+(``SymplecticRep._pairing``) and the nonzeros of the trace form, inverted by
+one sparse elimination, so no D x D matrix is built.  Only the algebra
+coordinates need B: petri takes the kernel of the differential from the
+pairing forms alone, so a context is built for ``petri_matrix`` and the
+scaling check, and a rep whose trace form is degenerate raises
+``InvalidContextError`` there.  The equivariance check applies rho(xi) through
 the nonzeros of the rho_j and takes [xi, mu] from the algebra's one flat
 list of structure constants (``MatrixLieAlgebra._constants``), each stored
 once for i < j; a context copies none of them, so the moment map and its
@@ -59,11 +64,14 @@ class MomentContext:
 
     The Gram matrix comes as the nonzeros of its rows (``_trace_form``)
     times ``b_scale`` and is inverted by the [G | I] elimination of
-    ``lie._CoordinateSolver``, which gives den_G G^-1 in integer rows.  With
-    d and w the common denominators of rho and omega, every sum
-    Z_k / q = sum_j G^-1[k][j] rho_j^T Omega is an integer multiple of
-    1/(den_G d w), and q is den_G d w over the gcd of den_G d w and all
-    sums: the lcm of their reduced denominators, whatever den_G, d and w are.
+    ``lie._CoordinateSolver``, which gives den_G G^-1 in integer rows.  The
+    pairing forms A_j = rho_j^T Omega come from the rep's cached table
+    (``SymplecticRep._pairing``) as integer nonzeros of den_A A_j, den_A
+    the product of the common denominators of rho and omega.  So every sum
+    Z_k / q = sum_j G^-1[k][j] A_j is an integer multiple of
+    1/(den_G den_A), and q is den_G den_A over the gcd of den_G den_A and
+    all sums: the lcm of their reduced denominators, whatever den_G and
+    den_A are.
     """
 
     def __init__(self, rep: SymplecticRep, b_scale=1):
@@ -75,24 +83,21 @@ class MomentContext:
             ginv = _CoordinateSolver([{j: b_scale * x for j, x in row.items()} for row in alg._trace_form], alg.dim)
         except ValueError as exc:
             raise InvalidContextError("Gram matrix of B is singular") from exc
+        # den_A A_j, A_j = rho_j^T Omega: psi^T A_j psi = omega(rho(X_j) psi, psi)
+        den_A, pairing = rep._pairing
+        As = [[] for _ in range(alg.dim)]
+        for j, r, c, a in pairing:
+            As[j].append((r, c, a))
         rho = [(j, *divmod(p, m), x) for j, flat in enumerate(rep._rho_flat) for p, x in flat.items()]
         ints, self._rho_den = _cleared([x for *_, x in rho])
         self._rho = [(*t[:-1], v) for t, v in zip(rho, ints)]
-        W, w = _cleared([x for row in rep.omega.entries for x in row])
-        omega_rows = [[(c, v) for c, v in enumerate(W[r * m:(r + 1) * m]) if v] for r in range(m)]
-        # A_j = rho_j^T Omega, d w times: rhs_j(psi) = omega(rho(X_j) psi, psi) = psi^T A_j psi
-        As = [{} for _ in range(alg.dim)]
-        for j, r, c, x in self._rho:
-            A = As[j]
-            for c2, v in omega_rows[r]:
-                A[c, c2] = A.get((c, c2), 0) + x * v
-        # den_G d w Z_k / q = sum_j den_G G^-1[k][j] d w A_j
+        # den_G den_A Z_k / q = sum_j den_G G^-1[k][j] den_A A_j
         sums = {}
         for k in range(alg.dim):
             for j, g in sorted(ginv.inv[k]):
-                for (r, c), a in As[j].items():
+                for r, c, a in As[j]:
                     sums[k, r, c] = sums.get((k, r, c), 0) + g * a
-        den = ginv.den * self._rho_den * w
+        den = ginv.den * den_A
         h = math.gcd(den, *sums.values())
         self._q_inv = Fraction(h, den)
         self._Z = [(*krc, x // h) for krc, x in sums.items() if x]

@@ -26,7 +26,9 @@ Rat = int | Fraction
 class UnsupportedRingError(TypeError):
     """Raised by ``matrix._cleared``, the one rule for what is rational, on
     a value that is not an int or a Fraction: in elimination, which works
-    over Q only, and wherever moment, petri or cocycle clear a vector."""
+    over Q only, and wherever lie, moment, petri or cocycle clear a vector.
+    Raised by ``_check_tower`` on a value outside the coefficient tower,
+    wherever an entry's truthiness is read as its being zero."""
 
 
 def _is_rat(x) -> bool:
@@ -716,3 +718,21 @@ class Dual:
 
     def __repr__(self):
         return f"({self.re!r} + eps*{self.eps!r})"
+
+
+# the types of the coefficient tower; a subclass of one is a value too
+_TOWER = (int, Fraction, MultiPoly, FracElem, LaurentPoly, Dual)
+_TOWER_TYPES = {bool, *_TOWER}
+
+
+def _check_tower(rows):
+    """Raise UnsupportedRingError, naming the type, unless every entry of
+    the rows is a value of the coefficient tower: an int (a bool too), a
+    Fraction, a MultiPoly, a FracElem, a LaurentPoly or a Dual, the values
+    whose zeros are exactly the falsy ones (``is_zero``)."""
+    types = set()
+    for r in rows:
+        types.update(map(type, r))
+    for t in types - _TOWER_TYPES:
+        if not issubclass(t, _TOWER):
+            raise UnsupportedRingError(f"entries must be values of the coefficient tower, not {t.__name__}")

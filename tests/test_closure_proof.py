@@ -15,8 +15,9 @@ structure constants built on first read.
   dense product X^T Omega + Omega X (``matrix_oracles.dense_in_sp``).
 - ``verify_symplectic_rep`` reads sp-membership from the nonzeros of each
   image against the standard form, and its verdicts are the dense ones.
-- In a fresh interpreter: a petri run builds no table, and a
-  moment-equivariance run builds one per algebra, which every context reads.
+- In a fresh interpreter: a petri run builds no table, no coordinate
+  solver and no moment context over sp(2n), and a moment-equivariance run
+  builds one table and one solver per algebra, which every context reads.
 """
 
 import ast
@@ -226,6 +227,10 @@ built = []
 table = MatrixLieAlgebra.__dict__["_constants"]
 build = table.func
 table.func = lambda alg: built.append(alg.name) or build(alg)
+solvers = []
+solver = MatrixLieAlgebra.__dict__["_coord_solver"]
+build_solver = solver.func
+solver.func = lambda alg: solvers.append(alg.name) or build_solver(alg)
 contexts = []
 init = moment.MomentContext.__init__
 def recording(self, *args, **kwargs):
@@ -235,12 +240,20 @@ moment.MomentContext.__init__ = recording
 out = {{}}
 
 report = run_suite(SuiteConfig("petri", n=4, s=4, trials=2, seed=1))
-out["petri"] = (report.failed, built[:], "_constants" in sp_algebra(4).__dict__)
+out["petri"] = (
+    report.failed,
+    built[:],
+    "_constants" in sp_algebra(4).__dict__,
+    solvers[:],
+    "_coord_solver" in sp_algebra(4).__dict__,
+    [ctx.rep.name for ctx in contexts],
+)
 
+contexts.clear()
 alg = sp_algebra(16)
 rep = _sparse(SymplecticRep, alg, standard_omega(16), alg._flat, [Summand("irreducible", 0, 32)], "sp32-standard")
 kernel = petri.petri_kernel(petri.SectionSpace(rep, 2), [k % 5 - 2 for k in range(64)])
-out["petri_kernel"] = (len(kernel), built[:], "_constants" in alg.__dict__)
+out["petri_kernel"] = (len(kernel), built[:], "_constants" in alg.__dict__, solvers[:], len(contexts))
 
 contexts.clear()
 report = run_suite(SuiteConfig("moment-equivariance", n=4, trials=3, seed=1))
@@ -250,6 +263,7 @@ out["moment"] = (
     built[:],
     [[i for i, a in enumerate(algebras) if a is ctx.rep.algebra] for ctx in contexts],
     ["_constants" in vars(ctx) for ctx in contexts],
+    solvers[:],
 )
 print(out)
 """
@@ -260,9 +274,11 @@ def test_fresh_interpreter_builds_each_table_only_when_read():
     done = subprocess.run([sys.executable, "-I", "-c", probe], capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     out = ast.literal_eval(done.stdout)
-    # petri reads no structure constant, at n = 4 and at n = 16
-    assert out["petri"] == (0, [], False)
-    assert out["petri_kernel"] == (0, [], False)
-    # one build per algebra: sl2's serves both sl2 contexts, and no context
-    # holds a copy
-    assert out["moment"] == (0, ["sp8", "sl2"], [[0], [1], [1]], [False, False, False])
+    # petri reads no structure constant and builds no coordinate solver, at
+    # n = 4 and at n = 16; its only context is the one of the W + W* scaling
+    # check, none over sp(2n)
+    assert out["petri"] == (0, [], False, [], False, ["sl2-W+W*"])
+    assert out["petri_kernel"] == (0, [], False, [], 0)
+    # one build of each table per algebra: sl2's serves both sl2 contexts,
+    # and no context holds a copy
+    assert out["moment"] == (0, ["sp8", "sl2"], [[0], [1], [1]], [False, False, False], ["sp8", "sl2"])

@@ -21,7 +21,7 @@ from spinorlab.cocycle import (
     verify_form_preservation,
 )
 from spinorlab.matrix import ExactMatrix, random_symplectic, random_symplectic_laurent
-from spinorlab.rings import LaurentPoly, MultiPoly
+from spinorlab.rings import LaurentPoly, MultiPoly, UnsupportedRingError
 
 from cocycle_oracles import (
     laurent_form_residual,
@@ -90,16 +90,27 @@ def test_necessity_matches_the_laurent_route(n):
 
 
 @pytest.mark.parametrize(
-    "convert", [MultiPoly.const, float, lambda x: LaurentPoly.term("z", 0, x)], ids=["MultiPoly", "float", "LaurentPoly"]
+    "convert", [MultiPoly.const, lambda x: LaurentPoly.term("z", 0, x)], ids=["MultiPoly", "LaurentPoly"]
 )
 def test_a_middle_block_that_is_not_rational_is_rejected(convert):
-    """A symplectic u with an entry outside the rationals passes the dense
-    check and is rejected where its entries are cleared."""
+    """A symplectic u with an entry of the tower outside the rationals
+    passes the dense check and is rejected where its entries are cleared."""
     rows = [list(r) for r in random_symplectic(1, 3).entries]
     rows[0][1] = convert(rows[0][1])
     c = BlockCocycle(2, 1, ExactMatrix(rows), (0, 0), 0, (0, 0))
     with pytest.raises(InvalidCocycleError, match="middle block must be rational"):
         verify_form_preservation(c)
+
+
+@pytest.mark.parametrize("convert", [float, str, lambda x: None], ids=["float", "str", "None"])
+def test_a_middle_block_outside_the_tower_is_rejected_at_construction(convert):
+    """An entry outside the coefficient tower stops the symplectic check of
+    u itself with UnsupportedRingError naming its type: a str raised a bare
+    TypeError there, and a None was read as zero."""
+    rows = [list(r) for r in random_symplectic(1, 3).entries]
+    rows[0][1] = convert(rows[0][1])
+    with pytest.raises(UnsupportedRingError, match=f"not {type(rows[0][1]).__name__}$"):
+        BlockCocycle(2, 1, ExactMatrix(rows), (0, 0), 0, (0, 0))
 
 
 def test_residual_rejects_what_the_forms_cannot_hold():

@@ -45,7 +45,7 @@ from spinorlab.matrix import (
     rank,
     solve_linear,
 )
-from spinorlab.petri import SectionSpace, _context, petri_kernel, petri_matrix
+from spinorlab.petri import SectionSpace, petri_kernel
 from spinorlab.rings import FracElem, LaurentPoly, MultiPoly, UnsupportedRingError
 
 
@@ -332,20 +332,20 @@ def test_sparse_rows_hold_their_cleared_nonzeros():
 
 def cancelling_petri_case(degree):
     """A section space and a section psi at which two terms of one entry of
-    the Petri rows cancel: two entries (i, r1, j, v1) and (i, r2, j, v2) of
-    one polarized form S_i in the same column j, and psi = (v2 e_r1 - v1 e_r2)
-    x^degree, so the entry in row degree*dim_g + i, column j is
-    v1 v2 - v2 v1 = 0.  At degree 0 the degree-0 rows prove the map
-    injective; at degree 1 they are zero, and the full rows are eliminated
-    (the map is injective there too)."""
+    the Petri rows that ``petri_kernel`` eliminates cancel: two entries
+    (i, r1, j, v1) and (i, r2, j, v2) of one polarized pairing form in the
+    same column j, and psi = (v2 e_r1 - v1 e_r2) x^degree, so the entry in
+    row degree*dim_g + i, column j is v1 v2 - v2 v1 = 0.  At degree 0 the
+    degree-0 rows prove the map injective; at degree 1 they are zero, and
+    the full rows are eliminated (the map is injective there too)."""
     rep = conjugate_rep(sp_standard(1), random_symplectic(1, 3))
     space = SectionSpace(rep, 2)
     m = rep.dimV
-    for (i, r1, j1, v1), (i2, r2, j2, v2) in itertools.combinations(_context(rep)._S, 2):
+    for (i, r1, j1, v1), (i2, r2, j2, v2) in itertools.combinations(space._forms, 2):
         if (i, j1) == (i2, j2):
             psi = [0] * space.dim
             psi[degree * m + r1], psi[degree * m + r2] = v2, -v1
-            assert petri_matrix(space, psi).matrix[degree * rep.algebra.dim + i, j1] == 0
+            assert j1 not in petri._petri_rows(space, psi)[1][degree * rep.algebra.dim + i]
             return space, psi
     raise AssertionError("no form with two entries in one column")
 

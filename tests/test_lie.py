@@ -37,7 +37,8 @@ from spinorlab.lie import (
     _sylvester,
     verify_symplectic_rep,
 )
-from spinorlab.matrix import ExactMatrix, random_symplectic, standard_omega
+from spinorlab.matrix import ExactMatrix, in_sp, random_symplectic, standard_omega
+from spinorlab.rings import LaurentPoly, MultiPoly, UnsupportedRingError
 
 
 class TestFlatRho:
@@ -61,6 +62,50 @@ class TestFlatRho:
         rep = SymplecticRep(alg, standard_omega(1), list(alg.basis), [Summand("irreducible", 0, 2)])
         assert rep.rho == alg.basis and rep.rho is not alg.basis
         assert rep._rho_flat is not alg._flat and rep._rho_flat == alg._flat
+
+
+class TestEntriesReadAsZero:
+    """A None, 0.0 or "" entry is falsy but is no zero of the coefficient
+    tower.  The public constructors and ``in_sp`` would read it as zero
+    through ``matrix._flattened``; they raise UnsupportedRingError naming
+    its type instead."""
+
+    FALSY = [None, 0.0, ""]
+
+    @staticmethod
+    def sl2_with(bad):
+        """(e, h, f) of sl2 with the zero at row 1, column 0 of e replaced."""
+        e, h, f = sl2_algebra().basis
+        rows = [list(r) for r in e.entries]
+        rows[1][0] = bad
+        return [ExactMatrix(rows), h, f]
+
+    @pytest.mark.parametrize("bad", FALSY, ids=repr)
+    def test_basis_matrix(self, bad):
+        with pytest.raises(UnsupportedRingError, match=f"not {type(bad).__name__}$"):
+            MatrixLieAlgebra(self.sl2_with(bad))
+
+    @pytest.mark.parametrize("bad", FALSY, ids=repr)
+    def test_rho_image(self, bad):
+        with pytest.raises(UnsupportedRingError, match=f"not {type(bad).__name__}$"):
+            SymplecticRep(sl2_algebra(), standard_omega(1), self.sl2_with(bad), [Summand("irreducible", 0, 2)])
+
+    @pytest.mark.parametrize("bad", FALSY, ids=repr)
+    def test_in_sp(self, bad):
+        X = self.sl2_with(bad)[0]
+        # the pair rule against the standard form, and the dense product
+        for omega in (None, standard_omega(1).scale(2)):
+            with pytest.raises(UnsupportedRingError, match=f"not {type(bad).__name__}$"):
+                in_sp(X, omega)
+
+    def test_zeros_of_the_tower_are_read_as_zero(self):
+        e, h, f = sl2_algebra().basis
+        zeros = [Fraction(0), False, MultiPoly.const(0), LaurentPoly("z", {})]
+        for zero in zeros:
+            rows = [list(r) for r in e.entries]
+            rows[1][0] = zero
+            assert in_sp(ExactMatrix(rows))
+            assert MatrixLieAlgebra([ExactMatrix(rows), h, f])._flat == sl2_algebra()._flat
 
 
 class TestAlgebra:

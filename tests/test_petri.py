@@ -9,11 +9,29 @@ from types import SimpleNamespace
 import pytest
 import sympy
 
-from petri_oracles import evaluate_section, multipoly_petri_matrix, petri_apply_pointwise
+from petri_oracles import (
+    evaluate_section,
+    multipoly_petri_matrix,
+    petri_apply_pointwise,
+    s_form_in_kernel,
+    s_form_kernel,
+    s_form_rows,
+    s_form_w0_full_rank,
+)
 from spinorlab import petri
-from spinorlab.lie import SymplecticRep, sl2_standard, sl2_sym_cube, sl2_w_plus_wdual, sp_standard
-from spinorlab.matrix import ExactMatrix, ShapeError, _row_echelon, mat_rank_kernel, rank, standard_omega
-from spinorlab.moment import MomentContext
+from spinorlab.lie import (
+    MatrixLieAlgebra,
+    Summand,
+    SymplecticRep,
+    conjugate_rep,
+    direct_sum,
+    sl2_standard,
+    sl2_sym_cube,
+    sl2_w_plus_wdual,
+    sp_standard,
+)
+from spinorlab.matrix import ExactMatrix, ShapeError, _echelon, _row_echelon, mat_rank_kernel, rank, standard_omega
+from spinorlab.moment import InvalidContextError, MomentContext
 from spinorlab.petri import (
     SectionSpace,
     dual_pair_kernel_direction,
@@ -296,7 +314,8 @@ class TestDegreeZeroProof:
 
     @staticmethod
     def synthetic_space(s):
-        """A stub space with dim g = dim V = 3 and hand-made forms: at the
+        """A stub space with dim g = dim V = 3 and hand-made pairing forms
+        (the table ``petri_kernel`` convolves against): at the
         section psi = (1, x, x^2) its pointwise matrix is
         W(x) = [[1, x, 0], [x, x^2, 0], [0, 0, x]], that is W0 = e_00,
         W1 = [[0, 1, 0], [1, 0, 0], [0, 0, 1]] and W2 = e_11.  W0 is
@@ -304,8 +323,7 @@ class TestDegreeZeroProof:
         map has a kernel from s = 2 on."""
         forms = [(0, 0, 0, 1), (0, 1, 1, 1), (1, 1, 0, 1), (1, 2, 1, 1), (2, 1, 2, 1)]
         rep = SimpleNamespace(dimV=3, algebra=SimpleNamespace(dim=3))
-        ctx = SimpleNamespace(_S=forms, _q_inv=Fraction(1))
-        return SimpleNamespace(rep=rep, degree_bound=s, dim=3 * s, ctx=ctx)
+        return SimpleNamespace(rep=rep, degree_bound=s, dim=3 * s, _forms=forms)
 
     @pytest.mark.parametrize("s", [3, 4])
     def test_an_injective_block_past_degree_zero_proves_nothing(self, s):
@@ -430,3 +448,140 @@ class TestScalarAction:
                 assert scalar_action_invariance(rep, [1, 2, 3, 4], t)
             assert SectionSpace(rep, 2).ctx is SectionSpace(rep, 3).ctx
         assert built == reps
+
+
+_SHEAR = ExactMatrix(
+    [
+        [1, Fraction(1, 2), 0, 0],
+        [0, 1, Fraction(-2, 3), 0],
+        [0, 0, 1, 3],
+        [Fraction(1, 5), 0, 0, 1],
+    ]
+)
+
+
+def _off_sp(rep):
+    """rep with 1/3 added at row 0, column 0 of rho(X_0).  That image leaves
+    sp(omega), so A_0 = rho_0^T Omega is not symmetric, as it is for every
+    image in sp(omega); only there do the forms A_0 and A_0 + A_0^T have
+    different kernels."""
+    rows = [list(r) for r in rep.rho[0].entries]
+    rows[0][0] += Fraction(1, 3)
+    return SymplecticRep(rep.algebra, rep.omega, [ExactMatrix(rows), *rep.rho[1:]], rep.summands)
+
+
+class TestSFormOracle:
+    """``petri_kernel`` and ``in_petri_kernel`` convolve against the pairing
+    forms A_j + A_j^T; the route they replaced convolves against the forms
+    S_k of the moment context (``petri_oracles.s_form_*``).  Their kernels
+    (value and type), their W0 ranks and verdicts, and their kernel verdicts
+    are equal.  No benchmark workload reaches the full-row route at a
+    singular W0 (psi_0 = 0, W + W*, Sym^3), so these tests are its guard."""
+
+    REPS = {
+        **TestDegreeZeroProof.REPS,
+        "direct-sum": lambda: direct_sum(sl2_w_plus_wdual(), sl2_sym_cube()),
+        "conjugated": lambda: conjugate_rep(sl2_sym_cube(), _SHEAR),
+        "sp4-off-sp": lambda: _off_sp(sp_standard(2)),
+        "sl2-W+W*-off-sp": lambda: _off_sp(sl2_w_plus_wdual()),
+    }
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name", sorted(REPS))
+    def test_kernels_and_verdicts_match(self, name, s):
+        rep = self.REPS[name]()
+        space = SectionSpace(rep, s)
+        m = rep.dimV
+        rng = random.Random(100 * s + sorted(self.REPS).index(name))
+        dense = [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 5, 12])) for _ in range(space.dim)]
+        sections = [
+            [0] * space.dim,
+            [0] * m + dense[m:],
+            dense[:m] + [0] * (space.dim - m),
+            [rng.choice([0, 0, 0, 1, -3]) for _ in range(space.dim)],
+            dense,
+        ]
+        verdicts = set()
+        for psi in sections:
+            kernel = petri_kernel(space, psi)
+            assert _exact_entries(kernel) == _exact_entries(s_form_kernel(space, psi))
+            w0 = len(_echelon(petri._petri_rows(space, psi, 1)[1], m))
+            assert w0 == len(_echelon(s_form_rows(space, psi, 1), m))
+            assert (w0 == m) is s_form_w0_full_rank(space, psi)
+            vecs = [*kernel, [0] * space.dim, rand_section(rng, space), [rng.choice([0, 0, 1, -2]) for _ in range(space.dim)]]
+            for v in vecs:
+                got = petri.in_petri_kernel(space, psi, v)
+                assert got is s_form_in_kernel(space, psi, v)
+                verdicts.add(got)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("name", ["sp4-off-sp", "sl2-W+W*-off-sp"])
+    def test_an_image_off_sp_has_a_pairing_form_that_is_not_symmetric(self, name):
+        _, table = self.REPS[name]()._pairing
+        entries = {(j, r, c): a for j, r, c, a in table}
+        assert any(entries.get((j, c, r)) != a for (j, r, c), a in entries.items())
+
+
+def _nilpotent_rep(dual_pair: bool) -> SymplecticRep:
+    """The abelian algebra spanned by e = E_01, whose trace form is zero, on
+    its standard module or on W + W*."""
+    e = ExactMatrix([[0, 1], [0, 0]])
+    alg = MatrixLieAlgebra([e])
+    if not dual_pair:
+        return SymplecticRep(alg, standard_omega(1), [e], [Summand("irreducible", 0, 2)])
+    z, one = ExactMatrix.zeros(2, 2), ExactMatrix.identity(2)
+    rho = ExactMatrix.from_blocks([[e, z], [z, e.transpose().scale(-1)]])
+    omega = ExactMatrix.from_blocks([[z, one], [one.scale(-1), z]])
+    return SymplecticRep(alg, omega, [rho], [Summand("dual-pair", 0, 4, mid=2)])
+
+
+class TestPairingForms:
+    """The kernel of the g*-valued differential needs no trace form: a
+    section space, ``petri_kernel`` and ``in_petri_kernel`` build no moment
+    context, and work where B is degenerate; ``petri_matrix`` and
+    ``scalar_action_invariance``, which need B, raise InvalidContextError
+    there."""
+
+    def test_the_kernel_routes_build_no_context(self, monkeypatch):
+        def refuse(rep):
+            raise AssertionError("a moment context was built")
+
+        monkeypatch.setattr(petri, "MomentContext", refuse)
+        base = sp_standard(2)
+        rep = SymplecticRep(base.algebra, base.omega, base.rho, base.summands)
+        space = SectionSpace(rep, 3)
+        psi = rand_section(random.Random(5), space)
+        psi[0] = 1
+        assert petri_kernel(space, psi) == []
+        assert petri.in_petri_kernel(space, psi, [0] * space.dim)
+        assert not petri.in_petri_kernel(space, psi, psi)
+        with pytest.raises(AssertionError, match="a moment context was built"):
+            petri_matrix(space, psi)
+
+    def test_degenerate_trace_form(self):
+        """omega(e psi, psidot) = psi_1 psidot_1, so at psi = (1, 1) the
+        kernel is the sections with psidot_1 = 0."""
+        rep = _nilpotent_rep(False)
+        space = SectionSpace(rep, 2)
+        psi = [1, 1, 0, 0]
+        assert petri_kernel(space, psi) == [(1, 0, 0, 0), (0, 0, 1, 0)]
+        assert petri.in_petri_kernel(space, psi, [5, 0, Fraction(-1, 2), 0])
+        assert not petri.in_petri_kernel(space, psi, [0, 1, 0, 0])
+        with pytest.raises(InvalidContextError):
+            petri_matrix(space, psi)
+        with pytest.raises(InvalidContextError):
+            scalar_action_invariance(_nilpotent_rep(True), [1, 2, 3, 4], 2)
+
+    @pytest.mark.parametrize("where", ["rho", "omega"])
+    def test_a_rep_that_is_not_rational_is_rejected_by_the_space(self, where):
+        x = MultiPoly.var("x")
+        base = sl2_standard()
+        rho, omega = list(base.rho), base.omega
+        if where == "rho":
+            rho[0] = rho[0].scale(x)
+        else:
+            omega = omega.scale(x)
+        rep = SymplecticRep(base.algebra, omega, rho, base.summands)
+        with pytest.raises(UnsupportedRingError, match="not MultiPoly$"):
+            SectionSpace(rep, 2)
+

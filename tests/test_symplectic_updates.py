@@ -15,7 +15,7 @@ from spinorlab.matrix import (
     random_symplectic_laurent,
     standard_omega,
 )
-from spinorlab.rings import LaurentPoly, MultiPoly
+from spinorlab.rings import LaurentPoly, MultiPoly, UnsupportedRingError
 
 from matrix_oracles import dense_is_symplectic, exactly_equal, transvection_product_symplectic
 
@@ -119,6 +119,19 @@ def test_a_matrix_that_is_not_rational_takes_the_dense_product(monkeypatch, conv
         calls.clear()
     x = MultiPoly.var("x")
     assert not is_symplectic(random_symplectic(2, 5).scale(x))
+
+
+@pytest.mark.parametrize("bad", [None, "1", 0.5, 0.0], ids=repr)
+def test_the_dense_product_takes_only_values_of_the_tower(bad):
+    """An entry outside the coefficient tower raises UnsupportedRingError
+    naming its type on the dense route, against the standard form (which
+    ``_cleared`` turns it to) and against any other, in M or in omega.  A
+    None was read as zero there, and a str multiplied into a bare TypeError."""
+    M = ExactMatrix([[bad, 1], [-1, 0]])
+    omega = ExactMatrix([[bad, 3], [-3, 0]])
+    for args in ((M,), (M, standard_omega(1).scale(3)), (standard_omega(1), omega)):
+        with pytest.raises(UnsupportedRingError, match=f"not {type(bad).__name__}$"):
+            is_symplectic(*args)
 
 
 def test_rank_one_update_is_the_transvection_product():
