@@ -345,11 +345,14 @@ def _extend_to_basis(rng, M):
 
 def _solve_on_complement(rng, inj, forced, r_scale=1):
     """``(den, X)`` with X [inj | C] = den [forced | r_scale R]: C completes
-    the injective inj to a basis, then R is drawn on C, and den is that of
-    ``_cleared_inverse`` of [inj | C]."""
+    the injective inj to a basis, then R is drawn on C, and den and
+    N = den [inj | C]^-1 are those of ``_cleared_inverse`` of its rows."""
     C = _extend_to_basis(rng, inj)
     R = _rand_matrix(rng, forced.rows, C.cols)
-    den, N = _cleared_inverse(ExactMatrix.from_blocks([[inj, C]]))
+    n = inj.rows
+    rows = [{j: x for j, x in enumerate(r) if x} for r in ExactMatrix.from_blocks([[inj, C]]).entries]
+    den, inv = _cleared_inverse(rows, n)
+    N = ExactMatrix([[row.get(j, 0) for j in range(n)] for row in inv.values()], cols=n)
     return den, ExactMatrix.from_blocks([[forced, R.scale(r_scale)]]) * N
 
 

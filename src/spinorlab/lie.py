@@ -13,12 +13,12 @@ constructors flatten the matrices they are given, and a None, 0.0 or ""
 entry, which flattening would read as zero, raises UnsupportedRingError.
 
 An algebra proves its basis independent at construction by one elimination
-of the basis rows alone; its coordinate solver, an elimination of [F | I],
-is built on first read (by ``coordinates_of``, the structure constants or
-``_den``), so an algebra that only petri uses never builds it.  A
-representation holds one cached table of the pairing forms
-A_j = rho_j^T Omega (``SymplecticRep._pairing``): the moment context solves
-its quadratic forms from it, and petri takes its kernels from it directly.
+of the basis rows alone; its coordinate solver, read off
+``matrix._cleared_inverse``, is built on first read (by ``coordinates_of``,
+the structure constants or ``_den``), so petri alone never builds it.  A
+representation caches rho cleared once (``_rho_cleared``) and its pairing
+forms A_j = rho_j^T Omega (``_pairing``): the moment context reads both,
+and petri takes its kernels from the pairing forms directly.
 """
 
 from __future__ import annotations
@@ -31,10 +31,11 @@ from ._record import Record
 from .matrix import (
     ExactMatrix,
     _cleared,
-    _cleared_rows,
+    _cleared_inverse,
     _echelon,
     _flattened,
     _in_standard_sp,
+    _integer_flats,
     _integer_row,
     _row_echelon,
     in_sp,
@@ -42,7 +43,7 @@ from .matrix import (
     rank,
     standard_omega,
 )
-from .rings import _is_rat
+from .rings import _check_tower, _is_rat
 
 
 class InvariantFormError(ValueError):
@@ -207,32 +208,20 @@ class _CoordinateSolver:
     """Solves sum_j c_j X_j = Y for a fixed linearly independent list of
     flattened matrices X_j, given as sparse {position: value} maps.
 
-    One fraction-free RREF (``matrix._echelon``) of the D x (size + D)
-    matrix [F | I], with F the D x size matrix whose rows are the X_j, does
-    all the elimination; row j is the nonzeros of X_j and one identity entry
-    at size + j, all rows cleared by one common denominator
-    (``_integer_flats``): ``_echelon`` hands back primitive rows of the
-    reduced form, which one common scale does not change.  The X_j are
-    dependent exactly when a pivot lands in the identity block.  Otherwise its pivots P are D
-    positions at which the X_j are independent, and its reduced row at P_r
-    divided by its pivot entry has, in the right block, row r of the inverse
-    E of F restricted to the columns P, so c_j = sum_r E[r][j] y[P_r].
-    With den the lcm of the denominators of E (``matrix._cleared_rows``),
-    den E is an integer matrix, kept as a map from each pivot position to its
-    nonzero (j, den E[r][j]).  A solve walks the nonzeros of y only and sums
-    den c in integers (for an integer y); the result is checked on the full
-    system before den is divided out.
+    ``matrix._cleared_inverse`` of the rows X_j of F (ValueError when they
+    are dependent) gives the D pivot positions ``sel`` at which the X_j
+    are independent, den, and ``inv``: each P_r to its nonzero
+    (j, den E[r][j]), E the inverse of F on the columns P, so
+    c_j = sum_r E[r][j] y[P_r].  A solve walks the nonzeros of y only and
+    sums den c in integers (for an integer y); the result is checked on
+    the full system before den is divided out.
     """
 
     def __init__(self, columns, size: int):
-        rows, L = _integer_flats(columns)
-        kept = _echelon([{**row, size + j: L} for j, row in enumerate(rows)], size + len(columns))
-        self.sel = list(kept)
-        if any(p >= size for p in self.sel):
-            raise ValueError("basis matrices are linearly dependent")
         self.columns = columns
-        self.den, inv = _cleared_rows(kept, size)
-        self.inv = {p: list(row.items()) for p, row in zip(self.sel, inv)}
+        self.den, inv = _cleared_inverse(columns, size)
+        self.sel = list(inv)
+        self.inv = {p: list(row.items()) for p, row in inv.items()}
 
     def scaled_coords(self, y: dict):
         """``{j: den c_j}`` over the j that the nonzeros of ``y`` reach, for
@@ -265,15 +254,6 @@ class _CoordinateSolver:
         for j, x in scaled.items():
             c[j] = Fraction(x, self.den)
         return tuple(c)
-
-
-def _integer_flats(flats):
-    """``(rows, L)``: the sparse rational rows ``flats`` (``{position:
-    nonzero}``) times L, the lcm of all their denominators, as int rows,
-    cleared by one ``matrix._cleared`` call."""
-    ints, L = _cleared([x for f in flats for x in f.values()])
-    it = iter(ints)
-    return [dict(zip(f, it)) for f in flats], L
 
 
 class Summand(Record):
@@ -317,11 +297,12 @@ class SymplecticRep:
     ``MatrixLieAlgebra``, the nonzeros of the rho images (``_rho_flat``) are
     stored, and ``rho`` keeps the given matrices or is built on first read.
     The public constructor takes only values of the coefficient tower in
-    rho (``rings._check_tower``), so no entry is read as zero unless it
-    is one.  ``_pairing`` holds the forms omega(rho(X_j) psi, psi) that
-    moment and petri read."""
+    rho and omega (``rings._check_tower``), so no entry is read as zero
+    unless it is one.  ``_rho_cleared`` and ``_pairing``, the forms
+    omega(rho(X_j) psi, psi), are what moment and petri read."""
 
     def __init__(self, algebra: MatrixLieAlgebra, omega: ExactMatrix, rho, summands, name: str = ""):
+        _check_tower(omega.entries)
         self.rho = tuple(rho)
         if any((R.rows, R.cols) != (omega.rows, omega.rows) for R in self.rho):
             raise ValueError("each rho image must be dimV x dimV")
@@ -353,22 +334,29 @@ class SymplecticRep:
         return tuple(_combination((1,), (f,), self.dimV) for f in self._rho_flat)
 
     @cached_property
+    def _rho_cleared(self) -> tuple:
+        """``(d, table)``: the nonzeros (j, row, col, d rho_j[row][col]) in
+        ints, d their common denominator, cleared by ``matrix._cleared``."""
+        m = self.dimV
+        R, d = _cleared([x for flat in self._rho_flat for x in flat.values()])
+        it = iter(R)
+        return d, [(j, *divmod(p, m), next(it)) for j, flat in enumerate(self._rho_flat) for p in flat]
+
+    @cached_property
     def _pairing(self) -> tuple:
         """``(den, table)``: the pairing forms A_j = rho_j^T Omega, with
         psi^T A_j psi = omega(rho(X_j) psi, psi), as the flat list ``table``
-        of the nonzeros (j, row, col, value) of den A_j, in ints.  rho and
-        omega are each cleared by ``matrix._cleared`` (an entry that is not
-        rational raises UnsupportedRingError naming its type), and den is
-        the product of their two denominators.  Each A_j is listed in the
-        order its entries are first reached, walking the nonzeros of rho_j
-        and then of the matching row of Omega."""
+        of the nonzeros (j, row, col, value) of den A_j, in ints.  rho comes
+        from ``_rho_cleared`` and omega is cleared by ``matrix._cleared``,
+        and den is the product of their two denominators.  Each A_j is
+        listed in the order its entries are first reached, walking the
+        nonzeros of rho_j and then of the matching row of Omega."""
         m = self.dimV
-        rho = [(j, *divmod(p, m)) for j, flat in enumerate(self._rho_flat) for p in flat]
-        R, d = _cleared([x for flat in self._rho_flat for x in flat.values()])
+        d, rho = self._rho_cleared
         W, w = _cleared([x for row in self.omega.entries for x in row])
         omega_rows = [[(c, v) for c, v in enumerate(W[r * m:(r + 1) * m]) if v] for r in range(m)]
         As = [{} for _ in self._rho_flat]
-        for (j, r, c), x in zip(rho, R):
+        for j, r, c, x in rho:
             A = As[j]
             for c2, v in omega_rows[r]:
                 A[c, c2] = A.get((c, c2), 0) + x * v

@@ -15,17 +15,17 @@ ints and Fractions to ints over the lcm of its denominators and raises
 ``UnsupportedRingError``, naming the type, on any other entry.  Every vector
 the package clears to ints goes through it.  ``rings._check_tower`` is the
 rule for what a route over any ring takes: the values of the coefficient
-tower, whose zeros are exactly the falsy values.  ``_flattened`` and the dense
-routes of ``is_symplectic`` and ``in_sp`` go through it, so a ``None``,
-``0.0`` or ``""`` entry raises ``UnsupportedRingError`` instead of being
-read as zero.
+tower, whose zeros are exactly the falsy values.  ``_flattened`` and
+``is_symplectic`` and ``in_sp`` (on omega and on their dense routes) go
+through it, so a ``None``, ``0.0`` or ``""`` entry raises
+``UnsupportedRingError`` instead of being read as zero.
 
 Elimination builds no Fraction: rows are cleared of their denominators and
 reduced over Z.  One sparse Gauss-Jordan pass (``_echelon``) hands back the
 reduced row echelon form as primitive integer rows, taken sparsest first and
 stopped as soon as the rank is full; ``mat_rank_kernel``, ``solve_linear``
-and ``inverse`` read their results off it and divide only the entries they
-return.  ``rank`` runs eager fraction-free elimination (Bareiss) below the
+and ``_cleared_inverse``, the one [X | I] elimination, read their results
+off it.  ``rank`` runs eager fraction-free elimination (Bareiss) below the
 pivots.
 """
 
@@ -228,22 +228,21 @@ class ExactMatrix:
 # -- elimination ---------------------------------------------------------
 #
 # rank, mat_rank_kernel, solve_linear and inverse take rational entries only;
-# each row is cleared of its denominators by _cleared, which raises
+# the entries are cleared of their denominators by _cleared, which raises
 # UnsupportedRingError on any other entry, and the rows are eliminated over Z
 # without fractions.
 #
 # Every Gauss-Jordan caller goes through _echelon, which takes sparse rows
 # {column: nonzero int} and hands back the reduced row echelon form as
-# {pivot column: primitive sparse int row}.  The public callers reach it
-# through one adapter, _sparse_rows: mat_rank_kernel (_row_echelon) and
-# solve_linear on [A | b].  _inverse_rows builds the rows of [M | I] for
-# inverse and cech's _cleared_inverse (_cleared_rows) with one identity
-# entry each; petri and lie build their rows sparse, and moment inverts its
-# Gram matrix through lie's coordinate solver.  _echelon takes the rows
+# {pivot column: primitive sparse int row}.  mat_rank_kernel (_row_echelon)
+# and solve_linear on [A | b] reach it through one adapter, _sparse_rows;
+# petri and lie build their rows sparse.  One routine, _cleared_inverse,
+# eliminates [X | I]: inverse, cech's _solve_on_complement, moment's Gram
+# matrix and lie's coordinate solver all read it.  _echelon takes the rows
 # sparsest first and stops once the rank is full, never reading the rows
 # past that point.
 # The reduced form is unique and each caller divides a row only by its own
-# pivot entry (or clears the quotients, _cleared_rows), so no result
+# pivot entry (or clears the quotients, _cleared_inverse), so no result
 # depends on the order of the rows or on how a row is scaled.
 #
 # rank stays on _rank_bareiss, eager fraction-free elimination below the
@@ -280,6 +279,15 @@ def _integer_rows(entries):
 def _integer_row(v):
     """A sparse rational row ``_cleared``, as ``{column: nonzero int}``."""
     return {j: x for j, x in zip(v, _cleared(v.values())[0]) if x}
+
+
+def _integer_flats(flats):
+    """``(rows, L)``: the sparse rational rows ``flats`` (``{column:
+    nonzero}``) times L, the lcm of all their denominators, as int rows,
+    cleared by one ``_cleared`` call."""
+    ints, L = _cleared([x for f in flats for x in f.values()])
+    it = iter(ints)
+    return [dict(zip(f, it)) for f in flats], L
 
 
 def _sparse_rows(entries):
@@ -429,56 +437,40 @@ def solve_linear(M: ExactMatrix, b):
     return tuple(x)
 
 
-def _inverse_rows(M: ExactMatrix):
-    """``_echelon``'s reduced rows of [M | I], keyed by pivots 0..n-1: row r
-    divided by its entry at r is row r of [I | M^-1].  Raises ValueError
-    when M is singular, that is when a pivot lands in the identity block."""
+def inverse(M: ExactMatrix) -> ExactMatrix:
+    """Exact inverse of a square matrix over Q; ValueError when singular."""
     if not M.is_square:
         raise ShapeError("inverse needs a square matrix")
     n = M.rows
-    # row i of [M | I] is row i of M and a 1 at n + i: clear the row with its
-    # 1 (every entry type-checked), keep the nonzeros, and move the 1 to n + i
-    rows = []
-    for i, (v, _) in enumerate(_cleared((*r, 1)) for r in M.entries):
-        row = dict(compress(enumerate(v), v))
-        row[n + i] = row.pop(n)
-        rows.append(row)
-    kept = _echelon(rows, 2 * n)
-    if any(c >= n for c in kept):
-        raise ValueError("matrix is singular")
-    return kept
-
-
-def inverse(M: ExactMatrix) -> ExactMatrix:
-    """Exact inverse of a square matrix over Q."""
-    n = M.rows
-    return ExactMatrix(
-        [[Fraction(row.get(j, 0), row[r]) for j in range(n, 2 * n)]
-         for r, row in _inverse_rows(M).items()]
+    # every entry type-checked: M = ints / L, so M^-1 = L (ints)^-1
+    ints, L = _cleared([x for r in M.entries for x in r])
+    rows = [dict(compress(enumerate(v), v)) for v in (ints[i * n:(i + 1) * n] for i in range(n))]
+    den, inv = _cleared_inverse(rows, n)
+    return ExactMatrix._trusted(
+        tuple([tuple([Fraction(L * row.get(j, 0), den) for j in range(n)]) for row in inv.values()]), n
     )
 
 
-def _cleared_rows(kept, n):
-    """``(den, N)`` from ``_echelon``'s reduced rows, in their pivot order:
-    for each row with pivot entry p and nonzero entries x at columns j >= n,
-    g = gcd(p, x) makes |p| / g the reduced denominator of x / p, den is the
-    lcm of those, and N lists {j - n: den * x / p = (x / g) * (den / (p / g))}.
-    """
+def _cleared_inverse(rows, size: int):
+    """``(den, {P_r: {j: den E[r][j]}})`` for independent sparse rational
+    rows ``{column < size: nonzero}`` of X: E is the inverse of X on its
+    pivot columns P (X^-1 when X is square), den the lcm of its denominators.
+    Row j of [L X | L I], L the common denominator (``_integer_flats``), is
+    L X_j and L at size + j.  ``_echelon``'s row at P_r over its pivot entry
+    p holds row r of E on the right, and with g = gcd(p, the entries x
+    there), den E[r][j] = (x / g) (den / (p / g)).  A pivot in the identity
+    block means the rows are dependent and raises ValueError."""
+    ints, L = _integer_flats(rows)
+    kept = _echelon([{**row, size + j: L} for j, row in enumerate(ints)], size + len(ints))
+    if any(c >= size for c in kept):
+        raise ValueError("rows are linearly dependent")
     cleared = []
     for pc, row in kept.items():
-        xs = {j - n: x for j, x in row.items() if j >= n}
+        xs = {j - size: x for j, x in row.items() if j >= size}
         g = math.gcd(row[pc], *xs.values())
-        cleared.append((row[pc] // g, g, xs))
-    den = math.lcm(*(p for p, _, _ in cleared))
-    return den, [{j: x // g * (den // p) for j, x in xs.items()} for p, g, xs in cleared]
-
-
-def _cleared_inverse(M: ExactMatrix):
-    """``(den, N)``: den is the lcm of the denominators of M^-1 and
-    N = den M^-1, an integer matrix.  Raises ValueError when M is singular."""
-    n = M.cols
-    den, N = _cleared_rows(_inverse_rows(M), n)
-    return den, ExactMatrix([[row.get(j, 0) for j in range(n)] for row in N], cols=n)
+        cleared.append((pc, row[pc] // g, g, xs))
+    den = math.lcm(*(p for _, p, _, _ in cleared))
+    return den, {pc: {j: x // g * (den // p) for j, x in xs.items()} for pc, p, g, xs in cleared}
 
 
 def char_poly(M: ExactMatrix):
@@ -542,11 +534,12 @@ def is_symplectic(M: ExactMatrix, omega: ExactMatrix | None = None) -> bool:
     A rational M against the standard form goes through the pair formula of
     ``_preserves_standard_form``; an M that ``_cleared`` rejects, or any
     other form, through the dense product, which takes only values of the
-    coefficient tower (``_check_tower``) in M and omega."""
+    coefficient tower (``_check_tower``) in M; omega is checked first."""
     if omega is None:
         if M.rows % 2:
             return False
         omega = standard_omega(M.rows // 2)
+    _check_tower(omega.entries)
     if not M.is_square:
         return False
     if M.rows % 2 == 0 and omega == standard_omega(M.rows // 2):
@@ -556,7 +549,7 @@ def is_symplectic(M: ExactMatrix, omega: ExactMatrix | None = None) -> bool:
             pass
         else:
             return _preserves_standard_form(U, D, M.rows)
-    _check_tower(M.entries + omega.entries)
+    _check_tower(M.entries)
     return M.transpose() * omega * M == omega
 
 
@@ -586,13 +579,14 @@ def in_sp(X: ExactMatrix, omega: ExactMatrix | None = None) -> bool:
     X against the standard form of its size goes through the pair rule of
     ``_in_standard_sp`` on its nonzeros; every other X or form through the
     dense product.  Either route takes only values of the coefficient tower
-    (``_check_tower``)."""
+    (``_check_tower``) in X; omega is checked first."""
     if omega is None:
         omega = standard_omega(X.rows // 2)
+    _check_tower(omega.entries)
     d = X.rows
     if X.is_square and d % 2 == 0 and omega == standard_omega(d // 2):
         return _in_standard_sp(_flattened(X), d)
-    _check_tower(X.entries + omega.entries)
+    _check_tower(X.entries)
     return (X.transpose() * omega + omega * X).is_zero
 
 

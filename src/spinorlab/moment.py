@@ -14,7 +14,7 @@ matrix Z_k, so the differential is the bilinear form
 psi^T (Z_k + Z_k^T) psidot / q over any commutative ring.  The forms are set
 up from the rep's cached pairing forms A_j = rho_j^T Omega
 (``SymplecticRep._pairing``) and the nonzeros of the trace form, inverted by
-one sparse elimination, so no D x D matrix is built.  Only the algebra
+``matrix._cleared_inverse``, so no D x D matrix is built.  Only the algebra
 coordinates need B: petri takes the kernel of the differential from the
 pairing forms alone, so a context is built for ``petri_matrix`` and the
 scaling check, and a rep whose trace form is degenerate raises
@@ -41,8 +41,8 @@ import math
 from fractions import Fraction
 from functools import cache
 
-from .lie import SymplecticRep, _CoordinateSolver
-from .matrix import ExactMatrix, _cleared, char_poly
+from .lie import SymplecticRep
+from .matrix import ExactMatrix, _cleared, _cleared_inverse, char_poly
 from .rings import UnsupportedRingError, is_zero
 
 
@@ -58,13 +58,13 @@ class MomentContext:
     the Gram matrix of B once.  ``b_scale`` rescales B (the map rescales
     inversely; equivariance is unaffected).  Every table is one flat list of
     integer nonzeros: the forms Z_k and their polarizations
-    S_k = Z_k + Z_k^T as (k, row, col, value), and the rho_j cleared of their
-    common denominator d as (j, row, col, value).  A context holds no
+    S_k = Z_k + Z_k^T as (k, row, col, value), and the rep's rho_j cleared
+    of their common denominator d (``_rho_cleared``).  A context holds no
     structure constant; ``equivariance_check`` reads the algebra's.
 
     The Gram matrix comes as the nonzeros of its rows (``_trace_form``)
-    times ``b_scale`` and is inverted by the [G | I] elimination of
-    ``lie._CoordinateSolver``, which gives den_G G^-1 in integer rows.  The
+    times ``b_scale`` and is inverted by ``matrix._cleared_inverse``, the
+    one [X | I] elimination, which gives den_G G^-1 in integer rows.  The
     pairing forms A_j = rho_j^T Omega come from the rep's cached table
     (``SymplecticRep._pairing``) as integer nonzeros of den_A A_j, den_A
     the product of the common denominators of rho and omega.  So every sum
@@ -78,9 +78,9 @@ class MomentContext:
         if b_scale == 0:
             raise InvalidContextError("B-scale must be nonzero")
         self.rep = rep
-        alg, m = rep.algebra, rep.dimV
+        alg = rep.algebra
         try:
-            ginv = _CoordinateSolver([{j: b_scale * x for j, x in row.items()} for row in alg._trace_form], alg.dim)
+            den_G, ginv = _cleared_inverse([{j: b_scale * x for j, x in row.items()} for row in alg._trace_form], alg.dim)
         except ValueError as exc:
             raise InvalidContextError("Gram matrix of B is singular") from exc
         # den_A A_j, A_j = rho_j^T Omega: psi^T A_j psi = omega(rho(X_j) psi, psi)
@@ -88,16 +88,14 @@ class MomentContext:
         As = [[] for _ in range(alg.dim)]
         for j, r, c, a in pairing:
             As[j].append((r, c, a))
-        rho = [(j, *divmod(p, m), x) for j, flat in enumerate(rep._rho_flat) for p, x in flat.items()]
-        ints, self._rho_den = _cleared([x for *_, x in rho])
-        self._rho = [(*t[:-1], v) for t, v in zip(rho, ints)]
+        self._rho_den, self._rho = rep._rho_cleared
         # den_G den_A Z_k / q = sum_j den_G G^-1[k][j] den_A A_j
         sums = {}
         for k in range(alg.dim):
-            for j, g in sorted(ginv.inv[k]):
+            for j, g in sorted(ginv[k].items()):
                 for r, c, a in As[j]:
                     sums[k, r, c] = sums.get((k, r, c), 0) + g * a
-        den = ginv.den * den_A
+        den = den_G * den_A
         h = math.gcd(den, *sums.values())
         self._q_inv = Fraction(h, den)
         self._Z = [(*krc, x // h) for krc, x in sums.items() if x]

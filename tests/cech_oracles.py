@@ -6,8 +6,10 @@ P^-1, and scales the matching differential by den.  The route below is the
 one it replaced: the same draws, solved with P^-1 itself, so the solved
 blocks carry ``Fraction`` entries.  Each builder also returns the den the
 integer route clears, so a test can compare the two exactly.
-``fraction_cleared_inverse`` is the route ``cech._cleared_inverse`` replaced:
-it reads den and den P^-1 off the ``Fraction`` entries of ``inverse(P)``.
+``fraction_cleared_inverse`` is the route ``matrix._cleared_inverse``
+replaced: it reads den and den P^-1 off the ``Fraction`` entries of the
+Gauss-Jordan inverse of ``matrix_oracles.rref_inverse``, and
+``dense_cleared_inverse`` reads the same off ``_cleared_inverse``.
 ``pairwise_check_five_term`` is the route ``cech.check_five_term`` replaced:
 it checks both maps at every node, so the inner maps are checked twice.
 """
@@ -23,7 +25,9 @@ from spinorlab.cech import (
     _rand_invertible,
     _rand_matrix,
 )
-from spinorlab.matrix import ExactMatrix, inverse, rank
+from spinorlab.matrix import ExactMatrix, _cleared_inverse, inverse, rank
+
+from matrix_oracles import rref_inverse
 
 
 def _hstack(A, B):
@@ -91,9 +95,18 @@ def frac_random_morphism(rng, max_dim=5, ensure_hypothesis=True):
     return morphism, den_src, den
 
 
+def dense_cleared_inverse(P):
+    """``(den, den P^-1)`` from ``matrix._cleared_inverse`` on the nonzeros
+    of the rows of the square P, whose pivot columns are 0..n-1."""
+    n = P.cols
+    den, inv = _cleared_inverse([{j: x for j, x in enumerate(r) if x} for r in P.entries], n)
+    assert list(inv) == list(range(n))
+    return den, ExactMatrix([[row.get(j, 0) for j in range(n)] for row in inv.values()], cols=n)
+
+
 def fraction_cleared_inverse(P):
     """``(den, den P^-1)`` from the Fraction entries of P^-1."""
-    inv = inverse(P).entries
+    inv = rref_inverse(P).entries
     den = math.lcm(*(x.denominator for r in inv for x in r))
     return den, ExactMatrix(
         [[x.numerator * (den // x.denominator) for x in r] for r in inv], cols=P.cols

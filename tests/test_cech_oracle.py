@@ -13,7 +13,6 @@ from spinorlab.cech import (
     FiveTermData,
     QuotientSpace,
     TwoTermCechModel,
-    _cleared_inverse,
     _kernel_columns,
     _rand_injective,
     _rand_invertible,
@@ -26,9 +25,10 @@ from spinorlab.cech import (
     random_model,
     random_morphism,
 )
-from spinorlab.matrix import ExactMatrix, rank
+from spinorlab.matrix import ExactMatrix, _cleared_inverse, rank
 
 from cech_oracles import (
+    dense_cleared_inverse,
     frac_random_model,
     frac_random_morphism,
     fraction_cleared_inverse,
@@ -50,20 +50,39 @@ def all_ints(M):
 
 
 def test_cleared_inverse_matches_the_fraction_route():
-    """den and den P^-1 from the integer [P | I] rows equal those read off
-    inverse(P), on random invertible squares with integer entries (as the
-    random squares have) and with rational ones."""
-    dens = set()
+    """den and den P^-1 from ``matrix._cleared_inverse`` on the nonzeros of
+    the rows of P equal those read off the Fraction Gauss-Jordan inverse,
+    on random invertible squares with integer entries (as the random
+    squares have) and with rational ones, the empty ones among them."""
+    dens, sizes = set(), set()
     for seed in SEEDS:
         rng = random.Random(seed)
         P = _rand_invertible(rng, rng.randint(0, 6))
         if seed % 2:
             P = P.map_entries(lambda x: Fraction(x, rng.choice([1, 2, 3, 4, 6])))
-        den, N = _cleared_inverse(P)
+        den, N = dense_cleared_inverse(P)
         assert (den, N) == fraction_cleared_inverse(P), seed
         assert all_ints(N) and P * N == ExactMatrix.identity(P.rows).scale(den)
         dens.add(den)
+        sizes.add(P.rows)
     assert 1 in dens and len(dens) > 20
+    assert {0, 1} <= sizes
+
+
+def test_cleared_inverse_of_empty_and_one_by_one_squares():
+    """The 0 x 0 square inverts to den 1 and no rows; a 1 x 1 square x
+    to den = the numerator of x and one entry the denominator of x, up to
+    sign; a zero 1 x 1 square and rows in an empty space are dependent."""
+    assert _cleared_inverse([], 0) == (1, {})
+    assert dense_cleared_inverse(ExactMatrix([])) == (1, ExactMatrix([]))
+    for x in (1, -1, 5, Fraction(3, 2), Fraction(-4, 7)):
+        den, inv = _cleared_inverse([{0: x}], 1)
+        assert list(inv) == [0] and Fraction(inv[0][0], den) == 1 / Fraction(x)
+        assert den == abs(Fraction(x).numerator)
+        assert (den, ExactMatrix([list(inv[0].values())])) == fraction_cleared_inverse(ExactMatrix([[x]]))
+    for rows, size in (([{}], 1), ([{}], 0), ([{0: 1}, {0: 2}], 1)):
+        with pytest.raises(ValueError, match="rows are linearly dependent"):
+            _cleared_inverse(rows, size)
 
 
 def test_random_model_is_the_oracle_scaled_by_its_den():

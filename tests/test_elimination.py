@@ -215,13 +215,17 @@ def test_inconsistent_tall_system_stops_at_full_width():
 
 def test_singular_inverse_pivots_in_the_identity_block():
     """[M | I] for a singular M: a pivot lands past column n, and inverse
-    and _cleared_inverse raise."""
+    and _cleared_inverse, on the nonzeros of the rows of M, raise."""
     M = ExactMatrix([[1, 2, 0], [2, 4, 0], [0, 1, 3]])
     aug = [(*r, *(int(i == j) for j in range(3))) for i, r in enumerate(M.entries)]
     assert list(check_integer_rows(aug, 6)) == [0, 1, 3]
-    for call in (inverse, _cleared_inverse, rref_inverse):
-        with pytest.raises(ValueError):
-            call(M)
+    rows = [{j: x for j, x in enumerate(r) if x} for r in M.entries]
+    with pytest.raises(ValueError, match="rows are linearly dependent"):
+        inverse(M)
+    with pytest.raises(ValueError, match="rows are linearly dependent"):
+        _cleared_inverse(rows, 3)
+    with pytest.raises(ValueError):
+        rref_inverse(M)
 
 
 def test_integer_and_zero_entries():

@@ -10,10 +10,11 @@ the polynomial view of a section, the per-representation Euler pair, the
 map-by-map joint kernel, the lazy Bareiss Gauss-Jordan (``_rref_int``,
 ``_reduce``) and the per-pair bracket loop (``pairwise_brackets``) live
 beside the oracles that use them, and ``moment`` names neither the dense
-Gram view nor the dense inverse.  The removed copies of a rule stay out
+Gram view nor lie's coordinate solver.  The removed copies of a rule stay out
 of the package: ``_clear_denominators`` (``matrix._cleared`` alone decides
-what is rational) and ``check_glue_at_config`` (``check_glue`` serves the
-off-grid glue case).  The check walks the
+what is rational), ``check_glue_at_config`` (``check_glue`` serves the
+off-grid glue case), and ``_inverse_rows`` and ``_cleared_rows``
+(``matrix._cleared_inverse`` alone eliminates [X | I]).  The check walks the
 syntax tree with the standard library, like ``test_unused_imports``.
 """
 
@@ -38,7 +39,7 @@ TEST_ONLY = {
     "_reduce",
     "pairwise_brackets",
 }
-REMOVED = {"_clear_denominators", "check_glue_at_config"}
+REMOVED = {"_clear_denominators", "check_glue_at_config", "_inverse_rows", "_cleared_rows"}
 
 
 def named(source: str) -> set:
@@ -93,10 +94,10 @@ def test_removed_copies_stay_out_of_the_package(path):
 
 
 def test_moment_builds_no_dense_gram():
-    """``MomentContext`` inverts the nonzeros of the trace form through the
-    coordinate solver: it neither reads the dense Gram view nor inverts a
-    dense matrix."""
-    assert sorted({"trace_gram", "_inverse_rows", "_cleared_rows"} & named((SRC / "moment.py").read_text())) == []
+    """``MomentContext`` inverts the nonzeros of the trace form through
+    ``matrix._cleared_inverse``: it neither reads the dense Gram view nor
+    borrows lie's coordinate solver to invert it."""
+    assert sorted({"trace_gram", "_CoordinateSolver"} & named((SRC / "moment.py").read_text())) == []
 
 
 def test_section_space_does_not_evaluate():

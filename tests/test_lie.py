@@ -91,6 +91,14 @@ class TestEntriesReadAsZero:
             SymplecticRep(sl2_algebra(), standard_omega(1), self.sl2_with(bad), [Summand("irreducible", 0, 2)])
 
     @pytest.mark.parametrize("bad", FALSY, ids=repr)
+    def test_omega(self, bad):
+        """A form with a falsy entry raised a bare TypeError only later, in
+        ``verify_symplectic_rep``; the constructor checks omega as it does rho."""
+        omega = ExactMatrix([[bad, 1], [-1, 0]])
+        with pytest.raises(UnsupportedRingError, match=f"not {type(bad).__name__}$"):
+            SymplecticRep(sl2_algebra(), omega, sl2_algebra().basis, [Summand("irreducible", 0, 2)])
+
+    @pytest.mark.parametrize("bad", FALSY, ids=repr)
     def test_in_sp(self, bad):
         X = self.sl2_with(bad)[0]
         # the pair rule against the standard form, and the dense product

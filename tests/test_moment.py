@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 
 from moment_oracles import fraction_context_fields, generic_quadratic_coords
-from spinorlab.lie import MatrixLieAlgebra, Summand, SymplecticRep, _CoordinateSolver, sl2_algebra, sp_standard, sl2_w_plus_wdual
-from spinorlab.matrix import ExactMatrix, rank, standard_omega
+from spinorlab import lie, moment
+from spinorlab.lie import MatrixLieAlgebra, Summand, SymplecticRep, sl2_algebra, sp_standard, sl2_w_plus_wdual
+from spinorlab.matrix import ExactMatrix, _cleared_inverse, rank, standard_omega
 from spinorlab.moment import (
     InvalidContextError,
     MomentContext,
@@ -184,6 +185,23 @@ class TestEquivariance:
         ok, res = equivariance_check(ctx, [1, 1], [1, 0, 0])
         assert not ok and not res.is_zero
 
+    def test_rho_is_cleared_once_per_rep(self, monkeypatch):
+        """The rep clears rho once (``_rho_cleared``): its pairing forms and
+        every context on it read that one table, and a context clears no
+        vector of its own."""
+        cleared = []
+        real = lie._cleared
+        monkeypatch.setattr(lie, "_cleared", lambda v: cleared.append(list(v)) or real(v))
+        monkeypatch.setattr(moment, "_cleared", lambda v: pytest.fail("a context cleared a vector"))
+        built = sl2_w_plus_wdual()
+        rep = SymplecticRep(built.algebra, built.omega, built.rho, built.summands)
+        contexts = [MomentContext(rep), MomentContext(rep, Fraction(-2, 3))]
+        rho_values = [x for flat in rep._rho_flat for x in flat.values()]
+        assert cleared == [rho_values, [x for r in rep.omega.entries for x in r]]
+        d, table = rep._rho_cleared
+        assert all(ctx._rho is table and ctx._rho_den == d for ctx in contexts)
+        assert [Fraction(v, d) for *_, v in table] == rho_values
+
     def test_context_on_a_skew_basis_matches_the_fraction_route(self):
         """sl2 in the basis (f, h, e + f), whose cleared Gram inverse has a
         row of two nonzeros that the elimination leaves out of column order:
@@ -191,8 +209,8 @@ class TestEquivariance:
         e, h, f = sl2_algebra().basis
         alg = MatrixLieAlgebra([f, h, e + f])
         rep = SymplecticRep(alg, standard_omega(1), alg.basis, [Summand("irreducible", 0, 2)])
-        rows = _CoordinateSolver(alg._trace_form, alg.dim).inv.values()
-        assert any(row != sorted(row) for row in rows)
+        rows = _cleared_inverse(alg._trace_form, alg.dim)[1].values()
+        assert any(list(row) != sorted(row) for row in rows)
         for b_scale in (1, 5, Fraction(-2, 3)):
             ctx = MomentContext(rep, b_scale)
             want = fraction_context_fields(rep, b_scale)

@@ -23,7 +23,6 @@ from spinorlab.lie import (
     MatrixLieAlgebra,
     Summand,
     SymplecticRep,
-    _CoordinateSolver,
     conjugate_rep,
     direct_sum,
     sl2_algebra,
@@ -217,21 +216,17 @@ def test_coordinate_solver_rows_and_span(n):
 @pytest.mark.parametrize("name", sorted(REPS))
 @pytest.mark.parametrize("b_scale", [1, 5, Fraction(-2, 3)])
 def test_cleared_gram_inverse_matches_the_fraction_route(name, b_scale):
-    """The [G | I] elimination of ``lie._CoordinateSolver``, which
-    ``MomentContext`` solves with, on the nonzeros of the trace-form Gram
-    matrices, and ``matrix._cleared_inverse`` on their dense view: den and
-    den G^-1 read off inverse(G)."""
+    """``matrix._cleared_inverse``, which ``MomentContext`` solves with, on
+    the nonzeros of the trace-form Gram rows times b_scale: den and
+    den G^-1 equal those read off the Fraction Gauss-Jordan inverse of the
+    dense Gram matrix, keyed by the rows 0..D-1."""
     alg = REPS[name]().algebra
-    gram = alg.trace_gram().scale(b_scale)
-    den, N = _cleared_inverse(gram)
-    assert (den, N) == fraction_cleared_inverse(gram)
-    assert all(type(x) is int for r in N.entries for x in r)
-    solver = _CoordinateSolver([{j: b_scale * x for j, x in row.items()} for row in alg._trace_form], alg.dim)
-    assert solver.den == den
-    assert {k: dict(row) for k, row in solver.inv.items()} == {
-        k: {j: x for j, x in enumerate(row) if x} for k, row in enumerate(N.entries)
-    }
-    assert all(type(x) is int for row in solver.inv.values() for _, x in row)
+    den, inv = _cleared_inverse([{j: b_scale * x for j, x in row.items()} for row in alg._trace_form], alg.dim)
+    want_den, N = fraction_cleared_inverse(alg.trace_gram().scale(b_scale))
+    assert den == want_den
+    assert inv == {k: {j: x for j, x in enumerate(row) if x} for k, row in enumerate(N.entries)}
+    assert list(inv) == list(range(alg.dim))
+    assert all(type(x) is int for row in inv.values() for x in row.values())
 
 
 @pytest.mark.parametrize("name", sorted(REPS))

@@ -9,6 +9,7 @@ import pytest
 import spinorlab.matrix as matrix
 from spinorlab.matrix import (
     ExactMatrix,
+    in_sp,
     is_symplectic,
     line_block_form,
     random_symplectic,
@@ -132,6 +133,20 @@ def test_the_dense_product_takes_only_values_of_the_tower(bad):
     for args in ((M,), (M, standard_omega(1).scale(3)), (standard_omega(1), omega)):
         with pytest.raises(UnsupportedRingError, match=f"not {type(bad).__name__}$"):
             is_symplectic(*args)
+
+
+def test_a_form_equal_to_the_standard_one_is_checked_before_the_route():
+    """A float form compares equal to the standard one as a tuple, so it
+    once took the standard-form routes and came back True; scaled by 3 it
+    raised.  Both now raise UnsupportedRingError naming float."""
+    for omega in (ExactMatrix([[0.0, 1], [-1, 0]]), ExactMatrix([[0, 1.0], [-1, 0]])):
+        assert omega == standard_omega(1)
+        for probe in (lambda: is_symplectic(standard_omega(1), omega),
+                      lambda: in_sp(ExactMatrix([[1, 0], [0, -1]]), omega),
+                      lambda: is_symplectic(standard_omega(1), omega.scale(3)),
+                      lambda: in_sp(ExactMatrix([[1, 0], [0, -1]]), omega.scale(3))):
+            with pytest.raises(UnsupportedRingError, match="not float$"):
+                probe()
 
 
 def test_rank_one_update_is_the_transvection_product():
