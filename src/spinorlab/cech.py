@@ -10,8 +10,8 @@ differential goes A^0q -> A^1q.
 Random models and morphisms are integer matrices: each random square clears
 the one common denominator of the inverse it solves with, and kernel bases
 come back as integer columns, so a random model is checked with products of
-ints only.  Models and morphisms are immutable, so each instance is validated
-once (a failed validation is not remembered) and builds its total
+ints only.  A model or morphism checks its invariants when it is built
+(``InvalidModelError`` if they fail), and, being immutable, builds its total
 differentials and their ranks once.
 """
 
@@ -25,7 +25,8 @@ from .matrix import ExactMatrix, _cleared_inverse, _integer_rows, mat_rank_kerne
 
 
 class InvalidModelError(ValueError):
-    """The commuting-square invariant fails."""
+    """A map has the wrong shape, the square does not commute, or a morphism
+    does not intertwine its models."""
 
 
 class EulerCharError(ValueError):
@@ -41,6 +42,13 @@ class TwoTermCechModel(Record):
         diff_a1: ExactMatrix,  # A01 -> A11
     ):
         self._store(locals())
+        # D1 D0 = a1 d0 - d1 a0 by block multiplication, so a commuting square
+        # is a complex
+        a00, a01, a10, a11 = self.dims
+        if (diff_a0.rows, diff_a0.cols, diff_a1.rows, diff_a1.cols) != (a10, a00, a11, a01):
+            raise InvalidModelError("map shapes are inconsistent")
+        if diff_a1 * cech_d0 != cech_d1 * diff_a0:
+            raise InvalidModelError("square does not commute")
 
     @property
     def dims(self):
@@ -51,10 +59,6 @@ class TwoTermCechModel(Record):
             self.cech_d1.rows,
         )
 
-    @property
-    def commutes(self) -> bool:
-        return self.diff_a1 * self.cech_d0 == self.cech_d1 * self.diff_a0
-
     @cached_property
     def total_d0(self) -> ExactMatrix:
         """D0: A00 -> A01 + A10, x -> (d0 x, a0 x)."""
@@ -64,23 +68,6 @@ class TwoTermCechModel(Record):
     def total_d1(self) -> ExactMatrix:
         """D1: A01 + A10 -> A11, (y, z) -> a1 y - d1 z."""
         return ExactMatrix.from_blocks([[self.diff_a1, -self.cech_d1]])
-
-    def validate(self):
-        """Raise InvalidModelError unless the square commutes; checked once
-        per instance."""
-        self._validated
-
-    @cached_property
-    def _validated(self) -> bool:
-        # raising leaves nothing cached, so an invalid model raises every time
-        a00, a01, a10, a11 = self.dims
-        if self.diff_a0.cols != a00 or self.diff_a1.cols != a01 or self.diff_a1.rows != a11:
-            raise InvalidModelError("map shapes are inconsistent")
-        if not self.commutes:
-            raise InvalidModelError("square does not commute")
-        if not (self.total_d1 * self.total_d0).is_zero:
-            raise InvalidModelError("total complex fails D1 D0 = 0")
-        return True
 
     @cached_property
     def rank_d0(self) -> int:
@@ -98,7 +85,6 @@ class TwoTermCechModel(Record):
 
 def hypercohomology(model: TwoTermCechModel):
     """Dimensions (h0, h1, h2) of the total-complex cohomology."""
-    model.validate()
     a00, a01, a10, a11 = model.dims
     r0, r1 = model.rank_d0, model.rank_d1
     h0 = a00 - r0
@@ -134,25 +120,18 @@ class ComplexMorphism(Record):
         phi1_1: ExactMatrix,  # A11_src -> A11_tgt
     ):
         self._store(locals())
-
-    def validate(self):
-        """Raise InvalidModelError unless both models are valid and phi
-        intertwines them; checked once per instance."""
-        self._validated
-
-    @cached_property
-    def _validated(self) -> bool:
-        self.source.validate()
-        self.target.validate()
-        if self.source.cech_d0 != self.target.cech_d0:
+        _, _, a10s, a11s = source.dims
+        _, _, a10t, a11t = target.dims
+        if (phi1_0.rows, phi1_0.cols, phi1_1.rows, phi1_1.cols) != (a10t, a10s, a11t, a11s):
+            raise InvalidModelError("map shapes are inconsistent")
+        if source.cech_d0 != target.cech_d0:
             raise InvalidModelError("degree-0 parts are not shared")
-        if self.phi1_0 * self.source.diff_a0 != self.target.diff_a0:
+        if phi1_0 * source.diff_a0 != target.diff_a0:
             raise InvalidModelError("phi does not intertwine a0")
-        if self.phi1_1 * self.source.diff_a1 != self.target.diff_a1:
+        if phi1_1 * source.diff_a1 != target.diff_a1:
             raise InvalidModelError("phi does not intertwine a1")
-        if self.target.cech_d1 * self.phi1_0 != self.phi1_1 * self.source.cech_d1:
+        if target.cech_d1 * phi1_0 != phi1_1 * source.cech_d1:
             raise InvalidModelError("phi does not intertwine the Cech differential")
-        return True
 
 
 def _kernel_columns(M: ExactMatrix) -> ExactMatrix:
@@ -184,7 +163,6 @@ class ChaseVerdict(Record):
 
 def j_injectivity_experiment(morphism: ComplexMorphism) -> ChaseVerdict:
     """Record (H) and (C) for one morphism; the diagram chase claims H => C."""
-    morphism.validate()
     src, tgt = morphism.source, morphism.target
     a00, a01, a10s, _ = src.dims
 
@@ -256,7 +234,6 @@ class ExactnessReport(Record):
 def five_term_data(model: TwoTermCechModel) -> FiveTermData:
     """H0(A0) -> H0(A1) -> H1_total -> H1(A0) -> H1(A1) with sheaf cohomology
     read off the Cech differentials."""
-    model.validate()
     a00, a01, a10, a11 = model.dims
 
     n1 = QuotientSpace(_kernel_columns(model.cech_d0), ExactMatrix.zeros(a00, 0))
@@ -357,7 +334,7 @@ def _solve_on_complement(rng, inj, forced, r_scale=1):
 
 
 def _random_square(rng: random.Random, max_dim: int):
-    """``random_model``'s square, unvalidated, and the factor den that scaled
+    """``random_model``'s square and the factor den that scaled
     its (d1, a1): solving a1 P = [d1 a0 | R] with den P^-1 in place of P^-1
     scales a1 by den, and d1 is scaled to match, so the square commutes and
     every kernel and rank is that of the unscaled square."""
@@ -376,9 +353,7 @@ def random_model(rng: random.Random, max_dim: int = 6) -> TwoTermCechModel:
     """Uniform-ish commuting square built per the injective-d0 recipe:
     a1 is forced on im(d0) by the square and random on a complement.  The
     entries are integers."""
-    model, _ = _random_square(rng, max_dim)
-    model.validate()
-    return model
+    return _random_square(rng, max_dim)[0]
 
 
 def random_morphism(rng: random.Random, max_dim: int = 5, ensure_hypothesis: bool = True) -> ComplexMorphism:
@@ -392,11 +367,8 @@ def random_morphism(rng: random.Random, max_dim: int = 5, ensure_hypothesis: boo
     if ensure_hypothesis:
         a10t = a10s + rng.randint(0, 2)
         a11t = a11s + rng.randint(0, 2)
-        P = _rand_invertible(rng, a10t)
-        incl = ExactMatrix(
-            [[1 if i == j else 0 for j in range(a10s)] for i in range(a10t)]
-        )
-        phi10 = P * incl
+        # the inclusion of the first a10s coordinates, then P
+        phi10 = _rand_invertible(rng, a10t).submatrix(range(a10t), range(a10s))
         phi11 = _rand_matrix(rng, a11t, a11s)
         # the source's d1 carries den_src, so the random block does too;
         # solving scales d1t by den, and phi11 is scaled to match: the target
@@ -413,6 +385,4 @@ def random_morphism(rng: random.Random, max_dim: int = 5, ensure_hypothesis: boo
             ExactMatrix.zeros(a10s, a00),
             ExactMatrix.zeros(a11s, a01),
         )
-    morphism = ComplexMorphism(src, tgt, phi10, phi11)
-    morphism.validate()
-    return morphism
+    return ComplexMorphism(src, tgt, phi10, phi11)

@@ -161,9 +161,12 @@ def hecke_family(n: int, m: int, nilpotent: ExactMatrix | None = None) -> HeckeF
     truncation, that it is symplectic and that I - t z^{-m} N inverts it."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
-    N = smoothing_nilpotent(n) if nilpotent is None else nilpotent
-    if not (N * N).is_zero:
-        raise ValueError("modification matrix must square to zero")
+    if nilpotent is None:
+        N = smoothing_nilpotent(n)  # checks N^2 = 0 itself
+    else:
+        N = nilpotent
+        if not (N * N).is_zero:
+            raise ValueError("modification matrix must square to zero")
     h_t = _family_matrix(N, m, +1)
     h_inv = _family_matrix(N, m, -1)
     fam = HeckeFamily(n, m, N, h_t, h_inv)

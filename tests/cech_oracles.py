@@ -53,9 +53,7 @@ def frac_random_model(rng, max_dim=6):
     R = _rand_matrix(rng, a11, C.cols)
     vals = _hstack(forced, R)
     a1 = vals * inverse(P) if a01 else ExactMatrix.zeros(a11, 0)
-    model = TwoTermCechModel(d0, d1, a0, a1)
-    model.validate()
-    return model, _den(inverse(P))
+    return TwoTermCechModel(d0, d1, a0, a1), _den(inverse(P))
 
 
 def frac_random_morphism(rng, max_dim=5, ensure_hypothesis=True):
@@ -90,9 +88,7 @@ def frac_random_morphism(rng, max_dim=5, ensure_hypothesis=True):
             ExactMatrix.zeros(a10s, a00),
             ExactMatrix.zeros(a11s, a01),
         )
-    morphism = ComplexMorphism(src, tgt, phi10, phi11)
-    morphism.validate()
-    return morphism, den_src, den
+    return ComplexMorphism(src, tgt, phi10, phi11), den_src, den
 
 
 def dense_cleared_inverse(P):

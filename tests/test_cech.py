@@ -63,24 +63,22 @@ class TestHypercohomology:
             assert hypercohomology(model) == brute_force_hyper(model)
 
     def test_invalid_model_rejected(self):
-        model = TwoTermCechModel(
-            ExactMatrix.identity(1),
-            ExactMatrix.identity(1),
-            ExactMatrix.identity(1),
-            ExactMatrix([[2]]),  # 2 * d0 != d1 * a0
-        )
-        with pytest.raises(InvalidModelError):
-            hypercohomology(model)
+        with pytest.raises(InvalidModelError, match="square does not commute"):
+            TwoTermCechModel(
+                ExactMatrix.identity(1),
+                ExactMatrix.identity(1),
+                ExactMatrix.identity(1),
+                ExactMatrix([[2]]),  # 2 * d0 != d1 * a0
+            )
 
     def test_square_commutation_equivalent_to_total_complex(self):
         rng = random.Random(32)
         for _ in range(20):
             model = random_model(rng)
-            assert model.commutes
             assert (model.total_d1 * model.total_d0).is_zero
 
     def test_broken_square_breaks_total_complex(self):
-        # the two conditions fail together: D1 D0 = 0 iff the square commutes
+        # construction refuses a square exactly when its D1 D0 is not zero
         rng = random.Random(42)
         found = 0
         for _ in range(20):
@@ -89,13 +87,15 @@ class TestHypercohomology:
                 continue
             bad_a1 = [list(r) for r in model.diff_a1.entries]
             bad_a1[0][0] += 1
-            broken = TwoTermCechModel(
-                model.cech_d0, model.cech_d1, model.diff_a0, ExactMatrix(bad_a1)
-            )
-            commutes = broken.commutes
-            total_zero = (broken.total_d1 * broken.total_d0).is_zero
-            assert commutes == total_zero
-            found += not commutes
+            bad_a1 = ExactMatrix(bad_a1)
+            total_zero = (ExactMatrix.from_blocks([[bad_a1, -model.cech_d1]]) * model.total_d0).is_zero
+            try:
+                TwoTermCechModel(model.cech_d0, model.cech_d1, model.diff_a0, bad_a1)
+            except InvalidModelError:
+                assert not total_zero
+                found += 1
+            else:
+                assert total_zero
         assert found > 0
 
     def test_basis_change_invariance(self):
@@ -255,33 +255,71 @@ class TestFiveTerm:
         assert found > 0
 
 
-class TestValidateOnce:
+class TestCheckedWhenBuilt:
     @staticmethod
     def unit_square(a1=1):
         one = ExactMatrix.identity(1)
         return TwoTermCechModel(one, one, one, ExactMatrix([[a1]]))
 
-    def test_broken_model_raises_on_every_call(self):
-        broken = self.unit_square(a1=2)  # a1 d0 != d1 a0
-        for entry in (hypercohomology, les_segment):
-            for _ in range(2):
-                with pytest.raises(InvalidModelError):
-                    entry(broken)
-        one = ExactMatrix.identity(1)
-        m = ComplexMorphism(broken, broken, one, one)
-        for _ in range(2):
-            with pytest.raises(InvalidModelError):
-                j_injectivity_experiment(m)
+    @staticmethod
+    def cech_only(d1):
+        """A00 = A01 = 0 and A10 = A11 = k with Cech differential d1."""
+        return TwoTermCechModel(
+            ExactMatrix.zeros(0, 0), ExactMatrix([[d1]]), ExactMatrix.zeros(1, 0), ExactMatrix.zeros(1, 0)
+        )
 
-    def test_broken_morphism_raises_on_every_call(self):
+    def test_broken_model_raises_on_every_build(self):
+        for _ in range(2):
+            with pytest.raises(InvalidModelError, match="square does not commute"):
+                self.unit_square(a1=2)  # a1 d0 != d1 a0
+
+    @pytest.mark.parametrize(
+        "a0, a1",
+        [((2, 1), (1, 1)), ((1, 2), (1, 1)), ((1, 1), (2, 1)), ((1, 1), (1, 2))],
+        ids=["a0-rows", "a0-cols", "a1-rows", "a1-cols"],
+    )
+    def test_model_map_shapes(self, a0, a1):
+        one = ExactMatrix.identity(1)
+        with pytest.raises(InvalidModelError, match="map shapes are inconsistent"):
+            TwoTermCechModel(one, one, ExactMatrix.zeros(*a0), ExactMatrix.zeros(*a1))
+
+    @pytest.mark.parametrize(
+        "phi1_0, phi1_1",
+        [((2, 2), (1, 1)), ((1, 2), (1, 1)), ((2, 1), (1, 1)), ((1, 1), (1, 2)), ((1, 1), (2, 1))],
+        ids=["phi1_0-square", "phi1_0-rows", "phi1_0-cols", "phi1_1-cols", "phi1_1-rows"],
+    )
+    def test_morphism_map_shapes(self, phi1_0, phi1_1):
+        model = self.unit_square()
+        with pytest.raises(InvalidModelError, match="map shapes are inconsistent"):
+            ComplexMorphism(model, model, ExactMatrix.zeros(*phi1_0), ExactMatrix.zeros(*phi1_1))
+
+    def test_unshared_degree_0_part(self):
+        one = ExactMatrix.identity(1)
+        two = ExactMatrix([[2]])
+        target = TwoTermCechModel(two, two, one, one)  # a1 d0 = d1 a0 = 2
+        with pytest.raises(InvalidModelError, match="degree-0 parts are not shared"):
+            ComplexMorphism(self.unit_square(), target, one, one)
+
+    def test_phi_not_intertwining_a0(self):
+        model = self.unit_square()
+        two = ExactMatrix([[2]])
+        with pytest.raises(InvalidModelError, match="phi does not intertwine a0"):
+            ComplexMorphism(model, model, two, two)
+
+    def test_broken_morphism_raises_on_every_build(self):
         model = self.unit_square()
         one = ExactMatrix.identity(1)
-        broken = ComplexMorphism(model, model, one, ExactMatrix([[2]]))  # phi a1 != a1
         for _ in range(2):
-            with pytest.raises(InvalidModelError):
-                j_injectivity_experiment(broken)
+            with pytest.raises(InvalidModelError, match="phi does not intertwine a1"):
+                ComplexMorphism(model, model, one, ExactMatrix([[2]]))  # phi a1 != a1
 
-    def test_first_validate_runs_its_products_and_the_second_none(self, monkeypatch):
+    def test_phi_not_intertwining_the_cech_differential(self):
+        # a0 and a1 have no columns, so phi intertwines them whatever it is
+        one = ExactMatrix.identity(1)
+        with pytest.raises(InvalidModelError, match="phi does not intertwine the Cech differential"):
+            ComplexMorphism(self.cech_only(1), self.cech_only(2), one, one)
+
+    def test_a_build_runs_the_check_products_and_hypercohomology_none(self, monkeypatch):
         products = []
         mul = ExactMatrix.__mul__
 
@@ -291,17 +329,9 @@ class TestValidateOnce:
 
         monkeypatch.setattr(ExactMatrix, "__mul__", counting_mul)
         one = ExactMatrix.identity(1)
-
-        def unit_morphism():
-            return ComplexMorphism(self.unit_square(), self.unit_square(), one, one)
-
-        for make in (self.unit_square, unit_morphism):
-            fresh = make()
-            fresh.validate()
-            first = len(products)
-            assert first > 0
-            fresh.validate()
-            assert len(products) == first
-            make().validate()  # an equal instance checks itself again
-            assert len(products) == 2 * first
-            del products[:]
+        model = self.unit_square()
+        assert len(products) == 2  # a1 d0 and d1 a0; no D1 D0
+        ComplexMorphism(model, model, one, one)
+        assert len(products) == 2 + 4  # phi a0, phi a1, d1 phi and phi d1
+        hypercohomology(model)
+        assert len(products) == 6

@@ -83,6 +83,12 @@ def test_cech_works_without_fraction():
     assert "Fraction" not in named((SRC / "cech.py").read_text())
 
 
+def test_cech_models_check_themselves_when_built():
+    """Models and morphisms check their invariants in ``__init__``: no lazy,
+    cached ``validate`` is left to call."""
+    assert sorted({"validate", "_validated"} & named((SRC / "cech.py").read_text())) == []
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_test_only_helpers_stay_beside_the_tests(path):
     assert sorted(TEST_ONLY & named(path.read_text())) == []

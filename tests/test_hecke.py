@@ -151,6 +151,13 @@ class TestIdentityErrors:
 
 
 class TestHeckeFamily:
+    def test_caller_nilpotent_must_square_to_zero(self):
+        # n = 1: the identity does not square to zero, [[1, 1], [-1, -1]] does
+        with pytest.raises(ValueError, match="modification matrix must square to zero"):
+            hecke_family(1, 1, ExactMatrix.identity(2))
+        nilpotent = ExactMatrix([[1, 1], [-1, -1]])
+        assert hecke_family(1, 1, nilpotent).N == nilpotent
+
     def test_nilpotent_structure(self):
         N = smoothing_nilpotent(2)
         assert (N * N).is_zero and in_sp(N)
