@@ -15,13 +15,14 @@ whose coefficient is a nonzero constant), so l^-1 = c^-1 l^-e.  The mixed
 blocks come down to the vector r = u^T Theta gamma + l^-1 d^T, which is
 linear in the entries of gamma and d, and each entry is a sum of terms
 q * l^e * m with q rational and m a monomial in the other symbols (for the
-cocycles built here, one of d_i or the unknowns ``_g*``).  So r is computed
-one term (e, m) at a time on integer vectors (``_residual_forms``): with
-u = U / D cleared of denominators and E the lcm of the denominators of the
-coefficients of gamma and l^-1 d, D E r = (D u^T Theta)(E gamma) +
-D (E l^-1 d) in Python ints.  ``verify_form_preservation`` builds ring
-elements only when r is not zero, and ``necessity_solve`` reads its linear
-system off the same vectors.
+cocycles built here, one of d_i or the unknowns ``_g*``).  These are the
+items ``(e, m): q`` of ``LaurentPoly.terms``, which are read and built as
+they are, with no regrouping by power.  So r is computed one term (e, m) at
+a time on integer vectors (``_residual_forms``): with u = U / D cleared of
+denominators and E the lcm of the denominators of the coefficients of gamma
+and l^-1 d, D E r = (D u^T Theta)(E gamma) + D (E l^-1 d) in Python ints.
+``verify_form_preservation`` builds ring elements only when r is not zero,
+and ``necessity_solve`` reads its linear system off the same vectors.
 
 ``fresh_symbol_cocycle`` takes gamma from the closed form
 gamma = l^-1 u Theta d^T: u^T Theta u = Theta and Theta^2 = -I give
@@ -84,10 +85,9 @@ def _inverse_term(l):
         if l == 0:
             raise InvalidCocycleError("line transition must be invertible")
         return Fraction(l.denominator, l.numerator), 0, None
-    if isinstance(l, LaurentPoly) and len(l.coeffs) == 1:
-        ((k, c),) = l.coeffs.items()
-        if c.is_constant:
-            c = c.constant_value()
+    if isinstance(l, LaurentPoly) and len(l.terms) == 1:
+        (((k, m), c),) = l.terms.items()
+        if not m:
             return Fraction(c.denominator, c.numerator), -k, l.var
     raise InvalidCocycleError(
         "line transition must be a nonzero rational or a unit Laurent monomial c*x^k"
@@ -97,7 +97,7 @@ def _inverse_term(l):
 def _line_inverse(l):
     """l^-1 as a rational or a ``LaurentPoly`` (see ``_inverse_term``)."""
     q, e, var = _inverse_term(l)
-    return q if var is None else LaurentPoly(var, {e: q})
+    return q if var is None else LaurentPoly.term(var, e, q)
 
 
 class BlockCocycle(Record):
@@ -185,37 +185,30 @@ def _laurent_var(entries):
 
 def _terms(x, var):
     """The pairs ``((e, m), q)`` with x = sum q * var^e * m over nonzero
-    rationals q, for a value x of the tower: m is a ``MultiPoly`` monomial
-    ``((name, exponent), ...)`` in the symbols other than the Laurent
-    variable var."""
+    rationals q, for a value x of the tower: the items of its
+    ``LaurentPoly.terms``, m a ``MultiPoly`` monomial in the symbols other
+    than the Laurent variable var (None over Q, where every e is 0)."""
+    if isinstance(x, LaurentPoly):
+        return x.terms.items()
     if _is_rat(x):
-        if x:
-            yield (0, ()), x
-    elif isinstance(x, LaurentPoly):
-        for e, p in x.coeffs.items():
-            for (_, m), q in _terms(p, var):
-                yield (e, m), q
-    elif isinstance(x, MultiPoly):
-        if var in x.vars:
-            raise ValueError(f"coefficient contains the Laurent variable {var!r}")
-        for m, q in x.terms.items():
-            yield (0, m), q
-    else:
+        return [((0, ()), x)] if x else []
+    if not isinstance(x, MultiPoly):
         raise TypeError(f"cannot expand a {type(x).__name__} in the cocycle symbols")
+    if var in x.vars:
+        raise ValueError(f"coefficient contains the Laurent variable {var!r}")
+    return [((0, m), q) for m, q in x.terms.items()]
 
 
 def _element(terms, var):
     """The value sum q * var^e * m of a dict ``{(e, m): q}`` of the pairs of
-    ``_terms``: a ``LaurentPoly`` in var, or with var None a ``MultiPoly``,
-    or a rational when every m is 1.  Every q is a nonzero ``Fraction`` and
-    no m names var, so the polynomials are built as trusted."""
-    if var is None and not any(m for _, m in terms):
+    ``_terms``, built as trusted (every q a nonzero ``Fraction``, no m naming
+    var): the ``LaurentPoly`` in var with these terms, or with var None a
+    ``MultiPoly``, or a rational when every m is 1."""
+    if var is not None:
+        return LaurentPoly._trusted(var, terms)
+    if not any(m for _, m in terms):
         return sum(terms.values())
-    by_power = {}
-    for (e, m), q in terms.items():
-        by_power.setdefault(e, {})[m] = q
-    polys = {e: MultiPoly._trusted(mq) for e, mq in by_power.items()}
-    return polys[0] if var is None else LaurentPoly._trusted(var, polys)
+    return MultiPoly._trusted({m: q for (_, m), q in terms.items()})
 
 
 def _times_theta(row):

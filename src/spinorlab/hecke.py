@@ -158,13 +158,16 @@ def _family_matrix(N: ExactMatrix, m: int, sign: int) -> ExactMatrix:
 
 def hecke_family(n: int, m: int, nilpotent: ExactMatrix | None = None) -> HeckeFamily:
     """Build h_t = I + t z^{-m} N and verify, with zero residual and no
-    truncation, that it is symplectic and that I - t z^{-m} N inverts it."""
+    truncation, that it is symplectic and that I - t z^{-m} N inverts it.
+    A caller's N must be 2n x 2n and square to zero (ValueError)."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     if nilpotent is None:
         N = smoothing_nilpotent(n)  # checks N^2 = 0 itself
     else:
         N = nilpotent
+        if (N.rows, N.cols) != (2 * n, 2 * n):
+            raise ValueError(f"modification matrix must be {2 * n}x{2 * n}, not {N.rows}x{N.cols}")
         if not (N * N).is_zero:
             raise ValueError("modification matrix must square to zero")
     h_t = _family_matrix(N, m, +1)

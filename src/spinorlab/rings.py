@@ -12,6 +12,12 @@ A ``MultiPoly`` keeps one format: a dict from monomials to nonzero
 ``3*x^2*y - 1`` is ``{(("x", 2), ("y", 1)): 3, (): -1}``.  Only the public
 constructor ``MultiPoly(vars, terms)`` reads exponent tuples aligned with a
 list of names; it converts them once.
+
+A ``LaurentPoly`` keeps the same flat dict keyed by ``(e, m)``, e the power
+of its Laurent variable and m a monomial in the other names, so
+``3*z^-1*t + 2`` in z is ``{(-1, (("t", 1),)): 3, (0, ()): 2}``.  Both
+classes add and multiply through the one pair of loops ``_add_terms`` and
+``_mul_terms``, each passing its own key product.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd
+from types import MappingProxyType
 
 Rat = int | Fraction
 
@@ -69,6 +76,40 @@ def _power(base, k, one):
         base = base * base if k > 1 else base
         k >>= 1
     return result
+
+
+def _add_terms(a: dict, b: dict) -> dict:
+    """Sum of two term dicts ``{key: nonzero Fraction}``, cancelled keys dropped."""
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k)
+        if s is None:
+            out[k] = c
+        else:
+            s = s + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _mul_terms(a: dict, b: dict, key_product) -> dict:
+    """Product of two term dicts, keys multiplied by ``key_product``; cancelled keys dropped."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = key_product(k1, k2)
+            s = out.get(k)
+            if s is None:
+                out[k] = c1 * c2
+            else:
+                s = s + c1 * c2
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+    return out
 
 
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -169,18 +210,7 @@ class MultiPoly:
             other = MultiPoly.const(other)
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            if s is None:
-                out[m] = c
-            else:
-                s = s + c
-                if s:
-                    out[m] = s
-                else:
-                    del out[m]
-        return MultiPoly._trusted(out)
+        return MultiPoly._trusted(_add_terms(self.terms, other.terms))
 
     __radd__ = __add__
 
@@ -205,20 +235,7 @@ class MultiPoly:
             return MultiPoly._trusted({m: c * c0 for m, c in self.terms.items()})
         if not isinstance(other, MultiPoly):
             return NotImplemented
-        out = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _monomial_product(m1, m2)
-                s = out.get(m)
-                if s is None:
-                    out[m] = c1 * c2
-                else:
-                    s = s + c1 * c2
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
-        return MultiPoly._trusted(out)
+        return MultiPoly._trusted(_mul_terms(self.terms, other.terms, _monomial_product))
 
     __rmul__ = __mul__
 
@@ -302,6 +319,11 @@ def _monomial_product(m1: tuple, m2: tuple) -> tuple:
     for nm, k in m2:
         exps[nm] = exps.get(nm, 0) + k
     return tuple(sorted(exps.items()))
+
+
+def _laurent_key_product(k1: tuple, k2: tuple) -> tuple:
+    """Product of two Laurent keys ``(e, m)``: exponents add, monomials multiply."""
+    return k1[0] + k2[0], _monomial_product(k1[1], k2[1])
 
 
 def as_poly(x) -> MultiPoly:
@@ -459,44 +481,44 @@ def _strip_common(num: MultiPoly, den: MultiPoly):
 class LaurentPoly:
     """Laurent polynomial in one distinguished variable.
 
-    Coefficients are ``MultiPoly`` values (other variables ride along in
-    them), keyed by possibly negative integer exponents.  Finitely many
-    coefficients are nonzero.  The results of this class's own ``+``, ``-``
-    and ``*`` skip the coercion and checks of ``__init__`` (``_trusted``);
-    a product with a rational, or with a ``MultiPoly`` free of the Laurent
-    variable, scales the coefficients directly.
+    ``terms`` is one flat dict ``{(e, m): q}``: e a possibly negative int
+    exponent of ``var``, m a ``MultiPoly`` monomial in the other names, q a
+    nonzero ``Fraction``; so equal values in one variable have equal
+    ``terms``.  Arithmetic runs ``MultiPoly``'s loops with a key product
+    that adds exponents and multiplies monomials, and its results skip the
+    checks of ``__init__`` (``_trusted``).  ``coeffs`` and ``coefficient(k)``
+    read the coefficient of a power as a ``MultiPoly``.
     """
 
-    __slots__ = ("var", "coeffs")
+    __slots__ = ("var", "terms")
 
     def __init__(self, var: str, coeffs: Mapping[int, object] | None = None):
-        cs = {}
+        terms = {}
         if coeffs:
             for k, c in coeffs.items():
                 if not isinstance(k, int):
                     raise ValueError(f"Laurent exponent {k!r} is not an integer")
                 c = as_poly(c)
-                if not c.is_zero:
-                    if var in c.vars:
-                        raise ValueError(f"coefficient contains the Laurent variable {var!r}")
-                    cs[int(k)] = c
+                if var in c.vars:
+                    raise ValueError(f"coefficient contains the Laurent variable {var!r}")
+                terms.update(((int(k), m), q) for m, q in c.terms.items())
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "coeffs", cs)
+        object.__setattr__(self, "terms", terms)
 
     def __setattr__(self, *a):
         raise AttributeError("LaurentPoly is immutable")
 
     def __reduce__(self):
-        return type(self)._trusted, (self.var, self.coeffs)
+        return type(self)._trusted, (self.var, self.terms)
 
     @classmethod
-    def _trusted(cls, var: str, coeffs: dict) -> "LaurentPoly":
+    def _trusted(cls, var: str, terms: dict) -> "LaurentPoly":
         """Internal constructor for results of this class's own arithmetic:
-        ``coeffs`` maps int exponents to nonzero ``MultiPoly`` values that do
-        not contain ``var``."""
+        ``terms`` maps keys ``(e, m)``, e an int and m a monomial that does
+        not name ``var``, to nonzero ``Fraction`` values."""
         self = object.__new__(cls)
         object.__setattr__(self, "var", var)
-        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "terms", terms)
         return self
 
     @classmethod
@@ -509,28 +531,33 @@ class LaurentPoly:
             return cls(var, {exponent: coeff})
         # a rational coefficient cannot contain the Laurent variable, so with
         # an int exponent the term skips the checks of __init__
-        return cls._trusted(var, {int(exponent): MultiPoly.const(coeff)} if coeff else {})
+        return cls._trusted(var, {(int(exponent), ()): Fraction(coeff)} if coeff else {})
+
+    @property
+    def coeffs(self) -> Mapping[int, MultiPoly]:
+        """Read-only view: each power with a nonzero coefficient, ascending, to it."""
+        return MappingProxyType({k: self.coefficient(k) for k in sorted({e for e, _ in self.terms})})
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.terms)
 
     def ord(self) -> int:
         """Minimal exponent with nonzero coefficient."""
-        if not self.coeffs:
+        if not self.terms:
             raise ValueError("ord of the zero Laurent polynomial is undefined")
-        return min(self.coeffs)
+        return min(e for e, _ in self.terms)
 
     @property
     def is_regular(self) -> bool:
         """No negative exponents (the zero polynomial counts as regular)."""
-        return all(k >= 0 for k in self.coeffs)
+        return all(e >= 0 for e, _ in self.terms)
 
     def coefficient(self, k: int) -> MultiPoly:
-        return self.coeffs.get(k, MultiPoly.const(0))
+        return MultiPoly._trusted({m: q for (e, m), q in self.terms.items() if e == k})
 
     def _coerce(self, other):
         if isinstance(other, LaurentPoly):
@@ -540,7 +567,7 @@ class LaurentPoly:
                 raise ValueError(f"mixed Laurent variables {self.var!r} and {other.var!r}")
             return other
         if _is_rat(other):
-            return LaurentPoly._trusted(self.var, {0: MultiPoly.const(other)} if other else {})
+            return LaurentPoly.term(self.var, 0, other)
         if isinstance(other, MultiPoly):
             return LaurentPoly(self.var, {0: other})
         return None
@@ -549,23 +576,12 @@ class LaurentPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self.coeffs)
-        for k, c in o.coeffs.items():
-            s = out.get(k)
-            if s is None:
-                out[k] = c
-            else:
-                s = s + c
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return LaurentPoly._trusted(self.var, out)
+        return LaurentPoly._trusted(self.var, _add_terms(self.terms, o.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly._trusted(self.var, {k: -c for k, c in self.coeffs.items()})
+        return LaurentPoly._trusted(self.var, {k: -q for k, q in self.terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -577,29 +593,16 @@ class LaurentPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        if _is_rat(other) or (isinstance(other, MultiPoly) and self.var not in other.vars):
-            # scale each coefficient; a zero scalar drops every term, and a
-            # nonzero one leaves every coefficient nonzero
+        if _is_rat(other):
+            # a zero scalar drops every term, and a nonzero one leaves every
+            # coefficient nonzero
             if not other:
                 return LaurentPoly._trusted(self.var, {})
-            return LaurentPoly._trusted(self.var, {k: c * other for k, c in self.coeffs.items()})
+            return LaurentPoly._trusted(self.var, {k: q * other for k, q in self.terms.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out: dict[int, MultiPoly] = {}
-        for k1, c1 in self.coeffs.items():
-            for k2, c2 in o.coeffs.items():
-                k = k1 + k2
-                s = out.get(k)
-                if s is None:
-                    out[k] = c1 * c2
-                else:
-                    s = s + c1 * c2
-                    if s:
-                        out[k] = s
-                    else:
-                        del out[k]
-        return LaurentPoly._trusted(self.var, out)
+        return LaurentPoly._trusted(self.var, _mul_terms(self.terms, o.terms, _laurent_key_product))
 
     __rmul__ = __mul__
 
@@ -621,25 +624,24 @@ class LaurentPoly:
     def __eq__(self, other):
         if isinstance(other, LaurentPoly) and other.var != self.var:
             # in different Laurent variables only constants can be equal
-            return self.coeffs.keys() <= {0} and other.coeffs.keys() <= {0} and self.coeffs == other.coeffs
+            return self.terms == other.terms and all(e == 0 for e, _ in self.terms)
         if isinstance(other, MultiPoly) and self.var in other.vars:
             return False
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.terms == o.terms
 
     def __hash__(self):
-        if set(self.coeffs) <= {0}:  # constants hash like their coefficient
-            return hash(self.coeffs.get(0, MultiPoly.const(0)))
-        return hash((self.var, frozenset(self.coeffs.items())))
+        if all(e == 0 for e, _ in self.terms):  # constants hash like their coefficient
+            return hash(self.coefficient(0))
+        return hash((self.var, frozenset(self.terms.items())))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         parts = []
-        for k in sorted(self.coeffs):
-            c = self.coeffs[k]
+        for k, c in self.coeffs.items():
             cs = repr(c) if c.is_constant else f"({c!r})"
             if k == 0:
                 parts.append(cs)

@@ -41,6 +41,16 @@ class TestModel:
         with pytest.raises(ValueError, match="not symplectic"):
             GradedHiggsModel((1, 0, -1), ExactMatrix.zeros(3, 3), ExactMatrix.zeros(3, 3))
 
+    def test_dimension_mismatch_rejected(self):
+        # four weights and a 4x4 form, but a 3x3 phi
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            GradedHiggsModel(graded_weights(2), graded_omega(2), ExactMatrix.zeros(3, 3))
+
+    def test_weight_multiset_rejected(self):
+        # the form is the graded one, so only the weights are wrong
+        with pytest.raises(ValueError, match=r"weight multiset must be one \+1, one -1, rest 0"):
+            GradedHiggsModel((1, 1, 0, -1), graded_omega(2), ExactMatrix.zeros(4, 4))
+
     def test_symmetric_form_rejected(self):
         # nondegenerate and pairs the +1 slot with the -1 slot, but symmetric
         symmetric = ExactMatrix([[0, 1], [1, 0]])

@@ -14,8 +14,10 @@ Gram view nor lie's coordinate solver.  The removed copies of a rule stay out
 of the package: ``_clear_denominators`` (``matrix._cleared`` alone decides
 what is rational), ``check_glue_at_config`` (``check_glue`` serves the
 off-grid glue case), and ``_inverse_rows`` and ``_cleared_rows``
-(``matrix._cleared_inverse`` alone eliminates [X | I]).  The check walks the
-syntax tree with the standard library, like ``test_unused_imports``.
+(``matrix._cleared_inverse`` alone eliminates [X | I]), and ``cocycle``
+reads ``LaurentPoly.terms`` as they are, never the per-power ``coeffs``
+view.  The check walks the syntax tree with the standard library, like
+``test_unused_imports``.
 """
 
 import ast
@@ -97,6 +99,12 @@ def test_test_only_helpers_stay_beside_the_tests(path):
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_removed_copies_stay_out_of_the_package(path):
     assert sorted(REMOVED & named(path.read_text())) == []
+
+
+def test_cocycle_reads_laurent_terms_as_they_are():
+    """``cocycle`` reads and builds Laurent polynomials through their one
+    layout, the flat ``(e, m): q`` terms: it regroups nothing by power."""
+    assert "coeffs" not in named((SRC / "cocycle.py").read_text())
 
 
 def test_moment_builds_no_dense_gram():

@@ -158,6 +158,14 @@ class TestHeckeFamily:
         nilpotent = ExactMatrix([[1, 1], [-1, -1]])
         assert hecke_family(1, 1, nilpotent).N == nilpotent
 
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 3)])
+    def test_caller_nilpotent_must_be_2n_square(self, shape):
+        # n = 1 needs a 2x2 N; the shape is named before any product
+        bad = ExactMatrix.zeros(*shape)
+        for build in (hecke_family, glue_check):
+            with pytest.raises(ValueError, match=rf"must be 2x2, not {shape[0]}x{shape[1]}"):
+                build(1, 1, nilpotent=bad)
+
     def test_nilpotent_structure(self):
         N = smoothing_nilpotent(2)
         assert (N * N).is_zero and in_sp(N)

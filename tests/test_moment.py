@@ -223,6 +223,34 @@ class TestEquivariance:
         with pytest.raises(InvalidContextError):
             MomentContext(rep)
 
+    def test_zero_b_scale_rejected(self):
+        with pytest.raises(InvalidContextError, match="B-scale must be nonzero"):
+            MomentContext(sp_standard(1), b_scale=0)
+
+
+# sp(2) on its standard 2-dimensional space: psi has 2 entries and xi 3
+WRONG_LENGTHS = {
+    "moment_map psi": (lambda ctx: moment_map(ctx, [1, 0, 0]), "spinor has wrong length"),
+    "moment_differential psi": (lambda ctx: moment_differential(ctx, [1], [1, 0]), "spinor has wrong length"),
+    "moment_differential psidot": (
+        lambda ctx: moment_differential(ctx, [1, 0], [1, 0, 0]), "spinor has wrong length",
+    ),
+    "equivariance_check psi": (
+        lambda ctx: equivariance_check(ctx, [1], [1, 0, 0]), "spinor or algebra element has wrong length",
+    ),
+    "equivariance_check xi": (
+        lambda ctx: equivariance_check(ctx, [1, 0], [1, 0]), "spinor or algebra element has wrong length",
+    ),
+    "gaiotto_field psi": (lambda ctx: gaiotto_field(standard_omega(1), [1, 0, 0]), "spinor has wrong length"),
+}
+
+
+@pytest.mark.parametrize("call", WRONG_LENGTHS)
+def test_wrong_length_rejected(call):
+    run, message = WRONG_LENGTHS[call]
+    with pytest.raises(ValueError, match=message):
+        run(MomentContext(sp_standard(1)))
+
 
 class TestCoordinateTypes:
     """A coordinate that is not rational raises UnsupportedRingError, naming
