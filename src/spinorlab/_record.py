@@ -1,4 +1,9 @@
-"""Immutable value records.
+"""One freeze rule for records and values, and the record base.
+
+``Frozen`` refuses every attribute assignment and deletion, with one
+``__setattr__`` that is also ``__delattr__``.  ``Record`` and ``rings._Value``
+(the base of the package's slot values) derive from it, so a value shared by
+reference, such as a cached ``standard_omega(n)``, cannot change.
 
 A record class declares its fields once, as the parameters of its own
 ``__init__``: ``Record.__init_subclass__`` reads their names off the code
@@ -6,12 +11,12 @@ object into ``_fields``, in order.  The ``__init__`` normalises what it must,
 calls ``self._store(locals())`` once, which writes each field into
 ``self.__dict__`` in ``_fields`` order (other locals are left out), and then
 runs the class's checks.  ``Record`` supplies what the fields determine:
-equality against the same class only, a hash of the field tuple, the repr
-``Name(a=1, b=2)``, and refusal of every attribute assignment or deletion.
-Attributes outside ``_fields`` (the values of a ``functools.cached_property``,
-which writes to ``__dict__`` directly) take no part in equality, hashing or
-the repr.  Instances keep their ``__dict__``, so ``pickle`` and ``copy``
-restore them without calling ``__setattr__``.
+equality against the same class only, a hash of the field tuple and the
+repr ``Name(a=1, b=2)``.  Attributes outside ``_fields`` (the values of a
+``functools.cached_property``, which writes to ``__dict__`` directly) take
+no part in equality, hashing or the repr.  Instances keep their
+``__dict__``, so ``pickle`` and ``copy`` restore them without calling
+``__setattr__``.
 
 Plain classes cost nothing to build at import, where a code-generating
 decorator compiles several methods for each class; reading the code object
@@ -21,7 +26,16 @@ needs no ``inspect`` either.
 from __future__ import annotations
 
 
-class Record:
+class Frozen:
+    __slots__ = ()
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{self.__class__.__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+class Record(Frozen):
     _fields: tuple = ()
 
     def __init_subclass__(cls):
@@ -52,9 +66,3 @@ class Record:
         d = self.__dict__
         body = ", ".join([f"{f}={d[f]!r}" for f in self._fields])
         return f"{self.__class__.__qualname__}({body})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{self.__class__.__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{self.__class__.__name__} is immutable")

@@ -198,10 +198,6 @@ class QuotientSpace(Record):
         self._store(locals())
 
     @cached_property
-    def rank_z(self) -> int:
-        return rank(self.Z)
-
-    @cached_property
     def rank_b(self) -> int:
         return rank(self.B)
 
@@ -253,8 +249,9 @@ def check_five_term(data: FiveTermData) -> ExactnessReport:
     """Exactness at the three interior nodes of a five-term sequence.
 
     Each map T_i: spaces[i] -> spaces[i+1] is checked once, from its image
-    I_i = T_i Z_i: it maps into span(Z_{i+1}) when [Z_{i+1} | I_i] has the
-    rank of Z_{i+1}, and its rank on the quotients is
+    I_i = T_i Z_i: it maps into span(Z_{i+1}) when [Z_{i+1} | I_i] has rank
+    the column count of Z_{i+1}, whose columns are independent, and its rank
+    on the quotients is
     rank [I_i | B_{i+1}] - rank B_{i+1}.  Node k (between maps k and k+1)
     records whether T_{k+1} I_k lies in span(B_{k+2}), the ranks in and out
     and its dimension; it is exact when both maps land in their Z, that
@@ -266,7 +263,7 @@ def check_five_term(data: FiveTermData) -> ExactnessReport:
     for T, dom, cod in zip(maps, spaces, spaces[1:]):
         image = T * dom.Z
         images.append(image)
-        into.append(rank(ExactMatrix.from_blocks([[cod.Z, image]])) == cod.rank_z)
+        into.append(rank(ExactMatrix.from_blocks([[cod.Z, image]])) == cod.Z.cols)
         induced.append(rank(ExactMatrix.from_blocks([[image, cod.B]])) - cod.rank_b)
     nodes = []
     for k, name in enumerate(("H0(A1)", "H1_total", "H1(A0)")):
@@ -314,8 +311,8 @@ def _extend_to_basis(rng, M):
     extra = []
     while len(cols) + len(extra) < n:
         v = [rng.randint(-3, 3) for _ in range(n)]
-        cand = ExactMatrix(cols + extra + [v]).transpose()
-        if rank(cand) == len(cols) + len(extra) + 1:
+        # ranked as rows: rank does not change under transposition
+        if rank(ExactMatrix(cols + extra + [v])) == len(cols) + len(extra) + 1:
             extra.append(v)
     return ExactMatrix(extra).transpose() if extra else ExactMatrix.zeros(n, 0)
 

@@ -158,8 +158,10 @@ def _family_matrix(N: ExactMatrix, m: int, sign: int) -> ExactMatrix:
 
 def hecke_family(n: int, m: int, nilpotent: ExactMatrix | None = None) -> HeckeFamily:
     """Build h_t = I + t z^{-m} N and verify, with zero residual and no
-    truncation, that it is symplectic and that I - t z^{-m} N inverts it.
-    A caller's N must be 2n x 2n and square to zero (ValueError)."""
+    truncation, that I - t z^{-m} N inverts it.  A caller's N must be
+    2n x 2n and square to zero (ValueError); whether h_t is symplectic is
+    ``verify_symplectic_family``'s check, so an N outside sp(2n) still
+    builds a family."""
     if n < 1 or m < 1:
         raise ValueError("need n >= 1 and m >= 1")
     if nilpotent is None:

@@ -38,7 +38,7 @@ from functools import cache
 from itertools import compress
 from operator import mul
 
-from .rings import LaurentPoly, UnsupportedRingError, _check_tower, _is_rat, dot
+from .rings import LaurentPoly, UnsupportedRingError, _check_tower, _is_rat, _Value, dot
 
 
 class ShapeError(ValueError):
@@ -49,7 +49,7 @@ class NotSymplecticError(ValueError):
     """A matrix built to be symplectic fails M^T Omega M = Omega."""
 
 
-class ExactMatrix:
+class ExactMatrix(_Value):
     """Immutable rectangular matrix with entries in any exact ring of this
     package (int/Fraction, MultiPoly, LaurentPoly).  Elimination needs
     rational entries.
@@ -67,13 +67,6 @@ class ExactMatrix:
         object.__setattr__(self, "rows", len(rows))
         object.__setattr__(self, "cols", ncols)
         object.__setattr__(self, "entries", rows)
-
-    def __setattr__(self, *a):
-        raise AttributeError("ExactMatrix is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through _trusted, never through __setattr__
-        return type(self)._trusted, (self.entries, self.cols)
 
     @classmethod
     def _trusted(cls, rows: tuple, cols: int) -> "ExactMatrix":

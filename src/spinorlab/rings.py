@@ -3,8 +3,13 @@
 Scalars are arbitrary-precision rationals (``fractions.Fraction``), on top of
 which sit sparse multivariate polynomials, their fraction field, Laurent
 polynomials in one distinguished variable, and dual numbers for first-order
-derivatives.  All values are immutable and all arithmetic is exact; nothing
-in this package ever touches floating point.
+derivatives.  All arithmetic is exact; nothing in this package ever touches
+floating point.
+
+Every value class, ``ExactMatrix`` too, derives from ``_Value``: frozen by
+``_record.Frozen``, rebuilt slot by slot by ``pickle`` and ``copy``, and zero
+exactly when falsy, so its ``is_zero`` is ``not self`` (``ExactMatrix``, which
+has no ``__bool__``, keeps its own).
 
 A ``MultiPoly`` keeps one format: a dict from monomials to nonzero
 ``Fraction`` coefficients, where a monomial is a name-sorted tuple of
@@ -27,6 +32,8 @@ from fractions import Fraction
 from math import gcd
 from types import MappingProxyType
 
+from ._record import Frozen
+
 Rat = int | Fraction
 
 
@@ -45,8 +52,8 @@ def _is_rat(x) -> bool:
 def is_zero(x) -> bool:
     """Whether a value of the tower is zero.  Every value is falsy exactly
     when it is zero: rationals natively, and ``MultiPoly``, ``LaurentPoly``,
-    ``FracElem`` and ``Dual`` through a ``__bool__`` equal to
-    ``not self.is_zero``."""
+    ``FracElem`` and ``Dual`` through their ``__bool__``, whose negation is
+    their ``is_zero`` (``_Value.is_zero`` is ``not self``)."""
     return not x
 
 
@@ -112,6 +119,29 @@ def _mul_terms(a: dict, b: dict, key_product) -> dict:
     return out
 
 
+def _rebuild(cls, values):
+    """A ``_Value`` of class ``cls`` with its slots set to ``values`` in
+    ``__slots__`` order; no constructor runs and no ``__setattr__``."""
+    self = object.__new__(cls)
+    for name, v in zip(cls.__slots__, values):
+        object.__setattr__(self, name, v)
+    return self
+
+
+class _Value(Frozen):
+    """Base of the slot values: ``pickle`` and ``copy`` rebuild one slot by
+    slot (``_rebuild``), never through ``__setattr__`` or a constructor."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return _rebuild, (type(self), tuple([getattr(self, s) for s in self.__slots__]))
+
+    @property
+    def is_zero(self) -> bool:
+        return not self
+
+
 def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     # gcd on rationals: gcd of numerators over lcm of denominators
     num = gcd(a.numerator, b.numerator)
@@ -119,7 +149,7 @@ def _frac_gcd(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(num, den)
 
 
-class MultiPoly:
+class MultiPoly(_Value):
     """Sparse multivariate polynomial over the rationals.
 
     ``terms`` maps monomials to nonzero ``Fraction`` coefficients.  A
@@ -152,13 +182,6 @@ class MultiPoly:
                 tm[m] = tm.get(m, Fraction(0)) + c
         object.__setattr__(self, "terms", {m: c for m, c in tm.items() if c != 0})
 
-    def __setattr__(self, *a):
-        raise AttributeError("MultiPoly is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through _trusted, never through __setattr__
-        return type(self)._trusted, (self.terms,)
-
     @classmethod
     def _trusted(cls, terms: dict) -> "MultiPoly":
         """Internal constructor for results of this class's own arithmetic:
@@ -183,10 +206,6 @@ class MultiPoly:
     @property
     def vars(self) -> tuple:
         return tuple(sorted({nm for m in self.terms for nm, _ in m}))
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -334,7 +353,7 @@ def as_poly(x) -> MultiPoly:
     raise TypeError(f"cannot coerce {type(x).__name__} to MultiPoly")
 
 
-class FracElem:
+class FracElem(_Value):
     """Element of the fraction field of the polynomial ring.
 
     Equality is decided by cross-multiplication; no polynomial GCDs are
@@ -362,18 +381,6 @@ class FracElem:
                 den = MultiPoly.const(1)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("FracElem is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the constructor, which gives back
-        # the same normalized num and den
-        return type(self), (self.num, self.den)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -478,7 +485,7 @@ def _strip_common(num: MultiPoly, den: MultiPoly):
     return strip(num), strip(den)
 
 
-class LaurentPoly:
+class LaurentPoly(_Value):
     """Laurent polynomial in one distinguished variable.
 
     ``terms`` is one flat dict ``{(e, m): q}``: e a possibly negative int
@@ -504,12 +511,6 @@ class LaurentPoly:
                 terms.update(((int(k), m), q) for m, q in c.terms.items())
         object.__setattr__(self, "var", var)
         object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, *a):
-        raise AttributeError("LaurentPoly is immutable")
-
-    def __reduce__(self):
-        return type(self)._trusted, (self.var, self.terms)
 
     @classmethod
     def _trusted(cls, var: str, terms: dict) -> "LaurentPoly":
@@ -537,10 +538,6 @@ class LaurentPoly:
     def coeffs(self) -> Mapping[int, MultiPoly]:
         """Read-only view: each power with a nonzero coefficient, ascending, to it."""
         return MappingProxyType({k: self.coefficient(k) for k in sorted({e for e, _ in self.terms})})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -651,7 +648,7 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-class Dual:
+class Dual(_Value):
     """Dual number a + eps*b with eps^2 = 0, over any commutative base ring.
 
     Multiplying two duals keeps exactly the first-order term, which is how
@@ -663,16 +660,6 @@ class Dual:
     def __init__(self, re, eps=0):
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "eps", eps)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Dual is immutable")
-
-    def __reduce__(self):
-        return type(self), (self.re, self.eps)
-
-    @property
-    def is_zero(self) -> bool:
-        return is_zero(self.re) and is_zero(self.eps)
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.eps)

@@ -117,7 +117,7 @@ def _induced_rank(T, dom, cod):
 def _maps_into(T, dom, cod):
     """Every T-image of a dom generator lies in span(Z_cod)."""
     both = _hstack(cod.Z, T * dom.Z)
-    return rank(both) == cod.rank_z
+    return rank(both) == rank(cod.Z)
 
 
 def _composite_zero(Tg, Tf, dom, end):

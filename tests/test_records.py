@@ -10,6 +10,11 @@ sample fails ``test_every_record_has_a_sample``.  The same checks run on
 ``Interval``, a record of this file whose ``__init__`` binds another local
 before it stores its fields.
 
+The slot values of the package (``ExactMatrix``, ``MultiPoly``,
+``LaurentPoly``, ``FracElem`` and ``Dual``) share the records' freeze rule,
+``_record.Frozen``: no slot can be set or deleted, not even on the matrices
+that ``standard_omega`` and ``moment._zero_residual`` cache and share.
+
 The ``__init__`` parameters are the only declaration of a record's fields: a
 scan of the package's syntax tree finds no class but ``Record`` that assigns
 ``_fields`` or has a method that writes into ``__dict__`` by subscript.
@@ -26,10 +31,10 @@ from pathlib import Path
 import pytest
 
 import spinorlab
-from spinorlab import bbflow, cech, cocycle, hecke, lie, petri, rrdim, suites
+from spinorlab import bbflow, cech, cocycle, hecke, lie, moment, petri, rrdim, suites
 from spinorlab._record import Record
-from spinorlab.matrix import ExactMatrix
-from spinorlab.rings import LaurentPoly, MultiPoly
+from spinorlab.matrix import ExactMatrix, is_symplectic, random_symplectic, standard_omega
+from spinorlab.rings import Dual, FracElem, LaurentPoly, MultiPoly
 
 
 def _subclasses(cls):
@@ -221,6 +226,46 @@ def test_no_attribute_can_be_set_or_deleted(cls):
         with pytest.raises(AttributeError):
             delattr(record, name)
     assert record.__dict__ == before
+
+
+# one builder per slot value class: each call builds a fresh, equal value
+VALUES = {
+    ExactMatrix: lambda: ExactMatrix([[1, Fraction(1, 2)], [0, -3]]),
+    MultiPoly: lambda: MultiPoly(("x", "y"), {(2, 1): 3, (0, 0): -1}),
+    LaurentPoly: lambda: LaurentPoly("z", {-1: MultiPoly.var("t"), 2: 5}),
+    FracElem: lambda: FracElem(MultiPoly.var("x"), MultiPoly.var("x") + 1),
+    Dual: lambda: Dual(MultiPoly.var("x"), Fraction(2, 3)),
+}
+
+
+@pytest.mark.parametrize("cls", list(VALUES), ids=[c.__name__ for c in VALUES])
+def test_no_value_slot_can_be_set_or_deleted(cls):
+    value = VALUES[cls]()
+    for name in (*cls.__slots__, "unknown_attribute"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    fresh = VALUES[cls]()
+    assert value == fresh
+    assert [getattr(value, s) for s in cls.__slots__] == [getattr(fresh, s) for s in cls.__slots__]
+
+
+@pytest.mark.parametrize(
+    "shared, name",
+    [(lambda: standard_omega(2), "entries"), (lambda: moment._zero_residual(8), "rows")],
+    ids=["standard_omega", "zero_residual"],
+)
+def test_shared_cached_matrices_keep_their_slots(shared, name):
+    M = shared()
+    kept = getattr(M, name)
+    try:
+        with pytest.raises(AttributeError):
+            delattr(M, name)
+    finally:
+        if not hasattr(M, name):  # keep the shared value whole for the tests after this one
+            object.__setattr__(M, name, kept)
+    assert is_symplectic(random_symplectic(2, 1))
 
 
 @pytest.mark.parametrize("round_trip", [_pickled, _deep_copied, copy.copy], ids=["pickle", "deepcopy", "copy"])

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cocycle_oracles import split_linear
+from spinorlab.matrix import ExactMatrix, random_symplectic_laurent
 from spinorlab.rings import Dual, FracElem, LaurentPoly, MultiPoly, dot, is_zero
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=9)
@@ -341,10 +342,17 @@ def _pickled(x):
     return pickle.loads(pickle.dumps(x))
 
 
+def _entry_types(value):
+    """The types of a matrix's entries, or of a polynomial's term keys and coefficients."""
+    if isinstance(value, ExactMatrix):
+        return [type(x) for row in value.entries for x in row]
+    return [(type(k), type(c)) for k, c in value.terms.items()]
+
+
 class TestFracElemAndDualRoundTrips:
-    """``pickle``, ``copy.copy`` and ``copy.deepcopy`` rebuild a ``FracElem``
-    or a ``Dual`` through its constructor, never through the immutable
-    ``__setattr__``, and give back the same parts."""
+    """``pickle``, ``copy.copy`` and ``copy.deepcopy`` rebuild a value of
+    the package slot by slot, never through ``__setattr__``, and give back
+    the same parts."""
 
     @pytest.mark.parametrize("round_trip", [_pickled, copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
     def test_frac_elem(self, round_trip):
@@ -370,6 +378,27 @@ class TestFracElemAndDualRoundTrips:
             assert again == d and repr(again) == repr(d)
             assert (again.re, again.eps) == (d.re, d.eps)
             assert type(again.eps) is type(d.eps)
+
+    @pytest.mark.parametrize("round_trip", [_pickled, copy.copy, copy.deepcopy], ids=["pickle", "copy", "deepcopy"])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ExactMatrix([[1, -2, 0], [0, 3, 4]]),
+            lambda: ExactMatrix([[Fraction(1, 2), 0], [Fraction(-3, 7), Fraction(5)]]),
+            lambda: random_symplectic_laurent(2, 1),
+            lambda: MultiPoly(("x", "y"), {(2, 1): 3, (0, 3): Fraction(1, 2), (0, 0): -1}),
+            lambda: LaurentPoly("z", {-2: MultiPoly.var("t"), 0: 3, 1: Fraction(1, 4)}),
+        ],
+        ids=["int-matrix", "fraction-matrix", "laurent-matrix", "multipoly", "laurentpoly"],
+    )
+    def test_value(self, make, round_trip):
+        value = make()
+        again = round_trip(value)
+        assert type(again) is type(value)
+        assert again == value
+        for slot in type(value).__slots__:
+            assert getattr(again, slot) == getattr(value, slot)
+        assert _entry_types(again) == _entry_types(value)
 
 
 class TestDot:
