@@ -40,6 +40,7 @@ from operator import mul
 from ._record import Record
 from .matrix import (
     ExactMatrix,
+    ShapeError,
     _cleared,
     inverse,
     is_symplectic,
@@ -141,11 +142,15 @@ def theta_dual(d, u: ExactMatrix, l, theta: ExactMatrix):
     u^T Theta gamma = -l^{-1} d^T, so gamma = -l^{-1} (u^T Theta)^{-1} d^T
     from one rational inverse; the result is re-verified against the
     defining identity.  The inverse fails exactly when theta or u is
-    singular, so the two ranks are taken only then, to name which.
+    singular, so the two ranks are taken only then, to name which.  A d
+    or a u that does not match theta's size raises ShapeError.
     """
     k = theta.rows
+    if len(d) != k:
+        raise ShapeError(f"d has {len(d)} entries, theta is {k} x {k}")
+    system = u.transpose() * theta
     try:
-        system_inv = inverse(u.transpose() * theta)
+        system_inv = inverse(system)
     except ValueError:
         if rank(theta) != k:
             raise InvalidCocycleError("theta is singular") from None
@@ -351,7 +356,10 @@ def necessity_solve(n: int, l, u: ExactMatrix, d, a) -> NecessityResult:
     constant term of r_i, read off the integer vectors of
     ``_residual_forms`` (both scaled by the same den).  For rational
     (l, u, d, a) these are the only terms; any other raises
-    InvalidCocycleError.  The unique solution must reproduce theta_dual."""
+    InvalidCocycleError.  Column j of the system is den times column j of
+    u^T Theta, and ``BlockCocycle`` has checked that u preserves Theta, so
+    the system is invertible: it has one solution, which must reproduce
+    theta_dual, and ``rank`` measures that on a route of its own."""
     if not _is_rat(l):
         raise InvalidCocycleError("necessity solve needs a rational line transition")
     k = 2 * n - 2
@@ -365,15 +373,6 @@ def necessity_solve(n: int, l, u: ExactMatrix, d, a) -> NecessityResult:
     zero = [0] * k
     cols = [forms.get(key, zero) for key in unknown_keys]
     const = forms.get(const_key, zero)
-    rows = []
-    rhs = []
-    for i in range(k):
-        row = [col[i] for col in cols]
-        if any(row) or const[i]:
-            rows.append(row)
-            rhs.append(-const[i])
-    system = ExactMatrix(rows, cols=k)
-    sol = solve_linear(system, rhs)
-    if sol is None:
-        raise InvalidCocycleError("residual system has no solution")
+    system = ExactMatrix([[col[i] for col in cols] for i in range(k)], cols=k)
+    sol = solve_linear(system, [-x for x in const])
     return NecessityResult(tuple(sol), rank(system), k)

@@ -261,8 +261,9 @@ class Summand(Record):
 
     ``kind`` is "irreducible" for an irreducible symplectic summand or
     "dual-pair" for a summand of shape W + W*, in which case ``mid`` separates
-    the two isotropic halves; any other kind, or a ``mid`` on an irreducible
-    summand, raises ValueError.
+    the two halves: omega is nondegenerate on the whole block and zero on
+    each half.  Any other kind, or a ``mid`` on an irreducible summand,
+    raises ValueError.
     """
 
     def __init__(self, kind: str, lo: int, hi: int, mid: int | None = None):
@@ -406,7 +407,12 @@ def _combination(coords, flats, d: int) -> ExactMatrix:
 
 
 def verify_symplectic_rep(rep: SymplecticRep) -> CheckReport:
-    """Run every structural check; failures become report entries, not errors."""
+    """Run every structural check; failures become report entries, not errors.
+
+    Each summand, whatever its kind, gets "omega nondegenerate on
+    summand{i}": omega restricted to its block has full rank.  A dual pair
+    then gets "W isotropic in summand{i}" and "W* isotropic in summand{i}":
+    omega is zero on each half."""
     checks = []
     omega = rep.omega
     checks.append(("omega antisymmetric", omega.transpose() == omega.scale(-1)))
@@ -445,14 +451,11 @@ def verify_symplectic_rep(rep: SymplecticRep) -> CheckReport:
         checks.append((f"invariance of {tag}", not any(c in span and r not in span for r, c in at)))
 
     for i, s in enumerate(rep.summands):
-        if s.kind == "irreducible":
-            sub = omega.submatrix(range(s.lo, s.hi), range(s.lo, s.hi))
-            checks.append((f"omega nondegenerate on summand{i}", rank(sub) == s.hi - s.lo))
-        else:
-            w_iso = omega.submatrix(range(s.lo, s.mid), range(s.lo, s.mid)).is_zero
-            ws_iso = omega.submatrix(range(s.mid, s.hi), range(s.mid, s.hi)).is_zero
-            checks.append((f"W isotropic in summand{i}", w_iso))
-            checks.append((f"W* isotropic in summand{i}", ws_iso))
+        block = range(s.lo, s.hi)
+        checks.append((f"omega nondegenerate on summand{i}", rank(omega.submatrix(block, block)) == len(block)))
+        if s.kind == "dual-pair":
+            for half, span in (("W", range(s.lo, s.mid)), ("W*", range(s.mid, s.hi))):
+                checks.append((f"{half} isotropic in summand{i}", omega.submatrix(span, span).is_zero))
     return CheckReport(tuple(checks))
 
 
@@ -536,29 +539,20 @@ def almost_saturated_check(rep: SymplecticRep) -> SaturationVerdict:
         raise ValueError(f"representation fails verification: {report.failed_names()}")
 
     cons = rep.constituents()
-    for a, (tag, _) in enumerate(cons):
-        if hom_space(rep, a, a) != 1:
+    spans = [range(*span) for _, span in cons]
+    for (tag, _), span in zip(cons, spans):
+        if len(_intertwiners(rep, span, span)) != 1:
             return SaturationVerdict("INCONCLUSIVE", ((tag, "commutant dimension > 1"),))
 
-    summand_of = []
-    for i, s in enumerate(rep.summands):
-        summand_of.extend([i] * len(s.constituents("x")))
-
-    witnesses = []
-    for a in range(len(cons)):
-        for b in range(a + 1, len(cons)):
-            if summand_of[a] == summand_of[b]:
-                continue
-            if hom_space(rep, a, b) != 0:
-                witnesses.append((cons[a][0], cons[b][0]))
-    for i, s in enumerate(rep.summands):
-        if s.kind == "dual-pair":
-            idx = [k for k, so in enumerate(summand_of) if so == i]
-            if hom_space(rep, idx[0], idx[1]) != 0:
-                witnesses.append((cons[idx[0]][0], cons[idx[1]][0]))
-    if witnesses:
-        return SaturationVerdict("FALSE", tuple(witnesses))
-    return SaturationVerdict("TRUE")
+    # a dual pair's W starts at its lo, and its W* is the next constituent;
+    # every other pair a < b lies in two distinct summands
+    starts = {s.lo for s in rep.summands if s.kind == "dual-pair"}
+    halves = [(a, a + 1) for a, span in enumerate(spans) if span.start in starts]
+    pairs = [(a, b) for a in range(len(cons)) for b in range(a + 1, len(cons)) if (a, b) not in halves]
+    witnesses = tuple(
+        (cons[a][0], cons[b][0]) for a, b in pairs + halves if _intertwiners(rep, spans[a], spans[b])
+    )
+    return SaturationVerdict("FALSE", witnesses) if witnesses else SaturationVerdict("TRUE")
 
 
 # -- constructors -----------------------------------------------------------

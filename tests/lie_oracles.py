@@ -31,6 +31,11 @@ solver, and ``dense_constants`` its flat form.
 ``dense_sl2_sym_cube`` derives its images by ``sym_cube_action``, the
 derivation on x^(3-k) y^k written out for a general 2 x 2 matrix, where
 the package writes the nonzeros of e, h and f on Sym^k.
+``two_loop_saturation`` is the witness search ``almost_saturated_check``
+replaced: every dimension through the public ``hom_space``, a summand index
+per constituent counted from ``Summand.constituents``, and a second loop
+that searches for each dual pair's two halves, where the package walks the
+constituents and their spans once.
 """
 
 from fractions import Fraction
@@ -41,9 +46,12 @@ from spinorlab.lie import (
     MatrixLieAlgebra,
     Summand,
     SymplecticRep,
+    SaturationVerdict,
     _joint_kernel,
     _sylvester,
+    hom_space,
     sl2_algebra,
+    verify_symplectic_rep,
 )
 from spinorlab.matrix import ExactMatrix, mat_rank_kernel, standard_omega
 from spinorlab.rings import _is_rat, is_zero
@@ -319,3 +327,37 @@ def pairwise_brackets(flats, d):
                             br[r * d + c] = br.get(r * d + c, 0) + sign * x * y
             out.append((i, j, br))
     return out
+
+
+def two_loop_saturation(rep):
+    """The multiplicity-freeness verdict: witnesses over the constituent
+    pairs in distinct summands in ascending (a, b), then over each dual
+    pair's W and W*, in summand order."""
+    report = verify_symplectic_rep(rep)
+    if not report.passed:
+        raise ValueError(f"representation fails verification: {report.failed_names()}")
+
+    cons = rep.constituents()
+    for a, (tag, _) in enumerate(cons):
+        if hom_space(rep, a, a) != 1:
+            return SaturationVerdict("INCONCLUSIVE", ((tag, "commutant dimension > 1"),))
+
+    summand_of = []
+    for i, s in enumerate(rep.summands):
+        summand_of.extend([i] * len(s.constituents("x")))
+
+    witnesses = []
+    for a in range(len(cons)):
+        for b in range(a + 1, len(cons)):
+            if summand_of[a] == summand_of[b]:
+                continue
+            if hom_space(rep, a, b) != 0:
+                witnesses.append((cons[a][0], cons[b][0]))
+    for i, s in enumerate(rep.summands):
+        if s.kind == "dual-pair":
+            idx = [k for k, so in enumerate(summand_of) if so == i]
+            if hom_space(rep, idx[0], idx[1]) != 0:
+                witnesses.append((cons[idx[0]][0], cons[idx[1]][0]))
+    if witnesses:
+        return SaturationVerdict("FALSE", tuple(witnesses))
+    return SaturationVerdict("TRUE")

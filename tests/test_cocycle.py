@@ -76,6 +76,19 @@ class TestThetaDual:
             theta_dual((1, 0), u, 1, middle_theta(2))
         assert not isinstance(caught.value, InvalidCocycleError)
 
+    def test_square_u_of_the_wrong_size_is_a_shape_error(self):
+        """A 3 x 3 u against a 2 x 2 theta was reported as singular."""
+        with pytest.raises(ShapeError, match="^multiplication shape mismatch$") as caught:
+            theta_dual((1, 2), ExactMatrix.identity(3), 1, middle_theta(2))
+        assert not isinstance(caught.value, InvalidCocycleError)
+
+    @pytest.mark.parametrize("d", [(1, 2, 3), (1,)], ids=["long", "short"])
+    def test_d_of_the_wrong_length_is_a_shape_error(self, d):
+        """A long d lost its last entry and a short one leaked IndexError."""
+        with pytest.raises(ShapeError, match=f"^d has {len(d)} entries, theta is 2 x 2$") as caught:
+            theta_dual(d, ExactMatrix.identity(2), 1, middle_theta(2))
+        assert not isinstance(caught.value, InvalidCocycleError)
+
     def test_ranks_taken_only_after_a_failed_inverse(self, monkeypatch):
         def no_rank(M):
             raise AssertionError("rank taken on a regular input")

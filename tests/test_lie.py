@@ -3,6 +3,7 @@ intertwiners, and the multiplicity-freeness check."""
 
 import itertools
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -204,11 +205,30 @@ _DUALITY = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
 _FIRST_BLOCK_ONLY = [[0, 1, 1, 0], [-1, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
 _IRR_IRR = [Summand("irreducible", 0, 2), Summand("irreducible", 2, 4)]
 _DUAL = [Summand("dual-pair", 0, 4, mid=2)]
+
+
+def _antisymmetric(d, ones):
+    """The d x d antisymmetric form with 1 at each (r, c) of ``ones``."""
+    rows = [[0] * d for _ in range(d)]
+    for r, c in ones:
+        rows[r][c], rows[c][r] = 1, -1
+    return rows
+
+
+# invertible, zero on W = (0, 2) and W* = (2, 4), but of rank 2 on the
+# dual pair's block (0, 4): the pairing of coordinate 1 lands at 4
+_DEGENERATE_DUAL_PAIR = _antisymmetric(6, [(0, 2), (1, 4), (3, 5), (4, 5)])
 _CORRUPTED = {
     "omega not antisymmetric": lambda: (
         _on_sl2([[0, 1], [2, 0]], [Summand("irreducible", 0, 2)]), ["omega antisymmetric"]
     ),
-    "omega singular": lambda: (_on_sl2([[0] * 4] * 4, _DUAL), ["omega invertible"]),
+    "omega singular": lambda: (
+        _on_sl2([[0] * 4] * 4, _DUAL), ["omega invertible", "omega nondegenerate on summand0"]
+    ),
+    "omega degenerate on a dual pair": lambda: (
+        _on_sl2(_DEGENERATE_DUAL_PAIR, [Summand("dual-pair", 0, 4, mid=2), Summand("irreducible", 4, 6)]),
+        ["omega nondegenerate on summand0"],
+    ),
     "omega degenerate on one block": lambda: (
         _on_sl2(_FIRST_BLOCK_ONLY, _IRR_IRR), ["omega nondegenerate on summand1"]
     ),
@@ -263,6 +283,28 @@ class TestVerify:
         names = [n for n, _ in report.checks]
         assert any("W isotropic" in n for n in names)
         assert any("W* isotropic" in n for n in names)
+
+    def test_each_summand_is_checked_nondegenerate(self):
+        """One entry per summand, whatever its kind, and the two isotropy
+        entries after it for a dual pair."""
+        rep = direct_sum(direct_sum(sl2_standard(), sl2_w_plus_wdual()), sl2_sym_cube())
+        report = verify_symplectic_rep(rep)
+        assert report.passed
+        names = [n for n, _ in report.checks if not n.startswith(("sp-membership", "invariance", "homomorphism"))]
+        assert names == [
+            "omega antisymmetric", "omega invertible",
+            "omega nondegenerate on summand0",
+            "omega nondegenerate on summand1", "W isotropic in summand1", "W* isotropic in summand1",
+            "omega nondegenerate on summand2",
+        ]
+
+    def test_degenerate_dual_pair_fails_when_read_back(self):
+        rep, failed = _CORRUPTED["omega degenerate on a dual pair"]()
+        assert verify_symplectic_rep(rep_from_text(rep_to_text(rep))).failed_names() == failed
+
+    def test_one_image_per_basis_element(self):
+        with pytest.raises(ValueError, match="^need one image per basis element$"):
+            SymplecticRep(sl2_algebra(), standard_omega(1), sl2_algebra().basis[:2], [Summand("irreducible", 0, 2)])
 
     def test_sym_cube_passes(self):
         assert verify_symplectic_rep(sl2_sym_cube()).passed
@@ -519,6 +561,12 @@ class TestAlmostSaturated:
         )
         verdict = almost_saturated_check(misdeclared)
         assert verdict.status == "INCONCLUSIVE"
+
+    @pytest.mark.parametrize("case", list(_CORRUPTED))
+    def test_a_rep_that_fails_verification_is_refused(self, case):
+        rep, failed = _CORRUPTED[case]()
+        with pytest.raises(ValueError, match=re.escape(f"representation fails verification: {failed}")):
+            almost_saturated_check(rep)
 
     def test_verdict_invariant_under_summand_order(self):
         x = direct_sum(sl2_w_plus_wdual(), sl2_sym_cube())

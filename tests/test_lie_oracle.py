@@ -25,12 +25,14 @@ from lie_oracles import (
     flattened,
     iterative_kernel,
     pairwise_brackets,
+    two_loop_saturation,
 )
 from spinorlab import lie
 from spinorlab.lie import (
     MatrixLieAlgebra,
     Summand,
     SymplecticRep,
+    almost_saturated_check,
     commutant,
     conjugate_rep,
     direct_sum,
@@ -298,3 +300,26 @@ def test_sym_cube_form_is_pinned():
     want = ((F(0), F(0), F(0), F(9)), (F(0), F(0), F(-3), F(0)),
             (F(0), F(3), F(0), F(0)), (F(-9), F(0), F(0), F(0)))
     assert exactly_equal(sl2_sym_cube.__wrapped__().omega.entries, want)
+
+
+def saturation_reps():
+    """sp(2n)'s standard module for n = 1, 2, 3, and every direct sum, in
+    every order, of one to three of the four sl2 modules: 87 in all."""
+    reps = [sp_standard(n) for n in (1, 2, 3)]
+    parts = [sl2_standard(), sl2_w_plus_wdual(), sl2_sym_cube(), trivial_rep(sl2_algebra())]
+    for k in (1, 2, 3):
+        for chosen in itertools.product(parts, repeat=k):
+            rep = chosen[0]
+            for part in chosen[1:]:
+                rep = direct_sum(rep, part)
+            reps.append(rep)
+    return reps
+
+
+def test_saturation_matches_the_two_loop_search():
+    """Status and witnesses, in order; every status occurs."""
+    reps = saturation_reps()
+    assert len(reps) == 87
+    verdicts = [almost_saturated_check(rep) for rep in reps]
+    assert verdicts == [two_loop_saturation(rep) for rep in reps]
+    assert {v.status for v in verdicts} == {"TRUE", "FALSE", "INCONCLUSIVE"}
