@@ -69,8 +69,9 @@ class TruncatedSeriesVector(Record):
         return any(c != 0 for c in self.constant_terms())
 
 
-def symplectic_complete(v: TruncatedSeriesVector, prec: int | None = None) -> ExactMatrix:
-    """Complete a primitive series vector to a symplectic basis mod z^prec.
+def symplectic_complete(v: TruncatedSeriesVector) -> ExactMatrix:
+    """Complete a primitive series vector v to a symplectic basis mod z^prec,
+    prec = v.precision.
 
     Returns S with first column v and S^T Omega S = Omega mod z^prec in the
     interleaved frame, in closed form.  Let p be the first coordinate with
@@ -82,9 +83,7 @@ def symplectic_complete(v: TruncatedSeriesVector, prec: int | None = None) -> Ex
     omega(e_q, v) = -alpha_j sigma v_p cancels omega(e_j, v); and two such
     columns pair as e_j and e_j' do.
     """
-    prec = v.precision if prec is None else prec
-    if prec < 1:
-        raise ValueError("precision must be >= 1")
+    prec = v.precision
     if not v.is_primitive:
         raise PrimitivityError("vector vanishes at z = 0")
     dim = v.dim

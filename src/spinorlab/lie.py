@@ -13,8 +13,9 @@ constructors flatten the matrices they are given, and a None, 0.0 or ""
 entry, which flattening would read as zero, raises UnsupportedRingError.
 
 An algebra proves its basis independent at construction by one elimination
-of the basis rows alone; its coordinate solver, read off
-``matrix._cleared_inverse``, is built on first read (by ``coordinates_of``,
+of the basis rows alone, and solves its own coordinates: the cleared
+inverse of its basis on the pivot positions (``_solver``, read off
+``matrix._cleared_inverse``) is built on first read (by ``coordinates_of``,
 the structure constants or ``_den``), so petri alone never builds it.  A
 representation caches rho cleared once (``_rho_cleared``) and its pairing
 forms A_j = rho_j^T Omega (``_pairing``): the moment context reads both,
@@ -35,7 +36,6 @@ from .matrix import (
     _echelon,
     _flattened,
     _in_standard_sp,
-    _integer_flats,
     _integer_row,
     _row_echelon,
     in_sp,
@@ -68,10 +68,11 @@ class MatrixLieAlgebra:
     the elements independent, and that is the dimension of sp(Omega).
     sp(Omega) is closed, so nothing more is checked.  Any other basis has
     every bracket solved at construction, which raises ValueError when one
-    lies outside the span.  The coordinate solver (``_coord_solver``, and
-    with it ``_den``) and the structure constants (``_constants``) are
-    built on first read, for a proved basis as for any other, and each
-    bracket is checked on the full system then.
+    lies outside the span.  The algebra solves its own coordinates
+    (``_scaled_coords``): the cleared inverse of the basis on its pivot
+    positions (``_solver``, and with it ``_den``) and the structure
+    constants (``_constants``) are built on first read, for a proved basis
+    as for any other, and each bracket is checked on the full system then.
     """
 
     def __init__(self, basis, name: str = ""):
@@ -89,19 +90,45 @@ class MatrixLieAlgebra:
         self.ambient_dim = d
         self.dim = len(flat)
         self._flat = flat
-        if len(_echelon(_integer_flats(flat)[0], d * d)) < len(flat):
+        if len(_echelon([_integer_row(f) for f in flat], d * d)) < len(flat):
             raise ValueError("basis matrices are linearly dependent")
         if not (d % 2 == 0 and len(flat) == d * (d + 1) // 2 and all(_in_standard_sp(f, d) for f in flat)):
             self._constants  # the all-pairs closure check
 
     @cached_property
-    def _coord_solver(self) -> "_CoordinateSolver":
-        return _CoordinateSolver(self._flat, self.ambient_dim ** 2)
+    def _solver(self) -> tuple:
+        """``(den, {P_r: [(j, den E[r][j])]})`` over the nonzero entries,
+        from ``matrix._cleared_inverse`` of the basis rows: E is the inverse
+        of the basis restricted to its pivot positions P, so the
+        coordinates of Y are c_j = sum_r E[r][j] Y[P_r]."""
+        den, inv = _cleared_inverse(self._flat, self.ambient_dim ** 2)
+        return den, {p: list(row.items()) for p, row in inv.items()}
 
     @property
     def _den(self) -> int:
         """The solver's den: the structure constants are integers over it."""
-        return self._coord_solver.den
+        return self._solver[0]
+
+    def _scaled_coords(self, y: dict):
+        """``{j: den c_j}`` over the j that the nonzeros of ``y`` reach, for
+        the flattened matrix with entries ``y``, or None when it lies
+        outside the span.  A solve walks the nonzeros of y only and sums in
+        integers (for an integer y); the result is checked on the full
+        system, against ``_flat``."""
+        den, inv = self._solver
+        acc = {}
+        for pos, v in y.items():
+            if v and pos in inv:
+                for j, e in inv[pos]:
+                    acc[j] = acc.get(j, 0) + e * v
+        back = {}
+        for j, cj in acc.items():
+            if cj:
+                for pos, x in self._flat[j].items():
+                    back[pos] = back.get(pos, 0) + cj * x
+        if {p: v for p, v in back.items() if v} != {p: den * v for p, v in y.items() if v}:
+            return None
+        return acc
 
     @cached_property
     def basis(self) -> tuple:
@@ -116,7 +143,7 @@ class MatrixLieAlgebra:
         product term brackets to zero."""
         out = []
         for i, j, br in _brackets(self._flat, self.ambient_dim):
-            scaled = self._coord_solver.scaled_coords(br)
+            scaled = self._scaled_coords(br)
             if scaled is None:
                 raise ValueError("basis is not closed under the bracket")
             out.extend((i, j, k, x) for k, x in sorted(scaled.items()) if x)
@@ -141,7 +168,14 @@ class MatrixLieAlgebra:
         """Coordinates of an ambient matrix in the basis, or None."""
         if (M.rows, M.cols) != (self.ambient_dim, self.ambient_dim):
             return None
-        return self._coord_solver.coords(_flattened(M))
+        scaled = self._scaled_coords(_flattened(M))
+        if scaled is None:
+            return None
+        den = self._den
+        c = [0] * self.dim
+        for j, x in scaled.items():
+            c[j] = Fraction(x, den)
+        return tuple(c)
 
     def from_coordinates(self, coords) -> ExactMatrix:
         return _combination(coords, self._flat, self.ambient_dim)
@@ -202,58 +236,6 @@ def _brackets(flats, d: int):
                     out[pair] = br = {}
                 br[rd + c] = br.get(rd + c, 0) + v
     return [(i, j, out[i, j]) for i, j in sorted(out)]
-
-
-class _CoordinateSolver:
-    """Solves sum_j c_j X_j = Y for a fixed linearly independent list of
-    flattened matrices X_j, given as sparse {position: value} maps.
-
-    ``matrix._cleared_inverse`` of the rows X_j of F (ValueError when they
-    are dependent) gives the D pivot positions ``sel`` at which the X_j
-    are independent, den, and ``inv``: each P_r to its nonzero
-    (j, den E[r][j]), E the inverse of F on the columns P, so
-    c_j = sum_r E[r][j] y[P_r].  A solve walks the nonzeros of y only and
-    sums den c in integers (for an integer y); the result is checked on
-    the full system before den is divided out.
-    """
-
-    def __init__(self, columns, size: int):
-        self.columns = columns
-        self.den, inv = _cleared_inverse(columns, size)
-        self.sel = list(inv)
-        self.inv = {p: list(row.items()) for p, row in inv.items()}
-
-    def scaled_coords(self, y: dict):
-        """``{j: den c_j}`` over the j that the nonzeros of ``y`` reach, for
-        the flattened matrix with entries ``y``, or None when it lies
-        outside the span."""
-        inv = self.inv
-        acc = {}
-        for pos, v in y.items():
-            if v and pos in inv:
-                for j, e in inv[pos]:
-                    acc[j] = acc.get(j, 0) + e * v
-        # verify on the full system; None signals y outside the span
-        back = {}
-        for j, cj in acc.items():
-            if cj:
-                for pos, x in self.columns[j].items():
-                    back[pos] = back.get(pos, 0) + cj * x
-        den = self.den
-        if {p: v for p, v in back.items() if v} != {p: den * v for p, v in y.items() if v}:
-            return None
-        return acc
-
-    def coords(self, y: dict):
-        """Coordinates of the flattened matrix with nonzero entries ``y``, or
-        None when it lies outside the span."""
-        scaled = self.scaled_coords(y)
-        if scaled is None:
-            return None
-        c = [0] * len(self.columns)
-        for j, x in scaled.items():
-            c[j] = Fraction(x, self.den)
-        return tuple(c)
 
 
 class Summand(Record):
@@ -410,9 +392,11 @@ def verify_symplectic_rep(rep: SymplecticRep) -> CheckReport:
     """Run every structural check; failures become report entries, not errors.
 
     Each summand, whatever its kind, gets "omega nondegenerate on
-    summand{i}": omega restricted to its block has full rank.  A dual pair
-    then gets "W isotropic in summand{i}" and "W* isotropic in summand{i}":
-    omega is zero on each half."""
+    summand{i}": omega restricted to its block has full rank, and then
+    "summand{i} omega-orthogonal to the rest": omega pairs the block with
+    no coordinate outside it (antisymmetry covers the transposed block).  A
+    dual pair then gets "W isotropic in summand{i}" and "W* isotropic in
+    summand{i}": omega is zero on each half."""
     checks = []
     omega = rep.omega
     checks.append(("omega antisymmetric", omega.transpose() == omega.scale(-1)))
@@ -451,8 +435,9 @@ def verify_symplectic_rep(rep: SymplecticRep) -> CheckReport:
         checks.append((f"invariance of {tag}", not any(c in span and r not in span for r, c in at)))
 
     for i, s in enumerate(rep.summands):
-        block = range(s.lo, s.hi)
+        block, rest = range(s.lo, s.hi), [*range(s.lo), *range(s.hi, m)]
         checks.append((f"omega nondegenerate on summand{i}", rank(omega.submatrix(block, block)) == len(block)))
+        checks.append((f"summand{i} omega-orthogonal to the rest", omega.submatrix(block, rest).is_zero))
         if s.kind == "dual-pair":
             for half, span in (("W", range(s.lo, s.mid)), ("W*", range(s.mid, s.hi))):
                 checks.append((f"{half} isotropic in summand{i}", omega.submatrix(span, span).is_zero))

@@ -230,8 +230,9 @@ class ExactMatrix(_Value):
 # {pivot column: primitive sparse int row}.  mat_rank_kernel (_row_echelon)
 # and solve_linear on [A | b] reach it through one adapter, _sparse_rows;
 # petri and lie build their rows sparse.  One routine, _cleared_inverse,
-# eliminates [X | I]: inverse, cech's _solve_on_complement, moment's Gram
-# matrix and lie's coordinate solver all read it.  _echelon takes the rows
+# eliminates [X | I], cleared row by row: inverse, cech's
+# _solve_on_complement, moment's Gram matrix and the Lie algebra's own
+# coordinates (MatrixLieAlgebra._solver) all read it.  _echelon takes the rows
 # sparsest first and stops once the rank is full, never reading the rows
 # past that point.
 # The reduced form is unique and each caller divides a row only by its own
@@ -272,15 +273,6 @@ def _integer_rows(entries):
 def _integer_row(v):
     """A sparse rational row ``_cleared``, as ``{column: nonzero int}``."""
     return {j: x for j, x in zip(v, _cleared(v.values())[0]) if x}
-
-
-def _integer_flats(flats):
-    """``(rows, L)``: the sparse rational rows ``flats`` (``{column:
-    nonzero}``) times L, the lcm of all their denominators, as int rows,
-    cleared by one ``_cleared`` call."""
-    ints, L = _cleared([x for f in flats for x in f.values()])
-    it = iter(ints)
-    return [dict(zip(f, it)) for f in flats], L
 
 
 def _sparse_rows(entries):
@@ -448,13 +440,20 @@ def _cleared_inverse(rows, size: int):
     """``(den, {P_r: {j: den E[r][j]}})`` for independent sparse rational
     rows ``{column < size: nonzero}`` of X: E is the inverse of X on its
     pivot columns P (X^-1 when X is square), den the lcm of its denominators.
-    Row j of [L X | L I], L the common denominator (``_integer_flats``), is
-    L X_j and L at size + j.  ``_echelon``'s row at P_r over its pivot entry
-    p holds row r of E on the right, and with g = gcd(p, the entries x
-    there), den E[r][j] = (x / g) (den / (p / g)).  A pivot in the identity
-    block means the rows are dependent and raises ValueError."""
-    ints, L = _integer_flats(rows)
-    kept = _echelon([{**row, size + j: L} for j, row in enumerate(ints)], size + len(ints))
+    Row by row: row j of D [X | I], D = diag(L_j), is L_j X_j and L_j at
+    size + j, L_j the lcm of the denominators of X_j (``_cleared``).  A
+    positive multiple of a row keeps the row space, so the reduced form, and
+    ``_eliminate`` and ``_primitive`` carry a positive factor through to the
+    same primitive rows as for any other positive scaling.  ``_echelon``'s
+    row at P_r over its pivot entry p holds row r of E on the right, and
+    with g = gcd(p, the entries x there), den E[r][j] = (x / g) (den /
+    (p / g)).  A pivot in the identity block means the rows are dependent
+    and raises ValueError."""
+    augmented = []
+    for j, row in enumerate(rows):
+        ints, L = _cleared(row.values())
+        augmented.append({**dict(zip(row, ints)), size + j: L})
+    kept = _echelon(augmented, size + len(rows))
     if any(c >= size for c in kept):
         raise ValueError("rows are linearly dependent")
     cleared = []

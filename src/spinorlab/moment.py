@@ -58,8 +58,8 @@ class MomentContext:
     the Gram matrix of B once.  ``b_scale`` rescales B (the map rescales
     inversely; equivariance is unaffected).  Every table is one flat list of
     integer nonzeros: the forms Z_k and their polarizations
-    S_k = Z_k + Z_k^T as (k, row, col, value), and the rep's rho_j cleared
-    of their common denominator d (``_rho_cleared``).  A context holds no
+    S_k = Z_k + Z_k^T (``_polarized``) as (k, row, col, value), and the
+    rep's rho_j cleared of their common denominator d (``_rho_cleared``).  A context holds no
     structure constant; ``equivariance_check`` reads the algebra's.
 
     The Gram matrix comes as the nonzeros of its rows (``_trace_form``)
@@ -99,11 +99,7 @@ class MomentContext:
         h = math.gcd(den, *sums.values())
         self._q_inv = Fraction(h, den)
         self._Z = [(*krc, x // h) for krc, x in sums.items() if x]
-        S = {}
-        for k, r, c, v in self._Z:
-            S[k, r, c] = S.get((k, r, c), 0) + v
-            S[k, c, r] = S.get((k, c, r), 0) + v
-        self._S = [(*krc, v) for krc, v in S.items() if v]
+        self._S = _polarized(self._Z)
 
     # -- evaluation -----------------------------------------------------
 
@@ -118,6 +114,19 @@ class MomentContext:
             return tuple(x * self._q_inv for x in _forms(self._Z, D, psi, psi))
         scale = self._q_inv / (L * L)
         return tuple(x * scale for x in _forms(self._Z, D, P, P))
+
+
+def _polarized(forms) -> list:
+    """The nonzeros (k, row, col, value) of F_k + F_k^T, for integer forms
+    F_k given by their nonzeros (k, row, col, value), in the order each is
+    first reached: psi^T (F_k + F_k^T) psidot is the derivative of
+    psi^T F_k psi in the direction psidot.  A context polarizes its Z_k,
+    and petri the rep's pairing forms A_j."""
+    P = {}
+    for k, r, c, v in forms:
+        P[k, r, c] = P.get((k, r, c), 0) + v
+        P[k, c, r] = P.get((k, c, r), 0) + v
+    return [(*krc, v) for krc, v in P.items() if v]
 
 
 def _forms(forms, D: int, a, b):

@@ -22,9 +22,9 @@ psidot is psi^T (A_j + A_j^T) psidot with A_j = rho_j^T Omega
 The algebra coordinates of mu multiply each degree block of those rows by
 G^-1, G the Gram matrix of B, which changes no row space.  So
 ``petri_kernel`` and ``in_petri_kernel`` convolve against the pairing forms
-(``_pairing_forms``) and invert no Gram matrix: a section space builds no
-``MomentContext``, and a rep whose trace form is degenerate has a kernel
-too.  Only ``petri_matrix``, which returns the matrix in the algebra
+(polarized by ``moment._polarized``, as a context polarizes its Z_k) and
+invert no Gram matrix: a section space builds no ``MomentContext``, and a
+rep whose trace form is degenerate has a kernel too.  Only ``petri_matrix``, which returns the matrix in the algebra
 coordinates of mu, convolves against the forms S_k / q of the rep's
 ``MomentContext`` (built on its first call, so a degenerate trace form
 raises ``InvalidContextError`` there), as does ``scalar_action_invariance``.
@@ -57,7 +57,7 @@ from functools import lru_cache
 from ._record import Record
 from .lie import SymplecticRep
 from .matrix import ExactMatrix, ShapeError, _cleared, _echelon, _row_echelon
-from .moment import MomentContext, moment_map
+from .moment import MomentContext, _polarized, moment_map
 
 
 @lru_cache(maxsize=16)
@@ -70,10 +70,11 @@ def _context(rep: SymplecticRep) -> MomentContext:
 
 class SectionSpace:
     """Spinor sections of bounded degree for a fixed representation.  The
-    space holds the polarized pairing forms of its representation
-    (``_pairing_forms``), which clears rho and omega, so a rep with an entry
-    that is not rational raises UnsupportedRingError here; ``ctx`` is the
-    representation's cached ``MomentContext``, built on first read."""
+    space holds den (A_j + A_j^T), the rep's pairing forms (``_pairing``,
+    which clears rho and omega, so a rep with an entry that is not rational
+    raises UnsupportedRingError here) polarized by ``moment._polarized``;
+    ``ctx`` is the representation's cached ``MomentContext``, built on
+    first read."""
 
     def __init__(self, rep: SymplecticRep, degree_bound: int):
         if type(degree_bound) is not int:
@@ -83,23 +84,11 @@ class SectionSpace:
         self.rep = rep
         self.degree_bound = degree_bound
         self.dim = rep.dimV * degree_bound
-        self._forms = _pairing_forms(rep)
+        self._forms = _polarized(rep._pairing[1])
 
     @property
     def ctx(self) -> MomentContext:
         return _context(self.rep)
-
-
-def _pairing_forms(rep: SymplecticRep) -> list:
-    """The nonzeros (j, row, col, value) of den (A_j + A_j^T), A_j and den
-    those of ``SymplecticRep._pairing``: the derivative of
-    omega(rho(X_j) psi, psi) at psi in the direction psidot is
-    psi^T (A_j + A_j^T) psidot, the pairing of dmu with X_j under B."""
-    P = {}
-    for j, r, c, a in rep._pairing[1]:
-        P[j, r, c] = P.get((j, r, c), 0) + a
-        P[j, c, r] = P.get((j, c, r), 0) + a
-    return [(*jrc, v) for jrc, v in P.items() if v]
 
 
 class PetriMatrix(Record):

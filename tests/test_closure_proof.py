@@ -228,7 +228,7 @@ table = MatrixLieAlgebra.__dict__["_constants"]
 build = table.func
 table.func = lambda alg: built.append(alg.name) or build(alg)
 solvers = []
-solver = MatrixLieAlgebra.__dict__["_coord_solver"]
+solver = MatrixLieAlgebra.__dict__["_solver"]
 build_solver = solver.func
 solver.func = lambda alg: solvers.append(alg.name) or build_solver(alg)
 contexts = []
@@ -245,7 +245,7 @@ out["petri"] = (
     built[:],
     "_constants" in sp_algebra(4).__dict__,
     solvers[:],
-    "_coord_solver" in sp_algebra(4).__dict__,
+    "_solver" in sp_algebra(4).__dict__,
     [ctx.rep.name for ctx in contexts],
 )
 

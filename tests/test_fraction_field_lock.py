@@ -10,11 +10,14 @@ the polynomial view of a section, the per-representation Euler pair, the
 map-by-map joint kernel, the lazy Bareiss Gauss-Jordan (``_rref_int``,
 ``_reduce``) and the per-pair bracket loop (``pairwise_brackets``) live
 beside the oracles that use them, and ``moment`` names neither the dense
-Gram view nor lie's coordinate solver.  The removed copies of a rule stay out
-of the package: ``_clear_denominators`` (``matrix._cleared`` alone decides
-what is rational), ``check_glue_at_config`` (``check_glue`` serves the
-off-grid glue case), and ``_inverse_rows`` and ``_cleared_rows``
-(``matrix._cleared_inverse`` alone eliminates [X | I]), and ``cocycle``
+Gram view nor the algebra's coordinate solve.  The removed copies of a rule
+stay out of the package: ``_clear_denominators`` (``matrix._cleared`` alone
+decides what is rational), ``check_glue_at_config`` (``check_glue`` serves
+the off-grid glue case), ``_inverse_rows``, ``_cleared_rows`` and
+``_integer_flats`` (``matrix._cleared_inverse`` alone eliminates [X | I],
+clearing row by row), ``_CoordinateSolver`` and ``_coord_solver`` (the
+algebra solves its own coordinates) and ``_pairing_forms``
+(``moment._polarized`` alone polarizes a form), and ``cocycle``
 reads ``LaurentPoly.terms`` as they are, never the per-power ``coeffs``
 view.  The check walks the syntax tree with the standard library, like
 ``test_unused_imports``.
@@ -41,7 +44,16 @@ TEST_ONLY = {
     "_reduce",
     "pairwise_brackets",
 }
-REMOVED = {"_clear_denominators", "check_glue_at_config", "_inverse_rows", "_cleared_rows"}
+REMOVED = {
+    "_clear_denominators",
+    "check_glue_at_config",
+    "_inverse_rows",
+    "_cleared_rows",
+    "_CoordinateSolver",
+    "_coord_solver",
+    "_integer_flats",
+    "_pairing_forms",
+}
 
 
 def named(source: str) -> set:
@@ -110,8 +122,8 @@ def test_cocycle_reads_laurent_terms_as_they_are():
 def test_moment_builds_no_dense_gram():
     """``MomentContext`` inverts the nonzeros of the trace form through
     ``matrix._cleared_inverse``: it neither reads the dense Gram view nor
-    borrows lie's coordinate solver to invert it."""
-    assert sorted({"trace_gram", "_CoordinateSolver"} & named((SRC / "moment.py").read_text())) == []
+    borrows the algebra's coordinate solve to invert it."""
+    assert sorted({"trace_gram", "_solver", "_scaled_coords"} & named((SRC / "moment.py").read_text())) == []
 
 
 def test_section_space_does_not_evaluate():

@@ -18,7 +18,6 @@ from spinorlab.lie import (
     RepFormatError,
     Summand,
     SymplecticRep,
-    _CoordinateSolver,
     _brackets,
     _flattened,
     almost_saturated_check,
@@ -38,7 +37,7 @@ from spinorlab.lie import (
     _sylvester,
     verify_symplectic_rep,
 )
-from spinorlab.matrix import ExactMatrix, in_sp, random_symplectic, standard_omega
+from spinorlab.matrix import ExactMatrix, _cleared_inverse, in_sp, random_symplectic, standard_omega
 from spinorlab.rings import LaurentPoly, MultiPoly, UnsupportedRingError
 
 
@@ -157,9 +156,9 @@ class TestAlgebra:
         """h, e, f and the densest 2h + 3e - f: the last, reduced last in
         [F | I], is the only row whose pivot lands in the identity block."""
         cols = [{0: 1, 3: -1}, {1: 1}, {2: 1}, {0: 2, 1: 3, 2: -1, 3: -2}]
-        assert _CoordinateSolver(cols[:3], 4).sel == [0, 1, 2]
+        assert list(_cleared_inverse(cols[:3], 4)[1]) == [0, 1, 2]
         with pytest.raises(ValueError, match="linearly dependent"):
-            _CoordinateSolver(cols, 4)
+            _cleared_inverse(cols, 4)
         h, e, f = ExactMatrix([[1, 0], [0, -1]]), ExactMatrix([[0, 1], [0, 0]]), ExactMatrix([[0, 0], [1, 0]])
         with pytest.raises(ValueError, match="linearly dependent"):
             MatrixLieAlgebra([h, e, f, h.scale(2) + e.scale(3) - f])
@@ -204,6 +203,8 @@ _DUALITY = [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
 # invertible, with a nondegenerate (0, 2) block and a zero (2, 4) block
 _FIRST_BLOCK_ONLY = [[0, 1, 1, 0], [-1, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]
 _IRR_IRR = [Summand("irreducible", 0, 2), Summand("irreducible", 2, 4)]
+# invertible, with nondegenerate (0, 2) and (2, 4) blocks that omega pairs
+_PAIRED_BLOCKS = [[0, 1, 1, 0], [-1, 0, 0, 0], [-1, 0, 0, 1], [0, 0, -1, 0]]
 _DUAL = [Summand("dual-pair", 0, 4, mid=2)]
 
 
@@ -227,10 +228,18 @@ _CORRUPTED = {
     ),
     "omega degenerate on a dual pair": lambda: (
         _on_sl2(_DEGENERATE_DUAL_PAIR, [Summand("dual-pair", 0, 4, mid=2), Summand("irreducible", 4, 6)]),
-        ["omega nondegenerate on summand0"],
+        ["omega nondegenerate on summand0", "summand0 omega-orthogonal to the rest",
+         "summand1 omega-orthogonal to the rest"],
     ),
     "omega degenerate on one block": lambda: (
-        _on_sl2(_FIRST_BLOCK_ONLY, _IRR_IRR), ["omega nondegenerate on summand1"]
+        _on_sl2(_FIRST_BLOCK_ONLY, _IRR_IRR),
+        ["summand0 omega-orthogonal to the rest", "omega nondegenerate on summand1",
+         "summand1 omega-orthogonal to the rest"],
+    ),
+    "summands paired by omega": lambda: (
+        # nondegenerate on each block, but omega[0][2] pairs the two
+        _on_sl2(_PAIRED_BLOCKS, _IRR_IRR),
+        ["summand0 omega-orthogonal to the rest", "summand1 omega-orthogonal to the rest"],
     ),
     "W not isotropic": lambda: (_on_sl2(_FIRST_BLOCK_ONLY, _DUAL), ["W isotropic in summand0"]),
     "W* not isotropic": lambda: (
@@ -285,21 +294,27 @@ class TestVerify:
         assert any("W* isotropic" in n for n in names)
 
     def test_each_summand_is_checked_nondegenerate(self):
-        """One entry per summand, whatever its kind, and the two isotropy
-        entries after it for a dual pair."""
+        """One nondegeneracy entry per summand, whatever its kind, its
+        orthogonality entry after it, and then the two isotropy entries for
+        a dual pair."""
         rep = direct_sum(direct_sum(sl2_standard(), sl2_w_plus_wdual()), sl2_sym_cube())
         report = verify_symplectic_rep(rep)
         assert report.passed
         names = [n for n, _ in report.checks if not n.startswith(("sp-membership", "invariance", "homomorphism"))]
         assert names == [
             "omega antisymmetric", "omega invertible",
-            "omega nondegenerate on summand0",
-            "omega nondegenerate on summand1", "W isotropic in summand1", "W* isotropic in summand1",
-            "omega nondegenerate on summand2",
+            "omega nondegenerate on summand0", "summand0 omega-orthogonal to the rest",
+            "omega nondegenerate on summand1", "summand1 omega-orthogonal to the rest",
+            "W isotropic in summand1", "W* isotropic in summand1",
+            "omega nondegenerate on summand2", "summand2 omega-orthogonal to the rest",
         ]
 
     def test_degenerate_dual_pair_fails_when_read_back(self):
         rep, failed = _CORRUPTED["omega degenerate on a dual pair"]()
+        assert verify_symplectic_rep(rep_from_text(rep_to_text(rep))).failed_names() == failed
+
+    def test_paired_summands_fail_when_read_back(self):
+        rep, failed = _CORRUPTED["summands paired by omega"]()
         assert verify_symplectic_rep(rep_from_text(rep_to_text(rep))).failed_names() == failed
 
     def test_one_image_per_basis_element(self):

@@ -196,10 +196,10 @@ def test_petri_matrix_unchanged_on_sp8(monkeypatch):
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
 def test_coordinate_solver_rows_and_span(n):
     alg = sl2_algebra() if n == 0 else sp_algebra(n)
-    solver = alg._coord_solver
+    _, inv = alg._solver
     flat = [[X.entries[p // alg.ambient_dim][p % alg.ambient_dim] for X in alg.basis]
             for p in range(alg.ambient_dim ** 2)]
-    block = sympy.Matrix([flat[p] for p in solver.sel])
+    block = sympy.Matrix([flat[p] for p in inv])
     assert block.shape == (alg.dim, alg.dim)
     assert block.rank() == alg.dim
 
@@ -234,13 +234,13 @@ def test_coordinate_solver_clears_the_inverse_of_its_pivot_block(name):
     """The solver's den and den E, E the inverse of the basis restricted to
     its pivot positions, equal those read off the Fraction inverse."""
     alg = REPS[name]().algebra
-    solver = alg._coord_solver
+    solver_den, inv = alg._solver
     d = alg.ambient_dim
-    block = ExactMatrix([[X.entries[p // d][p % d] for p in solver.sel] for X in alg.basis])
+    block = ExactMatrix([[X.entries[p // d][p % d] for p in inv] for X in alg.basis])
     den, N = fraction_cleared_inverse(block)
-    assert solver.den == den
-    assert solver.inv == {
-        p: [(j, x) for j, x in enumerate(row) if x] for p, row in zip(solver.sel, N.entries)
+    assert solver_den == den
+    assert inv == {
+        p: [(j, x) for j, x in enumerate(row) if x] for p, row in zip(inv, N.entries)
     }
 
 
